@@ -27,8 +27,7 @@ use crate::{BaselineConfig, BudgetExceeded, JoinRunResult};
 use ssj_mapreduce::{
     Dataset, Emitter, GroupValues, Mapper, Plan, PlanRunner, Reducer, StreamingReducer,
 };
-use ssj_similarity::intersect::intersect_count_merge;
-use ssj_similarity::{Measure, SimilarPair};
+use ssj_similarity::{Measure, SimilarPair, Verifier};
 use ssj_text::{Collection, Record};
 use std::sync::Arc;
 
@@ -246,8 +245,7 @@ impl Mapper for SignatureMapper {
 
 /// Merge-variant reducer: match indexed × probe and verify in place.
 struct MergeReducer {
-    measure: Measure,
-    theta: f64,
+    verifier: Verifier,
 }
 
 impl Reducer for MergeReducer {
@@ -259,25 +257,18 @@ impl Reducer for MergeReducer {
     fn reduce(&mut self, _key: &SigKey, values: Vec<SigValue>, out: &mut Emitter<(u32, u32), f64>) {
         let (indexed, probes): (Vec<&SigValue>, Vec<&SigValue>) =
             values.iter().partition(|v| v.0 == ROLE_INDEXED);
-        for &&(_, rid_s, len_s, ref toks_s) in &indexed {
-            for &&(_, rid_t, len_t, ref toks_t) in &probes {
+        for &&(_, rid_s, _, ref toks_s) in &indexed {
+            for &&(_, rid_t, _, ref toks_t) in &probes {
                 if rid_s == rid_t {
                     continue;
                 }
-                let c = intersect_count_merge(toks_s, toks_t);
-                if self
-                    .measure
-                    .passes(c, len_s as usize, len_t as usize, self.theta)
-                {
+                if let Some((_, sim)) = self.verifier.verify(toks_s, toks_t, None).similar {
                     let (a, b) = if rid_s < rid_t {
                         (rid_s, rid_t)
                     } else {
                         (rid_t, rid_s)
                     };
-                    out.emit(
-                        (a, b),
-                        self.measure.score(c, len_s as usize, len_t as usize),
-                    );
+                    out.emit((a, b), sim);
                 }
             }
         }
@@ -350,8 +341,7 @@ impl Mapper for CandidateMapper {
 /// replica (distributed-cache analogue) and verify exactly.
 struct CachedVerifyMapper {
     records: Arc<Vec<Record>>,
-    measure: Measure,
-    theta: f64,
+    verifier: Verifier,
 }
 
 impl Mapper for CachedVerifyMapper {
@@ -363,9 +353,8 @@ impl Mapper for CachedVerifyMapper {
     fn map(&mut self, (a, b): (u32, u32), _v: u8, out: &mut Emitter<(u32, u32), f64>) {
         let s = &self.records[a as usize];
         let t = &self.records[b as usize];
-        let c = intersect_count_merge(&s.tokens, &t.tokens);
-        if self.measure.passes(c, s.len(), t.len(), self.theta) {
-            out.emit((a, b), self.measure.score(c, s.len(), t.len()));
+        if let Some((_, sim)) = self.verifier.verify(&s.tokens, &t.tokens, None).similar {
+            out.emit((a, b), sim);
         }
     }
 }
@@ -437,7 +426,9 @@ pub fn massjoin(
                     theta,
                     carry_tokens: true,
                 },
-                move |_| MergeReducer { measure, theta },
+                move |_| MergeReducer {
+                    verifier: Verifier { measure, theta },
+                },
             );
             let unique = add_dedup_stage(&mut plan, raw, cfg.reduce_tasks, "massjoin-dedup");
             let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
@@ -471,8 +462,7 @@ pub fn massjoin(
                 cfg.reduce_tasks,
                 move |_| CachedVerifyMapper {
                     records: Arc::clone(&records),
-                    measure,
-                    theta,
+                    verifier: Verifier { measure, theta },
                 },
                 |_| KeepFirstReducer,
             );

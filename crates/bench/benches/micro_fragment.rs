@@ -182,34 +182,18 @@ fn fragment_segments_owned(c: &Collection, pivots: &[u32], fragment: usize) -> V
 }
 
 fn run_span_kernel(pool: &TokenPool, segments: &[fsjoin::Segment]) -> Vec<CandidateRecord> {
-    run_kernel_at(pool, segments, 0.8, JoinKernel::Loop, FilterSet::NONE, true).0
-}
-
-/// Run one fragment kernel configuration and return (candidates, stats) —
-/// the θ/bitmap sweep reads the stats to report prune rates honestly.
-fn run_kernel_at(
-    pool: &TokenPool,
-    segments: &[fsjoin::Segment],
-    theta: f64,
-    kernel: JoinKernel,
-    filters: FilterSet,
-    bitmap: bool,
-) -> (Vec<CandidateRecord>, FilterStats) {
-    let mut stats = FilterStats::default();
-    let out = join_fragment(
+    join_fragment(
         pool,
         segments,
         JoinRule::All,
         PairScope::SelfJoin,
         Measure::Jaccard,
-        theta,
-        kernel,
-        filters,
+        0.8,
+        JoinKernel::Loop,
+        FilterSet::NONE,
         Default::default(),
-        bitmap,
-        &mut stats,
-    );
-    (out, stats)
+        &mut FilterStats::default(),
+    )
 }
 
 // ---- Allocation report (printed once, before Criterion) --------------------
@@ -295,79 +279,5 @@ fn bench_fragment_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-/// Bitmap-prune sweep: the Loop kernel with filters off (every segment
-/// pair reaches the verification step, isolating the bitmap check), θ ∈
-/// {0.75, 0.85, 0.95}, bitmap prune on vs off. Equal outputs are asserted
-/// per configuration (the prune is lossless); the printed prune rate
-/// contextualizes the timing delta.
-fn bench_bitmap_prune(c: &mut Criterion) {
-    let (collection, pivots) = fixture();
-    let segments = fragment_segments(&collection, &pivots, 0);
-    let pool = collection.pool();
-    let mut g = c.benchmark_group("fragment_bitmap");
-    g.sample_size(20);
-    for theta in [0.75, 0.85, 0.95] {
-        let (on_out, on_stats) = run_kernel_at(
-            pool,
-            &segments,
-            theta,
-            JoinKernel::Loop,
-            FilterSet::NONE,
-            true,
-        );
-        let (off_out, off_stats) = run_kernel_at(
-            pool,
-            &segments,
-            theta,
-            JoinKernel::Loop,
-            FilterSet::NONE,
-            false,
-        );
-        assert_eq!(on_out, off_out, "bitmap prune must be lossless");
-        println!(
-            "bitmap-report: theta={theta} checks={} pruned={} \
-             intersections_on={} intersections_off={}",
-            on_stats.bitmap_checks,
-            on_stats.bitmap_pruned,
-            on_stats.intersections,
-            off_stats.intersections
-        );
-        g.bench_function(format!("loop_bitmap_on/{theta}"), |bench| {
-            bench.iter(|| {
-                run_kernel_at(
-                    pool,
-                    black_box(&segments),
-                    theta,
-                    JoinKernel::Loop,
-                    FilterSet::NONE,
-                    true,
-                )
-                .0
-                .len()
-            })
-        });
-        g.bench_function(format!("loop_bitmap_off/{theta}"), |bench| {
-            bench.iter(|| {
-                run_kernel_at(
-                    pool,
-                    black_box(&segments),
-                    theta,
-                    JoinKernel::Loop,
-                    FilterSet::NONE,
-                    false,
-                )
-                .0
-                .len()
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_segment_construction,
-    bench_fragment_kernel,
-    bench_bitmap_prune
-);
+criterion_group!(benches, bench_segment_construction, bench_fragment_kernel);
 criterion_main!(benches);

@@ -7,8 +7,8 @@ use ssj_similarity::intersect::{
     intersect_count_adaptive, intersect_count_at_least, intersect_count_chunked,
     intersect_count_gallop, intersect_count_hash, intersect_count_merge,
 };
-use ssj_similarity::Measure;
-use ssj_text::TokenPool;
+use ssj_similarity::{Measure, Verifier};
+use ssj_text::{CorpusProfile, GeneratorConfig, TokenPool};
 use std::hint::black_box;
 
 fn sorted_set(seed: u64, len: usize, universe: u32) -> Vec<u32> {
@@ -94,6 +94,57 @@ fn bench_bitmap_bound(c: &mut Criterion) {
     g.finish();
 }
 
+/// The whole-record verify cascade against what it replaced at the batch
+/// sites (full adaptive merge, then `passes`): 64 dissimilar pairs of
+/// ~500-token Zipf records with no planted duplicates, lengths within
+/// every θ's length window — the candidates a prefix filter lets through
+/// and verification must reject. θ sets how early the cascade can stop.
+fn bench_verify_threshold(c: &mut Criterion) {
+    let mut g = c.benchmark_group("verify_threshold");
+    g.sample_size(30);
+    let collection = ssj_text::encode(
+        &GeneratorConfig {
+            num_records: 128,
+            mean_len: 500.0,
+            sigma_len: 0.02,
+            near_dup_fraction: 0.0,
+            ..CorpusProfile::EmailLike.config()
+        }
+        .generate(),
+    );
+    let pool = collection.pool();
+    let pairs: Vec<(u32, u32)> = (0..collection.len() as u32 / 2)
+        .map(|i| (2 * i, 2 * i + 1))
+        .collect();
+    for theta in [0.75, 0.8, 0.9] {
+        let m = Measure::Jaccard;
+        g.bench_function(format!("full_adaptive_64x500/{theta}"), |bench| {
+            bench.iter(|| {
+                let mut hits = 0usize;
+                for &(a, b) in black_box(&pairs) {
+                    let (s, t) = (pool.tokens_of(a), pool.tokens_of(b));
+                    let c = intersect_count_adaptive(s, t);
+                    hits += usize::from(m.passes(c, s.len(), t.len(), theta));
+                }
+                hits
+            })
+        });
+        let verifier = Verifier { measure: m, theta };
+        g.bench_function(format!("verifier_64x500/{theta}"), |bench| {
+            bench.iter(|| {
+                let mut hits = 0usize;
+                for &(a, b) in black_box(&pairs) {
+                    let bits = Some((pool.bitmap_of(a), pool.bitmap_of(b)));
+                    let v = verifier.verify(pool.tokens_of(a), pool.tokens_of(b), bits);
+                    hits += usize::from(v.similar.is_some());
+                }
+                hits
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_vertical_partition(c: &mut Criterion) {
     let mut g = c.benchmark_group("vertical");
     g.sample_size(30);
@@ -158,6 +209,7 @@ criterion_group!(
     benches,
     bench_intersection,
     bench_bitmap_bound,
+    bench_verify_threshold,
     bench_vertical_partition,
     bench_prefix_lengths,
     bench_inmemory_joins

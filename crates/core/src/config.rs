@@ -53,11 +53,15 @@ pub struct FsJoinConfig {
     /// [`PlanMode::Pipelined`]). Affects wall-clock and peak intermediate
     /// memory only — results and logical metrics are mode-invariant.
     pub plan_mode: PlanMode,
-    /// Consult the pool's hashed record bitmaps before every exact
-    /// intersection (default true; DESIGN.md §12). Lossless: pruning on a
-    /// sound upper bound never changes results, candidates, or filter
-    /// verdicts — only `fsjoin.kernel.intersections` and wall time. The
-    /// `determinism` binary's prune-on/off CI gate pins this invariance.
+    /// Hand the pool's hashed record bitmaps to the whole-record verify
+    /// cascade (default true; DESIGN.md §12). Governs the two
+    /// whole-record verify sites only — FS-Join-PF's cached verification
+    /// and the two-input R×S join stage; the fragment kernels of
+    /// [`crate::run_self_join`] never consult bitmaps. Lossless: pruning
+    /// on a sound upper bound never changes results, candidates, or
+    /// filter verdicts — only `fsjoin.kernel.intersections` and wall time.
+    /// The `determinism` binary's prune-on/off CI gate pins this
+    /// invariance.
     pub bitmap_prune: bool,
     /// Run [`crate::run_rs_join_two_input`]'s join stage as a co-group
     /// stage over the sealed co-partitioned prefix partitions (default
@@ -160,9 +164,10 @@ impl FsJoinConfig {
         self
     }
 
-    /// Enable or disable the bitmap prune in front of exact verification.
-    /// Off is only useful for equivalence gates and A/B measurements —
-    /// results are identical either way.
+    /// Enable or disable the bitmap prune in front of whole-record
+    /// verification (PF and two-input R×S). Off is only useful for
+    /// equivalence gates and A/B measurements — results are identical
+    /// either way.
     pub fn with_bitmap_prune(mut self, on: bool) -> Self {
         self.bitmap_prune = on;
         self

@@ -180,7 +180,6 @@ impl StreamingReducer for FragmentReducer {
             self.cfg.kernel,
             self.cfg.filters,
             self.cfg.emit_policy,
-            self.cfg.bitmap_prune,
             &mut self.local_stats,
         );
         // Per-cell load distributions (skew diagnosis for the fragment

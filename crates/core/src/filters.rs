@@ -103,13 +103,14 @@ pub struct FilterStats {
     pub policy_dropped: u64,
     /// Candidate records emitted (pair-fragment contributions).
     pub emitted: u64,
-    /// Exact intersections executed by the join kernel (the Index kernel
-    /// accumulates counts while probing, so it reports 0 here). Counts
-    /// only pairs that survived the bitmap check.
+    /// Exact intersection-kernel calls (the Index kernel accumulates
+    /// counts while probing, so it reports 0 here). At the whole-record
+    /// verify sites, counts only pairs that survived the bitmap check.
     pub intersections: u64,
     /// Tokens fed to those intersections (sum of both inputs per call).
     pub intersect_tokens: u64,
-    /// Pairs whose record bitmaps were consulted before intersecting.
+    /// Pairs whose record bitmaps were consulted before whole-record
+    /// verification (always 0 for the fragment kernels).
     pub bitmap_checks: u64,
     /// Pairs the bitmap upper bound settled without an exact intersection
     /// (≤ `bitmap_checks`; lossless, see DESIGN.md §12).
@@ -156,6 +157,20 @@ impl FilterStats {
     pub fn count_intersection(&mut self, len_a: usize, len_b: usize) {
         self.intersections += 1;
         self.intersect_tokens += (len_a + len_b) as u64;
+    }
+
+    /// Count one whole-record [`Verdict`](ssj_similarity::Verdict) over
+    /// inputs of the given lengths: a bitmap read is a check, a pair the
+    /// bound settled is a prune, and every kernel call is one intersection
+    /// over both inputs — however early it exited.
+    #[inline]
+    pub fn count_verdict(&mut self, verdict: &ssj_similarity::Verdict, len_a: usize, len_b: usize) {
+        self.bitmap_checks += u64::from(verdict.bitmap_checked);
+        if verdict.intersected {
+            self.count_intersection(len_a, len_b);
+        } else {
+            self.bitmap_pruned += 1;
+        }
     }
 
     /// Add these counters into `registry` under the `fsjoin.filter.*`

@@ -25,7 +25,6 @@ use crate::filters::{
 use crate::horizontal::JoinRule;
 use crate::segment::Segment;
 use ssj_common::FxHashMap;
-use ssj_similarity::bitmap::overlap_upper_bound;
 use ssj_similarity::intersect::intersect_count_adaptive;
 use ssj_similarity::Measure;
 use ssj_text::TokenPool;
@@ -111,12 +110,11 @@ impl CandidateRecord {
 /// short band `[lo, pivot)` and the long group `[pivot, ∞)`, and only
 /// cross-group pairs are considered, so the join never spends discovery
 /// work on pairs the boundary rule would reject.
-/// `bitmap` enables the lossless bitmap prune in front of every exact
-/// segment intersection (see [`bitmap_settles`]); pass the driver's
-/// `FsJoinConfig::bitmap_prune`. All counters pinned by the
-/// `columnar_equivalence` goldens are bit-identical with it on or off —
-/// only `bitmap_checks`/`bitmap_pruned`/`intersections`/`intersect_tokens`
-/// move.
+///
+/// Segment intersections are always exact and never bitmap-pruned: the
+/// verification job sums local counts, so a threshold verdict is not
+/// enough here, and the record-level bitmap bound almost never falls
+/// below a *local* requirement (DESIGN.md §12).
 #[allow(clippy::too_many_arguments)]
 pub fn join_fragment(
     pool: &TokenPool,
@@ -128,19 +126,18 @@ pub fn join_fragment(
     kernel: JoinKernel,
     filters: FilterSet,
     policy: EmitPolicy,
-    bitmap: bool,
     stats: &mut FilterStats,
 ) -> Vec<CandidateRecord> {
     match rule {
         JoinRule::All => match kernel {
             JoinKernel::Loop => loop_join(
-                pool, segments, scope, measure, theta, filters, policy, bitmap, stats,
+                pool, segments, scope, measure, theta, filters, policy, stats,
             ),
             JoinKernel::Index => index_join(
                 pool, segments, scope, measure, theta, filters, policy, stats,
             ),
             JoinKernel::Prefix => prefix_join(
-                pool, segments, scope, measure, theta, filters, policy, bitmap, stats,
+                pool, segments, scope, measure, theta, filters, policy, stats,
             ),
         },
         JoinRule::Boundary { lo, pivot } => {
@@ -155,7 +152,7 @@ pub fn join_fragment(
                 // Segments below `lo` can never satisfy the boundary rule.
             }
             bipartite_join(
-                pool, &short, &long, scope, measure, theta, kernel, filters, policy, bitmap, stats,
+                pool, &short, &long, scope, measure, theta, kernel, filters, policy, stats,
             )
         }
     }
@@ -215,68 +212,6 @@ fn finish_pair(
     })
 }
 
-/// Consult the two records' hashed bitmaps before paying for an exact
-/// segment intersection. Returns `true` when the bitmap verdict settles
-/// the pair — counters are then updated exactly as the exact path would
-/// have, and the caller skips intersection and `finish_pair` entirely.
-/// Returns `false` when the exact intersection must run.
-///
-/// Soundness: a segment is a subset of its record, so the record-level
-/// overlap upper bound also bounds the *local* (segment) overlap. Two
-/// rules, both counter-exact so every counter pinned by the
-/// `columnar_equivalence` goldens stays bit-identical to the no-prune run:
-///
-/// * **zero rule** — a bound of 0 proves the local overlap is exactly 0;
-///   emulate `finish_pair(overlap = 0)` verbatim: SegI verdict first,
-///   then SegD at overlap 0, else the silent zero-overlap drop.
-/// * **SegI rule** — with SegI on and `required_local ≥ 1`, a bound below
-///   `required_local` proves the exact path would take the SegI branch
-///   (local overlap ≤ record overlap ≤ bound < required), and
-///   `finish_pair` checks SegI before everything else.
-#[inline]
-fn bitmap_settles(
-    pool: &TokenPool,
-    a: &Segment,
-    b: &Segment,
-    bounds: &PairBounds,
-    filters: FilterSet,
-    stats: &mut FilterStats,
-) -> bool {
-    // Saturation guard: the XOR-Hamming distance is at most the bitmap
-    // width, so the bound can never fall below
-    // `(len_a + len_b - width) / 2`. When that floor already rules out
-    // both prune rules, skip the bitmap reads entirely — long records
-    // saturate fixed-width bitmaps and would otherwise pay the popcount
-    // for a verdict that cannot prune.
-    let floor_ub = (a.len as usize + b.len as usize).saturating_sub(pool.bitmap_bits()) / 2;
-    if floor_ub >= 1 && (!filters.segi || bounds.required_local <= floor_ub as i64) {
-        return false;
-    }
-    stats.bitmap_checks += 1;
-    let ub = overlap_upper_bound(
-        pool.bitmap_of(a.rid),
-        pool.bitmap_of(b.rid),
-        a.len as usize,
-        b.len as usize,
-    );
-    if ub == 0 {
-        stats.bitmap_pruned += 1;
-        if filters.segi && !segi_pass(bounds, 0) {
-            stats.segi_pruned += 1;
-        } else if filters.segd && !segd_pass(bounds, a.seg_len(), b.seg_len(), 0) {
-            stats.segd_pruned += 1;
-        }
-        // else: finish_pair's silent zero-overlap drop — no counter.
-        return true;
-    }
-    if filters.segi && bounds.required_local >= 1 && (ub as i64) < bounds.required_local {
-        stats.bitmap_pruned += 1;
-        stats.segi_pruned += 1;
-        return true;
-    }
-    false
-}
-
 #[allow(clippy::too_many_arguments)]
 fn loop_join(
     pool: &TokenPool,
@@ -286,7 +221,6 @@ fn loop_join(
     theta: f64,
     filters: FilterSet,
     policy: EmitPolicy,
-    bitmap: bool,
     stats: &mut FilterStats,
 ) -> Vec<CandidateRecord> {
     let mut out = Vec::new();
@@ -309,9 +243,6 @@ fn loop_join(
             }
             if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
                 stats.segd_pruned += 1;
-                continue;
-            }
-            if bitmap && bitmap_settles(pool, a, b, &bounds, filters, stats) {
                 continue;
             }
             stats.count_intersection(a.seg_len(), b.seg_len());
@@ -405,7 +336,6 @@ fn prefix_join(
     theta: f64,
     filters: FilterSet,
     policy: EmitPolicy,
-    bitmap: bool,
     stats: &mut FilterStats,
 ) -> Vec<CandidateRecord> {
     let mut out = Vec::new();
@@ -442,9 +372,6 @@ fn prefix_join(
                 stats.segd_pruned += 1;
                 continue;
             }
-            if bitmap && bitmap_settles(pool, a, b, &bounds, filters, stats) {
-                continue;
-            }
             stats.count_intersection(a.seg_len(), b.seg_len());
             let c = intersect_count_adaptive(a_tokens, b.tokens(pool));
             if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats) {
@@ -473,7 +400,6 @@ fn bipartite_join(
     kernel: JoinKernel,
     filters: FilterSet,
     policy: EmitPolicy,
-    bitmap: bool,
     stats: &mut FilterStats,
 ) -> Vec<CandidateRecord> {
     let mut out = Vec::new();
@@ -501,9 +427,6 @@ fn bipartite_join(
                     }
                     if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
                         stats.segd_pruned += 1;
-                        continue;
-                    }
-                    if bitmap && bitmap_settles(pool, a, b, &bounds, filters, stats) {
                         continue;
                     }
                     stats.count_intersection(a.seg_len(), b.seg_len());
@@ -603,9 +526,6 @@ fn bipartite_join(
                         stats.segd_pruned += 1;
                         continue;
                     }
-                    if bitmap && bitmap_settles(pool, a, b, &bounds, filters, stats) {
-                        continue;
-                    }
                     stats.count_intersection(a.seg_len(), b.seg_len());
                     let c = intersect_count_adaptive(a.tokens(pool), b_tokens);
                     if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats)
@@ -663,7 +583,6 @@ mod tests {
             kernel,
             filters,
             EmitPolicy::Exact,
-            true,
             &mut stats,
         );
         out.sort_unstable();
@@ -755,8 +674,6 @@ mod tests {
             },
         ];
         let mut stats = FilterStats::default();
-        // bitmap off: these test rids (10, 11) are not pool indices, so
-        // the rid→bitmap lookup the prune relies on does not apply here.
         let mut out = join_fragment(
             &pool,
             &segs,
@@ -767,7 +684,6 @@ mod tests {
             JoinKernel::Loop,
             FilterSet::ALL,
             EmitPolicy::Exact,
-            false,
             &mut stats,
         );
         out.sort_unstable();
@@ -798,7 +714,6 @@ mod tests {
             JoinKernel::Loop,
             FilterSet::NONE,
             EmitPolicy::Exact,
-            true,
             &mut stats,
         );
         out.sort_unstable();
@@ -848,87 +763,6 @@ mod tests {
         for k in JoinKernel::all() {
             let (out, _) = run(&pool, &segs, k, 0.5, FilterSet::NONE);
             assert!(out.is_empty(), "{k:?}");
-        }
-    }
-
-    #[test]
-    fn bitmap_prune_is_counter_exact() {
-        // The prune may only move work between `bitmap_pruned` and
-        // `intersections`: outputs and every golden-pinned counter must
-        // be bit-identical with the bitmap on or off, for every kernel
-        // and filter set.
-        let mut state = 123u64;
-        let mut next = move |m: u32| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as u32) % m
-        };
-        let mut pool = TokenPool::new();
-        let mut segments = Vec::new();
-        for rid in 0..80u32 {
-            let mut toks: Vec<u32> = (0..(1 + next(10))).map(|_| next(60)).collect();
-            toks.sort_unstable();
-            toks.dedup();
-            let head = next(6);
-            let tail = next(6);
-            segments.push(Segment {
-                rid,
-                side: 0,
-                len: head + tail + toks.len() as u32,
-                head,
-                tail,
-                span: pool.push(&toks),
-            });
-        }
-        for kernel in JoinKernel::all() {
-            for filters in [FilterSet::ALL, FilterSet::NONE, FilterSet::STRL_ONLY] {
-                for &theta in &[0.6, 0.8, 0.95] {
-                    let mut on = FilterStats::default();
-                    let mut with_bitmap = join_fragment(
-                        &pool,
-                        &segments,
-                        JoinRule::All,
-                        PairScope::SelfJoin,
-                        Measure::Jaccard,
-                        theta,
-                        kernel,
-                        filters,
-                        EmitPolicy::Exact,
-                        true,
-                        &mut on,
-                    );
-                    let mut off = FilterStats::default();
-                    let mut without = join_fragment(
-                        &pool,
-                        &segments,
-                        JoinRule::All,
-                        PairScope::SelfJoin,
-                        Measure::Jaccard,
-                        theta,
-                        kernel,
-                        filters,
-                        EmitPolicy::Exact,
-                        false,
-                        &mut off,
-                    );
-                    with_bitmap.sort_unstable();
-                    without.sort_unstable();
-                    assert_eq!(with_bitmap, without, "{kernel:?} {filters:?} θ={theta}");
-                    // Golden-pinned counters are identical...
-                    assert_eq!(on.pairs_considered, off.pairs_considered);
-                    assert_eq!(on.strl_pruned, off.strl_pruned);
-                    assert_eq!(on.segl_pruned, off.segl_pruned);
-                    assert_eq!(on.segi_pruned, off.segi_pruned);
-                    assert_eq!(on.segd_pruned, off.segd_pruned);
-                    assert_eq!(on.policy_dropped, off.policy_dropped);
-                    assert_eq!(on.emitted, off.emitted);
-                    // ...while each settled pair skips exactly one
-                    // intersection, and the off-run touches no bitmaps.
-                    assert_eq!(on.intersections + on.bitmap_pruned, off.intersections);
-                    assert!(on.bitmap_pruned <= on.bitmap_checks);
-                    assert_eq!(off.bitmap_checks, 0);
-                    assert_eq!(off.bitmap_pruned, 0);
-                }
-            }
         }
     }
 

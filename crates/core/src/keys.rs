@@ -26,20 +26,22 @@ pub const FILTER_POLICY_DROPPED: &str = "fsjoin.filter.policy_dropped";
 /// Candidate records emitted by the filter stage (counter).
 pub const FILTER_EMITTED: &str = "fsjoin.filter.emitted";
 
-/// Exact merge/gallop/chunked intersections executed by a join kernel
-/// (counter). Since the bitmap prune layer (DESIGN.md §12) this counts
-/// only the pairs that *survive* the `bitmap_checks` stage — a pair whose
-/// bitmap upper bound settles the filter verdict never reaches an exact
-/// intersection and is tallied under `bitmap_pruned` instead. The Index
-/// kernel accumulates overlaps while probing and never runs an exact
-/// intersection, so it legitimately reports 0.
+/// Exact intersection-kernel calls (counter): every segment intersection
+/// of a fragment kernel, and every whole-record verify that reaches the
+/// early-exit kernel — one per call, however early it exits. At the
+/// whole-record sites (DESIGN.md §12) a pair whose bitmap upper bound
+/// settles the verdict never reaches the kernel and is tallied under
+/// `bitmap_pruned` instead. The Index kernel accumulates overlaps while
+/// probing and never runs an exact intersection, so it legitimately
+/// reports 0.
 pub const KERNEL_INTERSECTIONS: &str = "fsjoin.kernel.intersections";
 /// Tokens fed to those exact intersections — the sum of both input slice
-/// lengths per call (counter; the kernels' work measure, and the quantity
-/// the bitmap prune exists to shrink).
+/// lengths per call, not the steps an early exit actually took (counter;
+/// the quantity the bitmap prune exists to shrink).
 pub const KERNEL_INTERSECT_TOKENS: &str = "fsjoin.kernel.intersect_tokens";
-/// Pairs whose record bitmaps were consulted before exact intersection
-/// (counter; the bitmap prune stage's denominator).
+/// Pairs whose record bitmaps were consulted before whole-record
+/// verification (counter; the bitmap prune stage's denominator — fragment
+/// kernels never consult bitmaps).
 pub const KERNEL_BITMAP_CHECKS: &str = "fsjoin.kernel.bitmap_checks";
 /// Pairs settled by the bitmap upper bound alone — no exact intersection
 /// ran (counter; always ≤ `bitmap_checks`, lossless by construction).

@@ -46,8 +46,7 @@ use ssj_mapreduce::{
     Plan, PlanRunner, StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
-use ssj_similarity::intersect::intersect_count_adaptive;
-use ssj_similarity::{Measure, SimilarPair};
+use ssj_similarity::{Measure, SimilarPair, Verifier};
 use ssj_text::{Collection, PooledRecord, TokenPool};
 use std::sync::Arc;
 
@@ -61,11 +60,12 @@ fn global_prefix_in_segment(measure: Measure, theta: f64, seg: &Segment) -> usiz
 }
 
 /// Discovery reducer: index global-prefix tokens, emit candidate pairs.
-/// Streams each cell's segments into a scratch buffer reused across cells
-/// (segments are `Copy` spans; the engine allocates nothing per key).
-/// Pruning counters accumulate locally and flow into the run's
-/// [`MetricsRegistry`] under the canonical [`crate::keys`] names at task
-/// cleanup, exactly like the main driver's fragment reducer.
+/// Streams each cell's segments into scratch buffers reused across cells
+/// and probes (segments are `Copy` spans; neither the engine nor the
+/// reducer allocates per key). Pruning counters accumulate locally and
+/// flow into the run's [`MetricsRegistry`] under the canonical
+/// [`crate::keys`] names at task cleanup, exactly like the main driver's
+/// fragment reducer.
 struct PrefixDiscoveryReducer {
     pool: Arc<TokenPool>,
     measure: Measure,
@@ -73,21 +73,29 @@ struct PrefixDiscoveryReducer {
     num_fragments: usize,
     h_pivots: Arc<Vec<u32>>,
     scope: PairScope,
+    /// The current cell's segments.
     scratch: Vec<Segment>,
+    /// A boundary cell's short band (the indexed side).
+    short: Vec<Segment>,
+    /// Index slots one probe segment reached.
+    seen: Vec<u32>,
     local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
 }
 
 impl PrefixDiscoveryReducer {
+    /// Probe `index` (token → slots of `indexed`) with `probe`'s
+    /// global-prefix tokens and emit every admissible candidate.
     fn discover(
         &mut self,
         probe: &Segment,
         index: &FxHashMap<u32, Vec<u32>>,
-        pool: &[&Segment],
+        indexed: &[Segment],
         out: &mut Emitter<(u32, u32), (u32, u32)>,
     ) {
         let gp = global_prefix_in_segment(self.measure, self.theta, probe);
-        let mut seen: Vec<u32> = Vec::new();
+        let mut seen = std::mem::take(&mut self.seen);
+        seen.clear();
         for &t in &probe.tokens(&self.pool)[..gp] {
             if let Some(slots) = index.get(&t) {
                 seen.extend_from_slice(slots);
@@ -95,8 +103,8 @@ impl PrefixDiscoveryReducer {
         }
         seen.sort_unstable();
         seen.dedup();
-        for slot in seen {
-            let other = pool[slot as usize];
+        for &slot in &seen {
+            let other = &indexed[slot as usize];
             let ok = match self.scope {
                 PairScope::SelfJoin => other.rid != probe.rid,
                 PairScope::CrossSides => other.side != probe.side,
@@ -118,6 +126,7 @@ impl PrefixDiscoveryReducer {
             };
             out.emit((a.rid, b.rid), (a.len, b.len));
         }
+        self.seen = seen;
     }
 }
 
@@ -133,9 +142,9 @@ impl StreamingReducer for PrefixDiscoveryReducer {
         values: &mut GroupValues<'_, '_, u32, Segment>,
         out: &mut Emitter<(u32, u32), (u32, u32)>,
     ) {
-        // Take the scratch buffer out of `self` so `discover` (which
-        // borrows `&self`) can run while the segments are in use; the
-        // buffer goes back at the end, keeping its capacity for the next
+        // Take the scratch buffers out of `self` so `discover` (which
+        // borrows `&mut self`) can run while the segments are in use; the
+        // buffers go back at the end, keeping their capacity for the next
         // cell.
         let mut segments = std::mem::take(&mut self.scratch);
         segments.clear();
@@ -144,14 +153,13 @@ impl StreamingReducer for PrefixDiscoveryReducer {
         let rule = JoinRule::for_partition(h, &self.h_pivots);
         let before_pairs = self.local_stats.pairs_considered;
         let before_emitted = self.local_stats.emitted;
+        let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
         match rule {
             JoinRule::All => {
                 // Scan order: index each segment's global-prefix tokens
                 // after probing, so each unordered pair is seen once.
-                let pool: Vec<&Segment> = segments.iter().collect();
-                let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-                for (slot, seg) in pool.iter().enumerate() {
-                    self.discover(seg, &index, &pool, out);
+                for (slot, seg) in segments.iter().enumerate() {
+                    self.discover(seg, &index, &segments, out);
                     let gp = global_prefix_in_segment(self.measure, self.theta, seg);
                     for &t in &seg.tokens(&self.pool)[..gp] {
                         index.entry(t).or_default().push(slot as u32);
@@ -160,11 +168,9 @@ impl StreamingReducer for PrefixDiscoveryReducer {
             }
             JoinRule::Boundary { lo, pivot } => {
                 // Bipartite: index the short band, probe with the longs.
-                let short: Vec<&Segment> = segments
-                    .iter()
-                    .filter(|s| s.len >= lo && s.len < pivot)
-                    .collect();
-                let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+                let mut short = std::mem::take(&mut self.short);
+                short.clear();
+                short.extend(segments.iter().filter(|s| s.len >= lo && s.len < pivot));
                 for (slot, seg) in short.iter().enumerate() {
                     let gp = global_prefix_in_segment(self.measure, self.theta, seg);
                     for &t in &seg.tokens(&self.pool)[..gp] {
@@ -174,6 +180,7 @@ impl StreamingReducer for PrefixDiscoveryReducer {
                 for seg in segments.iter().filter(|s| s.len >= pivot) {
                     self.discover(seg, &index, &short, out);
                 }
+                self.short = short;
             }
         }
         // Per-cell discovery load, same histograms the exact driver keeps.
@@ -235,21 +242,16 @@ impl StreamingReducer for KeepFirst {
 
 /// Cached verification: exact similarity straight from the shared token
 /// pool (the arena *is* the replicated record cache — no second copy of
-/// the corpus is materialized for this job). With `bitmap` on, the pool's
-/// record bitmaps are consulted first: a pair whose overlap upper bound
-/// cannot reach the required α provably fails `measure.passes` and skips
-/// the exact intersection — lossless, identical emissions either way.
-/// Intersection-kernel work is counted locally and flushed to the run
-/// registry at task cleanup under the canonical [`crate::keys`] names.
+/// the corpus is materialized for this job), through the one whole-record
+/// cascade of [`Verifier`]. With `bitmap` on the pool's record bitmaps go
+/// in with the pair — lossless, identical emissions either way.
+/// Verification work is counted locally and flushed to the run registry at
+/// task cleanup under the canonical [`crate::keys`] names.
 struct CachedVerify {
     pool: Arc<TokenPool>,
-    measure: Measure,
-    theta: f64,
+    verifier: Verifier,
     bitmap: bool,
-    intersections: u64,
-    intersect_tokens: u64,
-    bitmap_checks: u64,
-    bitmap_pruned: u64,
+    local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
 }
 
@@ -260,50 +262,20 @@ impl Mapper for CachedVerify {
     type OutValue = f64;
 
     fn map(&mut self, (a, b): (u32, u32), _lens: (u32, u32), out: &mut Emitter<(u32, u32), f64>) {
-        let s = self.pool.tokens_of(a);
-        let t = self.pool.tokens_of(b);
-        if self.bitmap {
-            let alpha = self.measure.min_overlap(self.theta, s.len(), t.len());
-            // Saturation guard: the bound can never fall below
-            // `(|s| + |t| - width) / 2`; skip the bitmap reads when even
-            // that floor reaches α (long records saturate the bitmap).
-            let floor_ub = (s.len() + t.len()).saturating_sub(self.pool.bitmap_bits()) / 2;
-            if floor_ub < alpha {
-                self.bitmap_checks += 1;
-                let ub = ssj_similarity::bitmap::overlap_upper_bound(
-                    self.pool.bitmap_of(a),
-                    self.pool.bitmap_of(b),
-                    s.len(),
-                    t.len(),
-                );
-                if ub < alpha {
-                    // measure.passes(c, …) with c ≤ ub < α must be false.
-                    self.bitmap_pruned += 1;
-                    return;
-                }
-            }
-        }
-        self.intersections += 1;
-        self.intersect_tokens += (s.len() + t.len()) as u64;
-        let c = intersect_count_adaptive(s, t);
-        if self.measure.passes(c, s.len(), t.len(), self.theta) {
-            out.emit((a, b), self.measure.score(c, s.len(), t.len()));
+        let (s, t) = (self.pool.tokens_of(a), self.pool.tokens_of(b));
+        let bits = self
+            .bitmap
+            .then(|| (self.pool.bitmap_of(a), self.pool.bitmap_of(b)));
+        let verdict = self.verifier.verify(s, t, bits);
+        self.local_stats.count_verdict(&verdict, s.len(), t.len());
+        if let Some((_, sim)) = verdict.similar {
+            out.emit((a, b), sim);
         }
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), f64>) {
-        self.registry
-            .counter_add(crate::keys::KERNEL_INTERSECTIONS, self.intersections);
-        self.registry
-            .counter_add(crate::keys::KERNEL_INTERSECT_TOKENS, self.intersect_tokens);
-        self.registry
-            .counter_add(crate::keys::KERNEL_BITMAP_CHECKS, self.bitmap_checks);
-        self.registry
-            .counter_add(crate::keys::KERNEL_BITMAP_PRUNED, self.bitmap_pruned);
-        self.intersections = 0;
-        self.intersect_tokens = 0;
-        self.bitmap_checks = 0;
-        self.bitmap_pruned = 0;
+        self.local_stats.record_to(&self.registry);
+        self.local_stats = FilterStats::default();
     }
 }
 
@@ -454,6 +426,8 @@ fn run_pf(
                 h_pivots: Arc::clone(&h_pivots),
                 scope,
                 scratch: Vec::new(),
+                short: Vec::new(),
+                seen: Vec::new(),
                 local_stats: FilterStats::default(),
                 registry: Arc::clone(&registry),
             }
@@ -475,17 +449,16 @@ fn run_pf(
         cfg.reduce_tasks,
         {
             let registry = Arc::clone(&run_registry);
-            let (measure, theta) = (cfg.measure, cfg.theta);
+            let verifier = Verifier {
+                measure: cfg.measure,
+                theta: cfg.theta,
+            };
             let bitmap = cfg.bitmap_prune;
             move |_, pool: &Arc<TokenPool>| CachedVerify {
                 pool: Arc::clone(pool),
-                measure,
-                theta,
+                verifier,
                 bitmap,
-                intersections: 0,
-                intersect_tokens: 0,
-                bitmap_checks: 0,
-                bitmap_pruned: 0,
+                local_stats: FilterStats::default(),
                 registry: Arc::clone(&registry),
             }
         },

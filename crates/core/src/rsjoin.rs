@@ -35,7 +35,7 @@
 //! Completeness is the prefix-filter theorem, two-sided: if
 //! `sim(r, s) ≥ θ` then the probe prefixes of *both* records contain a
 //! common token, so the pair meets in that token's group. Verification is
-//! an exact intersection, scored identically to the PPJoin kernel — pair
+//! the same threshold-aware cascade the PPJoin kernel runs — pair
 //! digests match RIDPairsPPJoin run over the concatenated collection and
 //! filtered to cross-side pairs, bit for bit.
 
@@ -47,8 +47,7 @@ use ssj_mapreduce::{
     PlanRunner, SideGroups, StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
-use ssj_similarity::intersect::intersect_count_adaptive;
-use ssj_similarity::{Measure, SimilarPair};
+use ssj_similarity::{Measure, SimilarPair, Verifier};
 use ssj_text::{Collection, PooledRecord, TokenPool};
 use std::sync::Arc;
 
@@ -119,14 +118,14 @@ impl Mapper for JoinIdentity {
 
 /// The exact cross-pair verification pipeline shared by both join-stage
 /// execution paths ([`CrossVerify`] on the rekey fan-in, [`CrossVerifyCo`]
-/// on the co-group stage): string-length filter → optional bitmap prune →
-/// exact intersection, with every prune decision counted into the same
-/// [`FilterStats`]. One code path means the two stages' filter verdicts
-/// and scores are bit-identical by construction.
+/// on the co-group stage): string-length filter → the whole-record
+/// [`Verifier`] cascade (bitmaps go in when `bitmap` is on), with every
+/// decision counted into the same [`FilterStats`]. One code path means the
+/// two stages' filter verdicts and scores are bit-identical by
+/// construction.
 struct CrossVerifyCore {
     pool: Arc<TokenPool>,
-    measure: Measure,
-    theta: f64,
+    verifier: Verifier,
     bitmap: bool,
     local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
@@ -140,49 +139,25 @@ impl CrossVerifyCore {
         s_buf: &[PooledRecord],
         out: &mut Emitter<(u32, u32), f64>,
     ) {
+        let Verifier { measure, theta } = self.verifier;
         for r in r_buf {
             for s in s_buf {
                 self.local_stats.pairs_considered += 1;
-                if !crate::filters::strl_pass(self.measure, self.theta, r.span.len, s.span.len) {
+                if !crate::filters::strl_pass(measure, theta, r.span.len, s.span.len) {
                     self.local_stats.strl_pruned += 1;
                     continue;
                 }
-                if self.bitmap {
-                    // Record ids index the concat pool (id contract above),
-                    // so each side's bitmap is a direct lookup. A bound
-                    // below α cannot pass verification — lossless skip.
-                    // The saturation guard skips the bitmap reads when the
-                    // bound's floor `(|r| + |s| - width) / 2` already
-                    // reaches α (long records saturate the bitmap).
-                    let alpha = self
-                        .measure
-                        .min_overlap(self.theta, r.span.len(), s.span.len());
-                    let floor_ub =
-                        (r.span.len() + s.span.len()).saturating_sub(self.pool.bitmap_bits()) / 2;
-                    if floor_ub < alpha {
-                        self.local_stats.bitmap_checks += 1;
-                        let ub = ssj_similarity::bitmap::overlap_upper_bound(
-                            self.pool.bitmap_of(r.id),
-                            self.pool.bitmap_of(s.id),
-                            r.span.len(),
-                            s.span.len(),
-                        );
-                        if ub < alpha {
-                            self.local_stats.bitmap_pruned += 1;
-                            continue;
-                        }
-                    }
-                }
                 let (ra, sb) = (self.pool.resolve(r.span), self.pool.resolve(s.span));
-                let overlap = intersect_count_adaptive(ra, sb);
-                self.local_stats.intersections += 1;
-                self.local_stats.intersect_tokens += (ra.len() + sb.len()) as u64;
-                if self.measure.passes(overlap, ra.len(), sb.len(), self.theta) {
+                // Record ids index the concat pool (id contract above), so
+                // each side's bitmap is a direct lookup.
+                let bits = self
+                    .bitmap
+                    .then(|| (self.pool.bitmap_of(r.id), self.pool.bitmap_of(s.id)));
+                let verdict = self.verifier.verify(ra, sb, bits);
+                self.local_stats.count_verdict(&verdict, ra.len(), sb.len());
+                if let Some((_, sim)) = verdict.similar {
                     self.local_stats.emitted += 1;
-                    out.emit(
-                        (r.id, s.id),
-                        self.measure.score(overlap, ra.len(), sb.len()),
-                    );
+                    out.emit((r.id, s.id), sim);
                 }
             }
         }
@@ -418,8 +393,7 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         let bitmap = cfg.bitmap_prune;
         move |pool: &Arc<TokenPool>| CrossVerifyCore {
             pool: Arc::clone(pool),
-            measure,
-            theta,
+            verifier: Verifier { measure, theta },
             bitmap,
             local_stats: FilterStats::default(),
             registry: Arc::clone(&registry),

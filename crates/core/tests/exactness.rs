@@ -5,10 +5,11 @@
 
 use fsjoin::{FilterSet, FsJoinConfig, JoinKernel, PivotStrategy};
 use proptest::prelude::*;
-use ssj_similarity::naive::naive_self_join;
+use ssj_similarity::naive::{naive_rs_join, naive_self_join};
 use ssj_similarity::pair::compare_results;
 use ssj_similarity::Measure;
-use ssj_text::{Collection, Record};
+use ssj_text::encode::{encode, encode_two};
+use ssj_text::{Collection, CorpusProfile, GeneratorConfig, RawCorpus, Record};
 
 /// Strategy: a small collection with planted near-duplicates so results
 /// exist at high thresholds.
@@ -186,6 +187,76 @@ fn horizontal_boundary_stress() {
             let got = fsjoin::run_self_join(&c, &cfg);
             compare_results(&got.pairs, &want, 1e-9)
                 .unwrap_or_else(|e| panic!("θ={theta} t={t}: {e}"));
+        }
+    }
+}
+
+/// EmailLike records of ≥ 300 tokens with planted near-duplicates: long
+/// enough that the verify cascade's early exit fires mid-record, far past
+/// the first chunk (the short corpora above never get there).
+fn long_email_corpus() -> RawCorpus {
+    let corpus = GeneratorConfig {
+        num_records: 160,
+        // Near-duplicates shed up to a quarter of their base's tokens.
+        min_len: 500,
+        near_dup_fraction: 0.3,
+        ..CorpusProfile::EmailLike.config()
+    }
+    .generate();
+    assert!(corpus.docs.iter().all(|d| d.len() >= 300));
+    corpus
+}
+
+#[test]
+fn long_records_self_join_pf_matches_oracle() {
+    let c = encode(&long_email_corpus());
+    for measure in Measure::all() {
+        for theta in [0.75, 0.9] {
+            let want = naive_self_join(&c.views(), measure, theta);
+            assert!(!want.is_empty(), "{measure:?} θ={theta}: no planted pairs");
+            for bitmap in [true, false] {
+                let cfg = FsJoinConfig::default()
+                    .with_measure(measure)
+                    .with_theta(theta)
+                    .with_bitmap_prune(bitmap);
+                let got = fsjoin::run_self_join_pf(&c, &cfg);
+                compare_results(&got.pairs, &want, 0.0)
+                    .unwrap_or_else(|e| panic!("{measure:?} θ={theta} bitmap={bitmap}: {e}"));
+                // Mostly dissimilar candidates: the kernel is called far
+                // more often than it finds a pair.
+                assert!(got.filter_stats.intersections > want.len() as u64);
+            }
+        }
+    }
+}
+
+#[test]
+fn long_records_rs_join_two_input_matches_oracle_on_both_paths() {
+    let corpus = long_email_corpus();
+    let (mut r_docs, mut s_docs) = (Vec::new(), Vec::new());
+    for (i, doc) in corpus.docs.into_iter().enumerate() {
+        if i % 3 == 0 { &mut r_docs } else { &mut s_docs }.push(doc);
+    }
+    let side = |docs| RawCorpus { docs, vocab: None };
+    let (r, s) = encode_two(&side(r_docs), &side(s_docs));
+    let offset = r.len() as u32;
+    let s_shifted: Vec<Record> = s
+        .iter()
+        .map(|v| Record::from_sorted(v.id + offset, v.tokens.to_vec()))
+        .collect();
+    for measure in Measure::all() {
+        for theta in [0.75, 0.9] {
+            let want = naive_rs_join(&r.views(), &s_shifted, measure, theta);
+            assert!(!want.is_empty(), "{measure:?} θ={theta}: no planted pairs");
+            for cogroup in [true, false] {
+                let cfg = FsJoinConfig::default()
+                    .with_measure(measure)
+                    .with_theta(theta)
+                    .with_rs_cogroup(cogroup);
+                let got = fsjoin::run_rs_join_two_input(&r, &s, &cfg);
+                compare_results(&got.pairs, &want, 0.0)
+                    .unwrap_or_else(|e| panic!("{measure:?} θ={theta} cogroup={cogroup}: {e}"));
+            }
         }
     }
 }

@@ -26,12 +26,13 @@
 //! 3. **position** — the accumulated overlap plus the positional upper
 //!    bound (`remaining` tokens past this match on either side) must reach
 //!    `min_overlap(θ, |x|, |y|)`, else the candidate is tombstoned.
-//! 4. **bitmap** — survivors' pooled token bitmaps bound the overlap from
-//!    above ([`overlap_upper_bound`]); candidates whose bound falls short
-//!    of `min_overlap` skip exact verification (lossless — see DESIGN.md
-//!    §12, toggled by [`ServeConfig::bitmap_prune`](crate::config::ServeConfig)).
-//! 5. **verify** — survivors get an exact early-exit merge intersection
-//!    ([`intersect_count_at_least`]) and the measure's `passes` predicate.
+//! 4. **verify** — survivors go through the one whole-record cascade
+//!    shared with the batch joins ([`Verifier`]): the pooled token bitmaps
+//!    bound the overlap from above and settle candidates that cannot
+//!    reach `min_overlap` (lossless — see DESIGN.md §12, toggled by
+//!    [`ServeConfig::bitmap_prune`](crate::config::ServeConfig)); the rest
+//!    get an exact early-exit intersection and the measure's `passes`
+//!    predicate.
 //!
 //! The index prefix is sized for `theta_min` while the probe prefix is
 //! sized for the query's θ: both are at least `|·| − min_overlap(..) + 1`
@@ -56,9 +57,7 @@ use fsjoin::keys;
 use ssj_common::FxHashMap;
 use ssj_mapreduce::{GroupedRuns, PlanOutcome, StageHandle};
 use ssj_observe::{span, MetricsRegistry};
-use ssj_similarity::bitmap::overlap_upper_bound;
-use ssj_similarity::intersect::intersect_count_at_least;
-use ssj_similarity::Measure;
+use ssj_similarity::{Measure, Verifier};
 use ssj_text::{MalformedRecord, RecordId, TokenId, TokenPool};
 
 use crate::config::ServeConfig;
@@ -358,34 +357,28 @@ impl ServeIndex {
             .map(|(rec, _)| rec)
             .collect();
         survivors.sort_unstable();
+        // The query bitmap is built once per probe, not once per survivor.
         let mut qbits = Vec::new();
         if self.cfg.bitmap_prune {
             self.pool.fill_bitmap(tokens, &mut qbits);
         }
+        let verifier = Verifier { measure: m, theta };
         let mut out = Vec::new();
         for rec in survivors {
-            let ytokens = self.tokens_of(rec);
-            let alpha = m.min_overlap(theta, qlen, ytokens.len());
-            if self.cfg.bitmap_prune {
-                // Saturation guard: skip the bitmap reads when the bound's
-                // floor `(|x| + |y| - width) / 2` already reaches α (long
-                // records saturate the bitmap, so it cannot prune).
-                let floor_ub = (qlen + ytokens.len()).saturating_sub(self.pool.bitmap_bits()) / 2;
-                if floor_ub < alpha {
-                    stats.bitmap_checks += 1;
-                    let ub = overlap_upper_bound(&qbits, self.bitmap_of(rec), qlen, ytokens.len());
-                    if ub < alpha {
-                        stats.bitmap_pruned += 1;
-                        continue;
-                    }
-                }
+            let bits = self
+                .cfg
+                .bitmap_prune
+                .then(|| (&qbits[..], self.bitmap_of(rec)));
+            let verdict = verifier.verify(tokens, self.tokens_of(rec), bits);
+            stats.bitmap_checks += u64::from(verdict.bitmap_checked);
+            if !verdict.intersected {
+                stats.bitmap_pruned += 1;
+                continue;
             }
             stats.verified += 1;
-            if let Some(overlap) = intersect_count_at_least(tokens, ytokens, alpha) {
-                if m.passes(overlap, qlen, ytokens.len(), theta) {
-                    stats.hits += 1;
-                    out.push((rec, m.score(overlap, qlen, ytokens.len())));
-                }
+            if let Some((_, sim)) = verdict.similar {
+                stats.hits += 1;
+                out.push((rec, sim));
             }
         }
         out

@@ -1,14 +1,15 @@
 //! Sorted-set intersection kernels.
 //!
 //! All records are strictly ascending token-rank vectors, so overlap counts
-//! reduce to sorted-list intersection. Several kernels are provided; the
-//! joins default to [`intersect_count_adaptive`], which picks galloping or
-//! the chunked branch-free merge by size ratio (the perf-book's "know your
-//! access pattern" advice — galloping wins when one list is much shorter).
-//! Call sites additionally consult the bitmap bound
-//! (`crate::bitmap::overlap_upper_bound`) *before* any exact kernel runs,
-//! so the kernels here only see pairs the bitmap verdict could not settle
-//! (DESIGN.md §12).
+//! reduce to sorted-list intersection. Several kernels are provided. Sites
+//! that need an exact count (FS-Join's fragment kernels sum local counts)
+//! use [`intersect_count_adaptive`], which picks galloping or the chunked
+//! branch-free merge by size ratio (the perf-book's "know your access
+//! pattern" advice — galloping wins when one list is much shorter). Sites
+//! that only decide `sim ≥ θ` for two whole records go through
+//! [`crate::verify::Verifier`], which consults the bitmap bound first and
+//! then [`intersect_count_at_least`], the early-exit kernel (DESIGN.md
+//! §12).
 
 /// Linear merge intersection count.
 pub fn intersect_count_merge(a: &[u32], b: &[u32]) -> usize {
@@ -70,7 +71,7 @@ pub fn intersect_count_hash(a: &[u32], b: &[u32]) -> usize {
 /// Merge-step window for the chunked kernels: small enough that a skipped
 /// chunk always fits in one cache line of `u32`s, large enough to amortize
 /// the chunk-boundary comparisons.
-const CHUNK: usize = 16;
+pub(crate) const CHUNK: usize = 16;
 
 /// Chunked branch-free intersection count.
 ///
@@ -119,10 +120,7 @@ pub fn intersect_count_chunked(a: &[u32], b: &[u32]) -> usize {
 }
 
 /// Size-ratio-adaptive intersection: galloping when one side is ≥ 16×
-/// shorter, the chunked branch-free merge otherwise. Bitmap dispatch
-/// happens *above* this function: call sites consult
-/// `crate::bitmap::overlap_upper_bound` first and only fall through here
-/// when the bound cannot settle the pair.
+/// shorter, the chunked branch-free merge otherwise.
 #[inline]
 pub fn intersect_count_adaptive(a: &[u32], b: &[u32]) -> usize {
     let (min, max) = if a.len() <= b.len() {

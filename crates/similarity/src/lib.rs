@@ -9,8 +9,11 @@
 //! * [`intersect`] — sorted-set intersection kernels (merge, galloping,
 //!   hash, chunked branch-free) and symmetric-difference counting;
 //! * [`bitmap`] — sound overlap upper bounds over the `TokenPool`'s
-//!   hashed-bitmap plane, the lossless prune in front of every exact
-//!   intersection (DESIGN.md §12);
+//!   hashed-bitmap plane, the lossless prune in front of whole-record
+//!   verification (DESIGN.md §12);
+//! * [`verify`] — the one threshold-aware whole-record verification
+//!   cascade (α → bitmap bound → early-exit intersection → score) every
+//!   verify site calls;
 //! * [`index`] — a positional inverted index over record prefixes;
 //! * [`naive`] — the brute-force oracle every other algorithm is tested
 //!   against;
@@ -28,6 +31,8 @@ pub mod naive;
 pub mod pair;
 pub mod ppjoin;
 pub mod ppjoin_plus;
+pub mod verify;
 
 pub use measure::Measure;
 pub use pair::SimilarPair;
+pub use verify::{Verdict, Verifier};

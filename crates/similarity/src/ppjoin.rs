@@ -8,9 +8,9 @@
 //! group (paper §II-C), and also FS-Join's "PPJoin-style" comparison point.
 
 use crate::index::InvertedIndex;
-use crate::intersect::intersect_count_at_least;
 use crate::measure::Measure;
 use crate::pair::SimilarPair;
+use crate::verify::Verifier;
 use ssj_common::FxHashMap;
 use ssj_text::TokenSet;
 
@@ -53,6 +53,7 @@ pub fn ppjoin_self_join_stats<R: TokenSet>(
     let mut index = InvertedIndex::new();
     let mut out = Vec::new();
     let mut stats = PPJoinStats::default();
+    let verifier = Verifier { measure, theta };
     // candidate slot -> prefix-match count (or PRUNED).
     let mut acc: FxHashMap<u32, u32> = FxHashMap::default();
 
@@ -86,16 +87,9 @@ pub fn ppjoin_self_join_stats<R: TokenSet>(
                 continue;
             }
             let y = order[slot_y as usize];
-            let alpha = measure.min_overlap(theta, x.size(), y.size());
             stats.verified += 1;
-            if let Some(c) = intersect_count_at_least(x.tokens(), y.tokens(), alpha) {
-                if measure.passes(c, x.size(), y.size(), theta) {
-                    out.push(SimilarPair::new(
-                        x.id(),
-                        y.id(),
-                        measure.score(c, x.size(), y.size()),
-                    ));
-                }
+            if let Some((_, sim)) = verifier.verify(x.tokens(), y.tokens(), None).similar {
+                out.push(SimilarPair::new(x.id(), y.id(), sim));
             }
         }
         let index_prefix = measure.index_prefix_len(theta, x.size());

@@ -10,10 +10,10 @@
 //! changes results, which the oracle tests assert.
 
 use crate::index::InvertedIndex;
-use crate::intersect::intersect_count_at_least;
 use crate::measure::Measure;
 use crate::pair::SimilarPair;
 use crate::ppjoin::PPJoinStats;
+use crate::verify::Verifier;
 use ssj_common::FxHashMap;
 use ssj_text::TokenSet;
 
@@ -78,6 +78,7 @@ pub fn ppjoin_plus_self_join_stats<R: TokenSet>(
     let mut index = InvertedIndex::new();
     let mut out = Vec::new();
     let mut stats = PPJoinStats::default();
+    let verifier = Verifier { measure, theta };
     // candidate slot -> (prefix matches, probe position of last match in x,
     // position of last match in y).
     let mut acc: FxHashMap<u32, (u32, u32, u32)> = FxHashMap::default();
@@ -126,14 +127,8 @@ pub fn ppjoin_plus_self_join_stats<R: TokenSet>(
                 }
             }
             stats.verified += 1;
-            if let Some(c) = intersect_count_at_least(x.tokens(), y.tokens(), alpha) {
-                if measure.passes(c, x.size(), y.size(), theta) {
-                    out.push(SimilarPair::new(
-                        x.id(),
-                        y.id(),
-                        measure.score(c, x.size(), y.size()),
-                    ));
-                }
+            if let Some((_, sim)) = verifier.verify(x.tokens(), y.tokens(), None).similar {
+                out.push(SimilarPair::new(x.id(), y.id(), sim));
             }
         }
         let index_prefix = measure.index_prefix_len(theta, x.size());

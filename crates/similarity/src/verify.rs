@@ -1,0 +1,274 @@
+//! Threshold-aware verification of one whole-record candidate pair.
+//!
+//! Every site that decides `sim(a, b) ≥ θ` from two full token slices
+//! runs the same cascade, cheapest step first, and stops at the first
+//! step that settles the pair:
+//!
+//! 1. `α = min_overlap(θ, |a|, |b|)` — the overlap the pair needs;
+//! 2. **saturation guard** — the bitmap bound can never fall below
+//!    `(|a| + |b| − width) / 2`; when even that floor reaches α the
+//!    bitmaps cannot prune and are not read;
+//! 3. **bitmap bound** — [`overlap_upper_bound`] `< α` proves the pair
+//!    fails, with no token touched;
+//! 4. **early-exit intersection** — [`intersect_count_at_least`] gives up
+//!    as soon as α is out of reach, and otherwise returns the *exact*
+//!    overlap, so
+//! 5. `passes` / `score` see the same count a full merge would have
+//!    produced — every emitted score is bit-identical to
+//!    `intersect_count_merge` + `score`.
+//!
+//! The [`Verdict`] reports which steps ran, so callers keep their
+//! counters (bitmap checks, bitmap prunes, intersections) without
+//! re-deriving the cascade. Fragment kernels do not come through here:
+//! they need exact *local* counts to sum, not a threshold verdict
+//! (DESIGN.md §12).
+
+use crate::bitmap::overlap_upper_bound;
+use crate::intersect::intersect_count_at_least;
+use crate::Measure;
+
+/// The whole-record verification cascade for one `(measure, θ)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Verifier {
+    /// Similarity measure.
+    pub measure: Measure,
+    /// Threshold θ.
+    pub theta: f64,
+}
+
+/// What [`Verifier::verify`] did and found.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Verdict {
+    /// The bitmaps were read (given, and the saturation guard let them
+    /// through).
+    pub bitmap_checked: bool,
+    /// The exact kernel ran; `false` means the bitmap bound settled the
+    /// pair (then `bitmap_checked` is true and `similar` is `None`).
+    pub intersected: bool,
+    /// Exact overlap and score, when the pair reaches θ.
+    pub similar: Option<(usize, f64)>,
+}
+
+impl Verifier {
+    /// Decide whether sorted token sets `a` and `b` reach θ. `bits` holds
+    /// the two records' hashed bitmaps (same width, e.g.
+    /// `TokenPool::bitmap_of`) or `None` to skip the bitmap steps; the
+    /// verdict's `similar` is the same either way.
+    #[inline]
+    pub fn verify(&self, a: &[u32], b: &[u32], bits: Option<(&[u64], &[u64])>) -> Verdict {
+        let (la, lb) = (a.len(), b.len());
+        let alpha = self.measure.min_overlap(self.theta, la, lb);
+        let mut bitmap_checked = false;
+        if let Some((a_bits, b_bits)) = bits {
+            let floor_ub = (la + lb).saturating_sub(a_bits.len() * 64) / 2;
+            if floor_ub < alpha {
+                bitmap_checked = true;
+                if overlap_upper_bound(a_bits, b_bits, la, lb) < alpha {
+                    // passes(c, …) with c ≤ bound < α must be false.
+                    return Verdict {
+                        bitmap_checked,
+                        intersected: false,
+                        similar: None,
+                    };
+                }
+            }
+        }
+        let similar = intersect_count_at_least(a, b, alpha)
+            .filter(|&c| self.measure.passes(c, la, lb, self.theta))
+            .map(|c| (c, self.measure.score(c, la, lb)));
+        Verdict {
+            bitmap_checked,
+            intersected: true,
+            similar,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::intersect::{intersect_count_merge, CHUNK};
+    use proptest::prelude::*;
+    use ssj_text::TokenPool;
+
+    const THETAS: [f64; 5] = [0.5, 0.75, 0.8, 0.9, 1.0];
+
+    /// The oracle: full merge, then `passes` / `score`.
+    fn oracle(m: Measure, theta: f64, a: &[u32], b: &[u32]) -> Option<(usize, u64)> {
+        let c = intersect_count_merge(a, b);
+        m.passes(c, a.len(), b.len(), theta)
+            .then(|| (c, m.score(c, a.len(), b.len()).to_bits()))
+    }
+
+    /// Check one pair under every measure × θ, bitmap on and off.
+    fn check(a: &[u32], b: &[u32]) -> Result<(), TestCaseError> {
+        let mut pool = TokenPool::new();
+        pool.push(a);
+        pool.push(b);
+        let bits = (pool.bitmap_of(0), pool.bitmap_of(1));
+        for m in Measure::all() {
+            for theta in THETAS {
+                let want = oracle(m, theta, a, b);
+                let v = Verifier { measure: m, theta };
+                let off = v.verify(a, b, None);
+                let on = v.verify(a, b, Some(bits));
+                for got in [off, on] {
+                    prop_assert!(
+                        got.similar.map(|(c, s)| (c, s.to_bits())) == want,
+                        "{m:?} θ={theta} |a|={} |b|={}: {got:?} vs oracle {want:?}",
+                        a.len(),
+                        b.len()
+                    );
+                    // A pair the bitmap settled never reached the kernel.
+                    prop_assert!(got.intersected || got.bitmap_checked);
+                }
+                prop_assert!(!off.bitmap_checked && off.intersected);
+            }
+        }
+        Ok(())
+    }
+
+    /// Two sets of the given lengths sharing exactly `overlap` tokens,
+    /// the shared ones spread over the whole rank range so the early exit
+    /// fires mid-record, not at the first chunk.
+    fn planted(len_a: usize, len_b: usize, overlap: usize) -> (Vec<u32>, Vec<u32>) {
+        let overlap = overlap.min(len_a).min(len_b);
+        // Rank r = 3k is shared, 3k+1 is a-only, 3k+2 is b-only.
+        let side = |len: usize, own: u32| {
+            let mut v: Vec<u32> = (0..overlap as u32).map(|k| 3 * k).collect();
+            v.extend((0..(len - overlap) as u32).map(|k| 3 * k + own));
+            v.sort_unstable();
+            v
+        };
+        (side(len_a, 1), side(len_b, 2))
+    }
+
+    #[test]
+    fn empty_and_single_token_inputs() {
+        let cases: [(&[u32], &[u32]); 5] = [
+            (&[], &[]),
+            (&[], &[7]),
+            (&[7], &[7]),
+            (&[7], &[8]),
+            (&[7], &[7, 8]),
+        ];
+        for (a, b) in cases {
+            check(a, b).unwrap();
+            check(b, a).unwrap();
+        }
+        // Two empty sets score 0 and never pass, even at α = 0.
+        let v = Verifier {
+            measure: Measure::Jaccard,
+            theta: 0.5,
+        };
+        assert_eq!(v.verify(&[], &[], None).similar, None);
+    }
+
+    #[test]
+    fn planted_overlaps_around_alpha_at_chunk_boundaries() {
+        // Lengths straddling multiples of CHUNK, overlaps at α−1, α, α+1.
+        let lens = [
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            2 * CHUNK - 1,
+            2 * CHUNK,
+            2 * CHUNK + 1,
+            20 * CHUNK - 1,
+            20 * CHUNK,
+            20 * CHUNK + 1,
+        ];
+        for &la in &lens {
+            for &lb in &lens {
+                for m in Measure::all() {
+                    for theta in THETAS {
+                        let alpha = m.min_overlap(theta, la, lb);
+                        for c in [alpha.saturating_sub(1), alpha, alpha + 1] {
+                            let (a, b) = planted(la, lb, c);
+                            check(&a, &b).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verdict_reports_the_settling_step() {
+        let v = Verifier {
+            measure: Measure::Jaccard,
+            theta: 0.8,
+        };
+        let mut pool = TokenPool::with_bitmap_bits(512).unwrap();
+        pool.push(&[1, 2, 3]);
+        pool.push(&[1000, 2000, 3000]);
+        pool.push(&[1, 2, 3]);
+        // Disjoint small sets: the bitmap bound is 0 < α.
+        let pruned = v.verify(
+            pool.tokens_of(0),
+            pool.tokens_of(1),
+            Some((pool.bitmap_of(0), pool.bitmap_of(1))),
+        );
+        assert!(pruned.bitmap_checked && !pruned.intersected && pruned.similar.is_none());
+        // Identical sets: checked, not pruned, exact score 1.
+        let hit = v.verify(
+            pool.tokens_of(0),
+            pool.tokens_of(2),
+            Some((pool.bitmap_of(0), pool.bitmap_of(2))),
+        );
+        assert!(hit.bitmap_checked && hit.intersected);
+        assert_eq!(hit.similar, Some((3, 1.0)));
+        // Saturated: 600-token records in a 64-bit map — floor_ub reaches
+        // α, the bitmaps are not read.
+        let long: Vec<u32> = (0..600).collect();
+        let mut narrow = TokenPool::with_bitmap_bits(64).unwrap();
+        narrow.push(&long);
+        let sat = v.verify(
+            &long,
+            &long,
+            Some((narrow.bitmap_of(0), narrow.bitmap_of(0))),
+        );
+        assert!(!sat.bitmap_checked && sat.intersected);
+        assert_eq!(sat.similar, Some((600, 1.0)));
+    }
+
+    fn sorted_set(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec(0u32..2_000, 0..max_len).prop_map(|mut v| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        })
+    }
+
+    proptest! {
+        /// Verdict, overlap and score bits equal the full-merge oracle on
+        /// arbitrary sets (mostly dissimilar: the early-exit side).
+        #[test]
+        fn agrees_with_full_merge_on_random_sets(
+            a in sorted_set(6 * CHUNK),
+            b in sorted_set(6 * CHUNK),
+        ) {
+            check(&a, &b)?;
+        }
+
+        /// Near-duplicates: `b` is `a` with a few tokens dropped and a few
+        /// foreign ones added, so overlaps land on both sides of α.
+        #[test]
+        fn agrees_with_full_merge_on_near_duplicates(
+            a in sorted_set(20 * CHUNK),
+            drop in proptest::collection::vec(0usize..10_000, 0..40),
+            add in proptest::collection::vec(2_000u32..2_100, 0..40),
+        ) {
+            let mut b = a.clone();
+            for d in drop {
+                if !b.is_empty() {
+                    b.remove(d % b.len());
+                }
+            }
+            b.extend(add);
+            b.sort_unstable();
+            b.dedup();
+            check(&a, &b)?;
+        }
+    }
+}

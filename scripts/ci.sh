@@ -18,6 +18,17 @@ cargo fmt --check
 echo "== lint: clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
 
+echo "== lint: threshold verify sites go through ssj_similarity::verify =="
+# Deciding sim >= theta from two whole records is the Verifier cascade's
+# job (alpha -> bitmap bound -> early-exit intersection -> score). A full
+# intersection kernel called from one of these sites is a second verify
+# path: it merges every token of pairs the cascade rejects early.
+if grep -rnE 'intersect_count_(adaptive|merge|chunked|gallop)' \
+    crates/core/src/pf.rs crates/core/src/rsjoin.rs crates/serve/src crates/baselines/src; then
+    echo "verify gate FAILED: full intersection kernel at a threshold site (use ssj_similarity::Verifier)" >&2
+    exit 1
+fi
+
 echo "== tier-1: build =="
 cargo build --release
 
@@ -131,9 +142,11 @@ fi
 echo "  cogroup and rekey join paths agree at workers 2 and 7 (cogroup join: zero shuffle)"
 
 echo "== smoke: kernel equivalence gate (bitmap prune on vs off) =="
-# The bitmap prune layer consults hashed token bitmaps before exact
-# verification; the XOR-Hamming bound is a true upper bound on overlap,
-# so the prune is lossless by construction. Enforce it end to end: the
+# The whole-record verify cascade consults hashed token bitmaps before
+# the exact kernel; the XOR-Hamming bound is a true upper bound on
+# overlap, so the prune is lossless by construction (the fragment kernels
+# of the self-join never consult bitmaps, so its report cannot move
+# either). Enforce it end to end: the
 # determinism report (digest, candidates, filter counters, per-job
 # shuffle accounting) must be byte-identical with the prune disabled,
 # on both the self-join and the two-input R×S plan. det_a / rs_pipe2
