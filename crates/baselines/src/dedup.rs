@@ -7,56 +7,26 @@
 //! The stage is appended to the baseline's [`Plan`] so its maps can start
 //! partition-by-partition while the kernel's reducers are still running.
 
-use ssj_mapreduce::{
-    Dataset, Emitter, GroupValues, Mapper, Plan, StageHandle, StageInput, StreamingReducer,
-};
+use ssj_mapreduce::{Dataset, IdentityMapper, KeepFirst, Plan, StageHandle, StageInput};
 use ssj_similarity::SimilarPair;
-
-/// Identity mapper over `((a, b), sim)`.
-struct DedupMapper;
-
-impl Mapper for DedupMapper {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn map(&mut self, pair: (u32, u32), sim: f64, out: &mut Emitter<(u32, u32), f64>) {
-        out.emit(pair, sim);
-    }
-}
-
-/// Keeps one score per pair. Streams: only the head of each group is
-/// read, duplicates are skipped by the engine without buffering.
-struct DedupReducer;
-
-impl StreamingReducer for DedupReducer {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn reduce_group(
-        &mut self,
-        pair: &(u32, u32),
-        sims: &mut GroupValues<'_, '_, (u32, u32), f64>,
-        out: &mut Emitter<(u32, u32), f64>,
-    ) {
-        // All duplicates carry the same exact score; keep the first.
-        out.emit(*pair, *sims.next().expect("group has at least one value"));
-    }
-}
 
 /// Append the dedup stage to `plan`, consuming `input` (a kernel stage's
 /// candidate pairs or an external dataset) and returning the handle to the
-/// unique pairs.
+/// unique pairs. All duplicates of a pair carry the same exact score, so
+/// an identity map plus a keep-first reduce is the whole stage.
 pub fn add_dedup_stage(
     plan: &mut Plan,
     input: impl Into<StageInput<(u32, u32), f64>>,
     reduce_tasks: usize,
     name: &str,
 ) -> StageHandle<(u32, u32), f64> {
-    plan.add(name, input, reduce_tasks, |_| DedupMapper, |_| DedupReducer)
+    plan.add(
+        name,
+        input,
+        reduce_tasks,
+        |_| IdentityMapper::default(),
+        |_| KeepFirst::default(),
+    )
 }
 
 /// Collect a pair dataset into [`SimilarPair`]s sorted by id pair.

@@ -25,7 +25,7 @@
 use crate::dedup::{add_dedup_stage, collect_pairs};
 use crate::{BaselineConfig, BudgetExceeded, JoinRunResult};
 use ssj_mapreduce::{
-    Dataset, Emitter, GroupValues, Mapper, Plan, PlanRunner, Reducer, StreamingReducer,
+    Dataset, Emitter, IdentityMapper, KeepFirst, Mapper, Plan, PlanRunner, Reducer,
 };
 use ssj_similarity::{Measure, SimilarPair, Verifier};
 use ssj_text::{Collection, Record};
@@ -303,40 +303,6 @@ impl Reducer for LightReducer {
     }
 }
 
-/// Candidate-dedup reducer for the Light variant. Streams: the group's
-/// values are never read, so the engine skips them without buffering.
-struct CandidateDedupReducer;
-
-impl StreamingReducer for CandidateDedupReducer {
-    type InKey = (u32, u32);
-    type InValue = u8;
-    type OutKey = (u32, u32);
-    type OutValue = u8;
-
-    fn reduce_group(
-        &mut self,
-        pair: &(u32, u32),
-        _v: &mut GroupValues<'_, '_, (u32, u32), u8>,
-        out: &mut Emitter<(u32, u32), u8>,
-    ) {
-        out.emit(*pair, 0);
-    }
-}
-
-/// Identity mapper over candidate pairs.
-struct CandidateMapper;
-
-impl Mapper for CandidateMapper {
-    type InKey = (u32, u32);
-    type InValue = u8;
-    type OutKey = (u32, u32);
-    type OutValue = u8;
-
-    fn map(&mut self, pair: (u32, u32), v: u8, out: &mut Emitter<(u32, u32), u8>) {
-        out.emit(pair, v);
-    }
-}
-
 /// Light-variant verification mapper: re-attach records from a read-only
 /// replica (distributed-cache analogue) and verify exactly.
 struct CachedVerifyMapper {
@@ -356,26 +322,6 @@ impl Mapper for CachedVerifyMapper {
         if let Some((_, sim)) = self.verifier.verify(&s.tokens, &t.tokens, None).similar {
             out.emit((a, b), sim);
         }
-    }
-}
-
-/// Pass-through reducer keeping the single verified score (streaming
-/// take-first).
-struct KeepFirstReducer;
-
-impl StreamingReducer for KeepFirstReducer {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn reduce_group(
-        &mut self,
-        pair: &(u32, u32),
-        sims: &mut GroupValues<'_, '_, (u32, u32), f64>,
-        out: &mut Emitter<(u32, u32), f64>,
-    ) {
-        out.emit(*pair, *sims.next().expect("group has at least one value"));
     }
 }
 
@@ -452,8 +398,10 @@ pub fn massjoin(
                 "massjoin-candidate-dedup",
                 candidates,
                 cfg.reduce_tasks,
-                |_| CandidateMapper,
-                |_| CandidateDedupReducer,
+                // Candidates carry a constant payload: identity map,
+                // keep-first reduce (the group's tail is never read).
+                |_| IdentityMapper::default(),
+                |_| KeepFirst::default(),
             );
             let records = Arc::new(collection.to_records());
             let verified = plan.add(
@@ -464,7 +412,7 @@ pub fn massjoin(
                     records: Arc::clone(&records),
                     verifier: Verifier { measure, theta },
                 },
-                |_| KeepFirstReducer,
+                |_| KeepFirst::default(),
             );
             let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
             let mut pairs: Vec<SimilarPair> = outcome

@@ -12,7 +12,9 @@
 //! "cannot run completely" without hanging the test suite.
 
 use crate::{BaselineConfig, BudgetExceeded, JoinRunResult};
-use ssj_mapreduce::{Dataset, Emitter, GroupValues, Mapper, Plan, PlanRunner, StreamingReducer};
+use ssj_mapreduce::{
+    Dataset, Emitter, GroupValues, IdentityMapper, Mapper, Plan, PlanRunner, StreamingReducer,
+};
 use ssj_similarity::{Measure, SimilarPair};
 use ssj_text::{Collection, Record};
 
@@ -67,25 +69,6 @@ impl StreamingReducer for PairEnumReducer {
                 out.emit((a, b), (1, la, lb));
             }
         }
-    }
-}
-
-/// Similarity-phase mapper: identity.
-struct PartialMapper;
-
-impl Mapper for PartialMapper {
-    type InKey = (u32, u32);
-    type InValue = (u32, u32, u32);
-    type OutKey = (u32, u32);
-    type OutValue = (u32, u32, u32);
-
-    fn map(
-        &mut self,
-        pair: (u32, u32),
-        payload: (u32, u32, u32),
-        out: &mut Emitter<(u32, u32), (u32, u32, u32)>,
-    ) {
-        out.emit(pair, payload);
     }
 }
 
@@ -176,7 +159,7 @@ pub fn vsmart_join(
         "vsmart-similarity",
         partials,
         cfg.reduce_tasks,
-        |_| PartialMapper,
+        |_| IdentityMapper::default(),
         move |_| AggregateReducer { measure, theta },
     );
     let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! The pipeline itself is *unmodified* — the fault plan is installed
-//! process-globally ([`ssj_faults::install_plan`]) and picked up by every
-//! `JobBuilder` in the chain, exactly how the CI determinism gate drives
+//! process-globally ([`ssj_faults::install_plan`]) and picked up by the
+//! plan runner for every stage, exactly how the CI determinism gate drives
 //! it. Output lines are stable for a given (seed, rate): the CI smoke runs
 //! this binary twice and asserts the outputs are byte-identical.
 
@@ -72,13 +72,12 @@ fn main() {
     );
     println!(
         "counters: attempts={} retries={} injected_errors={} injected_panics={} \
-         injected_stragglers={} spec_launched={}",
+         injected_stragglers={}",
         exec.attempts,
         exec.retries,
         exec.injected_errors,
         exec.injected_panics,
-        exec.injected_stragglers,
-        exec.speculative_launched
+        exec.injected_stragglers
     );
     let identical = digest(&clean_pairs) == digest(&chaos_pairs);
     println!("identical={identical}");

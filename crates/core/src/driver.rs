@@ -14,7 +14,7 @@ use crate::segment::Segment;
 use crate::vertical::split_record;
 use ssj_mapreduce::{
     ChainMetrics, Dataset, DirectPartitioner, Emitter, GroupValues, HashPartitioner,
-    IdentityCombiner, Mapper, Plan, PlanRunner, StreamingReducer,
+    IdentityCombiner, IdentityMapper, Mapper, Plan, PlanRunner, StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::{Measure, SimilarPair};
@@ -247,25 +247,6 @@ impl ssj_mapreduce::Combiner<(u32, u32), (u32, u32, u32)> for VerifyCombiner {
     }
 }
 
-/// Verification-job mapper: identity (paper Algorithm 1 lines 15–16).
-struct VerifyMapper;
-
-impl Mapper for VerifyMapper {
-    type InKey = (u32, u32);
-    type InValue = (u32, u32, u32);
-    type OutKey = (u32, u32);
-    type OutValue = (u32, u32, u32);
-
-    fn map(
-        &mut self,
-        pair: (u32, u32),
-        payload: (u32, u32, u32),
-        out: &mut Emitter<(u32, u32), (u32, u32, u32)>,
-    ) {
-        out.emit(pair, payload);
-    }
-}
-
 /// Verification-job reducer: sums per-fragment counts and computes the
 /// exact score from counts alone (paper §V-B). Streams its group — the
 /// sum folds contribution-by-contribution with no buffering anywhere.
@@ -419,7 +400,8 @@ fn run_join(
         "fsjoin-verify",
         candidates_h,
         cfg.reduce_tasks,
-        |_| VerifyMapper,
+        // Verification-job map side: identity (paper Algorithm 1 lines 15–16).
+        |_| IdentityMapper::default(),
         {
             let (measure, theta) = (cfg.measure, cfg.theta);
             move |_| VerifyReducer { measure, theta }

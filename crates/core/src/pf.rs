@@ -42,8 +42,8 @@ use crate::pivots::select_pivots;
 use crate::segment::Segment;
 use ssj_common::FxHashMap;
 use ssj_mapreduce::{
-    Dataset, DirectPartitioner, Emitter, GroupValues, HashPartitioner, IdentityCombiner, Mapper,
-    Plan, PlanRunner, StreamingReducer,
+    Dataset, DirectPartitioner, Emitter, GroupValues, HashPartitioner, IdentityCombiner,
+    IdentityMapper, KeepFirst, Mapper, Plan, PlanRunner, StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::{Measure, SimilarPair, Verifier};
@@ -201,45 +201,6 @@ impl StreamingReducer for PrefixDiscoveryReducer {
     }
 }
 
-/// Candidate-dedup: keep one record per pair.
-struct CandidateDedup;
-
-impl Mapper for CandidateDedup {
-    type InKey = (u32, u32);
-    type InValue = (u32, u32);
-    type OutKey = (u32, u32);
-    type OutValue = (u32, u32);
-
-    fn map(
-        &mut self,
-        pair: (u32, u32),
-        lens: (u32, u32),
-        out: &mut Emitter<(u32, u32), (u32, u32)>,
-    ) {
-        out.emit(pair, lens);
-    }
-}
-
-struct KeepFirst;
-
-impl StreamingReducer for KeepFirst {
-    type InKey = (u32, u32);
-    type InValue = (u32, u32);
-    type OutKey = (u32, u32);
-    type OutValue = (u32, u32);
-
-    fn reduce_group(
-        &mut self,
-        pair: &(u32, u32),
-        lens: &mut GroupValues<'_, '_, (u32, u32), (u32, u32)>,
-        out: &mut Emitter<(u32, u32), (u32, u32)>,
-    ) {
-        // Streaming take-first: duplicates beyond the head are skipped by
-        // the engine without ever being buffered.
-        out.emit(*pair, *lens.next().expect("group has at least one value"));
-    }
-}
-
 /// Cached verification: exact similarity straight from the shared token
 /// pool (the arena *is* the replicated record cache — no second copy of
 /// the corpus is materialized for this job), through the one whole-record
@@ -276,24 +237,6 @@ impl Mapper for CachedVerify {
     fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), f64>) {
         self.local_stats.record_to(&self.registry);
         self.local_stats = FilterStats::default();
-    }
-}
-
-struct PassThrough;
-
-impl StreamingReducer for PassThrough {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn reduce_group(
-        &mut self,
-        pair: &(u32, u32),
-        sims: &mut GroupValues<'_, '_, (u32, u32), f64>,
-        out: &mut Emitter<(u32, u32), f64>,
-    ) {
-        out.emit(*pair, *sims.next().expect("group has at least one value"));
     }
 }
 
@@ -439,8 +382,8 @@ fn run_pf(
         "fsjoin-pf-dedup",
         candidates_h,
         cfg.reduce_tasks,
-        |_| CandidateDedup,
-        |_| KeepFirst,
+        |_| IdentityMapper::default(),
+        |_| KeepFirst::default(),
     );
     let verified_h = plan.add_full_broadcast(
         "fsjoin-pf-verify",
@@ -462,7 +405,7 @@ fn run_pf(
                 registry: Arc::clone(&registry),
             }
         },
-        |_, _: &Arc<TokenPool>| PassThrough,
+        |_, _: &Arc<TokenPool>| KeepFirst::default(),
         HashPartitioner,
         None::<IdentityCombiner>,
     );

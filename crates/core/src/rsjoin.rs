@@ -43,8 +43,8 @@ use crate::config::FsJoinConfig;
 use crate::driver::FsJoinResult;
 use crate::filters::FilterStats;
 use ssj_mapreduce::{
-    CoGroupReducer, Dataset, Emitter, GroupValues, HashPartitioner, IdentityCombiner, Mapper, Plan,
-    PlanRunner, SideGroups, StreamingReducer,
+    CoGroupReducer, Dataset, Emitter, GroupValues, HashPartitioner, IdentityCombiner,
+    IdentityMapper, KeepFirst, Mapper, PassThrough, Plan, PlanRunner, SideGroups, StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::{Measure, SimilarPair, Verifier};
@@ -75,44 +75,6 @@ impl Mapper for PrefixEmit {
         for &t in &tokens[..prefix] {
             out.emit(t, record);
         }
-    }
-}
-
-/// Prefix-stage reducer: pass-through. The stage exists to *route* records
-/// into co-partitioned token groups; the join stage does the work.
-struct PrefixPassThrough;
-
-impl StreamingReducer for PrefixPassThrough {
-    type InKey = u32;
-    type InValue = PooledRecord;
-    type OutKey = u32;
-    type OutValue = PooledRecord;
-
-    fn reduce_group(
-        &mut self,
-        token: &u32,
-        records: &mut GroupValues<'_, '_, u32, PooledRecord>,
-        out: &mut Emitter<u32, PooledRecord>,
-    ) {
-        for rec in records {
-            out.emit(*token, *rec);
-        }
-    }
-}
-
-/// Join-stage mapper: identity. Map split `i` re-keys partition `i` of both
-/// prefix stages so the join shuffle groups R and S records of one token
-/// into a single reduce group.
-struct JoinIdentity;
-
-impl Mapper for JoinIdentity {
-    type InKey = u32;
-    type InValue = PooledRecord;
-    type OutKey = u32;
-    type OutValue = PooledRecord;
-
-    fn map(&mut self, token: u32, record: PooledRecord, out: &mut Emitter<u32, PooledRecord>) {
-        out.emit(token, record);
     }
 }
 
@@ -251,62 +213,6 @@ impl CoGroupReducer for CrossVerifyCo {
     }
 }
 
-/// Dedup mapper: identity over `((a, b), sim)`.
-struct DedupMapper;
-
-impl Mapper for DedupMapper {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn map(&mut self, pair: (u32, u32), sim: f64, out: &mut Emitter<(u32, u32), f64>) {
-        out.emit(pair, sim);
-    }
-}
-
-/// Dedup reducer: all duplicates of a pair carry the same exact score;
-/// keep the first.
-struct KeepFirstSim;
-
-impl StreamingReducer for KeepFirstSim {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn reduce_group(
-        &mut self,
-        pair: &(u32, u32),
-        sims: &mut GroupValues<'_, '_, (u32, u32), f64>,
-        out: &mut Emitter<(u32, u32), f64>,
-    ) {
-        out.emit(*pair, *sims.next().expect("group has at least one value"));
-    }
-}
-
-/// Co-group counterpart of [`KeepFirstSim`], used when the join output is
-/// already pair-partitioned (single reduce partition): every duplicate of
-/// a pair is then provably co-located, so the dedup can group the sealed
-/// partition in place instead of re-shuffling it.
-struct KeepFirstSimCo;
-
-impl CoGroupReducer for KeepFirstSimCo {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn cogroup(
-        &mut self,
-        pair: &(u32, u32),
-        sims: &mut SideGroups<'_, '_, (u32, u32), f64>,
-        out: &mut Emitter<(u32, u32), f64>,
-    ) {
-        out.emit(*pair, *sims.next().expect("group has at least one value").1);
-    }
-}
-
 /// R×S join declared as a two-input plan (module docs have the stage
 /// graph). Same conventions as [`crate::run_rs_join`]: both collections
 /// must be encoded in one token-rank space
@@ -374,7 +280,7 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         pool_bcast,
         cfg.reduce_tasks,
         prefix_factory,
-        |_, _: &Arc<TokenPool>| PrefixPassThrough,
+        |_, _: &Arc<TokenPool>| PassThrough::default(),
         HashPartitioner,
         None::<IdentityCombiner>,
     );
@@ -384,7 +290,7 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         pool_bcast,
         cfg.reduce_tasks,
         prefix_factory,
-        |_, _: &Arc<TokenPool>| PrefixPassThrough,
+        |_, _: &Arc<TokenPool>| PassThrough::default(),
         HashPartitioner,
         None::<IdentityCombiner>,
     );
@@ -419,7 +325,7 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
             [h_r, h_s],
             pool_bcast,
             cfg.reduce_tasks,
-            |_, _: &Arc<TokenPool>| JoinIdentity,
+            |_, _: &Arc<TokenPool>| IdentityMapper::default(),
             move |_, pool: &Arc<TokenPool>| CrossVerify {
                 core: core_factory(pool),
                 num_r: num_r as u32,
@@ -435,14 +341,14 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
     // in general. Only a single join partition makes the input provably
     // pair-partitioned — then the sealed partition co-groups in place.
     let unique = if cfg.rs_cogroup && cfg.reduce_tasks == 1 {
-        plan.add_cogroup("rsjoin-dedup", vec![joined], |_| KeepFirstSimCo)
+        plan.add_cogroup("rsjoin-dedup", vec![joined], |_| KeepFirst::default())
     } else {
         plan.add(
             "rsjoin-dedup",
             joined,
             cfg.reduce_tasks,
-            |_| DedupMapper,
-            |_| KeepFirstSim,
+            |_| IdentityMapper::default(),
+            |_| KeepFirst::default(),
         )
     };
 

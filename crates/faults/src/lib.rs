@@ -14,15 +14,15 @@
 //!   runs with the same seed inject byte-identical fault patterns no matter
 //!   how threads interleave;
 //! * [`RetryPolicy`] — bounded attempts with exponential backoff;
-//! * [`SpeculationPolicy`] — when an idle worker may launch a backup copy of
-//!   a slow task;
 //! * a process-global plan slot ([`install_plan`]) mirroring
 //!   `ssj_observe::install_collector`, so drivers enable cluster-wide chaos
 //!   without threading a plan through every job builder.
 //!
 //! The execution half (attempt scheduling, panic capture, checkpointed map
-//! output) lives in `ssj-mapreduce`; the simulated half (rescheduling on a
-//! modelled cluster, node-loss re-runs) in its `sim_faults` module.
+//! output) lives in `ssj-mapreduce`'s plan runner, which retries but does
+//! not speculate; the simulated half (rescheduling on a modelled cluster,
+//! speculative backup copies, node-loss re-runs) in its `sim_faults`
+//! module.
 
 pub mod rng;
 
@@ -332,43 +332,6 @@ impl RetryPolicy {
         self.backoff_base
             .saturating_mul(1u32 << shift)
             .min(self.backoff_cap)
-    }
-}
-
-/// When an idle worker may speculatively re-execute a running attempt
-/// (first finisher wins, the loser is discarded).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeculationPolicy {
-    /// Master switch. Off by default: replayed attempts re-run user task
-    /// code, whose side effects (e.g. metrics emitted at cleanup) are then
-    /// observed more than once — exactly Hadoop's semantics, but worth
-    /// opting into knowingly.
-    pub enabled: bool,
-    /// A task qualifies once its running attempt has been executing for at
-    /// least `threshold × median completed-task duration`.
-    pub slowdown_threshold: f64,
-    /// Minimum running time before a task may qualify regardless of the
-    /// median (guards the cold start where nothing has completed yet).
-    pub min_runtime: Duration,
-}
-
-impl Default for SpeculationPolicy {
-    fn default() -> Self {
-        SpeculationPolicy {
-            enabled: false,
-            slowdown_threshold: 1.5,
-            min_runtime: Duration::from_millis(5),
-        }
-    }
-}
-
-impl SpeculationPolicy {
-    /// Speculation on with default thresholds.
-    pub fn enabled() -> Self {
-        SpeculationPolicy {
-            enabled: true,
-            ..SpeculationPolicy::default()
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Fault injection must be a *pure function of the seed and the decision
 //! scope* — never of thread scheduling or call order — so that a chaos run
-//! is reproducible and a speculative re-execution cannot shift the fault
+//! is reproducible and a retried attempt cannot shift the fault
 //! pattern of unrelated tasks. Every decision therefore derives its own
 //! generator from `(seed, scope words...)` instead of drawing from one
 //! shared stream.

@@ -8,11 +8,6 @@
 //! counts, and the offending record's byte offset with a truncated payload
 //! preview — because "different type" alone is useless when the driver
 //! chained five jobs through the store.
-//!
-//! The store also keeps untyped blobs ([`Dfs::put_blob`]): checkpointed
-//! shuffle output ([`SpillStore`](crate::SpillStore)) is registered here
-//! when a driver wants map outputs to outlive one job, mirroring Hadoop
-//! materializing spills on the DFS-adjacent local disks.
 
 use crate::dataset::Dataset;
 use ssj_common::{ByteSize, FxHashMap};
@@ -191,61 +186,6 @@ impl Dfs {
         self.entries.get(name).map(|e| &e.meta)
     }
 
-    /// Store an untyped blob (e.g. a [`SpillStore`](crate::SpillStore)
-    /// checkpoint) under `name`. Overwrites like [`Dfs::put`].
-    pub fn put_blob<T: Send + 'static>(&mut self, name: impl Into<String>, blob: T) {
-        let meta = EntryMeta {
-            key_type: std::any::type_name::<T>(),
-            value_type: "(blob)",
-            records: 0,
-            bytes: 0,
-            first_record: None,
-        };
-        self.entries.insert(
-            name.into(),
-            Entry {
-                data: Box::new(blob),
-                meta,
-            },
-        );
-    }
-
-    /// Borrow a blob by name.
-    ///
-    /// # Panics
-    /// Panics if the name is missing or holds a different type.
-    pub fn get_blob<T: Send + 'static>(&self, name: &str) -> &T {
-        let entry = self
-            .entries
-            .get(name)
-            .unwrap_or_else(|| panic!("dfs: no dataset named {name:?}"));
-        entry.data.downcast_ref::<T>().unwrap_or_else(|| {
-            panic!(
-                "dfs: blob {name:?} holds {} but {} was requested",
-                entry.meta.key_type,
-                std::any::type_name::<T>()
-            )
-        })
-    }
-
-    /// Remove and return a blob by name.
-    ///
-    /// # Panics
-    /// Panics if the name is missing or holds a different type.
-    pub fn take_blob<T: Send + 'static>(&mut self, name: &str) -> T {
-        let entry = self
-            .entries
-            .remove(name)
-            .unwrap_or_else(|| panic!("dfs: no dataset named {name:?}"));
-        let stored = entry.meta.key_type;
-        *entry.data.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "dfs: blob {name:?} holds {stored} but {} was requested",
-                std::any::type_name::<T>()
-            )
-        })
-    }
-
     /// Whether a dataset with this name exists.
     pub fn contains(&self, name: &str) -> bool {
         self.entries.contains_key(name)
@@ -265,7 +205,6 @@ impl Dfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spill::SpillStore;
 
     #[test]
     fn put_get_take_round_trip() {
@@ -366,32 +305,6 @@ mod tests {
         assert_eq!(meta.bytes, 3 * (4 + 8));
         assert!(meta.key_type.contains("u32"));
         assert!(meta.value_type.contains("u64"));
-    }
-
-    #[test]
-    fn spill_store_blob_round_trip() {
-        let mut dfs = Dfs::new();
-        let mut spill: SpillStore<u32, u64> = SpillStore::new(2);
-        spill.register(0, vec![(1, 10)]);
-        spill.register(1, vec![(2, 20), (3, 30)]);
-        dfs.put_blob("job0/map-output", spill);
-        assert!(dfs.contains("job0/map-output"));
-        {
-            let s = dfs.get_blob::<SpillStore<u32, u64>>("job0/map-output");
-            assert_eq!(s.total_records(), 3);
-            assert_eq!(*s.fetch(0)[0], vec![(1, 10)]);
-        }
-        let s = dfs.take_blob::<SpillStore<u32, u64>>("job0/map-output");
-        assert_eq!(*s.fetch(1)[0], vec![(2, 20), (3, 30)]);
-        assert!(!dfs.contains("job0/map-output"));
-    }
-
-    #[test]
-    #[should_panic(expected = "holds")]
-    fn blob_type_mismatch_panics() {
-        let mut dfs = Dfs::new();
-        dfs.put_blob("b", 42u64);
-        let _ = dfs.get_blob::<String>("b");
     }
 
     #[test]

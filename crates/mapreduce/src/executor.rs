@@ -1,34 +1,12 @@
-//! Fault-tolerant thread-pool task execution.
+//! Task-execution vocabulary shared by the plan runner: the default worker
+//! count, panic-payload decoding, and the error types a task attempt or an
+//! exhausted retry budget surfaces as.
 //!
-//! Tasks within a phase (all map tasks, then all reduce tasks) are
-//! independent, so they are drained from a shared queue by a scoped worker
-//! pool. Two entry points:
-//!
-//! * [`run_tasks`] — the plain path: lock-free result handoff (the atomic
-//!   dispatch counter guarantees exclusive ownership of each index), with
-//!   per-task panic capture so one panicking task cannot unwind through the
-//!   pool and abort the sibling tasks. Used where failure is a bug, not an
-//!   expected event.
-//! * [`run_tasks_ft`] — the attempt-aware scheduler: bounded retry with
-//!   exponential backoff ([`RetryPolicy`]), deterministic fault injection
-//!   from a [`FaultPlan`], and speculative re-execution of stragglers with
-//!   first-finisher-wins semantics ([`SpeculationPolicy`]). This is the
-//!   engine analogue of Hadoop's TaskTracker attempt machinery, and the
-//!   path every [`JobBuilder`](crate::JobBuilder) phase runs on.
-//!
-//! On a single-core host both degrade gracefully to sequential execution;
-//! per-task wall-clock measurements remain valid inputs for the
-//! [`ClusterModel`](crate::ClusterModel) because each attempt runs on one
-//! thread from start to finish.
+//! The worker pool itself — claim, run outside the lock, retry with
+//! backoff, fault injection — lives in [`crate::plan`]; there is no second
+//! scheduler.
 
-use crate::metrics::ExecSummary;
-use ssj_faults::{Fault, FaultPlan, InjectedPanic, Phase, RetryPolicy, SpeculationPolicy};
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use ssj_faults::{Fault, InjectedPanic, Phase};
 
 /// Number of worker threads to use by default: the host's available
 /// parallelism (at least 1).
@@ -38,171 +16,7 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-// ---------------------------------------------------------------------------
-// Lock-free slot vectors.
-// ---------------------------------------------------------------------------
-
-/// A vector of write-once cells, each owned by exactly one worker at a time.
-///
-/// Safety contract: callers must guarantee that a given index is accessed by
-/// at most one thread at any moment (here: the dispatch counter hands out
-/// each index once, and in the fault-tolerant path winner selection happens
-/// under the scheduler lock). Reads back on the coordinating thread happen
-/// after `thread::scope` joins every worker, which synchronizes-with all
-/// their writes.
-struct SlotVec<T> {
-    cells: Box<[UnsafeCell<Option<T>>]>,
-}
-
-// SAFETY: see the struct-level contract; cells are never aliased mutably.
-unsafe impl<T: Send> Sync for SlotVec<T> {}
-
-impl<T> SlotVec<T> {
-    fn filled(items: Vec<T>) -> Self {
-        SlotVec {
-            cells: items
-                .into_iter()
-                .map(|t| UnsafeCell::new(Some(t)))
-                .collect(),
-        }
-    }
-
-    fn empty(n: usize) -> Self {
-        SlotVec {
-            cells: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-        }
-    }
-
-    /// Take the value at `i`. Caller must hold exclusive logical ownership
-    /// of index `i`.
-    unsafe fn take(&self, i: usize) -> Option<T> {
-        (*self.cells[i].get()).take()
-    }
-
-    /// Store a value at `i`. Caller must hold exclusive logical ownership
-    /// of index `i`.
-    unsafe fn put(&self, i: usize, value: T) {
-        *self.cells[i].get() = Some(value);
-    }
-
-    fn into_values(self) -> impl Iterator<Item = Option<T>> {
-        self.cells
-            .into_vec()
-            .into_iter()
-            .map(UnsafeCell::into_inner)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Plain path: run_tasks.
-// ---------------------------------------------------------------------------
-
-/// Run `tasks` closures over a pool of `workers` threads, returning results
-/// in task order. `f(i, task)` must be safe to call concurrently for
-/// distinct tasks.
-///
-/// # Panics
-/// If a task panics, the panic is caught on the worker (sibling tasks run
-/// to completion; no shared state is poisoned) and re-raised here with the
-/// task index prepended.
-pub fn run_tasks<T, O, F>(workers: usize, tasks: Vec<T>, f: F) -> Vec<O>
-where
-    T: Send,
-    O: Send,
-    F: Fn(usize, T) -> O + Sync,
-{
-    let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        // Fast path: no synchronization overhead.
-        return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let tasks = SlotVec::filled(tasks);
-    let results: SlotVec<O> = SlotVec::empty(n);
-    let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // SAFETY: the counter hands out index i exactly once, so
-                // this worker is its sole owner.
-                let task = unsafe { tasks.take(i) }.expect("task taken twice");
-                match catch_unwind(AssertUnwindSafe(|| f(i, task))) {
-                    // SAFETY: same exclusive ownership of index i.
-                    Ok(out) => unsafe { results.put(i, out) },
-                    Err(payload) => {
-                        let mut slot = first_panic.lock().unwrap_or_else(|e| e.into_inner());
-                        slot.get_or_insert_with(|| (i, panic_message(&payload)));
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some((i, msg)) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        panic!("task {i} panicked: {msg}");
-    }
-    results
-        .into_values()
-        .map(|slot| slot.expect("task produced no result"))
-        .collect()
-}
-
-/// The pre-fault-tolerance implementation of [`run_tasks`], with per-task
-/// `Mutex<Option<T>>` handoff slots. Kept (hidden) as the baseline for the
-/// executor micro-benchmark and as a differential-testing oracle; do not
-/// use in new code.
-#[doc(hidden)]
-pub fn run_tasks_locked<T, O, F>(workers: usize, tasks: Vec<T>, f: F) -> Vec<O>
-where
-    T: Send,
-    O: Send,
-    F: Fn(usize, T) -> O + Sync,
-{
-    let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    let next = AtomicUsize::new(0);
-    let tasks: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let task = tasks[i].lock().unwrap().take().expect("task taken twice");
-                let out = f(i, task);
-                *results[i].lock().unwrap() = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result mutex poisoned")
-                .expect("task produced no result")
-        })
-        .collect()
-}
-
+/// Render a caught panic payload as the message a [`TaskError`] carries.
 pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -220,10 +34,6 @@ pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
         "non-string panic payload".to_string()
     }
 }
-
-// ---------------------------------------------------------------------------
-// Fault-tolerant path: run_tasks_ft.
-// ---------------------------------------------------------------------------
 
 /// How one task attempt ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,613 +84,12 @@ impl std::fmt::Display for TaskFailure {
 
 impl std::error::Error for TaskFailure {}
 
-/// Execution policy for one phase of one job.
-#[derive(Debug, Clone)]
-pub struct ExecPolicy {
-    /// Job name (fault-injection scope and error context).
-    pub job: String,
-    /// Phase (fault-injection scope).
-    pub phase: Phase,
-    /// Worker threads.
-    pub workers: usize,
-    /// Retry budget and backoff.
-    pub retry: RetryPolicy,
-    /// Speculative-execution policy.
-    pub speculation: SpeculationPolicy,
-    /// Fault plan; `None` runs clean.
-    pub faults: Option<Arc<FaultPlan>>,
-}
-
-impl ExecPolicy {
-    /// A clean policy (no faults, no speculation, default retry).
-    pub fn new(job: impl Into<String>, phase: Phase, workers: usize) -> Self {
-        ExecPolicy {
-            job: job.into(),
-            phase,
-            workers,
-            retry: RetryPolicy::default(),
-            speculation: SpeculationPolicy::default(),
-            faults: None,
-        }
-    }
-}
-
-/// Context handed to each attempt of the task body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttemptCtx {
-    /// Attempt ordinal for this task (0 = first).
-    pub attempt: u32,
-    /// Whether this is a speculative backup copy.
-    pub speculative: bool,
-}
-
-/// One schedulable unit in the attempt queue.
-struct QueuedAttempt {
-    task: usize,
-    attempt: u32,
-    not_before: Instant,
-    speculative: bool,
-}
-
-/// Per-task scheduler bookkeeping (all behind the scheduler mutex).
-struct TaskCtl {
-    done: bool,
-    failed_attempts: u32,
-    launched: u32,
-    running: u32,
-    has_speculative: bool,
-    current_start: Option<Instant>,
-}
-
-/// Shared scheduler state.
-struct Sched {
-    queue: VecDeque<QueuedAttempt>,
-    tasks: Vec<TaskCtl>,
-    completed: usize,
-    completed_durations: Vec<f64>,
-    fatal: Option<TaskFailure>,
-    report: ExecSummary,
-}
-
-impl Sched {
-    /// Median of completed-task durations (for the speculation threshold).
-    fn median_completed_secs(&mut self) -> Option<f64> {
-        if self.completed_durations.is_empty() {
-            return None;
-        }
-        self.completed_durations.sort_by(|a, b| a.total_cmp(b));
-        Some(self.completed_durations[self.completed_durations.len() / 2])
-    }
-}
-
-/// Run `tasks` under the attempt-aware scheduler: each task is executed via
-/// `f(index, &task, ctx)` (by shared reference, so failed attempts can be
-/// re-launched from the original input — the in-process analogue of
-/// re-fetching a materialized map output); panics in `f` are caught and
-/// charged to the attempt; failed attempts are retried with backoff up to
-/// `policy.retry.max_attempts`; and, when enabled, idle workers
-/// speculatively re-execute slow tasks, first finisher wins.
-///
-/// Returns results in task order plus an [`ExecSummary`] of what the
-/// scheduler had to do. `Err` means some task exhausted its retry budget;
-/// sibling tasks are not abandoned mid-attempt (workers drain before
-/// returning), matching Hadoop's job-failure semantics.
-pub fn run_tasks_ft<T, O, F>(
-    policy: &ExecPolicy,
-    tasks: Vec<T>,
-    f: F,
-) -> Result<(Vec<O>, ExecSummary), TaskFailure>
-where
-    T: Send + Sync,
-    O: Send,
-    F: Fn(usize, &T, AttemptCtx) -> O + Sync,
-{
-    let n = tasks.len();
-    if n == 0 {
-        return Ok((Vec::new(), ExecSummary::default()));
-    }
-    let workers = policy.workers.clamp(1, n);
-    let plan = policy.faults.as_deref().filter(|p| p.is_active());
-
-    let results: SlotVec<O> = SlotVec::empty(n);
-    let sched = Mutex::new(Sched {
-        queue: (0..n)
-            .map(|task| QueuedAttempt {
-                task,
-                attempt: 0,
-                not_before: Instant::now(),
-                speculative: false,
-            })
-            .collect(),
-        tasks: (0..n)
-            .map(|_| TaskCtl {
-                done: false,
-                failed_attempts: 0,
-                launched: 0,
-                running: 0,
-                has_speculative: false,
-                current_start: None,
-            })
-            .collect(),
-        completed: 0,
-        completed_durations: Vec::new(),
-        fatal: None,
-        report: ExecSummary::default(),
-    });
-    let wakeup = Condvar::new();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                worker_loop(policy, plan, &tasks, &sched, &wakeup, &results, &f);
-            });
-        }
-    });
-
-    let sched = sched.into_inner().unwrap_or_else(|e| e.into_inner());
-    if let Some(failure) = sched.fatal {
-        return Err(failure);
-    }
-    let out: Vec<O> = results
-        .into_values()
-        .map(|slot| slot.expect("completed task produced no result"))
-        .collect();
-    Ok((out, sched.report))
-}
-
-/// What a worker decided to do after inspecting the scheduler state.
-enum Step {
-    Run(QueuedAttempt),
-    Wait(Option<Duration>),
-    Exit,
-}
-
-fn next_step(policy: &ExecPolicy, sched: &mut Sched, n: usize) -> Step {
-    if sched.fatal.is_some() {
-        // Job is lost: start no new attempts; in-flight attempts finish
-        // (the scope join waits for them).
-        return Step::Exit;
-    }
-    if sched.completed == n {
-        return Step::Exit;
-    }
-    let now = Instant::now();
-    // Pick the first queue entry that is past its backoff and still needed.
-    let mut earliest: Option<Instant> = None;
-    let mut pick: Option<usize> = None;
-    for (qi, item) in sched.queue.iter().enumerate() {
-        if sched.tasks[item.task].done {
-            continue; // stale retry of a task another attempt finished
-        }
-        if item.not_before <= now {
-            pick = Some(qi);
-            break;
-        }
-        earliest = Some(earliest.map_or(item.not_before, |e| e.min(item.not_before)));
-    }
-    if let Some(qi) = pick {
-        let item = sched.queue.remove(qi).expect("index in range");
-        let ctl = &mut sched.tasks[item.task];
-        ctl.launched += 1;
-        ctl.running += 1;
-        if item.speculative {
-            ctl.has_speculative = true;
-        } else {
-            ctl.current_start = Some(now);
-        }
-        sched.report.attempts += 1;
-        return Step::Run(item);
-    }
-    // Nothing runnable: consider a speculative backup copy.
-    if policy.speculation.enabled {
-        if let Some(median) = sched.median_completed_secs() {
-            let threshold = (median * policy.speculation.slowdown_threshold)
-                .max(policy.speculation.min_runtime.as_secs_f64());
-            let candidate = sched
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| {
-                    !c.done && c.running > 0 && !c.has_speculative && c.failed_attempts == 0
-                })
-                .filter_map(|(i, c)| {
-                    c.current_start
-                        .map(|s| (i, now.duration_since(s).as_secs_f64()))
-                })
-                .filter(|&(_, elapsed)| elapsed >= threshold)
-                .max_by(|a, b| a.1.total_cmp(&b.1));
-            if let Some((task, _)) = candidate {
-                let ctl = &mut sched.tasks[task];
-                let attempt = ctl.launched;
-                ctl.launched += 1;
-                ctl.running += 1;
-                ctl.has_speculative = true;
-                sched.report.attempts += 1;
-                sched.report.speculative_launched += 1;
-                return Step::Run(QueuedAttempt {
-                    task,
-                    attempt,
-                    not_before: now,
-                    speculative: true,
-                });
-            }
-        }
-    }
-    // Idle: wait for a completion, a retry deadline, a speculation
-    // candidate maturing, or shutdown. Every unfinished task is either
-    // running (a completion will notify) or queued behind a backoff
-    // deadline (`earliest`), so an untimed wait cannot strand the pool —
-    // but with speculation on, a straggler only *becomes* a candidate as
-    // time passes, so the wait must be bounded by when the nearest
-    // candidate would mature.
-    let mut deadline: Option<Duration> = earliest.map(|t| {
-        t.saturating_duration_since(now)
-            .max(Duration::from_micros(100))
-    });
-    if policy.speculation.enabled {
-        if let Some(median) = sched.median_completed_secs() {
-            let threshold = (median * policy.speculation.slowdown_threshold)
-                .max(policy.speculation.min_runtime.as_secs_f64());
-            let matures = sched
-                .tasks
-                .iter()
-                .filter(|c| {
-                    !c.done && c.running > 0 && !c.has_speculative && c.failed_attempts == 0
-                })
-                .filter_map(|c| c.current_start)
-                .map(|s| (threshold - now.duration_since(s).as_secs_f64()).max(1e-3))
-                .fold(f64::INFINITY, f64::min);
-            if matures.is_finite() {
-                let d = Duration::from_secs_f64(matures);
-                deadline = Some(deadline.map_or(d, |e| e.min(d)));
-            }
-        }
-    }
-    Step::Wait(deadline)
-}
-
-fn worker_loop<T, O, F>(
-    policy: &ExecPolicy,
-    plan: Option<&FaultPlan>,
-    tasks: &[T],
-    sched: &Mutex<Sched>,
-    wakeup: &Condvar,
-    results: &SlotVec<O>,
-    f: &F,
-) where
-    T: Send + Sync,
-    O: Send,
-    F: Fn(usize, &T, AttemptCtx) -> O + Sync,
-{
-    let n = tasks.len();
-    loop {
-        let item = {
-            let guard = sched.lock().unwrap_or_else(|e| e.into_inner());
-            let mut guard = guard;
-            match next_step(policy, &mut guard, n) {
-                Step::Run(item) => item,
-                Step::Exit => {
-                    drop(guard);
-                    wakeup.notify_all();
-                    return;
-                }
-                Step::Wait(timeout) => {
-                    match timeout {
-                        Some(t) => drop(wakeup.wait_timeout(guard, t)),
-                        None => drop(wakeup.wait(guard)),
-                    }
-                    continue;
-                }
-            }
-        };
-
-        let ctx = AttemptCtx {
-            attempt: item.attempt,
-            speculative: item.speculative,
-        };
-        // Regular attempts consult the fault plan; speculative backups are
-        // the mitigation mechanism and run clean (this also keeps the
-        // injected fault pattern — and thus the retry counters —
-        // independent of host timing).
-        let decision = if item.speculative {
-            None
-        } else {
-            plan.and_then(|p| p.decide(&policy.job, policy.phase, item.task, item.attempt))
-        };
-
-        let outcome: Result<O, TaskError> = match decision {
-            Some(Fault::Error) => Err(TaskError::Injected(Fault::Error)),
-            Some(Fault::Panic) => {
-                // A real unwind, so the capture path is exercised for real.
-                let payload = InjectedPanic {
-                    job: policy.job.clone(),
-                    phase: policy.phase,
-                    task: item.task,
-                    attempt: item.attempt,
-                };
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    std::panic::panic_any(payload);
-                }));
-                debug_assert!(caught.is_err());
-                Err(TaskError::Injected(Fault::Panic))
-            }
-            other => {
-                if matches!(other, Some(Fault::Straggle)) {
-                    if let Some(p) = plan {
-                        std::thread::sleep(p.straggler_delay);
-                    }
-                }
-                match catch_unwind(AssertUnwindSafe(|| f(item.task, &tasks[item.task], ctx))) {
-                    Ok(out) => Ok(out),
-                    Err(payload) => {
-                        if payload.downcast_ref::<InjectedPanic>().is_some() {
-                            Err(TaskError::Injected(Fault::Panic))
-                        } else {
-                            Err(TaskError::Panicked(panic_message(&payload)))
-                        }
-                    }
-                }
-            }
-        };
-
-        let mut guard = sched.lock().unwrap_or_else(|e| e.into_inner());
-        let start = guard.tasks[item.task].current_start;
-        guard.tasks[item.task].running -= 1;
-        if let Some(fault) = &decision {
-            match fault {
-                Fault::Error => guard.report.injected_errors += 1,
-                Fault::Panic => guard.report.injected_panics += 1,
-                Fault::Straggle => guard.report.injected_stragglers += 1,
-            }
-        }
-        match outcome {
-            Ok(out) => {
-                if !guard.tasks[item.task].done {
-                    guard.tasks[item.task].done = true;
-                    guard.completed += 1;
-                    if item.speculative {
-                        guard.report.speculative_wins += 1;
-                    }
-                    if let Some(s) = start {
-                        let d = s.elapsed().as_secs_f64();
-                        guard.completed_durations.push(d);
-                    }
-                    // Winner writes the slot while holding the scheduler
-                    // lock, so the write is exclusive even if a losing
-                    // attempt finishes concurrently (it finds done=true
-                    // and never touches the slot).
-                    // SAFETY: first finisher only, serialized by the lock.
-                    unsafe { results.put(item.task, out) };
-                }
-            }
-            Err(error) => {
-                let max_attempts = policy.retry.max_attempts.max(1);
-                let ctl = &mut guard.tasks[item.task];
-                ctl.failed_attempts += 1;
-                let failed = ctl.failed_attempts;
-                let next_attempt = ctl.launched;
-                if !ctl.done {
-                    if failed >= max_attempts {
-                        guard.fatal.get_or_insert(TaskFailure {
-                            job: policy.job.clone(),
-                            phase: policy.phase,
-                            index: item.task,
-                            attempts: failed,
-                            error,
-                        });
-                    } else {
-                        let backoff = policy.retry.backoff(failed - 1);
-                        guard.queue.push_back(QueuedAttempt {
-                            task: item.task,
-                            attempt: next_attempt,
-                            not_before: Instant::now() + backoff,
-                            speculative: false,
-                        });
-                        guard.report.retries += 1;
-                    }
-                }
-            }
-        }
-        drop(guard);
-        wakeup.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-
-    #[test]
-    fn results_preserve_task_order() {
-        let tasks: Vec<u32> = (0..100).collect();
-        let out = run_tasks(4, tasks, |i, t| {
-            assert_eq!(i as u32, t);
-            t * 2
-        });
-        assert_eq!(out, (0..100).map(|t| t * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_task_list() {
-        let out: Vec<u32> = run_tasks(4, Vec::<u32>::new(), |_, t| t);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn single_worker_sequential_path() {
-        let out = run_tasks(1, vec![1, 2, 3], |_, t| t + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn workers_clamped_to_task_count() {
-        // More workers than tasks must not deadlock or panic.
-        let out = run_tasks(64, vec![5], |_, t| t);
-        assert_eq!(out, vec![5]);
-    }
 
     #[test]
     fn default_workers_is_positive() {
         assert!(default_workers() >= 1);
-    }
-
-    #[test]
-    fn locked_baseline_agrees_with_lock_free() {
-        let tasks: Vec<u32> = (0..500).collect();
-        let a = run_tasks(8, tasks.clone(), |_, t| t.wrapping_mul(31));
-        let b = run_tasks_locked(8, tasks, |_, t| t.wrapping_mul(31));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn panic_is_captured_and_siblings_complete() {
-        let completed = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_tasks(4, (0..32u32).collect(), |i, t| {
-                if i == 7 {
-                    panic!("boom in task {i}");
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                t
-            })
-        }));
-        let err = result.expect_err("panic must propagate");
-        let msg = panic_message(&err);
-        assert!(msg.contains("task 7 panicked"), "{msg}");
-        assert!(msg.contains("boom in task 7"), "{msg}");
-        // All other tasks ran to completion despite the panic.
-        assert_eq!(completed.load(Ordering::Relaxed), 31);
-    }
-
-    fn clean_policy(workers: usize) -> ExecPolicy {
-        ExecPolicy::new("test-job", Phase::Map, workers)
-    }
-
-    #[test]
-    fn ft_matches_plain_output() {
-        let tasks: Vec<u32> = (0..64).collect();
-        let (out, report) = run_tasks_ft(&clean_policy(4), tasks, |i, t, ctx| {
-            assert_eq!(i as u32, *t);
-            assert_eq!(ctx.attempt, 0);
-            assert!(!ctx.speculative);
-            t * 3
-        })
-        .expect("clean run");
-        assert_eq!(out, (0..64).map(|t| t * 3).collect::<Vec<_>>());
-        assert_eq!(report.attempts, 64);
-        assert_eq!(report.retries, 0);
-    }
-
-    #[test]
-    fn ft_empty_tasks() {
-        let (out, report) =
-            run_tasks_ft(&clean_policy(4), Vec::<u32>::new(), |_, t, _| *t).expect("empty run");
-        assert!(out.is_empty());
-        assert_eq!(report.attempts, 0);
-    }
-
-    #[test]
-    fn ft_retries_transient_panics_until_success() {
-        let failures = AtomicU32::new(0);
-        let tasks: Vec<u32> = (0..8).collect();
-        let (out, report) = run_tasks_ft(&clean_policy(4), tasks, |i, t, ctx| {
-            // Task 3 panics on its first two attempts, then succeeds.
-            if i == 3 && ctx.attempt < 2 {
-                failures.fetch_add(1, Ordering::Relaxed);
-                panic!("transient failure");
-            }
-            *t + 100
-        })
-        .expect("recovers within retry budget");
-        assert_eq!(out, (0..8).map(|t| t + 100).collect::<Vec<_>>());
-        assert_eq!(failures.load(Ordering::Relaxed), 2);
-        assert_eq!(report.retries, 2);
-        assert_eq!(report.attempts, 8 + 2);
-    }
-
-    #[test]
-    fn ft_exhausted_retries_fail_the_job() {
-        let policy = ExecPolicy {
-            retry: RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            },
-            ..clean_policy(2)
-        };
-        let err = run_tasks_ft(&policy, vec![0u32, 1, 2], |i, t, _| {
-            if i == 1 {
-                panic!("permanent failure");
-            }
-            *t
-        })
-        .expect_err("task 1 can never succeed");
-        assert_eq!(err.index, 1);
-        assert_eq!(err.attempts, 3);
-        assert!(matches!(err.error, TaskError::Panicked(ref m) if m.contains("permanent")));
-        assert!(err
-            .to_string()
-            .contains("map task 1 failed after 3 attempts"));
-    }
-
-    #[test]
-    fn ft_injected_faults_are_retried_deterministically() {
-        let plan = Arc::new(FaultPlan::chaos(1234, 0.3));
-        let policy = ExecPolicy {
-            faults: Some(Arc::clone(&plan)),
-            ..clean_policy(4)
-        };
-        let run = || {
-            run_tasks_ft(&policy, (0..40u32).collect(), |_, t, _| t * 2)
-                .expect("chaos within budget")
-        };
-        let (out1, r1) = run();
-        let (out2, r2) = run();
-        assert_eq!(out1, (0..40).map(|t| t * 2).collect::<Vec<_>>());
-        assert_eq!(out1, out2, "results identical under chaos");
-        assert_eq!(r1.retries, r2.retries, "fault pattern is seed-pure");
-        assert_eq!(r1.injected_errors, r2.injected_errors);
-        assert_eq!(r1.injected_panics, r2.injected_panics);
-        assert_eq!(r1.injected_stragglers, r2.injected_stragglers);
-        assert!(r1.retries > 0, "0.3 failure rate over 40 tasks must retry");
-    }
-
-    #[test]
-    fn ft_speculation_beats_straggler() {
-        let policy = ExecPolicy {
-            speculation: SpeculationPolicy::enabled(),
-            ..clean_policy(4)
-        };
-        let ran = AtomicU32::new(0);
-        let (out, report) = run_tasks_ft(&policy, (0..12u32).collect(), |i, t, ctx| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            // Task 0's first attempt straggles hard; its speculative copy
-            // (ctx.speculative) returns immediately.
-            if i == 0 && !ctx.speculative && ctx.attempt == 0 {
-                std::thread::sleep(Duration::from_millis(400));
-            }
-            *t
-        })
-        .expect("clean run");
-        assert_eq!(out, (0..12).collect::<Vec<_>>());
-        assert!(
-            report.speculative_launched >= 1,
-            "idle workers must speculate: {report:?}"
-        );
-        assert!(report.speculative_wins >= 1, "{report:?}");
-        assert!(ran.load(Ordering::Relaxed) as usize >= 13);
-    }
-
-    #[test]
-    fn ft_single_worker_never_deadlocks_on_retry() {
-        let (out, report) = run_tasks_ft(&clean_policy(1), vec![7u32], |_, t, ctx| {
-            if ctx.attempt == 0 {
-                panic!("first attempt fails");
-            }
-            *t
-        })
-        .expect("second attempt succeeds");
-        assert_eq!(out, vec![7]);
-        assert_eq!(report.retries, 1);
     }
 }

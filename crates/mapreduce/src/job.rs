@@ -1,29 +1,17 @@
-//! Job construction and execution: split → map → combine → partition →
-//! sort-merge shuffle → reduce.
-//!
-//! The reduce-side data plane is streaming: map tasks spill *sorted* runs
-//! per reduce partition, the shuffle transposes them (in parallel, across
-//! partitions) into an [`SpillStore`] of `Arc`-shared immutable runs, and
-//! each reduce task k-way-merges its runs ([`GroupedRuns`]) instead of
-//! concatenating and re-sorting — `O(n log k)` where the map side already
-//! paid the `O(n log n)`. Key groups stream to the reducer by reference;
-//! batch [`Reducer`]s get their `Vec` through the adapter in
-//! [`crate::traits`], [`StreamingReducer`]s consume groups without any
-//! engine-side per-key allocation.
+//! Single-job entry point: [`JobBuilder`] declares one job as a one-stage
+//! [`Plan`] and runs it on the [`PlanRunner`]. The task bodies, spans, byte
+//! accounting, retry and fault injection all live in [`crate::plan`]; what
+//! stays here is the builder, the [`IdentityCombiner`], and the map-side
+//! combine walk ([`combine_runs`]) the plan's map tasks call.
 
 use crate::dataset::Dataset;
-use crate::emitter::Emitter;
-use crate::executor::{default_workers, run_tasks, run_tasks_ft, AttemptCtx, ExecPolicy};
-use crate::merge::GroupedRuns;
-use crate::metrics::{ExecSummary, JobMetrics, TaskKind, TaskStat};
+use crate::executor::default_workers;
+use crate::metrics::JobMetrics;
 use crate::partitioner::{HashPartitioner, Partitioner};
-use crate::spill::{SharedRun, SpillStore};
+use crate::plan::{Plan, PlanRunner};
 use crate::traits::{Combiner, Key, Mapper, StreamingReducer, Value};
 use ssj_common::ByteSize;
-use ssj_faults::{FaultPlan, Phase, RetryPolicy, SpeculationPolicy};
-use ssj_observe::{global_registry, span};
-use std::sync::Arc;
-use std::time::Instant;
+use ssj_faults::{FaultPlan, RetryPolicy};
 
 /// A combiner that passes values through unchanged (no combining).
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,20 +27,23 @@ impl<K: Key, V: Value> Combiner<K, V> for IdentityCombiner {
     }
 }
 
-/// Configures and runs a MapReduce job.
+/// Configures and runs one MapReduce job: a one-stage [`Plan`] under a
+/// job-shaped builder.
 ///
 /// One map task is created per input-dataset partition (use
 /// [`Dataset::repartition`] to control map parallelism); the number of
 /// reduce tasks is set with [`JobBuilder::reduce_tasks`] (the paper sets it
-/// to 3 × the node count).
+/// to 3 × the node count). The `run*` methods declare the job as the only
+/// stage of a plan named after it and hand it to the [`PlanRunner`], so a
+/// standalone job and a stage of a larger DAG execute the same task bodies
+/// on the same scheduler.
 #[derive(Debug, Clone)]
 pub struct JobBuilder {
     name: String,
     reduce_tasks: usize,
     workers: usize,
     retry: RetryPolicy,
-    speculation: SpeculationPolicy,
-    faults: Option<Arc<FaultPlan>>,
+    faults: Option<FaultPlan>,
 }
 
 impl JobBuilder {
@@ -63,7 +54,6 @@ impl JobBuilder {
             reduce_tasks: 4,
             workers: default_workers(),
             retry: RetryPolicy::default(),
-            speculation: SpeculationPolicy::default(),
             faults: None,
         }
     }
@@ -94,37 +84,13 @@ impl JobBuilder {
         self
     }
 
-    /// Configure speculative re-execution of stragglers (default: off).
-    pub fn speculation(mut self, policy: SpeculationPolicy) -> Self {
-        self.speculation = policy;
-        self
-    }
-
     /// Inject faults from a deterministic [`FaultPlan`] into this job's
     /// task attempts. When unset, the job still honours a process-global
     /// plan installed via [`ssj_faults::install_plan`] (how the chaos CI
     /// smoke drives an unmodified pipeline).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(plan));
+        self.faults = Some(plan);
         self
-    }
-
-    /// The fault plan in effect: explicit builder setting, else the
-    /// process-global plan, else none.
-    fn effective_faults(&self) -> Option<Arc<FaultPlan>> {
-        self.faults.clone().or_else(ssj_faults::active_plan)
-    }
-
-    /// Assemble the executor policy for one phase.
-    fn exec_policy(&self, phase: Phase) -> ExecPolicy {
-        ExecPolicy {
-            job: self.name.clone(),
-            phase,
-            workers: self.workers,
-            retry: self.retry,
-            speculation: self.speculation,
-            faults: self.effective_faults(),
-        }
     }
 
     /// Run with the default [`HashPartitioner`] and no combiner.
@@ -135,10 +101,10 @@ impl JobBuilder {
         reducer: FR,
     ) -> (Dataset<R::OutKey, R::OutValue>, JobMetrics)
     where
-        M: Mapper,
-        R: StreamingReducer<InKey = M::OutKey, InValue = M::OutValue>,
-        FM: Fn(usize) -> M + Sync,
-        FR: Fn(usize) -> R + Sync,
+        M: Mapper + 'static,
+        R: StreamingReducer<InKey = M::OutKey, InValue = M::OutValue> + 'static,
+        FM: Fn(usize) -> M + Send + Sync + 'static,
+        FR: Fn(usize) -> R + Send + Sync + 'static,
         M::InKey: Clone + Sync + ByteSize,
         M::InValue: Clone + Sync + ByteSize,
     {
@@ -146,8 +112,8 @@ impl JobBuilder {
             input,
             mapper,
             reducer,
-            &HashPartitioner,
-            None::<&IdentityCombiner>,
+            HashPartitioner,
+            None::<IdentityCombiner>,
         )
     }
 
@@ -157,14 +123,14 @@ impl JobBuilder {
         input: &Dataset<M::InKey, M::InValue>,
         mapper: FM,
         reducer: FR,
-        partitioner: &P,
+        partitioner: P,
     ) -> (Dataset<R::OutKey, R::OutValue>, JobMetrics)
     where
-        M: Mapper,
-        R: StreamingReducer<InKey = M::OutKey, InValue = M::OutValue>,
-        P: Partitioner<M::OutKey>,
-        FM: Fn(usize) -> M + Sync,
-        FR: Fn(usize) -> R + Sync,
+        M: Mapper + 'static,
+        R: StreamingReducer<InKey = M::OutKey, InValue = M::OutValue> + 'static,
+        P: Partitioner<M::OutKey> + Send + Sync + 'static,
+        FM: Fn(usize) -> M + Send + Sync + 'static,
+        FR: Fn(usize) -> R + Send + Sync + 'static,
         M::InKey: Clone + Sync + ByteSize,
         M::InValue: Clone + Sync + ByteSize,
     {
@@ -173,274 +139,52 @@ impl JobBuilder {
             mapper,
             reducer,
             partitioner,
-            None::<&IdentityCombiner>,
+            None::<IdentityCombiner>,
         )
     }
 
     /// Run with a custom partitioner and an optional map-side combiner.
+    ///
+    /// # Panics
+    /// Panics with the [`TaskFailure`](crate::TaskFailure) message if a
+    /// task exhausts its retry budget.
     pub fn run_full<M, R, P, C, FM, FR>(
         &self,
         input: &Dataset<M::InKey, M::InValue>,
         mapper: FM,
         reducer: FR,
-        partitioner: &P,
-        combiner: Option<&C>,
+        partitioner: P,
+        combiner: Option<C>,
     ) -> (Dataset<R::OutKey, R::OutValue>, JobMetrics)
     where
-        M: Mapper,
-        R: StreamingReducer<InKey = M::OutKey, InValue = M::OutValue>,
-        P: Partitioner<M::OutKey>,
-        C: Combiner<M::OutKey, M::OutValue>,
-        FM: Fn(usize) -> M + Sync,
-        FR: Fn(usize) -> R + Sync,
+        M: Mapper + 'static,
+        R: StreamingReducer<InKey = M::OutKey, InValue = M::OutValue> + 'static,
+        P: Partitioner<M::OutKey> + Send + Sync + 'static,
+        C: Combiner<M::OutKey, M::OutValue> + 'static,
+        FM: Fn(usize) -> M + Send + Sync + 'static,
+        FR: Fn(usize) -> R + Send + Sync + 'static,
         M::InKey: Clone + Sync + ByteSize,
         M::InValue: Clone + Sync + ByteSize,
     {
-        let job_start = Instant::now();
-        let num_reduce = self.reduce_tasks;
-        let mut job_span = span("mr.job", &self.name);
-        job_span.record("reduce_tasks", num_reduce);
-
-        // A commutative combiner erases any equal-key permutation before
-        // the shuffle observes it, which licenses the faster unstable
-        // map-side bucket sort; everything else keeps the stable sort so
-        // reducers see values in exact emission order.
-        let unstable_bucket_sort = combiner.is_some_and(Combiner::is_commutative);
-
-        // ---- Map phase ---------------------------------------------------
-        let splits: Vec<&[(M::InKey, M::InValue)]> =
-            input.partitions().iter().map(|p| p.as_slice()).collect();
-
-        let map_phase_start = Instant::now();
-        let mut map_span = span("mr.phase", "map");
-        map_span.record("job", self.name.as_str());
-        map_span.record("tasks", splits.len());
-        let map_policy = self.exec_policy(Phase::Map);
-        let (map_results, map_exec) =
-            run_tasks_ft(&map_policy, splits, |task_idx, split, ctx: AttemptCtx| {
-                let queue = map_phase_start.elapsed();
-                let mut task_span = span("mr.task", "map");
-                task_span.record("job", self.name.as_str());
-                task_span.record("index", task_idx);
-                task_span.record("attempt", ctx.attempt);
-                if ctx.speculative {
-                    task_span.record("speculative", 1u64);
-                }
-                let start = Instant::now();
-                let mut m = mapper(task_idx);
-                let mut out: Emitter<M::OutKey, M::OutValue> = Emitter::new();
-                m.setup();
-                let mut input_bytes = 0usize;
-                for (k, v) in split.iter() {
-                    input_bytes += k.byte_size() + v.byte_size();
-                    m.map(k.clone(), v.clone(), &mut out);
-                }
-                m.cleanup(&mut out);
-
-                let pre_records = out.len();
-                let pre_bytes = out.bytes();
-                let (pairs, _) = out.into_parts();
-
-                // Partition into reduce buckets, sort each by key, and apply the
-                // combiner per key run (Hadoop's spill pipeline, without disk).
-                let mut buckets: Vec<Vec<(M::OutKey, M::OutValue)>> =
-                    (0..num_reduce).map(|_| Vec::new()).collect();
-                for (k, v) in pairs {
-                    let p = partitioner.partition(&k, num_reduce);
-                    debug_assert!(p < num_reduce);
-                    buckets[p].push((k, v));
-                }
-                let mut post_bytes = 0usize;
-                let mut post_records = 0usize;
-                for bucket in &mut buckets {
-                    if unstable_bucket_sort {
-                        bucket.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    } else {
-                        bucket.sort_by(|a, b| a.0.cmp(&b.0));
-                    }
-                    if let Some(c) = combiner {
-                        *bucket = combine_runs(std::mem::take(bucket), c);
-                    }
-                    post_records += bucket.len();
-                    post_bytes += bucket
-                        .iter()
-                        .map(|(k, v)| k.byte_size() + v.byte_size())
-                        .sum::<usize>();
-                }
-
-                task_span.record("input_records", split.len());
-                task_span.record("output_records", post_records);
-                let stat = TaskStat {
-                    kind: TaskKind::Map,
-                    index: task_idx,
-                    duration: start.elapsed(),
-                    queue,
-                    input_records: split.len(),
-                    input_bytes,
-                    input_keys: 0,
-                    output_records: post_records,
-                    output_bytes: post_bytes,
-                };
-                (buckets, stat, pre_records, pre_bytes)
-            })
-            .unwrap_or_else(|failure| panic!("{failure}"));
-        let map_elapsed = map_phase_start.elapsed();
-        drop(map_span);
-
-        let shuffle_start = Instant::now();
-        let mut shuffle_span = span("mr.phase", "shuffle");
-        shuffle_span.record("job", self.name.as_str());
-        let mut map_stats = Vec::with_capacity(map_results.len());
-        let mut pre_combine_records = 0usize;
-        let mut pre_combine_bytes = 0usize;
-        let mut shuffle_records = 0usize;
-        let mut shuffle_bytes = 0usize;
-        // Seal each map task's sorted buckets behind Arcs (O(1) per
-        // bucket — the data is not copied, only ownership moves), then
-        // transpose into per-reduce-partition run lists in parallel on the
-        // executor pool: partition r's task clones the r-th Arc of every
-        // map output, in map-task order (the merge's determinism
-        // tie-break). The result is checkpointed in the SpillStore so
-        // reduce attempts re-fetch shared views, never copies.
-        let mut sealed: Vec<Vec<SharedRun<M::OutKey, M::OutValue>>> =
-            Vec::with_capacity(map_results.len());
-        for (buckets, stat, pre_r, pre_b) in map_results {
-            pre_combine_records += pre_r;
-            pre_combine_bytes += pre_b;
-            shuffle_records += stat.output_records;
-            shuffle_bytes += stat.output_bytes;
-            map_stats.push(stat);
-            sealed.push(buckets.into_iter().map(Arc::new).collect());
+        let mut plan = Plan::new(self.name.as_str())
+            .with_workers(self.workers)
+            .with_retry(self.retry);
+        if let Some(faults) = &self.faults {
+            plan = plan.with_faults(faults.clone());
         }
-        let columns = run_tasks(self.workers, (0..num_reduce).collect(), |_, r| {
-            sealed
-                .iter()
-                .map(|task_runs| Arc::clone(&task_runs[r]))
-                .collect::<Vec<_>>()
-        });
-        drop(sealed);
-        let spill: SpillStore<M::OutKey, M::OutValue> = SpillStore::from_shared(columns);
-
-        shuffle_span.record("records", shuffle_records);
-        shuffle_span.record("bytes", shuffle_bytes);
-        let shuffle_elapsed = shuffle_start.elapsed();
-        drop(shuffle_span);
-
-        // ---- Reduce phase ------------------------------------------------
-        let reduce_phase_start = Instant::now();
-        let mut reduce_span = span("mr.phase", "reduce");
-        reduce_span.record("job", self.name.as_str());
-        reduce_span.record("tasks", num_reduce);
-        let reduce_policy = self.exec_policy(Phase::Reduce);
-        let reduce_indices: Vec<usize> = (0..num_reduce).collect();
-        let (reduce_results, reduce_exec) = run_tasks_ft(
-            &reduce_policy,
-            reduce_indices,
-            |task_idx, _, ctx: AttemptCtx| {
-                let queue = reduce_phase_start.elapsed();
-                let mut task_span = span("mr.task", "reduce");
-                task_span.record("job", self.name.as_str());
-                task_span.record("index", task_idx);
-                task_span.record("attempt", ctx.attempt);
-                if ctx.speculative {
-                    task_span.record("speculative", 1u64);
-                }
-                // Fetch the checkpointed map output for this partition — every
-                // attempt re-fetches shared views of the same runs, none
-                // re-runs the map phase (and none copies the data).
-                let runs = spill.fetch(task_idx);
-                let start = Instant::now();
-                let mut r = reducer(task_idx);
-                let mut out: Emitter<R::OutKey, R::OutValue> = Emitter::new();
-                r.setup();
-
-                // Byte-account the input up front (same totals the old
-                // concat loop produced), then k-way merge the sorted runs —
-                // O(n log k); the map side already paid the O(n log n).
-                // Equal keys drain in run (map-task) order, reproducing the
-                // old concat + stable sort element-for-element.
-                let mut input_records = 0usize;
-                let mut input_bytes = 0usize;
-                for run in &runs {
-                    input_records += run.len();
-                    input_bytes += run
-                        .iter()
-                        .map(|(k, v)| k.byte_size() + v.byte_size())
-                        .sum::<usize>();
-                }
-                let slices: Vec<&[(M::OutKey, M::OutValue)]> =
-                    runs.iter().map(|run| run.as_slice()).collect();
-                let mut input_keys = 0usize;
-                GroupedRuns::new(slices).for_each_group(|key, values| {
-                    input_keys += 1;
-                    r.reduce_group(key, values, &mut out);
-                });
-                r.cleanup(&mut out);
-
-                let output_records = out.len();
-                let output_bytes = out.bytes();
-                let (pairs, _) = out.into_parts();
-                task_span.record("input_records", input_records);
-                task_span.record("input_keys", input_keys);
-                task_span.record("output_records", output_records);
-                let stat = TaskStat {
-                    kind: TaskKind::Reduce,
-                    index: task_idx,
-                    duration: start.elapsed(),
-                    queue,
-                    input_records,
-                    input_bytes,
-                    input_keys,
-                    output_records,
-                    output_bytes,
-                };
-                (pairs, stat)
-            },
-        )
-        .unwrap_or_else(|failure| panic!("{failure}"));
-
-        let mut reduce_stats = Vec::with_capacity(reduce_results.len());
-        let mut output_partitions = Vec::with_capacity(reduce_results.len());
-        for (pairs, stat) in reduce_results {
-            reduce_stats.push(stat);
-            output_partitions.push(pairs);
-        }
-        let reduce_elapsed = reduce_phase_start.elapsed();
-        drop(reduce_span);
-
-        let mut exec = ExecSummary::default();
-        exec.add(&map_exec);
-        exec.add(&reduce_exec);
-
-        let metrics = JobMetrics {
-            name: self.name.clone(),
-            plan_stage: None,
-            cogroup: false,
-            map_tasks: map_stats,
-            reduce_tasks: reduce_stats,
-            shuffle_records,
-            shuffle_bytes,
-            pre_combine_records,
-            pre_combine_bytes,
-            elapsed: job_start.elapsed(),
-            map_elapsed,
-            shuffle_elapsed,
-            reduce_elapsed,
-            exec,
-        };
-        job_span.record("shuffle_records", shuffle_records);
-        job_span.record("shuffle_bytes", shuffle_bytes);
-        job_span.record("pre_combine_records", pre_combine_records);
-        if exec.retries > 0 {
-            job_span.record("retries", exec.retries);
-        }
-        if exec.speculative_launched > 0 {
-            job_span.record("speculative", exec.speculative_launched);
-        }
-        if let Some(reg) = global_registry() {
-            crate::telemetry::record_job_telemetry(&reg, &metrics);
-        }
-        (Dataset::from_partitions(output_partitions), metrics)
+        let output = plan.add_full(
+            self.name.as_str(),
+            input.clone(),
+            self.reduce_tasks,
+            mapper,
+            reducer,
+            partitioner,
+            combiner,
+        );
+        let mut outcome = PlanRunner::pipelined().run(plan);
+        let dataset = outcome.take_output(output);
+        let metrics = outcome.metrics.jobs.remove(0);
+        (dataset, metrics)
     }
 }
 
@@ -472,9 +216,8 @@ impl<K: Key, V: Value, I: Iterator<Item = (K, V)>> Iterator for RunValues<'_, K,
 /// Key groups stream off the bucket through [`Combiner::combine_into`]:
 /// fold-style combiners ([`crate::SumCombiner`], the verification-count
 /// combiner) run with **no per-key allocation** — one reused scratch vector
-/// amortizes over the whole bucket. Exposed (as an engine internal) so the
-/// counting-allocator bench can pin that property.
-pub fn combine_runs<K: Key, V: Value, C: Combiner<K, V>>(
+/// amortizes over the whole bucket.
+pub(crate) fn combine_runs<K: Key, V: Value, C: Combiner<K, V>>(
     bucket: Vec<(K, V)>,
     combiner: &C,
 ) -> Vec<(K, V)> {
@@ -519,8 +262,9 @@ fn flush_combined<K: Key, V: Value>(key: K, vals: &mut Vec<V>, out: &mut Vec<(K,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emitter::Emitter;
     use crate::partitioner::DirectPartitioner;
-    use crate::traits::{Reducer, SumCombiner};
+    use crate::traits::{IdentityMapper, Reducer, SumCombiner};
 
     /// Emits (token, 1) for each whitespace token.
     struct Tokenize;
@@ -589,6 +333,91 @@ mod tests {
         assert_eq!(m.reduce_tasks.len(), 3);
     }
 
+    /// What the engine computed for this input before `JobBuilder` became
+    /// a one-stage plan, frozen from that implementation's output: the
+    /// reduce partitions and every timing-free counter, with and without
+    /// the sum combiner. Task rows are `(index, input_records,
+    /// input_bytes, input_keys, output_records, output_bytes)`.
+    #[test]
+    fn facade_reproduces_frozen_engine_oracle() {
+        type Row = (usize, usize, usize, usize, usize, usize);
+        fn rows(tasks: &[crate::metrics::TaskStat]) -> Vec<Row> {
+            tasks
+                .iter()
+                .map(|t| {
+                    (
+                        t.index,
+                        t.input_records,
+                        t.input_bytes,
+                        t.input_keys,
+                        t.output_records,
+                        t.output_bytes,
+                    )
+                })
+                .collect()
+        }
+        let input = Dataset::from_records(
+            vec![
+                (0, "the quick brown fox".to_string()),
+                (1, "the lazy dog".to_string()),
+                (2, "the fox the dog".to_string()),
+            ],
+            2,
+        );
+        let partitions: Vec<Vec<(String, u64)>> = [
+            vec![("brown", 1), ("fox", 2)],
+            vec![("lazy", 1), ("quick", 1), ("the", 4)],
+            vec![("dog", 2)],
+        ]
+        .into_iter()
+        .map(|p| p.into_iter().map(|(w, c)| (w.to_string(), c)).collect())
+        .collect();
+
+        struct Oracle {
+            shuffle: (usize, usize),
+            maps: [Row; 2],
+            reduces: [Row; 3],
+        }
+        let combined = Oracle {
+            shuffle: (9, 140),
+            maps: [(0, 2, 47, 0, 6, 95), (1, 1, 23, 0, 3, 45)],
+            reduces: [
+                (0, 3, 47, 2, 2, 32),
+                (1, 4, 63, 3, 3, 48),
+                (2, 2, 30, 1, 1, 15),
+            ],
+        };
+        let plain = Oracle {
+            shuffle: (11, 170),
+            maps: [(0, 2, 47, 0, 7, 110), (1, 1, 23, 0, 4, 60)],
+            reduces: [
+                (0, 3, 47, 2, 2, 32),
+                (1, 6, 93, 3, 3, 48),
+                (2, 2, 30, 1, 1, 15),
+            ],
+        };
+
+        let job = JobBuilder::new("wc").reduce_tasks(3);
+        let with_combiner = job.run_full(
+            &input,
+            |_| Tokenize,
+            |_| Sum,
+            HashPartitioner,
+            Some(SumCombiner),
+        );
+        let without = job.run(&input, |_| Tokenize, |_| Sum);
+        for ((out, m), want) in [(with_combiner, combined), (without, plain)] {
+            assert_eq!(out.partitions(), partitions.as_slice());
+            assert_eq!(m.name, "wc");
+            assert_eq!((m.shuffle_records, m.shuffle_bytes), want.shuffle);
+            assert_eq!((m.pre_combine_records, m.pre_combine_bytes), (11, 170));
+            assert_eq!(rows(&m.map_tasks), want.maps);
+            assert_eq!(rows(&m.reduce_tasks), want.reduces);
+            assert_eq!(m.exec.attempts, 5);
+            assert_eq!(m.exec.retries + m.exec.injected_total(), 0);
+        }
+    }
+
     #[test]
     fn combiner_reduces_shuffle_but_not_results() {
         let (plain, m_plain) =
@@ -599,8 +428,8 @@ mod tests {
             &wc_input(),
             |_| Tokenize,
             |_| Sum,
-            &HashPartitioner,
-            Some(&SumCombiner),
+            HashPartitioner,
+            Some(SumCombiner),
         );
         assert_eq!(sorted_output(plain), sorted_output(combined));
         // "the" appears twice in map task 0's split -> combiner merges.
@@ -637,7 +466,7 @@ mod tests {
             &input,
             |_| ModMap,
             |_| CountRed,
-            &DirectPartitioner::new(|k: &u32| *k as usize),
+            DirectPartitioner::new(|k: &u32| *k as usize),
         );
         // Partition r holds exactly key r.
         for (r, part) in out.partitions().iter().enumerate() {
@@ -650,17 +479,6 @@ mod tests {
 
     #[test]
     fn reducer_sees_keys_in_order() {
-        /// Identity map.
-        struct Id;
-        impl Mapper for Id {
-            type InKey = u32;
-            type InValue = u32;
-            type OutKey = u32;
-            type OutValue = u32;
-            fn map(&mut self, k: u32, v: u32, out: &mut Emitter<u32, u32>) {
-                out.emit(k, v);
-            }
-        }
         /// Asserts ascending key order within the task.
         struct OrderCheck {
             last: Option<u32>,
@@ -681,7 +499,7 @@ mod tests {
         let input = Dataset::from_records((0u32..100).rev().map(|i| (i, i)).collect(), 5);
         let (out, _) = JobBuilder::new("order").reduce_tasks(3).run(
             &input,
-            |_| Id,
+            |_| IdentityMapper::default(),
             |_| OrderCheck { last: None },
         );
         assert_eq!(out.total_records(), 100);

@@ -10,8 +10,12 @@
 //! * a sort-merge shuffle with per-partition routing through a
 //!   [`Partitioner`], optional [`Combiner`], and byte-level accounting via
 //!   [`ssj_common::ByteSize`];
-//! * parallel task execution on a thread pool, with per-task wall-clock and
-//!   record/byte counters collected into [`JobMetrics`];
+//! * one execution engine: jobs are declared as stages of a [`Plan`] and
+//!   run by the [`PlanRunner`] on a shared worker pool (bounded retry,
+//!   seeded fault injection, partition-granular pipelining across stage
+//!   boundaries), with per-task wall-clock and record/byte counters
+//!   collected into [`JobMetrics`]; [`JobBuilder`] is the one-stage
+//!   convenience over the same runner;
 //! * a [`ClusterModel`] that schedules the measured task durations onto a
 //!   configurable `nodes × slots` cluster and charges shuffle volume against
 //!   a network-bandwidth model, yielding the simulated makespan used by the
@@ -19,7 +23,8 @@
 //!
 //! # Example
 //!
-//! Word count:
+//! Word count, as a single job ([`JobBuilder`] declares it as a one-stage
+//! [`Plan`]; multi-job pipelines build the plan directly):
 //!
 //! ```
 //! use ssj_mapreduce::{Dataset, Emitter, JobBuilder, Mapper, Reducer};
@@ -77,7 +82,7 @@ pub use cluster::{schedules_makespan_secs, ClusterModel, PhaseTimes, SimSchedule
 pub use dataset::Dataset;
 pub use dfs::Dfs;
 pub use emitter::Emitter;
-pub use executor::{AttemptCtx, ExecPolicy, TaskError, TaskFailure};
+pub use executor::{TaskError, TaskFailure};
 pub use job::{IdentityCombiner, JobBuilder};
 pub use merge::{CoGroupedRuns, GroupValues, GroupedRuns, KWayMerge, SideGroups};
 pub use metrics::{ChainMetrics, ExecSummary, JobMetrics, TaskKind, TaskStat};
@@ -89,5 +94,6 @@ pub use plan::{
 pub use sim_faults::{SimFaultError, SimFaultOutcome, SimFaultPolicy};
 pub use spill::{SharedRun, SpillStore};
 pub use traits::{
-    CoGroupReducer, Combiner, Key, Mapper, Reducer, StreamingReducer, SumCombiner, Value,
+    CoGroupReducer, Combiner, IdentityMapper, KeepFirst, Key, Mapper, PassThrough, Reducer,
+    StreamingReducer, SumCombiner, Value,
 };

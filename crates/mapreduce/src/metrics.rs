@@ -49,13 +49,13 @@ pub struct TaskStat {
 }
 
 /// Attempt-level execution counters for one job (or one phase): how many
-/// attempts ran, how many failed and were retried, what the fault injector
-/// did, and how speculation fared. Deterministic under a seeded
+/// attempts ran, how many failed and were retried, and what the fault
+/// injector did. Deterministic under a seeded
 /// [`FaultPlan`](ssj_faults::FaultPlan) — the chaos CI gate diffs these
 /// across runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecSummary {
-    /// Task attempts started (first attempts + retries + speculative copies).
+    /// Task attempts started (first attempts + retries).
     pub attempts: u64,
     /// Failed attempts that were re-queued within the retry budget.
     pub retries: u64,
@@ -65,10 +65,6 @@ pub struct ExecSummary {
     pub injected_panics: u64,
     /// Injected straggler slowdowns observed.
     pub injected_stragglers: u64,
-    /// Speculative backup attempts launched.
-    pub speculative_launched: u64,
-    /// Speculative attempts that finished before the original.
-    pub speculative_wins: u64,
 }
 
 impl ExecSummary {
@@ -79,8 +75,6 @@ impl ExecSummary {
         self.injected_errors += other.injected_errors;
         self.injected_panics += other.injected_panics;
         self.injected_stragglers += other.injected_stragglers;
-        self.speculative_launched += other.speculative_launched;
-        self.speculative_wins += other.speculative_wins;
     }
 
     /// Total injected faults of any kind.
@@ -94,10 +88,11 @@ impl ExecSummary {
 pub struct JobMetrics {
     /// Job name (for reports).
     pub name: String,
-    /// Identity of this job inside an execution plan: `(plan name, stage
-    /// index)`. `None` for standalone [`JobBuilder`](crate::JobBuilder)
-    /// jobs; set by [`PlanRunner`](crate::plan::PlanRunner) so reports and
-    /// traces can attribute a stage to its DAG.
+    /// Identity of this job inside its execution plan: `(plan name, stage
+    /// index)`, set by the [`PlanRunner`](crate::plan::PlanRunner) so
+    /// reports and traces can attribute a stage to its DAG. A
+    /// [`JobBuilder`](crate::JobBuilder) job is stage 0 of a plan named
+    /// after the job; `None` only for hand-assembled metrics.
     pub plan_stage: Option<(String, usize)>,
     /// Whether this job ran as a **co-group stage**: no map or shuffle
     /// phase; its tasks (kind [`TaskKind::CoGroup`], stored in
@@ -127,7 +122,7 @@ pub struct JobMetrics {
     pub shuffle_elapsed: Duration,
     /// Wall-clock of the reduce phase.
     pub reduce_elapsed: Duration,
-    /// Attempt/retry/speculation counters across both phases.
+    /// Attempt/retry/injection counters across both phases.
     pub exec: ExecSummary,
 }
 
@@ -234,7 +229,7 @@ impl ChainMetrics {
         self.jobs.iter().map(|j| j.elapsed).sum()
     }
 
-    /// Attempt/retry/speculation counters summed across jobs.
+    /// Attempt/retry/injection counters summed across jobs.
     pub fn total_exec(&self) -> ExecSummary {
         let mut total = ExecSummary::default();
         for j in &self.jobs {
@@ -348,8 +343,6 @@ mod tests {
             injected_errors: 1,
             injected_panics: 1,
             injected_stragglers: 0,
-            speculative_launched: 1,
-            speculative_wins: 1,
         };
         a.add(&ExecSummary {
             attempts: 5,

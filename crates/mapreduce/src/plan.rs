@@ -15,19 +15,22 @@
 //! prefers downstream-most runnable tasks), cutting peak live intermediate
 //! memory; [`PlanOutcome::peak_live_bytes`] reports the high-water mark.
 //!
+//! This module is the crate's **only** execution engine: the split → map →
+//! combine → partition → sort → transpose → k-way-merge → reduce task
+//! bodies, their spans and byte accounting, bounded retry and fault
+//! injection are defined here and nowhere else. A standalone job
+//! ([`JobBuilder`](crate::JobBuilder)) is a one-stage plan on this runner.
+//!
 //! **The hard invariant:** pipelining changes *when* tasks run, never
-//! *what* they compute. Per-stage task bodies are byte-for-byte the ones
-//! [`JobBuilder`](crate::JobBuilder) runs (same split → map → combine →
-//! partition → sort → transpose → k-way-merge → reduce pipeline, same
-//! spans, same byte accounting), stage inputs are the upstream reduce
-//! partitions in reduce-task order (exactly what
-//! `Dataset::from_partitions` would hand the next job), and retries
-//! re-fetch sealed partitions instead of re-running upstream work. So all
-//! *logical* metrics — shuffle records/bytes, duplication, per-key
-//! grouping, result digests — are bit-identical between
-//! [`PlanMode::Pipelined`], [`PlanMode::Sequential`], and the legacy
-//! imperative `JobBuilder` chain. Only wall-clock durations (and the
-//! memory high-water mark) differ.
+//! *what* they compute. Every stage runs the same task bodies whatever the
+//! plan's shape, stage inputs are the upstream reduce partitions in
+//! reduce-task order (exactly what `Dataset::from_partitions` would hand a
+//! separately launched next job), and retries re-fetch sealed partitions
+//! instead of re-running upstream work. So all *logical* metrics — shuffle
+//! records/bytes, duplication, per-key grouping, result digests — are
+//! bit-identical between [`PlanMode::Pipelined`] and
+//! [`PlanMode::Sequential`]. Only wall-clock durations (and the memory
+//! high-water mark) differ.
 
 use crate::dataset::Dataset;
 use crate::dfs::Dfs;
@@ -165,8 +168,8 @@ enum StageKind {
     CoGroup { run_cogroup: CoGroupFn },
 }
 
-/// One type-erased stage of a [`Plan`]. Built by the `add*` methods; the
-/// closures replicate [`JobBuilder::run_full`]'s task bodies exactly.
+/// One type-erased stage of a [`Plan`]. Built by the `add*` methods, which
+/// close the stage's task bodies over its concrete key/value types.
 pub struct Stage {
     name: String,
     edges: Vec<InputEdge>,
@@ -329,10 +332,11 @@ pub enum PlanMode {
     /// partitions are dropped as soon as their last consumer map succeeds.
     #[default]
     Pipelined,
-    /// Stage-barriered execution (a faithful stand-in for the legacy
-    /// `JobBuilder` chain): a stage's maps are released only when its
-    /// upstream stage has fully completed, and an upstream stage's output
-    /// partitions are dropped only when the consuming stage completes.
+    /// Stage-barriered execution (what a driver launching one job after
+    /// another gets, and the baseline pipelining is measured against): a
+    /// stage's maps are released only when its upstream stage has fully
+    /// completed, and an upstream stage's output partitions are dropped
+    /// only when the consuming stage completes.
     Sequential,
 }
 
@@ -379,8 +383,8 @@ impl Plan {
 
     /// Inject faults from a deterministic [`FaultPlan`] into every stage's
     /// task attempts (decisions are keyed by stage name, phase, task and
-    /// attempt — exactly like [`JobBuilder::faults`](crate::JobBuilder)).
-    /// When unset, a process-global plan installed via
+    /// attempt, so they do not depend on the plan's shape or on thread
+    /// interleaving). When unset, a process-global plan installed via
     /// [`ssj_faults::install_plan`] still applies.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
@@ -410,8 +414,8 @@ impl Plan {
     /// stages (see [`Plan::add_full_broadcast`]) as `Arc` side data: it is
     /// materialized once, handed to every task attempt, and the runner
     /// holds its reference until the last consumer stage finishes — the
-    /// tracked-edge replacement for stashing shared state in a
-    /// [`Dfs`] blob side channel.
+    /// tracked-edge alternative to capturing shared state in every
+    /// factory closure.
     pub fn broadcast<T: Send + Sync + 'static>(&mut self, value: Arc<T>) -> BroadcastHandle<T> {
         let slot = self.broadcasts.len();
         self.broadcasts.push(value as AnyPart);
@@ -578,8 +582,8 @@ impl Plan {
     }
 
     /// Shared type-erased stage builder: resolves the input edges, then
-    /// builds the map/transpose/reduce closures (byte-for-byte the
-    /// [`JobBuilder::run_full`] task bodies).
+    /// builds the map/transpose/reduce closures — the engine's one
+    /// definition of a MapReduce task body.
     #[allow(clippy::too_many_arguments)]
     fn add_inner<M, R, P, C>(
         &mut self,
@@ -654,8 +658,10 @@ impl Plan {
             edges.push(InputEdge::Broadcast(slot));
         }
 
-        // A commutative combiner licenses the unstable map-side bucket
-        // sort — the same rule JobBuilder::run_full applies.
+        // A commutative combiner erases any equal-key permutation before
+        // the shuffle observes it, which licenses the faster unstable
+        // map-side bucket sort; everything else keeps the stable sort so
+        // reducers see values in exact emission order.
         let unstable_bucket_sort = combiner.as_ref().is_some_and(|c| c.is_commutative());
 
         let map_name = name.clone();
@@ -693,6 +699,9 @@ impl Plan {
             let pre_bytes = out.bytes();
             let (pairs, _) = out.into_parts();
 
+            // Partition into reduce buckets, sort each by key, and apply
+            // the combiner per key run (Hadoop's spill pipeline, without
+            // disk).
             let mut buckets: Vec<Vec<(M::OutKey, M::OutValue)>> =
                 (0..num_reduce).map(|_| Vec::new()).collect();
             for (k, v) in pairs {
@@ -736,6 +745,11 @@ impl Plan {
             (Box::new(sealed) as AnySealed, stat, pre_records, pre_bytes)
         });
 
+        // Each map task sealed its sorted buckets behind Arcs (O(1) per
+        // bucket — ownership moves, data is not copied); partition r's
+        // column clones the r-th Arc of every map output in map-task order
+        // (the merge's determinism tie-break). The result is checkpointed
+        // in the SpillStore so reduce attempts re-fetch shared views.
         let transpose: TransposeFn = Box::new(move |sealed| {
             let sealed: Vec<Vec<SharedRun<M::OutKey, M::OutValue>>> = sealed
                 .into_iter()
@@ -778,6 +792,9 @@ impl Plan {
                 let mut out: Emitter<R::OutKey, R::OutValue> = Emitter::new();
                 r.setup();
 
+                // Byte-account the input up front, then k-way merge the
+                // sorted runs — O(n log k); the map side already paid the
+                // O(n log n). Equal keys drain in run (map-task) order.
                 let mut input_records = 0usize;
                 let mut input_bytes = 0usize;
                 for run in &runs {
@@ -1069,8 +1086,7 @@ impl PlanRunner {
     ///
     /// # Panics
     /// Panics with the [`TaskFailure`] message if any task exhausts its
-    /// retry budget — the same failure surface as
-    /// [`JobBuilder`](crate::JobBuilder).
+    /// retry budget.
     pub fn run(&self, plan: Plan) -> PlanOutcome {
         run_plan(plan, self.mode)
     }
@@ -1099,8 +1115,7 @@ impl PlanOutcome {
         &self.deps
     }
 
-    /// Take a stage's output dataset (partitions in reduce-task order —
-    /// identical to what `JobBuilder` returns for the same job).
+    /// Take a stage's output dataset (partitions in reduce-task order).
     ///
     /// # Panics
     /// Panics if the output was consumed by a downstream stage (consumed
@@ -1765,8 +1780,7 @@ fn plan_worker_loop(
         match outcome {
             Ok(Body::Map((sealed, stat, pre_r, pre_b))) => {
                 on_map_done(
-                    &mut guard, plan, mode, consumers, deps, item.stage, item.task, sealed, stat,
-                    pre_r, pre_b,
+                    &mut guard, plan, mode, deps, item.stage, item.task, sealed, stat, pre_r, pre_b,
                 );
             }
             Ok(Body::Reduce((part, stat))) => {
@@ -1820,7 +1834,6 @@ fn on_map_done(
     state: &mut RunState,
     plan: &Plan,
     mode: PlanMode,
-    consumers: &[Vec<usize>],
     deps: &[Vec<usize>],
     stage_idx: usize,
     task: usize,
@@ -1831,9 +1844,10 @@ fn on_map_done(
 ) {
     {
         let rt = &mut state.stages[stage_idx];
-        if rt.map_stats[task].is_some() {
-            return; // stale duplicate (cannot happen without speculation)
-        }
+        debug_assert!(
+            rt.map_stats[task].is_none(),
+            "a (stage, map task) succeeds exactly once"
+        );
         rt.pre_records += pre_records;
         rt.pre_bytes += pre_bytes;
         rt.shuffle_records += stat.output_records;
@@ -1885,7 +1899,6 @@ fn on_map_done(
     reduce_span.record("tasks", plan.stages[stage_idx].reduce_tasks);
     rt.reduce_span = Some(reduce_span);
 
-    let _ = consumers;
     for t in 0..plan.stages[stage_idx].reduce_tasks {
         state.queue.push_back(Queued {
             stage: stage_idx,
@@ -1914,9 +1927,10 @@ fn on_reduce_done(
     let now = Instant::now();
     {
         let rt = &mut state.stages[stage_idx];
-        if rt.red_stats[task].is_some() {
-            return; // stale duplicate (cannot happen without speculation)
-        }
+        debug_assert!(
+            rt.red_stats[task].is_none(),
+            "a (stage, reduce task) succeeds exactly once"
+        );
         let bytes = stat.output_bytes;
         rt.out_bytes[task] = bytes;
         rt.outputs[task] = Some(part);
@@ -1984,8 +1998,8 @@ fn on_reduce_done(
         // Stage barrier: a downstream stage's maps become runnable only
         // when ALL of its upstream stages have completed, and an upstream
         // stage's output partitions are released only when the consuming
-        // stage completes (the fair stand-in for the legacy chain, which
-        // kept whole intermediate datasets alive across job boundaries).
+        // stage completes (a job-at-a-time driver keeps whole intermediate
+        // datasets alive across job boundaries).
         for &j in &consumers[stage_idx] {
             let consumer_cogroup = plan.stages[j].is_cogroup();
             let rt = &mut state.stages[j];
@@ -2031,9 +2045,7 @@ fn release_partition(state: &mut RunState, u: usize, t: usize) {
 }
 
 /// Assemble the stage's [`JobMetrics`], close its spans, and emit the
-/// per-job registry counters — the exact block `JobBuilder::run_full`
-/// emits, so observability output is independent of which execution layer
-/// ran the job.
+/// per-job registry counters.
 fn finalize_stage(state: &mut RunState, plan: &Plan, stage_idx: usize) {
     let stage = &plan.stages[stage_idx];
     // This stage is done with its broadcast side inputs: drop each value
@@ -2101,9 +2113,8 @@ fn finalize_stage(state: &mut RunState, plan: &Plan, stage_idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobBuilder;
     use crate::merge::SideGroups;
-    use crate::traits::{Reducer, SumCombiner};
+    use crate::traits::{IdentityMapper, PassThrough, Reducer, SumCombiner};
 
     /// Emits (token, 1) for each whitespace token.
     struct Tokenize;
@@ -2233,36 +2244,15 @@ mod tests {
     }
 
     #[test]
-    fn single_stage_matches_job_builder() {
-        let (jb_out, jb_m) = JobBuilder::new("wc").reduce_tasks(3).run_full(
-            &wc_input(),
-            |_| Tokenize,
-            |_| Sum,
-            &HashPartitioner,
-            Some(&SumCombiner),
-        );
-
+    fn terminal_stage_is_tagged_and_never_a_live_intermediate() {
         let mut plan = Plan::new("solo");
-        let h = plan.add_full::<Tokenize, Sum, _, _, _, _>(
-            "wc",
-            wc_input(),
-            3,
-            |_| Tokenize,
-            |_| Sum,
-            HashPartitioner,
-            Some(SumCombiner),
-        );
+        let h = plan.add::<Tokenize, Sum, _, _>("wc", wc_input(), 3, |_| Tokenize, |_| Sum);
         let mut outcome = PlanRunner::pipelined().run(plan);
-        let plan_out = outcome.take_output(h);
-
-        // Identical partitions (not just identical multiset of records).
-        assert_eq!(jb_out.partitions(), plan_out.partitions());
-        let pm = &outcome.metrics.jobs[0];
+        assert_eq!(outcome.take_output(h).total_records(), 6);
         assert_eq!(
-            format!("{:?}", logical(pm)),
-            format!("{:?}", logical(&jb_m))
+            outcome.metrics.jobs[0].plan_stage,
+            Some(("solo".to_string(), 0))
         );
-        assert_eq!(pm.plan_stage, Some(("solo".to_string(), 0)));
         // A terminal stage's output is a result, not a live intermediate.
         assert_eq!(outcome.peak_live_bytes, 0);
     }
@@ -2433,55 +2423,8 @@ mod tests {
 
     // ---- co-group stages --------------------------------------------------
 
-    /// Identity mapper over the word-count output type.
-    struct RekeyId;
-    impl Mapper for RekeyId {
-        type InKey = String;
-        type InValue = u64;
-        type OutKey = String;
-        type OutValue = u64;
-        fn map(&mut self, k: String, v: u64, out: &mut Emitter<String, u64>) {
-            out.emit(k, v);
-        }
-    }
-
-    /// Emits every group value in arrival order, unchanged.
-    struct PassThrough;
-    impl StreamingReducer for PassThrough {
-        type InKey = String;
-        type InValue = u64;
-        type OutKey = String;
-        type OutValue = u64;
-        fn reduce_group(
-            &mut self,
-            k: &String,
-            values: &mut crate::merge::GroupValues<'_, '_, String, u64>,
-            out: &mut Emitter<String, u64>,
-        ) {
-            for v in values {
-                out.emit(k.clone(), *v);
-            }
-        }
-    }
-
-    /// Co-group counterpart of [`PassThrough`]: drops the side tags.
-    struct PassThroughCo;
-    impl CoGroupReducer for PassThroughCo {
-        type InKey = String;
-        type InValue = u64;
-        type OutKey = String;
-        type OutValue = u64;
-        fn cogroup(
-            &mut self,
-            k: &String,
-            values: &mut SideGroups<'_, '_, String, u64>,
-            out: &mut Emitter<String, u64>,
-        ) {
-            for (_side, v) in values {
-                out.emit(k.clone(), *v);
-            }
-        }
-    }
+    type RekeyId = IdentityMapper<String, u64>;
+    type PassThroughWc = PassThrough<String, u64>;
 
     fn wc_input_b() -> Dataset<u32, String> {
         Dataset::from_records(
@@ -2508,18 +2451,19 @@ mod tests {
     fn cogroup_matches_rekey_fan_in() {
         let mut rekey_plan = Plan::new("rekey").with_workers(2);
         let ups = two_upstreams(&mut rekey_plan);
-        let rekey_h = rekey_plan.add::<RekeyId, PassThrough, _, _>(
+        let rekey_h = rekey_plan.add::<RekeyId, PassThroughWc, _, _>(
             "fan-in",
             StageInput::Stages(ups),
             3,
-            |_| RekeyId,
-            |_| PassThrough,
+            |_| RekeyId::default(),
+            |_| PassThroughWc::default(),
         );
         let mut rekey_out = PlanRunner::pipelined().run(rekey_plan);
 
         let mut co_plan = Plan::new("co").with_workers(2);
         let ups = two_upstreams(&mut co_plan);
-        let co_h = co_plan.add_cogroup::<PassThroughCo, _>("fan-in", ups, |_| PassThroughCo);
+        let co_h =
+            co_plan.add_cogroup::<PassThroughWc, _>("fan-in", ups, |_| PassThroughWc::default());
         let mut co_out = PlanRunner::pipelined().run(co_plan);
 
         // Identical partitions, not just an identical multiset.
@@ -2617,7 +2561,7 @@ mod tests {
     fn cogroup_plan(workers: usize) -> (Plan, StageHandle<String, u64>) {
         let mut plan = Plan::new("co-wc").with_workers(workers);
         let ups = two_upstreams(&mut plan);
-        let h = plan.add_cogroup::<PassThroughCo, _>("fan-in", ups, |_| PassThroughCo);
+        let h = plan.add_cogroup::<PassThroughWc, _>("fan-in", ups, |_| PassThroughWc::default());
         (plan, h)
     }
 
@@ -2677,6 +2621,7 @@ mod tests {
         let mut plan = Plan::new("bad-co");
         let a = plan.add::<Tokenize, Sum, _, _>("wc-a", wc_input(), 3, |_| Tokenize, |_| Sum);
         let b = plan.add::<Tokenize, Sum, _, _>("wc-b", wc_input_b(), 2, |_| Tokenize, |_| Sum);
-        let _ = plan.add_cogroup::<PassThroughCo, _>("fan-in", vec![a, b], |_| PassThroughCo);
+        let _ = plan
+            .add_cogroup::<PassThroughWc, _>("fan-in", vec![a, b], |_| PassThroughWc::default());
     }
 }

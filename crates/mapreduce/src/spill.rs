@@ -4,18 +4,14 @@
 //! mapper's local disk; reducers *fetch* those spill files over HTTP. The
 //! consequence that matters for fault tolerance: a failed reduce attempt
 //! only re-fetches — the map phase never re-runs. This module gives the
-//! in-process engine the same recovery boundary. [`JobBuilder`]
-//! (crate::JobBuilder) parks each map task's reduce-bucket output in a
-//! [`SpillStore`] at shuffle time, and every reduce *attempt* (first try,
-//! retry, or speculative copy) fetches its input runs from the store. A
-//! [`SpillStore`] can also be registered with a [`Dfs`] (crate::Dfs) via
-//! [`Dfs::put_blob`](crate::Dfs::put_blob) when a driver wants the
-//! checkpoint to outlive the job (multi-job pipelines re-reading
-//! intermediate output).
+//! in-process engine the same recovery boundary. The plan runner
+//! ([`crate::plan`]) parks each map task's reduce-bucket output in a
+//! [`SpillStore`] at shuffle time, and every reduce *attempt* (first try
+//! or retry) fetches its input runs from the store.
 //!
 //! Runs are immutable once registered, so a fetch hands out `Arc`-shared
-//! **views**, not deep copies: a retried or speculative reduce attempt
-//! re-fetches pointers to the same allocations the first attempt read.
+//! **views**, not deep copies: a retried reduce attempt re-fetches
+//! pointers to the same allocations the first attempt read.
 //! The replay-identical-input contract is preserved by immutability (the
 //! store exposes no `&mut` access to a registered run), and the zero-copy
 //! fetch is asserted by test below (`Arc::ptr_eq` across fetches).
@@ -86,7 +82,7 @@ impl<K: Key, V: Value> SpillStore<K, V> {
     }
 
     /// Fetch the input runs for reduce task `r`: `Arc`-shared views of the
-    /// checkpointed runs (no copy), so a retried or speculative attempt
+    /// checkpointed runs (no copy), so a retried attempt
     /// sees *the same bytes* the first attempt saw.
     pub fn fetch(&self, r: usize) -> Vec<SharedRun<K, V>> {
         self.runs[r].iter().map(Arc::clone).collect()
@@ -145,7 +141,7 @@ mod tests {
         // store (runs are behind Arc with no &mut access).
         let consumed: usize = first.iter().map(|run| run.len()).sum();
         assert_eq!(consumed, 3);
-        // A second (retried / speculative) attempt re-fetches *views of
+        // A second (retried) attempt re-fetches *views of
         // the same allocations* — zero-copy, byte-identical by identity.
         let second = s.fetch(0);
         assert_eq!(first.len(), second.len());

@@ -1,9 +1,8 @@
 //! Registry telemetry emitted once per finished job/stage.
 //!
-//! [`JobBuilder::run_full`](crate::JobBuilder) and the plan runner's
-//! `finalize_stage` both funnel through [`record_job_telemetry`] so a
-//! standalone job and the same job inside a plan write an identical
-//! registry block. Two namespaces:
+//! The plan runner's `finalize_stage` funnels every stage — including the
+//! single stage of a [`JobBuilder`](crate::JobBuilder) job — through
+//! [`record_job_telemetry`]. Two namespaces:
 //!
 //! * `mr.*` — global accumulators across all jobs of the process-level
 //!   registry (shuffle volume, attempts, queue-delay histograms).
@@ -70,8 +69,6 @@ pub fn record_job_telemetry(reg: &MetricsRegistry, m: &JobMetrics) {
     reg.counter_add("mr.faults.injected.errors", exec.injected_errors);
     reg.counter_add("mr.faults.injected.panics", exec.injected_panics);
     reg.counter_add("mr.faults.injected.stragglers", exec.injected_stragglers);
-    reg.counter_add("mr.spec.launched", exec.speculative_launched);
-    reg.counter_add("mr.spec.wins", exec.speculative_wins);
     reg.counter_add("mr.pre_combine.records", m.pre_combine_records as u64);
     for t in &m.map_tasks {
         reg.histogram_record("mr.map.output_records", t.output_records as u64);

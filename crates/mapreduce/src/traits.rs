@@ -6,6 +6,7 @@ use crate::emitter::Emitter;
 use crate::merge::{GroupValues, SideGroups};
 use ssj_common::ByteSize;
 use std::hash::Hash;
+use std::marker::PhantomData;
 
 /// Requirements on intermediate and output keys.
 ///
@@ -29,7 +30,8 @@ impl<T: Clone + Send + Sync + ByteSize + 'static> Value for T {}
 
 /// A map task.
 ///
-/// One instance is created per map task (via the factory closure passed to
+/// One instance is created per map task *attempt* (via the factory closure
+/// passed to [`Plan::add`](crate::Plan::add) or
 /// [`JobBuilder::run`](crate::JobBuilder::run)), so implementations may keep
 /// per-task state across `map` calls — e.g. FS-Join's mapper caches the
 /// pivot array loaded in [`Mapper::setup`].
@@ -262,6 +264,113 @@ macro_rules! impl_sum_combiner {
 // its combiner must keep the stable map-side sort (see `is_commutative`).
 impl_sum_combiner!(true; u32, u64, usize, i32, i64);
 impl_sum_combiner!(false; f64);
+
+/// Identity mapper: re-emits every `(key, value)` unchanged. The map
+/// side of dedup and rekey stages, whose work is all in the shuffle.
+pub struct IdentityMapper<K, V>(PhantomData<fn() -> (K, V)>);
+
+impl<K, V> Default for IdentityMapper<K, V> {
+    fn default() -> Self {
+        IdentityMapper(PhantomData)
+    }
+}
+
+impl<K: Key, V: Value> Mapper for IdentityMapper<K, V> {
+    type InKey = K;
+    type InValue = V;
+    type OutKey = K;
+    type OutValue = V;
+
+    fn map(&mut self, key: K, value: V, out: &mut Emitter<K, V>) {
+        out.emit(key, value);
+    }
+}
+
+/// Pass-through reducer: re-emits every value of every group, in
+/// arrival order, under its key. For stages that exist only to *route*
+/// records into co-partitioned groups.
+pub struct PassThrough<K, V>(PhantomData<fn() -> (K, V)>);
+
+impl<K, V> Default for PassThrough<K, V> {
+    fn default() -> Self {
+        PassThrough(PhantomData)
+    }
+}
+
+impl<K: Key, V: Value> StreamingReducer for PassThrough<K, V> {
+    type InKey = K;
+    type InValue = V;
+    type OutKey = K;
+    type OutValue = V;
+
+    fn reduce_group(
+        &mut self,
+        key: &K,
+        values: &mut GroupValues<'_, '_, K, V>,
+        out: &mut Emitter<K, V>,
+    ) {
+        for v in values {
+            out.emit(key.clone(), v.clone());
+        }
+    }
+}
+
+/// Co-group form of the pass-through: drops the side tags.
+impl<K: Key, V: Value> CoGroupReducer for PassThrough<K, V> {
+    type InKey = K;
+    type InValue = V;
+    type OutKey = K;
+    type OutValue = V;
+
+    fn cogroup(&mut self, key: &K, values: &mut SideGroups<'_, '_, K, V>, out: &mut Emitter<K, V>) {
+        for (_side, v) in values {
+            out.emit(key.clone(), v.clone());
+        }
+    }
+}
+
+/// Keep-first reducer: emits each key once, with the first value of
+/// its group — the dedup reducer for stages whose duplicates all carry
+/// the same value. Only the head of each group is read; the engine
+/// skips the rest without buffering it.
+pub struct KeepFirst<K, V>(PhantomData<fn() -> (K, V)>);
+
+impl<K, V> Default for KeepFirst<K, V> {
+    fn default() -> Self {
+        KeepFirst(PhantomData)
+    }
+}
+
+impl<K: Key, V: Value> StreamingReducer for KeepFirst<K, V> {
+    type InKey = K;
+    type InValue = V;
+    type OutKey = K;
+    type OutValue = V;
+
+    fn reduce_group(
+        &mut self,
+        key: &K,
+        values: &mut GroupValues<'_, '_, K, V>,
+        out: &mut Emitter<K, V>,
+    ) {
+        let first = values.next().expect("group has at least one value");
+        out.emit(key.clone(), first.clone());
+    }
+}
+
+/// Co-group form of the keep-first, for inputs that are already
+/// partitioned by the dedup key: the sealed partition groups in place.
+impl<K: Key, V: Value> CoGroupReducer for KeepFirst<K, V> {
+    type InKey = K;
+    type InValue = V;
+    type OutKey = K;
+    type OutValue = V;
+
+    fn cogroup(&mut self, key: &K, values: &mut SideGroups<'_, '_, K, V>, out: &mut Emitter<K, V>) {
+        let (_side, first) = values.next().expect("group has at least one value");
+        out.emit(key.clone(), first.clone());
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -5,34 +5,13 @@
 
 use proptest::prelude::*;
 use ssj_mapreduce::{
-    Dataset, DirectPartitioner, Emitter, HashPartitioner, JobBuilder, Mapper, Reducer, SumCombiner,
+    Dataset, DirectPartitioner, Emitter, HashPartitioner, IdentityMapper, JobBuilder, PassThrough,
+    Reducer, SumCombiner,
 };
 
-/// Identity mapper over (u32, u32).
-struct IdMap;
-impl Mapper for IdMap {
-    type InKey = u32;
-    type InValue = u32;
-    type OutKey = u32;
-    type OutValue = u32;
-    fn map(&mut self, k: u32, v: u32, out: &mut Emitter<u32, u32>) {
-        out.emit(k, v);
-    }
-}
+type IdMap = IdentityMapper<u32, u32>;
 
-/// Reducer that re-emits each (key, value) pair unchanged.
-struct Passthrough;
-impl Reducer for Passthrough {
-    type InKey = u32;
-    type InValue = u32;
-    type OutKey = u32;
-    type OutValue = u32;
-    fn reduce(&mut self, k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>) {
-        for v in vs {
-            out.emit(*k, v);
-        }
-    }
-}
+type Passthrough = PassThrough<u32, u32>;
 
 /// Reducer summing values per key.
 struct SumRed;
@@ -62,7 +41,7 @@ proptest! {
         let input = Dataset::from_records(records.clone(), splits);
         let (out, metrics) = JobBuilder::new("pass")
             .reduce_tasks(reducers)
-            .run(&input, |_| IdMap, |_| Passthrough);
+            .run(&input, |_| IdMap::default(), |_| Passthrough::default());
         let mut expect = records;
         expect.sort();
         let mut got: Vec<(u32, u32)> = out.into_records().collect();
@@ -84,9 +63,9 @@ proptest! {
             .reduce_tasks(reducers)
             .run_partitioned(
                 &input,
-                |_| IdMap,
-                |_| Passthrough,
-                &DirectPartitioner::new(|k: &u32| *k as usize),
+                |_| IdMap::default(),
+                |_| Passthrough::default(),
+                DirectPartitioner::new(|k: &u32| *k as usize),
             );
         for (p, part) in out.partitions().iter().enumerate() {
             for (k, _) in part {
@@ -103,7 +82,7 @@ proptest! {
         let run = || {
             JobBuilder::new("det")
                 .reduce_tasks(3)
-                .run(&input, |_| IdMap, |_| SumRed)
+                .run(&input, |_| IdMap::default(), |_| SumRed)
         };
         let (out1, m1) = run();
         let (out2, m2) = run();
@@ -119,10 +98,10 @@ proptest! {
         let input = Dataset::from_records(records, splits);
         let (plain, mp) = JobBuilder::new("plain")
             .reduce_tasks(3)
-            .run(&input, |_| IdMap, |_| SumRed);
+            .run(&input, |_| IdMap::default(), |_| SumRed);
         let (combined, mc) = JobBuilder::new("combined")
             .reduce_tasks(3)
-            .run_full(&input, |_| IdMap, |_| SumRed, &HashPartitioner, Some(&SumCombiner));
+            .run_full(&input, |_| IdMap::default(), |_| SumRed, HashPartitioner, Some(SumCombiner));
         prop_assert_eq!(plain.partitions(), combined.partitions());
         prop_assert!(mc.shuffle_records <= mp.shuffle_records);
         prop_assert!(mc.shuffle_bytes <= mp.shuffle_bytes);
@@ -136,11 +115,11 @@ proptest! {
         let (o1, m1) = JobBuilder::new("w1")
             .reduce_tasks(4)
             .workers(1)
-            .run(&input, |_| IdMap, |_| SumRed);
+            .run(&input, |_| IdMap::default(), |_| SumRed);
         let (o4, m4) = JobBuilder::new("w4")
             .reduce_tasks(4)
             .workers(4)
-            .run(&input, |_| IdMap, |_| SumRed);
+            .run(&input, |_| IdMap::default(), |_| SumRed);
         prop_assert_eq!(o1.partitions(), o4.partitions());
         prop_assert_eq!(m1.shuffle_bytes, m4.shuffle_bytes);
     }

@@ -2,7 +2,7 @@
 //! fault plan must produce byte-identical output to the fault-free run, and
 //! the same seed must reproduce the exact same retry/injection counters.
 
-use ssj_faults::{FaultPlan, RetryPolicy, SpeculationPolicy};
+use ssj_faults::{FaultPlan, RetryPolicy};
 use ssj_mapreduce::{Dataset, Emitter, JobBuilder, Mapper, Reducer};
 
 /// Word-count-shaped mapper: emits (token, 1) per token.
@@ -134,22 +134,6 @@ fn globally_installed_plan_applies_and_uninstalls() {
             .run(&corpus(), |_| TokenMap, |_| CountRed);
     assert_eq!(sorted_counts(out2), clean);
     assert_eq!(metrics2.exec.injected_total(), 0);
-}
-
-#[test]
-fn speculation_under_stragglers_preserves_output() {
-    ssj_faults::silence_injected_panics();
-    let (clean, _) = run_with(None);
-    let mut plan = FaultPlan::new(11).with_stragglers(0.5, 4.0);
-    plan.straggler_delay = std::time::Duration::from_millis(30);
-    let (out, metrics) = JobBuilder::new("wordcount")
-        .reduce_tasks(4)
-        .retry(RetryPolicy::default())
-        .speculation(SpeculationPolicy::enabled())
-        .faults(plan)
-        .run(&corpus(), |_| TokenMap, |_| CountRed);
-    assert_eq!(sorted_counts(out), clean);
-    assert!(metrics.exec.injected_stragglers > 0, "{:?}", metrics.exec);
 }
 
 #[test]

@@ -52,8 +52,8 @@ fn run_traced_job() -> (Arc<Collector>, ssj_mapreduce::JobMetrics) {
         &word_input(),
         |_| Tokenize,
         |_| Sum,
-        &ssj_mapreduce::HashPartitioner,
-        Some(&SumCombiner),
+        ssj_mapreduce::HashPartitioner,
+        Some(SumCombiner),
     );
     ssj_observe::uninstall_collector();
     (collector, metrics)
@@ -76,6 +76,22 @@ fn spans_nest_task_in_phase_in_job() {
     let tasks: Vec<&TraceEvent> = events.iter().filter(|e| e.cat == "mr.task").collect();
     assert_eq!(phases.len(), 3, "map + shuffle + reduce phases");
     assert_eq!(tasks.len(), 4 + 3, "4 map tasks + 3 reduce tasks");
+    // A job is a one-stage plan: the plan span encloses the job span, and
+    // every task carries the plan-identity tags the profiler groups by.
+    let plan = events
+        .iter()
+        .find(|e| e.cat == "mr.plan" && e.name == "observe-wc")
+        .expect("plan span");
+    assert!(contains(plan, job), "job span outside its plan span");
+    for task in &tasks {
+        for tag in ["plan", "run", "stage", "partition"] {
+            assert!(
+                task.args.iter().any(|(k, _)| *k == tag),
+                "{} task lacks the {tag:?} tag",
+                task.name
+            );
+        }
+    }
     for phase in &phases {
         assert!(
             contains(job, phase),

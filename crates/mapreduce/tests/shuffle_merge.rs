@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use ssj_mapreduce::{
-    CoGroupedRuns, Dataset, Emitter, GroupValues, GroupedRuns, JobBuilder, KWayMerge, Mapper,
-    Reducer, StreamingReducer,
+    CoGroupedRuns, Dataset, Emitter, GroupValues, GroupedRuns, IdentityMapper, JobBuilder,
+    KWayMerge, Reducer, StreamingReducer,
 };
 
 /// Arbitrary set of sorted runs (what the map phase spills): up to 8 runs
@@ -240,27 +240,17 @@ proptest! {
         let input = Dataset::from_records(records, splits);
         let (batch_out, batch_m) = JobBuilder::new("batch")
             .reduce_tasks(reducers)
-            .run(&input, |_| IdMap, |_| BatchSum);
+            .run(&input, |_| IdMap::default(), |_| BatchSum);
         let (stream_out, stream_m) = JobBuilder::new("stream")
             .reduce_tasks(reducers)
-            .run(&input, |_| IdMap, |_| StreamSum);
+            .run(&input, |_| IdMap::default(), |_| StreamSum);
         prop_assert_eq!(batch_out.partitions(), stream_out.partitions());
         prop_assert_eq!(batch_m.shuffle_records, stream_m.shuffle_records);
         prop_assert_eq!(batch_m.shuffle_bytes, stream_m.shuffle_bytes);
     }
 }
 
-/// Identity mapper over (u32, u32).
-struct IdMap;
-impl Mapper for IdMap {
-    type InKey = u32;
-    type InValue = u32;
-    type OutKey = u32;
-    type OutValue = u32;
-    fn map(&mut self, k: u32, v: u32, out: &mut Emitter<u32, u32>) {
-        out.emit(k, v);
-    }
-}
+type IdMap = IdentityMapper<u32, u32>;
 
 /// Batch sum (goes through the Reducer → StreamingReducer adapter).
 struct BatchSum;

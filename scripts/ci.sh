@@ -29,6 +29,19 @@ if grep -rnE 'intersect_count_(adaptive|merge|chunked|gallop)' \
     exit 1
 fi
 
+echo "== lint: one engine (task bodies live in plan.rs only) =="
+# JobBuilder is a one-stage plan; the second executor (run_tasks*, its
+# UnsafeCell slot vector, its own mr.task spans) was deleted. Keep a copy
+# of the engine from growing back next to the one production runs.
+if grep -rn 'span("mr.task"' crates/mapreduce/src | grep -v '^crates/mapreduce/src/plan.rs:'; then
+    echo "engine gate FAILED: mr.task span emitted outside plan.rs (second task body?)" >&2
+    exit 1
+fi
+if grep -rnE 'run_tasks|UnsafeCell' crates/mapreduce/src; then
+    echo "engine gate FAILED: run_tasks / UnsafeCell under crates/mapreduce/src (second executor?)" >&2
+    exit 1
+fi
+
 echo "== tier-1: build =="
 cargo build --release
 
