@@ -7,17 +7,31 @@
 //! global allocator and prints them before Criterion runs: span-based
 //! splitting must perform **zero per-segment token allocations** (only the
 //! one output `Vec` per record), while the owned emulation pays one token
-//! `Vec` per segment. Numbers are recorded in `results/columnar.md`.
+//! `Vec` per segment.
+//!
+//! The `fragment_signature` group measures the fragment join's
+//! record-signature step (DESIGN.md §12) below the repo benchmark: the
+//! production Prefix kernel over every fragment of a 2,000-record WikiLike
+//! corpus with the step on and off at θ ∈ {0.75, 0.8, 0.9} (asserting first
+//! that both find the same pairs), and the Prefix kernel's discovery step —
+//! a hash set per probe against the reducer-owned stamp vector.
+//!
+//! Numbers are recorded in `results/columnar.md`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fsjoin::fragment::{join_fragment, CandidateRecord, JoinKernel, PairScope};
+use fsjoin::fragment::{
+    join_fragment, local_prefix_len, CandidateRecord, FragmentJoin, JoinKernel, PairScope,
+    ProbeScratch,
+};
 use fsjoin::horizontal::JoinRule;
 use fsjoin::vertical::split_record;
 use fsjoin::{FilterSet, FilterStats};
+use ssj_common::FxHashMap;
 use ssj_similarity::intersect::intersect_count_adaptive;
 use ssj_similarity::Measure;
-use ssj_text::{Collection, TokenPool};
+use ssj_text::{encode, Collection, CorpusProfile, TokenPool};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -182,16 +196,21 @@ fn fragment_segments_owned(c: &Collection, pivots: &[u32], fragment: usize) -> V
 }
 
 fn run_span_kernel(pool: &TokenPool, segments: &[fsjoin::Segment]) -> Vec<CandidateRecord> {
-    join_fragment(
+    let join = FragmentJoin {
         pool,
+        scope: PairScope::SelfJoin,
+        measure: Measure::Jaccard,
+        theta: 0.8,
+        kernel: JoinKernel::Loop,
+        filters: FilterSet::NONE,
+        policy: Default::default(),
+        signatures: false,
+    };
+    join_fragment(
+        &join,
         segments,
         JoinRule::All,
-        PairScope::SelfJoin,
-        Measure::Jaccard,
-        0.8,
-        JoinKernel::Loop,
-        FilterSet::NONE,
-        Default::default(),
+        &mut ProbeScratch::default(),
         &mut FilterStats::default(),
     )
 }
@@ -279,5 +298,190 @@ fn bench_fragment_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_segment_construction, bench_fragment_kernel);
+// ---- Record-signature step -------------------------------------------------
+
+/// The production filter stage without the engine: the default kernel and
+/// filters over every fragment, the signature step on or off.
+fn join_all_fragments(
+    pool: &TokenPool,
+    fragments: &[Vec<fsjoin::Segment>],
+    theta: f64,
+    signatures: bool,
+    scratch: &mut ProbeScratch,
+    stats: &mut FilterStats,
+) -> Vec<CandidateRecord> {
+    let join = FragmentJoin {
+        pool,
+        scope: PairScope::SelfJoin,
+        measure: Measure::Jaccard,
+        theta,
+        kernel: JoinKernel::Prefix,
+        filters: FilterSet::ALL,
+        policy: Default::default(),
+        signatures,
+    };
+    let mut out = Vec::new();
+    for segments in fragments {
+        out.extend(join_fragment(
+            &join,
+            segments,
+            JoinRule::All,
+            scratch,
+            stats,
+        ));
+    }
+    out
+}
+
+/// What the verify job would make of `candidates`: pairs whose summed
+/// partial counts reach θ.
+fn verified_pairs(candidates: &[CandidateRecord], theta: f64) -> Vec<(u32, u32, u32)> {
+    let mut sums: BTreeMap<(u32, u32), (u32, u32, u32)> = BTreeMap::new();
+    for c in candidates {
+        sums.entry(c.key()).or_insert((0, c.len_a, c.len_b)).0 += c.common;
+    }
+    sums.into_iter()
+        .filter(|&(_, (common, la, lb))| {
+            Measure::Jaccard.passes(common as usize, la as usize, lb as usize, theta)
+        })
+        .map(|((a, b), (common, _, _))| (a, b, common))
+        .collect()
+}
+
+/// Local-prefix postings of fragment 0, as `prefix_join` has them once
+/// every segment is indexed, and each segment's probe tokens.
+type PrefixIndex = FxHashMap<u32, Vec<u32>>;
+
+fn prefix_index<'a>(
+    pool: &'a TokenPool,
+    segments: &[fsjoin::Segment],
+    theta: f64,
+) -> (PrefixIndex, Vec<&'a [u32]>) {
+    let mut index = PrefixIndex::default();
+    let mut probes = Vec::new();
+    for (slot, seg) in segments.iter().enumerate() {
+        let prefix = &seg.tokens(pool)[..local_prefix_len(Measure::Jaccard, theta, seg)];
+        for &t in prefix {
+            index.entry(t).or_default().push(slot as u32);
+        }
+        probes.push(prefix);
+    }
+    (index, probes)
+}
+
+/// Discovery as the Prefix kernels did it before the stamp vector: one
+/// hash set per probe.
+fn discover_hash_set(index: &PrefixIndex, probes: &[&[u32]]) -> usize {
+    let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
+    let mut hits = 0usize;
+    for tokens in probes {
+        seen.clear();
+        for t in *tokens {
+            if let Some(slots) = index.get(t) {
+                for &s in slots {
+                    seen.entry(s).or_insert(());
+                }
+            }
+        }
+        hits += seen.len();
+    }
+    hits
+}
+
+fn discover_stamps(index: &PrefixIndex, probes: &[&[u32]], scratch: &mut ProbeScratch) -> usize {
+    let mut hits = 0usize;
+    for tokens in probes {
+        scratch.probe(tokens, index, probes.len());
+        hits += scratch.hits().len();
+    }
+    hits
+}
+
+fn bench_fragment_signature(c: &mut Criterion) {
+    let collection = encode(
+        &CorpusProfile::WikiLike
+            .config()
+            .with_records(2_000)
+            .generate(),
+    );
+    let pivots = fsjoin::pivots::select_pivots(
+        &collection.token_freqs,
+        15,
+        fsjoin::PivotStrategy::EvenTf,
+        42,
+    );
+    let fragments: Vec<Vec<fsjoin::Segment>> = (0..=pivots.len())
+        .map(|k| fragment_segments(&collection, &pivots, k))
+        .collect();
+    let pool = collection.pool();
+    let mut scratch = ProbeScratch::default();
+
+    let mut g = c.benchmark_group("fragment_signature");
+    g.sample_size(10);
+    for theta in [0.75, 0.8, 0.9] {
+        // Lossless: the verify job finds the same pairs with the same
+        // overlaps from either candidate set.
+        let (mut on_stats, mut off_stats) = (FilterStats::default(), FilterStats::default());
+        let on = join_all_fragments(pool, &fragments, theta, true, &mut scratch, &mut on_stats);
+        let off = join_all_fragments(pool, &fragments, theta, false, &mut scratch, &mut off_stats);
+        assert_eq!(verified_pairs(&on, theta), verified_pairs(&off, theta));
+        assert_eq!(on_stats.unaccounted(), 0);
+        assert_eq!(off_stats.unaccounted(), 0);
+        println!(
+            "signature-report: theta={theta} pairs={} pairs_considered={} strl_pruned={} \
+             bitmap_checks={} bitmap_pruned={} candidates_off={} candidates_on={} \
+             intersections_off={} intersections_on={}",
+            verified_pairs(&on, theta).len(),
+            on_stats.pairs_considered,
+            on_stats.strl_pruned,
+            on_stats.bitmap_checks,
+            on_stats.bitmap_pruned,
+            off.len(),
+            on.len(),
+            off_stats.intersections,
+            on_stats.intersections,
+        );
+        for (name, signatures) in [("off", false), ("on", true)] {
+            g.bench_function(format!("theta_{theta}/{name}"), |bench| {
+                bench.iter(|| {
+                    let mut stats = FilterStats::default();
+                    join_all_fragments(
+                        pool,
+                        &fragments,
+                        theta,
+                        signatures,
+                        &mut scratch,
+                        &mut stats,
+                    )
+                    .len()
+                })
+            });
+        }
+    }
+
+    // Discovery alone, on the fragment with the most segments.
+    let widest = fragments
+        .iter()
+        .max_by_key(|f| f.len())
+        .expect("16 fragments");
+    let (index, probes) = prefix_index(pool, widest, 0.8);
+    assert_eq!(
+        discover_hash_set(&index, &probes),
+        discover_stamps(&index, &probes, &mut scratch)
+    );
+    g.bench_function("discovery/hash_set", |bench| {
+        bench.iter(|| discover_hash_set(black_box(&index), black_box(&probes)))
+    });
+    g.bench_function("discovery/stamps", |bench| {
+        bench.iter(|| discover_stamps(black_box(&index), black_box(&probes), &mut scratch))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_segment_construction,
+    bench_fragment_kernel,
+    bench_fragment_signature
+);
 criterion_main!(benches);

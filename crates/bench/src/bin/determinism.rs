@@ -16,17 +16,23 @@
 //! report. `target` is `selfjoin` (default, the fig6-style two-stage
 //! FS-Join) or `rsjoin` (the two-input R×S plan, exercising per-split
 //! multi-upstream scheduling and broadcast edges). `prune` is `prune`
-//! (default) or `noprune` and toggles the bitmap prune in front of exact
-//! verification — the prune is lossless, so this report too must be
-//! byte-identical with it on or off (the report deliberately carries no
-//! kernel counters). `joinpath` is `cogroup` (default) or `rekey` and
-//! selects the rsjoin join-stage execution path (DESIGN.md §13); the two
+//! (default) or `noprune` and toggles the bitmap prune — lossless, so the
+//! `pairs` and `digest` of the `result:` line must not move with it. What
+//! else may move depends on the site: at a whole-record verify site
+//! (`rsjoin`) only the kernel counters on the `filters:` line do; at the
+//! self-join's fragment join the prune drops dissimilar pairs before they
+//! become candidates, so candidates and the verify job's shuffle shrink.
+//! The `filters:` line prints every `FilterStats` field, so CI can check
+//! the fragment join's conservation law (`fsjoin::keys`) on it. `joinpath`
+//! is `cogroup` (default) or `rekey` and selects the rsjoin join-stage
+//! execution path (DESIGN.md §13); the two
 //! paths produce identical `result:`/`filters:` lines but legitimately
 //! different per-job shuffle accounting — the rekey path pays a second
 //! shuffle the co-group path eliminates — so the cross-path CI gate diffs
 //! only the result lines. The CI gates run this binary across worker
-//! counts, across plan modes, across the prune toggle, *and* across the
-//! join path, and diff the outputs byte-for-byte.
+//! counts and across plan modes and diff the outputs byte-for-byte, and
+//! across the prune toggle and the join path and diff what each may not
+//! move.
 
 use ssj_bench::datasets::{bench_corpus, rs_corpus, tuned_fsjoin};
 use ssj_bench::Scale;
@@ -111,10 +117,13 @@ fn main() {
         digest(&res.pairs),
         res.candidates
     );
-    println!(
-        "filters: pairs_considered={} emitted={}",
-        res.filter_stats.pairs_considered, res.filter_stats.emitted
-    );
+    let filters: Vec<String> = res
+        .filter_stats
+        .fields()
+        .iter()
+        .map(|(key, value)| format!("{}={value}", key.rsplit('.').next().unwrap_or(key)))
+        .collect();
+    println!("filters: {}", filters.join(" "));
     for job in &res.chain.jobs {
         println!(
             "job {}: shuffle_records={} shuffle_bytes={} pre_combine_records={} \

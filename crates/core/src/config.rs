@@ -53,15 +53,18 @@ pub struct FsJoinConfig {
     /// [`PlanMode::Pipelined`]). Affects wall-clock and peak intermediate
     /// memory only — results and logical metrics are mode-invariant.
     pub plan_mode: PlanMode,
-    /// Hand the pool's hashed record bitmaps to the whole-record verify
-    /// cascade (default true; DESIGN.md §12). Governs the two
-    /// whole-record verify sites only — FS-Join-PF's cached verification
-    /// and the two-input R×S join stage; the fragment kernels of
-    /// [`crate::run_self_join`] never consult bitmaps. Lossless: pruning
-    /// on a sound upper bound never changes results, candidates, or
-    /// filter verdicts — only `fsjoin.kernel.intersections` and wall time.
-    /// The `determinism` binary's prune-on/off CI gate pins this
-    /// invariance.
+    /// Use the pool's hashed record bitmaps as a sound upper bound on a
+    /// pair's overlap (default true; DESIGN.md §12), at all three sites
+    /// that can ask whether two *records* can reach θ: the fragment join
+    /// of [`crate::run_self_join`] / [`crate::run_rs_join`] (the
+    /// record-signature step after StrL, which drops a dissimilar pair in
+    /// every fragment at once), FS-Join-PF's cached verification and the
+    /// two-input R×S join stage. Lossless: pairs and scores are identical
+    /// with it off. At the two verify sites nothing else moves either; at
+    /// the fragment join the candidate volume, the verify job's shuffle
+    /// and the segment-filter counters shrink with it on, because pairs
+    /// it drops never reach them. The `determinism` binary's prune-on/off
+    /// CI gate pins both.
     pub bitmap_prune: bool,
     /// Run [`crate::run_rs_join_two_input`]'s join stage as a co-group
     /// stage over the sealed co-partitioned prefix partitions (default
@@ -164,10 +167,10 @@ impl FsJoinConfig {
         self
     }
 
-    /// Enable or disable the bitmap prune in front of whole-record
-    /// verification (PF and two-input R×S). Off is only useful for
-    /// equivalence gates and A/B measurements — results are identical
-    /// either way.
+    /// Enable or disable the bitmap prune (fragment join, PF and
+    /// two-input R×S). Off is only useful for equivalence gates, A/B
+    /// measurements and reproducing the paper's segment-filter-only
+    /// volumes — results are identical either way.
     pub fn with_bitmap_prune(mut self, on: bool) -> Self {
         self.bitmap_prune = on;
         self

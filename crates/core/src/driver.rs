@@ -7,7 +7,7 @@
 
 use crate::config::FsJoinConfig;
 use crate::filters::FilterStats;
-use crate::fragment::{join_fragment, PairScope};
+use crate::fragment::{join_fragment, FragmentJoin, PairScope, ProbeScratch};
 use crate::horizontal::{h_partitions_for, num_h_partitions, select_h_pivots, JoinRule};
 use crate::pivots::select_pivots;
 use crate::segment::Segment;
@@ -140,7 +140,11 @@ impl Mapper for PartitionMapper {
 /// off the k-way merge into a scratch buffer reused across cells — the
 /// engine allocates nothing per key, and the reducer amortizes its one
 /// buffer over the whole task ([`Segment`]s are `Copy` spans, so the copy
-/// is 16 bytes/segment with no token movement).
+/// is 16 bytes/segment with no token movement). The Prefix kernel's
+/// discovery scratch is reducer-owned the same way.
+///
+/// The pool is the collection's own arena, so `pool.bitmap_of(seg.rid)` is
+/// record `seg.rid`'s signature — what [`FragmentJoin::signatures`] needs.
 struct FragmentReducer {
     pool: Arc<TokenPool>,
     cfg: FsJoinConfig,
@@ -149,6 +153,7 @@ struct FragmentReducer {
     local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
     scratch: Vec<Segment>,
+    probe: ProbeScratch,
 }
 
 impl StreamingReducer for FragmentReducer {
@@ -170,16 +175,21 @@ impl StreamingReducer for FragmentReducer {
         let rule = JoinRule::for_partition(h, &self.h_pivots);
         let before_pairs = self.local_stats.pairs_considered;
         let before_emitted = self.local_stats.emitted;
+        let join = FragmentJoin {
+            pool: &self.pool,
+            scope: self.scope,
+            measure: self.cfg.measure,
+            theta: self.cfg.theta,
+            kernel: self.cfg.kernel,
+            filters: self.cfg.filters,
+            policy: self.cfg.emit_policy,
+            signatures: self.cfg.bitmap_prune,
+        };
         let records = join_fragment(
-            &self.pool,
+            &join,
             segments,
             rule,
-            self.scope,
-            self.cfg.measure,
-            self.cfg.theta,
-            self.cfg.kernel,
-            self.cfg.filters,
-            self.cfg.emit_policy,
+            &mut self.probe,
             &mut self.local_stats,
         );
         // Per-cell load distributions (skew diagnosis for the fragment
@@ -391,6 +401,7 @@ fn run_join(
                 local_stats: FilterStats::default(),
                 registry: Arc::clone(&registry),
                 scratch: Vec::new(),
+                probe: ProbeScratch::default(),
             }
         },
         DirectPartitioner::new(|cell: &u32| *cell as usize),

@@ -85,6 +85,12 @@ pub enum EmitPolicy {
 
 /// Pruning counters, aggregated across reduce tasks for the Table IV
 /// filter-power report.
+///
+/// At the fragment join every considered pair ends in exactly one of the
+/// seven outcomes, so the counters obey
+/// `pairs_considered = strl_pruned + bitmap_pruned + segl_pruned +
+/// segi_pruned + segd_pruned + policy_dropped + emitted`
+/// ([`Self::unaccounted`] is 0).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Segment pairs considered by the fragment join (post kernel candidate
@@ -98,8 +104,11 @@ pub struct FilterStats {
     pub segi_pruned: u64,
     /// Pairs pruned by SegD (after intersection).
     pub segd_pruned: u64,
-    /// Surviving pair-fragments dropped by
-    /// [`EmitPolicy::PositiveBoundOnly`] (0 under [`EmitPolicy::Exact`]).
+    /// Surviving pair-fragments the emit policy did not emit: those with
+    /// no common token (both policies emit only `c_i ≥ 1`; only the Loop
+    /// kernel considers such pairs — Index and Prefix discover pairs by a
+    /// shared token) and, under [`EmitPolicy::PositiveBoundOnly`], those no
+    /// lemma demands. 0 under [`EmitPolicy::Exact`] with Index or Prefix.
     pub policy_dropped: u64,
     /// Candidate records emitted (pair-fragment contributions).
     pub emitted: u64,
@@ -109,11 +118,14 @@ pub struct FilterStats {
     pub intersections: u64,
     /// Tokens fed to those intersections (sum of both inputs per call).
     pub intersect_tokens: u64,
-    /// Pairs whose record bitmaps were consulted before whole-record
-    /// verification (always 0 for the fragment kernels).
+    /// Pairs whose record bitmaps were read: before whole-record
+    /// verification, and at the fragment join's record-signature step
+    /// (right after StrL; once per fragment the pair is considered in).
     pub bitmap_checks: u64,
     /// Pairs the bitmap upper bound settled without an exact intersection
-    /// (≤ `bitmap_checks`; lossless, see DESIGN.md §12).
+    /// (≤ `bitmap_checks`; lossless, see DESIGN.md §12). At the fragment
+    /// join these are segment pairs dropped because their two records
+    /// cannot reach θ.
     pub bitmap_pruned: u64,
 }
 
@@ -150,6 +162,19 @@ impl FilterStats {
         self.intersect_tokens += other.intersect_tokens;
         self.bitmap_checks += other.bitmap_checks;
         self.bitmap_pruned += other.bitmap_pruned;
+    }
+
+    /// `pairs_considered` minus the seven outcomes a considered pair can
+    /// end in (see the type docs): 0 for the counters of a fragment join.
+    pub fn unaccounted(&self) -> i64 {
+        let settled = self.strl_pruned
+            + self.bitmap_pruned
+            + self.segl_pruned
+            + self.segi_pruned
+            + self.segd_pruned
+            + self.policy_dropped
+            + self.emitted;
+        self.pairs_considered as i64 - settled as i64
     }
 
     /// Count one exact intersection over inputs of the given lengths.
@@ -235,7 +260,22 @@ impl PairBounds {
         head_t: u32,
         tail_t: u32,
     ) -> Self {
-        let alpha = measure.min_overlap(theta, len_s as usize, len_t as usize) as i64;
+        let alpha = measure.min_overlap(theta, len_s as usize, len_t as usize);
+        Self::from_alpha(alpha, len_s, head_s, tail_s, len_t, head_t, tail_t)
+    }
+
+    /// [`Self::new`] for a caller that already holds the pair's
+    /// `alpha = min_overlap(θ, |s|, |t|)`.
+    pub fn from_alpha(
+        alpha: usize,
+        len_s: u32,
+        head_s: u32,
+        tail_s: u32,
+        len_t: u32,
+        head_t: u32,
+        tail_t: u32,
+    ) -> Self {
+        let alpha = alpha as i64;
         let required_local = alpha - i64::from(head_s.min(head_t)) - i64::from(tail_s.min(tail_t));
         let max_total_diff = i64::from(len_s) + i64::from(len_t) - 2 * alpha;
         let max_local_diff = max_total_diff

@@ -12,7 +12,10 @@
 //!   be complete for θ-similar pairs — DESIGN.md §4 item 2); candidates
 //!   then verify with an exact merge intersection. FS-Join's default.
 //!
-//! All kernels apply the same [`FilterSet`] and produce identical output
+//! All kernels run every discovered pair through one cascade — scope →
+//! StrL → record signature → SegL → SegD precheck, then SegI/SegD on the
+//! exact local overlap (`FragmentJoin::admit` / `finish`) — apply the same
+//! [`FilterSet`] and produce identical output
 //! (property-tested); they differ only in work. Segments carry spans into
 //! the collection's shared [`TokenPool`], so every kernel takes the pool
 //! and resolves token slices on the fly (a bounds-checked slice of the
@@ -26,7 +29,7 @@ use crate::horizontal::JoinRule;
 use crate::segment::Segment;
 use ssj_common::FxHashMap;
 use ssj_similarity::intersect::intersect_count_adaptive;
-use ssj_similarity::Measure;
+use ssj_similarity::{Measure, Signature, Verifier};
 use ssj_text::TokenPool;
 
 /// Which record pairs a join considers, besides the horizontal rule.
@@ -101,9 +104,78 @@ impl CandidateRecord {
     }
 }
 
+/// One fragment join's parameters: what [`join_fragment`] needs besides the
+/// cell's segments.
+#[derive(Debug)]
+pub struct FragmentJoin<'a> {
+    /// The arena the segments' spans resolve against.
+    pub pool: &'a TokenPool,
+    /// Which record pairs are admissible.
+    pub scope: PairScope,
+    /// Similarity measure.
+    pub measure: Measure,
+    /// Threshold θ.
+    pub theta: f64,
+    /// Join kernel.
+    pub kernel: JoinKernel,
+    /// Segment filters.
+    pub filters: FilterSet,
+    /// Candidate emission policy.
+    pub policy: EmitPolicy,
+    /// Run the record-signature step (DESIGN.md §12). Requires that
+    /// `pool.bitmap_of(seg.rid)` is the hashed bitmap of the whole record
+    /// segment `seg` was cut from, i.e. that the segments come from
+    /// splitting `pool`'s own records — true for every driver, not for
+    /// hand-built segments pushed as pool records of their own.
+    pub signatures: bool,
+}
+
+/// Reducer-owned scratch for the Prefix kernels' discovery step: which
+/// index slots the current probe segment reached. A stamp per slot instead
+/// of a hash set per probe — `stamps[slot] == epoch` means "already hit by
+/// this probe" — so a probe costs one array write per posting and leaves
+/// nothing to clear: the next probe just takes the next epoch.
+#[derive(Debug, Default)]
+pub struct ProbeScratch {
+    stamps: Vec<u32>,
+    epoch: u32,
+    hits: Vec<u32>,
+}
+
+impl ProbeScratch {
+    /// Distinct slots the last [`Self::probe`] reached, in discovery order.
+    pub fn hits(&self) -> &[u32] {
+        &self.hits
+    }
+
+    /// Collect the distinct slots `index` lists under `tokens`. `slots` is
+    /// the number of indexed segments (every slot in `index` is below it).
+    pub fn probe(&mut self, tokens: &[u32], index: &FxHashMap<u32, Vec<u32>>, slots: usize) {
+        if self.stamps.len() < slots {
+            self.stamps.resize(slots, 0);
+        }
+        if self.epoch == u32::MAX {
+            // Stamps of 2³² probes ago would read as current.
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.hits.clear();
+        for t in tokens {
+            for &slot in index.get(t).map_or(&[][..], Vec::as_slice) {
+                let stamp = &mut self.stamps[slot as usize];
+                if *stamp != self.epoch {
+                    *stamp = self.epoch;
+                    self.hits.push(slot);
+                }
+            }
+        }
+    }
+}
+
 /// Join all segments of one fragment cell. `segments` may contain at most
 /// one segment per `(rid, side)` (guaranteed by vertical partitioning);
-/// their spans resolve against `pool`.
+/// their spans resolve against `join.pool`.
 ///
 /// Base cells (rule [`JoinRule::All`]) join all admissible pairs; boundary
 /// cells join **bipartitely** — segments are split at the pivot into the
@@ -111,34 +183,22 @@ impl CandidateRecord {
 /// cross-group pairs are considered, so the join never spends discovery
 /// work on pairs the boundary rule would reject.
 ///
-/// Segment intersections are always exact and never bitmap-pruned: the
-/// verification job sums local counts, so a threshold verdict is not
-/// enough here, and the record-level bitmap bound almost never falls
-/// below a *local* requirement (DESIGN.md §12).
-#[allow(clippy::too_many_arguments)]
+/// Segment intersections are always exact: the verification job sums
+/// local counts, so a threshold verdict is not enough for a pair that
+/// survives. What the record bitmaps can settle is whether the *pair*
+/// survives at all ([`FragmentJoin::signatures`]).
 pub fn join_fragment(
-    pool: &TokenPool,
+    join: &FragmentJoin<'_>,
     segments: &[Segment],
     rule: JoinRule,
-    scope: PairScope,
-    measure: Measure,
-    theta: f64,
-    kernel: JoinKernel,
-    filters: FilterSet,
-    policy: EmitPolicy,
+    scratch: &mut ProbeScratch,
     stats: &mut FilterStats,
 ) -> Vec<CandidateRecord> {
     match rule {
-        JoinRule::All => match kernel {
-            JoinKernel::Loop => loop_join(
-                pool, segments, scope, measure, theta, filters, policy, stats,
-            ),
-            JoinKernel::Index => index_join(
-                pool, segments, scope, measure, theta, filters, policy, stats,
-            ),
-            JoinKernel::Prefix => prefix_join(
-                pool, segments, scope, measure, theta, filters, policy, stats,
-            ),
+        JoinRule::All => match join.kernel {
+            JoinKernel::Loop => join.loop_join(segments, stats),
+            JoinKernel::Index => join.index_join(segments, stats),
+            JoinKernel::Prefix => join.prefix_join(segments, scratch, stats),
         },
         JoinRule::Boundary { lo, pivot } => {
             let mut short: Vec<&Segment> = Vec::new();
@@ -151,160 +211,9 @@ pub fn join_fragment(
                 }
                 // Segments below `lo` can never satisfy the boundary rule.
             }
-            bipartite_join(
-                pool, &short, &long, scope, measure, theta, kernel, filters, policy, stats,
-            )
+            join.bipartite_join(&short, &long, scratch, stats)
         }
     }
-}
-
-/// Pair admissibility within a group layout (scope only; the horizontal
-/// rule is enforced structurally by the caller's grouping).
-#[inline]
-fn admissible(a: &Segment, b: &Segment, scope: PairScope) -> bool {
-    match scope {
-        PairScope::SelfJoin => a.rid != b.rid,
-        PairScope::CrossSides => a.side != b.side,
-    }
-}
-
-/// Run the filter pipeline on a pair whose local overlap is already known;
-/// returns the candidate record if it survives.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn finish_pair(
-    a: &Segment,
-    b: &Segment,
-    overlap: usize,
-    measure: Measure,
-    theta: f64,
-    filters: FilterSet,
-    policy: EmitPolicy,
-    stats: &mut FilterStats,
-) -> Option<CandidateRecord> {
-    let bounds = PairBounds::new(measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail);
-    if filters.segi && !segi_pass(&bounds, overlap) {
-        stats.segi_pruned += 1;
-        return None;
-    }
-    if filters.segd && !segd_pass(&bounds, a.seg_len(), b.seg_len(), overlap) {
-        stats.segd_pruned += 1;
-        return None;
-    }
-    if overlap == 0 {
-        // Nothing to contribute to the verification sum.
-        return None;
-    }
-    if policy == EmitPolicy::PositiveBoundOnly && bounds.required_local < 1 {
-        // Paper-magnitude mode: drop contributions no lemma can demand.
-        // NOT exact — see EmitPolicy docs.
-        stats.policy_dropped += 1;
-        return None;
-    }
-    stats.emitted += 1;
-    let (x, y) = if a.rid < b.rid { (a, b) } else { (b, a) };
-    Some(CandidateRecord {
-        rid_a: x.rid,
-        rid_b: y.rid,
-        common: overlap as u32,
-        len_a: x.len,
-        len_b: y.len,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn loop_join(
-    pool: &TokenPool,
-    segments: &[Segment],
-    scope: PairScope,
-    measure: Measure,
-    theta: f64,
-    filters: FilterSet,
-    policy: EmitPolicy,
-    stats: &mut FilterStats,
-) -> Vec<CandidateRecord> {
-    let mut out = Vec::new();
-    for i in 0..segments.len() {
-        let a = &segments[i];
-        for b in &segments[i + 1..] {
-            if !admissible(a, b, scope) {
-                continue;
-            }
-            stats.pairs_considered += 1;
-            if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                stats.strl_pruned += 1;
-                continue;
-            }
-            let bounds =
-                PairBounds::new(measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail);
-            if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segl_pruned += 1;
-                continue;
-            }
-            if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segd_pruned += 1;
-                continue;
-            }
-            stats.count_intersection(a.seg_len(), b.seg_len());
-            let c = intersect_count_adaptive(a.tokens(pool), b.tokens(pool));
-            if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats) {
-                out.push(rec);
-            }
-        }
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn index_join(
-    pool: &TokenPool,
-    segments: &[Segment],
-    scope: PairScope,
-    measure: Measure,
-    theta: f64,
-    filters: FilterSet,
-    policy: EmitPolicy,
-    stats: &mut FilterStats,
-) -> Vec<CandidateRecord> {
-    let mut out = Vec::new();
-    // token -> slots of already-indexed segments containing it.
-    let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-    for (slot, a) in segments.iter().enumerate() {
-        counts.clear();
-        for &t in a.tokens(pool) {
-            if let Some(slots) = index.get(&t) {
-                for &s in slots {
-                    *counts.entry(s).or_insert(0) += 1;
-                }
-            }
-        }
-        for (&slot_b, &c) in &counts {
-            let b = &segments[slot_b as usize];
-            if !admissible(a, b, scope) {
-                continue;
-            }
-            stats.pairs_considered += 1;
-            if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                stats.strl_pruned += 1;
-                continue;
-            }
-            let bounds =
-                PairBounds::new(measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail);
-            if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segl_pruned += 1;
-                continue;
-            }
-            if let Some(rec) = finish_pair(a, b, c as usize, measure, theta, filters, policy, stats)
-            {
-                out.push(rec);
-            }
-        }
-        for &t in a.tokens(pool) {
-            index.entry(t).or_default().push(slot as u32);
-        }
-    }
-    out
 }
 
 /// Minimum local overlap a θ-similar pair must exhibit in this fragment,
@@ -321,222 +230,258 @@ fn local_alpha(measure: Measure, theta: f64, seg: &Segment) -> usize {
 /// Local prefix length of a segment: long enough that θ-similar pairs are
 /// guaranteed to collide (completeness proof in DESIGN.md §4 item 2).
 #[inline]
-fn local_prefix_len(measure: Measure, theta: f64, seg: &Segment) -> usize {
+pub fn local_prefix_len(measure: Measure, theta: f64, seg: &Segment) -> usize {
     let alpha = local_alpha(measure, theta, seg);
     debug_assert!(alpha <= seg.seg_len().max(1));
     seg.seg_len() - alpha.min(seg.seg_len()) + 1
 }
 
-#[allow(clippy::too_many_arguments)]
-fn prefix_join(
-    pool: &TokenPool,
-    segments: &[Segment],
-    scope: PairScope,
-    measure: Measure,
-    theta: f64,
-    filters: FilterSet,
-    policy: EmitPolicy,
-    stats: &mut FilterStats,
-) -> Vec<CandidateRecord> {
-    let mut out = Vec::new();
-    let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
-    for (slot, a) in segments.iter().enumerate() {
-        seen.clear();
-        let a_tokens = a.tokens(pool);
-        let prefix = local_prefix_len(measure, theta, a);
-        for &t in &a_tokens[..prefix] {
-            if let Some(slots) = index.get(&t) {
-                for &s in slots {
-                    seen.entry(s).or_insert(());
-                }
+impl FragmentJoin<'_> {
+    /// Everything that can be decided about a segment pair before a token
+    /// is touched, cheapest first: scope → StrL → record signature → SegL →
+    /// SegD precheck (`precheck`; the Index kernels skip it — they arrive
+    /// with the exact overlap, which the full SegD test uses). Returns the
+    /// pair's bounds when it survives.
+    ///
+    /// StrL and the signature step look at the two *records* only, so
+    /// their verdict on a pair is the same in every fragment and every
+    /// horizontal cell: a pair they drop emits no partial count anywhere,
+    /// which is what keeps count-based verification exact.
+    #[inline]
+    fn admit(
+        &self,
+        a: &Segment,
+        b: &Segment,
+        precheck: bool,
+        stats: &mut FilterStats,
+    ) -> Option<PairBounds> {
+        // The horizontal rule is enforced structurally by the grouping.
+        let admissible = match self.scope {
+            PairScope::SelfJoin => a.rid != b.rid,
+            PairScope::CrossSides => a.side != b.side,
+        };
+        if !admissible {
+            return None;
+        }
+        stats.pairs_considered += 1;
+        if self.filters.strl && !strl_pass(self.measure, self.theta, a.len, b.len) {
+            stats.strl_pruned += 1;
+            return None;
+        }
+        let (len_a, len_b) = (a.len as usize, b.len as usize);
+        let alpha = self.measure.min_overlap(self.theta, len_a, len_b);
+        if self.signatures {
+            let (a_bits, b_bits) = (self.pool.bitmap_of(a.rid), self.pool.bitmap_of(b.rid));
+            let signature = Verifier::signature(alpha, len_a, len_b, a_bits, b_bits);
+            stats.bitmap_checks += u64::from(signature.checked());
+            if signature == Signature::Dissimilar {
+                stats.bitmap_pruned += 1;
+                return None;
             }
         }
-        for &slot_b in seen.keys() {
-            let b = &segments[slot_b as usize];
-            if !admissible(a, b, scope) {
-                continue;
-            }
-            stats.pairs_considered += 1;
-            if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                stats.strl_pruned += 1;
-                continue;
-            }
-            let bounds =
-                PairBounds::new(measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail);
-            if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segl_pruned += 1;
-                continue;
-            }
-            if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segd_pruned += 1;
-                continue;
-            }
-            stats.count_intersection(a.seg_len(), b.seg_len());
-            let c = intersect_count_adaptive(a_tokens, b.tokens(pool));
-            if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats) {
-                out.push(rec);
-            }
+        let bounds = PairBounds::from_alpha(alpha, a.len, a.head, a.tail, b.len, b.head, b.tail);
+        if self.filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
+            stats.segl_pruned += 1;
+            return None;
         }
-        for (pos, &t) in a_tokens.iter().enumerate().take(prefix) {
-            let _ = pos;
-            index.entry(t).or_default().push(slot as u32);
+        if precheck && self.filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
+            stats.segd_pruned += 1;
+            return None;
         }
+        Some(bounds)
     }
-    out
-}
 
-/// Boundary-cell join: only short × long pairs are considered (the groups
-/// structurally satisfy the boundary rule), so discovery work is bounded
-/// by cross-group token incidences.
-#[allow(clippy::too_many_arguments)]
-fn bipartite_join(
-    pool: &TokenPool,
-    short: &[&Segment],
-    long: &[&Segment],
-    scope: PairScope,
-    measure: Measure,
-    theta: f64,
-    kernel: JoinKernel,
-    filters: FilterSet,
-    policy: EmitPolicy,
-    stats: &mut FilterStats,
-) -> Vec<CandidateRecord> {
-    let mut out = Vec::new();
-    if short.is_empty() || long.is_empty() {
-        return out;
+    /// Run the post-intersection filters on an admitted pair whose local
+    /// overlap is known; returns the candidate record if it survives.
+    #[inline]
+    fn finish(
+        &self,
+        a: &Segment,
+        b: &Segment,
+        bounds: &PairBounds,
+        overlap: usize,
+        stats: &mut FilterStats,
+    ) -> Option<CandidateRecord> {
+        if self.filters.segi && !segi_pass(bounds, overlap) {
+            stats.segi_pruned += 1;
+            return None;
+        }
+        if self.filters.segd && !segd_pass(bounds, a.seg_len(), b.seg_len(), overlap) {
+            stats.segd_pruned += 1;
+            return None;
+        }
+        if overlap == 0
+            || (self.policy == EmitPolicy::PositiveBoundOnly && bounds.required_local < 1)
+        {
+            // No common token: nothing to contribute to the verification
+            // sum (Loop only — the other kernels discover by shared
+            // tokens). Paper-magnitude mode also drops contributions no
+            // lemma can demand; NOT exact — see EmitPolicy docs.
+            stats.policy_dropped += 1;
+            return None;
+        }
+        stats.emitted += 1;
+        let (x, y) = if a.rid < b.rid { (a, b) } else { (b, a) };
+        Some(CandidateRecord {
+            rid_a: x.rid,
+            rid_b: y.rid,
+            common: overlap as u32,
+            len_a: x.len,
+            len_b: y.len,
+        })
     }
-    match kernel {
-        JoinKernel::Loop => {
-            for a in short {
+
+    /// Loop and Prefix: admit, intersect exactly, finish.
+    #[inline]
+    fn intersect_pair(
+        &self,
+        a: &Segment,
+        b: &Segment,
+        stats: &mut FilterStats,
+    ) -> Option<CandidateRecord> {
+        let bounds = self.admit(a, b, true, stats)?;
+        stats.count_intersection(a.seg_len(), b.seg_len());
+        let c = intersect_count_adaptive(a.tokens(self.pool), b.tokens(self.pool));
+        self.finish(a, b, &bounds, c, stats)
+    }
+
+    /// Index: the probe already accumulated the exact local overlap.
+    #[inline]
+    fn counted_pair(
+        &self,
+        a: &Segment,
+        b: &Segment,
+        overlap: u32,
+        stats: &mut FilterStats,
+    ) -> Option<CandidateRecord> {
+        let bounds = self.admit(a, b, false, stats)?;
+        self.finish(a, b, &bounds, overlap as usize, stats)
+    }
+
+    fn loop_join(&self, segments: &[Segment], stats: &mut FilterStats) -> Vec<CandidateRecord> {
+        let mut out = Vec::new();
+        for (i, a) in segments.iter().enumerate() {
+            for b in &segments[i + 1..] {
+                out.extend(self.intersect_pair(a, b, stats));
+            }
+        }
+        out
+    }
+
+    fn index_join(&self, segments: &[Segment], stats: &mut FilterStats) -> Vec<CandidateRecord> {
+        let mut out = Vec::new();
+        // token -> slots of already-indexed segments containing it.
+        let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+        let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
+        for (slot, a) in segments.iter().enumerate() {
+            counts.clear();
+            for &t in a.tokens(self.pool) {
+                if let Some(slots) = index.get(&t) {
+                    for &s in slots {
+                        *counts.entry(s).or_insert(0) += 1;
+                    }
+                }
+            }
+            for (&slot_b, &c) in &counts {
+                out.extend(self.counted_pair(a, &segments[slot_b as usize], c, stats));
+            }
+            for &t in a.tokens(self.pool) {
+                index.entry(t).or_default().push(slot as u32);
+            }
+        }
+        out
+    }
+
+    fn prefix_join(
+        &self,
+        segments: &[Segment],
+        scratch: &mut ProbeScratch,
+        stats: &mut FilterStats,
+    ) -> Vec<CandidateRecord> {
+        let mut out = Vec::new();
+        let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+        for (slot, a) in segments.iter().enumerate() {
+            let prefix = &a.tokens(self.pool)[..local_prefix_len(self.measure, self.theta, a)];
+            scratch.probe(prefix, &index, segments.len());
+            for &slot_b in &scratch.hits {
+                out.extend(self.intersect_pair(a, &segments[slot_b as usize], stats));
+            }
+            for &t in prefix {
+                index.entry(t).or_default().push(slot as u32);
+            }
+        }
+        out
+    }
+
+    /// Boundary-cell join: only short × long pairs are considered (the
+    /// groups structurally satisfy the boundary rule), so discovery work is
+    /// bounded by cross-group token incidences.
+    fn bipartite_join(
+        &self,
+        short: &[&Segment],
+        long: &[&Segment],
+        scratch: &mut ProbeScratch,
+        stats: &mut FilterStats,
+    ) -> Vec<CandidateRecord> {
+        let mut out = Vec::new();
+        if short.is_empty() || long.is_empty() {
+            return out;
+        }
+        match self.kernel {
+            JoinKernel::Loop => {
+                for a in short {
+                    for b in long {
+                        out.extend(self.intersect_pair(a, b, stats));
+                    }
+                }
+            }
+            JoinKernel::Index => {
+                // Full inverted index over the (usually narrower) short
+                // group; probe with the long group, accumulating exact
+                // local overlaps.
+                let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+                for (slot, a) in short.iter().enumerate() {
+                    for &t in a.tokens(self.pool) {
+                        index.entry(t).or_default().push(slot as u32);
+                    }
+                }
+                let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
                 for b in long {
-                    if !admissible(a, b, scope) {
-                        continue;
-                    }
-                    stats.pairs_considered += 1;
-                    if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                        stats.strl_pruned += 1;
-                        continue;
-                    }
-                    let bounds = PairBounds::new(
-                        measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail,
-                    );
-                    if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segl_pruned += 1;
-                        continue;
-                    }
-                    if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segd_pruned += 1;
-                        continue;
-                    }
-                    stats.count_intersection(a.seg_len(), b.seg_len());
-                    let c = intersect_count_adaptive(a.tokens(pool), b.tokens(pool));
-                    if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats)
-                    {
-                        out.push(rec);
-                    }
-                }
-            }
-        }
-        JoinKernel::Index => {
-            // Full inverted index over the (usually narrower) short group;
-            // probe with the long group, accumulating exact local overlaps.
-            let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-            for (slot, a) in short.iter().enumerate() {
-                for &t in a.tokens(pool) {
-                    index.entry(t).or_default().push(slot as u32);
-                }
-            }
-            let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-            for b in long {
-                counts.clear();
-                for &t in b.tokens(pool) {
-                    if let Some(slots) = index.get(&t) {
-                        for &s in slots {
-                            *counts.entry(s).or_insert(0) += 1;
+                    counts.clear();
+                    for &t in b.tokens(self.pool) {
+                        if let Some(slots) = index.get(&t) {
+                            for &s in slots {
+                                *counts.entry(s).or_insert(0) += 1;
+                            }
                         }
                     }
+                    for (&slot_a, &c) in &counts {
+                        out.extend(self.counted_pair(short[slot_a as usize], b, c, stats));
+                    }
                 }
-                for (&slot_a, &c) in &counts {
-                    let a = short[slot_a as usize];
-                    if !admissible(a, b, scope) {
-                        continue;
+            }
+            JoinKernel::Prefix => {
+                // Index the short group's local prefixes, probe with the
+                // long group's local prefixes; completeness argument as in
+                // `prefix_join` (it is pairwise, not scan-order-dependent).
+                let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+                for (slot, a) in short.iter().enumerate() {
+                    let prefix = local_prefix_len(self.measure, self.theta, a);
+                    for &t in &a.tokens(self.pool)[..prefix] {
+                        index.entry(t).or_default().push(slot as u32);
                     }
-                    stats.pairs_considered += 1;
-                    if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                        stats.strl_pruned += 1;
-                        continue;
-                    }
-                    let bounds = PairBounds::new(
-                        measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail,
-                    );
-                    if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segl_pruned += 1;
-                        continue;
-                    }
-                    if let Some(rec) =
-                        finish_pair(a, b, c as usize, measure, theta, filters, policy, stats)
-                    {
-                        out.push(rec);
+                }
+                for b in long {
+                    let prefix = local_prefix_len(self.measure, self.theta, b);
+                    scratch.probe(&b.tokens(self.pool)[..prefix], &index, short.len());
+                    for &slot_a in &scratch.hits {
+                        out.extend(self.intersect_pair(short[slot_a as usize], b, stats));
                     }
                 }
             }
         }
-        JoinKernel::Prefix => {
-            // Index the short group's local prefixes, probe with the long
-            // group's local prefixes; completeness argument as in
-            // `prefix_join` (it is pairwise, not scan-order-dependent).
-            let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-            for (slot, a) in short.iter().enumerate() {
-                let prefix = local_prefix_len(measure, theta, a);
-                for &t in &a.tokens(pool)[..prefix] {
-                    index.entry(t).or_default().push(slot as u32);
-                }
-            }
-            let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
-            for b in long {
-                seen.clear();
-                let b_tokens = b.tokens(pool);
-                let prefix = local_prefix_len(measure, theta, b);
-                for &t in &b_tokens[..prefix] {
-                    if let Some(slots) = index.get(&t) {
-                        for &s in slots {
-                            seen.entry(s).or_insert(());
-                        }
-                    }
-                }
-                for &slot_a in seen.keys() {
-                    let a = short[slot_a as usize];
-                    if !admissible(a, b, scope) {
-                        continue;
-                    }
-                    stats.pairs_considered += 1;
-                    if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                        stats.strl_pruned += 1;
-                        continue;
-                    }
-                    let bounds = PairBounds::new(
-                        measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail,
-                    );
-                    if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segl_pruned += 1;
-                        continue;
-                    }
-                    if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segd_pruned += 1;
-                        continue;
-                    }
-                    stats.count_intersection(a.seg_len(), b.seg_len());
-                    let c = intersect_count_adaptive(a.tokens(pool), b_tokens);
-                    if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats)
-                    {
-                        out.push(rec);
-                    }
-                }
-            }
-        }
+        out
     }
-    out
 }
 
 #[cfg(test)]
@@ -565,6 +510,45 @@ mod tests {
         }
     }
 
+    /// Hand-built segments are pool records of their own, so the pool's
+    /// bitmaps are not their records' signatures: `signatures` stays off
+    /// except where a test cuts its segments from whole pool records.
+    fn join<'a>(
+        pool: &'a TokenPool,
+        scope: PairScope,
+        theta: f64,
+        kernel: JoinKernel,
+        filters: FilterSet,
+    ) -> FragmentJoin<'a> {
+        FragmentJoin {
+            pool,
+            scope,
+            measure: Measure::Jaccard,
+            theta,
+            kernel,
+            filters,
+            policy: EmitPolicy::Exact,
+            signatures: false,
+        }
+    }
+
+    fn run_join(
+        join: &FragmentJoin<'_>,
+        segments: &[Segment],
+        rule: JoinRule,
+    ) -> (Vec<CandidateRecord>, FilterStats) {
+        let mut stats = FilterStats::default();
+        let mut out = join_fragment(
+            join,
+            segments,
+            rule,
+            &mut ProbeScratch::default(),
+            &mut stats,
+        );
+        out.sort_unstable();
+        (out, stats)
+    }
+
     fn run(
         pool: &TokenPool,
         segments: &[Segment],
@@ -572,21 +556,8 @@ mod tests {
         theta: f64,
         filters: FilterSet,
     ) -> (Vec<CandidateRecord>, FilterStats) {
-        let mut stats = FilterStats::default();
-        let mut out = join_fragment(
-            pool,
-            segments,
-            JoinRule::All,
-            PairScope::SelfJoin,
-            Measure::Jaccard,
-            theta,
-            kernel,
-            filters,
-            EmitPolicy::Exact,
-            &mut stats,
-        );
-        out.sort_unstable();
-        (out, stats)
+        let join = join(pool, PairScope::SelfJoin, theta, kernel, filters);
+        run_join(&join, segments, JoinRule::All)
     }
 
     #[test]
@@ -673,20 +644,14 @@ mod tests {
                 ..seg(&mut pool, 11, 3, 0, &[1, 2, 3])
             },
         ];
-        let mut stats = FilterStats::default();
-        let mut out = join_fragment(
+        let join = join(
             &pool,
-            &segs,
-            JoinRule::All,
             PairScope::CrossSides,
-            Measure::Jaccard,
             0.9,
             JoinKernel::Loop,
             FilterSet::ALL,
-            EmitPolicy::Exact,
-            &mut stats,
         );
-        out.sort_unstable();
+        let (out, _) = run_join(&join, &segs, JoinRule::All);
         assert_eq!(
             out,
             vec![cand(0, 10, 3, 3, 3), cand(0, 11, 3, 3, 3)],
@@ -703,20 +668,14 @@ mod tests {
             seg(&mut pool, 2, 12, 0, &[1, 2, 3]),
         ];
         let rule = JoinRule::Boundary { lo: 0, pivot: 10 };
-        let mut stats = FilterStats::default();
-        let mut out = join_fragment(
+        let join = join(
             &pool,
-            &segs,
-            rule,
             PairScope::SelfJoin,
-            Measure::Jaccard,
             0.5,
             JoinKernel::Loop,
             FilterSet::NONE,
-            EmitPolicy::Exact,
-            &mut stats,
         );
-        out.sort_unstable();
+        let (out, _) = run_join(&join, &segs, rule);
         // Only (0,2) and (1,2) straddle the pivot.
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].key(), (0, 2));

@@ -20,18 +20,25 @@ pub const FILTER_SEGL_PRUNED: &str = "fsjoin.filter.segl_pruned";
 pub const FILTER_SEGI_PRUNED: &str = "fsjoin.filter.segi_pruned";
 /// Pairs pruned by the segment-difference filter, Lemma 4 (counter).
 pub const FILTER_SEGD_PRUNED: &str = "fsjoin.filter.segd_pruned";
-/// Surviving pair-fragments dropped by
-/// [`EmitPolicy::PositiveBoundOnly`](crate::EmitPolicy) (counter).
+/// Surviving pair-fragments the emit policy did not emit (counter): no
+/// common token (Loop kernel only), or no lemma demands them under
+/// [`EmitPolicy::PositiveBoundOnly`](crate::EmitPolicy).
 pub const FILTER_POLICY_DROPPED: &str = "fsjoin.filter.policy_dropped";
 /// Candidate records emitted by the filter stage (counter).
+///
+/// **Conservation law** of the fragment join (asserted in
+/// `tests/metrics_invariants.rs` and on the `determinism` report by
+/// `scripts/ci.sh`): every considered pair ends in exactly one outcome,
+/// `pairs_considered = strl_pruned + bitmap_pruned + segl_pruned +
+/// segi_pruned + segd_pruned + policy_dropped + emitted`, with
+/// `bitmap_pruned ≤ bitmap_checks` and `emitted` = the run's candidates.
 pub const FILTER_EMITTED: &str = "fsjoin.filter.emitted";
 
 /// Exact intersection-kernel calls (counter): every segment intersection
 /// of a fragment kernel, and every whole-record verify that reaches the
-/// early-exit kernel — one per call, however early it exits. At the
-/// whole-record sites (DESIGN.md §12) a pair whose bitmap upper bound
-/// settles the verdict never reaches the kernel and is tallied under
-/// `bitmap_pruned` instead. The Index kernel accumulates overlaps while
+/// early-exit kernel — one per call, however early it exits. A pair whose
+/// bitmap upper bound settles the verdict (DESIGN.md §12) never reaches
+/// the kernel and is tallied under `bitmap_pruned` instead. The Index kernel accumulates overlaps while
 /// probing and never runs an exact intersection, so it legitimately
 /// reports 0.
 pub const KERNEL_INTERSECTIONS: &str = "fsjoin.kernel.intersections";
@@ -39,12 +46,15 @@ pub const KERNEL_INTERSECTIONS: &str = "fsjoin.kernel.intersections";
 /// lengths per call, not the steps an early exit actually took (counter;
 /// the quantity the bitmap prune exists to shrink).
 pub const KERNEL_INTERSECT_TOKENS: &str = "fsjoin.kernel.intersect_tokens";
-/// Pairs whose record bitmaps were consulted before whole-record
-/// verification (counter; the bitmap prune stage's denominator — fragment
-/// kernels never consult bitmaps).
+/// Pairs whose record bitmaps were read (counter; the bitmap prune's
+/// denominator): before whole-record verification, and at the fragment
+/// join's record-signature step — there once per fragment the pair is
+/// considered in, after StrL.
 pub const KERNEL_BITMAP_CHECKS: &str = "fsjoin.kernel.bitmap_checks";
 /// Pairs settled by the bitmap upper bound alone — no exact intersection
-/// ran (counter; always ≤ `bitmap_checks`, lossless by construction).
+/// ran (counter; always ≤ `bitmap_checks`, lossless by construction). At
+/// the fragment join: segment pairs dropped because the bound on their two
+/// *records* is below the pair's global α.
 pub const KERNEL_BITMAP_PRUNED: &str = "fsjoin.kernel.bitmap_pruned";
 
 /// Per-cell pair-comparison load of the fragment join (histogram).

@@ -15,7 +15,9 @@
 //!    without duplicating any token — to one reduce task, which joins the
 //!    fragment's segments with a pluggable kernel ([`fragment`]:
 //!    loop / index / prefix) under four pruning filters ([`filters`]:
-//!    StrL / SegL / SegI / SegD). Optional *horizontal* (length-based)
+//!    StrL / SegL / SegI / SegD) and, right after StrL, the pool's
+//!    per-record bitmap signatures, which drop pairs whose records cannot
+//!    reach θ in every fragment at once. Optional *horizontal* (length-based)
 //!    partitioning ([`horizontal`]) further splits fragments into sections.
 //! 3. **Verification** — per-fragment common-token counts are aggregated by
 //!    record pair and the exact similarity is computed from counts alone

@@ -61,72 +61,143 @@ fn corpus_is_the_one_the_goldens_were_captured_on() {
     assert_eq!(c.total_tokens(), 15929);
 }
 
+/// One run's pinned counters: the record-signature step and everything
+/// downstream of it. Pairs considered, StrL prunes and the filter job's
+/// shuffle sit upstream of the step and are pinned once per config.
+struct Golden {
+    candidates: usize,
+    bitmap_checks: u64,
+    bitmap_pruned: u64,
+    segl_pruned: u64,
+    segi_pruned: u64,
+    /// fsjoin-verify: shuffle records, shuffle bytes, map input bytes.
+    verify_job: (usize, usize, usize),
+}
+
+/// The owned-vector goldens were captured before the fragment join had a
+/// record-signature step, so they are pinned with the step off
+/// (`bitmap_prune(false)`): nothing but that step may have moved them.
+/// With it on, the same pairs come out of far fewer candidates.
+fn assert_goldens(
+    cfg: FsJoinConfig,
+    (pairs, digest): (usize, u64),
+    (pairs_considered, strl_pruned): (u64, u64),
+    filter_job: (usize, usize, usize),
+    signature_off: Golden,
+    signature_on: Golden,
+) {
+    for (prune, want) in [(false, signature_off), (true, signature_on)] {
+        let res = run_self_join(&corpus(), &cfg.clone().with_bitmap_prune(prune));
+        assert_eq!(res.pairs.len(), pairs, "prune={prune}");
+        assert_eq!(digest_pairs(&res.pairs), digest, "prune={prune}");
+        assert_eq!(res.candidates, want.candidates, "prune={prune}");
+
+        let fs = &res.filter_stats;
+        assert_eq!(fs.pairs_considered, pairs_considered, "prune={prune}");
+        assert_eq!(fs.strl_pruned, strl_pruned, "prune={prune}");
+        assert_eq!(fs.bitmap_checks, want.bitmap_checks, "prune={prune}");
+        assert_eq!(fs.bitmap_pruned, want.bitmap_pruned, "prune={prune}");
+        assert_eq!(fs.segl_pruned, want.segl_pruned, "prune={prune}");
+        assert_eq!(fs.segi_pruned, want.segi_pruned, "prune={prune}");
+        assert_eq!(fs.segd_pruned, 0, "prune={prune}");
+        assert_eq!(fs.policy_dropped, 0, "prune={prune}");
+        assert_eq!(fs.emitted, want.candidates as u64, "prune={prune}");
+        assert_eq!(fs.unaccounted(), 0, "prune={prune}");
+
+        let (records, bytes, map_input) = filter_job;
+        assert_job(
+            res.chain.job("fsjoin-filter").unwrap(),
+            records,
+            bytes,
+            map_input,
+        );
+        let (records, bytes, map_input) = want.verify_job;
+        assert_job(
+            res.chain.job("fsjoin-verify").unwrap(),
+            records,
+            bytes,
+            map_input,
+        );
+    }
+}
+
 #[test]
 fn default_config_matches_owned_vec_goldens() {
-    let res = run_self_join(&corpus(), &FsJoinConfig::default().with_theta(0.8));
-    assert_eq!(res.pairs.len(), 13);
-    assert_eq!(digest_pairs(&res.pairs), 0x947e907426c9f3c7);
-    assert_eq!(res.candidates, 20814);
-
-    let fs = &res.filter_stats;
-    assert_eq!(fs.pairs_considered, 53720);
-    assert_eq!(fs.strl_pruned, 21944);
-    assert_eq!(fs.segl_pruned, 5005);
-    assert_eq!(fs.segi_pruned, 5957);
-    assert_eq!(fs.segd_pruned, 0);
-    assert_eq!(fs.policy_dropped, 0);
-    assert_eq!(fs.emitted, 20814);
-
-    assert_job(res.chain.job("fsjoin-filter").unwrap(), 7324, 304728, 67616);
-    assert_job(
-        res.chain.job("fsjoin-verify").unwrap(),
-        20808,
-        416160,
-        416280,
+    assert_goldens(
+        FsJoinConfig::default().with_theta(0.8),
+        (13, 0x947e907426c9f3c7),
+        (53720, 21944),
+        (7324, 304728, 67616),
+        Golden {
+            candidates: 20814,
+            bitmap_checks: 0,
+            bitmap_pruned: 0,
+            segl_pruned: 5005,
+            segi_pruned: 5957,
+            verify_job: (20808, 416160, 416280),
+        },
+        Golden {
+            candidates: 200,
+            bitmap_checks: 31776,
+            bitmap_pruned: 31566,
+            segl_pruned: 1,
+            segi_pruned: 9,
+            verify_job: (198, 3960, 4000),
+        },
     );
 }
 
 #[test]
 fn fragmented_horizontal_config_matches_owned_vec_goldens() {
-    let cfg = FsJoinConfig::default()
-        .with_theta(0.7)
-        .with_fragments(8)
-        .with_horizontal(3);
-    let res = run_self_join(&corpus(), &cfg);
-    assert_eq!(res.pairs.len(), 20);
-    assert_eq!(digest_pairs(&res.pairs), 0xec25473913792d83);
-    assert_eq!(res.candidates, 18137);
-
-    let fs = &res.filter_stats;
-    assert_eq!(fs.pairs_considered, 50464);
-    assert_eq!(fs.strl_pruned, 19098);
-    assert_eq!(fs.segl_pruned, 2720);
-    assert_eq!(fs.segi_pruned, 10509);
-    assert_eq!(fs.emitted, 18137);
-
-    assert_job(res.chain.job("fsjoin-filter").unwrap(), 4359, 244439, 67616);
-    assert_job(
-        res.chain.job("fsjoin-verify").unwrap(),
-        18137,
-        362740,
-        362740,
+    assert_goldens(
+        FsJoinConfig::default()
+            .with_theta(0.7)
+            .with_fragments(8)
+            .with_horizontal(3),
+        (20, 0xec25473913792d83),
+        (50464, 19098),
+        (4359, 244439, 67616),
+        Golden {
+            candidates: 18137,
+            bitmap_checks: 0,
+            bitmap_pruned: 0,
+            segl_pruned: 2720,
+            segi_pruned: 10509,
+            verify_job: (18137, 362740, 362740),
+        },
+        Golden {
+            candidates: 459,
+            bitmap_checks: 31366,
+            bitmap_pruned: 30746,
+            segl_pruned: 12,
+            segi_pruned: 149,
+            verify_job: (459, 9180, 9180),
+        },
     );
 }
 
+/// PF discovers by global prefix and verifies whole records: the bitmap
+/// prune settles verdicts there, never candidates, so its goldens hold
+/// with the prune on and off.
 #[test]
 fn pf_variant_matches_owned_vec_goldens() {
-    let res = run_self_join_pf(&corpus(), &FsJoinConfig::default().with_theta(0.8));
-    assert_eq!(res.pairs.len(), 13);
-    assert_eq!(digest_pairs(&res.pairs), 0x947e907426c9f3c7);
-    assert_eq!(res.candidates, 45);
-    assert_job(
-        res.chain.job("fsjoin-pf-discover").unwrap(),
-        7324,
-        304728,
-        67616,
-    );
-    assert_job(res.chain.job("fsjoin-pf-dedup").unwrap(), 45, 720, 720);
-    assert_job(res.chain.job("fsjoin-pf-verify").unwrap(), 13, 208, 368);
+    for prune in [false, true] {
+        let cfg = FsJoinConfig::default()
+            .with_theta(0.8)
+            .with_bitmap_prune(prune);
+        let res = run_self_join_pf(&corpus(), &cfg);
+        assert_eq!(res.pairs.len(), 13);
+        assert_eq!(digest_pairs(&res.pairs), 0x947e907426c9f3c7);
+        assert_eq!(res.candidates, 45);
+        assert_job(
+            res.chain.job("fsjoin-pf-discover").unwrap(),
+            7324,
+            304728,
+            67616,
+        );
+        assert_job(res.chain.job("fsjoin-pf-dedup").unwrap(), 45, 720, 720);
+        assert_job(res.chain.job("fsjoin-pf-verify").unwrap(), 13, 208, 368);
+    }
 }
 
 /// The byte-accounting invariant in isolation: a spanned segment's logical

@@ -260,3 +260,159 @@ fn long_records_rs_join_two_input_matches_oracle_on_both_paths() {
         }
     }
 }
+
+/// A corpus built to sit on the record-signature step's edges for one
+/// `(measure, θ)`: partner pairs whose overlap is planted at α−1, α and
+/// α+1 over short, medium and ≥ 600-token lengths (at 128 bits the longest
+/// saturate the bitmaps, so the guard must skip the read), plus a
+/// duplicate-heavy head — many short records drawn from a dozen hot tokens,
+/// exact duplicates included. Partners sit at docs `2k` and `2k + 1`.
+fn signature_edge_corpus(measure: Measure, theta: f64) -> Vec<Vec<u64>> {
+    let mut docs = Vec::new();
+    let mut next_token = 1_000u64;
+    let mut fresh = |n: usize| {
+        let run: Vec<u64> = (next_token..next_token + n as u64).collect();
+        next_token += n as u64;
+        run
+    };
+    for (len_a, len_b) in [(12, 12), (30, 36), (64, 64), (130, 150), (620, 640)] {
+        let alpha = measure.min_overlap(theta, len_a, len_b);
+        for overlap in [alpha.saturating_sub(1), alpha, alpha + 1] {
+            let overlap = overlap.min(len_a);
+            let shared = fresh(overlap);
+            for len in [len_a, len_b] {
+                let mut doc = shared.clone();
+                doc.extend(fresh(len - overlap));
+                docs.push(doc);
+            }
+        }
+    }
+    // The head: record k holds hot token j iff bit j of a fixed mix of k is
+    // set; k and k + 20 are exact duplicates.
+    for k in 0..40u64 {
+        let mix = (k % 20 + 3).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+        let doc: Vec<u64> = (0..12).filter(|j| mix >> j & 1 == 1).collect();
+        docs.push(if doc.is_empty() { vec![0] } else { doc });
+    }
+    docs
+}
+
+/// The fragment path — self-join and R×S over the concatenated pool
+/// (`CrossSides`) — equals the naive oracle bit for bit with the
+/// record-signature step on and off, under every kernel.
+#[test]
+fn signature_step_is_exact_at_its_edges() {
+    let corpus = |docs| RawCorpus { docs, vocab: None };
+    for measure in Measure::all() {
+        for theta in [0.5, 0.75, 0.8, 0.9, 1.0] {
+            let docs = signature_edge_corpus(measure, theta);
+            let whole = encode(&corpus(docs.clone()));
+            let want_self = naive_self_join(&whole.views(), measure, theta);
+            assert!(!want_self.is_empty(), "{measure:?} θ={theta}: no pairs");
+
+            // Partners land on opposite sides.
+            let (r_docs, s_docs): (Vec<_>, Vec<_>) = docs
+                .chunks(2)
+                .map(|pair| (pair[0].clone(), pair[1].clone()))
+                .unzip();
+            let (r, s) = encode_two(&corpus(r_docs), &corpus(s_docs));
+            let offset = r.len() as u32;
+            let s_shifted: Vec<Record> = s
+                .iter()
+                .map(|v| Record::from_sorted(v.id + offset, v.tokens.to_vec()))
+                .collect();
+            let want_rs = naive_rs_join(&r.views(), &s_shifted, measure, theta);
+            assert!(!want_rs.is_empty(), "{measure:?} θ={theta}: no R×S pairs");
+
+            for kernel in JoinKernel::all() {
+                for prune in [true, false] {
+                    let cfg = FsJoinConfig::default()
+                        .with_measure(measure)
+                        .with_theta(theta)
+                        .with_kernel(kernel)
+                        .with_bitmap_prune(prune)
+                        .with_workers(1);
+                    let label = format!("{measure:?} θ={theta} {kernel:?} prune={prune}");
+                    let got = fsjoin::run_self_join(&whole, &cfg);
+                    compare_results(&got.pairs, &want_self, 0.0)
+                        .unwrap_or_else(|e| panic!("self {label}: {e}"));
+                    let fs = got.filter_stats;
+                    assert_eq!(fs.bitmap_checks > 0, prune, "self {label}");
+                    if prune && theta == 0.5 {
+                        // The 620/640-token partners pass StrL but saturate
+                        // 128 bits: admitted without a bitmap read.
+                        let past_strl = fs.pairs_considered - fs.strl_pruned;
+                        assert!(fs.bitmap_checks < past_strl, "self {label}: {fs:?}");
+                    }
+                    let got = fsjoin::run_rs_join(&r, &s, &cfg);
+                    compare_results(&got.pairs, &want_rs, 0.0)
+                        .unwrap_or_else(|e| panic!("rs {label}: {e}"));
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// StrL and the signature step judge the two *records*, so a pair they
+    /// drop is dropped in every fragment: under record-level filters alone
+    /// the partial counts a pair emits either sum to its exact overlap or
+    /// the pair emits nothing at all — and then it is not θ-similar.
+    #[test]
+    fn signature_step_drops_a_pair_in_every_fragment_or_none(
+        c in arb_collection(),
+        theta in prop::sample::select(vec![0.5, 0.75, 0.9]),
+        kernel in prop::sample::select(vec![JoinKernel::Loop, JoinKernel::Index]),
+        filters in prop::sample::select(vec![FilterSet::NONE, FilterSet::STRL_ONLY]),
+        fragments in prop::sample::select(vec![2usize, 5, 16]),
+    ) {
+        use fsjoin::fragment::{join_fragment, FragmentJoin, PairScope, ProbeScratch};
+        use ssj_similarity::intersect::intersect_count_merge;
+        use std::collections::BTreeMap;
+
+        let measure = Measure::Jaccard;
+        let pivots =
+            fsjoin::pivots::select_pivots(&c.token_freqs, fragments - 1, PivotStrategy::EvenTf, 42);
+        let mut cells: BTreeMap<usize, Vec<fsjoin::Segment>> = BTreeMap::new();
+        for v in c.iter() {
+            for (k, seg) in fsjoin::vertical::split_record(v.id, 0, v.tokens, c.span(v.id), &pivots) {
+                cells.entry(k).or_default().push(seg);
+            }
+        }
+        let join = FragmentJoin {
+            pool: c.pool(),
+            scope: PairScope::SelfJoin,
+            measure,
+            theta,
+            kernel,
+            filters,
+            policy: fsjoin::EmitPolicy::Exact,
+            signatures: true,
+        };
+        let mut scratch = ProbeScratch::default();
+        let mut stats = fsjoin::FilterStats::default();
+        let mut sums: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+        for segments in cells.values() {
+            let rule = fsjoin::horizontal::JoinRule::All;
+            for rec in join_fragment(&join, segments, rule, &mut scratch, &mut stats) {
+                *sums.entry(rec.key()).or_default() += rec.common as usize;
+            }
+        }
+        prop_assert_eq!(stats.unaccounted(), 0);
+        for a in 0..c.len() as u32 {
+            for b in a + 1..c.len() as u32 {
+                let (ta, tb) = (c.tokens(a), c.tokens(b));
+                let overlap = intersect_count_merge(ta, tb);
+                match sums.get(&(a, b)) {
+                    Some(&sum) => prop_assert!(sum == overlap, "pair ({}, {}): {} != {}", a, b, sum, overlap),
+                    None => prop_assert!(
+                        overlap == 0 || !measure.passes(overlap, ta.len(), tb.len(), theta),
+                        "similar pair ({}, {}) emitted nothing", a, b
+                    ),
+                }
+            }
+        }
+    }
+}

@@ -13,7 +13,8 @@
 //!   verification (DESIGN.md §12);
 //! * [`verify`] — the one threshold-aware whole-record verification
 //!   cascade (α → bitmap bound → early-exit intersection → score) every
-//!   verify site calls;
+//!   verify site calls; its first half (α → bitmap bound) is also the
+//!   record-signature filter of FS-Join's fragment join;
 //! * [`index`] — a positional inverted index over record prefixes;
 //! * [`naive`] — the brute-force oracle every other algorithm is tested
 //!   against;
@@ -35,4 +36,4 @@ pub mod verify;
 
 pub use measure::Measure;
 pub use pair::SimilarPair;
-pub use verify::{Verdict, Verifier};
+pub use verify::{Signature, Verdict, Verifier};

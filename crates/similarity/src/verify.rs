@@ -19,9 +19,10 @@
 //!
 //! The [`Verdict`] reports which steps ran, so callers keep their
 //! counters (bitmap checks, bitmap prunes, intersections) without
-//! re-deriving the cascade. Fragment kernels do not come through here:
-//! they need exact *local* counts to sum, not a threshold verdict
-//! (DESIGN.md §12).
+//! re-deriving the cascade. The fragment kernels run only the first half
+//! ([`Verifier::signature`], steps 1–3) on the two *records* a segment
+//! pair belongs to: a pair that survives still needs its exact *local*
+//! count for the verification sum, not a threshold verdict (DESIGN.md §12).
 
 use crate::bitmap::overlap_upper_bound;
 use crate::intersect::intersect_count_at_least;
@@ -49,7 +50,56 @@ pub struct Verdict {
     pub similar: Option<(usize, f64)>,
 }
 
+/// What the record-signature half of the cascade ([`Verifier::signature`])
+/// found for one pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Signature {
+    /// The saturation guard held the bitmaps back: even the bound's floor
+    /// reaches α, so reading them could not prune.
+    Saturated,
+    /// The bitmaps were read and the bound reaches α: the pair may still
+    /// be similar.
+    Open,
+    /// The bitmaps were read and the bound is below α: the pair cannot
+    /// reach θ, whatever its tokens are.
+    Dissimilar,
+}
+
+impl Signature {
+    /// The bitmaps were read (the saturation guard let them through).
+    #[inline]
+    pub fn checked(self) -> bool {
+        self != Signature::Saturated
+    }
+}
+
 impl Verifier {
+    /// First half of the cascade (steps 2–3): the saturation guard, then
+    /// the bitmap bound against `alpha`, which must be
+    /// `measure.min_overlap(θ, len_a, len_b)` — a parameter so that a
+    /// caller that needs α for its own bounds computes it once. The answer
+    /// depends on the two records only, never on where the pair was
+    /// discovered: a site that sees a pair several times (one fragment
+    /// each) gets the same answer every time, so dropping
+    /// [`Signature::Dissimilar`] pairs there is all-or-nothing per pair.
+    #[inline]
+    pub fn signature(
+        alpha: usize,
+        len_a: usize,
+        len_b: usize,
+        a_bits: &[u64],
+        b_bits: &[u64],
+    ) -> Signature {
+        let floor_ub = (len_a + len_b).saturating_sub(a_bits.len() * 64) / 2;
+        if floor_ub >= alpha {
+            Signature::Saturated
+        } else if overlap_upper_bound(a_bits, b_bits, len_a, len_b) < alpha {
+            Signature::Dissimilar
+        } else {
+            Signature::Open
+        }
+    }
+
     /// Decide whether sorted token sets `a` and `b` reach θ. `bits` holds
     /// the two records' hashed bitmaps (same width, e.g.
     /// `TokenPool::bitmap_of`) or `None` to skip the bitmap steps; the
@@ -58,26 +108,23 @@ impl Verifier {
     pub fn verify(&self, a: &[u32], b: &[u32], bits: Option<(&[u64], &[u64])>) -> Verdict {
         let (la, lb) = (a.len(), b.len());
         let alpha = self.measure.min_overlap(self.theta, la, lb);
-        let mut bitmap_checked = false;
-        if let Some((a_bits, b_bits)) = bits {
-            let floor_ub = (la + lb).saturating_sub(a_bits.len() * 64) / 2;
-            if floor_ub < alpha {
-                bitmap_checked = true;
-                if overlap_upper_bound(a_bits, b_bits, la, lb) < alpha {
-                    // passes(c, …) with c ≤ bound < α must be false.
-                    return Verdict {
-                        bitmap_checked,
-                        intersected: false,
-                        similar: None,
-                    };
-                }
-            }
+        // Without bitmaps nothing is read, exactly as when they saturate.
+        let signature = bits.map_or(Signature::Saturated, |(a_bits, b_bits)| {
+            Verifier::signature(alpha, la, lb, a_bits, b_bits)
+        });
+        if signature == Signature::Dissimilar {
+            // passes(c, …) with c ≤ bound < α must be false.
+            return Verdict {
+                bitmap_checked: true,
+                intersected: false,
+                similar: None,
+            };
         }
         let similar = intersect_count_at_least(a, b, alpha)
             .filter(|&c| self.measure.passes(c, la, lb, self.theta))
             .map(|c| (c, self.measure.score(c, la, lb)));
         Verdict {
-            bitmap_checked,
+            bitmap_checked: signature.checked(),
             intersected: true,
             similar,
         }
@@ -123,6 +170,15 @@ mod tests {
                     prop_assert!(got.intersected || got.bitmap_checked);
                 }
                 prop_assert!(!off.bitmap_checked && off.intersected);
+                // `verify` is its first half plus the kernel, and the
+                // first half alone never rejects a pair that reaches α.
+                let alpha = m.min_overlap(theta, a.len(), b.len());
+                let sig = Verifier::signature(alpha, a.len(), b.len(), bits.0, bits.1);
+                prop_assert_eq!(on.bitmap_checked, sig.checked());
+                prop_assert_eq!(on.intersected, sig != Signature::Dissimilar);
+                if sig == Signature::Dissimilar {
+                    prop_assert!(intersect_count_merge(a, b) < alpha);
+                }
             }
         }
         Ok(())

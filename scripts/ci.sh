@@ -78,7 +78,8 @@ echo "== smoke: shuffle determinism gate (workers 2 vs 7) =="
 # merges spill runs in deterministic map-task order no matter which
 # thread transposed them. Run the fig6-style probe with two different
 # worker counts and require byte-identical reports (result digest,
-# candidate counts, filter counters, per-job shuffle records/bytes).
+# candidate counts, every filter and kernel counter, per-job shuffle
+# records/bytes).
 det_a="$(cargo run --release -p ssj-bench --bin determinism -- 2 2>/dev/null)"
 det_b="$(cargo run --release -p ssj-bench --bin determinism -- 7 2>/dev/null)"
 if [[ "$det_a" != "$det_b" ]]; then
@@ -155,28 +156,56 @@ fi
 echo "  cogroup and rekey join paths agree at workers 2 and 7 (cogroup join: zero shuffle)"
 
 echo "== smoke: kernel equivalence gate (bitmap prune on vs off) =="
-# The whole-record verify cascade consults hashed token bitmaps before
-# the exact kernel; the XOR-Hamming bound is a true upper bound on
-# overlap, so the prune is lossless by construction (the fragment kernels
-# of the self-join never consult bitmaps, so its report cannot move
-# either). Enforce it end to end: the
-# determinism report (digest, candidates, filter counters, per-job
-# shuffle accounting) must be byte-identical with the prune disabled,
-# on both the self-join and the two-input R×S plan. det_a / rs_pipe2
-# above are the prune-on reports; reuse them.
+# The XOR-Hamming bound over the pool's hashed record bitmaps is a true
+# upper bound on overlap, so pruning on it is lossless by construction:
+# pairs and score bits (the result digest) must not move with the prune
+# disabled. What else may move depends on the site. The two-input R×S
+# plan consults the bitmaps in front of whole-record verification, where
+# a pruned pair was a candidate either way: everything but the kernel
+# counters on the filters: line must be byte-identical. The self-join
+# consults them in the fragment join, right after StrL, where a pruned
+# pair never becomes a candidate: candidates (and with them the verify
+# job's shuffle) must be strictly fewer with the prune on. det_a /
+# rs_pipe2 above are the prune-on reports; reuse them.
+pairs_digest() { sed -n 's/^result: \(pairs=[0-9]* digest=0x[0-9a-f]*\) .*/\1/p' <<<"$1"; }
+candidates() { sed -n 's/^result: .* candidates=\([0-9]*\)$/\1/p' <<<"$1"; }
+# The fragment join's conservation law (crates/core/src/keys.rs) on a
+# report's filters: line.
+conserved() {
+    awk '/^filters:/ {
+        for (i = 2; i <= NF; i++) { split($i, kv, "="); v[kv[1]] = kv[2] }
+        settled = v["strl_pruned"] + v["bitmap_pruned"] + v["segl_pruned"] + v["segi_pruned"] \
+            + v["segd_pruned"] + v["policy_dropped"] + v["emitted"]
+        ok = (v["pairs_considered"] > 0 && v["pairs_considered"] == settled \
+            && v["bitmap_pruned"] <= v["bitmap_checks"])
+    } END { exit !ok }' <<<"$1"
+}
 noprune_self="$(cargo run --release -p ssj-bench --bin determinism -- 2 pipelined selfjoin noprune 2>/dev/null)"
-if [[ "$det_a" != "$noprune_self" ]]; then
-    echo "kernel equivalence gate FAILED: bitmap prune changed the selfjoin report" >&2
+if [[ -z "$(pairs_digest "$det_a")" || "$(pairs_digest "$det_a")" != "$(pairs_digest "$noprune_self")" ]]; then
+    echo "kernel equivalence gate FAILED: bitmap prune changed the selfjoin result" >&2
     diff <(printf '%s\n' "$det_a") <(printf '%s\n' "$noprune_self") >&2 || true
     exit 1
 fi
+if (( $(candidates "$det_a") >= $(candidates "$noprune_self") )); then
+    echo "kernel equivalence gate FAILED: the record-signature step removed no selfjoin candidate" >&2
+    grep '^result:' <<<"$det_a"$'\n'"$noprune_self" >&2
+    exit 1
+fi
+for report in "$det_a" "$noprune_self"; do
+    if ! conserved "$report"; then
+        echo "kernel equivalence gate FAILED: selfjoin filter counters break the conservation law" >&2
+        grep '^filters:' <<<"$report" >&2 || true
+        exit 1
+    fi
+done
 noprune_rs="$(cargo run --release -p ssj-bench --bin determinism -- 2 pipelined rsjoin noprune 2>/dev/null)"
-if [[ "$rs_pipe2" != "$noprune_rs" ]]; then
+if [[ "$(grep -v '^filters:' <<<"$rs_pipe2")" != "$(grep -v '^filters:' <<<"$noprune_rs")" ]]; then
     echo "kernel equivalence gate FAILED: bitmap prune changed the rsjoin report" >&2
     diff <(printf '%s\n' "$rs_pipe2") <(printf '%s\n' "$noprune_rs") >&2 || true
     exit 1
 fi
-echo "  prune on/off reports byte-identical (selfjoin + rsjoin)"
+echo "  selfjoin: same pairs and digest, candidates $(candidates "$noprune_self") -> $(candidates "$det_a") with the prune, counters conserved"
+echo "  rsjoin: prune on/off reports byte-identical outside the kernel counters"
 
 echo "== smoke: expt table1 --trace-out =="
 trace_dir="$(mktemp -d)"

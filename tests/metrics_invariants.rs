@@ -146,6 +146,51 @@ fn filter_candidates_shrink_monotonically() {
     assert!(all < strl, "the full stack must beat StrL alone");
 }
 
+/// Conservation law of the fragment join's counters (`FilterStats` docs):
+/// every considered pair ends in exactly one outcome, whatever the kernel,
+/// the pair scope, the filter set or the signature step — and the
+/// signature step can only prune pairs whose bitmaps it read.
+#[test]
+fn filter_counters_account_for_every_considered_pair() {
+    use fsjoin_suite::fsjoin::EmitPolicy;
+    let raw = CorpusProfile::WikiLike
+        .config()
+        .with_records(300)
+        .generate();
+    let whole = encode(&raw);
+    let (mut r_docs, mut s_docs) = (Vec::new(), Vec::new());
+    for (i, doc) in raw.docs.into_iter().enumerate() {
+        if i % 3 == 0 { &mut r_docs } else { &mut s_docs }.push(doc);
+    }
+    let side = |docs| RawCorpus { docs, vocab: None };
+    let (r, s) = fsjoin_suite::text::encode::encode_two(&side(r_docs), &side(s_docs));
+    for kernel in JoinKernel::all() {
+        for filters in [FilterSet::ALL, FilterSet::NONE] {
+            for policy in [EmitPolicy::Exact, EmitPolicy::PositiveBoundOnly] {
+                for prune in [true, false] {
+                    let cfg = FsJoinConfig::default()
+                        .with_theta(0.8)
+                        .with_kernel(kernel)
+                        .with_filters(filters)
+                        .with_emit_policy(policy)
+                        .with_bitmap_prune(prune);
+                    let self_join = fsjoin_suite::fsjoin::run_self_join(&whole, &cfg);
+                    let cross = fsjoin_suite::fsjoin::run_rs_join(&r, &s, &cfg);
+                    for (scope, res) in [("self", self_join), ("cross", cross)] {
+                        let fs = res.filter_stats;
+                        let label = format!("{kernel:?} {scope} {filters:?} {policy:?} {prune}");
+                        assert!(fs.pairs_considered > 0, "{label}");
+                        assert_eq!(fs.unaccounted(), 0, "{label}: {fs:?}");
+                        assert_eq!(fs.emitted, res.candidates as u64, "{label}");
+                        assert!(fs.bitmap_pruned <= fs.bitmap_checks, "{label}");
+                        assert_eq!(fs.bitmap_checks > 0, prune, "{label}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Verification is cheap relative to filtering once the filters have done
 /// their work (paper Figure 10's split): the verify job's reduce phase —
 /// where count-based verification actually runs — must cost a fraction of
