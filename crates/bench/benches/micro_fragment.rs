@@ -13,22 +13,28 @@
 //! record-signature step (DESIGN.md §12) below the repo benchmark: the
 //! production Prefix kernel over every fragment of a 2,000-record WikiLike
 //! corpus with the step on and off at θ ∈ {0.75, 0.8, 0.9} (asserting first
-//! that both find the same pairs), and the Prefix kernel's discovery step —
-//! a hash set per probe against the reducer-owned stamp vector.
+//! that both find the same pairs), and the Prefix kernel's record-level
+//! discovery — scope → StrL → signature on every distinct co-prefix-token
+//! pair — as the arrival-order probe did it before the cell index (a hash
+//! map of posting `Vec`s, one `strl_pass` and two pool bitmap loads per
+//! pair; kept here as the baseline) against the length-windowed columnar
+//! [`CellIndex`] probe, asserting that both let the same pairs through.
 //!
 //! Numbers are recorded in `results/columnar.md`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use fsjoin::cell_index::{CellIndex, Slot};
+use fsjoin::filters::strl_pass;
 use fsjoin::fragment::{
-    join_fragment, local_prefix_len, CandidateRecord, FragmentJoin, JoinKernel, PairScope,
-    ProbeScratch,
+    join_fragment, local_prefix_len, split_cell, CandidateRecord, FragmentJoin, JoinKernel,
+    PairScope,
 };
 use fsjoin::horizontal::JoinRule;
 use fsjoin::vertical::split_record;
 use fsjoin::{FilterSet, FilterStats};
 use ssj_common::FxHashMap;
 use ssj_similarity::intersect::intersect_count_adaptive;
-use ssj_similarity::Measure;
+use ssj_similarity::{Measure, Signature, Verifier};
 use ssj_text::{encode, Collection, CorpusProfile, TokenPool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
@@ -208,9 +214,9 @@ fn run_span_kernel(pool: &TokenPool, segments: &[fsjoin::Segment]) -> Vec<Candid
     };
     join_fragment(
         &join,
-        segments,
+        &mut segments.to_vec(),
         JoinRule::All,
-        &mut ProbeScratch::default(),
+        &mut CellIndex::default(),
         &mut FilterStats::default(),
     )
 }
@@ -307,7 +313,7 @@ fn join_all_fragments(
     fragments: &[Vec<fsjoin::Segment>],
     theta: f64,
     signatures: bool,
-    scratch: &mut ProbeScratch,
+    index: &mut CellIndex,
     stats: &mut FilterStats,
 ) -> Vec<CandidateRecord> {
     let join = FragmentJoin {
@@ -324,9 +330,9 @@ fn join_all_fragments(
     for segments in fragments {
         out.extend(join_fragment(
             &join,
-            segments,
+            &mut segments.clone(),
             JoinRule::All,
-            scratch,
+            index,
             stats,
         ));
     }
@@ -348,53 +354,139 @@ fn verified_pairs(candidates: &[CandidateRecord], theta: f64) -> Vec<(u32, u32, 
         .collect()
 }
 
-/// Local-prefix postings of fragment 0, as `prefix_join` has them once
-/// every segment is indexed, and each segment's probe tokens.
-type PrefixIndex = FxHashMap<u32, Vec<u32>>;
-
-fn prefix_index<'a>(
-    pool: &'a TokenPool,
-    segments: &[fsjoin::Segment],
-    theta: f64,
-) -> (PrefixIndex, Vec<&'a [u32]>) {
-    let mut index = PrefixIndex::default();
-    let mut probes = Vec::new();
-    for (slot, seg) in segments.iter().enumerate() {
-        let prefix = &seg.tokens(pool)[..local_prefix_len(Measure::Jaccard, theta, seg)];
-        for &t in prefix {
-            index.entry(t).or_default().push(slot as u32);
-        }
-        probes.push(prefix);
-    }
-    (index, probes)
+/// What a record-level discovery pass over the cell set found.
+#[derive(Debug, PartialEq, Eq)]
+struct Discovery {
+    /// Posting entries the probes walked over.
+    postings_visited: u64,
+    /// Distinct pairs that reached the cascade.
+    pairs_considered: u64,
+    /// Pairs scope, StrL and the signature let through, sorted.
+    survivors: Vec<(u32, u32)>,
 }
 
-/// Discovery as the Prefix kernels did it before the stamp vector: one
-/// hash set per probe.
-fn discover_hash_set(index: &PrefixIndex, probes: &[&[u32]]) -> usize {
-    let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
-    let mut hits = 0usize;
-    for tokens in probes {
-        seen.clear();
-        for t in *tokens {
-            if let Some(slots) = index.get(t) {
-                for &s in slots {
-                    seen.entry(s).or_insert(());
+/// The arrival-order probe the Prefix kernel ran before the cell index: a
+/// hash map of posting `Vec`s filled while scanning, a stamp per slot, and
+/// per distinct pair one `strl_pass` and one `Verifier::signature` on two
+/// pool bitmaps.
+fn discover_arrival_order(
+    pool: &TokenPool,
+    fragments: &[Vec<fsjoin::Segment>],
+    theta: f64,
+) -> Discovery {
+    let m = Measure::Jaccard;
+    let mut found = Discovery {
+        postings_visited: 0,
+        pairs_considered: 0,
+        survivors: Vec::new(),
+    };
+    let mut stamps: Vec<u32> = Vec::new();
+    let mut epoch = 0u32;
+    for segments in fragments {
+        let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+        stamps.clear();
+        stamps.resize(segments.len(), 0);
+        for (slot, a) in segments.iter().enumerate() {
+            let prefix = &a.tokens(pool)[..local_prefix_len(m, theta, a)];
+            epoch += 1;
+            for t in prefix {
+                let list = index.get(t).map_or(&[][..], Vec::as_slice);
+                found.postings_visited += list.len() as u64;
+                for &slot_b in list {
+                    if std::mem::replace(&mut stamps[slot_b as usize], epoch) == epoch {
+                        continue;
+                    }
+                    let b = &segments[slot_b as usize];
+                    if a.rid == b.rid {
+                        continue;
+                    }
+                    found.pairs_considered += 1;
+                    if !strl_pass(m, theta, a.len, b.len) {
+                        continue;
+                    }
+                    let (la, lb) = (a.len as usize, b.len as usize);
+                    let signature = Verifier::signature(
+                        m.min_overlap(theta, la, lb),
+                        la,
+                        lb,
+                        pool.bitmap_of(a.rid),
+                        pool.bitmap_of(b.rid),
+                    );
+                    if signature != Signature::Dissimilar {
+                        found.survivors.push((a.rid.min(b.rid), a.rid.max(b.rid)));
+                    }
                 }
             }
+            for &t in prefix {
+                index.entry(t).or_default().push(slot as u32);
+            }
         }
-        hits += seen.len();
     }
-    hits
+    found.survivors.sort_unstable();
+    found
 }
 
-fn discover_stamps(index: &PrefixIndex, probes: &[&[u32]], scratch: &mut ProbeScratch) -> usize {
-    let mut hits = 0usize;
-    for tokens in probes {
-        scratch.probe(tokens, index, probes.len());
-        hits += scratch.hits().len();
+/// The same pass as the indexed kernels run it now: the cell in length
+/// order, StrL as a slot window, the signature as a compare against the
+/// per-length Hamming limit, inside [`CellIndex::probe`]. `all_postings` is
+/// what a probe pass walks over without a window — every two postings of
+/// one token meet once, whatever order the cell is scanned in — so the
+/// arrival-order pass's count.
+fn discover_windowed(
+    pool: &TokenPool,
+    fragments: &[Vec<fsjoin::Segment>],
+    theta: f64,
+    all_postings: u64,
+    index: &mut CellIndex,
+) -> Discovery {
+    let m = Measure::Jaccard;
+    let words = pool.bitmap_bits() / 64;
+    let mut stats = FilterStats::default();
+    let mut survivors = Vec::new();
+    for segments in fragments {
+        let mut segments = segments.clone();
+        let (band, _) = split_cell(&mut segments, JoinRule::All);
+        let as_slot = |s: &fsjoin::Segment| Slot {
+            len: s.len,
+            group: s.rid,
+            sig: pool.bitmap_of(s.rid),
+            tokens: &s.tokens(pool)[..local_prefix_len(m, theta, s)],
+        };
+        index.rebuild(words, band.iter().map(as_slot));
+        for (i, probe) in band.iter().enumerate() {
+            let len = probe.len as usize;
+            index.probe(
+                &as_slot(probe),
+                index.window(m.min_partner_len(theta, len), i),
+                |partner| {
+                    let alpha = m.min_overlap(theta, partner as usize, len);
+                    Verifier::hamming_limit(alpha, partner as usize, len, words)
+                },
+                &mut stats,
+            );
+            for &slot in index.hits() {
+                let other = &band[slot as usize];
+                survivors.push((probe.rid.min(other.rid), probe.rid.max(other.rid)));
+            }
+        }
     }
-    hits
+    survivors.sort_unstable();
+    Discovery {
+        postings_visited: all_postings - stats.window_skipped,
+        pairs_considered: stats.pairs_considered,
+        survivors,
+    }
+}
+
+/// Best of five wall times of `f`, in nanoseconds.
+fn best_of_five(mut f: impl FnMut()) -> f64 {
+    (0..5)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            f();
+            start.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn bench_fragment_signature(c: &mut Criterion) {
@@ -414,7 +506,7 @@ fn bench_fragment_signature(c: &mut Criterion) {
         .map(|k| fragment_segments(&collection, &pivots, k))
         .collect();
     let pool = collection.pool();
-    let mut scratch = ProbeScratch::default();
+    let mut index = CellIndex::default();
 
     let mut g = c.benchmark_group("fragment_signature");
     g.sample_size(10);
@@ -422,18 +514,18 @@ fn bench_fragment_signature(c: &mut Criterion) {
         // Lossless: the verify job finds the same pairs with the same
         // overlaps from either candidate set.
         let (mut on_stats, mut off_stats) = (FilterStats::default(), FilterStats::default());
-        let on = join_all_fragments(pool, &fragments, theta, true, &mut scratch, &mut on_stats);
-        let off = join_all_fragments(pool, &fragments, theta, false, &mut scratch, &mut off_stats);
+        let on = join_all_fragments(pool, &fragments, theta, true, &mut index, &mut on_stats);
+        let off = join_all_fragments(pool, &fragments, theta, false, &mut index, &mut off_stats);
         assert_eq!(verified_pairs(&on, theta), verified_pairs(&off, theta));
         assert_eq!(on_stats.unaccounted(), 0);
         assert_eq!(off_stats.unaccounted(), 0);
         println!(
-            "signature-report: theta={theta} pairs={} pairs_considered={} strl_pruned={} \
+            "signature-report: theta={theta} pairs={} pairs_considered={} window_skipped={} \
              bitmap_checks={} bitmap_pruned={} candidates_off={} candidates_on={} \
              intersections_off={} intersections_on={}",
             verified_pairs(&on, theta).len(),
             on_stats.pairs_considered,
-            on_stats.strl_pruned,
+            on_stats.window_skipped,
             on_stats.bitmap_checks,
             on_stats.bitmap_pruned,
             off.len(),
@@ -445,35 +537,57 @@ fn bench_fragment_signature(c: &mut Criterion) {
             g.bench_function(format!("theta_{theta}/{name}"), |bench| {
                 bench.iter(|| {
                     let mut stats = FilterStats::default();
-                    join_all_fragments(
-                        pool,
-                        &fragments,
-                        theta,
-                        signatures,
-                        &mut scratch,
-                        &mut stats,
-                    )
-                    .len()
+                    join_all_fragments(pool, &fragments, theta, signatures, &mut index, &mut stats)
+                        .len()
                 })
             });
         }
     }
 
-    // Discovery alone, on the fragment with the most segments.
-    let widest = fragments
-        .iter()
-        .max_by_key(|f| f.len())
-        .expect("16 fragments");
-    let (index, probes) = prefix_index(pool, widest, 0.8);
+    // Record-level discovery alone, over the whole cell set: the old
+    // arrival-order probe against the length-windowed columnar probe.
+    let theta = 0.8;
+    let arrival = discover_arrival_order(pool, &fragments, theta);
+    let all_postings = arrival.postings_visited;
+    let windowed = discover_windowed(pool, &fragments, theta, all_postings, &mut index);
     assert_eq!(
-        discover_hash_set(&index, &probes),
-        discover_stamps(&index, &probes, &mut scratch)
+        arrival.survivors, windowed.survivors,
+        "the window and the limit table must let the same pairs through"
     );
-    g.bench_function("discovery/hash_set", |bench| {
-        bench.iter(|| discover_hash_set(black_box(&index), black_box(&probes)))
+    assert!(windowed.postings_visited < arrival.postings_visited);
+    let arrival_ns = best_of_five(|| {
+        black_box(discover_arrival_order(pool, &fragments, theta));
     });
-    g.bench_function("discovery/stamps", |bench| {
-        bench.iter(|| discover_stamps(black_box(&index), black_box(&probes), &mut scratch))
+    let windowed_ns = best_of_five(|| {
+        black_box(discover_windowed(
+            pool,
+            &fragments,
+            theta,
+            all_postings,
+            &mut index,
+        ));
+    });
+    println!(
+        "probe-report: theta={theta} survivors={} | arrival-order: postings_visited={} \
+         pairs_considered={} ns_per_posting={:.2} | windowed: postings_visited={} \
+         pairs_considered={} ns_per_posting={:.2} | total_ms {:.2} -> {:.2}",
+        arrival.survivors.len(),
+        arrival.postings_visited,
+        arrival.pairs_considered,
+        arrival_ns / arrival.postings_visited as f64,
+        windowed.postings_visited,
+        windowed.pairs_considered,
+        windowed_ns / windowed.postings_visited as f64,
+        arrival_ns / 1e6,
+        windowed_ns / 1e6,
+    );
+    g.bench_function("probe/arrival_order", |bench| {
+        bench.iter(|| discover_arrival_order(pool, black_box(&fragments), theta))
+    });
+    g.bench_function("probe/windowed", |bench| {
+        bench.iter(|| {
+            discover_windowed(pool, black_box(&fragments), theta, all_postings, &mut index)
+        })
     });
     g.finish();
 }

@@ -12,7 +12,8 @@
 //! `ClusterModel::simulate_plan` timelines (synthetic pids ≥ 100) alike —
 //! and prints per-run critical path, top-N tasks with slack, and a stage
 //! waterfall. When `<dir>/metrics.jsonl` exists, per-reduce-stage skew
-//! histograms and imbalance factors are appended.
+//! histograms and imbalance factors are appended, then the fragment-join
+//! filter and kernel counters.
 //!
 //! `--check` turns the report into a gate: every reconstructed profile's
 //! critical path must span ≥ 95% of its makespan (the chain the profiler
@@ -104,7 +105,9 @@ fn main() -> ExitCode {
 
     let metrics_path = dir.join("metrics.jsonl");
     if let Ok(doc) = std::fs::read_to_string(&metrics_path) {
-        print_stage_skew(&doc);
+        let metrics = parse_metrics(&doc);
+        print_stage_skew(&metrics);
+        print_filter_counters(&metrics);
     }
 
     if check && !check_ok {
@@ -308,10 +311,31 @@ fn parse_metrics(doc: &str) -> Vec<(String, Metric)> {
     out
 }
 
+/// Print every `FilterStats` counter (`fsjoin.filter.*`, `fsjoin.kernel.*`)
+/// the dump holds, summed over the runs that recorded into it: what the
+/// discovery step looked at (`pairs_considered`), what the length window
+/// let it skip (`window_skipped`, in postings) and where the pairs ended.
+fn print_filter_counters(metrics: &[(String, Metric)]) {
+    let rows: Vec<(&str, f64)> = fsjoin::FilterStats::default()
+        .fields()
+        .iter()
+        .filter_map(|&(name, _)| match metrics.iter().find(|(n, _)| n == name) {
+            Some((_, Metric::Counter(c))) => Some((name, *c)),
+            _ => None,
+        })
+        .collect();
+    if rows.is_empty() {
+        return;
+    }
+    println!("fragment-join counters (metrics.jsonl, all runs):");
+    for (name, value) in rows {
+        println!("  {name:<34} {value:>14.0}");
+    }
+}
+
 /// Print the per-reduce-stage skew section from the `mr.stage.*`
 /// namespace (see DESIGN.md §8).
-fn print_stage_skew(doc: &str) {
-    let metrics = parse_metrics(doc);
+fn print_stage_skew(metrics: &[(String, Metric)]) {
     let mut stages: Vec<String> = metrics
         .iter()
         .filter_map(|(name, _)| {

@@ -5,8 +5,12 @@
 //! Email(10%), Wiki(1%) and PubMed(1%). We mirror those rows on the small
 //! corpora with two measurements per row:
 //!
-//! * **examined** — segment pairs the fragment join inspected (where the
-//!   Prefix kernel's pruning shows up);
+//! * **examined** — segment pairs that reached the fragment join's filter
+//!   cascade (where the Prefix kernel's pruning shows up): every
+//!   admissible pair under Loop, which tests StrL pair by pair; under
+//!   Prefix only co-prefix-token pairs inside the length window — the cell
+//!   index applies StrL as a slot range, so pairs it excludes are never
+//!   examined;
 //! * **emitted** — candidate records written by the filter job (only pairs
 //!   with ≥ 1 common token are ever materialized here, so our absolute
 //!   dynamic range is smaller than the paper's — they appear to count
@@ -73,9 +77,12 @@ pub fn run() -> String {
 
     let mut out = String::from(
         "# Table IV analogue — filter pruning power\n\n\
-         θ = 0.8, Jaccard. `examined` = segment pairs inspected by the \
-         fragment join; `emitted` = candidate records written (pairs with \
-         ≥ 1 common token surviving the active filters). `All + Sig` adds \
+         θ = 0.8, Jaccard. `examined` = segment pairs that reached the \
+         fragment join's filter cascade (Loop rows: every pair, StrL tested \
+         per pair; Prefix rows: co-prefix-token pairs inside the StrL length \
+         window — the index never visits the others); `emitted` = candidate \
+         records written (pairs with ≥ 1 common token surviving the active \
+         filters). `All + Sig` adds \
          the record-signature step (128-bit bitmap bound against the \
          pair's global α, DESIGN.md §12) to the paper's filters.\n\n",
     );

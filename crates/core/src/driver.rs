@@ -5,9 +5,10 @@
 //! [`ssj_text::encode_mr`]); the driver consumes an already-encoded
 //! [`Collection`] whose frequency table *is* the global ordering.
 
+use crate::cell_index::CellIndex;
 use crate::config::FsJoinConfig;
 use crate::filters::FilterStats;
-use crate::fragment::{join_fragment, FragmentJoin, PairScope, ProbeScratch};
+use crate::fragment::{join_fragment, FragmentJoin, PairScope};
 use crate::horizontal::{h_partitions_for, num_h_partitions, select_h_pivots, JoinRule};
 use crate::pivots::select_pivots;
 use crate::segment::Segment;
@@ -140,8 +141,9 @@ impl Mapper for PartitionMapper {
 /// off the k-way merge into a scratch buffer reused across cells — the
 /// engine allocates nothing per key, and the reducer amortizes its one
 /// buffer over the whole task ([`Segment`]s are `Copy` spans, so the copy
-/// is 16 bytes/segment with no token movement). The Prefix kernel's
-/// discovery scratch is reducer-owned the same way.
+/// is 28 bytes/segment with no token movement). The indexed kernels'
+/// [`CellIndex`] is reducer-owned the same way: rebuilt per cell into the
+/// buffers of the last one.
 ///
 /// The pool is the collection's own arena, so `pool.bitmap_of(seg.rid)` is
 /// record `seg.rid`'s signature — what [`FragmentJoin::signatures`] needs.
@@ -153,7 +155,7 @@ struct FragmentReducer {
     local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
     scratch: Vec<Segment>,
-    probe: ProbeScratch,
+    index: CellIndex,
 }
 
 impl StreamingReducer for FragmentReducer {
@@ -170,7 +172,6 @@ impl StreamingReducer for FragmentReducer {
     ) {
         self.scratch.clear();
         self.scratch.extend(segments.copied());
-        let segments = &self.scratch;
         let h = *cell as usize / self.cfg.num_fragments;
         let rule = JoinRule::for_partition(h, &self.h_pivots);
         let before_pairs = self.local_stats.pairs_considered;
@@ -187,9 +188,9 @@ impl StreamingReducer for FragmentReducer {
         };
         let records = join_fragment(
             &join,
-            segments,
+            &mut self.scratch,
             rule,
-            &mut self.probe,
+            &mut self.index,
             &mut self.local_stats,
         );
         // Per-cell load distributions (skew diagnosis for the fragment
@@ -401,7 +402,7 @@ fn run_join(
                 local_stats: FilterStats::default(),
                 registry: Arc::clone(&registry),
                 scratch: Vec::new(),
-                probe: ProbeScratch::default(),
+                index: CellIndex::default(),
             }
         },
         DirectPartitioner::new(|cell: &u32| *cell as usize),

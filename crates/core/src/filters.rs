@@ -90,13 +90,22 @@ pub enum EmitPolicy {
 /// seven outcomes, so the counters obey
 /// `pairs_considered = strl_pruned + bitmap_pruned + segl_pruned +
 /// segi_pruned + segd_pruned + policy_dropped + emitted`
-/// ([`Self::unaccounted`] is 0).
+/// ([`Self::unaccounted`] is 0). The indexed kernels and PF discovery
+/// apply StrL as a length window on the posting lists
+/// ([`CellIndex`](crate::cell_index::CellIndex)): a pair outside the window
+/// is never considered, so `strl_pruned` stays 0 there and the skipped work
+/// shows as `window_skipped` — postings, outside the law.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Segment pairs considered by the fragment join (post kernel candidate
     /// generation, pre filters).
     pub pairs_considered: u64,
-    /// Pairs pruned by StrL.
+    /// Posting entries the length window skipped without visiting them
+    /// (postings, not pairs: a pair sharing several indexed tokens is
+    /// skipped once per shared token).
+    pub window_skipped: u64,
+    /// Pairs pruned by StrL, one test per pair (the Loop kernel and the
+    /// two-input R×S join; 0 where StrL is a length window).
     pub strl_pruned: u64,
     /// Pairs pruned by SegL (before intersection).
     pub segl_pruned: u64,
@@ -132,10 +141,11 @@ pub struct FilterStats {
 impl FilterStats {
     /// `(counter name, value)` view of every field, under the canonical
     /// [`crate::keys`] names used in registries and metric dumps.
-    pub fn fields(&self) -> [(&'static str, u64); 11] {
+    pub fn fields(&self) -> [(&'static str, u64); 12] {
         use crate::keys;
         [
             (keys::FILTER_PAIRS_CONSIDERED, self.pairs_considered),
+            (keys::FILTER_WINDOW_SKIPPED, self.window_skipped),
             (keys::FILTER_STRL_PRUNED, self.strl_pruned),
             (keys::FILTER_SEGL_PRUNED, self.segl_pruned),
             (keys::FILTER_SEGI_PRUNED, self.segi_pruned),
@@ -152,6 +162,7 @@ impl FilterStats {
     /// Merge another task's counters into this one.
     pub fn merge(&mut self, other: &FilterStats) {
         self.pairs_considered += other.pairs_considered;
+        self.window_skipped += other.window_skipped;
         self.strl_pruned += other.strl_pruned;
         self.segl_pruned += other.segl_pruned;
         self.segi_pruned += other.segi_pruned;
@@ -213,6 +224,7 @@ impl FilterStats {
         use crate::keys;
         FilterStats {
             pairs_considered: registry.counter_get(keys::FILTER_PAIRS_CONSIDERED),
+            window_skipped: registry.counter_get(keys::FILTER_WINDOW_SKIPPED),
             strl_pruned: registry.counter_get(keys::FILTER_STRL_PRUNED),
             segl_pruned: registry.counter_get(keys::FILTER_SEGL_PRUNED),
             segi_pruned: registry.counter_get(keys::FILTER_SEGI_PRUNED),
@@ -487,6 +499,7 @@ mod tests {
     fn stats_merge() {
         let mut a = FilterStats {
             pairs_considered: 10,
+            window_skipped: 9,
             strl_pruned: 1,
             segl_pruned: 2,
             segi_pruned: 3,
@@ -500,6 +513,7 @@ mod tests {
         };
         a.merge(&a.clone());
         assert_eq!(a.pairs_considered, 20);
+        assert_eq!(a.window_skipped, 18);
         assert_eq!(a.emitted, 10);
         assert_eq!(a.intersections, 12);
         assert_eq!(a.intersect_tokens, 120);
@@ -511,6 +525,7 @@ mod tests {
     fn stats_registry_round_trip() {
         let stats = FilterStats {
             pairs_considered: 100,
+            window_skipped: 5,
             strl_pruned: 7,
             segl_pruned: 11,
             segi_pruned: 13,

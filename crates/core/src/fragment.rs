@@ -12,22 +12,27 @@
 //!   be complete for θ-similar pairs — DESIGN.md §4 item 2); candidates
 //!   then verify with an exact merge intersection. FS-Join's default.
 //!
-//! All kernels run every discovered pair through one cascade — scope →
-//! StrL → record signature → SegL → SegD precheck, then SegI/SegD on the
-//! exact local overlap (`FragmentJoin::admit` / `finish`) — apply the same
-//! [`FilterSet`] and produce identical output
-//! (property-tested); they differ only in work. Segments carry spans into
-//! the collection's shared [`TokenPool`], so every kernel takes the pool
-//! and resolves token slices on the fly (a bounds-checked slice of the
-//! flat arena — contiguous, cache-friendly, and allocation-free).
+//! All kernels run every pair through one cascade — scope → StrL → record
+//! signature → SegL → SegD precheck, then SegI/SegD on the exact local
+//! overlap — apply the same [`FilterSet`] and produce identical output
+//! (property-tested); they differ only in work. Loop tests the first three
+//! steps pair by pair ([`FragmentJoin::admit`]). Index and Prefix share the
+//! reducer-owned [`CellIndex`]: the cell sits in record-length order, so
+//! StrL is a slot range on each posting list and scope and the signature
+//! run inside the posting walk, on dense columns; only the survivors reach
+//! the per-pair segment filters (`FragmentJoin::segment_bounds` /
+//! `finish`). Segments carry spans into the collection's shared
+//! [`TokenPool`], so every kernel takes the pool and resolves token slices
+//! on the fly (a bounds-checked slice of the flat arena — contiguous,
+//! cache-friendly, and allocation-free).
 
+use crate::cell_index::{CellIndex, Slot};
 use crate::filters::{
     segd_pass, segd_pass_precheck, segi_pass, segl_pass, strl_pass, EmitPolicy, FilterSet,
     FilterStats, PairBounds,
 };
 use crate::horizontal::JoinRule;
 use crate::segment::Segment;
-use ssj_common::FxHashMap;
 use ssj_similarity::intersect::intersect_count_adaptive;
 use ssj_similarity::{Measure, Signature, Verifier};
 use ssj_text::TokenPool;
@@ -39,6 +44,35 @@ pub enum PairScope {
     SelfJoin,
     /// R×S join: only pairs from different sides.
     CrossSides,
+}
+
+impl PairScope {
+    /// A segment's scope group: pairs within one group are inadmissible.
+    #[inline]
+    pub fn group(self, seg: &Segment) -> u32 {
+        match self {
+            PairScope::SelfJoin => seg.rid,
+            PairScope::CrossSides => u32::from(seg.side),
+        }
+    }
+}
+
+/// Put a cell in record-length order — what [`CellIndex`] indexes, and
+/// what makes a boundary cell's two groups slices of it — and cut it by
+/// its rule: the `band` is joined with itself (base cell, [`JoinRule::All`])
+/// or, **bipartitely**, with the long group `[pivot, ∞)` (boundary cell;
+/// the band is then `[lo, pivot)` — segments below `lo` can never satisfy
+/// the rule), so the join never spends discovery work on pairs the
+/// boundary rule would reject.
+pub fn split_cell(segments: &mut [Segment], rule: JoinRule) -> (&[Segment], Option<&[Segment]>) {
+    segments.sort_unstable_by_key(|s| u64::from(s.len) << 32 | u64::from(s.rid));
+    match rule {
+        JoinRule::All => (segments, None),
+        JoinRule::Boundary { lo, pivot } => {
+            let (short, long) = segments.split_at(segments.partition_point(|s| s.len < pivot));
+            (&short[short.partition_point(|s| s.len < lo)..], Some(long))
+        }
+    }
 }
 
 /// Join kernel choice (paper Figure 12).
@@ -130,58 +164,10 @@ pub struct FragmentJoin<'a> {
     pub signatures: bool,
 }
 
-/// Reducer-owned scratch for the Prefix kernels' discovery step: which
-/// index slots the current probe segment reached. A stamp per slot instead
-/// of a hash set per probe — `stamps[slot] == epoch` means "already hit by
-/// this probe" — so a probe costs one array write per posting and leaves
-/// nothing to clear: the next probe just takes the next epoch.
-#[derive(Debug, Default)]
-pub struct ProbeScratch {
-    stamps: Vec<u32>,
-    epoch: u32,
-    hits: Vec<u32>,
-}
-
-impl ProbeScratch {
-    /// Distinct slots the last [`Self::probe`] reached, in discovery order.
-    pub fn hits(&self) -> &[u32] {
-        &self.hits
-    }
-
-    /// Collect the distinct slots `index` lists under `tokens`. `slots` is
-    /// the number of indexed segments (every slot in `index` is below it).
-    pub fn probe(&mut self, tokens: &[u32], index: &FxHashMap<u32, Vec<u32>>, slots: usize) {
-        if self.stamps.len() < slots {
-            self.stamps.resize(slots, 0);
-        }
-        if self.epoch == u32::MAX {
-            // Stamps of 2³² probes ago would read as current.
-            self.stamps.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.hits.clear();
-        for t in tokens {
-            for &slot in index.get(t).map_or(&[][..], Vec::as_slice) {
-                let stamp = &mut self.stamps[slot as usize];
-                if *stamp != self.epoch {
-                    *stamp = self.epoch;
-                    self.hits.push(slot);
-                }
-            }
-        }
-    }
-}
-
-/// Join all segments of one fragment cell. `segments` may contain at most
-/// one segment per `(rid, side)` (guaranteed by vertical partitioning);
-/// their spans resolve against `join.pool`.
-///
-/// Base cells (rule [`JoinRule::All`]) join all admissible pairs; boundary
-/// cells join **bipartitely** — segments are split at the pivot into the
-/// short band `[lo, pivot)` and the long group `[pivot, ∞)`, and only
-/// cross-group pairs are considered, so the join never spends discovery
-/// work on pairs the boundary rule would reject.
+/// Join all segments of one fragment cell ([`split_cell`] says which
+/// pairs). `segments` may contain at most one segment per `(rid, side)`
+/// (guaranteed by vertical partitioning); their spans resolve against
+/// `join.pool`.
 ///
 /// Segment intersections are always exact: the verification job sums
 /// local counts, so a threshold verdict is not enough for a pair that
@@ -189,30 +175,15 @@ impl ProbeScratch {
 /// survives at all ([`FragmentJoin::signatures`]).
 pub fn join_fragment(
     join: &FragmentJoin<'_>,
-    segments: &[Segment],
+    segments: &mut [Segment],
     rule: JoinRule,
-    scratch: &mut ProbeScratch,
+    index: &mut CellIndex,
     stats: &mut FilterStats,
 ) -> Vec<CandidateRecord> {
-    match rule {
-        JoinRule::All => match join.kernel {
-            JoinKernel::Loop => join.loop_join(segments, stats),
-            JoinKernel::Index => join.index_join(segments, stats),
-            JoinKernel::Prefix => join.prefix_join(segments, scratch, stats),
-        },
-        JoinRule::Boundary { lo, pivot } => {
-            let mut short: Vec<&Segment> = Vec::new();
-            let mut long: Vec<&Segment> = Vec::new();
-            for s in segments {
-                if s.len >= pivot {
-                    long.push(s);
-                } else if s.len >= lo {
-                    short.push(s);
-                }
-                // Segments below `lo` can never satisfy the boundary rule.
-            }
-            join.bipartite_join(&short, &long, scratch, stats)
-        }
+    let (band, long) = split_cell(segments, rule);
+    match join.kernel {
+        JoinKernel::Loop => join.loop_join(band, long, stats),
+        JoinKernel::Index | JoinKernel::Prefix => join.indexed_join(band, long, index, stats),
     }
 }
 
@@ -237,30 +208,19 @@ pub fn local_prefix_len(measure: Measure, theta: f64, seg: &Segment) -> usize {
 }
 
 impl FragmentJoin<'_> {
-    /// Everything that can be decided about a segment pair before a token
-    /// is touched, cheapest first: scope → StrL → record signature → SegL →
-    /// SegD precheck (`precheck`; the Index kernels skip it — they arrive
-    /// with the exact overlap, which the full SegD test uses). Returns the
-    /// pair's bounds when it survives.
+    /// The Loop kernel's record-level steps, pair by pair: scope → StrL →
+    /// record signature. Returns the pair's `α = min_overlap(θ, |a|, |b|)`
+    /// when it survives. (The indexed kernels run the same three steps
+    /// inside [`CellIndex::probe`].)
     ///
     /// StrL and the signature step look at the two *records* only, so
     /// their verdict on a pair is the same in every fragment and every
     /// horizontal cell: a pair they drop emits no partial count anywhere,
     /// which is what keeps count-based verification exact.
     #[inline]
-    fn admit(
-        &self,
-        a: &Segment,
-        b: &Segment,
-        precheck: bool,
-        stats: &mut FilterStats,
-    ) -> Option<PairBounds> {
+    fn admit(&self, a: &Segment, b: &Segment, stats: &mut FilterStats) -> Option<usize> {
         // The horizontal rule is enforced structurally by the grouping.
-        let admissible = match self.scope {
-            PairScope::SelfJoin => a.rid != b.rid,
-            PairScope::CrossSides => a.side != b.side,
-        };
-        if !admissible {
+        if self.scope.group(a) == self.scope.group(b) {
             return None;
         }
         stats.pairs_considered += 1;
@@ -279,6 +239,23 @@ impl FragmentJoin<'_> {
                 return None;
             }
         }
+        Some(alpha)
+    }
+
+    /// The segment-level steps that need no token, on a pair the
+    /// record-level steps let through: SegL → SegD precheck (`precheck`;
+    /// the Index kernel skips it — it arrives with the exact overlap, which
+    /// the full SegD test uses). Returns the pair's bounds when it
+    /// survives.
+    #[inline]
+    fn segment_bounds(
+        &self,
+        alpha: usize,
+        a: &Segment,
+        b: &Segment,
+        precheck: bool,
+        stats: &mut FilterStats,
+    ) -> Option<PairBounds> {
         let bounds = PairBounds::from_alpha(alpha, a.len, a.head, a.tail, b.len, b.head, b.tail);
         if self.filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
             stats.segl_pruned += 1;
@@ -331,153 +308,129 @@ impl FragmentJoin<'_> {
         })
     }
 
-    /// Loop and Prefix: admit, intersect exactly, finish.
+    /// Loop and Prefix, past the record-level steps: segment bounds,
+    /// exact intersection, finish.
     #[inline]
     fn intersect_pair(
         &self,
+        alpha: usize,
         a: &Segment,
         b: &Segment,
         stats: &mut FilterStats,
     ) -> Option<CandidateRecord> {
-        let bounds = self.admit(a, b, true, stats)?;
+        let bounds = self.segment_bounds(alpha, a, b, true, stats)?;
         stats.count_intersection(a.seg_len(), b.seg_len());
         let c = intersect_count_adaptive(a.tokens(self.pool), b.tokens(self.pool));
         self.finish(a, b, &bounds, c, stats)
     }
 
-    /// Index: the probe already accumulated the exact local overlap.
+    /// Nested loop over `band` × `band` (base cell) or `band` × `long`
+    /// (boundary cell).
+    fn loop_join(
+        &self,
+        band: &[Segment],
+        long: Option<&[Segment]>,
+        stats: &mut FilterStats,
+    ) -> Vec<CandidateRecord> {
+        let mut out = Vec::new();
+        for (i, a) in band.iter().enumerate() {
+            for b in long.unwrap_or(&band[i + 1..]) {
+                if let Some(alpha) = self.admit(a, b, stats) {
+                    out.extend(self.intersect_pair(alpha, a, b, stats));
+                }
+            }
+        }
+        out
+    }
+
+    /// The tokens a segment is indexed and probed by: the whole segment
+    /// (Index — shared tokens then count the exact local overlap) or its
+    /// local prefix (Prefix).
     #[inline]
-    fn counted_pair(
-        &self,
-        a: &Segment,
-        b: &Segment,
-        overlap: u32,
-        stats: &mut FilterStats,
-    ) -> Option<CandidateRecord> {
-        let bounds = self.admit(a, b, false, stats)?;
-        self.finish(a, b, &bounds, overlap as usize, stats)
-    }
-
-    fn loop_join(&self, segments: &[Segment], stats: &mut FilterStats) -> Vec<CandidateRecord> {
-        let mut out = Vec::new();
-        for (i, a) in segments.iter().enumerate() {
-            for b in &segments[i + 1..] {
-                out.extend(self.intersect_pair(a, b, stats));
-            }
-        }
-        out
-    }
-
-    fn index_join(&self, segments: &[Segment], stats: &mut FilterStats) -> Vec<CandidateRecord> {
-        let mut out = Vec::new();
-        // token -> slots of already-indexed segments containing it.
-        let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-        for (slot, a) in segments.iter().enumerate() {
-            counts.clear();
-            for &t in a.tokens(self.pool) {
-                if let Some(slots) = index.get(&t) {
-                    for &s in slots {
-                        *counts.entry(s).or_insert(0) += 1;
-                    }
-                }
-            }
-            for (&slot_b, &c) in &counts {
-                out.extend(self.counted_pair(a, &segments[slot_b as usize], c, stats));
-            }
-            for &t in a.tokens(self.pool) {
-                index.entry(t).or_default().push(slot as u32);
-            }
-        }
-        out
-    }
-
-    fn prefix_join(
-        &self,
-        segments: &[Segment],
-        scratch: &mut ProbeScratch,
-        stats: &mut FilterStats,
-    ) -> Vec<CandidateRecord> {
-        let mut out = Vec::new();
-        let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        for (slot, a) in segments.iter().enumerate() {
-            let prefix = &a.tokens(self.pool)[..local_prefix_len(self.measure, self.theta, a)];
-            scratch.probe(prefix, &index, segments.len());
-            for &slot_b in &scratch.hits {
-                out.extend(self.intersect_pair(a, &segments[slot_b as usize], stats));
-            }
-            for &t in prefix {
-                index.entry(t).or_default().push(slot as u32);
-            }
-        }
-        out
-    }
-
-    /// Boundary-cell join: only short × long pairs are considered (the
-    /// groups structurally satisfy the boundary rule), so discovery work is
-    /// bounded by cross-group token incidences.
-    fn bipartite_join(
-        &self,
-        short: &[&Segment],
-        long: &[&Segment],
-        scratch: &mut ProbeScratch,
-        stats: &mut FilterStats,
-    ) -> Vec<CandidateRecord> {
-        let mut out = Vec::new();
-        if short.is_empty() || long.is_empty() {
-            return out;
-        }
+    fn indexed_tokens(&self, seg: &Segment) -> &[u32] {
+        let tokens = seg.tokens(self.pool);
         match self.kernel {
-            JoinKernel::Loop => {
-                for a in short {
-                    for b in long {
-                        out.extend(self.intersect_pair(a, b, stats));
-                    }
-                }
-            }
-            JoinKernel::Index => {
-                // Full inverted index over the (usually narrower) short
-                // group; probe with the long group, accumulating exact
-                // local overlaps.
-                let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-                for (slot, a) in short.iter().enumerate() {
-                    for &t in a.tokens(self.pool) {
-                        index.entry(t).or_default().push(slot as u32);
-                    }
-                }
-                let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-                for b in long {
-                    counts.clear();
-                    for &t in b.tokens(self.pool) {
-                        if let Some(slots) = index.get(&t) {
-                            for &s in slots {
-                                *counts.entry(s).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                    for (&slot_a, &c) in &counts {
-                        out.extend(self.counted_pair(short[slot_a as usize], b, c, stats));
-                    }
-                }
-            }
-            JoinKernel::Prefix => {
-                // Index the short group's local prefixes, probe with the
-                // long group's local prefixes; completeness argument as in
-                // `prefix_join` (it is pairwise, not scan-order-dependent).
-                let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-                for (slot, a) in short.iter().enumerate() {
-                    let prefix = local_prefix_len(self.measure, self.theta, a);
-                    for &t in &a.tokens(self.pool)[..prefix] {
-                        index.entry(t).or_default().push(slot as u32);
-                    }
-                }
-                for b in long {
-                    let prefix = local_prefix_len(self.measure, self.theta, b);
-                    scratch.probe(&b.tokens(self.pool)[..prefix], &index, short.len());
-                    for &slot_a in &scratch.hits {
-                        out.extend(self.intersect_pair(short[slot_a as usize], b, stats));
-                    }
-                }
+            JoinKernel::Prefix => &tokens[..local_prefix_len(self.measure, self.theta, seg)],
+            _ => tokens,
+        }
+    }
+
+    /// The record signature [`CellIndex`] compares: the pool's bitmap of
+    /// the segment's record, or nothing with the signature step off.
+    #[inline]
+    fn sig(&self, seg: &Segment) -> &[u64] {
+        if self.signatures {
+            self.pool.bitmap_of(seg.rid)
+        } else {
+            &[]
+        }
+    }
+
+    /// Largest bitmap Hamming distance at which records of these lengths
+    /// still pass [`Verifier::signature`]; `None` when the step is off or
+    /// would not read `words`-word bitmaps for them.
+    #[inline]
+    fn hamming_limit(&self, len_a: usize, len_b: usize, words: usize) -> Option<i64> {
+        let alpha = self.measure.min_overlap(self.theta, len_a, len_b);
+        Verifier::hamming_limit(alpha, len_a, len_b, words).filter(|_| self.signatures)
+    }
+
+    /// Index and Prefix: index `band`, probe it with itself in slot order —
+    /// each segment sees the slots before its own, all of them no longer
+    /// than it is — or with `long`, whose segments are longer than the
+    /// whole band. Either way the probe is the longer record, so StrL
+    /// admits the slots from `min_partner_len(θ, |probe|)` up. The prefix
+    /// completeness argument is pairwise (DESIGN.md §4 item 2), not
+    /// scan-order-dependent.
+    fn indexed_join(
+        &self,
+        band: &[Segment],
+        long: Option<&[Segment]>,
+        index: &mut CellIndex,
+        stats: &mut FilterStats,
+    ) -> Vec<CandidateRecord> {
+        let mut out = Vec::new();
+        let words = if self.signatures {
+            self.pool.bitmap_bits() / 64
+        } else {
+            0
+        };
+        let as_slot = |s: &Segment| Slot {
+            len: s.len,
+            group: self.scope.group(s),
+            sig: self.sig(s),
+            tokens: self.indexed_tokens(s),
+        };
+        index.rebuild(words, band.iter().map(as_slot));
+        for (i, probe) in long.unwrap_or(band).iter().enumerate() {
+            let end = if long.is_some() { band.len() } else { i };
+            let min_len = if self.filters.strl {
+                self.measure.min_partner_len(self.theta, probe.len as usize)
+            } else {
+                0
+            };
+            let len = probe.len as usize;
+            index.probe(
+                &as_slot(probe),
+                index.window(min_len, end),
+                |partner_len| self.hamming_limit(partner_len as usize, len, words),
+                stats,
+            );
+            for &slot in index.hits() {
+                let other = &band[slot as usize];
+                let alpha = self
+                    .measure
+                    .min_overlap(self.theta, other.len as usize, len);
+                out.extend(match self.kernel {
+                    JoinKernel::Prefix => self.intersect_pair(alpha, other, probe, stats),
+                    // The probe already counted the exact local overlap.
+                    _ => self
+                        .segment_bounds(alpha, other, probe, false, stats)
+                        .and_then(|bounds| {
+                            let overlap = index.shared(slot) as usize;
+                            self.finish(other, probe, &bounds, overlap, stats)
+                        }),
+                });
             }
         }
         out
@@ -540,9 +493,9 @@ mod tests {
         let mut stats = FilterStats::default();
         let mut out = join_fragment(
             join,
-            segments,
+            &mut segments.to_vec(),
             rule,
-            &mut ProbeScratch::default(),
+            &mut CellIndex::default(),
             &mut stats,
         );
         out.sort_unstable();
@@ -738,6 +691,52 @@ mod tests {
         let mut by_tuple = records;
         by_tuple.sort_unstable_by_key(|r| (r.key(), r.value()));
         assert_eq!(by_struct, by_tuple);
+    }
+
+    /// The table the indexed kernels compare Hamming distances against is
+    /// `Verifier::signature` with the distance left out: on real pool
+    /// bitmaps, for every length pair from tiny to saturating, "no limit"
+    /// is `Saturated` and "above the limit" is `Dissimilar`.
+    #[test]
+    fn hamming_limit_is_the_verifier_signature_without_the_distance() {
+        use ssj_similarity::bitmap::symmetric_difference_lower_bound;
+        let mut pool = TokenPool::new();
+        let lens = [1usize, 3, 5, 12, 13, 40, 64, 65, 130, 300, 620, 640];
+        for (k, &len) in lens.iter().enumerate() {
+            // Neighbouring records overlap in most of the shorter one.
+            let tokens: Vec<u32> = (0..len as u32).map(|t| t * 3 + (k as u32 % 3)).collect();
+            pool.push(&tokens);
+        }
+        let words = pool.bitmap_bits() / 64;
+        for measure in Measure::all() {
+            for theta in [0.5, 0.75, 0.8, 0.9, 1.0] {
+                let mut join = join(
+                    &pool,
+                    PairScope::SelfJoin,
+                    theta,
+                    JoinKernel::Index,
+                    FilterSet::NONE,
+                );
+                join.measure = measure;
+                assert_eq!(join.hamming_limit(5, 12, words), None, "step off");
+                join.signatures = true;
+                for (a, &la) in lens.iter().enumerate() {
+                    for (b, &lb) in lens.iter().enumerate() {
+                        let (a_bits, b_bits) = (pool.bitmap_of(a as u32), pool.bitmap_of(b as u32));
+                        let alpha = measure.min_overlap(theta, la, lb);
+                        let want = Verifier::signature(alpha, la, lb, a_bits, b_bits);
+                        let limit = join.hamming_limit(la, lb, words);
+                        let hamming = symmetric_difference_lower_bound(a_bits, b_bits) as i64;
+                        let got = match limit {
+                            None => Signature::Saturated,
+                            Some(limit) if hamming > limit => Signature::Dissimilar,
+                            Some(_) => Signature::Open,
+                        };
+                        assert_eq!(got, want, "{measure:?} θ={theta} |a|={la} |b|={lb}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,20 @@
 //! application-level namespace sits in one file.
 
 /// Segment pairs considered by the fragment join (counter; post kernel
-/// candidate generation, pre filters).
+/// candidate generation, pre filters): distinct admissible pairs that reach
+/// the filter cascade. Under the indexed kernels that is every in-scope
+/// pair inside the length window that shares an indexed token.
 pub const FILTER_PAIRS_CONSIDERED: &str = "fsjoin.filter.pairs_considered";
-/// Pairs pruned by the string-length filter, Lemma 1 (counter).
+/// Posting entries the length window skipped (counter). The indexed
+/// kernels and PF discovery apply the string-length filter as a slot range
+/// on each posting list, so out-of-window partners are never visited and
+/// never become considered pairs; this counts what was skipped — in
+/// **postings, not pairs** (a pair sharing k indexed tokens is skipped k
+/// times), which is why it sits outside the conservation law below.
+pub const FILTER_WINDOW_SKIPPED: &str = "fsjoin.filter.window_skipped";
+/// Pairs pruned by the string-length filter, Lemma 1, tested pair by pair
+/// (counter): the Loop kernel and the two-input R×S join. 0 where the
+/// filter is a length window (`window_skipped`).
 pub const FILTER_STRL_PRUNED: &str = "fsjoin.filter.strl_pruned";
 /// Pairs pruned by the segment-length filter, Lemma 2 (counter).
 pub const FILTER_SEGL_PRUNED: &str = "fsjoin.filter.segl_pruned";
@@ -32,6 +43,8 @@ pub const FILTER_POLICY_DROPPED: &str = "fsjoin.filter.policy_dropped";
 /// `pairs_considered = strl_pruned + bitmap_pruned + segl_pruned +
 /// segi_pruned + segd_pruned + policy_dropped + emitted`, with
 /// `bitmap_pruned ≤ bitmap_checks` and `emitted` = the run's candidates.
+/// `window_skipped` is not a term: it counts postings, and a pair the
+/// length window skips is never considered in the first place.
 pub const FILTER_EMITTED: &str = "fsjoin.filter.emitted";
 
 /// Exact intersection-kernel calls (counter): every segment intersection

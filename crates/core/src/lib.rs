@@ -43,6 +43,7 @@
 //! assert_eq!(result.pairs[0].ids(), (0, 1));
 //! ```
 
+pub mod cell_index;
 pub mod config;
 pub mod cost;
 pub mod driver;

@@ -33,14 +33,14 @@
 //! exact too. Property-tested against the oracle alongside the main
 //! driver.
 
+use crate::cell_index::{CellIndex, Slot};
 use crate::config::FsJoinConfig;
 use crate::driver::{FsJoinResult, PartitionMapper};
 use crate::filters::FilterStats;
-use crate::fragment::PairScope;
+use crate::fragment::{split_cell, PairScope};
 use crate::horizontal::{num_h_partitions, select_h_pivots, JoinRule};
 use crate::pivots::select_pivots;
 use crate::segment::Segment;
-use ssj_common::FxHashMap;
 use ssj_mapreduce::{
     Dataset, DirectPartitioner, Emitter, GroupValues, HashPartitioner, IdentityCombiner,
     IdentityMapper, KeepFirst, Mapper, Plan, PlanRunner, StreamingReducer,
@@ -60,12 +60,12 @@ fn global_prefix_in_segment(measure: Measure, theta: f64, seg: &Segment) -> usiz
 }
 
 /// Discovery reducer: index global-prefix tokens, emit candidate pairs.
-/// Streams each cell's segments into scratch buffers reused across cells
-/// and probes (segments are `Copy` spans; neither the engine nor the
-/// reducer allocates per key). Pruning counters accumulate locally and
-/// flow into the run's [`MetricsRegistry`] under the canonical
-/// [`crate::keys`] names at task cleanup, exactly like the main driver's
-/// fragment reducer.
+/// Streams each cell's segments into a scratch buffer and the shared
+/// [`CellIndex`], both reused across cells (segments are `Copy` spans;
+/// neither the engine nor the reducer allocates per key). Pruning counters
+/// accumulate locally and flow into the run's [`MetricsRegistry`] under
+/// the canonical [`crate::keys`] names at task cleanup, exactly like the
+/// main driver's fragment reducer.
 struct PrefixDiscoveryReducer {
     pool: Arc<TokenPool>,
     measure: Measure,
@@ -75,59 +75,9 @@ struct PrefixDiscoveryReducer {
     scope: PairScope,
     /// The current cell's segments.
     scratch: Vec<Segment>,
-    /// A boundary cell's short band (the indexed side).
-    short: Vec<Segment>,
-    /// Index slots one probe segment reached.
-    seen: Vec<u32>,
+    index: CellIndex,
     local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
-}
-
-impl PrefixDiscoveryReducer {
-    /// Probe `index` (token → slots of `indexed`) with `probe`'s
-    /// global-prefix tokens and emit every admissible candidate.
-    fn discover(
-        &mut self,
-        probe: &Segment,
-        index: &FxHashMap<u32, Vec<u32>>,
-        indexed: &[Segment],
-        out: &mut Emitter<(u32, u32), (u32, u32)>,
-    ) {
-        let gp = global_prefix_in_segment(self.measure, self.theta, probe);
-        let mut seen = std::mem::take(&mut self.seen);
-        seen.clear();
-        for &t in &probe.tokens(&self.pool)[..gp] {
-            if let Some(slots) = index.get(&t) {
-                seen.extend_from_slice(slots);
-            }
-        }
-        seen.sort_unstable();
-        seen.dedup();
-        for &slot in &seen {
-            let other = &indexed[slot as usize];
-            let ok = match self.scope {
-                PairScope::SelfJoin => other.rid != probe.rid,
-                PairScope::CrossSides => other.side != probe.side,
-            };
-            if !ok {
-                continue;
-            }
-            self.local_stats.pairs_considered += 1;
-            // Cheap length filter before shipping the candidate.
-            if !crate::filters::strl_pass(self.measure, self.theta, probe.len, other.len) {
-                self.local_stats.strl_pruned += 1;
-                continue;
-            }
-            self.local_stats.emitted += 1;
-            let (a, b) = if probe.rid < other.rid {
-                (probe, other)
-            } else {
-                (other, probe)
-            };
-            out.emit((a.rid, b.rid), (a.len, b.len));
-        }
-        self.seen = seen;
-    }
 }
 
 impl StreamingReducer for PrefixDiscoveryReducer {
@@ -142,45 +92,41 @@ impl StreamingReducer for PrefixDiscoveryReducer {
         values: &mut GroupValues<'_, '_, u32, Segment>,
         out: &mut Emitter<(u32, u32), (u32, u32)>,
     ) {
-        // Take the scratch buffers out of `self` so `discover` (which
-        // borrows `&mut self`) can run while the segments are in use; the
-        // buffers go back at the end, keeping their capacity for the next
-        // cell.
-        let mut segments = std::mem::take(&mut self.scratch);
-        segments.clear();
-        segments.extend(values.copied());
+        self.scratch.clear();
+        self.scratch.extend(values.copied());
         let h = *cell as usize / self.num_fragments;
         let rule = JoinRule::for_partition(h, &self.h_pivots);
         let before_pairs = self.local_stats.pairs_considered;
         let before_emitted = self.local_stats.emitted;
-        let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        match rule {
-            JoinRule::All => {
-                // Scan order: index each segment's global-prefix tokens
-                // after probing, so each unordered pair is seen once.
-                for (slot, seg) in segments.iter().enumerate() {
-                    self.discover(seg, &index, &segments, out);
-                    let gp = global_prefix_in_segment(self.measure, self.theta, seg);
-                    for &t in &seg.tokens(&self.pool)[..gp] {
-                        index.entry(t).or_default().push(slot as u32);
-                    }
-                }
-            }
-            JoinRule::Boundary { lo, pivot } => {
-                // Bipartite: index the short band, probe with the longs.
-                let mut short = std::mem::take(&mut self.short);
-                short.clear();
-                short.extend(segments.iter().filter(|s| s.len >= lo && s.len < pivot));
-                for (slot, seg) in short.iter().enumerate() {
-                    let gp = global_prefix_in_segment(self.measure, self.theta, seg);
-                    for &t in &seg.tokens(&self.pool)[..gp] {
-                        index.entry(t).or_default().push(slot as u32);
-                    }
-                }
-                for seg in segments.iter().filter(|s| s.len >= pivot) {
-                    self.discover(seg, &index, &short, out);
-                }
-                self.short = short;
+        // Index the band's global-prefix tokens; probe it with itself in
+        // slot order (each unordered pair is seen once, from its longer
+        // record) or with the long group — the fragment join's indexed
+        // kernels without a signature step. The length window is the cheap
+        // length filter: a candidate outside it is never shipped.
+        let (band, long) = split_cell(&mut self.scratch, rule);
+        let (pool, measure, theta, scope) = (&*self.pool, self.measure, self.theta, self.scope);
+        let as_slot = |s: &Segment| Slot {
+            len: s.len,
+            group: scope.group(s),
+            sig: &[],
+            tokens: &s.tokens(pool)[..global_prefix_in_segment(measure, theta, s)],
+        };
+        self.index.rebuild(0, band.iter().map(as_slot));
+        for (i, probe) in long.unwrap_or(band).iter().enumerate() {
+            let end = if long.is_some() { band.len() } else { i };
+            let min_len = measure.min_partner_len(theta, probe.len as usize);
+            let window = self.index.window(min_len, end);
+            self.index
+                .probe(&as_slot(probe), window, |_| None, &mut self.local_stats);
+            for &slot in self.index.hits() {
+                let other = &band[slot as usize];
+                self.local_stats.emitted += 1;
+                let (a, b) = if probe.rid < other.rid {
+                    (probe, other)
+                } else {
+                    (other, probe)
+                };
+                out.emit((a.rid, b.rid), (a.len, b.len));
             }
         }
         // Per-cell discovery load, same histograms the exact driver keeps.
@@ -192,7 +138,6 @@ impl StreamingReducer for PrefixDiscoveryReducer {
             crate::keys::FRAGMENT_CANDIDATES,
             self.local_stats.emitted - before_emitted,
         );
-        self.scratch = segments;
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), (u32, u32)>) {
@@ -369,8 +314,7 @@ fn run_pf(
                 h_pivots: Arc::clone(&h_pivots),
                 scope,
                 scratch: Vec::new(),
-                short: Vec::new(),
-                seen: Vec::new(),
+                index: CellIndex::default(),
                 local_stats: FilterStats::default(),
                 registry: Arc::clone(&registry),
             }

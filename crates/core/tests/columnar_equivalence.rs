@@ -62,8 +62,8 @@ fn corpus_is_the_one_the_goldens_were_captured_on() {
 }
 
 /// One run's pinned counters: the record-signature step and everything
-/// downstream of it. Pairs considered, StrL prunes and the filter job's
-/// shuffle sit upstream of the step and are pinned once per config.
+/// downstream of it. Pairs considered and the filter job's shuffle sit
+/// upstream of the step and are pinned once per config.
 struct Golden {
     candidates: usize,
     bitmap_checks: u64,
@@ -78,10 +78,16 @@ struct Golden {
 /// record-signature step, so they are pinned with the step off
 /// (`bitmap_prune(false)`): nothing but that step may have moved them.
 /// With it on, the same pairs come out of far fewer candidates.
+///
+/// `arrival_order` is what the arrival-order posting index counted before
+/// StrL became a length window on the posting lists: every co-token pair
+/// considered, then StrL's prunes among them. The window never visits
+/// those pairs, so exactly that many fewer are considered now, none is
+/// StrL-pruned, and nothing downstream moves.
 fn assert_goldens(
     cfg: FsJoinConfig,
     (pairs, digest): (usize, u64),
-    (pairs_considered, strl_pruned): (u64, u64),
+    arrival_order: (u64, u64),
     filter_job: (usize, usize, usize),
     signature_off: Golden,
     signature_on: Golden,
@@ -93,8 +99,14 @@ fn assert_goldens(
         assert_eq!(res.candidates, want.candidates, "prune={prune}");
 
         let fs = &res.filter_stats;
-        assert_eq!(fs.pairs_considered, pairs_considered, "prune={prune}");
-        assert_eq!(fs.strl_pruned, strl_pruned, "prune={prune}");
+        let (old_pairs_considered, old_strl_pruned) = arrival_order;
+        assert_eq!(
+            fs.pairs_considered,
+            old_pairs_considered - old_strl_pruned,
+            "prune={prune}"
+        );
+        assert_eq!(fs.strl_pruned, 0, "prune={prune}");
+        assert!(fs.window_skipped > 0, "prune={prune}");
         assert_eq!(fs.bitmap_checks, want.bitmap_checks, "prune={prune}");
         assert_eq!(fs.bitmap_pruned, want.bitmap_pruned, "prune={prune}");
         assert_eq!(fs.segl_pruned, want.segl_pruned, "prune={prune}");

@@ -368,7 +368,8 @@ proptest! {
         filters in prop::sample::select(vec![FilterSet::NONE, FilterSet::STRL_ONLY]),
         fragments in prop::sample::select(vec![2usize, 5, 16]),
     ) {
-        use fsjoin::fragment::{join_fragment, FragmentJoin, PairScope, ProbeScratch};
+        use fsjoin::cell_index::CellIndex;
+        use fsjoin::fragment::{join_fragment, FragmentJoin, PairScope};
         use ssj_similarity::intersect::intersect_count_merge;
         use std::collections::BTreeMap;
 
@@ -391,12 +392,12 @@ proptest! {
             policy: fsjoin::EmitPolicy::Exact,
             signatures: true,
         };
-        let mut scratch = ProbeScratch::default();
+        let mut index = CellIndex::default();
         let mut stats = fsjoin::FilterStats::default();
         let mut sums: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-        for segments in cells.values() {
+        for segments in cells.values_mut() {
             let rule = fsjoin::horizontal::JoinRule::All;
-            for rec in join_fragment(&join, segments, rule, &mut scratch, &mut stats) {
+            for rec in join_fragment(&join, segments, rule, &mut index, &mut stats) {
                 *sums.entry(rec.key()).or_default() += rec.common as usize;
             }
         }
@@ -411,6 +412,264 @@ proptest! {
                         overlap == 0 || !measure.passes(overlap, ta.len(), tb.len(), theta),
                         "similar pair ({}, {}) emitted nothing", a, b
                     ),
+                }
+            }
+        }
+    }
+}
+
+/// The length window is StrL, pair for pair, at every length the float
+/// rounding in `min_partner_len` can bite: 2,000 records of lengths
+/// 1..=2000 that all share one token, joined by the Index kernel under StrL
+/// alone, emit exactly the pairs `strl_pass` admits — and the window's
+/// lower slot is where `strl_pass` starts to hold.
+#[test]
+fn length_window_equals_strl_pair_for_pair() {
+    use fsjoin::cell_index::{CellIndex, Slot};
+    use fsjoin::filters::strl_pass;
+    use fsjoin::fragment::{join_fragment, FragmentJoin, PairScope};
+    use fsjoin::horizontal::JoinRule;
+
+    const MAX_LEN: u32 = 2000;
+    // Record `len - 1` has length `len`: rank 0 then filler ranks; the cell
+    // holds each record's first token only.
+    let mut pool = ssj_text::TokenPool::new();
+    let mut cell = Vec::new();
+    for len in 1..=MAX_LEN {
+        let tokens: Vec<u32> = (0..len).collect();
+        let span = pool.push(&tokens);
+        cell.push(fsjoin::Segment {
+            rid: len - 1,
+            side: 0,
+            len,
+            head: 0,
+            tail: len - 1,
+            span: span.slice(0, 1),
+        });
+    }
+    let mut lengths = CellIndex::default();
+    lengths.rebuild(
+        0,
+        (1..=MAX_LEN).map(|len| Slot {
+            len,
+            group: len,
+            sig: &[],
+            tokens: &[],
+        }),
+    );
+    let mut index = CellIndex::default();
+    for measure in Measure::all() {
+        for theta in [0.5, 0.75, 0.8, 0.9, 1.0] {
+            let mut want = Vec::new();
+            for b in 1..=MAX_LEN {
+                let slot_b = (b - 1) as usize;
+                let start = lengths
+                    .window(measure.min_partner_len(theta, b as usize), slot_b)
+                    .start;
+                for a in 1..b {
+                    let pass = strl_pass(measure, theta, a, b);
+                    assert_eq!(pass, strl_pass(measure, theta, b, a));
+                    assert_eq!(
+                        pass,
+                        (a - 1) as usize >= start,
+                        "{measure:?} θ={theta} |a|={a} |b|={b} window starts at slot {start}"
+                    );
+                    if pass {
+                        want.push((a - 1, b - 1));
+                    }
+                }
+            }
+            let join = FragmentJoin {
+                pool: &pool,
+                scope: PairScope::SelfJoin,
+                measure,
+                theta,
+                kernel: JoinKernel::Index,
+                filters: FilterSet::STRL_ONLY,
+                policy: fsjoin::EmitPolicy::Exact,
+                signatures: false,
+            };
+            let mut stats = fsjoin::FilterStats::default();
+            let mut got: Vec<(u32, u32)> =
+                join_fragment(&join, &mut cell, JoinRule::All, &mut index, &mut stats)
+                    .iter()
+                    .map(|rec| rec.key())
+                    .collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert!(got == want, "{measure:?} θ={theta}: emitted pairs differ");
+            // One shared token per pair: every pair is one posting, visited
+            // or skipped.
+            let all_pairs = u64::from(MAX_LEN) * u64::from(MAX_LEN - 1) / 2;
+            assert_eq!(stats.pairs_considered, want.len() as u64);
+            assert_eq!(stats.window_skipped, all_pairs - want.len() as u64);
+            assert_eq!(stats.strl_pruned, 0);
+            assert_eq!(stats.unaccounted(), 0);
+        }
+    }
+}
+
+/// Corpora that sit on the length window's edges. Partners are docs `2k`
+/// and `2k + 1`, so the R×S split by parity puts them on opposite sides.
+fn window_edge_corpora(measure: Measure, theta: f64) -> Vec<(&'static str, Vec<Vec<u64>>)> {
+    // Tokens no other record holds, handed out in runs.
+    let next_token = std::cell::Cell::new(10_000u64);
+    let fresh = |n: usize| -> Vec<u64> {
+        let start = next_token.replace(next_token.get() + n as u64);
+        (start..start + n as u64).collect()
+    };
+    // Hot tokens every record draws from, so every cell is one big
+    // co-token clique and only the filters keep pairs apart.
+    let hot = |k: usize, n: usize| -> Vec<u64> {
+        let mut doc: Vec<u64> = (0..n).map(|j| ((k + j * 7) % 24) as u64).collect();
+        doc.sort_unstable();
+        doc.dedup();
+        doc
+    };
+    // A pair of the given lengths sharing exactly `overlap` tokens.
+    let planted = |len_a: usize, len_b: usize, overlap: usize| {
+        let shared = fresh(overlap.min(len_a));
+        [len_a, len_b].map(|len| {
+            let mut doc = shared.clone();
+            doc.extend(fresh(len - shared.len()));
+            doc
+        })
+    };
+
+    // 1. Every record has the same length: the window is the whole cell.
+    let mut equal = Vec::new();
+    let alpha = measure.min_overlap(theta, 20, 20);
+    for overlap in [alpha - 1, alpha, alpha + 1] {
+        equal.extend(planted(20, 20, overlap));
+    }
+    for k in 0..30 {
+        let mut doc = hot(k, 12);
+        let pad = 20 - doc.len();
+        doc.extend(fresh(pad));
+        equal.push(doc);
+    }
+
+    // 2. One giant (and its near-duplicate) among tiny records: the giants'
+    // windows start past every tiny record.
+    let mut giant = Vec::new();
+    let alpha = measure.min_overlap(theta, 2_900, 3_000);
+    giant.extend(planted(2_900, 3_000, alpha));
+    for doc in &mut giant {
+        doc.extend(0..24);
+    }
+    for k in 0..30 {
+        giant.push(hot(k, 3 + k % 4));
+    }
+
+    // 3. Every record outside every other's window: each length is more
+    // than twice the one before (θ ≥ 0.5 admits nothing below half).
+    let mut apart = Vec::new();
+    for (k, len) in [3usize, 7, 15, 31, 63, 127, 255, 511]
+        .into_iter()
+        .enumerate()
+    {
+        let mut doc = hot(k, 3);
+        let pad = len - doc.len();
+        doc.extend(fresh(pad));
+        apart.push(doc);
+    }
+
+    // 4. Partners exactly on the window's lower edge — the shorter record
+    // is the shortest the longer one admits — sharing all of the shorter
+    // one, and one token short of it.
+    let mut edge = Vec::new();
+    for len_b in [10usize, 25, 99, 100, 101, 640] {
+        let len_a = measure.min_partner_len(theta, len_b).max(1);
+        edge.extend(planted(len_a, len_b, len_a));
+        edge.extend(planted(len_a, len_b, len_a - 1));
+        if len_a > 1 {
+            // One below the edge: outside the window whatever it shares.
+            edge.extend(planted(len_a - 1, len_b, len_a - 1));
+        }
+    }
+
+    // 5. Lengths ascending by one from doc to doc, neighbours near
+    // duplicates: after the parity split R holds the even lengths and S
+    // the odd ones, so a length-sorted cell alternates sides.
+    let mut interleaved = Vec::new();
+    for k in 0..16usize {
+        let len = 30 + 2 * k;
+        let alpha = measure.min_overlap(theta, len, len + 1);
+        interleaved.extend(planted(len, len + 1, alpha + k % 2));
+    }
+    for doc in &mut interleaved {
+        doc.extend([0, 1, 2]);
+    }
+
+    vec![
+        ("equal lengths", equal),
+        ("giant among tiny", giant),
+        ("all outside all windows", apart),
+        ("window edge", edge),
+        ("sides interleaved by length", interleaved),
+        // 6. PR 15's signature edges, 620/640 saturating pair included.
+        ("signature edges", signature_edge_corpus(measure, theta)),
+    ]
+}
+
+/// The indexed kernels' length window and Hamming-limit table against the
+/// naive oracle, bit for bit, where they are most likely to be off by one:
+/// every kernel × signature step on/off × filter set, self-join and R×S.
+#[test]
+fn length_window_and_signature_table_are_exact_at_their_edges() {
+    let corpus = |docs| RawCorpus { docs, vocab: None };
+    for (measure, theta) in [
+        (Measure::Jaccard, 0.8),
+        (Measure::Jaccard, 0.5),
+        (Measure::Dice, 0.75),
+        (Measure::Cosine, 0.9),
+    ] {
+        for (name, docs) in window_edge_corpora(measure, theta) {
+            let whole = encode(&corpus(docs.clone()));
+            let want_self = naive_self_join(&whole.views(), measure, theta);
+            let (r_docs, s_docs): (Vec<_>, Vec<_>) = docs
+                .chunks(2)
+                .map(|pair| (pair[0].clone(), pair[1].clone()))
+                .unzip();
+            let (r, s) = encode_two(&corpus(r_docs), &corpus(s_docs));
+            let offset = r.len() as u32;
+            let s_shifted: Vec<Record> = s
+                .iter()
+                .map(|v| Record::from_sorted(v.id + offset, v.tokens.to_vec()))
+                .collect();
+            let want_rs = naive_rs_join(&r.views(), &s_shifted, measure, theta);
+            if name != "all outside all windows" {
+                assert!(
+                    !want_self.is_empty(),
+                    "{name} {measure:?} θ={theta}: no pairs"
+                );
+                assert!(
+                    !want_rs.is_empty(),
+                    "{name} {measure:?} θ={theta}: no R×S pairs"
+                );
+            }
+            for kernel in JoinKernel::all() {
+                for prune in [true, false] {
+                    for filters in [FilterSet::ALL, FilterSet::NONE, FilterSet::STRL_ONLY] {
+                        let cfg = FsJoinConfig::default()
+                            .with_measure(measure)
+                            .with_theta(theta)
+                            .with_kernel(kernel)
+                            .with_bitmap_prune(prune)
+                            .with_filters(filters)
+                            .with_workers(1);
+                        let label = format!(
+                            "{name} {measure:?} θ={theta} {kernel:?} prune={prune} {filters:?}"
+                        );
+                        let got = fsjoin::run_self_join(&whole, &cfg);
+                        compare_results(&got.pairs, &want_self, 0.0)
+                            .unwrap_or_else(|e| panic!("self {label}: {e}"));
+                        assert_eq!(got.filter_stats.unaccounted(), 0, "self {label}");
+                        let got = fsjoin::run_rs_join(&r, &s, &cfg);
+                        compare_results(&got.pairs, &want_rs, 0.0)
+                            .unwrap_or_else(|e| panic!("rs {label}: {e}"));
+                        assert_eq!(got.filter_stats.unaccounted(), 0, "rs {label}");
+                    }
                 }
             }
         }

@@ -8,8 +8,9 @@
 //! 2. **saturation guard** — the bitmap bound can never fall below
 //!    `(|a| + |b| − width) / 2`; when even that floor reaches α the
 //!    bitmaps cannot prune and are not read;
-//! 3. **bitmap bound** — [`overlap_upper_bound`] `< α` proves the pair
-//!    fails, with no token touched;
+//! 3. **bitmap bound** —
+//!    [`overlap_upper_bound`](crate::bitmap::overlap_upper_bound) `< α`
+//!    proves the pair fails, with no token touched;
 //! 4. **early-exit intersection** — [`intersect_count_at_least`] gives up
 //!    as soon as α is out of reach, and otherwise returns the *exact*
 //!    overlap, so
@@ -24,7 +25,7 @@
 //! pair belongs to: a pair that survives still needs its exact *local*
 //! count for the verification sum, not a threshold verdict (DESIGN.md §12).
 
-use crate::bitmap::overlap_upper_bound;
+use crate::bitmap::symmetric_difference_lower_bound;
 use crate::intersect::intersect_count_at_least;
 use crate::Measure;
 
@@ -74,6 +75,21 @@ impl Signature {
 }
 
 impl Verifier {
+    /// The cascade's steps 2–3 for one pair of record *lengths*, before any
+    /// bitmap is read: `None` when the saturation guard holds the bitmaps
+    /// back, otherwise the largest bitmap Hamming distance `h` at which the
+    /// pair may still reach `alpha` (negative when no distance survives,
+    /// i.e. `2·alpha > len_a + len_b`). The bound `(len_a + len_b − h) / 2` is
+    /// below `alpha` exactly when `h > len_a + len_b − 2·alpha`. `words` is
+    /// the bitmap width in `u64` words. [`Self::signature`] is this limit
+    /// plus the Hamming distance; a caller that meets one probe record
+    /// against many partners of the same length computes the limit once.
+    #[inline]
+    pub fn hamming_limit(alpha: usize, len_a: usize, len_b: usize, words: usize) -> Option<i64> {
+        let floor_ub = (len_a + len_b).saturating_sub(words * 64) / 2;
+        (floor_ub < alpha).then(|| (len_a + len_b) as i64 - 2 * alpha as i64)
+    }
+
     /// First half of the cascade (steps 2–3): the saturation guard, then
     /// the bitmap bound against `alpha`, which must be
     /// `measure.min_overlap(θ, len_a, len_b)` — a parameter so that a
@@ -90,13 +106,12 @@ impl Verifier {
         a_bits: &[u64],
         b_bits: &[u64],
     ) -> Signature {
-        let floor_ub = (len_a + len_b).saturating_sub(a_bits.len() * 64) / 2;
-        if floor_ub >= alpha {
-            Signature::Saturated
-        } else if overlap_upper_bound(a_bits, b_bits, len_a, len_b) < alpha {
-            Signature::Dissimilar
-        } else {
-            Signature::Open
+        match Verifier::hamming_limit(alpha, len_a, len_b, a_bits.len()) {
+            None => Signature::Saturated,
+            Some(limit) if symmetric_difference_lower_bound(a_bits, b_bits) as i64 > limit => {
+                Signature::Dissimilar
+            }
+            Some(_) => Signature::Open,
         }
     }
 
@@ -286,6 +301,41 @@ mod tests {
         );
         assert!(!sat.bitmap_checked && sat.intersected);
         assert_eq!(sat.similar, Some((600, 1.0)));
+    }
+
+    /// `hamming_limit` is the guard and the bound of
+    /// `overlap_upper_bound(..) < α`, solved for the Hamming distance: for
+    /// every length pair, α and distance a bitmap pair can show, both forms
+    /// give the same verdict.
+    #[test]
+    fn hamming_limit_is_the_overlap_bound_solved_for_the_distance() {
+        use crate::bitmap::overlap_upper_bound;
+        for words in [1usize, 2] {
+            let width = words * 64;
+            for la in 1usize..=90 {
+                for lb in la..=90 {
+                    for alpha in 0..=lb + 2 {
+                        let limit = Verifier::hamming_limit(alpha, la, lb, words);
+                        let saturated = (la + lb).saturating_sub(width) / 2 >= alpha;
+                        assert_eq!(limit.is_none(), saturated, "{la} {lb} α={alpha}");
+                        let Some(limit) = limit else { continue };
+                        // A bitmap pair of hashed sets of these sizes differs
+                        // in h ≤ min(la + lb, width) bits; build one per h.
+                        for h in 0..=(la + lb).min(width) {
+                            let mut a = vec![0u64; words];
+                            for bit in 0..h {
+                                a[bit / 64] |= 1 << (bit % 64);
+                            }
+                            let b = vec![0u64; words];
+                            let pruned = overlap_upper_bound(&a, &b, la, lb) < alpha;
+                            assert_eq!(h as i64 > limit, pruned, "{la} {lb} α={alpha} h={h}");
+                            let sig = Verifier::signature(alpha, la, lb, &a, &b);
+                            assert_eq!(sig == Signature::Dissimilar, pruned);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn sorted_set(max_len: usize) -> impl Strategy<Value = Vec<u32>> {

@@ -29,6 +29,18 @@ if grep -rnE 'intersect_count_(adaptive|merge|chunked|gallop)' \
     exit 1
 fi
 
+echo "== lint: one posting index on the reduce side (crates/core/src/cell_index.rs) =="
+# The fragment join's Index and Prefix kernels and PF discovery share the
+# length-ordered CellIndex (columns + CSR postings): StrL is a slot window
+# there and the record signature a compare inside the posting walk. A
+# token -> Vec-of-slots map next to it is a private arrival-order index
+# again: it tests per pair what the window never visits.
+if grep -nE 'FxHashMap<u32, *Vec<u32>>' \
+    crates/core/src/fragment.rs crates/core/src/pf.rs crates/core/src/cell_index.rs; then
+    echo "index gate FAILED: hand-rolled posting map on the reduce side (use cell_index::CellIndex)" >&2
+    exit 1
+fi
+
 echo "== lint: one engine (task bodies live in plan.rs only) =="
 # JobBuilder is a one-stage plan; the second executor (run_tasks*, its
 # UnsafeCell slot vector, its own mr.task spans) was deleted. Keep a copy

@@ -149,7 +149,8 @@ fn filter_candidates_shrink_monotonically() {
 /// Conservation law of the fragment join's counters (`FilterStats` docs):
 /// every considered pair ends in exactly one outcome, whatever the kernel,
 /// the pair scope, the filter set or the signature step — and the
-/// signature step can only prune pairs whose bitmaps it read.
+/// signature step can only prune pairs whose bitmaps it read. Postings
+/// the length window skips are counted beside the law, not in it.
 #[test]
 fn filter_counters_account_for_every_considered_pair() {
     use fsjoin_suite::fsjoin::EmitPolicy;
@@ -184,6 +185,13 @@ fn filter_counters_account_for_every_considered_pair() {
                         assert_eq!(fs.emitted, res.candidates as u64, "{label}");
                         assert!(fs.bitmap_pruned <= fs.bitmap_checks, "{label}");
                         assert_eq!(fs.bitmap_checks > 0, prune, "{label}");
+                        // StrL is a per-pair test under Loop and a length
+                        // window on the posting lists under the indexed
+                        // kernels: never both, and neither with StrL off.
+                        let windowed = kernel != JoinKernel::Loop && filters.strl;
+                        assert_eq!(fs.window_skipped > 0, windowed, "{label}");
+                        let per_pair = kernel == JoinKernel::Loop && filters.strl;
+                        assert_eq!(fs.strl_pruned > 0, per_pair, "{label}");
                     }
                 }
             }
