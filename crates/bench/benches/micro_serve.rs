@@ -20,7 +20,7 @@ fn bench_build(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_probe(c: &mut Criterion) {
+fn bench_query(c: &mut Criterion) {
     let mut g = c.benchmark_group("serve_probe");
     g.sample_size(30);
     let collection = bench_corpus();
@@ -90,5 +90,5 @@ fn bench_freshness(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_build, bench_probe, bench_freshness);
+criterion_group!(benches, bench_build, bench_query, bench_freshness);
 criterion_main!(benches);

@@ -1,13 +1,11 @@
-//! `ssj-serve` — the serving plane's closed-loop latency harness and
-//! deterministic replay gate.
+//! `ssj-serve` — the serving plane's closed-loop latency harness.
 //!
 //! ```text
-//! ssj-serve                        # report mode → results/serve.md
-//! ssj-serve --out PATH             # report mode, explicit output path
-//! ssj-serve --digest [--workers W] # CI mode: deterministic replay digest
+//! ssj-serve                        # → results/serve.md
+//! ssj-serve --out PATH
 //! ```
 //!
-//! **Report mode** builds a [`ServeIndex`] over the WikiLike corpus
+//! Builds a [`ssj_serve::ServeIndex`] over the WikiLike corpus
 //! (Scale::Small), replays every record as a probe query from closed-loop
 //! workers at several concurrencies (p50/p90/p99 latency + sustained
 //! QPS), proves the answers equivalent to a batch FS-Join golden, then
@@ -15,43 +13,33 @@
 //! index, compaction — re-proving equivalence after each step, and writes
 //! the whole story to `results/serve.md`. Exit code is nonzero if any
 //! equivalence check fails.
-//!
-//! **Digest mode** runs a scaled-down replay (bench corpus) with a
-//! caller-chosen build worker count, including an insert/compaction
-//! interleave, and prints a canonical digest of every query's full result
-//! set plus the exact probe counters. Worker count parallelizes the index
-//! *build* but must never change index content or probe answers — CI runs
-//! this binary across worker counts and diffs the output byte-for-byte.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use ssj_bench::serve_load::{closed_loop, replay_queries, ServeLoadReport};
-use ssj_bench::{bench_corpus, corpus, Scale};
-use ssj_serve::{build_index, ProbeStats, ServeConfig, ServeIndex};
-use ssj_text::{Collection, CorpusProfile, Record, RecordId};
+use ssj_bench::serve_load::{
+    closed_loop, prefix_collection, probe_all_pairs, replay_queries, ServeLoadReport,
+};
+use ssj_bench::{corpus, Scale};
+use ssj_serve::{build_index, ServeConfig};
+use ssj_text::{CorpusProfile, RecordId};
 
 const THETA: f64 = 0.8;
 const THETA_MIN: f64 = 0.7;
+/// Index-build worker count.
+const WORKERS: usize = 4;
 
-fn serve_cfg(workers: usize) -> ServeConfig {
+fn serve_cfg() -> ServeConfig {
     ServeConfig::default()
         .with_theta_min(THETA_MIN)
-        .with_workers(workers)
+        .with_workers(WORKERS)
 }
 
 fn main() -> ExitCode {
-    let mut digest_mode = false;
-    let mut workers = 4usize;
     let mut out_path = String::from("results/serve.md");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--digest" => digest_mode = true,
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(w) => workers = w,
-                None => return usage("--workers requires a count"),
-            },
             "--out" => match args.next() {
                 Some(p) => out_path = p,
                 None => return usage("--out requires a path"),
@@ -60,136 +48,20 @@ fn main() -> ExitCode {
             other => return usage(&format!("unexpected argument {other:?}")),
         }
     }
-    if digest_mode {
-        run_digest(workers)
-    } else {
-        run_report(workers, &out_path)
-    }
+    run_report(&out_path)
 }
 
 fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!("usage: ssj-serve [--digest] [--workers N] [--out PATH]");
+    eprintln!("usage: ssj-serve [--out PATH]");
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
     }
 }
-
-/// The first `n` records of `full`, keeping `full`'s rank space — the
-/// base an index is built on before the tail arrives as inserts.
-fn prefix_collection(full: &Collection, n: usize) -> Collection {
-    let records = (0..n)
-        .map(|rid| Record::from_sorted(rid as RecordId, full.tokens(rid as RecordId).to_vec()))
-        .collect();
-    Collection::new(records, full.token_freqs.clone(), None)
-}
-
-/// Probe every record (self excluded) and return the canonical sorted
-/// `(a, b, score bits)` pair list — the serving-side analogue of a batch
-/// join result.
-fn probe_all_pairs(index: &ServeIndex, theta: f64) -> (Vec<(u32, u32, u64)>, ProbeStats) {
-    let mut stats = ProbeStats::default();
-    let mut pairs = Vec::new();
-    for rec in 0..index.len() as u32 {
-        for (other, sim) in index.probe_with(index.tokens_of(rec), theta, Some(rec), &mut stats) {
-            let (a, b) = if rec < other {
-                (rec, other)
-            } else {
-                (other, rec)
-            };
-            pairs.push((a, b, sim.to_bits()));
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    (pairs, stats)
-}
-
-/// FNV-1a over `(a, b, score bits)` triples (same scheme as the shuffle
-/// determinism probe).
-fn digest(triples: &[(u32, u32, u64)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &(a, b, s) in triples {
-        mix(a as u64);
-        mix(b as u64);
-        mix(s);
-    }
-    h
-}
-
-fn batch_pairs(collection: &Collection, theta: f64) -> Vec<(u32, u32, u64)> {
-    let cfg = fsjoin::FsJoinConfig::default().with_theta(theta);
-    let mut pairs: Vec<(u32, u32, u64)> = fsjoin::run_self_join(collection, &cfg)
-        .pairs
-        .iter()
-        .map(|p| (p.a, p.b, p.sim.to_bits()))
-        .collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-// ---------------------------------------------------------------------------
-// Digest mode
-// ---------------------------------------------------------------------------
-
-fn run_digest(workers: usize) -> ExitCode {
-    let full = bench_corpus();
-    let n = full.len();
-    let base = n * 4 / 5;
-
-    // Build on the first 80%, insert the rest with periodic compactions —
-    // the digest covers the whole delta/compaction lifecycle.
-    let mut index = build_index(&prefix_collection(&full, base), &serve_cfg(workers));
-    for rid in base..n {
-        index
-            .insert(full.tokens(rid as RecordId))
-            .expect("corpus records are well-formed");
-        if (rid - base) % 7 == 6 {
-            index.compact();
-        }
-    }
-
-    let (pairs, stats) = probe_all_pairs(&index, THETA);
-    // Every line below must be byte-identical across worker counts.
-    println!(
-        "serve: records={} main_postings={} delta_records={}",
-        index.len(),
-        index.main_postings(),
-        index.delta_len()
-    );
-    println!(
-        "replay: pairs={} digest={:#018x}",
-        pairs.len(),
-        digest(&pairs)
-    );
-    for (key, value) in stats.fields() {
-        println!("counter {key}={value}");
-    }
-    index.compact();
-    let (after, _) = probe_all_pairs(&index, THETA);
-    println!(
-        "post-compaction: pairs={} digest={:#018x} delta_records={}",
-        after.len(),
-        digest(&after),
-        index.delta_len()
-    );
-    ExitCode::SUCCESS
-}
-
-// ---------------------------------------------------------------------------
-// Report mode
-// ---------------------------------------------------------------------------
 
 struct LatencyRow {
     concurrency: usize,
@@ -216,14 +88,14 @@ fn latency_table(rows: &[LatencyRow]) -> String {
     s
 }
 
-fn run_report(workers: usize, out_path: &str) -> ExitCode {
+fn run_report(out_path: &str) -> ExitCode {
     let full = corpus(CorpusProfile::WikiLike, Scale::Small);
     let n = full.len();
     println!("corpus: {} records (WikiLike, small scale)", n);
 
     // ---- Build (the batch plane doing what it is for) ---------------------
     let t0 = Instant::now();
-    let index = build_index(&full, &serve_cfg(workers));
+    let index = build_index(&full, &serve_cfg());
     let build_secs = t0.elapsed().as_secs_f64();
     println!(
         "build: {:.3}s, {} postings, {} partitions",
@@ -233,7 +105,8 @@ fn run_report(workers: usize, out_path: &str) -> ExitCode {
     );
 
     // ---- Equivalence golden ----------------------------------------------
-    let golden = batch_pairs(&full, THETA);
+    let golden =
+        fsjoin::run_self_join(&full, &fsjoin::FsJoinConfig::default().with_theta(THETA)).pairs;
     let (served, _) = probe_all_pairs(&index, THETA);
     let fresh_ok = served == golden;
     println!(
@@ -262,7 +135,7 @@ fn run_report(workers: usize, out_path: &str) -> ExitCode {
 
     // ---- Freshness path: inserts, delta-heavy probes, compaction ---------
     let base = n * 9 / 10;
-    let mut live = build_index(&prefix_collection(&full, base), &serve_cfg(workers));
+    let mut live = build_index(&prefix_collection(&full, base), &serve_cfg());
     let t1 = Instant::now();
     for rid in base..n {
         live.insert(full.tokens(rid as RecordId))

@@ -9,19 +9,19 @@
 //! cargo run --release -p ssj-bench --bin expt -- fig6 table4
 //! ```
 //!
-//! The Criterion benches under `benches/` exercise a scaled-down version of
-//! each exhibit (plus kernel micro-benchmarks) so `cargo bench` tracks
-//! regressions on every comparison the paper makes.
+//! The Criterion benches under `benches/` time the kernels no experiment
+//! isolates (`micro_*`). The gates under `tests/` pin the logical output of
+//! the batch and serving planes: result digests, filter and probe counters,
+//! per-job shuffle accounting, and their invariance across worker counts,
+//! plan modes and injected faults.
 
 pub mod datasets;
 pub mod experiments;
-pub mod regress;
 pub mod report;
 pub mod runners;
 pub mod serve_load;
 pub mod simtrace;
 
 pub use datasets::{bench_corpus, corpus, tuned_fsjoin, Scale};
-pub use regress::{calibrate_unit_secs, BenchReport};
 pub use runners::{run_algorithm, Algorithm, RunOutcome, RunStatus};
 pub use serve_load::{closed_loop, replay_queries, ServeLoadReport};

@@ -17,7 +17,8 @@ use std::time::Instant;
 
 use ssj_observe::LogHistogram;
 use ssj_serve::{ProbeStats, ServeIndex};
-use ssj_text::TokenId;
+use ssj_similarity::SimilarPair;
+use ssj_text::{Collection, Record, RecordId, TokenId};
 
 /// Outcome of one closed-loop run.
 #[derive(Debug, Clone)]
@@ -118,6 +119,35 @@ pub fn replay_queries(index: &ServeIndex, stride: usize) -> Vec<Vec<TokenId>> {
         .map(|rid| index.tokens_of(rid as u32).to_vec())
         .filter(|q| !q.is_empty())
         .collect()
+}
+
+/// The first `n` records of `full`, keeping `full`'s rank space — the
+/// base an index is built on before the tail arrives as inserts.
+pub fn prefix_collection(full: &Collection, n: usize) -> Collection {
+    let records = (0..n)
+        .map(|rid| Record::from_sorted(rid as RecordId, full.tokens(rid as RecordId).to_vec()))
+        .collect();
+    Collection::new(records, full.token_freqs.clone(), None)
+}
+
+/// Probe every record (self excluded) at `theta` and return the pairs the
+/// answers imply, each once in canonical order, with the summed probe
+/// counters — the serving-side analogue of a batch self-join result.
+pub fn probe_all_pairs(index: &ServeIndex, theta: f64) -> (Vec<SimilarPair>, ProbeStats) {
+    let mut stats = ProbeStats::default();
+    let mut pairs = Vec::new();
+    for rec in 0..index.len() as u32 {
+        for (other, sim) in index.probe_with(index.tokens_of(rec), theta, Some(rec), &mut stats) {
+            pairs.push((rec.min(other), rec.max(other), sim.to_bits()));
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let pairs = pairs
+        .into_iter()
+        .map(|(a, b, sim)| SimilarPair::new(a, b, f64::from_bits(sim)))
+        .collect();
+    (pairs, stats)
 }
 
 #[cfg(test)]

@@ -63,16 +63,9 @@ pub struct FsJoinConfig {
     /// with it off. At the two verify sites nothing else moves either; at
     /// the fragment join the candidate volume, the verify job's shuffle
     /// and the segment-filter counters shrink with it on, because pairs
-    /// it drops never reach them. The `determinism` binary's prune-on/off
-    /// CI gate pins both.
+    /// it drops never reach them. The prune-on/off gate in
+    /// `crates/bench/tests/gates.rs` pins both.
     pub bitmap_prune: bool,
-    /// Run [`crate::run_rs_join_two_input`]'s join stage as a co-group
-    /// stage over the sealed co-partitioned prefix partitions (default
-    /// true; DESIGN.md §13) instead of the identity-rekey fan-in stage
-    /// that re-shuffles every prefix record. Results and pair digests are
-    /// identical on both paths — the flag exists for the CI equivalence
-    /// gate and A/B shuffle-volume measurements.
-    pub rs_cogroup: bool,
     /// Seed for the Random pivot strategy.
     pub seed: u64,
 }
@@ -93,7 +86,6 @@ impl Default for FsJoinConfig {
             workers: ssj_mapreduce::executor::default_workers(),
             plan_mode: PlanMode::default(),
             bitmap_prune: true,
-            rs_cogroup: true,
             seed: 42,
         }
     }
@@ -173,15 +165,6 @@ impl FsJoinConfig {
     /// volumes — results are identical either way.
     pub fn with_bitmap_prune(mut self, on: bool) -> Self {
         self.bitmap_prune = on;
-        self
-    }
-
-    /// Choose the two-input R×S join-stage execution path: co-group over
-    /// sealed prefix partitions (true, default) or identity-rekey fan-in
-    /// with a second shuffle (false). Pair digests are identical either
-    /// way; only shuffle volume and wall time differ.
-    pub fn with_rs_cogroup(mut self, on: bool) -> Self {
-        self.rs_cogroup = on;
         self
     }
 

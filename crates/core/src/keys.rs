@@ -38,8 +38,8 @@ pub const FILTER_POLICY_DROPPED: &str = "fsjoin.filter.policy_dropped";
 /// Candidate records emitted by the filter stage (counter).
 ///
 /// **Conservation law** of the fragment join (asserted in
-/// `tests/metrics_invariants.rs` and on the `determinism` report by
-/// `scripts/ci.sh`): every considered pair ends in exactly one outcome,
+/// `tests/metrics_invariants.rs` and `crates/bench/tests/gates.rs`): every
+/// considered pair ends in exactly one outcome,
 /// `pairs_considered = strl_pruned + bitmap_pruned + segl_pruned +
 /// segi_pruned + segd_pruned + policy_dropped + emitted`, with
 /// `bitmap_pruned ≤ bitmap_checks` and `emitted` = the run's candidates.

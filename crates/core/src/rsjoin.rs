@@ -11,16 +11,11 @@
 //!   partitioner and reduce-task count — the two stages are
 //!   *co-partitioned*, so prefix token `t` lands in the same partition
 //!   index on both sides;
-//! * stage `rsjoin-join` consumes **both** prefix stages. By default
-//!   ([`FsJoinConfig::rs_cogroup`]) it is a **co-group stage**
-//!   ([`Plan::add_cogroup`]): task `i` merges the sealed partitions `i`
-//!   of R and S in place (side 0 = R, side 1 = S) and verifies every
-//!   cross-side pair per token group — the re-shuffle the old
-//!   identity-rekey fan-in paid to reunite records its upstreams had
-//!   already co-partitioned is gone. With the flag off, the stage runs
-//!   as that rekey fan-in through [`StageInput::Stages`] instead; both
-//!   paths share one verification core, so pair digests and filter
-//!   verdicts are bit-identical;
+//! * stage `rsjoin-join` consumes **both** prefix stages as a **co-group
+//!   stage** ([`Plan::add_cogroup`]): task `i` merges the sealed
+//!   partitions `i` of R and S in place (side 0 = R, side 1 = S) and
+//!   verifies every cross-side pair per token group — no re-shuffle
+//!   reunites records its upstreams already co-partitioned;
 //! * stage `rsjoin-dedup` collapses pairs discovered under several shared
 //!   prefix tokens (a shuffle stage, except in the single-partition case
 //!   where the join output is provably pair-partitioned and the dedup
@@ -43,8 +38,8 @@ use crate::config::FsJoinConfig;
 use crate::driver::FsJoinResult;
 use crate::filters::FilterStats;
 use ssj_mapreduce::{
-    CoGroupReducer, Dataset, Emitter, GroupValues, HashPartitioner, IdentityCombiner,
-    IdentityMapper, KeepFirst, Mapper, PassThrough, Plan, PlanRunner, SideGroups, StreamingReducer,
+    CoGroupReducer, Dataset, Emitter, HashPartitioner, IdentityCombiner, IdentityMapper, KeepFirst,
+    Mapper, PassThrough, Plan, PlanRunner, SideGroups,
 };
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::{Measure, SimilarPair, Verifier};
@@ -78,108 +73,19 @@ impl Mapper for PrefixEmit {
     }
 }
 
-/// The exact cross-pair verification pipeline shared by both join-stage
-/// execution paths ([`CrossVerify`] on the rekey fan-in, [`CrossVerifyCo`]
-/// on the co-group stage): string-length filter → the whole-record
-/// [`Verifier`] cascade (bitmaps go in when `bitmap` is on), with every
-/// decision counted into the same [`FilterStats`]. One code path means the
-/// two stages' filter verdicts and scores are bit-identical by
-/// construction.
-struct CrossVerifyCore {
+/// Join-stage reducer: consumes the sealed prefix partitions directly —
+/// side 0 is `rsjoin-r-prefix`, side 1 is `rsjoin-s-prefix` (edge order) —
+/// and verifies every (r, s) cross pair of a token group exactly:
+/// string-length filter → the whole-record [`Verifier`] cascade (bitmaps go
+/// in when `bitmap` is on), every decision counted into [`FilterStats`].
+/// Pruning counters flow into the run's registry at cleanup, like the
+/// self-join's fragment reducer.
+struct CrossVerifyCo {
     pool: Arc<TokenPool>,
     verifier: Verifier,
     bitmap: bool,
     local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
-}
-
-impl CrossVerifyCore {
-    /// Verify every (r, s) cross pair of one token group.
-    fn verify_group(
-        &mut self,
-        r_buf: &[PooledRecord],
-        s_buf: &[PooledRecord],
-        out: &mut Emitter<(u32, u32), f64>,
-    ) {
-        let Verifier { measure, theta } = self.verifier;
-        for r in r_buf {
-            for s in s_buf {
-                self.local_stats.pairs_considered += 1;
-                if !crate::filters::strl_pass(measure, theta, r.span.len, s.span.len) {
-                    self.local_stats.strl_pruned += 1;
-                    continue;
-                }
-                let (ra, sb) = (self.pool.resolve(r.span), self.pool.resolve(s.span));
-                // Record ids index the concat pool (id contract above), so
-                // each side's bitmap is a direct lookup.
-                let bits = self
-                    .bitmap
-                    .then(|| (self.pool.bitmap_of(r.id), self.pool.bitmap_of(s.id)));
-                let verdict = self.verifier.verify(ra, sb, bits);
-                self.local_stats.count_verdict(&verdict, ra.len(), sb.len());
-                if let Some((_, sim)) = verdict.similar {
-                    self.local_stats.emitted += 1;
-                    out.emit((r.id, s.id), sim);
-                }
-            }
-        }
-    }
-
-    /// Flush the task's pruning counters into the run registry.
-    fn flush(&mut self) {
-        self.local_stats.record_to(&self.registry);
-        self.local_stats = FilterStats::default();
-    }
-}
-
-/// Join-stage reducer (rekey fan-in path): splits each token group by side
-/// (`id < |R|` is R — the concat-pool id contract) and verifies every
-/// cross pair exactly. Pruning counters flow into the run's registry at
-/// cleanup, like the main driver's fragment reducer.
-struct CrossVerify {
-    core: CrossVerifyCore,
-    num_r: u32,
-    r_buf: Vec<PooledRecord>,
-    s_buf: Vec<PooledRecord>,
-}
-
-impl StreamingReducer for CrossVerify {
-    type InKey = u32;
-    type InValue = PooledRecord;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn reduce_group(
-        &mut self,
-        _token: &u32,
-        records: &mut GroupValues<'_, '_, u32, PooledRecord>,
-        out: &mut Emitter<(u32, u32), f64>,
-    ) {
-        self.r_buf.clear();
-        self.s_buf.clear();
-        for rec in records {
-            if rec.id < self.num_r {
-                self.r_buf.push(*rec);
-            } else {
-                self.s_buf.push(*rec);
-            }
-        }
-        self.core.verify_group(&self.r_buf, &self.s_buf, out);
-    }
-
-    fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), f64>) {
-        self.core.flush();
-    }
-}
-
-/// Join-stage reducer (co-group path): consumes the sealed prefix
-/// partitions directly — side 0 is `rsjoin-r-prefix`, side 1 is
-/// `rsjoin-s-prefix` (edge order), so the side tag replaces the
-/// `id < |R|` split with no re-shuffle in front. The verification core is
-/// shared with [`CrossVerify`], so filter verdicts, pruning counters, and
-/// scores are bit-identical across the two paths.
-struct CrossVerifyCo {
-    core: CrossVerifyCore,
     r_buf: Vec<PooledRecord>,
     s_buf: Vec<PooledRecord>,
 }
@@ -205,11 +111,33 @@ impl CoGroupReducer for CrossVerifyCo {
                 self.s_buf.push(*rec);
             }
         }
-        self.core.verify_group(&self.r_buf, &self.s_buf, out);
+        let Verifier { measure, theta } = self.verifier;
+        for r in &self.r_buf {
+            for s in &self.s_buf {
+                self.local_stats.pairs_considered += 1;
+                if !crate::filters::strl_pass(measure, theta, r.span.len, s.span.len) {
+                    self.local_stats.strl_pruned += 1;
+                    continue;
+                }
+                let (ra, sb) = (self.pool.resolve(r.span), self.pool.resolve(s.span));
+                // Record ids index the concat pool (id contract above), so
+                // each side's bitmap is a direct lookup.
+                let bits = self
+                    .bitmap
+                    .then(|| (self.pool.bitmap_of(r.id), self.pool.bitmap_of(s.id)));
+                let verdict = self.verifier.verify(ra, sb, bits);
+                self.local_stats.count_verdict(&verdict, ra.len(), sb.len());
+                if let Some((_, sim)) = verdict.similar {
+                    self.local_stats.emitted += 1;
+                    out.emit((r.id, s.id), sim);
+                }
+            }
+        }
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), f64>) {
-        self.core.flush();
+        self.local_stats.record_to(&self.registry);
+        self.local_stats = FilterStats::default();
     }
 }
 
@@ -222,9 +150,7 @@ impl CoGroupReducer for CrossVerifyCo {
 /// The returned [`FsJoinResult`] carries no pivots (`pivots` /
 /// `h_pivots` empty — this plan partitions by prefix token, not by
 /// fragment), `candidates` counts verified-pair emissions before dedup,
-/// and `deps` records the fan-in shape
-/// `[[], [], [0, 1], [2]]` — identical on both join-stage paths, since a
-/// co-group edge and a rekey shuffle edge express the same dependency.
+/// and `deps` records the fan-in shape `[[], [], [0, 1], [2]]`.
 pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
     cfg.validate();
     assert_eq!(
@@ -266,7 +192,7 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
     let mut plan = Plan::new("rsjoin").with_workers(cfg.workers);
     let pool_bcast = plan.broadcast(Arc::clone(&pool));
     // Both prefix stages MUST share reduce_tasks and partitioner: the join
-    // stage's map split i consumes partition i of each.
+    // stage's co-group task i consumes partition i of each.
     let prefix_factory = {
         move |_: usize, pool: &Arc<TokenPool>| PrefixEmit {
             pool: Arc::clone(pool),
@@ -294,53 +220,27 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         HashPartitioner,
         None::<IdentityCombiner>,
     );
-    let core_factory = {
-        let registry = Arc::clone(&run_registry);
-        let bitmap = cfg.bitmap_prune;
-        move |pool: &Arc<TokenPool>| CrossVerifyCore {
+    let registry = Arc::clone(&run_registry);
+    let bitmap = cfg.bitmap_prune;
+    let joined = plan.add_cogroup_broadcast(
+        "rsjoin-join",
+        vec![h_r, h_s],
+        pool_bcast,
+        move |_, pool: &Arc<TokenPool>| CrossVerifyCo {
             pool: Arc::clone(pool),
             verifier: Verifier { measure, theta },
             bitmap,
             local_stats: FilterStats::default(),
             registry: Arc::clone(&registry),
-        }
-    };
-    // Join stage: co-group over the sealed prefix partitions (default) or
-    // identity-rekey fan-in with a second shuffle of every prefix record.
-    // Same reducer core either way — pair digests are path-invariant.
-    let joined = if cfg.rs_cogroup {
-        plan.add_cogroup_broadcast(
-            "rsjoin-join",
-            vec![h_r, h_s],
-            pool_bcast,
-            move |_, pool: &Arc<TokenPool>| CrossVerifyCo {
-                core: core_factory(pool),
-                r_buf: Vec::new(),
-                s_buf: Vec::new(),
-            },
-        )
-    } else {
-        plan.add_full_broadcast(
-            "rsjoin-join",
-            [h_r, h_s],
-            pool_bcast,
-            cfg.reduce_tasks,
-            |_, _: &Arc<TokenPool>| IdentityMapper::default(),
-            move |_, pool: &Arc<TokenPool>| CrossVerify {
-                core: core_factory(pool),
-                num_r: num_r as u32,
-                r_buf: Vec::new(),
-                s_buf: Vec::new(),
-            },
-            HashPartitioner,
-            None::<IdentityCombiner>,
-        )
-    };
+            r_buf: Vec::new(),
+            s_buf: Vec::new(),
+        },
+    );
     // Dedup: a pair discovered under several shared prefix tokens surfaces
     // in several join partitions, so collapsing duplicates needs a shuffle
     // in general. Only a single join partition makes the input provably
     // pair-partitioned — then the sealed partition co-groups in place.
-    let unique = if cfg.rs_cogroup && cfg.reduce_tasks == 1 {
+    let unique = if cfg.reduce_tasks == 1 {
         plan.add_cogroup("rsjoin-dedup", vec![joined], |_| KeepFirst::default())
     } else {
         plan.add(
@@ -394,6 +294,7 @@ mod tests {
     use ssj_mapreduce::PlanMode;
     use ssj_similarity::naive::naive_rs_join;
     use ssj_similarity::pair::compare_results;
+    use ssj_similarity::pair_digest;
     use ssj_text::encode::encode_two;
     use ssj_text::{CorpusProfile, RawCorpus, Record, Tokenizer};
 
@@ -410,27 +311,8 @@ mod tests {
         encode_two(&r, &s)
     }
 
-    /// Order-independent FNV-1a digest of a sorted pair list (ids + exact
-    /// score bits) — the cross-implementation equality witness.
-    fn pair_digest(pairs: &[SimilarPair]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for p in pairs {
-            let (a, b) = p.ids();
-            mix(a as u64);
-            mix(b as u64);
-            mix(p.sim.to_bits());
-        }
-        h
-    }
-
     /// RIDPairsPPJoin over the concatenated collection, filtered to
-    /// cross-side pairs — the oracle the ISSUE pins the digest against.
+    /// cross-side pairs — the oracle the digest tests pin against.
     fn ridpairs_cross_oracle(
         r: &Collection,
         s: &Collection,
@@ -470,8 +352,8 @@ mod tests {
         assert_eq!(res.chain.jobs[2].name, "rsjoin-join");
         assert_eq!(res.deps, vec![vec![], vec![], vec![0, 1], vec![2]]);
         assert!(res.pivots.is_empty() && res.h_pivots.is_empty());
-        // Default path: the join stage is a co-group — no map tasks, no
-        // shuffle traffic of its own, bytes-saved counter populated.
+        // The join stage is a co-group — no map tasks, no shuffle traffic
+        // of its own, bytes-saved counter populated.
         let join = &res.chain.jobs[2];
         assert!(join.cogroup);
         assert!(join.map_tasks.is_empty());
@@ -479,71 +361,25 @@ mod tests {
         assert!(join.cogroup_shuffle_bytes_saved() > 0);
     }
 
-    /// Both join-stage paths produce bit-identical pairs AND filter
-    /// statistics; the co-group path ships zero join-stage shuffle bytes
-    /// where the rekey path re-shuffles every prefix record.
-    #[test]
-    fn cogroup_and_rekey_paths_are_bit_identical() {
-        let (r, s) = rs_corpora(40, 120);
-        for &theta in &[0.75, 0.85, 0.95] {
-            let cogroup = run_rs_join_two_input(
-                &r,
-                &s,
-                &FsJoinConfig::default()
-                    .with_theta(theta)
-                    .with_rs_cogroup(true),
-            );
-            let rekey = run_rs_join_two_input(
-                &r,
-                &s,
-                &FsJoinConfig::default()
-                    .with_theta(theta)
-                    .with_rs_cogroup(false),
-            );
-            assert_eq!(
-                pair_digest(&cogroup.pairs),
-                pair_digest(&rekey.pairs),
-                "θ={theta} digest mismatch"
-            );
-            assert_eq!(cogroup.candidates, rekey.candidates, "θ={theta}");
-            assert_eq!(
-                format!("{:?}", cogroup.filter_stats),
-                format!("{:?}", rekey.filter_stats),
-                "θ={theta} filter stats diverge"
-            );
-            // The saved bytes are exactly the rekey join stage's shuffle.
-            let co_join = &cogroup.chain.jobs[2];
-            let rk_join = &rekey.chain.jobs[2];
-            assert!(co_join.cogroup && !rk_join.cogroup);
-            assert_eq!(co_join.shuffle_bytes, 0);
-            assert!(rk_join.shuffle_bytes > 0);
-            assert_eq!(co_join.cogroup_shuffle_bytes_saved(), rk_join.shuffle_bytes);
-            let total = |res: &FsJoinResult| -> usize {
-                res.chain.jobs.iter().map(|j| j.shuffle_bytes).sum()
-            };
-            assert!(
-                total(&cogroup) < total(&rekey),
-                "θ={theta}: co-group total shuffle {} must undercut rekey {}",
-                total(&cogroup),
-                total(&rekey)
-            );
-        }
-    }
-
     /// With one reduce partition the join output is pair-partitioned, so
-    /// the dedup also runs as a co-group — results still match the rekey
-    /// plan exactly.
+    /// the dedup also runs as a co-group — results still match the
+    /// RIDPairs-over-concat oracle bit for bit.
     #[test]
     fn single_partition_cogroup_dedup_matches() {
-        let (r, s) = rs_corpora(30, 90);
-        let base = FsJoinConfig::default().with_theta(0.7).with_tasks(4, 1);
-        let co = run_rs_join_two_input(&r, &s, &base.clone().with_rs_cogroup(true));
-        let rk = run_rs_join_two_input(&r, &s, &base.with_rs_cogroup(false));
-        assert_eq!(pair_digest(&co.pairs), pair_digest(&rk.pairs));
+        // Same seed on both sides: R's documents recur in S, so the oracle
+        // has cross pairs to match.
+        let (r, s) = encode_two(
+            &CorpusProfile::WikiLike.config().with_records(30).generate(),
+            &CorpusProfile::WikiLike.config().with_records(90).generate(),
+        );
+        let cfg = FsJoinConfig::default().with_theta(0.7).with_tasks(4, 1);
+        let co = run_rs_join_two_input(&r, &s, &cfg);
+        let want = ridpairs_cross_oracle(&r, &s, Measure::Jaccard, 0.7);
+        assert!(!want.is_empty());
+        assert_eq!(pair_digest(&co.pairs), pair_digest(&want));
         let dedup = &co.chain.jobs[3];
         assert!(dedup.cogroup, "single-partition dedup must co-group");
         assert_eq!(dedup.shuffle_bytes, 0);
-        assert!(!rk.chain.jobs[3].cogroup);
     }
 
     #[test]
@@ -561,9 +397,8 @@ mod tests {
         }
     }
 
-    /// The ISSUE's acceptance bar: pair digests bit-identical to
-    /// RIDPairsPPJoin-over-concat (cross pairs only) at
-    /// θ ∈ {0.75, 0.85, 0.95}, in both plan modes.
+    /// Pair digests bit-identical to RIDPairsPPJoin-over-concat (cross
+    /// pairs only) at θ ∈ {0.75, 0.85, 0.95}, in both plan modes.
     #[test]
     fn digest_matches_ridpairs_over_concat_in_both_modes() {
         let (r, s) = rs_corpora(40, 150);

@@ -231,7 +231,7 @@ fn long_records_self_join_pf_matches_oracle() {
 }
 
 #[test]
-fn long_records_rs_join_two_input_matches_oracle_on_both_paths() {
+fn long_records_rs_join_two_input_matches_oracle() {
     let corpus = long_email_corpus();
     let (mut r_docs, mut s_docs) = (Vec::new(), Vec::new());
     for (i, doc) in corpus.docs.into_iter().enumerate() {
@@ -248,15 +248,12 @@ fn long_records_rs_join_two_input_matches_oracle_on_both_paths() {
         for theta in [0.75, 0.9] {
             let want = naive_rs_join(&r.views(), &s_shifted, measure, theta);
             assert!(!want.is_empty(), "{measure:?} θ={theta}: no planted pairs");
-            for cogroup in [true, false] {
-                let cfg = FsJoinConfig::default()
-                    .with_measure(measure)
-                    .with_theta(theta)
-                    .with_rs_cogroup(cogroup);
-                let got = fsjoin::run_rs_join_two_input(&r, &s, &cfg);
-                compare_results(&got.pairs, &want, 0.0)
-                    .unwrap_or_else(|e| panic!("{measure:?} θ={theta} cogroup={cogroup}: {e}"));
-            }
+            let cfg = FsJoinConfig::default()
+                .with_measure(measure)
+                .with_theta(theta);
+            let got = fsjoin::run_rs_join_two_input(&r, &s, &cfg);
+            compare_results(&got.pairs, &want, 0.0)
+                .unwrap_or_else(|e| panic!("{measure:?} θ={theta}: {e}"));
         }
     }
 }

@@ -86,8 +86,8 @@ impl JobBuilder {
 
     /// Inject faults from a deterministic [`FaultPlan`] into this job's
     /// task attempts. When unset, the job still honours a process-global
-    /// plan installed via [`ssj_faults::install_plan`] (how the chaos CI
-    /// smoke drives an unmodified pipeline).
+    /// plan installed via [`ssj_faults::install_plan`] (how
+    /// `crates/bench/tests/chaos.rs` drives an unmodified pipeline).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self

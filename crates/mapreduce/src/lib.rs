@@ -85,7 +85,9 @@ pub use emitter::Emitter;
 pub use executor::{TaskError, TaskFailure};
 pub use job::{IdentityCombiner, JobBuilder};
 pub use merge::{CoGroupedRuns, GroupValues, GroupedRuns, KWayMerge, SideGroups};
-pub use metrics::{ChainMetrics, ExecSummary, JobMetrics, TaskKind, TaskStat};
+pub use metrics::{
+    ChainMetrics, ExecSummary, JobMetrics, LogicalJob, TaskCounts, TaskKind, TaskStat,
+};
 pub use partitioner::{DirectPartitioner, HashPartitioner, Partitioner};
 pub use plan::{
     next_plan_run_id, BroadcastHandle, Plan, PlanMode, PlanOutcome, PlanRunner, Stage, StageEdge,

@@ -51,8 +51,8 @@ pub struct TaskStat {
 /// Attempt-level execution counters for one job (or one phase): how many
 /// attempts ran, how many failed and were retried, and what the fault
 /// injector did. Deterministic under a seeded
-/// [`FaultPlan`](ssj_faults::FaultPlan) — the chaos CI gate diffs these
-/// across runs.
+/// [`FaultPlan`](ssj_faults::FaultPlan) — `crates/bench/tests/chaos.rs`
+/// pins them across reruns of one seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecSummary {
     /// Task attempts started (first attempts + retries).
@@ -181,6 +181,36 @@ impl JobMetrics {
         self.reduce_tasks.iter().map(|t| t.input_bytes).sum()
     }
 
+    /// The timing-free projection of these metrics: what must be
+    /// bit-identical across worker counts, plan modes and seeded reruns.
+    pub fn logical(&self) -> LogicalJob {
+        let counts = |tasks: &[TaskStat]| {
+            tasks
+                .iter()
+                .map(|t| TaskCounts {
+                    index: t.index,
+                    input_records: t.input_records,
+                    input_bytes: t.input_bytes,
+                    input_keys: t.input_keys,
+                    output_records: t.output_records,
+                    output_bytes: t.output_bytes,
+                })
+                .collect()
+        };
+        LogicalJob {
+            name: self.name.clone(),
+            plan_stage: self.plan_stage.clone(),
+            cogroup: self.cogroup,
+            map_tasks: counts(&self.map_tasks),
+            reduce_tasks: counts(&self.reduce_tasks),
+            shuffle_records: self.shuffle_records,
+            shuffle_bytes: self.shuffle_bytes,
+            pre_combine_records: self.pre_combine_records,
+            pre_combine_bytes: self.pre_combine_bytes,
+            exec: self.exec,
+        }
+    }
+
     /// Distribution of per-reduce-task input bytes — the load-balance
     /// statistic (skew = max/mean; Gini) behind the paper's Table I and
     /// Figure 11 claims.
@@ -198,6 +228,35 @@ impl JobMetrics {
                 .collect::<Vec<_>>(),
         )
     }
+}
+
+/// The counters of one [`TaskStat`], without its durations. Fields are
+/// the [`TaskStat`] fields of the same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskCounts {
+    pub index: usize,
+    pub input_records: usize,
+    pub input_bytes: usize,
+    pub input_keys: usize,
+    pub output_records: usize,
+    pub output_bytes: usize,
+}
+
+/// [`JobMetrics`] without wall-clock fields ([`JobMetrics::logical`]).
+/// Fields are the [`JobMetrics`] fields of the same name, tasks reduced to
+/// their [`TaskCounts`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogicalJob {
+    pub name: String,
+    pub plan_stage: Option<(String, usize)>,
+    pub cogroup: bool,
+    pub map_tasks: Vec<TaskCounts>,
+    pub reduce_tasks: Vec<TaskCounts>,
+    pub shuffle_records: usize,
+    pub shuffle_bytes: usize,
+    pub pre_combine_records: usize,
+    pub pre_combine_bytes: usize,
+    pub exec: ExecSummary,
 }
 
 /// Metrics for a chain of jobs (an algorithm run end-to-end, e.g. FS-Join's

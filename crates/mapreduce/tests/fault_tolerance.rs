@@ -1,9 +1,19 @@
 //! End-to-end fault-tolerance tests: a job run under an aggressive seeded
 //! fault plan must produce byte-identical output to the fault-free run, and
 //! the same seed must reproduce the exact same retry/injection counters.
+//!
+//! One test installs a process-global fault plan, which every job run
+//! without an explicit plan picks up, so every test takes [`serial`].
+
+use std::sync::{Mutex, MutexGuard};
 
 use ssj_faults::{FaultPlan, RetryPolicy};
 use ssj_mapreduce::{Dataset, Emitter, JobBuilder, Mapper, Reducer};
+
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Word-count-shaped mapper: emits (token, 1) per token.
 struct TokenMap;
@@ -64,6 +74,7 @@ fn run_with(plan: Option<FaultPlan>) -> (Vec<(String, u64)>, ssj_mapreduce::Exec
 
 #[test]
 fn chaos_output_matches_fault_free_output() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     let (clean, clean_exec) = run_with(None);
     assert_eq!(clean_exec.retries, 0, "no faults, no retries");
@@ -83,6 +94,7 @@ fn chaos_output_matches_fault_free_output() {
 
 #[test]
 fn same_seed_reproduces_identical_retry_counters() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     let (out_a, exec_a) = run_with(Some(FaultPlan::chaos(99, 0.3)));
     let (out_b, exec_b) = run_with(Some(FaultPlan::chaos(99, 0.3)));
@@ -96,6 +108,7 @@ fn same_seed_reproduces_identical_retry_counters() {
 
 #[test]
 fn different_seeds_draw_different_faults() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     let mut totals = std::collections::BTreeSet::new();
     for seed in 0..6u64 {
@@ -114,6 +127,7 @@ fn different_seeds_draw_different_faults() {
 
 #[test]
 fn globally_installed_plan_applies_and_uninstalls() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     let (clean, _) = run_with(None);
 
@@ -139,6 +153,7 @@ fn globally_installed_plan_applies_and_uninstalls() {
 #[test]
 #[should_panic(expected = "failed after")]
 fn exhausted_retry_budget_fails_the_job() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     // Every attempt of every task errors (rate 1.0, unlimited injected
     // attempts), so the retry budget must run out and the job must fail

@@ -16,74 +16,16 @@ use ssj_baselines::vsmart::vsmart_join;
 use ssj_baselines::BaselineConfig;
 use ssj_faults::{Fault, FaultPlan, Phase};
 use ssj_mapreduce::{
-    ChainMetrics, CoGroupReducer, Dataset, Emitter, JobMetrics, Mapper, Plan, PlanMode, PlanRunner,
-    Reducer, SideGroups, StageHandle,
+    ChainMetrics, CoGroupReducer, Dataset, Emitter, JobMetrics, LogicalJob, Mapper, Plan, PlanMode,
+    PlanRunner, Reducer, SideGroups, StageHandle,
 };
-use ssj_similarity::{Measure, SimilarPair};
+use ssj_similarity::{pair_digest, Measure};
 use ssj_text::{encode, Collection, CorpusProfile, Record};
-
-/// FNV-1a over the canonically sorted pair list (ids + exact score bits) —
-/// the same digest the determinism CI gate prints.
-fn digest(pairs: &[SimilarPair]) -> u64 {
-    let mut sorted: Vec<(u32, u32, u64)> =
-        pairs.iter().map(|p| (p.a, p.b, p.sim.to_bits())).collect();
-    sorted.sort_unstable();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (a, b, s) in sorted {
-        mix(a as u64);
-        mix(b as u64);
-        mix(s);
-    }
-    h
-}
-
-/// The logical (timing-free) signature of one job's metrics: everything
-/// that must be bit-identical across plan modes.
-fn logical(m: &JobMetrics) -> String {
-    format!(
-        "{:?}",
-        (
-            &m.name,
-            &m.plan_stage,
-            m.shuffle_records,
-            m.shuffle_bytes,
-            m.pre_combine_records,
-            m.pre_combine_bytes,
-            m.map_tasks
-                .iter()
-                .map(|t| (
-                    t.index,
-                    t.input_records,
-                    t.input_bytes,
-                    t.output_records,
-                    t.output_bytes
-                ))
-                .collect::<Vec<_>>(),
-            m.reduce_tasks
-                .iter()
-                .map(|t| (
-                    t.index,
-                    t.input_records,
-                    t.input_bytes,
-                    t.output_records,
-                    t.output_bytes
-                ))
-                .collect::<Vec<_>>(),
-            m.exec,
-        )
-    )
-}
 
 fn assert_chains_logically_equal(a: &ChainMetrics, b: &ChainMetrics, label: &str) {
     assert_eq!(a.jobs.len(), b.jobs.len(), "{label}: stage count");
     for (x, y) in a.jobs.iter().zip(&b.jobs) {
-        assert_eq!(logical(x), logical(y), "{label}: stage {}", x.name);
+        assert_eq!(x.logical(), y.logical(), "{label}: stage {}", x.name);
     }
 }
 
@@ -186,11 +128,11 @@ proptest! {
         let piped =
             fsjoin::run_self_join(&c, &base.clone().with_plan_mode(PlanMode::Pipelined));
         let seq = fsjoin::run_self_join(&c, &base.with_plan_mode(PlanMode::Sequential));
-        prop_assert_eq!(digest(&piped.pairs), digest(&seq.pairs));
+        prop_assert_eq!(pair_digest(&piped.pairs), pair_digest(&seq.pairs));
         prop_assert_eq!(piped.candidates, seq.candidates);
         prop_assert_eq!(piped.chain.jobs.len(), seq.chain.jobs.len());
         for (a, b) in piped.chain.jobs.iter().zip(&seq.chain.jobs) {
-            prop_assert_eq!(logical(a), logical(b));
+            prop_assert_eq!(a.logical(), b.logical());
         }
     }
 
@@ -213,64 +155,11 @@ proptest! {
             &r, &s, &base.with_plan_mode(PlanMode::Sequential));
         prop_assert_eq!(&piped.deps, &vec![vec![], vec![], vec![0, 1], vec![2]]);
         prop_assert_eq!(&piped.deps, &seq.deps);
-        prop_assert_eq!(digest(&piped.pairs), digest(&seq.pairs));
+        prop_assert_eq!(pair_digest(&piped.pairs), pair_digest(&seq.pairs));
         prop_assert_eq!(piped.candidates, seq.candidates);
         prop_assert_eq!(piped.chain.jobs.len(), seq.chain.jobs.len());
         for (a, b) in piped.chain.jobs.iter().zip(&seq.chain.jobs) {
-            prop_assert_eq!(logical(a), logical(b));
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The R×S co-group join path ≡ the identity-rekey fan-in path: same
-    /// pair digests, candidate counts, and filter verdicts across random
-    /// R/S splits, worker counts, and both plan modes — while the co-group
-    /// join stage moves zero shuffle bytes and its bytes-saved counter
-    /// accounts exactly for the rekey path's second shuffle.
-    #[test]
-    fn rsjoin_cogroup_matches_rekey_across_modes(
-        (r, s) in arb_rs_collections(),
-        workers in prop::sample::select(vec![1usize, 2, 7]),
-        mode in prop::sample::select(vec![PlanMode::Pipelined, PlanMode::Sequential]),
-        theta in prop::sample::select(vec![0.6, 0.8]),
-    ) {
-        let base = FsJoinConfig::default()
-            .with_theta(theta)
-            .with_tasks(3, 4)
-            .with_workers(workers)
-            .with_plan_mode(mode);
-        let co = fsjoin::run_rs_join_two_input(&r, &s, &base.clone().with_rs_cogroup(true));
-        let rk = fsjoin::run_rs_join_two_input(&r, &s, &base.with_rs_cogroup(false));
-
-        prop_assert_eq!(digest(&co.pairs), digest(&rk.pairs));
-        prop_assert_eq!(co.candidates, rk.candidates);
-        prop_assert_eq!(
-            format!("{:?}", co.filter_stats),
-            format!("{:?}", rk.filter_stats)
-        );
-        // Both paths publish the same 4-stage DAG shape.
-        prop_assert_eq!(&co.deps, &vec![vec![], vec![], vec![0, 1], vec![2]]);
-        prop_assert_eq!(&co.deps, &rk.deps);
-
-        let co_join = &co.chain.jobs[2];
-        let rk_join = &rk.chain.jobs[2];
-        prop_assert!(co_join.cogroup && !rk_join.cogroup);
-        prop_assert!(co_join.map_tasks.is_empty());
-        prop_assert_eq!(co_join.shuffle_bytes, 0);
-        // The counter is exactly the shuffle the rekey path pays.
-        prop_assert_eq!(co_join.cogroup_shuffle_bytes_saved(), rk_join.shuffle_bytes);
-        // Per-task reduce-side accounting is identical: the co-group tasks
-        // read the same sealed partitions the rekey reducers re-received.
-        let reduce_io = |m: &JobMetrics| m.reduce_tasks.iter()
-            .map(|t| (t.index, t.input_records, t.output_records, t.output_bytes))
-            .collect::<Vec<_>>();
-        prop_assert_eq!(reduce_io(co_join), reduce_io(rk_join));
-        // Upstream prefix stages are untouched by the join-path choice.
-        for k in [0usize, 1] {
-            prop_assert_eq!(logical(&co.chain.jobs[k]), logical(&rk.chain.jobs[k]));
+            prop_assert_eq!(a.logical(), b.logical());
         }
     }
 }
@@ -288,18 +177,30 @@ fn baseline_pipelines_are_mode_invariant() {
 
     let a = ridpairs_ppjoin(&c, Measure::Jaccard, 0.8, &piped_cfg);
     let b = ridpairs_ppjoin(&c, Measure::Jaccard, 0.8, &seq_cfg);
-    assert_eq!(digest(&a.pairs), digest(&b.pairs), "ridpairs digest");
+    assert_eq!(
+        pair_digest(&a.pairs),
+        pair_digest(&b.pairs),
+        "ridpairs digest"
+    );
     assert_chains_logically_equal(&a.chain, &b.chain, "ridpairs");
 
     let a = vsmart_join(&c, Measure::Jaccard, 0.8, &piped_cfg).unwrap();
     let b = vsmart_join(&c, Measure::Jaccard, 0.8, &seq_cfg).unwrap();
-    assert_eq!(digest(&a.pairs), digest(&b.pairs), "vsmart digest");
+    assert_eq!(
+        pair_digest(&a.pairs),
+        pair_digest(&b.pairs),
+        "vsmart digest"
+    );
     assert_chains_logically_equal(&a.chain, &b.chain, "vsmart");
 
     for variant in [MassJoinVariant::Merge, MassJoinVariant::MergeLight] {
         let a = massjoin(&c, Measure::Jaccard, 0.8, variant, &piped_cfg).unwrap();
         let b = massjoin(&c, Measure::Jaccard, 0.8, variant, &seq_cfg).unwrap();
-        assert_eq!(digest(&a.pairs), digest(&b.pairs), "{variant:?} digest");
+        assert_eq!(
+            pair_digest(&a.pairs),
+            pair_digest(&b.pairs),
+            "{variant:?} digest"
+        );
         assert_chains_logically_equal(&a.chain, &b.chain, variant.name());
     }
 }
@@ -423,10 +324,9 @@ fn downstream_map_retry_refetches_sealed_partition() {
     // Logical metrics of the clean and faulty runs agree (retries are
     // invisible to the logical counters).
     for (a, b) in clean.metrics.jobs.iter().zip(&faulty.metrics.jobs) {
-        let scrub = |m: &JobMetrics| {
-            let mut m = m.clone();
-            m.exec = Default::default();
-            logical(&m)
+        let scrub = |m: &JobMetrics| LogicalJob {
+            exec: Default::default(),
+            ..m.logical()
         };
         assert_eq!(scrub(a), scrub(b), "stage {}", a.name);
     }
@@ -561,10 +461,9 @@ fn fan_in_map_retry_refetches_both_sealed_partitions() {
     assert_eq!(down.exec.retries, down.map_tasks.len() as u64);
     assert_eq!(down.exec.injected_errors, down.map_tasks.len() as u64);
     for (a, b) in clean.metrics.jobs.iter().zip(&faulty.metrics.jobs) {
-        let scrub = |m: &JobMetrics| {
-            let mut m = m.clone();
-            m.exec = Default::default();
-            logical(&m)
+        let scrub = |m: &JobMetrics| LogicalJob {
+            exec: Default::default(),
+            ..m.logical()
         };
         assert_eq!(scrub(a), scrub(b), "stage {}", a.name);
     }
@@ -705,10 +604,9 @@ fn cogroup_retry_refetches_sealed_partitions_without_upstream_reruns() {
     assert_eq!(down.exec.retries, down.reduce_tasks.len() as u64);
     assert_eq!(down.exec.injected_errors, down.reduce_tasks.len() as u64);
     for (a, b) in clean.metrics.jobs.iter().zip(&faulty.metrics.jobs) {
-        let scrub = |m: &JobMetrics| {
-            let mut m = m.clone();
-            m.exec = Default::default();
-            logical(&m)
+        let scrub = |m: &JobMetrics| LogicalJob {
+            exec: Default::default(),
+            ..m.logical()
         };
         assert_eq!(scrub(a), scrub(b), "stage {}", a.name);
     }

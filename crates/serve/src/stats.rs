@@ -42,8 +42,8 @@ impl ProbeStats {
         self.hits += other.hits;
     }
 
-    /// Canonical `serve.probe.*` key/value pairs (key order is the report
-    /// order used by `bench_probe` and `results/serve.md`).
+    /// Canonical `serve.probe.*` key/value pairs, in cascade order (the
+    /// order `results/serve.md` reports them in).
     pub fn fields(&self) -> [(&'static str, u64); 8] {
         [
             (keys::SERVE_PROBE_CANDIDATES, self.candidates),

@@ -35,5 +35,5 @@ pub mod ppjoin_plus;
 pub mod verify;
 
 pub use measure::Measure;
-pub use pair::SimilarPair;
+pub use pair::{pair_digest, SimilarPair};
 pub use verify::{Signature, Verdict, Verifier};

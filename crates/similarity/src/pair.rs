@@ -48,6 +48,28 @@ pub fn id_pairs(pairs: &[SimilarPair]) -> Vec<(RecordId, RecordId)> {
     ids
 }
 
+/// FNV-1a over the canonically sorted `(a, b, score bits)` triples — the
+/// order-independent, bit-exact witness that two runs produced the same
+/// result. Duplicates are hashed as given (join results carry none).
+pub fn pair_digest(pairs: &[SimilarPair]) -> u64 {
+    let mut sorted: Vec<(RecordId, RecordId, u64)> =
+        pairs.iter().map(|p| (p.a, p.b, p.sim.to_bits())).collect();
+    sorted.sort_unstable();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (a, b, s) in sorted {
+        mix(a as u64);
+        mix(b as u64);
+        mix(s);
+    }
+    h
+}
+
 /// Assert two result lists contain the same pairs with scores agreeing to
 /// `tol`; returns an error description instead of panicking so callers can
 /// add context.
@@ -106,6 +128,19 @@ mod tests {
         let c = vec![SimilarPair::new(1, 2, 0.7)];
         let err = compare_results(&a, &c, 1e-9).unwrap_err();
         assert!(err.contains("score mismatch"));
+    }
+
+    #[test]
+    fn pair_digest_is_order_independent_and_score_exact() {
+        let a = [SimilarPair::new(1, 2, 0.9), SimilarPair::new(2, 3, 0.8)];
+        let b = [a[1], a[0]];
+        assert_eq!(pair_digest(&a), pair_digest(&b));
+        let c = [
+            a[0],
+            SimilarPair::new(2, 3, f64::from_bits(0.8f64.to_bits() + 1)),
+        ];
+        assert_ne!(pair_digest(&a), pair_digest(&c));
+        assert_eq!(pair_digest(&[]), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]
