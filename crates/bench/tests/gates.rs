@@ -337,6 +337,14 @@ fn serve_wiki_counters_are_frozen() {
             hits: 144,
         }
     );
+    assert_serve_conserved(&stats);
+}
+
+/// The serve cascade's conservation law: every candidate ends
+/// position-pruned, bitmap-pruned or verified, and only verified ones hit.
+fn assert_serve_conserved(stats: &ProbeStats) {
+    assert_eq!(stats.unaccounted(), 0, "{stats:?}");
+    assert!(stats.hits <= stats.verified, "{stats:?}");
 }
 
 /// What a serving replay must reproduce exactly.
@@ -372,6 +380,7 @@ fn serve_replay(workers: usize) -> Replay {
     let (records, main_postings, delta_records) =
         (index.len(), index.main_postings(), index.delta_len());
     let (pairs, stats) = probe_all_pairs(&index, 0.8);
+    assert_serve_conserved(&stats);
     index.compact();
     assert_eq!(index.delta_len(), 0);
     let (compacted, _) = probe_all_pairs(&index, 0.8);

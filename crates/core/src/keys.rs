@@ -149,8 +149,8 @@ pub const SERVE_INSERTS: &str = "serve.insert.records";
 pub const SERVE_INSERT_TOKENS: &str = "serve.insert.tokens";
 /// Delta→main compactions executed (counter).
 pub const SERVE_COMPACTIONS: &str = "serve.compact.runs";
-/// Postings streamed through the loser-tree merge during compactions
-/// (counter).
+/// Postings (main + delta) folded into the resealed main index during
+/// compactions (counter).
 pub const SERVE_COMPACT_POSTINGS: &str = "serve.compact.postings";
 /// Records currently servable: main arena + delta pool (gauge).
 pub const SERVE_RECORDS: &str = "serve.records";

@@ -5,7 +5,8 @@
 //! split and emit `(token, posting)` for each record's `theta_min` probe
 //! prefix (tokens resolved from the shared `Arc<TokenPool>`, distributed-
 //! cache style — no tokens travel through the shuffle); a streaming
-//! reducer seals each token group into a columnar [`PostingBlock`]. The
+//! reducer seals each token group into a columnar [`PostingBlock`]
+//! ordered by `(len, rec)`. The
 //! partitioner is **token-range** (monotonic in rank), so concatenating
 //! the reduce partitions in task order yields ascending tokens — exactly
 //! the layout [`MainIndex`](crate::index) serves from, adopted by `Arc`
@@ -67,10 +68,13 @@ impl Mapper for PrefixMapper {
 }
 
 /// Streaming reduce task: seal one token's postings into a columnar
-/// block. Values arrive in (map-task, emission) order = record-id order
-/// (the dataset is chunked sequentially), so blocks come out
-/// record-ascending without a sort.
-struct BlockReducer;
+/// block, ordered by `(len, rec)` — the order the probe's length window
+/// needs. The shuffle key stays the bare token; the order is made here,
+/// in buffers the task reuses across groups.
+#[derive(Default)]
+struct BlockReducer {
+    rows: Vec<Posting>,
+}
 
 impl StreamingReducer for BlockReducer {
     type InKey = TokenId;
@@ -84,12 +88,23 @@ impl StreamingReducer for BlockReducer {
         values: &mut GroupValues<'_, '_, TokenId, Posting>,
         out: &mut Emitter<TokenId, PostingBlock>,
     ) {
-        let mut block = PostingBlock::default();
-        for p in values {
-            block.push(*p);
-        }
-        debug_assert!(block.recs.windows(2).all(|w| w[0] < w[1]));
+        self.rows.clear();
+        self.rows.extend(values.copied());
+        let block = self.seal();
+        debug_assert!(block.is_ordered());
         out.emit(*key, block);
+    }
+}
+
+impl BlockReducer {
+    /// `rows` as a `(len, rec)`-ordered block.
+    fn seal(&mut self) -> PostingBlock {
+        self.rows.sort_unstable_by_key(|p| (p.len, p.rec));
+        let mut block = PostingBlock::with_capacity(self.rows.len());
+        for &p in &self.rows {
+            block.push(p);
+        }
+        block
     }
 }
 
@@ -143,7 +158,7 @@ impl ServeIndexBuild {
                     theta_min,
                 }
             },
-            |_| BlockReducer,
+            |_| BlockReducer::default(),
             DirectPartitioner::new(move |t: &TokenId| token_partition(*t, universe, parts)),
         );
 
@@ -187,4 +202,30 @@ impl ServeIndexBuild {
 /// Build a serving index over `collection` — the one-call path.
 pub fn build_index(collection: &Collection, cfg: &ServeConfig) -> ServeIndex {
     ServeIndexBuild::new(collection, cfg.clone()).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sealed_blocks_are_len_rec_ordered() {
+        let mut reducer = BlockReducer::default();
+        for lens in [vec![5u32, 3, 5, 1, 3, 4], vec![100, 3]] {
+            reducer.rows = lens
+                .iter()
+                .enumerate()
+                .map(|(rec, &len)| Posting {
+                    rec: rec as u32,
+                    pos: rec as u32 % 2,
+                    len,
+                })
+                .collect();
+            let mut want = reducer.rows.clone();
+            want.sort_by_key(|p| (p.len, p.rec));
+            let block = reducer.seal();
+            assert!(block.is_ordered());
+            assert_eq!(block.iter().collect::<Vec<_>>(), want);
+        }
+    }
 }

@@ -3,10 +3,13 @@
 //! Inserts land here: tokens are appended to a private [`TokenPool`]
 //! (validated CSR push, see `TokenPool::append`) and the record's
 //! `theta_min` prefix is indexed into small per-token posting blocks kept
-//! in a hash map. Probes scan the delta block for each probe-prefix token
-//! right after the sealed main block, so fresh records are visible
-//! immediately. Compaction drains the whole structure into the main index
-//! via the loser-tree merge and clears it.
+//! in a hash map. Each block stays `(len, rec)`-ordered — a new posting is
+//! inserted at its rank, not appended — so the probe's length window is a
+//! range on delta blocks exactly as on main ones. Probes scan the delta
+//! block for each probe-prefix token right after the sealed main block, so
+//! fresh records are visible immediately. Compaction takes the blocks in
+//! token order ([`DeltaIndex::take_blocks`]), merges each into its main
+//! block and clears the rest.
 //!
 //! Record ids continue the main arena's dense numbering: a delta record's
 //! public id is `base + local`, where `base` is the main pool's length at
@@ -17,16 +20,16 @@ use ssj_common::FxHashMap;
 use ssj_similarity::Measure;
 use ssj_text::{MalformedRecord, RecordId, TokenId, TokenPool};
 
-use crate::posting::{Posting, PostingBlock};
+use crate::posting::{LengthCounts, Posting, PostingBlock};
 
 /// Mutable delta index: private token pool + per-token prefix postings.
 #[derive(Debug, Default)]
 pub(crate) struct DeltaIndex {
     pool: TokenPool,
     postings: FxHashMap<TokenId, PostingBlock>,
-    /// All delta record lengths, ascending (binary-insert on insert) —
-    /// the delta half of the prefix-filter pruning-power accounting.
-    sorted_lens: Vec<u32>,
+    /// Delta records per length — the delta half of the prefix-filter
+    /// pruning-power accounting.
+    lens: LengthCounts,
     /// Total postings across all blocks.
     posting_count: usize,
 }
@@ -61,9 +64,9 @@ impl DeltaIndex {
         self.pool.tokens_of(local)
     }
 
-    /// Delta record lengths, ascending.
-    pub(crate) fn sorted_lens(&self) -> &[u32] {
-        &self.sorted_lens
+    /// Delta records per length.
+    pub(crate) fn lengths(&self) -> &LengthCounts {
+        &self.lens
     }
 
     /// Posting block for token `t`, if any delta record's indexed prefix
@@ -90,37 +93,24 @@ impl DeltaIndex {
         let len = tokens.len() as u32;
         let prefix = measure.probe_prefix_len(theta_min, tokens.len());
         for (pos, &t) in tokens[..prefix].iter().enumerate() {
-            self.postings.entry(t).or_default().push(Posting {
+            self.postings.entry(t).or_default().insert(Posting {
                 rec: rid,
                 pos: pos as u32,
                 len,
             });
         }
         self.posting_count += prefix;
-        let at = self.sorted_lens.partition_point(|&l| l <= len);
-        self.sorted_lens.insert(at, len);
+        self.lens.add(tokens.len());
         Ok(rid)
     }
 
-    /// Largest token indexed, if any — compaction widens the directory to
-    /// cover tokens beyond the frozen vocabulary.
-    pub(crate) fn max_token(&self) -> Option<TokenId> {
-        self.postings.keys().copied().max()
-    }
-
-    /// All postings as token-ascending `(token, posting)` rows — one
-    /// sorted run for the compaction merge. Within a token, postings are
-    /// record-ascending (insertion order is id order).
-    pub(crate) fn sorted_run(&self) -> Vec<(TokenId, Posting)> {
-        let mut keys: Vec<TokenId> = self.postings.keys().copied().collect();
-        keys.sort_unstable();
-        let mut run = Vec::with_capacity(self.posting_count);
-        for t in keys {
-            for p in self.postings[&t].iter() {
-                run.push((t, p));
-            }
-        }
-        run
+    /// Move every block out, token-ascending — compaction's delta side.
+    /// The pool stays until [`DeltaIndex::clear`].
+    pub(crate) fn take_blocks(&mut self) -> Vec<(TokenId, PostingBlock)> {
+        let mut blocks: Vec<(TokenId, PostingBlock)> =
+            std::mem::take(&mut self.postings).into_iter().collect();
+        blocks.sort_unstable_by_key(|&(t, _)| t);
+        blocks
     }
 
     /// Drop everything (post-compaction).
@@ -143,7 +133,7 @@ mod tests {
         assert_eq!(rid, 100);
         assert_eq!(d.len(), 1);
         assert_eq!(d.tokens_of(0), &[5, 7, 9, 11]);
-        assert_eq!(d.sorted_lens(), &[4]);
+        assert_eq!((d.lengths().count(4, 4), d.lengths().count(0, 3)), (1, 0));
         let prefix = Measure::Jaccard.probe_prefix_len(0.5, 4);
         assert_eq!(d.posting_count(), prefix);
         let p = d.postings_of(5).unwrap().get(0);
@@ -158,19 +148,29 @@ mod tests {
         assert_eq!((err.id, err.position), (42, 1));
         assert!(d.is_empty());
         assert_eq!(d.posting_count(), 0);
-        assert!(d.sorted_run().is_empty());
+        assert_eq!(d.lengths().count(0, u32::MAX), 0);
+        assert!(d.take_blocks().is_empty());
     }
 
     #[test]
-    fn sorted_run_is_token_then_record_ascending() {
+    fn out_of_length_order_inserts_stay_len_rec_ordered() {
         let mut d = DeltaIndex::new();
-        d.insert(&[2, 8], 10, Measure::Jaccard, 0.5).unwrap();
-        d.insert(&[2, 4], 10 + 1, Measure::Jaccard, 0.5).unwrap();
-        let run = d.sorted_run();
-        let keys: Vec<(TokenId, RecordId)> = run.iter().map(|(t, p)| (*t, p.rec)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-        assert_eq!(d.max_token(), Some(keys.last().unwrap().0));
+        // Token 1 leads every record; lengths arrive 4, 2, 6, 2, 3.
+        for (local, len) in [4u32, 2, 6, 2, 3].into_iter().enumerate() {
+            let tokens: Vec<TokenId> = (1..=len).collect();
+            let rid = d.insert(&tokens, 10, Measure::Jaccard, 0.5).unwrap();
+            assert_eq!(rid, 10 + local as RecordId);
+        }
+        let block = d.postings_of(1).unwrap();
+        assert!(block.is_ordered());
+        let rows: Vec<(u32, RecordId)> = block.iter().map(|p| (p.len, p.rec)).collect();
+        assert_eq!(rows, vec![(2, 11), (2, 13), (3, 14), (4, 10), (6, 12)]);
+        let blocks = d.take_blocks();
+        assert!(blocks.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(blocks.iter().all(|(_, b)| b.is_ordered()));
+        assert_eq!(
+            blocks.iter().map(|(_, b)| b.len()).sum::<usize>(),
+            d.posting_count()
+        );
     }
 }

@@ -11,21 +11,28 @@
 //! token-ascending; a flat `directory` indexed by token rank packs
 //! `(partition, slot)` into a `u64` for O(1) posting lookup. Posting
 //! lists hold `(record, position, length)` columnar (see [`PostingBlock`]),
-//! covering each record's `theta_min` probe prefix.
+//! ordered by `(len, rec)`, covering each record's `theta_min` probe
+//! prefix. A cumulative per-length census (`LengthCounts`) of main and
+//! of delta records backs the prefix filter's accounting.
 //!
 //! # Probe filter order
 //!
 //! For a query `x` at threshold `θ ≥ theta_min`, candidates flow through
 //! the FS-Join/PPJoin filter cascade, cheapest first:
 //!
-//! 1. **prefix** — only postings of `x`'s first `probe_prefix_len(θ, |x|)`
+//! 1. **length** — on each touched posting list, two `partition_point`s
+//!    on the `lens` column give the `[min_partner_len, max_partner_len]`
+//!    window (`PostingBlock::window`); postings outside it are counted
+//!    as `length_pruned` without being read.
+//! 2. **prefix** — only postings of `x`'s first `probe_prefix_len(θ, |x|)`
 //!    tokens are touched; records sharing no such token are never read.
-//! 2. **length** — each posting's resident `len` is checked against the
-//!    `[min_partner_len, max_partner_len]` window before the accumulator
-//!    is consulted.
+//!    Their number, `prefix_pruned`, is the window's record count (two
+//!    lookups in the length census) minus the candidates met.
 //! 3. **position** — the accumulated overlap plus the positional upper
 //!    bound (`remaining` tokens past this match on either side) must reach
-//!    `min_overlap(θ, |x|, |y|)`, else the candidate is tombstoned.
+//!    `min_overlap(θ, |x|, |y|)`, else the candidate is tombstoned. The
+//!    window is length-ascending, so `min_overlap` is computed once per
+//!    distinct length.
 //! 4. **verify** — survivors go through the one whole-record cascade
 //!    shared with the batch joins ([`Verifier`]): the pooled token bitmaps
 //!    bound the overlap from above and settle candidates that cannot
@@ -39,30 +46,39 @@
 //! long, so the classic prefix lemma applies a fortiori and recall stays
 //! exact for every `θ ≥ theta_min`.
 //!
+//! A probe allocates nothing but its answer: the candidate accumulator,
+//! the survivor list, the query bitmap and the hit list live in
+//! per-thread scratch, cleared per probe (the accumulator's retained
+//! capacity is bounded by `ACC_RETAIN`).
+//!
 //! # Delta and compaction lifecycle
 //!
 //! Inserts append to the delta pool against the *frozen* token ordering
 //! (out-of-vocabulary tokens may use any rank `≥ universe`; any consistent
-//! total order keeps prefix filtering sound). Probes scan the delta block
-//! right after the main block per token, so inserts are visible
-//! immediately. [`ServeIndex::compact`] merges both sides' postings with
-//! the loser-tree [`GroupedRuns`] merge, concatenates the token pools, and
-//! reseals — main record ids never change, delta ids are already offset
-//! past the main arena, so public ids are stable across compactions.
+//! total order keeps prefix filtering sound) and insert their postings at
+//! their `(len, rec)` rank. Probes scan the delta block right after the
+//! main block per token with the same scan, so inserts are visible
+//! immediately. [`ServeIndex::compact`] walks main's and the delta's
+//! token-ascending blocks side by side: a token on one side only moves its
+//! block, a token on both merges the two ordered blocks with one
+//! two-pointer pass. It then concatenates the token pools and reseals —
+//! main record ids never change, delta ids are already offset past the
+//! main arena, so public ids are stable across compactions.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
 use fsjoin::keys;
 use ssj_common::FxHashMap;
-use ssj_mapreduce::{GroupedRuns, PlanOutcome, StageHandle};
+use ssj_mapreduce::{PlanOutcome, StageHandle};
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::{Measure, Verifier};
 use ssj_text::{MalformedRecord, RecordId, TokenId, TokenPool};
 
 use crate::config::ServeConfig;
 use crate::delta::DeltaIndex;
-use crate::posting::{expand, Posting, PostingBlock};
+use crate::posting::{LengthCounts, PostingBlock};
 use crate::stats::ProbeStats;
 
 /// Threshold comparisons tolerate the same slack as the measure kernels.
@@ -74,6 +90,40 @@ const PRUNED: u32 = u32::MAX;
 /// Directory sentinel: token has no postings.
 const EMPTY: u64 = u64::MAX;
 
+/// Largest accumulator capacity a thread keeps between probes: a probe
+/// that met more candidates frees the table instead of leaving every
+/// later clear to sweep it.
+const ACC_RETAIN: usize = 4096;
+
+/// Per-thread probe buffers, cleared (not freed) between probes.
+#[derive(Default)]
+struct Scratch {
+    /// Candidate → shared prefix tokens so far, or [`PRUNED`].
+    acc: FxHashMap<RecordId, u32>,
+    survivors: Vec<RecordId>,
+    qbits: Vec<u64>,
+    hits: Vec<(RecordId, f64)>,
+}
+
+impl Scratch {
+    /// Empty every buffer for the next probe; an accumulator grown past
+    /// [`ACC_RETAIN`] is freed instead. Runs at the start of a probe, so
+    /// one that panicked midway leaves nothing behind.
+    fn reset(&mut self) {
+        if self.acc.capacity() > ACC_RETAIN {
+            self.acc = FxHashMap::default();
+        } else {
+            self.acc.clear();
+        }
+        self.survivors.clear();
+        self.hits.clear();
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// The sealed, immutable side of the index.
 #[derive(Debug)]
 pub(crate) struct MainIndex {
@@ -82,17 +132,19 @@ pub(crate) struct MainIndex {
     parts: Vec<Arc<Vec<(TokenId, PostingBlock)>>>,
     /// Token rank → packed `(partition << 32) | slot`, or [`EMPTY`].
     directory: Vec<u64>,
-    /// All main record lengths, ascending — the main half of the
-    /// prefix-filter pruning-power accounting.
-    sorted_lens: Vec<u32>,
+    /// Main records per length — the main half of the prefix-filter
+    /// pruning-power accounting.
+    lens: LengthCounts,
     /// Total postings across all partitions.
     postings: usize,
 }
 
 impl MainIndex {
-    /// Assemble from sealed partitions. O(1) *container* allocations —
-    /// the directory, the length vector, and the partition vector — so
-    /// the zero-copy harness can bound the build with a small constant.
+    /// Assemble from sealed partitions. A handful of *container*
+    /// allocations, none proportional to postings — the directory, the
+    /// length census (O(log longest record) growth steps), and the
+    /// partition vector — so the zero-copy harness can bound the build
+    /// with a small constant.
     pub(crate) fn build(
         parts: Vec<Arc<Vec<(TokenId, PostingBlock)>>>,
         universe: usize,
@@ -108,12 +160,10 @@ impl MainIndex {
                 postings += block.len();
             }
         }
-        let mut sorted_lens: Vec<u32> = lens.map(|l| l as u32).collect();
-        sorted_lens.sort_unstable();
         MainIndex {
             parts,
             directory,
-            sorted_lens,
+            lens: LengthCounts::new(lens),
             postings,
         }
     }
@@ -130,18 +180,13 @@ impl MainIndex {
         Some(&self.parts[p][s].1)
     }
 
-    /// All postings as token-ascending rows (compaction's main run).
-    pub(crate) fn iter_postings(&self) -> impl Iterator<Item = (TokenId, Posting)> + '_ {
-        self.parts.iter().flat_map(|p| expand(p.iter()))
+    /// Move every block out, token-ascending — compaction's main side.
+    /// Blocks of a partition nothing else holds move without a copy.
+    fn take_blocks(&mut self) -> impl Iterator<Item = (TokenId, PostingBlock)> {
+        std::mem::take(&mut self.parts)
+            .into_iter()
+            .flat_map(|part| Arc::try_unwrap(part).unwrap_or_else(|shared| (*shared).clone()))
     }
-}
-
-/// Count of values in an ascending slice within `[lo, hi]`.
-fn window_count(sorted: &[u32], lo: u32, hi: u32) -> usize {
-    if lo > hi {
-        return 0;
-    }
-    sorted.partition_point(|&l| l <= hi) - sorted.partition_point(|&l| l < lo)
 }
 
 /// A long-lived similarity-serving index over a frozen token ordering.
@@ -322,66 +367,73 @@ impl ServeIndex {
             return Vec::new();
         }
         let m = self.cfg.measure;
-        let min_len = m.min_partner_len(theta, qlen).max(1) as u32;
-        let max_len = m.max_partner_len(theta, qlen).min(u32::MAX as usize) as u32;
+        let scan = Scan {
+            measure: m,
+            theta,
+            qlen,
+            min_len: m.min_partner_len(theta, qlen).max(1) as u32,
+            max_len: m.max_partner_len(theta, qlen).min(u32::MAX as usize) as u32,
+            exclude: exclude.map(|e| (e, self.tokens_of(e).len() as u32)),
+        };
         let probe_len = m.probe_prefix_len(theta, qlen);
         let candidates_before = stats.candidates;
 
-        let mut acc: FxHashMap<RecordId, u32> = FxHashMap::default();
-        for (i, &t) in tokens[..probe_len].iter().enumerate() {
-            let sources = [self.main.postings_of(t), self.delta.postings_of(t)];
-            for block in sources.into_iter().flatten() {
-                scan_block(
-                    block, m, theta, qlen, i, min_len, max_len, exclude, &mut acc, stats,
-                );
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.reset();
+            let Scratch {
+                acc,
+                survivors,
+                qbits,
+                hits,
+            } = scratch;
+            for (i, &t) in tokens[..probe_len].iter().enumerate() {
+                let sources = [self.main.postings_of(t), self.delta.postings_of(t)];
+                for block in sources.into_iter().flatten() {
+                    scan.block(block, i, acc, stats);
+                }
             }
-        }
 
-        // Prefix-filter pruning power: records inside the length window
-        // that no probe-prefix token ever reached.
-        let mut eligible = window_count(&self.main.sorted_lens, min_len, max_len)
-            + window_count(self.delta.sorted_lens(), min_len, max_len);
-        if let Some(e) = exclude {
-            let l = self.tokens_of(e).len() as u32;
-            if (min_len..=max_len).contains(&l) {
-                eligible -= 1;
+            // Prefix-filter pruning power: records inside the length
+            // window that no probe-prefix token ever reached.
+            let (lo, hi) = (scan.min_len, scan.max_len);
+            let mut eligible = self.main.lens.count(lo, hi) + self.delta.lengths().count(lo, hi);
+            if let Some((_, len)) = scan.exclude {
+                eligible -= usize::from(scan.admits(len));
             }
-        }
-        let seen = stats.candidates - candidates_before;
-        stats.prefix_pruned += (eligible as u64).saturating_sub(seen);
+            let seen = stats.candidates - candidates_before;
+            stats.prefix_pruned += (eligible as u64).saturating_sub(seen);
 
-        // Verify survivors in record order (deterministic output).
-        let mut survivors: Vec<RecordId> = acc
-            .into_iter()
-            .filter(|&(_, count)| count != PRUNED)
-            .map(|(rec, _)| rec)
-            .collect();
-        survivors.sort_unstable();
-        // The query bitmap is built once per probe, not once per survivor.
-        let mut qbits = Vec::new();
-        if self.cfg.bitmap_prune {
-            self.pool.fill_bitmap(tokens, &mut qbits);
-        }
-        let verifier = Verifier { measure: m, theta };
-        let mut out = Vec::new();
-        for rec in survivors {
-            let bits = self
-                .cfg
-                .bitmap_prune
-                .then(|| (&qbits[..], self.bitmap_of(rec)));
-            let verdict = verifier.verify(tokens, self.tokens_of(rec), bits);
-            stats.bitmap_checks += u64::from(verdict.bitmap_checked);
-            if !verdict.intersected {
-                stats.bitmap_pruned += 1;
-                continue;
+            // Verify survivors in record order (deterministic output).
+            survivors.extend(
+                acc.iter()
+                    .filter(|&(_, &count)| count != PRUNED)
+                    .map(|(&rec, _)| rec),
+            );
+            survivors.sort_unstable();
+            // The query bitmap is built once per probe, not once per survivor.
+            if self.cfg.bitmap_prune {
+                self.pool.fill_bitmap(tokens, qbits);
             }
-            stats.verified += 1;
-            if let Some((_, sim)) = verdict.similar {
-                stats.hits += 1;
-                out.push((rec, sim));
+            let verifier = Verifier { measure: m, theta };
+            for &rec in survivors.iter() {
+                let bits = self
+                    .cfg
+                    .bitmap_prune
+                    .then(|| (&qbits[..], self.bitmap_of(rec)));
+                let verdict = verifier.verify(tokens, self.tokens_of(rec), bits);
+                stats.bitmap_checks += u64::from(verdict.bitmap_checked);
+                if !verdict.intersected {
+                    stats.bitmap_pruned += 1;
+                    continue;
+                }
+                stats.verified += 1;
+                if let Some((_, sim)) = verdict.similar {
+                    stats.hits += 1;
+                    hits.push((rec, sim));
+                }
             }
-        }
-        out
+            hits.to_vec()
+        })
     }
 
     /// Insert one record (tokens strictly ascending in the frozen
@@ -399,9 +451,10 @@ impl ServeIndex {
         Ok(rid)
     }
 
-    /// Merge the delta into the main index: loser-tree merge of the two
-    /// token-ascending posting runs, pool concatenation, reseal. No-op on
-    /// an empty delta. Record ids are stable across compaction.
+    /// Merge the delta into the main index: a token-ascending walk over
+    /// both sides' blocks (per-token two-pointer merge where both hold the
+    /// token), pool concatenation, reseal. No-op on an empty delta. Record
+    /// ids are stable across compaction.
     pub fn compact(&mut self) {
         if self.delta.is_empty() {
             return;
@@ -411,30 +464,35 @@ impl ServeIndex {
             .field("delta_postings", self.delta.posting_count() as u64)
             .field("main_postings", self.main.postings as u64);
 
-        let mut main_run: Vec<(TokenId, Posting)> = Vec::with_capacity(self.main.postings);
-        main_run.extend(self.main.iter_postings());
-        let delta_run = self.delta.sorted_run();
-        let merged = main_run.len() + delta_run.len();
-
+        let merged = self.main.postings + self.delta.posting_count();
+        let delta_blocks = self.delta.take_blocks();
         // Inserts may have minted ranks beyond the frozen vocabulary;
         // widen the directory to cover them.
         let universe = self
             .main
             .directory
             .len()
-            .max(self.delta.max_token().map_or(0, |t| t as usize + 1));
+            .max(delta_blocks.last().map_or(0, |&(t, _)| t as usize + 1));
         let parts_n = self.cfg.build_partitions.max(1);
         let mut new_parts: Vec<Vec<(TokenId, PostingBlock)>> =
             (0..parts_n).map(|_| Vec::new()).collect();
-        GroupedRuns::new(vec![&main_run[..], &delta_run[..]]).for_each_group(|&t, values| {
-            // Run 0 (main) drains before run 1 (delta), and delta ids all
-            // exceed main ids — the block stays record-ascending.
-            let mut block = PostingBlock::default();
-            for p in values {
-                block.push(*p);
-            }
-            new_parts[crate::build::token_partition(t, universe, parts_n)].push((t, block));
-        });
+        let mut main = self.main.take_blocks().peekable();
+        let mut delta = delta_blocks.into_iter().peekable();
+        loop {
+            let next = match (main.peek().map(|e| e.0), delta.peek().map(|e| e.0)) {
+                (None, None) => break,
+                (Some(a), Some(b)) if a == b => {
+                    let (t, m) = main.next().expect("peeked");
+                    let (_, d) = delta.next().expect("peeked");
+                    (t, PostingBlock::merge(&m, &d))
+                }
+                (Some(a), Some(b)) if a > b => delta.next().expect("peeked"),
+                (Some(_), _) => main.next().expect("peeked"),
+                (None, Some(_)) => delta.next().expect("peeked"),
+            };
+            debug_assert!(next.1.is_ordered());
+            new_parts[crate::build::token_partition(next.0, universe, parts_n)].push(next);
+        }
 
         let new_pool = Arc::new(TokenPool::concat(&self.pool, self.delta.pool()));
         let parts: Vec<Arc<Vec<(TokenId, PostingBlock)>>> =
@@ -459,44 +517,74 @@ impl ServeIndex {
     }
 }
 
-/// One token's posting scan: length filter, accumulate, position filter.
-#[allow(clippy::too_many_arguments)]
-fn scan_block(
-    block: &PostingBlock,
-    m: Measure,
+/// What every posting scan of one probe shares.
+struct Scan {
+    measure: Measure,
     theta: f64,
     qlen: usize,
-    i: usize,
+    /// The length window `[min_len, max_len]`; `min_len ≥ 1`.
     min_len: u32,
     max_len: u32,
-    exclude: Option<RecordId>,
-    acc: &mut FxHashMap<RecordId, u32>,
-    stats: &mut ProbeStats,
-) {
-    for k in 0..block.len() {
-        let rec = block.recs[k];
-        if Some(rec) == exclude {
-            continue;
+    /// The record the probe skips, with its length.
+    exclude: Option<(RecordId, u32)>,
+}
+
+impl Scan {
+    fn admits(&self, len: u32) -> bool {
+        (self.min_len..=self.max_len).contains(&len)
+    }
+
+    /// One posting list of probe-prefix token `i` (main or delta): count
+    /// the postings outside the length window, then accumulate and
+    /// position-filter the window.
+    fn block(
+        &self,
+        block: &PostingBlock,
+        i: usize,
+        acc: &mut FxHashMap<RecordId, u32>,
+        stats: &mut ProbeStats,
+    ) {
+        let window = block.window(self.min_len, self.max_len);
+        let mut outside = block.len() - window.len();
+        // The excluded record is skipped, not pruned, wherever it sits.
+        if let Some((rec, len)) = self.exclude {
+            if !self.admits(len) && block.contains(len, rec) {
+                outside -= 1;
+            }
         }
-        let ylen = block.lens[k];
-        if ylen < min_len || ylen > max_len {
-            stats.length_pruned += 1;
-            continue;
-        }
-        let entry = acc.entry(rec).or_insert_with(|| {
-            stats.candidates += 1;
-            0
-        });
-        if *entry == PRUNED {
-            continue;
-        }
-        let alpha = m.min_overlap(theta, qlen, ylen as usize) as u32;
-        let remaining = ((qlen - i - 1) as u32).min(ylen - block.poss[k] - 1);
-        if *entry + 1 + remaining >= alpha {
-            *entry += 1;
-        } else {
-            *entry = PRUNED;
-            stats.position_pruned += 1;
+        stats.length_pruned += outside as u64;
+
+        let exclude = self.exclude.map(|(rec, _)| rec);
+        let probe_rest = (self.qlen - i - 1) as u32;
+        // `min_overlap` of the current length run (no record has length 0).
+        let (mut run_len, mut alpha) = (0u32, 0u32);
+        for k in window {
+            let rec = block.recs[k];
+            if Some(rec) == exclude {
+                continue;
+            }
+            let ylen = block.lens[k];
+            if ylen != run_len {
+                run_len = ylen;
+                alpha = self
+                    .measure
+                    .min_overlap(self.theta, self.qlen, ylen as usize)
+                    as u32;
+            }
+            let entry = acc.entry(rec).or_insert_with(|| {
+                stats.candidates += 1;
+                0
+            });
+            if *entry == PRUNED {
+                continue;
+            }
+            let remaining = probe_rest.min(ylen - block.poss[k] - 1);
+            if *entry + 1 + remaining >= alpha {
+                *entry += 1;
+            } else {
+                *entry = PRUNED;
+                stats.position_pruned += 1;
+            }
         }
     }
 }
@@ -504,15 +592,219 @@ fn scan_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::build_index;
+    use crate::posting::Posting;
+    use ssj_text::{Collection, Record};
+
+    const THETA_MIN: f64 = 0.7;
+    const THETAS: [f64; 5] = [0.7, 0.75, 0.8, 0.9, 1.0];
+    const MEASURES: [Measure; 3] = [Measure::Jaccard, Measure::Dice, Measure::Cosine];
+    /// The query: ten tokens of low rank, so they lead every partner.
+    const QUERY: std::ops::Range<TokenId> = 100..110;
+    /// Filler ranks sort after every query token.
+    const FILLER: TokenId = 1_000;
+
+    fn cfg(m: Measure) -> ServeConfig {
+        ServeConfig::default()
+            .with_measure(m)
+            .with_theta_min(THETA_MIN)
+            .with_partitions(2)
+            .with_map_tasks(2)
+            .with_workers(1)
+    }
+
+    /// Records with ranks as given; the universe covers every filler.
+    fn collection(records: &[Vec<TokenId>]) -> Collection {
+        let universe = records.iter().flatten().max().map_or(0, |&t| t + 1);
+        let records = records
+            .iter()
+            .enumerate()
+            .map(|(rid, tokens)| Record::from_sorted(rid as RecordId, tokens.clone()))
+            .collect();
+        Collection::new(records, vec![1; universe.max(3 * FILLER) as usize], None)
+    }
+
+    /// Two partners per length at the window edges of `θ` (`min − 1`,
+    /// `min`, `max`, `max + 1`): one holds the query's head, one its tail,
+    /// each padded with its own filler tokens. Lengths come out of order.
+    fn edge_partners(m: Measure, theta: f64) -> Vec<Vec<TokenId>> {
+        let query: Vec<TokenId> = QUERY.collect();
+        let q = query.len();
+        let (lo, hi) = (m.min_partner_len(theta, q), m.max_partner_len(theta, q));
+        let mut filler = FILLER;
+        let mut out = Vec::new();
+        for len in [hi + 1, lo, lo - 1, hi] {
+            let shared = len.min(q);
+            for part in [&query[..shared], &query[q - shared..]] {
+                let mut tokens = part.to_vec();
+                tokens.extend(filler..filler + (len - shared) as TokenId);
+                filler += len as TokenId;
+                out.push(tokens);
+            }
+        }
+        out
+    }
+
+    /// Probe `index` and hold every counter the probe produces against a
+    /// brute-force scan of the visible records.
+    fn check_probe(index: &ServeIndex, theta: f64, exclude: Option<RecordId>) -> ProbeStats {
+        let m = index.config().measure;
+        let query: Vec<TokenId> = QUERY.collect();
+        let q = query.len();
+        let mut stats = ProbeStats::default();
+        let got: Vec<(RecordId, u64)> = index
+            .probe_with(&query, theta, exclude, &mut stats)
+            .into_iter()
+            .map(|(rec, sim)| (rec, sim.to_bits()))
+            .collect();
+
+        let window = m.min_partner_len(theta, q).max(1)..=m.max_partner_len(theta, q);
+        let probe_prefix = &query[..m.probe_prefix_len(theta, q)];
+        let (mut want, mut length_pruned, mut candidates, mut eligible) = (Vec::new(), 0, 0, 0);
+        for rec in (0..index.len() as RecordId).filter(|&r| Some(r) != exclude) {
+            let y = index.tokens_of(rec);
+            let overlap = query.iter().filter(|t| y.contains(t)).count();
+            if m.passes(overlap, q, y.len(), theta) {
+                want.push((rec, m.score(overlap, q, y.len()).to_bits()));
+            }
+            let indexed = &y[..m.probe_prefix_len(THETA_MIN, y.len())];
+            let met = probe_prefix.iter().filter(|t| indexed.contains(t)).count() as u64;
+            if window.contains(&y.len()) {
+                eligible += 1;
+                candidates += u64::from(met > 0);
+            } else {
+                length_pruned += met;
+            }
+        }
+        let ctx = format!("{m:?} θ={theta} exclude={exclude:?}");
+        assert_eq!(got, want, "{ctx}: hits");
+        assert_eq!(stats.length_pruned, length_pruned, "{ctx}: length_pruned");
+        assert_eq!(stats.candidates, candidates, "{ctx}: candidates");
+        assert_eq!(
+            stats.prefix_pruned,
+            eligible - candidates,
+            "{ctx}: prefix_pruned"
+        );
+        assert_eq!(stats.unaccounted(), 0, "{ctx}: {stats:?}");
+        assert!(stats.hits <= stats.verified, "{ctx}: {stats:?}");
+        stats
+    }
+
+    /// The record of `index` that holds exactly `tokens`.
+    fn find(index: &ServeIndex, tokens: &[TokenId]) -> RecordId {
+        (0..index.len() as RecordId)
+            .find(|&r| index.tokens_of(r) == tokens)
+            .expect("record is indexed")
+    }
+
+    /// Probe with no exclusion, excluding the query's own record (inside
+    /// the window) and excluding a `min − 1` partner (outside it, and met
+    /// by the probe prefix, so its postings are really skipped).
+    fn check_window_edges(index: &ServeIndex, theta: f64, partners: &[Vec<TokenId>]) {
+        let query: Vec<TokenId> = QUERY.collect();
+        let open = check_probe(index, theta, None);
+        check_probe(index, theta, Some(find(index, &query)));
+        let below = index.config().measure.min_partner_len(theta, query.len()) - 1;
+        let short = partners
+            .iter()
+            .find(|p| p.len() == below && p[0] == QUERY.start)
+            .expect("a head partner at min − 1");
+        let skipped = check_probe(index, theta, Some(find(index, short)));
+        assert!(skipped.length_pruned < open.length_pruned);
+    }
+
+    /// Every posting list of the index, main and delta, is `(len, rec)`
+    /// ordered.
+    fn assert_ordered(index: &ServeIndex) {
+        for part in &index.main.parts {
+            assert!(part.iter().all(|(_, b)| b.is_ordered()));
+        }
+        for t in 0..3 * FILLER {
+            assert!(index
+                .delta
+                .postings_of(t)
+                .is_none_or(PostingBlock::is_ordered));
+        }
+    }
 
     #[test]
-    fn window_count_is_inclusive_and_handles_empty_windows() {
-        let lens = [2u32, 3, 3, 5, 9];
-        assert_eq!(window_count(&lens, 3, 5), 3);
-        assert_eq!(window_count(&lens, 1, 100), 5);
-        assert_eq!(window_count(&lens, 6, 8), 0);
-        assert_eq!(window_count(&lens, 7, 4), 0);
-        assert_eq!(window_count(&[], 0, 10), 0);
+    fn window_edges_match_brute_force_in_main() {
+        for m in MEASURES {
+            for theta in THETAS {
+                let partners = edge_partners(m, theta);
+                let mut records = vec![QUERY.collect::<Vec<_>>()];
+                records.extend(partners.iter().cloned());
+                let index = build_index(&collection(&records), &cfg(m));
+                assert_eq!(index.delta_len(), 0);
+                assert_ordered(&index);
+                check_window_edges(&index, theta, &partners);
+            }
+        }
+    }
+
+    #[test]
+    fn window_edges_match_brute_force_in_delta_and_after_compaction() {
+        for m in MEASURES {
+            for theta in THETAS {
+                let partners = edge_partners(m, theta);
+                // A main index of one unrelated record; everything else
+                // arrives as inserts, lengths out of order.
+                let mut index = build_index(&collection(&[vec![5, 6, 7]]), &cfg(m));
+                index.insert(&QUERY.collect::<Vec<_>>()).unwrap();
+                for p in &partners {
+                    index.insert(p).unwrap();
+                }
+                assert_eq!(index.delta_len(), partners.len() + 1);
+                assert_ordered(&index);
+                check_window_edges(&index, theta, &partners);
+                index.compact();
+                assert_eq!(index.delta_len(), 0);
+                assert_ordered(&index);
+                check_window_edges(&index, theta, &partners);
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_merges_main_and_delta_blocks_in_len_rec_order() {
+        // Main: lengths 6, 2, 4 lead with token 1. Delta: 5, 2, 7, 3.
+        let main: Vec<Vec<TokenId>> = [6u32, 2, 4]
+            .iter()
+            .map(|&len| (1..=len).collect())
+            .collect();
+        let mut index = build_index(&collection(&main), &cfg(Measure::Jaccard));
+        for len in [5u32, 2, 7, 3] {
+            index.insert(&(1..=len).collect::<Vec<_>>()).unwrap();
+        }
+        index.compact();
+        let rows: Vec<(u32, RecordId)> = index
+            .main
+            .postings_of(1)
+            .unwrap()
+            .iter()
+            .map(|p| (p.len, p.rec))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![(2, 1), (2, 4), (3, 6), (4, 2), (5, 3), (6, 0), (7, 5)]
+        );
+        assert_ordered(&index);
+    }
+
+    #[test]
+    fn the_accumulator_does_not_keep_a_huge_probes_capacity() {
+        // Every record leads with token 1: probing with it meets them all.
+        let records: Vec<Vec<TokenId>> = (0..2 * ACC_RETAIN as TokenId)
+            .map(|i| vec![1, 2, 3 + i])
+            .collect();
+        let index = build_index(&collection(&records), &cfg(Measure::Jaccard));
+        let capacity = || SCRATCH.with_borrow(|s| s.acc.capacity());
+        let mut stats = ProbeStats::default();
+        index.probe_with(&[1, 2, 3], 0.8, None, &mut stats);
+        assert!(stats.candidates > ACC_RETAIN as u64);
+        assert!(capacity() > ACC_RETAIN);
+        index.probe_with(&[2, 3], 0.8, None, &mut stats);
+        assert!(capacity() <= ACC_RETAIN, "{}", capacity());
     }
 
     #[test]
@@ -533,13 +825,13 @@ mod tests {
             Arc::new(vec![(0u32, b0)]),
             Arc::new(vec![(4u32, b1.clone())]),
         ];
-        let main = MainIndex::build(parts, 6, [2usize, 3].into_iter());
+        let mut main = MainIndex::build(parts, 6, [2usize, 3].into_iter());
         assert_eq!(main.postings, 2);
-        assert_eq!(main.sorted_lens, vec![2, 3]);
+        assert_eq!((main.lens.count(2, 2), main.lens.count(1, 9)), (1, 2));
         assert_eq!(main.postings_of(4), Some(&b1));
         assert!(main.postings_of(1).is_none(), "unindexed token");
         assert!(main.postings_of(99).is_none(), "out-of-directory token");
-        let rows: Vec<(u32, RecordId)> = main.iter_postings().map(|(t, p)| (t, p.rec)).collect();
+        let rows: Vec<(u32, RecordId)> = main.take_blocks().map(|(t, b)| (t, b.recs[0])).collect();
         assert_eq!(rows, vec![(0, 0), (4, 1)]);
     }
 }

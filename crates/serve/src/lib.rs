@@ -23,7 +23,8 @@
 //! Freshness comes from a delta side: [`ServeIndex::insert`] tokenizes
 //! against the frozen global ordering into a private delta pool, visible
 //! to the very next probe; [`ServeIndex::compact`] folds the delta into
-//! the sealed main index with the engine's loser-tree merge.
+//! the sealed main index, merging the two sides' `(len, rec)`-ordered
+//! posting lists token by token.
 //!
 //! ```
 //! use ssj_serve::{build_index, ServeConfig};

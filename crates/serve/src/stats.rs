@@ -42,6 +42,15 @@ impl ProbeStats {
         self.hits += other.hits;
     }
 
+    /// `candidates` minus the three outcomes a candidate can end in:
+    /// position-pruned, bitmap-pruned, verified. 0 for any accumulation
+    /// of probes (and `hits ≤ verified`). `bitmap_checks` is not an
+    /// outcome: a survivor whose bitmaps saturate is verified unchecked.
+    pub fn unaccounted(&self) -> i64 {
+        let settled = self.position_pruned + self.bitmap_pruned + self.verified;
+        self.candidates as i64 - settled as i64
+    }
+
     /// Canonical `serve.probe.*` key/value pairs, in cascade order (the
     /// order `results/serve.md` reports them in).
     pub fn fields(&self) -> [(&'static str, u64); 8] {
@@ -89,5 +98,20 @@ mod tests {
             assert_eq!(registry.counter_get(key), value);
             assert_eq!(value % 2, 0, "doubled by add");
         }
+    }
+
+    #[test]
+    fn unaccounted_subtracts_the_three_candidate_outcomes() {
+        let s = ProbeStats {
+            candidates: 840,
+            position_pruned: 626,
+            bitmap_checks: 214,
+            bitmap_pruned: 40,
+            verified: 174,
+            ..ProbeStats::default()
+        };
+        assert_eq!(s.unaccounted(), 0);
+        let leak = ProbeStats { verified: 170, ..s };
+        assert_eq!(leak.unaccounted(), 4);
     }
 }

@@ -77,6 +77,10 @@ fn probe_all(index: &ServeIndex, theta: f64) -> Vec<PairBits> {
             pairs.push((a, b, sim.to_bits()));
         }
     }
+    // The cascade's conservation law: every candidate ends position-pruned,
+    // bitmap-pruned or verified, and only verified ones hit.
+    assert_eq!(stats.unaccounted(), 0, "{stats:?}");
+    assert!(stats.hits <= stats.verified, "{stats:?}");
     pairs.sort_unstable();
     let before = pairs.len();
     pairs.dedup();
