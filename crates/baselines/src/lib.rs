@@ -40,7 +40,10 @@ pub struct JoinRunResult {
 impl JoinRunResult {
     /// Total simulated time on a modelled cluster.
     pub fn simulated_secs(&self, cluster: &ssj_mapreduce::ClusterModel) -> f64 {
-        cluster.simulate_chain(&self.chain).total_secs()
+        cluster
+            .simulate_chain_schedule(&self.chain)
+            .last()
+            .map_or(0.0, |s| s.end_secs)
     }
 }
 

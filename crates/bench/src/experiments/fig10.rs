@@ -32,8 +32,12 @@ pub fn run() -> String {
                 .with_horizontal(t_pivots);
             let o = run_algorithm_cfg(Algorithm::FsJoin, &c, Measure::Jaccard, 0.8, 10, &cfg);
             let chain = o.chain.expect("completed");
-            let filter = cluster.simulate_job(chain.job("fsjoin-filter").unwrap());
-            let verify = cluster.simulate_job(chain.job("fsjoin-verify").unwrap());
+            let schedules = cluster.simulate_chain_schedule(&chain);
+            let phases = |job: &str| {
+                let s = schedules.iter().find(|s| s.job_name == job);
+                s.expect("FS-Join runs both jobs").phases()
+            };
+            let (filter, verify) = (phases("fsjoin-filter"), phases("fsjoin-verify"));
             t.push_row([
                 t_pivots.to_string(),
                 format!("{:.2}", filter.total_secs()),

@@ -90,12 +90,18 @@ pub struct RunOutcome {
     pub chain: Option<ChainMetrics>,
 }
 
+/// Makespan of `chain` run job after job on `cluster`.
+fn chain_secs(cluster: &ClusterModel, chain: &ChainMetrics) -> f64 {
+    let schedules = cluster.simulate_chain_schedule(chain);
+    schedules.last().map_or(0.0, |s| s.end_secs)
+}
+
 impl RunOutcome {
     /// Simulated makespan on an arbitrary cluster model (NaN for DNFs).
     pub fn sim_secs_on(&self, cluster: &ClusterModel) -> f64 {
         self.chain
             .as_ref()
-            .map_or(f64::NAN, |ch| cluster.simulate_chain(ch).total_secs())
+            .map_or(f64::NAN, |ch| chain_secs(cluster, ch))
     }
 
     fn dnf(algorithm: &'static str, reason: String) -> Self {
@@ -137,7 +143,7 @@ impl RunOutcome {
         cluster: &ClusterModel,
         deps: Option<(&str, &[Vec<usize>])>,
     ) -> Self {
-        let sim_secs = cluster.simulate_chain(&chain).total_secs();
+        let sim_secs = chain_secs(cluster, &chain);
         // When tracing is on, also render the simulated cluster occupancy
         // for this run next to the real host spans.
         match deps {

@@ -10,7 +10,7 @@
 //! Lane layout per simulated process: tid `0..total_slots` are the cluster's
 //! task slots (named `node<N>/slot<S>`), tid `total_slots` is the shuffle
 //! bar, tid `total_slots + 1` carries one bar per job (the phase boundaries
-//! shared with [`ClusterModel::simulate_job`]).
+//! of [`SimSchedule::phases`]).
 
 use ssj_mapreduce::{ChainMetrics, ClusterModel, SimSchedule};
 use ssj_observe::{Collector, TraceEvent};

@@ -9,10 +9,19 @@
 //! reports — sub-linear speedup (stragglers bound the makespan when reduce
 //! input is skewed) and growing cross-node shuffle share (`1 − 1/N` of
 //! shuffled bytes crosses the network).
+//!
+//! One discrete-event loop places every task: work queues FIFO as its
+//! inputs become ready, a job's maps are followed by its shuffle window
+//! and then its reduces, and stages are released per partition or as
+//! whole-stage barriers ([`PlanMode`]). Under a [`FaultPlan`] the same loop
+//! injects retries, stragglers, speculation, node loss and map re-runs.
 
-use crate::metrics::{ChainMetrics, JobMetrics, TaskStat};
+use crate::metrics::{ChainMetrics, JobMetrics, TaskKind};
+use crate::plan::PlanMode;
+use crate::sim_faults::{SimFaultError, SimFaultOutcome, SimFaultPolicy};
+use ssj_faults::{Fault, FaultPlan, Phase};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// A cluster configuration for makespan simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,9 +34,6 @@ pub struct ClusterModel {
     /// network model use link speed; for a Hadoop-era model use the
     /// end-to-end spill→sort→fetch→merge throughput, which was far lower.
     pub net_bytes_per_sec: f64,
-    /// Per-node sequential-task speed relative to the measuring host
-    /// (1.0 = identical hardware). Lets one model slower/faster fleets.
-    pub node_speed: f64,
     /// CPU charge per shuffled record, in seconds, spread across the
     /// cluster's slots. 0 for a pure model; Hadoop 0.20's per-record
     /// serialization/object overhead was on the order of microseconds,
@@ -38,14 +44,13 @@ pub struct ClusterModel {
 
 impl ClusterModel {
     /// The paper's default cluster shape: `nodes` workers × 3 slots,
-    /// 1 Gbit/s network, same per-core speed as the measuring host, no
-    /// per-record platform overhead (pure model).
+    /// 1 Gbit/s network, no per-record platform overhead (pure model).
+    /// Tasks take the durations measured on the host.
     pub fn paper_default(nodes: usize) -> Self {
         ClusterModel {
             nodes,
             slots_per_node: 3,
             net_bytes_per_sec: 125.0e6, // 1 Gbit/s
-            node_speed: 1.0,
             per_record_secs: 0.0,
         }
     }
@@ -61,24 +66,8 @@ impl ClusterModel {
             nodes,
             slots_per_node: 3,
             net_bytes_per_sec: 25.0e6,
-            node_speed: 1.0,
             per_record_secs: 8.0e-6,
         }
-    }
-
-    /// Panic with a clear message if the model cannot schedule anything.
-    /// Every simulation entry point calls this, so a mis-built model fails
-    /// fast instead of silently falling back to a 1-slot cluster.
-    fn validate(&self) {
-        assert!(self.nodes > 0, "ClusterModel: nodes must be >= 1");
-        assert!(
-            self.slots_per_node > 0,
-            "ClusterModel: slots_per_node must be >= 1"
-        );
-        assert!(
-            self.node_speed > 0.0,
-            "ClusterModel: node_speed must be positive"
-        );
     }
 
     /// Total task slots.
@@ -97,139 +86,15 @@ impl ClusterModel {
         cross / (self.net_bytes_per_sec * self.nodes as f64)
     }
 
-    /// Greedy list-scheduling makespan of the given task durations (seconds)
-    /// on this cluster: each task goes to the earliest-available slot.
-    /// This is the classic `1/3`-competitive LPT-style bound Hadoop's
-    /// FIFO slot scheduler approximates; we keep submission order (Hadoop
-    /// launches tasks in order, not LPT-sorted).
-    pub fn makespan_secs(&self, durations: impl IntoIterator<Item = f64>) -> f64 {
-        self.validate();
-        let slots = self.total_slots();
-        let mut heap: BinaryHeap<Reverse<OrderedF64>> =
-            (0..slots).map(|_| Reverse(OrderedF64(0.0))).collect();
-        let mut makespan = 0.0f64;
-        for d in durations {
-            let Reverse(OrderedF64(free_at)) = heap.pop().expect("slots > 0");
-            let end = free_at + d / self.node_speed;
-            makespan = makespan.max(end);
-            heap.push(Reverse(OrderedF64(end)));
-        }
-        makespan
-    }
-
-    /// Simulate one job on this cluster from its measured metrics.
-    pub fn simulate_job(&self, m: &JobMetrics) -> PhaseTimes {
-        self.validate();
-        let map = self.makespan_secs(task_secs(&m.map_tasks));
-        let record_overhead =
-            m.shuffle_records as f64 * self.per_record_secs / self.total_slots() as f64;
-        let shuffle = self.shuffle_secs(m.shuffle_bytes) + record_overhead;
-        let reduce = self.makespan_secs(task_secs(&m.reduce_tasks));
-        PhaseTimes {
-            map_secs: map,
-            shuffle_secs: shuffle,
-            reduce_secs: reduce,
-        }
-    }
-
-    /// Simulate a chain of jobs (jobs run back-to-back, as Hadoop drivers
-    /// submit them sequentially).
-    pub fn simulate_chain(&self, chain: &ChainMetrics) -> PhaseTimes {
-        chain
-            .jobs
-            .iter()
-            .map(|j| self.simulate_job(j))
-            .fold(PhaseTimes::default(), std::ops::Add::add)
-    }
-
-    /// List-schedule `durations` (in submission order) and return each
-    /// task's `(slot, start, end)` in seconds from `base`. Same greedy
-    /// earliest-available-slot policy as [`Self::makespan_secs`] (with
-    /// slot-index tie-breaking), so the resulting makespan is identical.
-    fn schedule_slots(
-        &self,
-        base: f64,
-        durations: impl IntoIterator<Item = f64>,
-    ) -> Vec<(usize, f64, f64)> {
-        self.validate();
-        let slots = self.total_slots();
-        let mut heap: BinaryHeap<Reverse<(OrderedF64, usize)>> =
-            (0..slots).map(|s| Reverse((OrderedF64(base), s))).collect();
-        let mut out = Vec::new();
-        for d in durations {
-            let Reverse((OrderedF64(free_at), slot)) = heap.pop().expect("slots > 0");
-            let end = free_at + d / self.node_speed;
-            out.push((slot, free_at, end));
-            heap.push(Reverse((OrderedF64(end), slot)));
-        }
-        out
-    }
-
-    /// Simulate one job with full slot identity: where every task runs and
-    /// when, plus the shuffle interval between the phases. Phase totals
-    /// agree exactly with [`Self::simulate_job`]; this variant exists so a
-    /// timeline exporter can draw per-slot occupancy.
-    ///
-    /// `base_secs` offsets the whole schedule (for chaining jobs on one
-    /// simulated timeline).
-    pub fn simulate_job_schedule(&self, m: &JobMetrics, base_secs: f64) -> SimSchedule {
-        self.validate();
-        let mut tasks = Vec::with_capacity(m.map_tasks.len() + m.reduce_tasks.len());
-        let map_assignments = self.schedule_slots(base_secs, task_secs(&m.map_tasks));
-        let mut map_end = base_secs;
-        for (t, (slot, start, end)) in m.map_tasks.iter().zip(map_assignments) {
-            map_end = map_end.max(end);
-            tasks.push(SimTask {
-                kind: t.kind,
-                index: t.index,
-                node: slot / self.slots_per_node,
-                slot,
-                start_secs: start,
-                end_secs: end,
-            });
-        }
-
-        let record_overhead =
-            m.shuffle_records as f64 * self.per_record_secs / self.total_slots() as f64;
-        let shuffle_secs = self.shuffle_secs(m.shuffle_bytes) + record_overhead;
-        let reduce_base = map_end + shuffle_secs;
-
-        let reduce_assignments = self.schedule_slots(reduce_base, task_secs(&m.reduce_tasks));
-        let mut reduce_end = reduce_base;
-        for (t, (slot, start, end)) in m.reduce_tasks.iter().zip(reduce_assignments) {
-            reduce_end = reduce_end.max(end);
-            tasks.push(SimTask {
-                kind: t.kind,
-                index: t.index,
-                node: slot / self.slots_per_node,
-                slot,
-                start_secs: start,
-                end_secs: end,
-            });
-        }
-
-        SimSchedule {
-            job_name: m.name.clone(),
-            start_secs: base_secs,
-            shuffle_start_secs: map_end,
-            shuffle_end_secs: reduce_base,
-            end_secs: reduce_end,
-            shuffle_bytes: m.shuffle_bytes,
-            tasks,
-        }
-    }
-
-    /// Simulate a chain of jobs on one continuous timeline: each job's
-    /// schedule starts where the previous one ended.
+    /// Simulate a chain of jobs run back-to-back, as Hadoop drivers submit
+    /// them: each job starts when the previous one has ended. Returns one
+    /// [`SimSchedule`] per job; the last `end_secs` is the makespan.
     pub fn simulate_chain_schedule(&self, chain: &ChainMetrics) -> Vec<SimSchedule> {
-        let mut out = Vec::with_capacity(chain.jobs.len());
-        let mut t0 = 0.0f64;
-        for job in &chain.jobs {
-            let s = self.simulate_job_schedule(job, t0);
-            t0 = s.end_secs;
-            out.push(s);
-        }
-        out
+        let deps: Vec<Vec<usize>> = (0..chain.jobs.len())
+            .map(|j| j.checked_sub(1).into_iter().collect())
+            .collect();
+        let run = self.simulate(&chain.jobs, &deps, PlanMode::Sequential, None);
+        run.expect("a fault-free run cannot fail").0
     }
 
     /// Simulate a plan DAG with **partition-granular pipelining** (the
@@ -240,277 +105,75 @@ impl ClusterModel {
     /// appears twice). Map split *i* of job `j` is *released* the moment
     /// reduce task *i* of its **last-finishing** upstream finishes — not
     /// when the whole upstream job ends — so downstream map work overlaps
-    /// the upstream reduce tails whenever slots are free. (If any
-    /// upstream's reduce count disagrees with the job's map-split count,
-    /// the job falls back to a whole-stage barrier at the latest upstream
-    /// end; the fallback bumps the `sim.plan.barrier_fallbacks` counter
-    /// on the global metrics registry and logs a
-    /// [`warn!`](ssj_observe::warn).) Reduce tasks of job `j` are
-    /// released when its last map finishes plus the job's shuffle
-    /// transfer time.
+    /// the upstream reduce tails whenever slots are free. A co-group job
+    /// has no map phase and no shuffle: its task *i* is released the same
+    /// way. If an upstream's reduce count disagrees with the job's split
+    /// count, the job falls back to a whole-stage barrier at the latest
+    /// upstream end; the fallback bumps the `sim.plan.barrier_fallbacks`
+    /// counter on the global metrics registry and logs a
+    /// [`warn!`](ssj_observe::warn). A job's reduces are released when its
+    /// last map finishes plus its shuffle window.
     ///
-    /// Released tasks are placed FIFO by release time onto the same
-    /// `nodes × slots` pool as [`Self::makespan_secs`]. A single-job plan
-    /// reproduces [`Self::simulate_job_schedule`] exactly; a linear chain
-    /// is the pipelined counterpart of [`Self::simulate_chain_schedule`]
-    /// (whose makespan it can never exceed, since every release time is
-    /// no later). Returns one [`SimSchedule`] per job; the plan makespan
-    /// is the maximum `end_secs`.
+    /// A single-job plan reproduces [`Self::simulate_chain_schedule`]; a
+    /// linear chain is never slower than it. The plan makespan is the
+    /// maximum `end_secs`.
     ///
     /// # Panics
     /// Panics if `deps.len() != chain.jobs.len()` or a dependency index is
     /// not an earlier job.
     pub fn simulate_plan(&self, chain: &ChainMetrics, deps: &[Vec<usize>]) -> Vec<SimSchedule> {
-        self.validate();
         assert_eq!(deps.len(), chain.jobs.len(), "one dependency entry per job");
-        let n = chain.jobs.len();
         for (j, d) in deps.iter().enumerate() {
             for u in d {
                 assert!(*u < j, "job {j} must depend on an earlier job, got {u}");
             }
         }
-        // One downstream entry per *edge*: a job consuming upstream `u`
-        // through two edges must see two per-split decrements.
-        let mut downstream: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (j, d) in deps.iter().enumerate() {
-            for u in d {
-                downstream[*u].push(j);
-            }
-        }
-        // A co-group job has no map phase: its *tasks* consume upstream
-        // reduce partition `i` directly, so the release unit is the task
-        // itself and no shuffle transfer is modeled.
-        let splits = |j: usize| {
-            if chain.jobs[j].cogroup {
-                chain.jobs[j].reduce_tasks.len()
-            } else {
-                chain.jobs[j].map_tasks.len()
-            }
+        let run = self.simulate(&chain.jobs, deps, PlanMode::Pipelined, None);
+        run.expect("a fault-free run cannot fail").0
+    }
+
+    /// The event loop behind every entry point. `faults` carries the plan,
+    /// the policy and the horizon the node-loss draws are spread over;
+    /// fault runs simulate one job at a time.
+    pub(crate) fn simulate(
+        &self,
+        jobs: &[JobMetrics],
+        deps: &[Vec<usize>],
+        mode: PlanMode,
+        faults: Option<(&FaultPlan, &SimFaultPolicy, f64)>,
+    ) -> Result<(Vec<SimSchedule>, SimFaultOutcome), SimFaultError> {
+        assert!(self.nodes > 0, "ClusterModel: nodes must be >= 1");
+        assert!(
+            self.slots_per_node > 0,
+            "ClusterModel: slots_per_node must be >= 1"
+        );
+        let mut sim = Sim {
+            jobs,
+            faults,
+            spn: self.slots_per_node,
+            idle: (0..self.total_slots()).collect(),
+            alive: vec![true; self.nodes],
+            downstream: vec![Vec::new(); jobs.len()],
+            jobs_left: jobs.len(),
+            ..Sim::default()
         };
-        // Shape check up front: partition-granular release needs every
-        // upstream's reduce-partition count to equal the job's map-split
-        // count (co-group: its task count). Any mismatch demotes the job
-        // to a whole-stage barrier.
-        let barrier: Vec<bool> = (0..n)
-            .map(|j| {
-                let mismatch = deps[j]
-                    .iter()
-                    .any(|&u| chain.jobs[u].reduce_tasks.len() != splits(j));
-                if mismatch {
-                    if let Some(reg) = ssj_observe::global_registry() {
-                        reg.counter_add("sim.plan.barrier_fallbacks", 1);
-                    }
-                    ssj_observe::warn!(
-                        "simulate_plan: job {} ({:?}) falls back to a whole-stage barrier: \
-                         upstream reduce counts {:?} != {} map splits",
-                        j,
-                        chain.jobs[j].name,
-                        deps[j]
-                            .iter()
-                            .map(|&u| chain.jobs[u].reduce_tasks.len())
-                            .collect::<Vec<_>>(),
-                        splits(j)
-                    );
-                }
-                mismatch
-            })
-            .collect();
-        // Pipelined jobs: per-split countdown of unfinished upstream
-        // reduce partitions plus the latest matching reduce end time.
-        // Barrier jobs: per-edge countdown of unfinished upstream jobs
-        // plus the latest upstream end time.
-        let mut pending: Vec<Vec<usize>> = (0..n).map(|j| vec![deps[j].len(); splits(j)]).collect();
-        let mut split_rel: Vec<Vec<f64>> = (0..n).map(|j| vec![0.0; splits(j)]).collect();
-        let mut ups_left: Vec<usize> = (0..n).map(|j| deps[j].len()).collect();
-        let mut barrier_rel: Vec<f64> = vec![0.0; n];
-
-        /// Per-job progress while the event loop runs.
-        struct JobState {
-            maps_left: usize,
-            reds_left: usize,
-            map_end: f64,
-            shuffle_start: f64,
-            shuffle_end: f64,
-            start: f64,
-            end: f64,
-            tasks: Vec<SimTask>,
+        for (j, (m, d)) in jobs.iter().zip(deps).enumerate() {
+            // The transfer plus the per-record charge spread over every slot.
+            let records = m.shuffle_records as f64 * self.per_record_secs;
+            let shuffle = self.shuffle_secs(m.shuffle_bytes) + records / self.total_slots() as f64;
+            sim.add_job(j, d, mode, shuffle);
         }
-        let mut js: Vec<JobState> = chain
-            .jobs
-            .iter()
-            .map(|m| JobState {
-                maps_left: m.map_tasks.len(),
-                reds_left: m.reduce_tasks.len(),
-                map_end: 0.0,
-                shuffle_start: 0.0,
-                shuffle_end: 0.0,
-                start: f64::INFINITY,
-                end: 0.0,
-                tasks: Vec::with_capacity(m.map_tasks.len() + m.reduce_tasks.len()),
-            })
-            .collect();
-
-        // Ready heap: FIFO by (release, arrival ordinal). Kind 0 = map,
-        // 1 = reduce, 2 = co-group (a reduce-side task released directly
-        // by upstream reduce completions, with no shuffle in front).
-        // Durations ride along so pops are self-contained.
-        type Item = Reverse<(OrderedF64, u64, usize, u8, usize, OrderedF64)>;
-        let mut ready: BinaryHeap<Item> = BinaryHeap::new();
-        let mut ord = 0u64;
-        let mut push = |heap: &mut BinaryHeap<Item>,
-                        release: f64,
-                        job: usize,
-                        kind: u8,
-                        idx: usize,
-                        dur: f64| {
-            heap.push(Reverse((
-                OrderedF64(release),
-                ord,
-                job,
-                kind,
-                idx,
-                OrderedF64(dur),
-            )));
-            ord += 1;
-        };
-        for (j, m) in chain.jobs.iter().enumerate() {
-            if deps[j].is_empty() {
-                for t in &m.map_tasks {
-                    push(&mut ready, 0.0, j, 0, t.index, t.duration.as_secs_f64());
-                }
-            }
-        }
-
-        let mut slots: BinaryHeap<Reverse<(OrderedF64, usize)>> = (0..self.total_slots())
-            .map(|s| Reverse((OrderedF64(0.0), s)))
-            .collect();
-
-        while let Some(Reverse((OrderedF64(release), _, j, kind, idx, OrderedF64(dur)))) =
-            ready.pop()
-        {
-            let Reverse((OrderedF64(free_at), slot)) = slots.pop().expect("slots > 0");
-            let start = release.max(free_at);
-            let end = start + dur / self.node_speed;
-            slots.push(Reverse((OrderedF64(end), slot)));
-            let kind_enum = match kind {
-                0 => crate::metrics::TaskKind::Map,
-                1 => crate::metrics::TaskKind::Reduce,
-                _ => crate::metrics::TaskKind::CoGroup,
-            };
-            js[j].tasks.push(SimTask {
-                kind: kind_enum,
-                index: idx,
-                node: slot / self.slots_per_node,
-                slot,
-                start_secs: start,
-                end_secs: end,
-            });
-            js[j].start = js[j].start.min(start);
-            if kind == 0 {
-                js[j].map_end = js[j].map_end.max(end);
-                js[j].maps_left -= 1;
-                if js[j].maps_left == 0 {
-                    let m = &chain.jobs[j];
-                    let record_overhead =
-                        m.shuffle_records as f64 * self.per_record_secs / self.total_slots() as f64;
-                    let shuffle = self.shuffle_secs(m.shuffle_bytes) + record_overhead;
-                    js[j].shuffle_start = js[j].map_end;
-                    js[j].shuffle_end = js[j].map_end + shuffle;
-                    let base = js[j].shuffle_end;
-                    for t in &m.reduce_tasks {
-                        push(&mut ready, base, j, 1, t.index, t.duration.as_secs_f64());
-                    }
-                }
-            } else {
-                js[j].end = js[j].end.max(end);
-                js[j].reds_left -= 1;
-                for &k in &downstream[j] {
-                    if !barrier[k] {
-                        // Partition-granular release: split `idx` of job k
-                        // consumes exactly reduce partition `idx` of every
-                        // upstream; it runs once the last one lands. For a
-                        // co-group job the released unit IS its task —
-                        // there is no map in front of it and no shuffle.
-                        pending[k][idx] -= 1;
-                        split_rel[k][idx] = split_rel[k][idx].max(end);
-                        if pending[k][idx] == 0 {
-                            let (t, kind) = if chain.jobs[k].cogroup {
-                                (&chain.jobs[k].reduce_tasks[idx], 2)
-                            } else {
-                                (&chain.jobs[k].map_tasks[idx], 0)
-                            };
-                            push(
-                                &mut ready,
-                                split_rel[k][idx],
-                                k,
-                                kind,
-                                t.index,
-                                t.duration.as_secs_f64(),
-                            );
-                        }
-                    }
-                }
-                if js[j].reds_left == 0 {
-                    // Job j is complete: unblock barrier-mode consumers.
-                    for &k in &downstream[j] {
-                        if barrier[k] {
-                            ups_left[k] -= 1;
-                            barrier_rel[k] = barrier_rel[k].max(js[j].end);
-                            if ups_left[k] == 0 {
-                                let (tasks, kind): (&[crate::metrics::TaskStat], u8) =
-                                    if chain.jobs[k].cogroup {
-                                        (&chain.jobs[k].reduce_tasks, 2)
-                                    } else {
-                                        (&chain.jobs[k].map_tasks, 0)
-                                    };
-                                for t in tasks {
-                                    push(
-                                        &mut ready,
-                                        barrier_rel[k],
-                                        k,
-                                        kind,
-                                        t.index,
-                                        t.duration.as_secs_f64(),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        js.into_iter()
-            .zip(&chain.jobs)
-            .map(|(mut s, m)| {
-                s.tasks.sort_by_key(|t| {
-                    (
-                        matches!(
-                            t.kind,
-                            crate::metrics::TaskKind::Reduce | crate::metrics::TaskKind::CoGroup
-                        ),
-                        t.index,
-                    )
-                });
-                SimSchedule {
-                    job_name: m.name.clone(),
-                    start_secs: if s.start.is_finite() { s.start } else { 0.0 },
-                    shuffle_start_secs: s.shuffle_start,
-                    shuffle_end_secs: s.shuffle_end,
-                    end_secs: s.end,
-                    shuffle_bytes: m.shuffle_bytes,
-                    tasks: s.tasks,
-                }
-            })
-            .collect()
+        sim.run()?;
+        let schedules = sim.js.into_iter().zip(jobs).map(|(s, m)| s.schedule(m));
+        Ok((schedules.collect(), sim.out))
     }
 }
 
 /// One task placed on the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTask {
-    /// Map or reduce.
-    pub kind: crate::metrics::TaskKind,
+    /// Map, reduce or co-group.
+    pub kind: TaskKind,
     /// Task index within its phase.
     pub index: usize,
     /// Node the slot belongs to.
@@ -529,9 +192,10 @@ pub struct SimTask {
 pub struct SimSchedule {
     /// Job name.
     pub job_name: String,
-    /// When the job was submitted on the chain timeline.
+    /// When the job's first task started on the chain timeline.
     pub start_secs: f64,
-    /// Shuffle interval start (= end of the map phase).
+    /// Shuffle interval start (= end of the map phase; 0 for a pipelined
+    /// co-group job, which has no shuffle).
     pub shuffle_start_secs: f64,
     /// Shuffle interval end (= start of the reduce phase).
     pub shuffle_end_secs: f64,
@@ -539,13 +203,12 @@ pub struct SimSchedule {
     pub end_secs: f64,
     /// Bytes charged to the shuffle interval.
     pub shuffle_bytes: usize,
-    /// Every placed task, maps first then reduces.
+    /// Every placed task, maps first then reduces, each by index.
     pub tasks: Vec<SimTask>,
 }
 
 impl SimSchedule {
-    /// Phase totals, equal to [`ClusterModel::simulate_job`]'s output for
-    /// the same metrics (up to float rounding from the base offset).
+    /// The job's map, shuffle and reduce intervals.
     pub fn phases(&self) -> PhaseTimes {
         PhaseTimes {
             map_secs: self.shuffle_start_secs - self.start_secs,
@@ -553,35 +216,9 @@ impl SimSchedule {
             reduce_secs: self.end_secs - self.shuffle_end_secs,
         }
     }
-
-    /// Total simulated job time.
-    pub fn makespan_secs(&self) -> f64 {
-        self.end_secs - self.start_secs
-    }
 }
 
-/// Wall-clock of a whole simulated plan or chain: earliest task start to
-/// latest task end across every schedule (0.0 when empty). The quantity a
-/// critical path extracted from the exported timeline must account for.
-pub fn schedules_makespan_secs(schedules: &[SimSchedule]) -> f64 {
-    let tasks = schedules.iter().flat_map(|s| s.tasks.iter());
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for t in tasks {
-        lo = lo.min(t.start_secs);
-        hi = hi.max(t.end_secs);
-    }
-    if lo.is_finite() && hi.is_finite() {
-        hi - lo
-    } else {
-        0.0
-    }
-}
-
-fn task_secs(tasks: &[TaskStat]) -> impl Iterator<Item = f64> + '_ {
-    tasks.iter().map(|t| t.duration.as_secs_f64())
-}
-
-/// Simulated per-phase times for a job or job chain.
+/// Simulated per-phase times of one job.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
     /// Map-phase makespan.
@@ -599,55 +236,644 @@ impl PhaseTimes {
     }
 }
 
-/// Component-wise sum (sequential job chaining).
-impl std::ops::Add for PhaseTimes {
-    type Output = PhaseTimes;
+/// A speculative backup launches only when the running attempt's
+/// projected finish is later than `now + SPEC_THRESHOLD × clean duration`,
+/// i.e. whenever a fresh copy would win (close to Hadoop's heuristic).
+const SPEC_THRESHOLD: f64 = 1.0;
 
-    fn add(self, other: PhaseTimes) -> PhaseTimes {
-        PhaseTimes {
-            map_secs: self.map_secs + other.map_secs,
-            shuffle_secs: self.shuffle_secs + other.shuffle_secs,
-            reduce_secs: self.reduce_secs + other.reduce_secs,
+/// Slot work: attempt `attempt` of task `tid`, or (`None`) a clean re-run
+/// of map task `tid` whose output died with its node.
+#[derive(Debug, Clone, Copy)]
+struct Work {
+    tid: usize,
+    attempt: Option<u32>,
+}
+
+/// An attempt finishes, a node dies, a job's shuffle window closes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Ev {
+    Done(usize),
+    Death(usize),
+    Shuffled(usize),
+}
+
+/// Queue order of the tasks released at one instant: the order in which a
+/// list scheduler, placing each task as soon as the last of its inputs is
+/// placed, would have released them. That is by the latest launch among
+/// the attempts the task waited for, then partition releases before
+/// barrier releases, then job.
+type Order = (usize, u8, usize);
+
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
+    work: Work,
+    slot: usize,
+    start: f64,
+    finish: f64,
+    speculative: bool,
+    will_fail: bool,
+    live: bool,
+}
+
+#[derive(Default)]
+struct Task {
+    job: usize,
+    /// Position in its job's map or reduce task list.
+    pos: usize,
+    map: bool,
+    secs: f64,
+    done: bool,
+    failed: u32,
+    launched: u32,
+    /// Live attempt ids.
+    running: Vec<usize>,
+    has_spec: bool,
+    /// Node of the attempt that finished it.
+    node: usize,
+}
+
+impl Task {
+    fn phase(&self) -> Phase {
+        if self.map {
+            Phase::Map
+        } else {
+            Phase::Reduce
         }
     }
 }
 
-/// Total-order wrapper for non-NaN f64 (scheduling heap key).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrderedF64(f64);
+#[derive(Default)]
+struct JobState {
+    /// First task id of the job: its maps, then its reduces.
+    base: usize,
+    maps: usize,
+    maps_left: usize,
+    reds_left: usize,
+    reruns_left: usize,
+    /// Tasks go straight to the reduce side (a pipelined co-group).
+    direct: bool,
+    /// Released whole once every upstream job has ended.
+    barrier: bool,
+    ups_left: usize,
+    /// Latest launch among the job's finished attempts (before its release,
+    /// among its finished upstream jobs'): the order it releases work in.
+    order: usize,
+    /// Per split: upstream partitions still running, their latest launch.
+    splits: Vec<(usize, usize)>,
+    shuffle_secs: f64,
+    in_shuffle: bool,
+    done: bool,
+    shuffle: (f64, f64),
+    end: f64,
+    placed: Vec<SimTask>,
+}
 
-impl Eq for OrderedF64 {}
-
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl JobState {
+    fn schedule(mut self, m: &JobMetrics) -> SimSchedule {
+        self.placed
+            .sort_by_key(|t| (t.kind != TaskKind::Map, t.index));
+        let first = self.placed.iter().map(|t| t.start_secs).reduce(f64::min);
+        SimSchedule {
+            job_name: m.name.clone(),
+            start_secs: first.unwrap_or(self.shuffle.0),
+            shuffle_start_secs: self.shuffle.0,
+            shuffle_end_secs: self.shuffle.1,
+            end_secs: self.end,
+            shuffle_bytes: m.shuffle_bytes,
+            tasks: self.placed,
+        }
     }
 }
 
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("non-NaN durations")
+#[derive(Default)]
+struct Sim<'a> {
+    jobs: &'a [JobMetrics],
+    faults: Option<(&'a FaultPlan, &'a SimFaultPolicy, f64)>,
+    /// Slots per node.
+    spn: usize,
+    now: f64,
+    seq: u64,
+    /// Min-heap on (time bits, push order): times are never negative, so
+    /// their IEEE bit patterns order like the values.
+    events: BinaryHeap<Reverse<(u64, u64, Ev)>>,
+    /// Work waiting for a slot. Retries, re-runs and attempts lost with a
+    /// node join at once; released tasks when their instant is over.
+    ready: VecDeque<Work>,
+    /// Tasks released at the current instant.
+    released: Vec<(Order, usize)>,
+    idle: BTreeSet<usize>,
+    alive: Vec<bool>,
+    /// Nodes lost inside a shuffle window, applied when it closes.
+    deferred: Vec<usize>,
+    tasks: Vec<Task>,
+    attempts: Vec<Attempt>,
+    js: Vec<JobState>,
+    downstream: Vec<Vec<usize>>,
+    jobs_left: usize,
+    out: SimFaultOutcome,
+}
+
+impl Sim<'_> {
+    fn add_job(&mut self, j: usize, deps: &[usize], mode: PlanMode, shuffle_secs: f64) {
+        let m = &self.jobs[j];
+        let direct = m.cogroup && mode == PlanMode::Pipelined;
+        let maps = if direct { 0 } else { m.map_tasks.len() };
+        let splits = if direct { m.reduce_tasks.len() } else { maps };
+        let ups: Vec<usize> = deps
+            .iter()
+            .map(|&u| self.jobs[u].reduce_tasks.len())
+            .collect();
+        let mismatch = mode == PlanMode::Pipelined && ups.iter().any(|&r| r != splits);
+        if mismatch {
+            if let Some(reg) = ssj_observe::global_registry() {
+                reg.counter_add("sim.plan.barrier_fallbacks", 1);
+            }
+            ssj_observe::warn!(
+                "simulate_plan: job {j} ({:?}) falls back to a whole-stage barrier: \
+                 upstream reduce counts {ups:?} != {splits} map splits",
+                m.name
+            );
+        }
+        for &u in deps {
+            self.downstream[u].push(j);
+        }
+        self.js.push(JobState {
+            base: self.tasks.len(),
+            maps,
+            maps_left: maps,
+            reds_left: m.reduce_tasks.len(),
+            direct,
+            barrier: mode == PlanMode::Sequential || mismatch,
+            ups_left: deps.len(),
+            splits: vec![(deps.len(), 0); splits],
+            shuffle_secs,
+            ..JobState::default()
+        });
+        for (map, stats) in [(true, &m.map_tasks[..maps]), (false, &m.reduce_tasks[..])] {
+            for (pos, t) in stats.iter().enumerate() {
+                let secs = t.duration.as_secs_f64();
+                let task = Task {
+                    job: j,
+                    pos,
+                    map,
+                    secs,
+                    ..Task::default()
+                };
+                self.tasks.push(task);
+            }
+        }
+    }
+
+    fn push_event(&mut self, t: f64, ev: Ev) {
+        debug_assert!(t >= 0.0, "negative simulated time {t}");
+        self.events.push(Reverse((t.to_bits(), self.seq, ev)));
+        self.seq += 1;
+    }
+
+    fn run(&mut self) -> Result<(), SimFaultError> {
+        if let Some((plan, _, horizon)) = self.faults {
+            for node in 0..self.alive.len() {
+                match plan.node_loss_at(&self.jobs[0].name, node, horizon) {
+                    Some(t) if t <= 0.0 => self.death(node),
+                    Some(t) => self.push_event(t, Ev::Death(node)),
+                    None => {}
+                }
+            }
+        }
+        for j in 0..self.js.len() {
+            if self.js[j].ups_left == 0 {
+                self.release_stage(j, (0, 0, j));
+            }
+        }
+        loop {
+            // Once an instant's last event is handled, the tasks it
+            // released queue up; slots freed earlier in the instant took
+            // work that was already waiting.
+            let next = self.events.peek().map(|e| f64::from_bits(e.0 .0));
+            if next.is_none_or(|t| t > self.now) {
+                self.released.sort_by_key(|r| r.0);
+                let tasks = self.released.drain(..).map(|r| r.1);
+                let attempt = Some(0);
+                self.ready.extend(tasks.map(|tid| Work { tid, attempt }));
+            }
+            if self.jobs_left == 0 {
+                return Ok(());
+            }
+            if !self.alive.contains(&true) {
+                return Err(self.cluster_lost());
+            }
+            // Slots are filled after every event, not once per instant:
+            // which node an attempt lands on decides what a node loss kills.
+            self.dispatch();
+            let Some(Reverse((bits, _, ev))) = self.events.pop() else {
+                // Fault-free, only a stage that can never be released is
+                // left; it stays empty.
+                return self.faults.map_or(Ok(()), |_| Err(self.cluster_lost()));
+            };
+            self.now = f64::from_bits(bits);
+            match ev {
+                Ev::Done(aid) => self.done(aid)?,
+                Ev::Death(node) if self.js.iter().any(|s| s.in_shuffle) => self.deferred.push(node),
+                Ev::Death(node) => self.death(node),
+                Ev::Shuffled(j) => {
+                    self.js[j].in_shuffle = false;
+                    self.deferred.sort_unstable();
+                    for node in std::mem::take(&mut self.deferred) {
+                        self.death(node);
+                    }
+                    self.release_reduces(j, (self.js[j].order, 0, j));
+                }
+            }
+        }
+    }
+
+    fn cluster_lost(&self) -> SimFaultError {
+        SimFaultError::ClusterLost {
+            job: self.jobs[0].name.clone(),
+            at_secs: self.now,
+        }
+    }
+
+    /// Release a whole stage: its maps, or a direct co-group's tasks.
+    fn release_stage(&mut self, j: usize, order: Order) {
+        let s = &mut self.js[j];
+        s.order = order.0;
+        let (base, maps) = (s.base, s.maps);
+        if s.direct {
+            self.release_reduces(j, order);
+        } else if maps == 0 {
+            self.open_shuffle(j);
+        } else {
+            self.released
+                .extend((base..base + maps).map(|tid| (order, tid)));
+        }
+    }
+
+    fn release_reduces(&mut self, j: usize, order: Order) {
+        let s = &self.js[j];
+        let first = s.base + s.maps;
+        let tids = first..first + s.reds_left;
+        self.released.extend(tids.map(|tid| (order, tid)));
+        self.try_complete(j);
+    }
+
+    /// Every map of job `j` has finished: its shuffle window starts now.
+    fn open_shuffle(&mut self, j: usize) {
+        let s = &mut self.js[j];
+        s.shuffle = (self.now, self.now + s.shuffle_secs);
+        s.in_shuffle = true;
+        let end = s.shuffle.1;
+        self.push_event(end, Ev::Shuffled(j));
+    }
+
+    fn try_complete(&mut self, j: usize) {
+        let s = &mut self.js[j];
+        if s.done || s.in_shuffle || s.maps_left + s.reds_left + s.reruns_left > 0 {
+            return;
+        }
+        s.done = true;
+        s.end = self.now;
+        self.jobs_left -= 1;
+        let order = s.order;
+        for k in self.downstream[j].clone() {
+            let d = &mut self.js[k];
+            if d.barrier {
+                d.ups_left -= 1;
+                d.order = d.order.max(order);
+                if d.ups_left == 0 {
+                    let order = (d.order, 1, k);
+                    self.release_stage(k, order);
+                }
+            }
+        }
+    }
+
+    /// Task `tid` finished through attempt `aid`.
+    fn finished(&mut self, tid: usize, aid: usize) {
+        let a = self.attempts[aid];
+        let t = &mut self.tasks[tid];
+        t.done = true;
+        t.node = a.slot / self.spn;
+        let (j, pos, launch) = (t.job, t.pos, aid + 1);
+        let m = &self.jobs[j];
+        let stat = if t.map {
+            &m.map_tasks[pos]
+        } else {
+            &m.reduce_tasks[pos]
+        };
+        let s = &mut self.js[j];
+        s.placed.push(SimTask {
+            kind: stat.kind,
+            index: stat.index,
+            node: t.node,
+            slot: a.slot,
+            start_secs: a.start,
+            end_secs: a.finish,
+        });
+        s.order = s.order.max(launch);
+        if t.map {
+            s.maps_left -= 1;
+            if s.maps_left == 0 {
+                self.open_shuffle(j);
+            }
+            return;
+        }
+        s.reds_left -= 1;
+        for k in self.downstream[j].clone() {
+            let d = &mut self.js[k];
+            if d.barrier {
+                continue;
+            }
+            let split = &mut d.splits[pos];
+            split.0 -= 1;
+            split.1 = split.1.max(launch);
+            if split.0 == 0 {
+                self.released.push(((split.1, 0, k), d.base + pos));
+            }
+        }
+        self.try_complete(j);
+    }
+
+    fn done(&mut self, aid: usize) -> Result<(), SimFaultError> {
+        if !self.attempts[aid].live {
+            return Ok(()); // killed earlier (lost race or node death)
+        }
+        let a = self.attempts[aid];
+        self.kill(aid, true);
+        let tid = a.work.tid;
+        match a.work.attempt {
+            None => {
+                let j = self.tasks[tid].job;
+                self.js[j].reruns_left -= 1;
+                self.try_complete(j);
+            }
+            Some(_) if a.will_fail => {
+                let max = self.faults.map_or(1, |f| f.1.retry.max_attempts.max(1));
+                let t = &mut self.tasks[tid];
+                t.failed += 1;
+                if t.failed >= max {
+                    return Err(SimFaultError::TaskFailed {
+                        job: self.jobs[t.job].name.clone(),
+                        phase: t.phase(),
+                        task: t.pos,
+                        attempts: t.failed,
+                    });
+                }
+                self.out.retries += 1;
+                let attempt = Some(t.launched);
+                self.ready.push_back(Work { tid, attempt });
+            }
+            Some(_) if !self.tasks[tid].done => {
+                self.out.speculative_wins += a.speculative as u64;
+                // First finisher wins: kill the losing attempts now and
+                // free their slots (Hadoop kills the slower attempt).
+                for loser in std::mem::take(&mut self.tasks[tid].running) {
+                    self.kill(loser, true);
+                }
+                self.finished(tid, aid);
+            }
+            Some(_) => {}
+        }
+        Ok(())
+    }
+
+    fn kill(&mut self, aid: usize, free_slot: bool) {
+        let a = &mut self.attempts[aid];
+        if !a.live {
+            return;
+        }
+        a.live = false;
+        if free_slot && self.alive[a.slot / self.spn] {
+            self.idle.insert(a.slot);
+        }
+        let t = &mut self.tasks[a.work.tid];
+        t.running.retain(|&x| x != aid);
+        t.has_spec &= !a.speculative;
+    }
+
+    fn death(&mut self, node: usize) {
+        if !std::mem::replace(&mut self.alive[node], false) {
+            return;
+        }
+        self.out.node_losses += 1;
+        let spn = self.spn;
+        self.idle.retain(|s| s / spn != node);
+        // Re-queue the node's running attempts; node loss does not consume
+        // the task's failure budget (it is not the task's fault).
+        for aid in 0..self.attempts.len() {
+            let a = self.attempts[aid];
+            if !a.live || a.slot / spn != node {
+                continue;
+            }
+            self.kill(aid, false);
+            if !a.speculative {
+                // (A lost backup needs nothing: its original still runs.)
+                let launched = self.tasks[a.work.tid].launched;
+                let attempt = a.work.attempt.map(|_| launched);
+                self.ready.push_back(Work { attempt, ..a.work });
+            }
+        }
+        // Loss after a job's map phase without checkpointed map outputs:
+        // the node's map outputs are gone, so those maps run again.
+        if self.faults.is_some_and(|f| f.1.checkpoint_map_outputs) {
+            return;
+        }
+        for (tid, t) in self.tasks.iter().enumerate() {
+            let s = &mut self.js[t.job];
+            if t.map && t.done && t.node == node && s.maps_left == 0 && !s.done {
+                s.reruns_left += 1;
+                self.out.map_reruns += 1;
+                self.ready.push_back(Work { tid, attempt: None });
+            }
+        }
+    }
+
+    /// Fill idle slots from the ready queue, then (with speculation on)
+    /// with backups of the slowest attempts.
+    fn dispatch(&mut self) {
+        while !self.idle.is_empty() {
+            let Some(work) = self.ready.pop_front() else {
+                break;
+            };
+            if work.attempt.is_some() && self.tasks[work.tid].done {
+                continue; // finished by a backup meanwhile
+            }
+            let slot = self.idle.pop_first().expect("checked non-empty");
+            self.launch(slot, work, false);
+        }
+        if !self.faults.is_some_and(|f| f.1.speculation) {
+            return;
+        }
+        while !self.idle.is_empty() {
+            // Slowest running attempt whose projected finish is worse than
+            // starting a fresh copy right now.
+            let candidate = (self.tasks.iter().enumerate())
+                .filter(|(_, t)| !t.done && !t.has_spec && t.failed == 0 && !t.running.is_empty())
+                .filter_map(|(tid, t)| {
+                    let finish = (t.running.iter())
+                        .map(|&aid| self.attempts[aid].finish)
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    let fresh = self.now + SPEC_THRESHOLD * t.secs;
+                    (finish > fresh + 1e-12).then_some((tid, finish))
+                })
+                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
+            let Some((tid, _)) = candidate else { break };
+            let slot = self.idle.pop_first().expect("checked non-empty");
+            self.out.speculative_launched += 1;
+            let attempt = Some(self.tasks[tid].launched);
+            self.launch(slot, Work { tid, attempt }, true);
+        }
+    }
+
+    fn launch(&mut self, slot: usize, work: Work, speculative: bool) {
+        let t = &self.tasks[work.tid];
+        // Backups and re-runs run clean (see executor docs).
+        let fault = match (self.faults, work.attempt) {
+            (Some((plan, ..)), Some(n)) if !speculative => plan
+                .decide(&self.jobs[t.job].name, t.phase(), t.pos, n)
+                .map(|f| (plan, f)),
+            _ => None,
+        };
+        let out = &mut self.out;
+        let (factor, will_fail) = match fault {
+            None => (1.0, false),
+            Some((plan, f)) => {
+                *match f {
+                    Fault::Error => &mut out.injected_errors,
+                    Fault::Panic => &mut out.injected_panics,
+                    Fault::Straggle => &mut out.injected_stragglers,
+                } += 1;
+                match f {
+                    Fault::Straggle => (plan.straggler_factor, false),
+                    _ => (plan.failure_point, true),
+                }
+            }
+        };
+        let (aid, finish) = (self.attempts.len(), self.now + t.secs * factor);
+        self.attempts.push(Attempt {
+            work,
+            slot,
+            start: self.now,
+            finish,
+            speculative,
+            will_fail,
+            live: true,
+        });
+        if work.attempt.is_some() {
+            let t = &mut self.tasks[work.tid];
+            t.launched += 1;
+            t.running.push(aid);
+            t.has_spec |= speculative;
+        }
+        self.out.attempts += 1;
+        self.push_event(finish, Ev::Done(aid));
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::metrics::TaskKind;
+    use crate::metrics::TaskStat;
     use std::time::Duration;
+
+    /// A job whose maps and reduces take the given seconds.
+    pub(crate) fn plan_job(name: &str, maps: &[f64], reds: &[f64]) -> JobMetrics {
+        let tasks = |kind, secs: &[f64]| {
+            let task = |(index, &s)| TaskStat {
+                kind,
+                index,
+                duration: Duration::from_secs_f64(s),
+                queue: Duration::ZERO,
+                input_records: 1,
+                input_bytes: 10,
+                input_keys: 0,
+                output_records: 1,
+                output_bytes: 10,
+            };
+            secs.iter().enumerate().map(task).collect()
+        };
+        JobMetrics {
+            name: name.into(),
+            plan_stage: None,
+            cogroup: false,
+            map_tasks: tasks(TaskKind::Map, maps),
+            reduce_tasks: tasks(TaskKind::Reduce, reds),
+            shuffle_records: 0,
+            shuffle_bytes: 0,
+            pre_combine_records: 0,
+            pre_combine_bytes: 0,
+            elapsed: Duration::ZERO,
+            map_elapsed: Duration::ZERO,
+            shuffle_elapsed: Duration::ZERO,
+            reduce_elapsed: Duration::ZERO,
+            exec: Default::default(),
+        }
+    }
+
+    pub(crate) fn chain_of(jobs: impl IntoIterator<Item = JobMetrics>) -> ChainMetrics {
+        let mut chain = ChainMetrics::default();
+        for j in jobs {
+            chain.push(j);
+        }
+        chain
+    }
+
+    fn schedule(c: &ClusterModel, m: &JobMetrics) -> SimSchedule {
+        c.simulate_chain_schedule(&chain_of([m.clone()])).remove(0)
+    }
+
+    /// Map-phase makespan of one job whose maps take `secs`.
+    fn makespan(c: &ClusterModel, secs: &[f64]) -> f64 {
+        schedule(c, &plan_job("maps", secs, &[])).phases().map_secs
+    }
+
+    fn many_task_metrics() -> JobMetrics {
+        let mut m = plan_job(
+            "sched",
+            &[0.1, 0.13, 0.16, 0.1, 0.13, 0.16, 0.1, 0.13],
+            &[0.2; 5],
+        );
+        m.shuffle_records = 1000;
+        m.shuffle_bytes = 250_000_000;
+        m
+    }
+
+    fn plan_makespan(scheds: &[SimSchedule]) -> f64 {
+        scheds.iter().map(|s| s.end_secs).fold(0.0, f64::max)
+    }
+
+    fn no_overlap(s: &SimSchedule, eps: f64) {
+        for a in &s.tasks {
+            for b in &s.tasks {
+                if (a.index, a.kind) != (b.index, b.kind) && a.slot == b.slot {
+                    assert!(
+                        a.end_secs <= b.start_secs + eps || b.end_secs <= a.start_secs + eps,
+                        "slot {} double-booked: {a:?} vs {b:?}",
+                        a.slot
+                    );
+                }
+            }
+        }
+    }
+
+    /// 1 node × 2 slots (`pipelines`) or 4 nodes × 2 slots, no shuffle cost.
+    fn two_slot_nodes(nodes: usize) -> ClusterModel {
+        ClusterModel {
+            slots_per_node: 2,
+            ..ClusterModel::paper_default(nodes)
+        }
+    }
 
     #[test]
     fn makespan_perfectly_parallel() {
         let c = ClusterModel::paper_default(2); // 6 slots
-        let ms = c.makespan_secs(vec![1.0; 6]);
-        assert!((ms - 1.0).abs() < 1e-9);
+        assert!((makespan(&c, &[1.0; 6]) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn makespan_queues_excess_tasks() {
         let c = ClusterModel::paper_default(1); // 3 slots
-        let ms = c.makespan_secs(vec![1.0; 4]);
-        assert!((ms - 2.0).abs() < 1e-9);
+        assert!((makespan(&c, &[1.0; 4]) - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -655,15 +881,15 @@ mod tests {
         let c = ClusterModel::paper_default(5);
         let mut tasks = vec![0.01; 100];
         tasks.push(10.0);
-        assert!(c.makespan_secs(tasks) >= 10.0);
+        assert!(makespan(&c, &tasks) >= 10.0);
     }
 
     #[test]
     fn more_nodes_never_slower() {
         let tasks: Vec<f64> = (0..100).map(|i| 0.1 + (i % 7) as f64 * 0.05).collect();
-        let m5 = ClusterModel::paper_default(5).makespan_secs(tasks.clone());
-        let m10 = ClusterModel::paper_default(10).makespan_secs(tasks.clone());
-        let m15 = ClusterModel::paper_default(15).makespan_secs(tasks);
+        let m5 = makespan(&ClusterModel::paper_default(5), &tasks);
+        let m10 = makespan(&ClusterModel::paper_default(10), &tasks);
+        let m15 = makespan(&ClusterModel::paper_default(15), &tasks);
         assert!(m10 <= m5 + 1e-9);
         assert!(m15 <= m10 + 1e-9);
     }
@@ -684,48 +910,11 @@ mod tests {
     }
 
     #[test]
-    fn node_speed_scales_task_time() {
-        let slow = ClusterModel {
-            node_speed: 0.5,
-            ..ClusterModel::paper_default(1)
-        };
-        assert!((slow.makespan_secs(vec![1.0]) - 2.0).abs() < 1e-9);
-    }
-
-    fn one_task(kind: TaskKind, ms: u64, bytes: usize) -> TaskStat {
-        TaskStat {
-            kind,
-            index: 0,
-            duration: Duration::from_millis(ms),
-            queue: Duration::ZERO,
-            input_records: 1,
-            input_bytes: bytes,
-            input_keys: 0,
-            output_records: 1,
-            output_bytes: bytes,
-        }
-    }
-
-    #[test]
     fn hadoop_calibration_charges_per_record() {
-        let m = JobMetrics {
-            name: "t".into(),
-            plan_stage: None,
-            cogroup: false,
-            map_tasks: vec![one_task(TaskKind::Map, 0, 0)],
-            reduce_tasks: vec![one_task(TaskKind::Reduce, 0, 0)],
-            shuffle_records: 3_000_000,
-            shuffle_bytes: 0,
-            pre_combine_records: 3_000_000,
-            pre_combine_bytes: 0,
-            elapsed: Duration::ZERO,
-            map_elapsed: Duration::ZERO,
-            shuffle_elapsed: Duration::ZERO,
-            reduce_elapsed: Duration::ZERO,
-            exec: Default::default(),
-        };
-        let pure = ClusterModel::paper_default(10).simulate_job(&m);
-        let hadoop = ClusterModel::hadoop_2010(10).simulate_job(&m);
+        let mut m = plan_job("t", &[0.0], &[0.0]);
+        m.shuffle_records = 3_000_000;
+        let pure = schedule(&ClusterModel::paper_default(10), &m).phases();
+        let hadoop = schedule(&ClusterModel::hadoop_2010(10), &m).phases();
         assert_eq!(pure.shuffle_secs, 0.0);
         // 3M records x 8us / 30 slots = 0.8s
         assert!((hadoop.shuffle_secs - 0.8).abs() < 1e-9, "{hadoop:?}");
@@ -733,24 +922,10 @@ mod tests {
 
     #[test]
     fn simulate_job_sums_phases() {
-        let m = JobMetrics {
-            name: "t".into(),
-            plan_stage: None,
-            cogroup: false,
-            map_tasks: vec![one_task(TaskKind::Map, 100, 10)],
-            reduce_tasks: vec![one_task(TaskKind::Reduce, 200, 10)],
-            shuffle_records: 1,
-            shuffle_bytes: 250_000_000,
-            pre_combine_records: 1,
-            pre_combine_bytes: 10,
-            elapsed: Duration::from_millis(300),
-            map_elapsed: Duration::from_millis(100),
-            shuffle_elapsed: Duration::ZERO,
-            reduce_elapsed: Duration::from_millis(200),
-            exec: Default::default(),
-        };
-        let c = ClusterModel::paper_default(2);
-        let p = c.simulate_job(&m);
+        let mut m = plan_job("t", &[0.1], &[0.2]);
+        m.shuffle_records = 1;
+        m.shuffle_bytes = 250_000_000;
+        let p = schedule(&ClusterModel::paper_default(2), &m).phases();
         assert!((p.map_secs - 0.1).abs() < 1e-9);
         assert!((p.reduce_secs - 0.2).abs() < 1e-9);
         // 250 MB, half crosses, 2 * 125 MB/s aggregate -> 0.5s
@@ -758,61 +933,10 @@ mod tests {
         assert!((p.total_secs() - 0.8).abs() < 1e-9);
     }
 
-    fn many_task_metrics() -> JobMetrics {
-        JobMetrics {
-            name: "sched".into(),
-            plan_stage: None,
-            cogroup: false,
-            map_tasks: (0..8)
-                .map(|i| {
-                    let mut t = one_task(TaskKind::Map, 100 + 30 * (i as u64 % 3), 10);
-                    t.index = i;
-                    t
-                })
-                .collect(),
-            reduce_tasks: (0..5)
-                .map(|i| {
-                    let mut t = one_task(TaskKind::Reduce, 200, 10);
-                    t.index = i;
-                    t
-                })
-                .collect(),
-            shuffle_records: 1000,
-            shuffle_bytes: 250_000_000,
-            pre_combine_records: 1000,
-            pre_combine_bytes: 10,
-            elapsed: Duration::from_secs(1),
-            map_elapsed: Duration::from_millis(400),
-            shuffle_elapsed: Duration::from_millis(100),
-            reduce_elapsed: Duration::from_millis(500),
-            exec: Default::default(),
-        }
-    }
-
-    #[test]
-    fn schedule_agrees_with_simulate_job() {
-        let m = many_task_metrics();
-        let c = ClusterModel::paper_default(2);
-        let p = c.simulate_job(&m);
-        let s = c.simulate_job_schedule(&m, 0.0);
-        let q = s.phases();
-        assert!((p.map_secs - q.map_secs).abs() < 1e-12, "{p:?} vs {q:?}");
-        assert!(
-            (p.shuffle_secs - q.shuffle_secs).abs() < 1e-12,
-            "{p:?} vs {q:?}"
-        );
-        assert!(
-            (p.reduce_secs - q.reduce_secs).abs() < 1e-12,
-            "{p:?} vs {q:?}"
-        );
-        assert_eq!(s.tasks.len(), 13);
-    }
-
     #[test]
     fn schedule_respects_slots_and_phases() {
-        let m = many_task_metrics();
         let c = ClusterModel::paper_default(1); // 3 slots: tasks must queue
-        let s = c.simulate_job_schedule(&m, 0.0);
+        let s = schedule(&c, &many_task_metrics());
         for t in &s.tasks {
             assert!(t.slot < c.total_slots());
             assert_eq!(t.node, t.slot / c.slots_per_node);
@@ -824,34 +948,21 @@ mod tests {
                 TaskKind::CoGroup => {}
             }
         }
-        // No two tasks overlap on the same slot.
-        for a in &s.tasks {
-            for b in &s.tasks {
-                if (a.index, a.kind) != (b.index, b.kind) && a.slot == b.slot {
-                    assert!(
-                        a.end_secs <= b.start_secs + 1e-12 || b.end_secs <= a.start_secs + 1e-12,
-                        "slot {} double-booked: {a:?} vs {b:?}",
-                        a.slot
-                    );
-                }
-            }
-        }
+        no_overlap(&s, 1e-12);
     }
 
     #[test]
     fn zero_duration_tasks_have_zero_makespan() {
         let c = ClusterModel::paper_default(3);
-        assert_eq!(c.makespan_secs(vec![0.0; 50]), 0.0);
+        assert_eq!(makespan(&c, &[0.0; 50]), 0.0);
         // Mixed with real work, zero-duration tasks add nothing.
-        let with_work = c.makespan_secs(vec![0.0, 1.0, 0.0, 0.0]);
-        assert!((with_work - 1.0).abs() < 1e-9);
-        // And the schedule variant places them without NaN/negative spans.
+        assert!((makespan(&c, &[0.0, 1.0, 0.0, 0.0]) - 1.0).abs() < 1e-9);
+        // And a whole job places them without NaN/negative spans.
         let mut m = many_task_metrics();
         for t in &mut m.map_tasks {
             t.duration = Duration::ZERO;
         }
-        let s = c.simulate_job_schedule(&m, 0.0);
-        for t in &s.tasks {
+        for t in &schedule(&c, &m).tasks {
             assert!(t.end_secs >= t.start_secs);
             assert!(t.start_secs.is_finite() && t.end_secs.is_finite());
         }
@@ -864,7 +975,7 @@ mod tests {
             slots_per_node: 0,
             ..ClusterModel::paper_default(5)
         };
-        c.makespan_secs(vec![1.0]);
+        makespan(&c, &[1.0]);
     }
 
     #[test]
@@ -874,7 +985,7 @@ mod tests {
             nodes: 0,
             ..ClusterModel::paper_default(5)
         };
-        c.simulate_job(&many_task_metrics());
+        schedule(&c, &many_task_metrics());
     }
 
     #[test]
@@ -882,28 +993,11 @@ mod tests {
         // 1 node x 3 slots, 3000 unit tasks: the queue must drain in
         // ceil(3000/3) = 1000 rounds with no slot ever double-booked.
         let c = ClusterModel::paper_default(1);
-        let ms = c.makespan_secs(vec![1.0; 3000]);
+        let ms = makespan(&c, &[1.0; 3000]);
         assert!((ms - 1000.0).abs() < 1e-6, "{ms}");
         let mut m = many_task_metrics();
-        m.map_tasks = (0..200)
-            .map(|i| {
-                let mut t = one_task(TaskKind::Map, 10, 1);
-                t.index = i;
-                t
-            })
-            .collect();
-        let s = c.simulate_job_schedule(&m, 0.0);
-        for a in &s.tasks {
-            for b in &s.tasks {
-                if (a.index, a.kind) != (b.index, b.kind) && a.slot == b.slot {
-                    assert!(
-                        a.end_secs <= b.start_secs + 1e-9 || b.end_secs <= a.start_secs + 1e-9,
-                        "slot {} double-booked",
-                        a.slot
-                    );
-                }
-            }
-        }
+        m.map_tasks = plan_job("maps", &[0.01; 200], &[]).map_tasks;
+        no_overlap(&schedule(&c, &m), 1e-9);
     }
 
     #[test]
@@ -915,9 +1009,7 @@ mod tests {
         let m = many_task_metrics();
         let mut prev = f64::INFINITY;
         for nodes in [2, 3, 5, 10, 15] {
-            let t = ClusterModel::paper_default(nodes)
-                .simulate_job(&m)
-                .total_secs();
+            let t = schedule(&ClusterModel::paper_default(nodes), &m).end_secs;
             assert!(t <= prev + 1e-9, "{nodes} nodes: {t} > {prev}");
             prev = t;
         }
@@ -925,76 +1017,21 @@ mod tests {
 
     #[test]
     fn chain_schedule_is_sequential() {
-        let mut chain = ChainMetrics::default();
-        chain.push(many_task_metrics());
-        chain.push(many_task_metrics());
-        let c = ClusterModel::paper_default(2);
-        let scheds = c.simulate_chain_schedule(&chain);
+        let chain = chain_of([many_task_metrics(), many_task_metrics()]);
+        let scheds = ClusterModel::paper_default(2).simulate_chain_schedule(&chain);
         assert_eq!(scheds.len(), 2);
         assert_eq!(scheds[0].start_secs, 0.0);
         assert_eq!(scheds[1].start_secs, scheds[0].end_secs);
-        let total: f64 = scheds.iter().map(|s| s.makespan_secs()).sum();
-        let phases = c.simulate_chain(&chain);
-        assert!((total - phases.total_secs()).abs() < 1e-9);
-    }
-
-    fn plan_job(name: &str, maps_ms: &[u64], reds_ms: &[u64]) -> JobMetrics {
-        let task = |kind, i: usize, ms: u64| {
-            let mut t = one_task(kind, ms, 10);
-            t.index = i;
-            t
-        };
-        JobMetrics {
-            name: name.into(),
-            plan_stage: None,
-            cogroup: false,
-            map_tasks: maps_ms
-                .iter()
-                .enumerate()
-                .map(|(i, &ms)| task(TaskKind::Map, i, ms))
-                .collect(),
-            reduce_tasks: reds_ms
-                .iter()
-                .enumerate()
-                .map(|(i, &ms)| task(TaskKind::Reduce, i, ms))
-                .collect(),
-            shuffle_records: 0,
-            shuffle_bytes: 0,
-            pre_combine_records: 0,
-            pre_combine_bytes: 0,
-            elapsed: Duration::ZERO,
-            map_elapsed: Duration::ZERO,
-            shuffle_elapsed: Duration::ZERO,
-            reduce_elapsed: Duration::ZERO,
-            exec: Default::default(),
-        }
-    }
-
-    fn plan_makespan(scheds: &[SimSchedule]) -> f64 {
-        scheds.iter().map(|s| s.end_secs).fold(0.0, f64::max)
+        let total: f64 = scheds.iter().map(|s| s.end_secs - s.start_secs).sum();
+        assert!((total - scheds[1].end_secs).abs() < 1e-9);
     }
 
     #[test]
     fn plan_single_job_matches_job_schedule() {
-        let m = many_task_metrics();
-        let mut chain = ChainMetrics::default();
-        chain.push(m.clone());
+        let chain = chain_of([many_task_metrics()]);
         let c = ClusterModel::paper_default(2);
         let plan = c.simulate_plan(&chain, &[vec![]]);
-        let solo = c.simulate_job_schedule(&m, 0.0);
-        assert_eq!(plan.len(), 1);
-        assert!((plan[0].end_secs - solo.end_secs).abs() < 1e-12);
-        assert!((plan[0].shuffle_start_secs - solo.shuffle_start_secs).abs() < 1e-12);
-        assert!((plan[0].shuffle_end_secs - solo.shuffle_end_secs).abs() < 1e-12);
-        assert_eq!(plan[0].tasks.len(), solo.tasks.len());
-        for (a, b) in plan[0].tasks.iter().zip(&solo.tasks) {
-            assert_eq!((a.kind, a.index), (b.kind, b.index));
-            assert!(
-                (a.start_secs - b.start_secs).abs() < 1e-12,
-                "{a:?} vs {b:?}"
-            );
-            assert!((a.end_secs - b.end_secs).abs() < 1e-12, "{a:?} vs {b:?}");
-        }
+        assert_eq!(plan, c.simulate_chain_schedule(&chain));
     }
 
     #[test]
@@ -1009,18 +1046,12 @@ mod tests {
         // Pipelined: splits 0/1 release at 1, split 2 at 2, split 3 at 5.
         // They interleave with the straggling reduce on the free slot:
         // maps run 2-4, 4-6, 5-7, 6-8; reduce 8-9. Makespan 9 < 10.
-        let c = ClusterModel {
-            nodes: 1,
-            slots_per_node: 2,
-            net_bytes_per_sec: 125_000_000.0,
-            node_speed: 1.0,
-            per_record_secs: 0.0,
-        };
-        let mut chain = ChainMetrics::default();
-        chain.push(plan_job("up", &[0], &[1000, 1000, 1000, 4000]));
-        chain.push(plan_job("down", &[2000, 2000, 2000, 2000], &[1000]));
-        let deps = [vec![], vec![0]];
-        let piped = plan_makespan(&c.simulate_plan(&chain, &deps));
+        let c = two_slot_nodes(1);
+        let chain = chain_of([
+            plan_job("up", &[0.0], &[1.0, 1.0, 1.0, 4.0]),
+            plan_job("down", &[2.0, 2.0, 2.0, 2.0], &[1.0]),
+        ]);
+        let piped = plan_makespan(&c.simulate_plan(&chain, &[vec![], vec![0]]));
         let serial = c.simulate_chain_schedule(&chain).last().unwrap().end_secs;
         assert!((serial - 10.0).abs() < 1e-9, "serialized {serial}");
         assert!((piped - 9.0).abs() < 1e-9, "pipelined {piped}");
@@ -1028,10 +1059,11 @@ mod tests {
 
     #[test]
     fn plan_never_slower_than_serialized_chain() {
-        let mut chain = ChainMetrics::default();
-        chain.push(many_task_metrics());
-        chain.push(many_task_metrics());
-        chain.push(many_task_metrics());
+        let chain = chain_of([
+            many_task_metrics(),
+            many_task_metrics(),
+            many_task_metrics(),
+        ]);
         let deps = [vec![], vec![0], vec![1]];
         for nodes in [1, 2, 5] {
             let c = ClusterModel::paper_default(nodes);
@@ -1046,9 +1078,10 @@ mod tests {
         // Downstream map count != upstream reduce count: the whole
         // upstream stage must finish first, so the plan degenerates to
         // the serialized chain.
-        let mut chain = ChainMetrics::default();
-        chain.push(plan_job("up", &[500], &[1000, 2000]));
-        chain.push(plan_job("down", &[700, 700, 700], &[900]));
+        let chain = chain_of([
+            plan_job("up", &[0.5], &[1.0, 2.0]),
+            plan_job("down", &[0.7, 0.7, 0.7], &[0.9]),
+        ]);
         let c = ClusterModel::paper_default(1);
         let piped = plan_makespan(&c.simulate_plan(&chain, &[vec![], vec![0]]));
         let serial = c.simulate_chain_schedule(&chain).last().unwrap().end_secs;
@@ -1062,23 +1095,16 @@ mod tests {
         // reduces end at (1s, 3s) and (2s, 1s), so the release rule —
         // split i waits for reduce i of BOTH upstreams — pins join map 0
         // to 2s (s is later) and join map 1 to 3s (r is later).
-        let c = ClusterModel {
-            nodes: 4,
-            slots_per_node: 2,
-            net_bytes_per_sec: 125_000_000.0,
-            node_speed: 1.0,
-            per_record_secs: 0.0,
-        };
-        let mut chain = ChainMetrics::default();
-        chain.push(plan_job("r", &[0], &[1000, 3000]));
-        chain.push(plan_job("s", &[0], &[2000, 1000]));
-        chain.push(plan_job("join", &[500, 500], &[400]));
-        let scheds = c.simulate_plan(&chain, &[vec![], vec![], vec![0, 1]]);
+        let chain = chain_of([
+            plan_job("r", &[0.0], &[1.0, 3.0]),
+            plan_job("s", &[0.0], &[2.0, 1.0]),
+            plan_job("join", &[0.5, 0.5], &[0.4]),
+        ]);
+        let scheds = two_slot_nodes(4).simulate_plan(&chain, &[vec![], vec![], vec![0, 1]]);
         let join = &scheds[2];
         let map_start = |i: usize| {
-            join.tasks
-                .iter()
-                .find(|t| matches!(t.kind, TaskKind::Map) && t.index == i)
+            (join.tasks.iter())
+                .find(|t| t.kind == TaskKind::Map && t.index == i)
                 .unwrap()
                 .start_secs
         };
@@ -1088,8 +1114,8 @@ mod tests {
         assert!((plan_makespan(&scheds) - 3.9).abs() < 1e-9);
     }
 
-    fn cogroup_job(name: &str, reds_ms: &[u64]) -> JobMetrics {
-        let mut m = plan_job(name, &[], reds_ms);
+    fn cogroup_job(name: &str, reds: &[f64]) -> JobMetrics {
+        let mut m = plan_job(name, &[], reds);
         m.cogroup = true;
         for t in &mut m.reduce_tasks {
             t.kind = TaskKind::CoGroup;
@@ -1104,23 +1130,14 @@ mod tests {
         // and (2s, 1s): co-group task i consumes reduce partition i of
         // BOTH upstreams directly, so task 0 starts at 2s and task 1 at
         // 3s — no map phase in front and no shuffle window in between.
-        let c = ClusterModel {
-            nodes: 4,
-            slots_per_node: 2,
-            net_bytes_per_sec: 125_000_000.0,
-            node_speed: 1.0,
-            per_record_secs: 0.0,
-        };
-        let mut chain = ChainMetrics::default();
-        chain.push(plan_job("r", &[0], &[1000, 3000]));
-        chain.push(plan_job("s", &[0], &[2000, 1000]));
-        chain.push(cogroup_job("join", &[500, 400]));
-        let scheds = c.simulate_plan(&chain, &[vec![], vec![], vec![0, 1]]);
+        let chain = chain_of([
+            plan_job("r", &[0.0], &[1.0, 3.0]),
+            plan_job("s", &[0.0], &[2.0, 1.0]),
+            cogroup_job("join", &[0.5, 0.4]),
+        ]);
+        let scheds = two_slot_nodes(4).simulate_plan(&chain, &[vec![], vec![], vec![0, 1]]);
         let join = &scheds[2];
-        assert!(join
-            .tasks
-            .iter()
-            .all(|t| matches!(t.kind, TaskKind::CoGroup)));
+        assert!(join.tasks.iter().all(|t| t.kind == TaskKind::CoGroup));
         let start = |i: usize| join.tasks.iter().find(|t| t.index == i).unwrap().start_secs;
         assert!((start(0) - 2.0).abs() < 1e-9, "{}", start(0));
         assert!((start(1) - 3.0).abs() < 1e-9, "{}", start(1));
@@ -1138,19 +1155,12 @@ mod tests {
         // Co-group task count != upstream reduce count: falls back to a
         // whole-stage barrier, so the stage starts after the slowest
         // upstream reduce (3s) and both tasks release together.
-        let c = ClusterModel {
-            nodes: 4,
-            slots_per_node: 2,
-            net_bytes_per_sec: 125_000_000.0,
-            node_speed: 1.0,
-            per_record_secs: 0.0,
-        };
-        let mut chain = ChainMetrics::default();
-        chain.push(plan_job("up", &[0], &[1000, 3000, 1000]));
-        chain.push(cogroup_job("co", &[500, 400]));
-        let scheds = c.simulate_plan(&chain, &[vec![], vec![0]]);
-        let co = &scheds[1];
-        for t in &co.tasks {
+        let chain = chain_of([
+            plan_job("up", &[0.0], &[1.0, 3.0, 1.0]),
+            cogroup_job("co", &[0.5, 0.4]),
+        ]);
+        let scheds = two_slot_nodes(4).simulate_plan(&chain, &[vec![], vec![0]]);
+        for t in &scheds[1].tasks {
             assert!(
                 (t.start_secs - 3.0).abs() < 1e-9,
                 "barrier release expected at 3s, got {t:?}"
@@ -1160,9 +1170,10 @@ mod tests {
 
     #[test]
     fn plan_barrier_fallback_is_counted() {
-        let mut chain = ChainMetrics::default();
-        chain.push(plan_job("up", &[500], &[1000, 2000]));
-        chain.push(plan_job("down", &[700, 700, 700], &[900]));
+        let chain = chain_of([
+            plan_job("up", &[0.5], &[1.0, 2.0]),
+            plan_job("down", &[0.7, 0.7, 0.7], &[0.9]),
+        ]);
         let reg = ssj_observe::install_registry();
         ClusterModel::paper_default(1).simulate_plan(&chain, &[vec![], vec![0]]);
         ssj_observe::uninstall_registry();
@@ -1173,9 +1184,7 @@ mod tests {
 
     #[test]
     fn plan_simulation_is_deterministic() {
-        let mut chain = ChainMetrics::default();
-        chain.push(many_task_metrics());
-        chain.push(many_task_metrics());
+        let chain = chain_of([many_task_metrics(), many_task_metrics()]);
         let c = ClusterModel::paper_default(3);
         let a = c.simulate_plan(&chain, &[vec![], vec![0]]);
         let b = c.simulate_plan(&chain, &[vec![], vec![0]]);
@@ -1185,8 +1194,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one dependency entry per job")]
     fn plan_deps_length_mismatch_is_rejected() {
-        let mut chain = ChainMetrics::default();
-        chain.push(many_task_metrics());
+        let chain = chain_of([many_task_metrics()]);
         ClusterModel::paper_default(1).simulate_plan(&chain, &[vec![], vec![0]]);
     }
 }

@@ -16,10 +16,12 @@
 //!   boundaries), with per-task wall-clock and record/byte counters
 //!   collected into [`JobMetrics`]; [`JobBuilder`] is the one-stage
 //!   convenience over the same runner;
-//! * a [`ClusterModel`] that schedules the measured task durations onto a
-//!   configurable `nodes × slots` cluster and charges shuffle volume against
-//!   a network-bandwidth model, yielding the simulated makespan used by the
-//!   node-scalability experiments (paper Figure 9).
+//! * a [`ClusterModel`] whose one discrete-event loop replays the measured
+//!   task durations on a configurable `nodes × slots` cluster — job after
+//!   job, as a pipelined plan, or under a seeded fault plan — and charges
+//!   shuffle volume against a network-bandwidth model, yielding the
+//!   simulated makespan used by the node-scalability experiments (paper
+//!   Figure 9).
 //!
 //! # Example
 //!
@@ -65,7 +67,6 @@
 
 pub mod cluster;
 pub mod dataset;
-pub mod dfs;
 pub mod emitter;
 pub mod executor;
 pub mod job;
@@ -78,9 +79,8 @@ pub mod spill;
 pub mod telemetry;
 pub mod traits;
 
-pub use cluster::{schedules_makespan_secs, ClusterModel, PhaseTimes, SimSchedule, SimTask};
+pub use cluster::{ClusterModel, PhaseTimes, SimSchedule, SimTask};
 pub use dataset::Dataset;
-pub use dfs::Dfs;
 pub use emitter::Emitter;
 pub use executor::{TaskError, TaskFailure};
 pub use job::{IdentityCombiner, JobBuilder};

@@ -33,7 +33,6 @@
 //! high-water mark) differ.
 
 use crate::dataset::Dataset;
-use crate::dfs::Dfs;
 use crate::emitter::Emitter;
 use crate::executor::{default_workers, panic_message};
 use crate::job::{combine_runs, IdentityCombiner};
@@ -288,13 +287,6 @@ impl<K, V> From<Vec<StageHandle<K, V>>> for StageInput<K, V> {
 impl<K, V, const N: usize> From<[StageHandle<K, V>; N]> for StageInput<K, V> {
     fn from(hs: [StageHandle<K, V>; N]) -> Self {
         StageInput::Stages(hs.to_vec())
-    }
-}
-
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> StageInput<K, V> {
-    /// Take a named dataset out of the [`Dfs`] as an external stage input.
-    pub fn from_dfs(dfs: &mut Dfs, name: &str) -> Self {
-        StageInput::Dataset(dfs.take(name))
     }
 }
 
@@ -1163,17 +1155,6 @@ impl PlanOutcome {
                     .expect("stage output has the handle's declared type")
             })
             .collect()
-    }
-
-    /// Take a stage's output and store it into the [`Dfs`] under `name`.
-    pub fn store_output<K: Key + std::fmt::Debug, V: Value + std::fmt::Debug>(
-        &mut self,
-        h: StageHandle<K, V>,
-        dfs: &mut Dfs,
-        name: impl Into<String>,
-    ) {
-        let out = self.take_output(h);
-        dfs.put(name, out);
     }
 }
 
@@ -2363,24 +2344,6 @@ mod tests {
             msg.contains("\"wc\"") && msg.contains("failed after 2 attempts"),
             "{msg}"
         );
-    }
-
-    #[test]
-    fn dfs_round_trip() {
-        let mut dfs = Dfs::new();
-        dfs.put("lines", wc_input());
-        let mut plan = Plan::new("dfs-plan");
-        let h = plan.add::<Tokenize, Sum, _, _>(
-            "wc",
-            StageInput::from_dfs(&mut dfs, "lines"),
-            2,
-            |_| Tokenize,
-            |_| Sum,
-        );
-        let mut outcome = PlanRunner::pipelined().run(plan);
-        outcome.store_output(h, &mut dfs, "counts");
-        let counts: &Dataset<String, u64> = dfs.get("counts");
-        assert_eq!(counts.total_records(), 6);
     }
 
     #[test]

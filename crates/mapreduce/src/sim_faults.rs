@@ -1,47 +1,37 @@
-//! Fault-aware cluster simulation.
+//! Fault-aware cluster simulation: the policy, outcome and error of a
+//! fault run of [`ClusterModel`]'s event loop under a seeded [`FaultPlan`].
+//! Attempts fail and are retried within a budget, stragglers run
+//! `straggler_factor`× slower, nodes can be lost mid-job, and idle slots
+//! may launch first-finisher-wins backups. Same metrics, plan and policy
+//! give bit-identical outcomes, so makespan-vs-failure-rate curves repeat.
 //!
-//! [`ClusterModel`] answers "how long would this measured job take on N
-//! nodes?" under the *fault-free* assumption. This module answers the same
-//! question under a seeded [`FaultPlan`]: task attempts fail and are
-//! rescheduled (consuming retry budget), stragglers run `straggler_factor`×
-//! slower, whole nodes can be lost mid-job, and — optionally — idle slots
-//! launch speculative backup copies of slow attempts with
-//! first-finisher-wins semantics. The simulation is a deterministic
-//! discrete-event loop: with the same metrics, plan, and policy it produces
-//! bit-identical outcomes, which is what makes makespan-vs-failure-rate
-//! curves reproducible.
-//!
-//! Fidelity notes (deliberate simplifications, mirrored in DESIGN.md):
+//! Deliberate simplifications:
 //!
 //! * Retry backoff is ignored — milliseconds of backoff are invisible at
 //!   cluster timescales.
 //! * A lost node stays lost for the remainder of the *job*; chains give
 //!   each job a fresh cluster (the per-job fault process matches how
 //!   [`FaultPlan::node_loss_at`] scopes its draw).
-//! * Losing a node during the reduce phase forces re-execution of the map
+//! * Losing a node after the map phase forces re-execution of the map
 //!   tasks that ran on it *unless* `checkpoint_map_outputs` is set —
 //!   modelling Hadoop's materialized map outputs (and this engine's
-//!   [`SpillStore`](crate::SpillStore)). Re-run map work competes for slots
-//!   with the remaining reduces.
+//!   [`SpillStore`](crate::SpillStore)). A loss inside the shuffle window
+//!   takes effect when the window closes. Re-run map work competes for
+//!   slots with the remaining reduces.
 
 use crate::cluster::ClusterModel;
-use crate::metrics::{ChainMetrics, JobMetrics, TaskStat};
-use ssj_faults::{Fault, FaultPlan, Phase, RetryPolicy};
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
+use crate::metrics::ChainMetrics;
+use crate::plan::PlanMode;
+use ssj_faults::{FaultPlan, Phase, RetryPolicy};
 
 /// Scheduler behaviour under faults.
 #[derive(Debug, Clone, Copy)]
 pub struct SimFaultPolicy {
     /// Per-task attempt budget (backoff fields are ignored by the sim).
     pub retry: RetryPolicy,
-    /// Launch speculative backup copies of slow attempts on idle slots.
+    /// Launch speculative backup copies of slow attempts on idle slots,
+    /// whenever a fresh copy would finish first.
     pub speculation: bool,
-    /// A backup launches only when the running attempt's projected finish
-    /// is later than `now + spec_threshold × clean_duration` (1.0 = launch
-    /// whenever a fresh copy would win; Hadoop's heuristic is close to
-    /// this).
-    pub spec_threshold: f64,
     /// Map outputs survive node loss (Hadoop re-fetches materialized
     /// spills). When false, reduce-phase node loss re-runs the lost node's
     /// map tasks.
@@ -53,7 +43,6 @@ impl Default for SimFaultPolicy {
         SimFaultPolicy {
             retry: RetryPolicy::default(),
             speculation: false,
-            spec_threshold: 1.0,
             checkpoint_map_outputs: true,
         }
     }
@@ -166,490 +155,7 @@ impl std::fmt::Display for SimFaultError {
 
 impl std::error::Error for SimFaultError {}
 
-// --------------------------------------------------------------------------
-// Discrete-event phase engine.
-// --------------------------------------------------------------------------
-
-/// Total-order f64 key for the event heap (durations are never NaN).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Tsecs(f64);
-impl Eq for Tsecs {}
-impl PartialOrd for Tsecs {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Tsecs {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("non-NaN sim time")
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    /// Attempt `aid` reached its scheduled finish time.
-    Done { aid: usize },
-    /// Node `node` dies.
-    Death { node: usize },
-}
-
-/// Heap entry; min-ordered by (time, seq) via `Reverse` at the call sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
-    t: Tsecs,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    // Reversed: the BinaryHeap pops the *earliest* event first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
-
-/// One unit of schedulable work inside a phase.
-#[derive(Debug, Clone, Copy)]
-enum Work {
-    /// Phase task by index (subject to fault injection).
-    Task { index: usize, attempt: u32 },
-    /// Re-execution of a lost map output (runs clean).
-    Rerun { secs: f64 },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Attempt {
-    work: Work,
-    node: usize,
-    slot: usize,
-    finish: f64,
-    speculative: bool,
-    will_fail: bool,
-    live: bool,
-}
-
-#[derive(Debug, Clone, Default)]
-struct TaskCtl {
-    done: bool,
-    failed: u32,
-    launched: u32,
-    running: Vec<usize>, // live attempt ids
-    has_spec: bool,
-}
-
-struct PhaseSim<'a> {
-    job: &'a str,
-    phase: Phase,
-    cluster: &'a ClusterModel,
-    plan: &'a FaultPlan,
-    policy: &'a SimFaultPolicy,
-    /// Clean per-task durations (already node-speed scaled).
-    clean: &'a [f64],
-    /// Map durations + final map placements, for reduce-phase rerun logic.
-    rerun_source: Option<(&'a [f64], &'a [usize])>,
-    /// Fault-free total makespan of the job (node-loss draw horizon).
-    clean_total: f64,
-
-    now: f64,
-    seq: u64,
-    heap: BinaryHeap<Ev>,
-    idle: BinaryHeap<std::cmp::Reverse<usize>>, // free global slot ids
-    pending: VecDeque<Work>,
-    tasks: Vec<TaskCtl>,
-    attempts: Vec<Attempt>,
-    alive: &'a mut [bool],
-    death_applied: &'a mut [bool],
-    /// Final node of each finished task (map placements feed rerun logic).
-    placements: Vec<usize>,
-    done_count: usize,
-    reruns_outstanding: usize,
-    out: &'a mut SimFaultOutcome,
-}
-
-impl<'a> PhaseSim<'a> {
-    fn push_ev(&mut self, t: f64, kind: EvKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Ev {
-            t: Tsecs(t),
-            seq,
-            kind,
-        });
-    }
-
-    fn finished(&self) -> bool {
-        self.done_count == self.clean.len() && self.reruns_outstanding == 0
-    }
-
-    fn launch(&mut self, slot: usize, work: Work, speculative: bool) {
-        let node = slot / self.cluster.slots_per_node;
-        let (dur, will_fail) = match work {
-            Work::Rerun { secs } => (secs, false),
-            Work::Task { index, attempt } => {
-                if speculative {
-                    // Backups run clean by design (see executor docs).
-                    (self.clean[index], false)
-                } else {
-                    match self.plan.decide(self.job, self.phase, index, attempt) {
-                        Some(Fault::Error) => {
-                            self.out.injected_errors += 1;
-                            (self.clean[index] * self.plan.failure_point, true)
-                        }
-                        Some(Fault::Panic) => {
-                            self.out.injected_panics += 1;
-                            (self.clean[index] * self.plan.failure_point, true)
-                        }
-                        Some(Fault::Straggle) => {
-                            self.out.injected_stragglers += 1;
-                            (self.clean[index] * self.plan.straggler_factor, false)
-                        }
-                        None => (self.clean[index], false),
-                    }
-                }
-            }
-        };
-        let finish = self.now + dur;
-        let aid = self.attempts.len();
-        self.attempts.push(Attempt {
-            work,
-            node,
-            slot,
-            finish,
-            speculative,
-            will_fail,
-            live: true,
-        });
-        if let Work::Task { index, .. } = work {
-            let ctl = &mut self.tasks[index];
-            ctl.launched += 1;
-            ctl.running.push(aid);
-            if speculative {
-                ctl.has_spec = true;
-            }
-        }
-        self.out.attempts += 1;
-        self.push_ev(finish, EvKind::Done { aid });
-    }
-
-    /// Fill idle slots from the pending queue, then (optionally) with
-    /// speculative backups.
-    fn dispatch(&mut self) {
-        while !self.idle.is_empty() {
-            // Skip work that became moot (task finished by a backup).
-            let work = loop {
-                match self.pending.pop_front() {
-                    Some(Work::Task { index, .. }) if self.tasks[index].done => continue,
-                    other => break other,
-                }
-            };
-            let Some(work) = work else { break };
-            let std::cmp::Reverse(slot) = self.idle.pop().expect("checked non-empty");
-            self.launch(slot, work, false);
-        }
-        if !self.policy.speculation {
-            return;
-        }
-        while !self.idle.is_empty() {
-            // Slowest running attempt whose projected finish is worse than
-            // starting a fresh copy right now.
-            let candidate = self
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.done && !c.has_spec && c.failed == 0 && !c.running.is_empty())
-                .filter_map(|(i, c)| {
-                    let finish = c
-                        .running
-                        .iter()
-                        .map(|&aid| self.attempts[aid].finish)
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    let fresh = self.now + self.policy.spec_threshold * self.clean[i];
-                    (finish > fresh + 1e-12).then_some((i, finish))
-                })
-                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
-            let Some((task, _)) = candidate else { break };
-            let std::cmp::Reverse(slot) = self.idle.pop().expect("checked non-empty");
-            let attempt = self.tasks[task].launched;
-            self.out.speculative_launched += 1;
-            self.launch(
-                slot,
-                Work::Task {
-                    index: task,
-                    attempt,
-                },
-                true,
-            );
-        }
-    }
-
-    fn kill_attempt(&mut self, aid: usize, free_slot: bool) {
-        let a = &mut self.attempts[aid];
-        if !a.live {
-            return;
-        }
-        a.live = false;
-        if free_slot && self.alive[a.node] {
-            self.idle.push(std::cmp::Reverse(a.slot));
-        }
-        if let Work::Task { index, .. } = a.work {
-            let speculative = a.speculative;
-            let ctl = &mut self.tasks[index];
-            ctl.running.retain(|&x| x != aid);
-            if speculative {
-                ctl.has_spec = false;
-            }
-        }
-    }
-
-    fn on_death(&mut self, node: usize) {
-        if !self.alive[node] {
-            return;
-        }
-        self.alive[node] = false;
-        self.death_applied[node] = true;
-        self.out.node_losses += 1;
-        // Drop the node's idle slots.
-        let spn = self.cluster.slots_per_node;
-        let keep: Vec<std::cmp::Reverse<usize>> =
-            self.idle.drain().filter(|r| r.0 / spn != node).collect();
-        self.idle.extend(keep);
-        // Reschedule its running attempts; node loss does not consume the
-        // task's failure budget (it is not the task's fault).
-        let victims: Vec<usize> = self
-            .attempts
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.live && a.node == node)
-            .map(|(aid, _)| aid)
-            .collect();
-        for aid in victims {
-            let work = self.attempts[aid].work;
-            let speculative = self.attempts[aid].speculative;
-            self.kill_attempt(aid, false);
-            match work {
-                Work::Task { index, .. } if !speculative => {
-                    let attempt = self.tasks[index].launched;
-                    self.pending.push_back(Work::Task { index, attempt });
-                }
-                Work::Task { .. } => {} // lost backup: original still runs
-                Work::Rerun { .. } => self.pending.push_back(work),
-            }
-        }
-        // Reduce-phase loss without checkpointed map outputs: the lost
-        // node's map outputs are gone — re-run those map tasks.
-        if self.phase == Phase::Reduce && !self.policy.checkpoint_map_outputs {
-            if let Some((map_durs, map_nodes)) = self.rerun_source {
-                for (i, &n) in map_nodes.iter().enumerate() {
-                    if n == node {
-                        self.out.map_reruns += 1;
-                        self.reruns_outstanding += 1;
-                        self.pending.push_back(Work::Rerun { secs: map_durs[i] });
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_done(&mut self, aid: usize) -> Result<(), SimFaultError> {
-        if !self.attempts[aid].live {
-            return Ok(()); // killed earlier (lost race or node death)
-        }
-        let a = self.attempts[aid];
-        self.kill_attempt(aid, true);
-        match a.work {
-            Work::Rerun { .. } => {
-                self.reruns_outstanding -= 1;
-            }
-            Work::Task { index, .. } if a.will_fail => {
-                let ctl = &mut self.tasks[index];
-                ctl.failed += 1;
-                let failed = ctl.failed;
-                if failed >= self.policy.retry.max_attempts.max(1) {
-                    return Err(SimFaultError::TaskFailed {
-                        job: self.job.to_string(),
-                        phase: self.phase,
-                        task: index,
-                        attempts: failed,
-                    });
-                }
-                self.out.retries += 1;
-                let attempt = ctl.launched;
-                self.pending.push_back(Work::Task { index, attempt });
-            }
-            Work::Task { index, .. } => {
-                if !self.tasks[index].done {
-                    self.tasks[index].done = true;
-                    self.done_count += 1;
-                    self.placements[index] = a.node;
-                    if a.speculative {
-                        self.out.speculative_wins += 1;
-                    }
-                    // First finisher wins: kill the losing attempts now and
-                    // free their slots (Hadoop kills the slower attempt).
-                    let losers = std::mem::take(&mut self.tasks[index].running);
-                    for loser in losers {
-                        self.kill_attempt(loser, true);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn run(mut self) -> Result<(f64, Vec<usize>), SimFaultError> {
-        // Apply deaths that happened before this phase (earlier phase or
-        // during the shuffle interval), then schedule future ones.
-        let deaths: Vec<(usize, f64)> = (0..self.alive.len())
-            .filter(|&n| self.alive[n] && !self.death_applied[n])
-            .filter_map(|n| {
-                let horizon = self.plan_horizon();
-                self.plan.node_loss_at(self.job, n, horizon).map(|t| (n, t))
-            })
-            .collect();
-        for (n, t) in deaths {
-            if t <= self.now {
-                self.on_death(n);
-            } else {
-                self.push_ev(t, EvKind::Death { node: n });
-            }
-        }
-
-        // Seed the queue with every phase task, first attempts.
-        for index in 0..self.clean.len() {
-            self.pending.push_back(Work::Task { index, attempt: 0 });
-        }
-        // All slots on live nodes start idle.
-        let spn = self.cluster.slots_per_node;
-        for node in 0..self.alive.len() {
-            if self.alive[node] {
-                for s in 0..spn {
-                    self.idle.push(std::cmp::Reverse(node * spn + s));
-                }
-            }
-        }
-
-        self.dispatch();
-        while !self.finished() {
-            let Some(ev) = self.heap.pop() else {
-                return Err(SimFaultError::ClusterLost {
-                    job: self.job.to_string(),
-                    at_secs: self.now,
-                });
-            };
-            self.now = self.now.max(ev.t.0);
-            match ev.kind {
-                EvKind::Death { node } => self.on_death(node),
-                EvKind::Done { aid } => self.on_done(aid)?,
-            }
-            if !self.finished() {
-                let have_work = !self.pending.is_empty() || self.attempts.iter().any(|a| a.live);
-                if !have_work || self.alive.iter().all(|a| !a) {
-                    return Err(SimFaultError::ClusterLost {
-                        job: self.job.to_string(),
-                        at_secs: self.now,
-                    });
-                }
-            }
-            self.dispatch();
-        }
-        Ok((self.now, self.placements))
-    }
-
-    fn plan_horizon(&self) -> f64 {
-        // Node-loss draws are scoped to the job's fault-free makespan so
-        // the loss *rate* is per-job, not per-phase.
-        self.clean_total
-    }
-}
-
 impl ClusterModel {
-    /// Simulate one measured job under a fault plan. Deterministic: same
-    /// inputs, same outcome.
-    pub fn simulate_job_faults(
-        &self,
-        m: &JobMetrics,
-        plan: &FaultPlan,
-        policy: &SimFaultPolicy,
-    ) -> Result<SimFaultOutcome, SimFaultError> {
-        let clean_total = self.simulate_job(m).total_secs();
-        let mut out = SimFaultOutcome {
-            clean_makespan_secs: clean_total,
-            ..SimFaultOutcome::default()
-        };
-        let mut alive = vec![true; self.nodes];
-        let mut death_applied = vec![false; self.nodes];
-
-        let scale = |tasks: &[TaskStat]| -> Vec<f64> {
-            tasks
-                .iter()
-                .map(|t| t.duration.as_secs_f64() / self.node_speed)
-                .collect()
-        };
-        let map_durs = scale(&m.map_tasks);
-        let reduce_durs = scale(&m.reduce_tasks);
-
-        let map_sim = PhaseSim {
-            job: &m.name,
-            phase: Phase::Map,
-            cluster: self,
-            plan,
-            policy,
-            clean: &map_durs,
-            rerun_source: None,
-            clean_total,
-            now: 0.0,
-            seq: 0,
-            heap: BinaryHeap::new(),
-            idle: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            tasks: vec![TaskCtl::default(); map_durs.len()],
-            attempts: Vec::new(),
-            alive: &mut alive,
-            death_applied: &mut death_applied,
-            placements: vec![0; map_durs.len()],
-            done_count: 0,
-            reruns_outstanding: 0,
-            out: &mut out,
-        };
-        let (map_end, map_placements) = map_sim.run()?;
-
-        let record_overhead =
-            m.shuffle_records as f64 * self.per_record_secs / self.total_slots() as f64;
-        let reduce_base = map_end + self.shuffle_secs(m.shuffle_bytes) + record_overhead;
-
-        let reduce_sim = PhaseSim {
-            job: &m.name,
-            phase: Phase::Reduce,
-            cluster: self,
-            plan,
-            policy,
-            clean: &reduce_durs,
-            rerun_source: Some((&map_durs, &map_placements)),
-            clean_total,
-            now: reduce_base,
-            seq: 1_000_000, // disjoint from the map phase's seq range
-            heap: BinaryHeap::new(),
-            idle: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            tasks: vec![TaskCtl::default(); reduce_durs.len()],
-            attempts: Vec::new(),
-            alive: &mut alive,
-            death_applied: &mut death_applied,
-            placements: vec![0; reduce_durs.len()],
-            done_count: 0,
-            reruns_outstanding: 0,
-            out: &mut out,
-        };
-        let (reduce_end, _) = reduce_sim.run()?;
-        out.makespan_secs = reduce_end;
-        Ok(out)
-    }
-
     /// Simulate a chain of jobs under a fault plan; jobs run back-to-back
     /// and each job faces a fresh cluster (the loss process is per-job).
     pub fn simulate_chain_faults(
@@ -660,8 +166,15 @@ impl ClusterModel {
     ) -> Result<SimFaultOutcome, SimFaultError> {
         let mut total = SimFaultOutcome::default();
         for job in &chain.jobs {
-            let one = self.simulate_job_faults(job, plan, policy)?;
-            total.absorb(&one);
+            let one = std::slice::from_ref(job);
+            let run = |faults| self.simulate(one, &[vec![]], PlanMode::Sequential, faults);
+            let clean = run(None)?.0[0].end_secs;
+            // Node-loss draws are scoped to the job's fault-free makespan so
+            // the loss *rate* is per job, not per phase.
+            let (schedules, mut out) = run(Some((plan, policy, clean)))?;
+            out.makespan_secs = schedules[0].end_secs;
+            out.clean_makespan_secs = clean;
+            total.absorb(&out);
         }
         Ok(total)
     }
@@ -670,40 +183,20 @@ impl ClusterModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::TaskKind;
-    use std::time::Duration;
+    use crate::cluster::tests::{chain_of, plan_job};
 
-    fn job(name: &str, maps: usize, map_secs: f64, reduces: usize, reduce_secs: f64) -> JobMetrics {
-        let stat = |kind, index, secs: f64| TaskStat {
-            kind,
-            index,
-            duration: Duration::from_secs_f64(secs),
-            queue: Duration::ZERO,
-            input_records: 1,
-            input_bytes: 100,
-            input_keys: 0,
-            output_records: 1,
-            output_bytes: 100,
-        };
-        JobMetrics {
-            name: name.into(),
-            plan_stage: None,
-            cogroup: false,
-            map_tasks: (0..maps)
-                .map(|i| stat(TaskKind::Map, i, map_secs))
-                .collect(),
-            reduce_tasks: (0..reduces)
-                .map(|i| stat(TaskKind::Reduce, i, reduce_secs))
-                .collect(),
-            shuffle_records: 100,
-            shuffle_bytes: 10_000,
-            pre_combine_records: 100,
-            pre_combine_bytes: 10_000,
-            elapsed: Duration::from_secs(1),
-            map_elapsed: Duration::from_secs(1),
-            shuffle_elapsed: Duration::ZERO,
-            reduce_elapsed: Duration::from_secs(1),
-            exec: Default::default(),
+    /// A one-job chain: `maps` maps of `map_secs`, `reds` reduces of `red_secs`.
+    fn job(name: &str, maps: usize, map_secs: f64, reds: usize, red_secs: f64) -> ChainMetrics {
+        let mut m = plan_job(name, &vec![map_secs; maps], &vec![red_secs; reds]);
+        m.shuffle_records = 100;
+        m.shuffle_bytes = 10_000;
+        chain_of([m])
+    }
+
+    fn ckpt(on: bool) -> SimFaultPolicy {
+        SimFaultPolicy {
+            checkpoint_map_outputs: on,
+            ..SimFaultPolicy::default()
         }
     }
 
@@ -711,14 +204,11 @@ mod tests {
     fn clean_plan_matches_fault_free_simulation() {
         let m = job("clean", 12, 1.0, 6, 2.0);
         let c = ClusterModel::paper_default(2);
-        let plan = FaultPlan::new(1);
         let out = c
-            .simulate_job_faults(&m, &plan, &SimFaultPolicy::default())
+            .simulate_chain_faults(&m, &FaultPlan::new(1), &SimFaultPolicy::default())
             .expect("no faults injected");
-        assert!(
-            (out.makespan_secs - out.clean_makespan_secs).abs() < 1e-9,
-            "{out:?}"
-        );
+        let clean = c.simulate_chain_schedule(&m)[0].end_secs;
+        assert!((out.makespan_secs - clean).abs() < 1e-9, "{out:?}");
         assert_eq!(out.attempts, 18);
         assert_eq!(out.retries, 0);
         assert_eq!(out.node_losses, 0);
@@ -730,14 +220,9 @@ mod tests {
         let m = job("chaos", 20, 1.0, 10, 1.5);
         let c = ClusterModel::paper_default(3);
         let plan = FaultPlan::chaos(42, 0.3);
-        let policy = SimFaultPolicy::default();
-        let a = c
-            .simulate_job_faults(&m, &plan, &policy)
-            .expect("within budget");
-        let b = c
-            .simulate_job_faults(&m, &plan, &policy)
-            .expect("within budget");
-        assert_eq!(a, b, "same seed, same outcome");
+        let run = || c.simulate_chain_faults(&m, &plan, &SimFaultPolicy::default());
+        let a = run().expect("within budget");
+        assert_eq!(Ok(a), run(), "same seed, same outcome");
         assert!(a.retries > 0, "30% failure rate over 30 tasks: {a:?}");
         assert!(a.makespan_secs >= a.clean_makespan_secs - 1e-9);
         assert!(a.attempts as usize > 30);
@@ -750,24 +235,14 @@ mod tests {
         let m = job("spec", 30, 1.0, 6, 1.0);
         let c = ClusterModel::paper_default(2); // 6 slots
         let plan = FaultPlan::new(7).with_stragglers(0.5, 10.0);
-        let base = c
-            .simulate_job_faults(&m, &plan, &SimFaultPolicy::default())
-            .expect("stragglers never fail");
-        let spec = c
-            .simulate_job_faults(&m, &plan, &SimFaultPolicy::speculative())
-            .expect("stragglers never fail");
-        assert!(
-            spec.makespan_secs <= base.makespan_secs + 1e-9,
-            "speculation must never hurt: {} vs {}",
-            spec.makespan_secs,
-            base.makespan_secs
+        let run = |p| c.simulate_chain_faults(&m, &plan, &p).unwrap();
+        let (base, spec) = (
+            run(SimFaultPolicy::default()),
+            run(SimFaultPolicy::speculative()),
         );
-        assert!(
-            spec.makespan_secs < base.makespan_secs * 0.8,
-            "tail should collapse: {} vs {}",
-            spec.makespan_secs,
-            base.makespan_secs
-        );
+        let (b, s) = (base.makespan_secs, spec.makespan_secs);
+        assert!(s <= b + 1e-9, "speculation must never hurt: {s} vs {b}");
+        assert!(s < b * 0.8, "tail should collapse: {s} vs {b}");
         assert!(spec.speculative_launched > 0);
         assert!(spec.speculative_wins > 0);
         assert_eq!(base.speculative_launched, 0);
@@ -779,28 +254,25 @@ mod tests {
         let c = ClusterModel::paper_default(2);
         for seed in 0..10 {
             let plan = FaultPlan::new(seed).with_stragglers(0.3, 6.0);
-            let base = c
-                .simulate_job_faults(&m, &plan, &SimFaultPolicy::default())
-                .unwrap();
-            let spec = c
-                .simulate_job_faults(&m, &plan, &SimFaultPolicy::speculative())
-                .unwrap();
-            assert!(
-                spec.makespan_secs <= base.makespan_secs + 1e-9,
-                "seed {seed}: {} vs {}",
-                spec.makespan_secs,
-                base.makespan_secs
+            let run = |p| {
+                c.simulate_chain_faults(&m, &plan, &p)
+                    .unwrap()
+                    .makespan_secs
+            };
+            let (b, s) = (
+                run(SimFaultPolicy::default()),
+                run(SimFaultPolicy::speculative()),
             );
+            assert!(s <= b + 1e-9, "seed {seed}: {s} vs {b}");
         }
     }
 
     #[test]
     fn losing_every_node_kills_the_job() {
         let m = job("doomed", 10, 5.0, 5, 5.0);
-        let c = ClusterModel::paper_default(3);
         let plan = FaultPlan::new(11).with_node_loss(1.0);
-        let err = c
-            .simulate_job_faults(&m, &plan, &SimFaultPolicy::default())
+        let err = ClusterModel::paper_default(3)
+            .simulate_chain_faults(&m, &plan, &SimFaultPolicy::default())
             .expect_err("all nodes die before the work can finish");
         assert!(matches!(err, SimFaultError::ClusterLost { .. }), "{err:?}");
         assert!(err.to_string().contains("lost every node"));
@@ -815,10 +287,9 @@ mod tests {
         let mut saw_loss = false;
         for seed in 0..20 {
             let plan = FaultPlan::new(seed).with_node_loss(0.4);
-            let policy = SimFaultPolicy::default();
-            let a = c.simulate_job_faults(&m, &plan, &policy);
-            let b = c.simulate_job_faults(&m, &plan, &policy);
-            assert_eq!(a, b, "seed {seed}: even failures must be deterministic");
+            let run = || c.simulate_chain_faults(&m, &plan, &SimFaultPolicy::default());
+            let a = run();
+            assert_eq!(a, run(), "seed {seed}: even failures must be deterministic");
             // A seed that kills every node is a legitimate outcome at this
             // loss rate; the survivable seeds must still make sense.
             let Ok(a) = a else { continue };
@@ -839,29 +310,15 @@ mod tests {
         let mut saw_rerun = false;
         for seed in 0..30 {
             let plan = FaultPlan::new(seed).with_node_loss(0.5);
-            let with = SimFaultPolicy {
-                checkpoint_map_outputs: true,
-                ..SimFaultPolicy::default()
-            };
-            let without = SimFaultPolicy {
-                checkpoint_map_outputs: false,
-                ..SimFaultPolicy::default()
-            };
-            let (Ok(a), Ok(b)) = (
-                c.simulate_job_faults(&m, &plan, &with),
-                c.simulate_job_faults(&m, &plan, &without),
-            ) else {
+            let run = |on| c.simulate_chain_faults(&m, &plan, &ckpt(on));
+            let (Ok(a), Ok(b)) = (run(true), run(false)) else {
                 continue; // this seed killed the whole cluster
             };
             assert_eq!(a.map_reruns, 0, "checkpointed outputs never re-map");
             if b.map_reruns > 0 {
                 saw_rerun = true;
-                assert!(
-                    b.makespan_secs >= a.makespan_secs - 1e-9,
-                    "re-mapping cannot be faster: {} vs {}",
-                    b.makespan_secs,
-                    a.makespan_secs
-                );
+                let (a, b) = (a.makespan_secs, b.makespan_secs);
+                assert!(b >= a - 1e-9, "re-mapping cannot be faster: {b} vs {a}");
             }
         }
         assert!(saw_rerun, "reduce-phase node loss must occur in 30 seeds");
@@ -870,7 +327,6 @@ mod tests {
     #[test]
     fn exhausted_retry_budget_fails_the_task() {
         let m = job("hopeless", 4, 1.0, 2, 1.0);
-        let c = ClusterModel::paper_default(2);
         let mut plan = FaultPlan::new(3).with_failures(1.0, 0.0);
         plan.max_injected_attempts = u32::MAX; // never relent
         let policy = SimFaultPolicy {
@@ -880,8 +336,8 @@ mod tests {
             },
             ..SimFaultPolicy::default()
         };
-        let err = c
-            .simulate_job_faults(&m, &plan, &policy)
+        let err = ClusterModel::paper_default(2)
+            .simulate_chain_faults(&m, &plan, &policy)
             .expect_err("every attempt fails");
         match err {
             SimFaultError::TaskFailed { attempts, .. } => assert_eq!(attempts, 2),
@@ -891,19 +347,12 @@ mod tests {
 
     #[test]
     fn chain_sums_jobs() {
-        let mut chain = ChainMetrics::default();
-        chain.push(job("a", 6, 1.0, 3, 1.0));
-        chain.push(job("b", 6, 1.0, 3, 1.0));
+        let (a, b) = (job("a", 6, 1.0, 3, 1.0), job("b", 6, 1.0, 3, 1.0));
+        let chain = chain_of([a.jobs[0].clone(), b.jobs[0].clone()]);
         let c = ClusterModel::paper_default(2);
         let plan = FaultPlan::chaos(5, 0.2);
-        let policy = SimFaultPolicy::default();
-        let total = c.simulate_chain_faults(&chain, &plan, &policy).unwrap();
-        let a = c
-            .simulate_job_faults(&chain.jobs[0], &plan, &policy)
-            .unwrap();
-        let b = c
-            .simulate_job_faults(&chain.jobs[1], &plan, &policy)
-            .unwrap();
+        let run = |ch| c.simulate_chain_faults(ch, &plan, &ckpt(true)).unwrap();
+        let (total, a, b) = (run(&chain), run(&a), run(&b));
         assert!((total.makespan_secs - a.makespan_secs - b.makespan_secs).abs() < 1e-9);
         assert_eq!(total.attempts, a.attempts + b.attempts);
         assert_eq!(total.retries, a.retries + b.retries);

@@ -57,6 +57,17 @@ if grep -rnE 'run_tasks|UnsafeCell' crates/mapreduce/src; then
     exit 1
 fi
 
+echo "== lint: one simulator (event loop in crates/mapreduce/src/cluster.rs) =="
+# The barriered chain, the pipelined plan and the fault run are three calls
+# into one discrete-event loop; sim_faults.rs holds only the fault
+# vocabulary. Keep the list scheduler and the per-phase fault engine from
+# growing back next to it.
+if grep -rn 'BinaryHeap' crates/mapreduce/src | grep -v '^crates/mapreduce/src/cluster.rs:' \
+    || grep -rnE '\b(PhaseSim|schedule_slots|simulate_job_schedule)\b' crates/mapreduce/src; then
+    echo "simulator gate FAILED: second scheduler loop under crates/mapreduce/src" >&2
+    exit 1
+fi
+
 echo "== lint: one perf harness (benchmark/) =="
 # The repo benchmark (BENCHMARK.json, benchmark/) is the only perf gate, and
 # logical counters are frozen in crates/bench/tests/gates.rs. Keep the

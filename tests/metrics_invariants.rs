@@ -218,12 +218,12 @@ fn verification_cheaper_than_filtering() {
         .map(|_| {
             let res =
                 fsjoin_suite::fsjoin::run_self_join(&c, &FsJoinConfig::default().with_theta(0.8));
-            let filter = cluster
-                .simulate_job(res.chain.job("fsjoin-filter").unwrap())
-                .reduce_secs;
-            let verify = cluster
-                .simulate_job(res.chain.job("fsjoin-verify").unwrap())
-                .reduce_secs;
+            let schedules = cluster.simulate_chain_schedule(&res.chain);
+            let reduce_secs = |job: &str| {
+                let s = schedules.iter().find(|s| s.job_name == job).unwrap();
+                s.phases().reduce_secs
+            };
+            let (filter, verify) = (reduce_secs("fsjoin-filter"), reduce_secs("fsjoin-verify"));
             verify / filter
         })
         .fold(f64::INFINITY, f64::min);
