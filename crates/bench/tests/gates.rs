@@ -103,6 +103,8 @@ fn selfjoin_is_frozen_across_workers_and_plan_modes() {
             intersect_tokens: 3_180,
             bitmap_checks: 87_737,
             bitmap_pruned: 87_299,
+            position_pruned: 0,
+            repeat_skipped: 0,
         }
     );
     assert_conserved(&base.filters);
@@ -126,6 +128,23 @@ fn selfjoin_is_frozen_across_workers_and_plan_modes() {
     }
 }
 
+/// The R×S join's conservation law (`fsjoin::keys`): every considered
+/// cross pair ends in exactly one step of the cascade, and each similar
+/// pair is emitted once.
+fn assert_rs_conserved(report: &Report) {
+    let fs = &report.filters;
+    assert!(fs.pairs_considered > 0, "{fs:?}");
+    assert_eq!(
+        fs.pairs_considered,
+        fs.position_pruned + fs.bitmap_pruned + fs.repeat_skipped + fs.intersections,
+        "{fs:?}"
+    );
+    assert_eq!(fs.emitted, report.pairs as u64, "{fs:?}");
+    assert_eq!(report.candidates, report.pairs, "{fs:?}");
+    assert_eq!(fs.strl_pruned, 0, "{fs:?}");
+    assert!(fs.bitmap_pruned <= fs.bitmap_checks, "{fs:?}");
+}
+
 /// The same for the two-input R×S plan, whose co-group join stage reads
 /// the sealed prefix partitions in place: it ships zero shuffle bytes and
 /// reports the bytes a re-shuffle would have moved as saved.
@@ -134,28 +153,30 @@ fn rsjoin_is_frozen_across_workers_and_plan_modes() {
     let base = rsjoin(2, PlanMode::Pipelined, true);
     assert_eq!(
         (base.pairs, base.digest, base.candidates),
-        (57, 0x91b2_8378_846f_3162, 723)
+        (57, 0x91b2_8378_846f_3162, 57)
     );
     assert_eq!(
         base.filters,
         FilterStats {
-            pairs_considered: 781,
-            strl_pruned: 9,
-            emitted: 723,
-            intersections: 758,
-            intersect_tokens: 133_078,
-            bitmap_checks: 772,
-            bitmap_pruned: 14,
+            pairs_considered: 772,
+            window_skipped: 9,
+            emitted: 57,
+            intersections: 60,
+            intersect_tokens: 7_447,
+            bitmap_checks: 417,
+            bitmap_pruned: 7,
+            position_pruned: 355,
+            repeat_skipped: 350,
             ..FilterStats::default()
         }
     );
+    assert_rs_conserved(&base);
     assert_eq!(
         base.shuffle(),
         [
             ("rsjoin-r-prefix", 629, 221_240),
             ("rsjoin-s-prefix", 4_508, 1_417_520),
             ("rsjoin-join", 0, 0),
-            ("rsjoin-dedup", 723, 11_568)
         ]
     );
     let join = &base.jobs[2];
@@ -168,18 +189,17 @@ fn rsjoin_is_frozen_across_workers_and_plan_modes() {
         (2, PlanMode::Sequential),
         (7, PlanMode::Sequential),
     ] {
-        assert_eq!(
-            rsjoin(workers, mode, true),
-            base,
-            "workers={workers} {mode:?}"
-        );
+        let run = rsjoin(workers, mode, true);
+        assert_rs_conserved(&run);
+        assert_eq!(run, base, "workers={workers} {mode:?}");
     }
 }
 
 /// The bitmap bound is lossless, so the prune never moves pairs or
 /// scores. In the self-join it drops pairs before they become candidates,
-/// so candidates must fall. In front of R×S verification a pruned pair
-/// was a candidate either way, so only the kernel counters may move.
+/// so candidates must fall. In the R×S cascade the bitmap sits between the
+/// positional bound and the repeat check, so a pair it prunes is otherwise
+/// skipped as a repeat or intersected: only those counters may move.
 #[test]
 fn bitmap_prune_is_lossless() {
     let on = selfjoin(2, PlanMode::Pipelined, true);
@@ -195,11 +215,13 @@ fn bitmap_prune_is_lossless() {
     let on = rsjoin(2, PlanMode::Pipelined, true);
     let mut off = rsjoin(2, PlanMode::Pipelined, false);
     assert_eq!(off.filters.bitmap_checks, 0);
+    assert_rs_conserved(&off);
     let kernel = |fs: &mut FilterStats, from: &FilterStats| {
         fs.intersections = from.intersections;
         fs.intersect_tokens = from.intersect_tokens;
         fs.bitmap_checks = from.bitmap_checks;
         fs.bitmap_pruned = from.bitmap_pruned;
+        fs.repeat_skipped = from.repeat_skipped;
     };
     kernel(&mut off.filters, &on.filters);
     assert_eq!(off, on);
@@ -233,6 +255,8 @@ fn fsjoin_wiki_counters_are_frozen() {
             intersect_tokens: 25_364,
             bitmap_checks: 538_805,
             bitmap_pruned: 537_037,
+            position_pruned: 0,
+            repeat_skipped: 0,
         }
     );
     assert_conserved(&res.filter_stats);
@@ -280,7 +304,7 @@ fn rsjoin_wiki_matches_ridpairs_over_concat() {
             res.chain.total_shuffle_bytes(),
             res.chain.jobs[2].cogroup_shuffle_bytes_saved()
         ),
-        (5_860, 1_650_328, 1_638_760)
+        (5_137, 1_638_760, 1_638_760)
     );
 
     let offset = r.len() as u32;

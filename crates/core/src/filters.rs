@@ -95,6 +95,11 @@ pub enum EmitPolicy {
 /// ([`CellIndex`](crate::cell_index::CellIndex)): a pair outside the window
 /// is never considered, so `strl_pruned` stays 0 there and the skipped work
 /// shows as `window_skipped` — postings, outside the law.
+///
+/// The two-input R×S join ([`crate::rsjoin`]) windows its token groups the
+/// same way and decides each considered cross pair by one cascade, so
+/// there `pairs_considered = position_pruned + bitmap_pruned +
+/// repeat_skipped + intersections` and `emitted` is the run's pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Segment pairs considered by the fragment join (post kernel candidate
@@ -104,8 +109,8 @@ pub struct FilterStats {
     /// (postings, not pairs: a pair sharing several indexed tokens is
     /// skipped once per shared token).
     pub window_skipped: u64,
-    /// Pairs pruned by StrL, one test per pair (the Loop kernel and the
-    /// two-input R×S join; 0 where StrL is a length window).
+    /// Pairs pruned by StrL, one test per pair (the Loop kernel only; 0
+    /// where StrL is a length window).
     pub strl_pruned: u64,
     /// Pairs pruned by SegL (before intersection).
     pub segl_pruned: u64,
@@ -136,12 +141,18 @@ pub struct FilterStats {
     /// join these are segment pairs dropped because their two records
     /// cannot reach θ.
     pub bitmap_pruned: u64,
+    /// R×S cross pairs the positional bound settled: the group's token and
+    /// every token after it in the shorter remainder cannot reach α.
+    pub position_pruned: u64,
+    /// R×S cross pairs skipped because their prefixes share a token before
+    /// the group's: the group of the smallest shared token decides them.
+    pub repeat_skipped: u64,
 }
 
 impl FilterStats {
     /// `(counter name, value)` view of every field, under the canonical
     /// [`crate::keys`] names used in registries and metric dumps.
-    pub fn fields(&self) -> [(&'static str, u64); 12] {
+    pub fn fields(&self) -> [(&'static str, u64); 14] {
         use crate::keys;
         [
             (keys::FILTER_PAIRS_CONSIDERED, self.pairs_considered),
@@ -156,6 +167,8 @@ impl FilterStats {
             (keys::KERNEL_INTERSECT_TOKENS, self.intersect_tokens),
             (keys::KERNEL_BITMAP_CHECKS, self.bitmap_checks),
             (keys::KERNEL_BITMAP_PRUNED, self.bitmap_pruned),
+            (keys::FILTER_POSITION_PRUNED, self.position_pruned),
+            (keys::FILTER_REPEAT_SKIPPED, self.repeat_skipped),
         ]
     }
 
@@ -173,6 +186,8 @@ impl FilterStats {
         self.intersect_tokens += other.intersect_tokens;
         self.bitmap_checks += other.bitmap_checks;
         self.bitmap_pruned += other.bitmap_pruned;
+        self.position_pruned += other.position_pruned;
+        self.repeat_skipped += other.repeat_skipped;
     }
 
     /// `pairs_considered` minus the seven outcomes a considered pair can
@@ -235,6 +250,8 @@ impl FilterStats {
             intersect_tokens: registry.counter_get(keys::KERNEL_INTERSECT_TOKENS),
             bitmap_checks: registry.counter_get(keys::KERNEL_BITMAP_CHECKS),
             bitmap_pruned: registry.counter_get(keys::KERNEL_BITMAP_PRUNED),
+            position_pruned: registry.counter_get(keys::FILTER_POSITION_PRUNED),
+            repeat_skipped: registry.counter_get(keys::FILTER_REPEAT_SKIPPED),
         }
     }
 }
@@ -510,6 +527,8 @@ mod tests {
             intersect_tokens: 60,
             bitmap_checks: 8,
             bitmap_pruned: 2,
+            position_pruned: 3,
+            repeat_skipped: 1,
         };
         a.merge(&a.clone());
         assert_eq!(a.pairs_considered, 20);
@@ -519,6 +538,7 @@ mod tests {
         assert_eq!(a.intersect_tokens, 120);
         assert_eq!(a.bitmap_checks, 16);
         assert_eq!(a.bitmap_pruned, 4);
+        assert_eq!((a.position_pruned, a.repeat_skipped), (6, 2));
     }
 
     #[test]
@@ -536,6 +556,8 @@ mod tests {
             intersect_tokens: 31,
             bitmap_checks: 37,
             bitmap_pruned: 41,
+            position_pruned: 43,
+            repeat_skipped: 47,
         };
         let reg = ssj_observe::MetricsRegistry::new();
         stats.record_to(&reg);

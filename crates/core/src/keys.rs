@@ -22,8 +22,8 @@ pub const FILTER_PAIRS_CONSIDERED: &str = "fsjoin.filter.pairs_considered";
 /// times), which is why it sits outside the conservation law below.
 pub const FILTER_WINDOW_SKIPPED: &str = "fsjoin.filter.window_skipped";
 /// Pairs pruned by the string-length filter, Lemma 1, tested pair by pair
-/// (counter): the Loop kernel and the two-input R×S join. 0 where the
-/// filter is a length window (`window_skipped`).
+/// (counter): the Loop kernel only. 0 where the filter is a length window
+/// (`window_skipped`), the two-input R×S join included.
 pub const FILTER_STRL_PRUNED: &str = "fsjoin.filter.strl_pruned";
 /// Pairs pruned by the segment-length filter, Lemma 2 (counter).
 pub const FILTER_SEGL_PRUNED: &str = "fsjoin.filter.segl_pruned";
@@ -46,6 +46,20 @@ pub const FILTER_POLICY_DROPPED: &str = "fsjoin.filter.policy_dropped";
 /// `window_skipped` is not a term: it counts postings, and a pair the
 /// length window skips is never considered in the first place.
 pub const FILTER_EMITTED: &str = "fsjoin.filter.emitted";
+/// R×S cross pairs the positional bound pruned (counter): in the group of
+/// token `t` at positions `pos_r`, `pos_s`, the pair shares at most
+/// `1 + min(|r| − pos_r − 1, |s| − pos_s − 1)` tokens from `t` on.
+///
+/// **Conservation law** of the two-input R×S join (asserted in
+/// `crates/bench/tests/gates.rs`): every cross pair inside a group's
+/// length window ends in exactly one step of the cascade,
+/// `pairs_considered = position_pruned + bitmap_pruned + repeat_skipped +
+/// intersections`, and `emitted` = the run's pairs = its candidates.
+pub const FILTER_POSITION_PRUNED: &str = "fsjoin.filter.position_pruned";
+/// R×S cross pairs whose prefixes share a token before the group's token
+/// (counter): the group of their smallest shared prefix token decides
+/// them, so every other group skips them.
+pub const FILTER_REPEAT_SKIPPED: &str = "fsjoin.filter.repeat_skipped";
 
 /// Exact intersection-kernel calls (counter): every segment intersection
 /// of a fragment kernel, and every whole-record verify that reaches the

@@ -6,47 +6,80 @@
 //! distributed engine would plan it:
 //!
 //! * stage `rsjoin-r-prefix` maps **R only**: each record emits
-//!   `(prefix token, record)` for its probe-prefix tokens;
+//!   `(prefix token, entry)` for its probe-prefix tokens, where the entry
+//!   is the record's id, length and the token's position in it;
 //! * stage `rsjoin-s-prefix` does the same over **S only**, with the same
 //!   partitioner and reduce-task count — the two stages are
 //!   *co-partitioned*, so prefix token `t` lands in the same partition
 //!   index on both sides;
 //! * stage `rsjoin-join` consumes **both** prefix stages as a **co-group
 //!   stage** ([`Plan::add_cogroup`]): task `i` merges the sealed
-//!   partitions `i` of R and S in place (side 0 = R, side 1 = S) and
-//!   verifies every cross-side pair per token group — no re-shuffle
-//!   reunites records its upstreams already co-partitioned;
-//! * stage `rsjoin-dedup` collapses pairs discovered under several shared
-//!   prefix tokens (a shuffle stage, except in the single-partition case
-//!   where the join output is provably pair-partitioned and the dedup
-//!   co-groups the sealed partition in place).
+//!   partitions `i` of R and S in place (side 0 = R, side 1 = S) — no
+//!   re-shuffle reunites records its upstreams already co-partitioned —
+//!   and decides every cross pair of a token group in one cascade:
+//!   1. **window** — the group's S side is sorted by `(len, id)`, and each
+//!      R record meets only the S range StrL admits (two
+//!      `partition_point`s with [`crate::filters::strl_pass`] as the
+//!      predicate; the rest counts as `window_skipped`);
+//!   2. **position** — the group's token sits at `pos_r` and `pos_s`, so
+//!      the pair shares at most `1 + min(|r|−pos_r−1, |s|−pos_s−1)` tokens
+//!      from it on; below α the pair is pruned;
+//!   3. **bitmap** — the records' bitmap signatures (when `bitmap_prune`);
+//!   4. **repeat** — a pair whose prefixes `r[..pos_r]` and `s[..pos_s]`
+//!      share a token is skipped: the group of its smallest shared token
+//!      decides it;
+//!   5. **verify** — the exact early-exit intersection.
+//!
+//! Every similar pair is therefore emitted exactly once and the join's
+//! output is the result: no dedup stage, `candidates == pairs`.
 //!
 //! Record ids live in the concatenated-pool id space of
 //! [`TokenPool::concat`]: R keeps its ids, S ids are shifted by `|R|`, so
 //! a pair `(a, b)` always has `a < |R| ≤ b`. The shared arena ships to all
-//! three token-touching stages over one [`Broadcast`](ssj_mapreduce::StageEdge)
-//! edge.
+//! three stages over one [`Broadcast`](ssj_mapreduce::StageEdge) edge.
 //!
 //! Completeness is the prefix-filter theorem, two-sided: if
-//! `sim(r, s) ≥ θ` then the probe prefixes of *both* records contain a
-//! common token, so the pair meets in that token's group. Verification is
-//! the same threshold-aware cascade the PPJoin kernel runs — pair
-//! digests match RIDPairsPPJoin run over the concatenated collection and
-//! filtered to cross-side pairs, bit for bit.
+//! `sim(r, s) ≥ θ` then the smallest token the records share lies in the
+//! probe prefixes of *both*, so the pair meets in that token's group. No
+//! token before it is shared, so the repeat check passes there, and every
+//! shared token sits at or after it, so the positional bound holds there.
+//! Scores come from the same exact count the PPJoin kernel computes —
+//! pair digests match RIDPairsPPJoin run over the concatenated collection
+//! and filtered to cross-side pairs, bit for bit.
 
 use crate::config::FsJoinConfig;
 use crate::driver::FsJoinResult;
-use crate::filters::FilterStats;
+use crate::filters::{strl_pass, FilterStats};
+use ssj_common::ByteSize;
 use ssj_mapreduce::{
-    CoGroupReducer, Dataset, Emitter, HashPartitioner, IdentityCombiner, IdentityMapper, KeepFirst,
-    Mapper, PassThrough, Plan, PlanRunner, SideGroups,
+    CoGroupReducer, Dataset, Emitter, HashPartitioner, IdentityCombiner, Mapper, PassThrough, Plan,
+    PlanRunner, SideGroups,
 };
 use ssj_observe::{span, MetricsRegistry};
-use ssj_similarity::{Measure, SimilarPair, Verifier};
+use ssj_similarity::{Measure, Signature, SimilarPair, Verifier};
 use ssj_text::{Collection, PooledRecord, TokenPool};
 use std::sync::Arc;
 
-/// Prefix-stage mapper: emits `(prefix token, record)` once per probe-prefix
+/// The prefix stages' shuffle value: a record's id and length, and the
+/// position of the group's token in its sorted tokens. 12 bytes in memory,
+/// like the [`PooledRecord`] it is mapped from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PrefixEntry {
+    id: u32,
+    len: u32,
+    pos: u32,
+}
+
+impl ByteSize for PrefixEntry {
+    fn byte_size(&self) -> usize {
+        // A wire format ships the record (id + length-prefixed tokens) and
+        // the receiver recomputes `pos` from the key and those tokens: the
+        // bytes of a `PooledRecord`.
+        4 + 4 + 4 * self.len as usize
+    }
+}
+
+/// Prefix-stage mapper: emits `(prefix token, entry)` once per probe-prefix
 /// token. One instance serves both sides — the input dataset decides which
 /// records it sees.
 struct PrefixEmit {
@@ -59,76 +92,114 @@ impl Mapper for PrefixEmit {
     type InKey = u32;
     type InValue = PooledRecord;
     type OutKey = u32;
-    type OutValue = PooledRecord;
+    type OutValue = PrefixEntry;
 
-    fn map(&mut self, _rid: u32, record: PooledRecord, out: &mut Emitter<u32, PooledRecord>) {
-        if record.span.is_empty() {
-            return;
-        }
+    fn map(&mut self, _rid: u32, record: PooledRecord, out: &mut Emitter<u32, PrefixEntry>) {
         let tokens = self.pool.resolve(record.span);
         let prefix = self.measure.probe_prefix_len(self.theta, tokens.len());
-        for &t in &tokens[..prefix] {
-            out.emit(t, record);
+        for (pos, &t) in tokens[..prefix].iter().enumerate() {
+            out.emit(
+                t,
+                PrefixEntry {
+                    id: record.id,
+                    len: record.span.len,
+                    pos: pos as u32,
+                },
+            );
         }
     }
 }
 
 /// Join-stage reducer: consumes the sealed prefix partitions directly —
 /// side 0 is `rsjoin-r-prefix`, side 1 is `rsjoin-s-prefix` (edge order) —
-/// and verifies every (r, s) cross pair of a token group exactly:
-/// string-length filter → the whole-record [`Verifier`] cascade (bitmaps go
-/// in when `bitmap` is on), every decision counted into [`FilterStats`].
-/// Pruning counters flow into the run's registry at cleanup, like the
-/// self-join's fragment reducer.
+/// and runs the module docs' window → position → bitmap → repeat → verify
+/// cascade on every cross pair of a token group, each decision counted
+/// into [`FilterStats`]. Pruning counters flow into the run's registry at
+/// cleanup, like the self-join's fragment reducer.
 struct CrossVerifyCo {
     pool: Arc<TokenPool>,
     verifier: Verifier,
     bitmap: bool,
     local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
-    r_buf: Vec<PooledRecord>,
-    s_buf: Vec<PooledRecord>,
+    r_buf: Vec<PrefixEntry>,
+    s_buf: Vec<PrefixEntry>,
 }
 
 impl CoGroupReducer for CrossVerifyCo {
     type InKey = u32;
-    type InValue = PooledRecord;
+    type InValue = PrefixEntry;
     type OutKey = (u32, u32);
     type OutValue = f64;
 
     fn cogroup(
         &mut self,
         _token: &u32,
-        records: &mut SideGroups<'_, '_, u32, PooledRecord>,
+        records: &mut SideGroups<'_, '_, u32, PrefixEntry>,
         out: &mut Emitter<(u32, u32), f64>,
     ) {
         self.r_buf.clear();
         self.s_buf.clear();
-        for (side, rec) in records {
+        for (side, entry) in records {
             if side == 0 {
-                self.r_buf.push(*rec);
+                self.r_buf.push(*entry);
             } else {
-                self.s_buf.push(*rec);
+                self.s_buf.push(*entry);
             }
         }
+        if self.r_buf.is_empty() || self.s_buf.is_empty() {
+            return;
+        }
+        self.s_buf.sort_unstable_by_key(|s| (s.len, s.id));
         let Verifier { measure, theta } = self.verifier;
+        let pool = &*self.pool;
+        let stats = &mut self.local_stats;
         for r in &self.r_buf {
-            for s in &self.s_buf {
-                self.local_stats.pairs_considered += 1;
-                if !crate::filters::strl_pass(measure, theta, r.span.len, s.span.len) {
-                    self.local_stats.strl_pruned += 1;
+            // StrL admits an interval of lengths around |r|.
+            let lo = self
+                .s_buf
+                .partition_point(|s| s.len < r.len && !strl_pass(measure, theta, r.len, s.len));
+            let hi = self
+                .s_buf
+                .partition_point(|s| s.len <= r.len || strl_pass(measure, theta, r.len, s.len));
+            stats.window_skipped += (self.s_buf.len() - (hi - lo)) as u64;
+            let r_rest = r.len - r.pos - 1;
+            // α of the current S length run (no entry has length 0).
+            let (mut run_len, mut alpha) = (0u32, 0u32);
+            for s in &self.s_buf[lo..hi] {
+                stats.pairs_considered += 1;
+                if s.len != run_len {
+                    run_len = s.len;
+                    alpha = measure.min_overlap(theta, r.len as usize, s.len as usize) as u32;
+                }
+                if 1 + r_rest.min(s.len - s.pos - 1) < alpha {
+                    stats.position_pruned += 1;
                     continue;
                 }
-                let (ra, sb) = (self.pool.resolve(r.span), self.pool.resolve(s.span));
-                // Record ids index the concat pool (id contract above), so
-                // each side's bitmap is a direct lookup.
-                let bits = self
-                    .bitmap
-                    .then(|| (self.pool.bitmap_of(r.id), self.pool.bitmap_of(s.id)));
-                let verdict = self.verifier.verify(ra, sb, bits);
-                self.local_stats.count_verdict(&verdict, ra.len(), sb.len());
-                if let Some((_, sim)) = verdict.similar {
-                    self.local_stats.emitted += 1;
+                if self.bitmap {
+                    // Record ids index the concat pool (id contract above),
+                    // so each side's bitmap is a direct lookup.
+                    let sig = Verifier::signature(
+                        alpha as usize,
+                        r.len as usize,
+                        s.len as usize,
+                        pool.bitmap_of(r.id),
+                        pool.bitmap_of(s.id),
+                    );
+                    stats.bitmap_checks += u64::from(sig.checked());
+                    if sig == Signature::Dissimilar {
+                        stats.bitmap_pruned += 1;
+                        continue;
+                    }
+                }
+                let (ra, sb) = (pool.tokens_of(r.id), pool.tokens_of(s.id));
+                if shares_token(&ra[..r.pos as usize], &sb[..s.pos as usize]) {
+                    stats.repeat_skipped += 1;
+                    continue;
+                }
+                stats.count_intersection(ra.len(), sb.len());
+                if let Some((_, sim)) = self.verifier.verify(ra, sb, None).similar {
+                    stats.emitted += 1;
                     out.emit((r.id, s.id), sim);
                 }
             }
@@ -141,6 +212,19 @@ impl CoGroupReducer for CrossVerifyCo {
     }
 }
 
+/// Whether two sorted token slices share a token.
+fn shares_token(a: &[u32], b: &[u32]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
 /// R×S join declared as a two-input plan (module docs have the stage
 /// graph). Same conventions as [`crate::run_rs_join`]: both collections
 /// must be encoded in one token-rank space
@@ -149,8 +233,9 @@ impl CoGroupReducer for CrossVerifyCo {
 ///
 /// The returned [`FsJoinResult`] carries no pivots (`pivots` /
 /// `h_pivots` empty — this plan partitions by prefix token, not by
-/// fragment), `candidates` counts verified-pair emissions before dedup,
-/// and `deps` records the fan-in shape `[[], [], [0, 1], [2]]`.
+/// fragment), `candidates` counts the join's emissions (each similar pair
+/// once, so it equals the pair count), and `deps` records the fan-in shape
+/// `[[], [], [0, 1]]`.
 pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
     cfg.validate();
     assert_eq!(
@@ -186,9 +271,6 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
     let s_input = side_input(num_r, num_r + num_s);
 
     let run_registry = Arc::new(MetricsRegistry::new());
-    let prefix_span = span("fsjoin.stage", "rs-prefix-jobs");
-    let join_span = span("fsjoin.stage", "rs-join-job");
-
     let mut plan = Plan::new("rsjoin").with_workers(cfg.workers);
     let pool_bcast = plan.broadcast(Arc::clone(&pool));
     // Both prefix stages MUST share reduce_tasks and partitioner: the join
@@ -236,32 +318,15 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
             s_buf: Vec::new(),
         },
     );
-    // Dedup: a pair discovered under several shared prefix tokens surfaces
-    // in several join partitions, so collapsing duplicates needs a shuffle
-    // in general. Only a single join partition makes the input provably
-    // pair-partitioned — then the sealed partition co-groups in place.
-    let unique = if cfg.reduce_tasks == 1 {
-        plan.add_cogroup("rsjoin-dedup", vec![joined], |_| KeepFirst::default())
-    } else {
-        plan.add(
-            "rsjoin-dedup",
-            joined,
-            cfg.reduce_tasks,
-            |_| IdentityMapper::default(),
-            |_| KeepFirst::default(),
-        )
-    };
 
     let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
-    let verified = outcome.take_output(unique);
+    let verified = outcome.take_output(joined);
     let peak_live_bytes = outcome.peak_live_bytes;
     let deps = outcome.deps().to_vec();
     let chain = outcome.metrics;
-    // Verified emissions before dedup — the cross-pair analogue of the
-    // kernel-output candidate count the baselines report.
+    // The join's emissions — the cross-pair analogue of the kernel-output
+    // candidate count the baselines report.
     let candidates = chain.jobs[2].reduce_output_records();
-    drop(prefix_span);
-    drop(join_span.field("candidates", candidates));
 
     let mut pairs: Vec<SimilarPair> = verified
         .into_records()
@@ -275,7 +340,11 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
     if let Some(global) = ssj_observe::global_registry() {
         global.merge_from(&run_registry);
     }
-    drop(run_span.field("pairs", pairs.len()));
+    drop(
+        run_span
+            .field("candidates", candidates)
+            .field("pairs", pairs.len()),
+    );
     FsJoinResult {
         pairs,
         chain,
@@ -293,7 +362,7 @@ mod tests {
     use super::*;
     use ssj_mapreduce::PlanMode;
     use ssj_similarity::naive::naive_rs_join;
-    use ssj_similarity::pair::compare_results;
+    use ssj_similarity::pair::{compare_results, id_pairs};
     use ssj_similarity::pair_digest;
     use ssj_text::encode::encode_two;
     use ssj_text::{CorpusProfile, RawCorpus, Record, Tokenizer};
@@ -348,10 +417,12 @@ mod tests {
     fn declares_the_fan_in_plan_shape() {
         let (r, s) = rs_corpora(20, 60);
         let res = run_rs_join_two_input(&r, &s, &FsJoinConfig::default().with_theta(0.8));
-        assert_eq!(res.chain.jobs.len(), 4);
+        assert_eq!(res.chain.jobs.len(), 3);
         assert_eq!(res.chain.jobs[2].name, "rsjoin-join");
-        assert_eq!(res.deps, vec![vec![], vec![], vec![0, 1], vec![2]]);
+        assert_eq!(res.deps, vec![vec![], vec![], vec![0, 1]]);
         assert!(res.pivots.is_empty() && res.h_pivots.is_empty());
+        // Each similar pair is emitted once: the join's output is the result.
+        assert_eq!(res.candidates, id_pairs(&res.pairs).len());
         // The join stage is a co-group — no map tasks, no shuffle traffic
         // of its own, bytes-saved counter populated.
         let join = &res.chain.jobs[2];
@@ -361,11 +432,11 @@ mod tests {
         assert!(join.cogroup_shuffle_bytes_saved() > 0);
     }
 
-    /// With one reduce partition the join output is pair-partitioned, so
-    /// the dedup also runs as a co-group — results still match the
-    /// RIDPairs-over-concat oracle bit for bit.
+    /// With one reduce partition every token group meets in one co-group
+    /// task — results still match the RIDPairs-over-concat oracle bit for
+    /// bit, each pair emitted once.
     #[test]
-    fn single_partition_cogroup_dedup_matches() {
+    fn single_partition_matches_ridpairs_over_concat() {
         // Same seed on both sides: R's documents recur in S, so the oracle
         // has cross pairs to match.
         let (r, s) = encode_two(
@@ -377,9 +448,8 @@ mod tests {
         let want = ridpairs_cross_oracle(&r, &s, Measure::Jaccard, 0.7);
         assert!(!want.is_empty());
         assert_eq!(pair_digest(&co.pairs), pair_digest(&want));
-        let dedup = &co.chain.jobs[3];
-        assert!(dedup.cogroup, "single-partition dedup must co-group");
-        assert_eq!(dedup.shuffle_bytes, 0);
+        assert_eq!(co.candidates, want.len());
+        assert_eq!(co.chain.jobs[2].reduce_tasks.len(), 1);
     }
 
     #[test]

@@ -258,6 +258,124 @@ fn long_records_rs_join_two_input_matches_oracle() {
     }
 }
 
+/// R and S collections, built directly in rank space, whose cross pairs sit
+/// on the edges of the two-input join's window → position → bitmap →
+/// repeat cascade. Every pair draws fresh ranks in ascending runs, so the
+/// positions of its shared tokens are set by construction:
+///
+/// 1. the shorter record is the longer one's suffix: their only common
+///    prefix token is the longer one's last prefix token (both sides);
+/// 2. exact duplicates across sides, which share every prefix token;
+/// 3. one R record and S partners at lengths min−1, min, max and max+1 of
+///    its StrL window (subsets below, supersets above);
+/// 4. overlaps at α−1, α and α+1, shared as one run at the end of one
+///    record and the start of the other, so the positional bound
+///    `1 + min(|r|−pos_r−1, |s|−pos_s−1)` equals the overlap.
+fn cascade_edge_sides(measure: Measure, theta: f64) -> (Collection, Collection) {
+    let mut next = 0u32;
+    let mut fresh = |n: usize| -> Vec<u32> {
+        let run = (next..next + n as u32).collect();
+        next += n as u32;
+        run
+    };
+    let (mut r_docs, mut s_docs) = (Vec::new(), Vec::new());
+    for len in [4usize, 10, 25, 64, 130] {
+        let (min, max) = (
+            measure.min_partner_len(theta, len),
+            measure.max_partner_len(theta, len),
+        );
+        // 1.
+        let long = fresh(len);
+        let short = long[len - min..].to_vec();
+        r_docs.extend([long.clone(), short.clone()]);
+        s_docs.extend([short, long]);
+        // 2.
+        let dup = fresh(len);
+        r_docs.push(dup.clone());
+        s_docs.push(dup);
+        // 3.
+        let base = fresh(len);
+        let extra = fresh(max + 1 - len);
+        r_docs.push(base.clone());
+        s_docs.extend([min - 1, min].map(|l| base[..l].to_vec()));
+        s_docs.extend([max, max + 1].map(|l| [&base[..], &extra[..l - len]].concat()));
+        // 4.
+        for (len_r, len_s) in [(len, len), (len, len + 1), (len + 1, len)] {
+            let alpha = measure.min_overlap(theta, len_r, len_s);
+            for overlap in [alpha - 1, alpha, alpha + 1] {
+                let c = overlap.min(len_r).min(len_s);
+                // The run ends R's record, then S's.
+                let (head, shared, tail) = (fresh(len_r - c), fresh(c), fresh(len_s - c));
+                r_docs.push([&head[..], &shared[..]].concat());
+                s_docs.push([&shared[..], &tail[..]].concat());
+                let (head, shared, tail) = (fresh(len_s - c), fresh(c), fresh(len_r - c));
+                r_docs.push([&shared[..], &tail[..]].concat());
+                s_docs.push([&head[..], &shared[..]].concat());
+            }
+        }
+    }
+    let freqs = vec![1u64; next as usize];
+    let side = |docs: Vec<Vec<u32>>| {
+        let records = docs
+            .into_iter()
+            .filter(|d| !d.is_empty())
+            .enumerate()
+            .map(|(i, tokens)| Record::from_sorted(i as u32, tokens))
+            .collect();
+        Collection::new(records, freqs.clone(), None)
+    };
+    (side(r_docs), side(s_docs))
+}
+
+/// The two-input R×S join against the naive oracle, bit for bit, on the
+/// edges of its cascade: every measure × θ, bitmap on and off. Each
+/// similar pair is decided in exactly one token group, so the join emits
+/// the result itself, and every considered pair ends in one cascade step.
+#[test]
+fn rs_join_two_input_is_exact_at_its_cascade_edges() {
+    for measure in Measure::all() {
+        for theta in [0.5, 0.75, 0.8, 0.9, 1.0] {
+            let (r, s) = cascade_edge_sides(measure, theta);
+            let offset = r.len() as u32;
+            let s_shifted: Vec<Record> = s
+                .iter()
+                .map(|v| Record::from_sorted(v.id + offset, v.tokens.to_vec()))
+                .collect();
+            let want = naive_rs_join(&r.views(), &s_shifted, measure, theta);
+            assert!(!want.is_empty(), "{measure:?} θ={theta}: no pairs");
+            for bitmap in [true, false] {
+                let cfg = FsJoinConfig::default()
+                    .with_measure(measure)
+                    .with_theta(theta)
+                    .with_bitmap_prune(bitmap);
+                let label = format!("{measure:?} θ={theta} bitmap={bitmap}");
+                let got = fsjoin::run_rs_join_two_input(&r, &s, &cfg);
+                compare_results(&got.pairs, &want, 0.0).unwrap_or_else(|e| panic!("{label}: {e}"));
+                // `compare_results` compares pair *sets*: count them too.
+                assert_eq!(
+                    (got.candidates, got.pairs.len()),
+                    (want.len(), want.len()),
+                    "{label}"
+                );
+                let fs = got.filter_stats;
+                assert_eq!(
+                    fs.pairs_considered,
+                    fs.position_pruned + fs.bitmap_pruned + fs.repeat_skipped + fs.intersections,
+                    "{label}: {fs:?}"
+                );
+                if theta < 1.0 {
+                    // At θ = 1 the probe prefix is one token: no repeats,
+                    // and the bound 1 + (|r| − 1) never falls below α.
+                    assert!(
+                        fs.position_pruned > 0 && fs.repeat_skipped > 0,
+                        "{label}: {fs:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A corpus built to sit on the record-signature step's edges for one
 /// `(measure, θ)`: partner pairs whose overlap is planted at α−1, α and
 /// α+1 over short, medium and ≥ 600-token lengths (at 128 bits the longest
