@@ -33,10 +33,11 @@
 //! Every similar pair is therefore emitted exactly once and the join's
 //! output is the result: no dedup stage, `candidates == pairs`.
 //!
-//! Record ids live in the concatenated-pool id space of
-//! [`TokenPool::concat`]: R keeps its ids, S ids are shifted by `|R|`, so
-//! a pair `(a, b)` always has `a < |R| ≤ b`. The shared arena ships to all
-//! three stages over one [`Broadcast`](ssj_mapreduce::StageEdge) edge.
+//! Record ids live in one concatenated id space: R keeps its ids, S ids
+//! are shifted by `|R|`, so a pair `(a, b)` always has `a < |R| ≤ b`. No
+//! pool is concatenated for it: a `TwoPools` view holds R's and S's
+//! pools as encoded, picks the side of an id by `id < |R|`, and ships to
+//! all three stages over one [`Broadcast`](ssj_mapreduce::StageEdge) edge.
 //!
 //! Completeness is the prefix-filter theorem, two-sided: if
 //! `sim(r, s) ≥ θ` then the smallest token the records share lies in the
@@ -79,11 +80,62 @@ impl ByteSize for PrefixEntry {
     }
 }
 
+/// R's and S's pools read in place, addressed by the join's concatenated
+/// record ids (module docs): ids below `num_r` are R's, the rest S's,
+/// shifted by `num_r`.
+struct TwoPools {
+    r: Arc<TokenPool>,
+    s: Arc<TokenPool>,
+    num_r: u32,
+}
+
+impl TwoPools {
+    /// The pool holding record `id`, and the record's id in it.
+    #[inline]
+    fn side(&self, id: u32) -> (&TokenPool, u32) {
+        if id < self.num_r {
+            (&self.r, id)
+        } else {
+            (&self.s, id - self.num_r)
+        }
+    }
+
+    /// Tokens of record `id`.
+    #[inline]
+    fn tokens_of(&self, id: u32) -> &[u32] {
+        let (pool, rid) = self.side(id);
+        pool.tokens_of(rid)
+    }
+
+    /// Bitmap of record `id`.
+    #[inline]
+    fn bitmap_of(&self, id: u32) -> &[u64] {
+        let (pool, rid) = self.side(id);
+        pool.bitmap_of(rid)
+    }
+
+    /// The map input of record `id`: its span is issued by its own side's
+    /// pool.
+    fn pooled(&self, id: u32) -> PooledRecord {
+        let (pool, rid) = self.side(id);
+        PooledRecord {
+            id,
+            span: pool.span_of(rid),
+        }
+    }
+
+    /// Tokens of a map input record.
+    #[inline]
+    fn resolve(&self, record: PooledRecord) -> &[u32] {
+        self.side(record.id).0.resolve(record.span)
+    }
+}
+
 /// Prefix-stage mapper: emits `(prefix token, entry)` once per probe-prefix
 /// token. One instance serves both sides — the input dataset decides which
 /// records it sees.
 struct PrefixEmit {
-    pool: Arc<TokenPool>,
+    pools: Arc<TwoPools>,
     measure: Measure,
     theta: f64,
 }
@@ -95,7 +147,7 @@ impl Mapper for PrefixEmit {
     type OutValue = PrefixEntry;
 
     fn map(&mut self, _rid: u32, record: PooledRecord, out: &mut Emitter<u32, PrefixEntry>) {
-        let tokens = self.pool.resolve(record.span);
+        let tokens = self.pools.resolve(record);
         let prefix = self.measure.probe_prefix_len(self.theta, tokens.len());
         for (pos, &t) in tokens[..prefix].iter().enumerate() {
             out.emit(
@@ -117,7 +169,7 @@ impl Mapper for PrefixEmit {
 /// into [`FilterStats`]. Pruning counters flow into the run's registry at
 /// cleanup, like the self-join's fragment reducer.
 struct CrossVerifyCo {
-    pool: Arc<TokenPool>,
+    pools: Arc<TwoPools>,
     verifier: Verifier,
     bitmap: bool,
     local_stats: FilterStats,
@@ -152,7 +204,7 @@ impl CoGroupReducer for CrossVerifyCo {
         }
         self.s_buf.sort_unstable_by_key(|s| (s.len, s.id));
         let Verifier { measure, theta } = self.verifier;
-        let pool = &*self.pool;
+        let pools = &*self.pools;
         let stats = &mut self.local_stats;
         for r in &self.r_buf {
             // StrL admits an interval of lengths around |r|.
@@ -177,14 +229,14 @@ impl CoGroupReducer for CrossVerifyCo {
                     continue;
                 }
                 if self.bitmap {
-                    // Record ids index the concat pool (id contract above),
-                    // so each side's bitmap is a direct lookup.
+                    // Record ids pick their side (id contract above), so
+                    // each side's bitmap is a direct lookup.
                     let sig = Verifier::signature(
                         alpha as usize,
                         r.len as usize,
                         s.len as usize,
-                        pool.bitmap_of(r.id),
-                        pool.bitmap_of(s.id),
+                        pools.bitmap_of(r.id),
+                        pools.bitmap_of(s.id),
                     );
                     stats.bitmap_checks += u64::from(sig.checked());
                     if sig == Signature::Dissimilar {
@@ -192,7 +244,7 @@ impl CoGroupReducer for CrossVerifyCo {
                         continue;
                     }
                 }
-                let (ra, sb) = (pool.tokens_of(r.id), pool.tokens_of(s.id));
+                let (ra, sb) = (pools.tokens_of(r.id), pools.tokens_of(s.id));
                 if shares_token(&ra[..r.pos as usize], &sb[..s.pos as usize]) {
                     stats.repeat_skipped += 1;
                     continue;
@@ -242,9 +294,18 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         r.token_freqs, s.token_freqs,
         "R and S must be encoded together (shared global ordering)"
     );
-    let pool = Arc::new(TokenPool::concat(r.pool(), s.pool()));
+    assert_eq!(
+        r.pool().bitmap_bits(),
+        s.pool().bitmap_bits(),
+        "R and S bitmaps must share one width"
+    );
     let num_r = r.len();
     let num_s = s.len();
+    let pools = Arc::new(TwoPools {
+        r: r.share_pool(),
+        s: s.share_pool(),
+        num_r: num_r as u32,
+    });
     let run_span = span("fsjoin.stage", "run-rs2")
         .field("records", num_r + num_s)
         .field("theta", cfg.theta);
@@ -252,17 +313,8 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
 
     let side_input = |lo: usize, hi: usize| -> Dataset<u32, PooledRecord> {
         Dataset::from_records(
-            (lo..hi)
-                .map(|rid| {
-                    let rid = rid as u32;
-                    (
-                        rid,
-                        PooledRecord {
-                            id: rid,
-                            span: pool.span_of(rid),
-                        },
-                    )
-                })
+            (lo as u32..hi as u32)
+                .map(|id| (id, pools.pooled(id)))
                 .collect(),
             cfg.map_tasks,
         )
@@ -272,12 +324,12 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
 
     let run_registry = Arc::new(MetricsRegistry::new());
     let mut plan = Plan::new("rsjoin").with_workers(cfg.workers);
-    let pool_bcast = plan.broadcast(Arc::clone(&pool));
+    let pools_bcast = plan.broadcast(Arc::clone(&pools));
     // Both prefix stages MUST share reduce_tasks and partitioner: the join
     // stage's co-group task i consumes partition i of each.
     let prefix_factory = {
-        move |_: usize, pool: &Arc<TokenPool>| PrefixEmit {
-            pool: Arc::clone(pool),
+        move |_: usize, pools: &Arc<TwoPools>| PrefixEmit {
+            pools: Arc::clone(pools),
             measure,
             theta,
         }
@@ -285,20 +337,20 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
     let h_r = plan.add_full_broadcast(
         "rsjoin-r-prefix",
         r_input,
-        pool_bcast,
+        pools_bcast,
         cfg.reduce_tasks,
         prefix_factory,
-        |_, _: &Arc<TokenPool>| PassThrough::default(),
+        |_, _: &Arc<TwoPools>| PassThrough::default(),
         HashPartitioner,
         None::<IdentityCombiner>,
     );
     let h_s = plan.add_full_broadcast(
         "rsjoin-s-prefix",
         s_input,
-        pool_bcast,
+        pools_bcast,
         cfg.reduce_tasks,
         prefix_factory,
-        |_, _: &Arc<TokenPool>| PassThrough::default(),
+        |_, _: &Arc<TwoPools>| PassThrough::default(),
         HashPartitioner,
         None::<IdentityCombiner>,
     );
@@ -307,9 +359,9 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
     let joined = plan.add_cogroup_broadcast(
         "rsjoin-join",
         vec![h_r, h_s],
-        pool_bcast,
-        move |_, pool: &Arc<TokenPool>| CrossVerifyCo {
-            pool: Arc::clone(pool),
+        pools_bcast,
+        move |_, pools: &Arc<TwoPools>| CrossVerifyCo {
+            pools: Arc::clone(pools),
             verifier: Verifier { measure, theta },
             bitmap,
             local_stats: FilterStats::default(),
@@ -411,6 +463,30 @@ mod tests {
                 a < offset && b >= offset
             })
             .collect()
+    }
+
+    /// The view over both pools answers every id like the concatenated
+    /// pool it replaces, with either side empty too.
+    #[test]
+    fn two_pools_view_matches_the_concatenated_pool() {
+        let (r, s) = rs_corpora(25, 40);
+        let none = Collection::from_pool(Arc::default(), r.token_freqs.clone(), None);
+        for (r, s) in [(&r, &s), (&none, &s), (&r, &none), (&none, &none)] {
+            let view = TwoPools {
+                r: r.share_pool(),
+                s: s.share_pool(),
+                num_r: r.len() as u32,
+            };
+            let concat = TokenPool::concat(r.pool(), s.pool());
+            assert_eq!(concat.len(), r.len() + s.len());
+            for id in 0..concat.len() as u32 {
+                assert_eq!(view.tokens_of(id), concat.tokens_of(id), "id {id}");
+                assert_eq!(view.bitmap_of(id), concat.bitmap_of(id), "id {id}");
+                let record = view.pooled(id);
+                assert_eq!(record.span.len, concat.span_of(id).len);
+                assert_eq!(view.resolve(record), concat.tokens_of(id));
+            }
+        }
     }
 
     #[test]

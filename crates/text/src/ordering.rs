@@ -11,6 +11,7 @@
 //! token counts once per record containing it.
 
 use crate::corpus::RawCorpus;
+use crate::encode::Interned;
 use ssj_common::FxHashMap;
 use ssj_mapreduce::{
     Dataset, Emitter, HashPartitioner, JobMetrics, Mapper, Plan, PlanRunner, Reducer, SumCombiner,
@@ -51,6 +52,24 @@ impl OrderingKind {
             OrderingKind::Lexicographic,
         ]
     }
+
+    /// Sort tokens into this kind's order, given each one's frequency and
+    /// raw id. Ties break by raw id in every kind, so distinct raw ids give
+    /// one total order whatever the sort algorithm.
+    pub(crate) fn sort<T>(
+        self,
+        tokens: &mut [T],
+        freq: impl Fn(&T) -> u64,
+        raw: impl Fn(&T) -> u64,
+    ) {
+        match self {
+            OrderingKind::AscendingFrequency => tokens.sort_unstable_by_key(|t| (freq(t), raw(t))),
+            OrderingKind::DescendingFrequency => {
+                tokens.sort_unstable_by_key(|t| (std::cmp::Reverse(freq(t)), raw(t)))
+            }
+            OrderingKind::Lexicographic => tokens.sort_unstable_by_key(raw),
+        }
+    }
 }
 
 /// The global ordering: a bijection raw id ↔ rank plus the rank-indexed
@@ -74,25 +93,21 @@ impl GlobalOrdering {
     /// Build from `(raw id, frequency)` pairs with an explicit ordering.
     pub fn from_freqs_with(pairs: Vec<(u64, u64)>, kind: OrderingKind) -> Self {
         let mut pairs = pairs;
-        match kind {
-            // Ties by raw id for determinism in every kind.
-            OrderingKind::AscendingFrequency => {
-                pairs.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
-            }
-            OrderingKind::DescendingFrequency => {
-                pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))
-            }
-            OrderingKind::Lexicographic => pairs.sort_unstable_by_key(|a| a.0),
-        }
+        kind.sort(&mut pairs, |p| p.1, |p| p.0);
+        let (raw_of, freqs) = pairs.into_iter().unzip();
+        Self::from_ranked(raw_of, freqs)
+    }
+
+    /// Build from rank-indexed raw ids and frequencies.
+    ///
+    /// # Panics
+    /// Panics when a raw id appears twice.
+    fn from_ranked(raw_of: Vec<u64>, freqs: Vec<u64>) -> Self {
         let mut rank_of = FxHashMap::default();
-        rank_of.reserve(pairs.len());
-        let mut raw_of = Vec::with_capacity(pairs.len());
-        let mut freqs = Vec::with_capacity(pairs.len());
-        for (rank, (raw, f)) in pairs.into_iter().enumerate() {
+        rank_of.reserve(raw_of.len());
+        for (rank, &raw) in raw_of.iter().enumerate() {
             let prev = rank_of.insert(raw, rank as u32);
             assert!(prev.is_none(), "duplicate raw token id {raw}");
-            raw_of.push(raw);
-            freqs.push(f);
         }
         GlobalOrdering {
             rank_of,
@@ -130,20 +145,11 @@ impl GlobalOrdering {
     }
 }
 
-/// Count document frequencies locally and build the ordering.
+/// Count document frequencies locally and build the ordering: the
+/// encoder's intern and rank passes ([`crate::encode`]).
 pub fn compute_ordering_local(corpus: &RawCorpus) -> GlobalOrdering {
-    let mut freqs: FxHashMap<u64, u64> = FxHashMap::default();
-    let mut seen: Vec<u64> = Vec::new();
-    for doc in &corpus.docs {
-        seen.clear();
-        seen.extend_from_slice(doc);
-        seen.sort_unstable();
-        seen.dedup();
-        for &t in &seen {
-            *freqs.entry(t).or_insert(0) += 1;
-        }
-    }
-    GlobalOrdering::from_freqs(freqs.into_iter().collect())
+    let ranking = Interned::corpus(corpus).rank(OrderingKind::AscendingFrequency);
+    GlobalOrdering::from_ranked(ranking.raw_of, ranking.freqs)
 }
 
 /// Mapper of the ordering job: emits `(raw token, 1)` once per distinct

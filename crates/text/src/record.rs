@@ -221,9 +221,10 @@ pub struct Collection {
 
 impl Collection {
     /// Build from owned records. Ids must be dense `0..n` and tokens
-    /// strictly ascending — every ingestion path funnels through this
-    /// check, so malformed input fails with a [`MalformedRecord`] message
-    /// instead of corrupting filters downstream (release builds included).
+    /// strictly ascending — checked here, as [`TokenPool::append`] checks
+    /// the encoder's records, so malformed input fails with a
+    /// [`MalformedRecord`] message instead of corrupting filters downstream
+    /// (release builds included).
     ///
     /// # Panics
     /// Panics on non-dense ids or non-ascending tokens.

@@ -78,6 +78,19 @@ if grep -rnE '\bbench_probe\b|\bBenchReport\b' crates \
     exit 1
 fi
 
+echo "== lint: encode copies nothing =="
+# The encoder reads the raw documents in place and appends each record
+# straight into its collection's pool, and the two-input R×S plan reads R's
+# and S's pools in place. A corpus clone, an owned-record staging vector or
+# a concatenated pool is the copy this gate keeps out (rsjoin.rs's tests
+# may still build one as an oracle).
+if grep -nE 'docs\.clone\(\)|Vec<Record>' crates/text/src/encode.rs \
+    || awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' \
+        crates/core/src/rsjoin.rs | grep -F 'TokenPool::concat'; then
+    echo "copy gate FAILED: corpus clone or owned records in encode.rs, or a concatenated pool in rsjoin.rs" >&2
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 # The root manifest's default-members cover the whole workspace. (`|| exit`:
 # set -e does not stop on the left side of a failing `&&`.)
