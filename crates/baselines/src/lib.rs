@@ -17,6 +17,8 @@
 //! Every baseline is tested for exact agreement with the brute-force
 //! oracle; they are real competitors, not strawmen.
 
+#![forbid(unsafe_code)]
+
 pub mod dedup;
 pub mod massjoin;
 pub mod ridpairs;

@@ -3,6 +3,12 @@
 //! distributions (uniform and skewed), plus allocation counts for the
 //! grouped-value reduce path.
 //!
+//! The merge groups time each loser tree on the same runs: `merge` is the
+//! packed tree on `u64` nodes (`u32` keys), `generic` the by-reference
+//! tree (the same keys behind a newtype, which no packed node accepts),
+//! and `shuffle_merge_pair_keys` the packed tree on `u128` nodes
+//! (`(u32, u32)` keys, the verify job's record pairs).
+//!
 //! Besides throughput, the bench counts heap allocations with a wrapping
 //! global allocator and prints them before Criterion runs: the streaming
 //! grouped path ([`GroupedRuns`]) must perform **zero per-key engine
@@ -118,6 +124,35 @@ fn resort_checksum(runs: &[Vec<(u32, u64)>]) -> u64 {
     let mut all: Vec<(u32, u64)> = runs.iter().flatten().copied().collect();
     all.sort_by_key(|&(key, _)| key);
     checksum(all.into_iter())
+}
+
+/// A `u32` key the merge does not recognise as a primitive, so it plays
+/// on the generic by-reference tree (like MassJoin's compound keys).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct OpaqueKey(u32);
+
+fn opaque_runs(runs: &[Vec<(u32, u64)>]) -> Vec<Vec<(OpaqueKey, u64)>> {
+    runs.iter()
+        .map(|run| run.iter().map(|&(k, v)| (OpaqueKey(k), v)).collect())
+        .collect()
+}
+
+fn generic_merge_checksum(runs: &[Vec<(OpaqueKey, u64)>]) -> u64 {
+    let slices: Vec<&[(OpaqueKey, u64)]> = runs.iter().map(Vec::as_slice).collect();
+    checksum(KWayMerge::new(slices).map(|&(OpaqueKey(k), v)| (k, v)))
+}
+
+/// The same runs with `(u32, u32)` record-pair keys: `(k >> 8, k & 0xff)`
+/// orders like `k`, so the merge does the same work on `u128` nodes.
+fn pair_runs(runs: &[Vec<(u32, u64)>]) -> Vec<Vec<((u32, u32), u64)>> {
+    runs.iter()
+        .map(|run| run.iter().map(|&(k, v)| ((k >> 8, k & 0xff), v)).collect())
+        .collect()
+}
+
+fn pair_merge_checksum(runs: &[Vec<((u32, u32), u64)>]) -> u64 {
+    let slices: Vec<&[((u32, u32), u64)]> = runs.iter().map(Vec::as_slice).collect();
+    checksum(KWayMerge::new(slices).map(|&((hi, lo), v)| ((hi << 8) | lo, v)))
 }
 
 /// Streaming grouped reduce: fold each group's values without any per-key
@@ -289,9 +324,25 @@ fn bench_merge_vs_resort(c: &mut Criterion) {
             g.bench_function(format!("resort/k{k}"), |bench| {
                 bench.iter(|| resort_checksum(black_box(&runs)))
             });
+            let opaque = opaque_runs(&runs);
+            assert_eq!(generic_merge_checksum(&opaque), resort_checksum(&runs));
+            g.bench_function(format!("generic/k{k}"), |bench| {
+                bench.iter(|| generic_merge_checksum(black_box(&opaque)))
+            });
         }
         g.finish();
     }
+    let mut g = c.benchmark_group("shuffle_merge_pair_keys");
+    g.sample_size(15);
+    for k in [8usize, 64] {
+        let runs = make_runs(k, TOTAL, KeyDist::Uniform, 42 + k as u64);
+        let pairs = pair_runs(&runs);
+        assert_eq!(pair_merge_checksum(&pairs), resort_checksum(&runs));
+        g.bench_function(format!("merge/k{k}"), |bench| {
+            bench.iter(|| pair_merge_checksum(black_box(&pairs)))
+        });
+    }
+    g.finish();
 }
 
 fn bench_grouped_paths(c: &mut Criterion) {

@@ -15,6 +15,8 @@
 //! per-job shuffle accounting, and their invariance across worker counts,
 //! plan modes and injected faults.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod experiments;
 pub mod report;

@@ -13,6 +13,8 @@
 //! * [`table`] — minimal markdown / TSV table rendering for experiment
 //!   reports (we do not depend on serde_json).
 
+#![forbid(unsafe_code)]
+
 pub mod bytesize;
 pub mod hash;
 pub mod stats;

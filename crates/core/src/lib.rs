@@ -43,6 +43,8 @@
 //! assert_eq!(result.pairs[0].ids(), (0, 1));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cell_index;
 pub mod config;
 pub mod cost;

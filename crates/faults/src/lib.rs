@@ -24,6 +24,8 @@
 //! speculative backup copies, node-loss re-runs) in its `sim_faults`
 //! module.
 
+#![forbid(unsafe_code)]
+
 pub mod rng;
 
 use rng::{hash_str, SplitMix64};

@@ -65,6 +65,8 @@
 //! assert_eq!(metrics.map_output_records(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod dataset;
 pub mod emitter;

@@ -24,18 +24,24 @@
 //! Nearly every key this engine actually shuffles is a small integer:
 //! `u32` cell ids in the filter job, `(u32, u32)` record pairs in the
 //! verification job and the baselines, `u64` token ranks in the ordering
-//! job. For those, the merge dispatches (by `TypeId`, the same trick the
-//! standard library uses to specialise sorts for primitives) to a
-//! tournament whose nodes hold the key and the run index embedded in one
-//! wide integer, ordered exactly like `(key, run)` — so a tournament
-//! match is a single integer compare with no pointer chasing, no `Option`
-//! tag, and no separate tie-break, and the winner/loser exchange lowers
-//! to conditional moves. Exhausted runs are encoded as sentinels above
-//! every real packed value (still ordered by run index among themselves).
-//! Any other key type takes the generic by-reference tree below, which
-//! preserves identical semantics.
+//! job. For those, [`KWayMerge::new`] picks (by `TypeId` equality, the
+//! same test the standard library uses to specialise sorts for
+//! primitives) a tournament whose nodes hold the key and the run index
+//! embedded in one wide integer, ordered exactly like `(key, run)`: `u64`
+//! nodes for `u32` keys, `u128` nodes for `u64` and `(u32, u32)` keys.
+//! A tournament match is then a single integer compare with no pointer
+//! chasing, no `Option` tag and no separate tie-break, and the
+//! winner/loser exchange lowers to conditional moves. The tree stays
+//! generic over the caller's key type: a node reads its key through
+//! `Any::downcast_ref`, which is resolved per key type at compile time to
+//! a plain load, so the dispatch needs no cast and no `unsafe`. Each run's
+//! next node is read one pop ahead, so a cache miss on run data overlaps
+//! other runs' pops instead of stalling the tree walk. Exhausted runs are
+//! encoded as sentinels above every real packed value (still ordered by
+//! run index among themselves). Any other key type takes the generic
+//! by-reference tree below, which preserves identical semantics.
 
-use std::any::TypeId;
+use std::any::{Any, TypeId};
 
 // ---- Generic by-reference loser tree ---------------------------------------
 
@@ -122,10 +128,7 @@ impl<'r, K: Ord, V> RefTree<'r, K, V> {
         let mut cur = self.tree[0];
         let mut node = (k + cur.run as usize) / 2;
         while node > 0 {
-            // SAFETY: `cur.run < k` by construction, so `node` starts at
-            // `(k + cur.run) / 2 < k` and halves each step — always in
-            // bounds of `tree` (length `k`).
-            let slot = unsafe { self.tree.get_unchecked_mut(node) };
+            let slot = &mut self.tree[node];
             // Whether the stored loser beats the climber is a coin flip on
             // random data; express the winner/loser exchange as value
             // selects (conditional moves) rather than a branched swap so
@@ -144,12 +147,9 @@ impl<'r, K: Ord, V> RefTree<'r, K, V> {
         // Winner key `None` ⇒ every run is exhausted (or there are none).
         self.tree[0].key?;
         let w = self.tree[0].run as usize;
-        // SAFETY: every contender's `run` is < `heads.len()` by
-        // construction (leaves are built from `0..k`).
-        let head = unsafe { self.heads.get_unchecked_mut(w) };
+        let head = &mut self.heads[w];
         let (item, rest) = head.split_first()?;
         *head = rest;
-        prefetch_run(rest);
         match rest.first() {
             // Winner stays when the next key equals the yielded key: the
             // new head compares identically (same key value, same run
@@ -167,41 +167,30 @@ impl<'r, K: Ord, V> RefTree<'r, K, V> {
     }
 }
 
-/// Hint the next line of a run's stream into cache: its elements are
-/// consumed again only after ~k other pops, so the hardware prefetcher
-/// (which tracks few streams) misses this pattern at large k. Prefetch is
-/// advisory — an address past the run's end is harmless.
-#[inline]
-fn prefetch_run<T>(rest: &[T]) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch((rest.as_ptr() as usize + 64) as *const i8, _MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = rest;
-}
+// ---- Packed integer-key tree ----------------------------------------------
 
-// ---- Packed integer-key fast path ------------------------------------------
-
-/// Keys with an order-preserving embedding into a wide integer alongside
-/// the run index: `pack(a, i) < pack(b, j)` iff `(a, i) < (b, j)`
-/// lexicographically, and [`Pack::exhausted`] sentinels sort above every
+/// A packed tournament node: a key and its run index embedded in one wide
+/// integer so that `pack(a, i) < pack(b, j)` iff `(a, i) < (b, j)`
+/// lexicographically, and [`Node::exhausted`] sentinels sort above every
 /// packed value (increasing in run index, preserving the exhausted-run
 /// tie-break of the generic tree).
-trait Pack: Copy + Ord + 'static {
-    type P: Copy + Ord;
-    fn pack(self, run: u32) -> Self::P;
-    fn exhausted(run: u32, k: u32) -> Self::P;
+trait Node: Copy + Ord {
+    /// Pack run `run`'s head key. `K` is one of the key types
+    /// [`KWayMerge::new`] assigns to this node width; the downcast is
+    /// decided per `K` at compile time, leaving one load.
+    fn pack<K: 'static>(key: &K, run: u32) -> Self;
+    fn exhausted(run: u32, k: u32) -> Self;
     /// The run index of a (non-exhausted) packed value.
-    fn run_of(p: Self::P) -> u32;
+    fn run_of(self) -> u32;
 }
 
-impl Pack for u32 {
-    type P = u64;
+/// `u32` keys: the key in the high half, the run in the low half.
+impl Node for u64 {
     #[inline]
-    fn pack(self, run: u32) -> u64 {
-        (u64::from(self) << 32) | u64::from(run)
+    fn pack<K: 'static>(key: &K, run: u32) -> u64 {
+        let key = (key as &dyn Any).downcast_ref::<u32>();
+        let key = *key.expect("u64 nodes pack u32 keys");
+        (u64::from(key) << 32) | u64::from(run)
     }
     #[inline]
     fn exhausted(run: u32, k: u32) -> u64 {
@@ -211,32 +200,24 @@ impl Pack for u32 {
         u64::MAX - u64::from(k - 1 - run)
     }
     #[inline]
-    fn run_of(p: u64) -> u32 {
-        p as u32
+    fn run_of(self) -> u32 {
+        self as u32
     }
 }
 
-impl Pack for u64 {
-    type P = u128;
+/// `u64` and `(u32, u32)` keys: the key (a pair as `hi << 32 | lo`, which
+/// orders like the tuple) in the high half, the run in the low half.
+impl Node for u128 {
     #[inline]
-    fn pack(self, run: u32) -> u128 {
-        (u128::from(self) << 64) | u128::from(run)
-    }
-    #[inline]
-    fn exhausted(run: u32, k: u32) -> u128 {
-        u128::MAX - u128::from(k - 1 - run)
-    }
-    #[inline]
-    fn run_of(p: u128) -> u32 {
-        p as u32
-    }
-}
-
-impl Pack for (u32, u32) {
-    type P = u128;
-    #[inline]
-    fn pack(self, run: u32) -> u128 {
-        let key = (u64::from(self.0) << 32) | u64::from(self.1);
+    fn pack<K: 'static>(key: &K, run: u32) -> u128 {
+        let key = key as &dyn Any;
+        let key = if let Some(&rank) = key.downcast_ref::<u64>() {
+            rank
+        } else if let Some(&(a, b)) = key.downcast_ref::<(u32, u32)>() {
+            (u64::from(a) << 32) | u64::from(b)
+        } else {
+            unreachable!("u128 nodes pack u64 and (u32, u32) keys")
+        };
         (u128::from(key) << 64) | u128::from(run)
     }
     #[inline]
@@ -244,36 +225,47 @@ impl Pack for (u32, u32) {
         u128::MAX - u128::from(k - 1 - run)
     }
     #[inline]
-    fn run_of(p: u128) -> u32 {
-        p as u32
+    fn run_of(self) -> u32 {
+        self as u32
     }
 }
 
-/// Loser tree whose nodes are packed `(key, run)` integers: one compare
-/// per tournament match, conditional-move exchanges, keys re-read from
-/// run data only on advance.
-struct PackedTree<'r, KC: Pack, V> {
-    heads: Vec<&'r [(KC, V)]>,
-    /// `tree[0]` = winner; `tree[1..k]` = losers, as packed integers.
-    tree: Vec<KC::P>,
-    /// Smallest exhausted sentinel: a winner at or above it means done.
-    exhaust_min: KC::P,
+/// `pair` packed as run `run`'s node, or the run's exhausted sentinel.
+#[inline]
+fn node_of<K: 'static, V, P: Node>(pair: Option<&(K, V)>, run: u32, k: u32) -> P {
+    match pair {
+        Some(pair) => P::pack(&pair.0, run),
+        None => P::exhausted(run, k),
+    }
 }
 
-impl<'r, KC: Pack, V> PackedTree<'r, KC, V> {
-    fn new(runs: Vec<&'r [(KC, V)]>) -> Self {
+/// Loser tree whose nodes are packed `(key, run)` integers `P`: one
+/// compare per tournament match, conditional-move exchanges, keys re-read
+/// from run data only on advance.
+struct PackedTree<'r, K, V, P> {
+    heads: Vec<&'r [(K, V)]>,
+    /// `tree[0]` = winner; `tree[1..k]` = losers, as packed integers.
+    tree: Vec<P>,
+    /// Smallest exhausted sentinel: a winner at or above it means done.
+    exhaust_min: P,
+    /// `ahead[j]` = run `j`'s second element as a node: its head after
+    /// the next pop. Run `j` is read again only after ~k other pops, so
+    /// its next element is often a cache miss; loading it one pop early
+    /// keeps that miss off the tree walk's dependency chain.
+    ahead: Vec<P>,
+}
+
+impl<'r, K: 'static, V, P: Node> PackedTree<'r, K, V, P> {
+    fn new(runs: Vec<&'r [(K, V)]>) -> Self {
         let k = runs.len();
         assert!(k < (1 << 31), "too many runs for the packed tie-break");
         let kk = k.max(1) as u32;
-        let exhaust_min = KC::exhausted(0, kk);
+        let exhaust_min = P::exhausted(0, kk);
         let mut tree = vec![exhaust_min; k.max(1)];
         if k > 0 {
             let mut winners = vec![exhaust_min; 2 * k];
             for (j, slot) in winners[k..].iter_mut().enumerate() {
-                *slot = match runs[j].first() {
-                    Some(pair) => pair.0.pack(j as u32),
-                    None => KC::exhausted(j as u32, kk),
-                };
+                *slot = node_of(runs[j].first(), j as u32, kk);
             }
             for node in (1..k).rev() {
                 let (a, b) = (winners[2 * node], winners[2 * node + 1]);
@@ -289,30 +281,30 @@ impl<'r, KC: Pack, V> PackedTree<'r, KC, V> {
             }
             tree[0] = winners[1];
         }
+        let ahead = (0..k)
+            .map(|j| node_of(runs[j].get(1), j as u32, kk))
+            .collect();
         PackedTree {
             heads: runs,
             tree,
             exhaust_min,
+            ahead,
         }
     }
 
     #[inline]
-    fn next(&mut self) -> Option<(u32, &'r (KC, V))> {
+    fn next(&mut self) -> Option<(u32, &'r (K, V))> {
         let top = self.tree[0];
         if top >= self.exhaust_min {
             return None;
         }
-        let w = KC::run_of(top);
-        // SAFETY: packed run indices are < `heads.len()` by construction.
-        let head = unsafe { self.heads.get_unchecked_mut(w as usize) };
+        let w = top.run_of();
+        let head = &mut self.heads[w as usize];
         let (item, rest) = head.split_first()?;
         *head = rest;
-        prefetch_run(rest);
         let k = self.heads.len();
-        let cur = match rest.first() {
-            Some(pair) => pair.0.pack(w),
-            None => KC::exhausted(w, k as u32),
-        };
+        let next = &mut self.ahead[w as usize];
+        let cur = std::mem::replace(next, node_of(rest.get(1), w, k as u32));
         if cur == top {
             // Winner stays: same key, same run — the tournament cannot
             // change, and `tree[0]` already holds this packed value.
@@ -321,8 +313,7 @@ impl<'r, KC: Pack, V> PackedTree<'r, KC, V> {
         let mut cur = cur;
         let mut node = (k + w as usize) / 2;
         while node > 0 {
-            // SAFETY: `w < k`, so `node < k` and halves each step.
-            let slot = unsafe { self.tree.get_unchecked_mut(node) };
+            let slot = &mut self.tree[node];
             let other = *slot;
             let other_wins = other < cur;
             *slot = if other_wins { cur } else { other };
@@ -339,31 +330,11 @@ impl<'r, KC: Pack, V> PackedTree<'r, KC, V> {
 enum Inner<'r, K, V> {
     /// Generic by-reference tree: any `Ord` key.
     ByRef(RefTree<'r, K, V>),
-    /// Packed trees, constructed only when `K` *is* the concrete type.
-    U32(PackedTree<'r, u32, V>),
-    U64(PackedTree<'r, u64, V>),
-    PairU32(PackedTree<'r, (u32, u32), V>),
-}
-
-/// Reinterpret the run vector's key type. The cast is an identity:
-///
-/// # Safety
-/// The caller must have proven `K` and `KC` are the same type (via
-/// `TypeId` equality), making `(K, V)` and `(KC, V)` the same type.
-unsafe fn cast_runs<'r, K: 'static, KC: 'static, V>(runs: Vec<&'r [(K, V)]>) -> Vec<&'r [(KC, V)]> {
-    debug_assert_eq!(TypeId::of::<K>(), TypeId::of::<KC>());
-    let mut runs = std::mem::ManuallyDrop::new(runs);
-    let (ptr, len, cap) = (runs.as_mut_ptr(), runs.len(), runs.capacity());
-    Vec::from_raw_parts(ptr as *mut &'r [(KC, V)], len, cap)
-}
-
-/// Reinterpret a yielded pair back to the caller's key type.
-///
-/// # Safety
-/// Same precondition as [`cast_runs`]: `K` and `KC` are the same type.
-#[inline]
-unsafe fn cast_pair<KC, K, V>(pair: &(KC, V)) -> &(K, V) {
-    &*(pair as *const (KC, V) as *const (K, V))
+    /// Packed trees over the caller's own `K`, constructed only for the
+    /// key types their [`Node`] packs: `u32` keys in `u64` nodes, `u64`
+    /// and `(u32, u32)` keys in `u128` nodes.
+    Packed64(PackedTree<'r, K, V, u64>),
+    Packed128(PackedTree<'r, K, V, u128>),
 }
 
 /// Streaming k-way merge of sorted `(key, value)` runs.
@@ -372,13 +343,18 @@ unsafe fn cast_pair<KC, K, V>(pair: &(KC, V)) -> &(K, V) {
 /// run order (see the module docs for why that reproduces the stable
 /// sort). Implemented as a **loser tree** (tournament tree of run
 /// cursors): exactly `⌈log₂ k⌉` comparisons per element — half of what a
-/// binary heap's pop + push costs — with a packed-integer fast path for
-/// the engine's primitive key types (module docs) and a winner-stays
-/// shortcut that skips the tree walk entirely when a run's next key
-/// equals the key it just yielded (the new head beats exactly the
-/// opponents the old head beat, tie-break included), which makes
-/// duplicate-heavy groups — the common shape of combined shuffle runs —
-/// nearly comparison-free.
+/// binary heap's pop + push costs — with a winner-stays shortcut that
+/// skips the tree walk entirely when a run's next key equals the key it
+/// just yielded (the new head beats exactly the opponents the old head
+/// beat, tie-break included), which makes duplicate-heavy groups — the
+/// common shape of combined shuffle runs — nearly comparison-free.
+///
+/// `new` picks the tree once, by `TypeId`: `u32` keys play on packed
+/// `u64` nodes, `u64` and `(u32, u32)` keys on packed `u128` nodes (module
+/// docs), every other key on by-reference nodes. All three trees hold
+/// the runs as the caller's `&[(K, V)]` and yield references into them;
+/// the packed trees read keys through `Any::downcast_ref`, so the crate
+/// forbids `unsafe`.
 pub struct KWayMerge<'r, K, V> {
     inner: Inner<'r, K, V>,
     /// Element count at build time (the run suffixes shrink as the merge
@@ -395,14 +371,10 @@ impl<'r, K: Ord + 'static, V> KWayMerge<'r, K, V> {
             .all(|run| run.windows(2).all(|w| w[0].0 <= w[1].0)));
         let total = runs.iter().map(|r| r.len()).sum();
         let key = TypeId::of::<K>();
-        // SAFETY (all three arms): the packed variant is chosen only when
-        // `TypeId` proves `K` is that exact type, so the cast is identity.
         let inner = if key == TypeId::of::<u32>() {
-            Inner::U32(PackedTree::new(unsafe { cast_runs(runs) }))
-        } else if key == TypeId::of::<u64>() {
-            Inner::U64(PackedTree::new(unsafe { cast_runs(runs) }))
-        } else if key == TypeId::of::<(u32, u32)>() {
-            Inner::PairU32(PackedTree::new(unsafe { cast_runs(runs) }))
+            Inner::Packed64(PackedTree::new(runs))
+        } else if key == TypeId::of::<u64>() || key == TypeId::of::<(u32, u32)>() {
+            Inner::Packed128(PackedTree::new(runs))
         } else {
             Inner::ByRef(RefTree::new(runs))
         };
@@ -413,9 +385,7 @@ impl<'r, K: Ord + 'static, V> KWayMerge<'r, K, V> {
     pub fn total_len(&self) -> usize {
         self.total
     }
-}
 
-impl<'r, K: Ord, V> KWayMerge<'r, K, V> {
     /// Like `Iterator::next`, but also reports **which run** (by
     /// registration index) supplied the yielded pair — the hook the
     /// multi-source co-group plane uses to recover a value's side tag
@@ -424,28 +394,18 @@ impl<'r, K: Ord, V> KWayMerge<'r, K, V> {
     pub fn next_with_run(&mut self) -> Option<(u32, &'r (K, V))> {
         match &mut self.inner {
             Inner::ByRef(tree) => tree.next(),
-            // SAFETY: these variants exist only when `K` is the matching
-            // concrete type (see `new`).
-            Inner::U32(tree) => tree.next().map(|(w, p)| (w, unsafe { cast_pair(p) })),
-            Inner::U64(tree) => tree.next().map(|(w, p)| (w, unsafe { cast_pair(p) })),
-            Inner::PairU32(tree) => tree.next().map(|(w, p)| (w, unsafe { cast_pair(p) })),
+            Inner::Packed64(tree) => tree.next(),
+            Inner::Packed128(tree) => tree.next(),
         }
     }
 }
 
-impl<'r, K: Ord, V> Iterator for KWayMerge<'r, K, V> {
+impl<'r, K: Ord + 'static, V> Iterator for KWayMerge<'r, K, V> {
     type Item = &'r (K, V);
 
     #[inline]
     fn next(&mut self) -> Option<&'r (K, V)> {
-        match &mut self.inner {
-            Inner::ByRef(tree) => tree.next().map(|(_, p)| p),
-            // SAFETY: these variants exist only when `K` is the matching
-            // concrete type (see `new`).
-            Inner::U32(tree) => tree.next().map(|(_, p)| unsafe { cast_pair(p) }),
-            Inner::U64(tree) => tree.next().map(|(_, p)| unsafe { cast_pair(p) }),
-            Inner::PairU32(tree) => tree.next().map(|(_, p)| unsafe { cast_pair(p) }),
-        }
+        self.next_with_run().map(|(_, pair)| pair)
     }
 }
 
@@ -471,7 +431,7 @@ impl<'m, 'r, K: Ord, V> GroupValues<'m, 'r, K, V> {
     }
 }
 
-impl<'m, 'r, K: Ord, V> Iterator for GroupValues<'m, 'r, K, V> {
+impl<'m, 'r, K: Ord + 'static, V> Iterator for GroupValues<'m, 'r, K, V> {
     type Item = &'r V;
 
     fn next(&mut self) -> Option<&'r V> {
@@ -562,7 +522,7 @@ impl<'m, 'r, K: Ord, V> SideGroups<'m, 'r, K, V> {
     }
 }
 
-impl<'m, 'r, K: Ord, V> Iterator for SideGroups<'m, 'r, K, V> {
+impl<'m, 'r, K: Ord + 'static, V> Iterator for SideGroups<'m, 'r, K, V> {
     type Item = (u32, &'r V);
 
     fn next(&mut self) -> Option<(u32, &'r V)> {
@@ -687,9 +647,9 @@ mod tests {
     }
 
     #[test]
-    fn generic_path_matches_packed_path() {
-        // String keys exercise the by-reference tree; the same data as
-        // u32 keys exercises the packed tree. Orders must agree.
+    fn string_keys_drain_in_run_order() {
+        // String keys take the by-reference tree; equal keys must drain in
+        // run order exactly as the integer keys of the tests above do.
         let s0 = [("b".to_string(), 1u32), ("d".to_string(), 2)];
         let s1 = [("a".to_string(), 3), ("b".to_string(), 4)];
         let merged: Vec<(String, u32)> = KWayMerge::new(vec![&s0[..], &s1[..]])
@@ -707,9 +667,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_pair_keys_drain_in_run_order() {
-        // (u32, u32) keys take the u128-packed path; the equal-key
-        // run-order contract must hold there too.
+    fn pair_keys_drain_in_run_order() {
+        // (u32, u32) keys take the u128 nodes; the equal-key run-order
+        // contract must hold there too.
         let r0 = [((1u32, 2u32), 10u32), ((3, 0), 11)];
         let r1 = [((1, 2), 20), ((2, 9), 21)];
         let merged: Vec<((u32, u32), u32)> = KWayMerge::new(vec![&r0[..], &r1[..]])
@@ -722,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_u64_keys_merge_and_exhaust() {
+    fn max_u64_keys_merge_and_exhaust() {
         let r0 = [(u64::MAX, 1u32)];
         let r1 = [(0u64, 2), (u64::MAX, 3)];
         let merged: Vec<(u64, u32)> = KWayMerge::new(vec![&r0[..], &r1[..]])
@@ -732,7 +692,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_extreme_key_values_stay_below_sentinels() {
+    fn max_u32_keys_drain_before_exhausted_runs() {
         // u32::MAX keys must still sort below exhausted-run sentinels.
         let r0 = [(u32::MAX, 1u32), (u32::MAX, 2)];
         let r1 = [(0u32, 0)];
@@ -742,6 +702,29 @@ mod tests {
             drain(m),
             vec![(0, 0), (u32::MAX, 1), (u32::MAX, 2), (u32::MAX, 3)]
         );
+    }
+
+    #[test]
+    fn nodes_order_like_key_then_run_below_ordered_sentinels() {
+        // The `Node` contract at the ends of every key range: packs order
+        // like `(key, run)`, and the exhausted sentinels sit above every
+        // pack, strictly increasing in run. (Merge output alone cannot see
+        // the sentinel order: a winning sentinel ends the merge either way.)
+        fn check<K: 'static, N: Node + std::fmt::Debug>(ascending: &[(K, u32)]) {
+            let k = 3;
+            let packs: Vec<N> = ascending
+                .iter()
+                .map(|(key, run)| N::pack(key, *run))
+                .collect();
+            assert!(packs.windows(2).all(|w| w[0] < w[1]), "{packs:?}");
+            let sentinels: Vec<N> = (0..k).map(|run| N::exhausted(run, k)).collect();
+            assert!(sentinels.windows(2).all(|w| w[0] < w[1]), "{sentinels:?}");
+            assert!(packs.iter().all(|p| *p < sentinels[0] && p.run_of() < k));
+        }
+        check::<u32, u64>(&[(0, 0), (0, 2), (u32::MAX, 0), (u32::MAX, 2)]);
+        check::<u64, u128>(&[(0, 1), (u64::MAX, 0), (u64::MAX, 2)]);
+        let max = (u32::MAX, u32::MAX);
+        check::<(u32, u32), u128>(&[((0, u32::MAX), 2), ((1, 0), 0), (max, 0), (max, 2)]);
     }
 
     #[test]

@@ -209,6 +209,34 @@ proptest! {
         prop_assert_eq!(merged, all);
     }
 
+    /// Same contract for `u64` keys — the ordering job's token ranks, on
+    /// `u128` nodes. Keys come from both ends of the range, `u64::MAX`
+    /// included, so a real key shares its high half with the
+    /// exhausted-run sentinels.
+    #[test]
+    fn merge_equals_concat_stable_sort_u64_keys(
+        runs in prop::collection::vec(
+            prop::collection::vec(
+                (
+                    prop::sample::select(vec![0u64, 1, 2, u64::MAX - 2, u64::MAX - 1, u64::MAX]),
+                    0u32..1000,
+                ),
+                0..40,
+            )
+            .prop_map(|mut run| {
+                run.sort_by_key(|&(k, _)| k);
+                run
+            }),
+            0..8,
+        )
+    ) {
+        let slices: Vec<&[(u64, u32)]> = runs.iter().map(Vec::as_slice).collect();
+        let merged: Vec<(u64, u32)> = KWayMerge::new(slices).copied().collect();
+        let mut all: Vec<(u64, u32)> = runs.iter().flatten().copied().collect();
+        all.sort_by_key(|a| a.0);
+        prop_assert_eq!(merged, all);
+    }
+
     /// Groups arrive whole even when the consumer reads only a prefix of
     /// each group's values (the engine must drain the remainder).
     #[test]

@@ -23,6 +23,8 @@
 //! `{"traceEvents": [...]}` JSON document; the JSON writer is hand-rolled
 //! in [`json`] because the build environment is offline.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod json;
 pub mod log;

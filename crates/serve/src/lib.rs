@@ -47,6 +47,8 @@
 //! # let _ = hits;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod config;
 mod delta;

@@ -22,6 +22,8 @@
 //!   (with the position filter) is also what RIDPairsPPJoin runs inside its
 //!   reducers (paper §II-C).
 
+#![forbid(unsafe_code)]
+
 pub mod allpairs;
 pub mod bitmap;
 pub mod index;

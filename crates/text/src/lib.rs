@@ -21,6 +21,8 @@
 //!   per-dataset length profiles (Email / PubMed / Wiki analogues, paper
 //!   Table III) and planted near-duplicate clusters.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod encode;
 pub mod gen;

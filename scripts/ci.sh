@@ -21,6 +21,21 @@ cargo fmt --check
 echo "== lint: clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
 
+echo "== lint: every library crate forbids unsafe =="
+# The compiler, not a grep, keeps `unsafe` out of the library crates: each
+# crate root carries #![forbid(unsafe_code)], which no inner #[allow] can
+# lift. This gate keeps a new crate from opting out silently.
+missing=0
+for root in src/lib.rs crates/*/src/lib.rs; do
+    if ! grep -qx '#!\[forbid(unsafe_code)\]' "$root"; then
+        echo "unsafe gate FAILED: $root lacks #![forbid(unsafe_code)]" >&2
+        missing=1
+    fi
+done
+if [[ "$missing" != 0 ]]; then
+    exit 1
+fi
+
 echo "== lint: threshold verify sites go through ssj_similarity::verify =="
 # Deciding sim >= theta from two whole records is the Verifier cascade's
 # job (alpha -> bitmap bound -> early-exit intersection -> score). A full

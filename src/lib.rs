@@ -5,6 +5,8 @@
 //! have a single import root. Library users should depend on the
 //! individual crates ([`fsjoin`], [`ssj_text`], …) directly.
 
+#![forbid(unsafe_code)]
+
 pub use fsjoin;
 pub use ssj_baselines as baselines;
 pub use ssj_common as common;
