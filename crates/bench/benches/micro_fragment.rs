@@ -20,6 +20,11 @@
 //! pair; kept here as the baseline) against the length-windowed columnar
 //! [`CellIndex`] probe, asserting that both let the same pairs through.
 //!
+//! The `sweep` group times the Sweep kernel's map-side step over the
+//! 7k-record WikiLike corpus: every record's StrL window, swept through
+//! scope and the signature (`fsjoin::sweep::Sweep::sweep`). It prints ns
+//! per swept `(record, partner)` visit and the visits swept.
+//!
 //! Numbers are recorded in `results/columnar.md`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -30,6 +35,7 @@ use fsjoin::fragment::{
     PairScope,
 };
 use fsjoin::horizontal::JoinRule;
+use fsjoin::sweep::{Sweep, SweepStats};
 use fsjoin::vertical::split_record;
 use fsjoin::{FilterSet, FilterStats};
 use ssj_common::FxHashMap;
@@ -592,10 +598,77 @@ fn bench_fragment_signature(c: &mut Criterion) {
     g.finish();
 }
 
+// ---- Map-side signature sweep ----------------------------------------------
+
+/// Sweep every record of `sweep`'s corpus, as the Sweep kernel's map tasks
+/// do between them; returns the surviving `(record, partner)` visits.
+fn sweep_all(sweep: &Sweep, records: u32, stats: &mut SweepStats) -> usize {
+    let mut survivors = Vec::new();
+    for rid in 0..records {
+        if let Some(row) = sweep.position(rid) {
+            sweep.sweep(row, &mut survivors, stats);
+        }
+    }
+    survivors.len()
+}
+
+/// The Sweep kernel's record-level step alone on the 7k-record WikiLike
+/// corpus at the default configuration: ns per swept `(record, partner)`
+/// visit and visits swept (each unordered pair twice).
+fn bench_sweep(c: &mut Criterion) {
+    let collection = encode(
+        &CorpusProfile::WikiLike
+            .config()
+            .with_records(7_000)
+            .generate(),
+    );
+    let cfg = fsjoin::FsJoinConfig::default().with_theta(0.8);
+    let pivots = fsjoin::pivots::select_pivots(
+        &collection.token_freqs,
+        cfg.num_fragments - 1,
+        cfg.pivot_strategy,
+        cfg.seed,
+    );
+    let h_pivots =
+        fsjoin::horizontal::select_h_pivots(collection.pool().lengths(), cfg.horizontal_pivots);
+    let sweep = Sweep::new(
+        collection.pool(),
+        collection.len(),
+        PairScope::SelfJoin,
+        &pivots,
+        &h_pivots,
+        &cfg,
+    );
+    let records = collection.len() as u32;
+    let mut stats = SweepStats::default();
+    let survivors = sweep_all(&sweep, records, &mut stats);
+    assert_eq!(stats.unaccounted(), 0);
+    assert_eq!(survivors as u64, stats.survivors);
+    let ns = best_of_five(|| {
+        black_box(sweep_all(&sweep, records, &mut SweepStats::default()));
+    });
+    println!(
+        "sweep-report: records={records} pairs_swept={} bitmap_pruned={} survivors={} \
+         ns_per_pair={:.2} total_ms={:.2}",
+        stats.swept,
+        stats.bitmap_pruned,
+        stats.survivors,
+        ns / stats.swept as f64,
+        ns / 1e6,
+    );
+    let mut g = c.benchmark_group("sweep");
+    g.sample_size(10);
+    g.bench_function("wiki_7k", |bench| {
+        bench.iter(|| sweep_all(&sweep, records, &mut SweepStats::default()))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_segment_construction,
     bench_fragment_kernel,
-    bench_fragment_signature
+    bench_fragment_signature,
+    bench_sweep
 );
 criterion_main!(benches);

@@ -312,13 +312,17 @@ fn parse_metrics(doc: &str) -> Vec<(String, Metric)> {
 }
 
 /// Print every `FilterStats` counter (`fsjoin.filter.*`, `fsjoin.kernel.*`)
-/// the dump holds, summed over the runs that recorded into it: what the
-/// discovery step looked at (`pairs_considered`), what the length window
-/// let it skip (`window_skipped`, in postings) and where the pairs ended.
+/// and `SweepStats` counter (`fsjoin.sweep.*`) the dump holds, summed over
+/// the runs that recorded into it: what the discovery step looked at
+/// (`pairs_considered`), what the length window let it skip
+/// (`window_skipped`, in postings), where the pairs ended, and what the
+/// Sweep kernel swept, listed and shipped map-side.
 fn print_filter_counters(metrics: &[(String, Metric)]) {
-    let rows: Vec<(&str, f64)> = fsjoin::FilterStats::default()
-        .fields()
+    let filter = fsjoin::FilterStats::default().fields();
+    let sweep = fsjoin::SweepStats::default().fields();
+    let rows: Vec<(&str, f64)> = filter
         .iter()
+        .chain(&sweep)
         .filter_map(|&(name, _)| match metrics.iter().find(|(n, _)| n == name) {
             Some((_, Metric::Counter(c))) => Some((name, *c)),
             _ => None,

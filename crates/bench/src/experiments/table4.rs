@@ -111,9 +111,11 @@ pub fn run() -> String {
     ]);
     for profile in CorpusProfile::all() {
         let c = corpus(profile, Scale::Small);
-        // The paper's filters, as in its Table IV: no signature step.
+        // The paper's filters and kernel, as in its Table IV: no
+        // signature step.
         let exact_cfg = FsJoinConfig::default()
             .with_theta(0.8)
+            .with_kernel(JoinKernel::Prefix)
             .with_bitmap_prune(false);
         let pbo_cfg = exact_cfg
             .clone()

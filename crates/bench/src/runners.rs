@@ -86,6 +86,9 @@ pub struct RunOutcome {
     pub duplication: f64,
     /// Max/mean skew of reduce-task input bytes of the first job.
     pub reduce_skew: f64,
+    /// Partner ids the first job shipped beside its records, 4 bytes each
+    /// (FS-Join's Sweep kernel lists each segment's partners; 0 elsewhere).
+    pub listed_partners: u64,
     /// Full per-job metrics when the run completed.
     pub chain: Option<ChainMetrics>,
 }
@@ -114,6 +117,7 @@ impl RunOutcome {
             shuffle_bytes: 0,
             duplication: f64::NAN,
             reduce_skew: f64::NAN,
+            listed_partners: 0,
             chain: None,
         }
     }
@@ -169,6 +173,7 @@ impl RunOutcome {
             shuffle_bytes: chain.total_shuffle_bytes(),
             duplication: first.byte_expansion(),
             reduce_skew: first.reduce_input_balance().skew,
+            listed_partners: 0,
             chain: Some(chain),
         }
     }
@@ -220,14 +225,17 @@ pub fn run_algorithm_cfg(
                 cfg = cfg.with_horizontal(0);
             }
             let res = fsjoin::run_self_join(collection, &cfg);
-            RunOutcome::from_chain_with_deps(
-                algo.name(),
-                res.pairs.len(),
-                start.elapsed().as_secs_f64(),
-                res.chain,
-                &cluster,
-                Some(("fsjoin", &res.deps)),
-            )
+            RunOutcome {
+                listed_partners: res.sweep_stats.listed,
+                ..RunOutcome::from_chain_with_deps(
+                    algo.name(),
+                    res.pairs.len(),
+                    start.elapsed().as_secs_f64(),
+                    res.chain,
+                    &cluster,
+                    Some(("fsjoin", &res.deps)),
+                )
+            }
         }
         Algorithm::RidPairs => {
             let res = ridpairs_ppjoin(collection, measure, theta, &base_cfg);

@@ -8,7 +8,7 @@
 //! therefore fails here. An intended change updates the literals in the
 //! same commit.
 
-use fsjoin::{FilterStats, FsJoinConfig, FsJoinResult};
+use fsjoin::{FilterStats, FsJoinConfig, FsJoinResult, JoinKernel, SweepStats};
 use ssj_bench::datasets::{bench_corpus, corpus, rs_corpus, tuned_fsjoin, Scale};
 use ssj_bench::serve_load::{prefix_collection, probe_all_pairs};
 use ssj_mapreduce::{LogicalJob, PlanMode};
@@ -23,6 +23,7 @@ struct Report {
     digest: u64,
     candidates: usize,
     filters: FilterStats,
+    sweep: SweepStats,
     jobs: Vec<LogicalJob>,
 }
 
@@ -33,6 +34,7 @@ impl Report {
             digest: pair_digest(&res.pairs),
             candidates: res.candidates,
             filters: res.filter_stats,
+            sweep: res.sweep_stats,
             jobs: res.chain.jobs.iter().map(|j| j.logical()).collect(),
         }
     }
@@ -47,8 +49,9 @@ impl Report {
 }
 
 /// The Fig. 6-style self-join on the 400-record WikiLike bench corpus.
-fn selfjoin(workers: usize, mode: PlanMode, prune: bool) -> Report {
+fn selfjoin(kernel: JoinKernel, workers: usize, mode: PlanMode, prune: bool) -> Report {
     let cfg = tuned_fsjoin(CorpusProfile::WikiLike)
+        .with_kernel(kernel)
         .with_theta(0.8)
         .with_measure(Measure::Jaccard)
         .with_tasks(8, 12)
@@ -58,10 +61,13 @@ fn selfjoin(workers: usize, mode: PlanMode, prune: bool) -> Report {
     Report::of(&fsjoin::run_self_join(&bench_corpus(), &cfg))
 }
 
-/// The two-input R×S plan on the asymmetric bench-scale WikiLike pair.
+/// The two-input R×S plan on the asymmetric bench-scale WikiLike pair. It
+/// runs no fragment kernel; a walk kernel is pinned only because `prune`
+/// may turn the signature step off, which Sweep rejects.
 fn rsjoin(workers: usize, mode: PlanMode, prune: bool) -> Report {
     let (r, s) = rs_corpus(CorpusProfile::WikiLike, Scale::Bench);
     let cfg = FsJoinConfig::default()
+        .with_kernel(JoinKernel::Prefix)
         .with_theta(0.8)
         .with_measure(Measure::Jaccard)
         .with_tasks(8, 12)
@@ -79,11 +85,29 @@ fn assert_conserved(fs: &FilterStats) {
     assert!(fs.bitmap_pruned <= fs.bitmap_checks, "{fs:?}");
 }
 
+/// The Sweep kernel's laws (`fsjoin::keys`): every swept visit ends in one
+/// step, every listed meeting in the collision test or the segment steps,
+/// and shipped plus cut segments are what a walk kernel ships.
+fn assert_sweep_conserved(report: &Report, walk_segments: usize) {
+    let sweep = &report.sweep;
+    assert!(sweep.survivors > 0, "{sweep:?}");
+    assert_eq!(sweep.unaccounted(), 0, "{sweep:?}");
+    assert_eq!(sweep.unlisted(&report.filters), 0, "{sweep:?}");
+    assert_eq!(
+        sweep.segments_shipped + sweep.segments_cut,
+        walk_segments as u64,
+        "{sweep:?}"
+    );
+    assert_eq!(report.shuffle()[0].1 as u64, sweep.segments_shipped);
+    assert_conserved(&report.filters);
+}
+
 /// The self-join report is frozen, and neither the worker count nor the
 /// plan mode moves any of it: result, filter counters, per-task counts.
+/// It runs the Prefix kernel, whose walk the literals were taken from.
 #[test]
 fn selfjoin_is_frozen_across_workers_and_plan_modes() {
-    let base = selfjoin(2, PlanMode::Pipelined, true);
+    let base = selfjoin(JoinKernel::Prefix, 2, PlanMode::Pipelined, true);
     assert_eq!(
         (base.pairs, base.digest, base.candidates),
         (16, 0x2db8_2992_da95_ce00, 415)
@@ -121,7 +145,67 @@ fn selfjoin_is_frozen_across_workers_and_plan_modes() {
         (7, PlanMode::Sequential),
     ] {
         assert_eq!(
-            selfjoin(workers, mode, true),
+            selfjoin(JoinKernel::Prefix, workers, mode, true),
+            base,
+            "workers={workers} {mode:?}"
+        );
+    }
+}
+
+/// The same self-join under the Sweep kernel: Prefix's pairs, candidates
+/// and verify job, from a filter shuffle that carries only the segments
+/// where a surviving pair meets. Frozen, and worker- and mode-invariant.
+#[test]
+fn selfjoin_sweep_is_frozen_across_workers_and_plan_modes() {
+    let base = selfjoin(JoinKernel::Sweep, 2, PlanMode::Pipelined, true);
+    assert_eq!(
+        (base.pairs, base.digest, base.candidates),
+        (16, 0x2db8_2992_da95_ce00, 415)
+    );
+    // Prefix's counters past the signature step: its 87,737 considered
+    // pairs less the 87,299 the signature pruned, then the same segment
+    // steps. The sweep read the bitmaps instead, once per (record,
+    // partner).
+    assert_eq!(
+        base.filters,
+        FilterStats {
+            pairs_considered: 438,
+            segl_pruned: 12,
+            segi_pruned: 11,
+            emitted: 415,
+            intersections: 426,
+            intersect_tokens: 3_180,
+            ..FilterStats::default()
+        }
+    );
+    assert_eq!(
+        base.sweep,
+        SweepStats {
+            swept: 30_582,
+            scope_skipped: 0,
+            bitmap_pruned: 30_536,
+            survivors: 46,
+            listed: 526,
+            prefix_missed: 88,
+            segments_shipped: 938,
+            segments_cut: 36_678,
+        }
+    );
+    assert_sweep_conserved(&base, 37_616);
+    assert_eq!(
+        base.shuffle(),
+        [
+            ("fsjoin-filter", 938, 44_690),
+            ("fsjoin-verify", 250, 5_000)
+        ]
+    );
+    for (workers, mode) in [
+        (7, PlanMode::Pipelined),
+        (2, PlanMode::Sequential),
+        (7, PlanMode::Sequential),
+    ] {
+        assert_eq!(
+            selfjoin(JoinKernel::Sweep, workers, mode, true),
             base,
             "workers={workers} {mode:?}"
         );
@@ -202,8 +286,8 @@ fn rsjoin_is_frozen_across_workers_and_plan_modes() {
 /// skipped as a repeat or intersected: only those counters may move.
 #[test]
 fn bitmap_prune_is_lossless() {
-    let on = selfjoin(2, PlanMode::Pipelined, true);
-    let off = selfjoin(2, PlanMode::Pipelined, false);
+    let on = selfjoin(JoinKernel::Prefix, 2, PlanMode::Pipelined, true);
+    let off = selfjoin(JoinKernel::Prefix, 2, PlanMode::Pipelined, false);
     assert_eq!((off.pairs, off.digest), (on.pairs, on.digest));
     assert!(
         on.candidates < off.candidates,
@@ -211,6 +295,12 @@ fn bitmap_prune_is_lossless() {
         on.candidates,
         off.candidates
     );
+    // Sweep is the signature step run once per pair: the step-on
+    // candidates and verify job, the step-off pairs.
+    let sweep = selfjoin(JoinKernel::Sweep, 2, PlanMode::Pipelined, true);
+    assert_eq!((sweep.pairs, sweep.digest), (off.pairs, off.digest));
+    assert_eq!(sweep.candidates, on.candidates);
+    assert_eq!(sweep.jobs[1], on.jobs[1]);
 
     let on = rsjoin(2, PlanMode::Pipelined, true);
     let mut off = rsjoin(2, PlanMode::Pipelined, false);
@@ -227,11 +317,15 @@ fn bitmap_prune_is_lossless() {
     assert_eq!(off, on);
 }
 
-/// Default-config FS-Join on the 1.2k-record WikiLike corpus.
+/// Default-config FS-Join on the 1.2k-record WikiLike corpus, under the
+/// Prefix kernel whose walk the literals were taken from.
 #[test]
 fn fsjoin_wiki_counters_are_frozen() {
     let c = corpus(CorpusProfile::WikiLike, Scale::Small);
-    let res = fsjoin::run_self_join(&c, &FsJoinConfig::default().with_theta(0.8));
+    let cfg = FsJoinConfig::default()
+        .with_theta(0.8)
+        .with_kernel(JoinKernel::Prefix);
+    let res = fsjoin::run_self_join(&c, &cfg);
     assert_eq!(
         (
             res.pairs.len(),
@@ -260,6 +354,70 @@ fn fsjoin_wiki_counters_are_frozen() {
         }
     );
     assert_conserved(&res.filter_stats);
+    let shuffle: Vec<_> = Report::of(&res)
+        .jobs
+        .iter()
+        .map(|j| (j.shuffle_records, j.shuffle_bytes))
+        .collect();
+    assert_eq!(shuffle, [(30_261, 1_250_869), (1_426, 28_520)]);
+}
+
+/// Default-config FS-Join — the Sweep kernel — on the same corpus: Prefix's
+/// pairs and candidates, frozen sweep counters, worker- and mode-invariant.
+#[test]
+fn fsjoin_wiki_sweep_counters_are_frozen() {
+    let c = corpus(CorpusProfile::WikiLike, Scale::Small);
+    let run = |workers, mode| {
+        let cfg = FsJoinConfig::default()
+            .with_theta(0.8)
+            .with_workers(workers)
+            .with_plan_mode(mode);
+        Report::of(&fsjoin::run_self_join(&c, &cfg))
+    };
+    let base = run(2, PlanMode::Pipelined);
+    assert_eq!((base.pairs, base.candidates), (72, 1_557));
+    // 538,805 − 537,037 = 1,768: Prefix's pairs past the signature step.
+    assert_eq!(
+        base.filters,
+        FilterStats {
+            pairs_considered: 1_768,
+            segl_pruned: 24,
+            segi_pruned: 187,
+            emitted: 1_557,
+            intersections: 1_744,
+            intersect_tokens: 25_364,
+            ..FilterStats::default()
+        }
+    );
+    assert_eq!(
+        base.sweep,
+        SweepStats {
+            swept: 269_768,
+            scope_skipped: 0,
+            bitmap_pruned: 269_448,
+            survivors: 320,
+            listed: 2_226,
+            prefix_missed: 458,
+            segments_shipped: 2_403,
+            segments_cut: 27_858,
+        }
+    );
+    assert_sweep_conserved(&base, 30_261);
+    // Prefix ships 1,250,869 filter bytes and the same verify job.
+    assert_eq!(
+        base.shuffle(),
+        [
+            ("fsjoin-filter", 2_403, 133_603),
+            ("fsjoin-verify", 1_426, 28_520)
+        ]
+    );
+    for (workers, mode) in [
+        (7, PlanMode::Pipelined),
+        (2, PlanMode::Sequential),
+        (7, PlanMode::Sequential),
+    ] {
+        assert_eq!(run(workers, mode), base, "workers={workers} {mode:?}");
+    }
 }
 
 /// FS-Join-PF on the same corpus: prefix-filter discovery and cached

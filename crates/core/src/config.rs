@@ -32,7 +32,8 @@ pub struct FsJoinConfig {
     pub num_fragments: usize,
     /// Vertical pivot selection strategy (default Even-TF, §IV).
     pub pivot_strategy: PivotStrategy,
-    /// Fragment join kernel (default Prefix, §V-A).
+    /// Fragment join kernel (default [`JoinKernel::Sweep`]; the paper's
+    /// three are the §V-A Figure 12 switches).
     pub kernel: JoinKernel,
     /// Pruning filters (default all, §V-A).
     pub filters: FilterSet,
@@ -58,7 +59,8 @@ pub struct FsJoinConfig {
     /// that can ask whether two *records* can reach θ: the fragment join
     /// of [`crate::run_self_join`] / [`crate::run_rs_join`] (the
     /// record-signature step after StrL, which drops a dissimilar pair in
-    /// every fragment at once), FS-Join-PF's cached verification and the
+    /// every fragment at once — map-side under [`JoinKernel::Sweep`],
+    /// which requires it), FS-Join-PF's cached verification and the
     /// two-input R×S join stage. Lossless: pairs and scores are identical
     /// with it off. At the two verify sites nothing else moves either; at
     /// the fragment join the candidate volume, the verify job's shuffle
@@ -71,13 +73,21 @@ pub struct FsJoinConfig {
 }
 
 impl Default for FsJoinConfig {
+    /// Jaccard at θ = 0.8, 16 Even-TF fragments, 4 horizontal pivots, all
+    /// filters, exact emission, the record-signature step on, and the
+    /// [`JoinKernel::Sweep`] kernel: the filter stage's map tasks decide
+    /// each record pair once and ship segments only where a surviving
+    /// pair meets. The paper's kernels (Loop / Index / Prefix) give the
+    /// same pairs and, for Prefix, the same candidates; Sweep needs the
+    /// signature step, so a configuration that turns
+    /// [`Self::bitmap_prune`] off must pick one of them.
     fn default() -> Self {
         FsJoinConfig {
             measure: Measure::Jaccard,
             theta: 0.8,
             num_fragments: 16,
             pivot_strategy: PivotStrategy::EvenTf,
-            kernel: JoinKernel::Prefix,
+            kernel: JoinKernel::Sweep,
             filters: FilterSet::ALL,
             emit_policy: EmitPolicy::Exact,
             horizontal_pivots: 4,
@@ -177,7 +187,9 @@ impl FsJoinConfig {
     /// Validate the configuration.
     ///
     /// # Panics
-    /// Panics with a description of the invalid field.
+    /// Panics with a description of the invalid field, and on
+    /// [`JoinKernel::Sweep`] with [`Self::bitmap_prune`] off: the sweep is
+    /// the signature step.
     pub fn validate(&self) {
         assert!(
             self.theta > 0.0 && self.theta <= 1.0,
@@ -187,6 +199,10 @@ impl FsJoinConfig {
         assert!(self.num_fragments >= 1, "need at least one fragment");
         assert!(self.map_tasks >= 1 && self.reduce_tasks >= 1, "need tasks");
         assert!(self.workers >= 1, "need at least one worker");
+        assert!(
+            self.bitmap_prune || self.kernel != JoinKernel::Sweep,
+            "the Sweep kernel is the signature step: it needs bitmap_prune(true)"
+        );
     }
 }
 
@@ -220,6 +236,15 @@ mod tests {
     #[should_panic(expected = "θ must be in")]
     fn invalid_theta_rejected() {
         FsJoinConfig::default().with_theta(1.5).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "Sweep kernel is the signature step")]
+    fn sweep_without_signatures_rejected() {
+        FsJoinConfig::default()
+            .with_kernel(JoinKernel::Sweep)
+            .with_bitmap_prune(false)
+            .validate();
     }
 
     #[test]

@@ -8,14 +8,15 @@
 use crate::cell_index::CellIndex;
 use crate::config::FsJoinConfig;
 use crate::filters::FilterStats;
-use crate::fragment::{join_fragment, FragmentJoin, PairScope};
+use crate::fragment::{join_fragment, FragmentJoin, JoinKernel, PairScope};
 use crate::horizontal::{h_partitions_for, num_h_partitions, select_h_pivots, JoinRule};
 use crate::pivots::select_pivots;
 use crate::segment::Segment;
+use crate::sweep::{Sweep, SweepMapper, SweepReducer, SweepStats};
 use crate::vertical::split_record;
 use ssj_mapreduce::{
     ChainMetrics, Dataset, DirectPartitioner, Emitter, GroupValues, HashPartitioner,
-    IdentityCombiner, IdentityMapper, Mapper, Plan, PlanRunner, StreamingReducer,
+    IdentityCombiner, IdentityMapper, Mapper, Plan, PlanRunner, StageHandle, StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::{Measure, SimilarPair};
@@ -31,6 +32,9 @@ pub struct FsJoinResult {
     pub chain: ChainMetrics,
     /// Aggregated pruning counters from the fragment joins.
     pub filter_stats: FilterStats,
+    /// The Sweep kernel's map-side counters (all 0 under the other
+    /// kernels and the other joins).
+    pub sweep_stats: SweepStats,
     /// Candidate records emitted by the filtering job (the paper's
     /// Table IV quantity).
     pub candidates: usize,
@@ -179,16 +183,7 @@ impl StreamingReducer for FragmentReducer {
         let rule = JoinRule::for_partition(h, &self.h_pivots);
         let before_pairs = self.local_stats.pairs_considered;
         let before_emitted = self.local_stats.emitted;
-        let join = FragmentJoin {
-            pool: &self.pool,
-            scope: self.scope,
-            measure: self.cfg.measure,
-            theta: self.cfg.theta,
-            kernel: self.cfg.kernel,
-            filters: self.cfg.filters,
-            policy: self.cfg.emit_policy,
-            signatures: self.cfg.bitmap_prune,
-        };
+        let join = FragmentJoin::of_run(&self.pool, &self.cfg, self.scope);
         let records = join_fragment(
             &join,
             &mut self.scratch,
@@ -293,20 +288,28 @@ impl StreamingReducer for VerifyReducer {
     }
 }
 
-fn run_join(
-    pool: Arc<TokenPool>,
+/// The setup and filtering job of one run (Algorithm 1 lines 2–13): the
+/// pivots, and a plan whose one stage, `fsjoin-filter`, emits every
+/// candidate record.
+struct FilterPlan {
+    plan: Plan,
+    candidates: StageHandle<(u32, u32), (u32, u32, u32)>,
+    pivots: Arc<Vec<u32>>,
+    h_pivots: Arc<Vec<u32>>,
+    num_cells: usize,
+}
+
+/// Select the pivots and plan the filtering job over `pool` (R ++ S). The
+/// stage's tasks record their counters into `registry`.
+fn filter_plan(
+    pool: &Arc<TokenPool>,
     num_r: usize,
     num_s: usize,
     freqs: &[u64],
     cfg: &FsJoinConfig,
     scope: PairScope,
-) -> FsJoinResult {
-    cfg.validate();
-    assert_eq!(pool.len(), num_r + num_s, "pool must hold exactly R ++ S");
-    let run_span = span("fsjoin.stage", "run")
-        .field("records", num_r + num_s)
-        .field("theta", cfg.theta);
-
+    registry: &Arc<MetricsRegistry>,
+) -> FilterPlan {
     // ---- Setup: pivot selection (Algorithm 1 lines 2–4) ------------------
     let ordering_span = span("fsjoin.stage", "ordering");
     let pivots = Arc::new(select_pivots(
@@ -329,6 +332,10 @@ fn run_join(
     // resolution, no intermediate Vec.
     let h_pivots = Arc::new(select_h_pivots(pool.lengths(), cfg.horizontal_pivots));
     let num_cells = num_h_partitions(&h_pivots) * num_fragments;
+    // The Sweep kernel's columns, next to the pivots: built once from the
+    // pool, shared read-only by every map task.
+    let sweep = (cfg.kernel == JoinKernel::Sweep)
+        .then(|| Arc::new(Sweep::new(pool, num_r, scope, &pivots, &h_pivots, cfg)));
     drop(
         ordering_span
             .field("fragments", num_fragments)
@@ -355,6 +362,100 @@ fn run_join(
     }
     let input = Dataset::from_records(input_records, cfg.map_tasks);
 
+    // ---- Filtering job (Algorithm 1 lines 5–13) ----------------------------
+    let reduce_tasks = cfg.reduce_tasks.min(num_cells).max(1);
+    let mut plan = Plan::new("fsjoin").with_workers(cfg.workers);
+    // Ship the token arena to every task over a broadcast edge (the
+    // distributed-cache analogue): tasks receive one shared Arc instead of
+    // each record carrying an owned token vector, and the runner drops the
+    // value the moment its last consumer stage finishes.
+    let pool_bcast = plan.broadcast(Arc::clone(pool));
+    let candidates = if let Some(sweep) = sweep {
+        let map_registry = Arc::clone(registry);
+        let registry = Arc::clone(registry);
+        plan.add_full_broadcast(
+            "fsjoin-filter",
+            input,
+            pool_bcast,
+            reduce_tasks,
+            move |_, pool: &Arc<TokenPool>| {
+                SweepMapper::new(
+                    Arc::clone(pool),
+                    Arc::clone(&sweep),
+                    Arc::clone(&map_registry),
+                )
+            },
+            move |_, pool: &Arc<TokenPool>| {
+                SweepReducer::new(
+                    Arc::clone(pool),
+                    cfg_eff.clone(),
+                    scope,
+                    Arc::clone(&registry),
+                )
+            },
+            DirectPartitioner::new(|cell: &u32| *cell as usize),
+            None::<IdentityCombiner>,
+        )
+    } else {
+        plan.add_full_broadcast(
+            "fsjoin-filter",
+            input,
+            pool_bcast,
+            reduce_tasks,
+            {
+                let pivots = Arc::clone(&pivots);
+                let h_pivots = Arc::clone(&h_pivots);
+                let (measure, theta) = (cfg.measure, cfg.theta);
+                move |_, pool: &Arc<TokenPool>| PartitionMapper {
+                    pool: Arc::clone(pool),
+                    pivots: Arc::clone(&pivots),
+                    h_pivots: Arc::clone(&h_pivots),
+                    num_fragments,
+                    measure,
+                    theta,
+                }
+            },
+            {
+                let h_pivots = Arc::clone(&h_pivots);
+                let registry = Arc::clone(registry);
+                move |_, pool: &Arc<TokenPool>| FragmentReducer {
+                    pool: Arc::clone(pool),
+                    cfg: cfg_eff.clone(),
+                    h_pivots: Arc::clone(&h_pivots),
+                    scope,
+                    local_stats: FilterStats::default(),
+                    registry: Arc::clone(&registry),
+                    scratch: Vec::new(),
+                    index: CellIndex::default(),
+                }
+            },
+            DirectPartitioner::new(|cell: &u32| *cell as usize),
+            None::<IdentityCombiner>,
+        )
+    };
+    FilterPlan {
+        plan,
+        candidates,
+        pivots,
+        h_pivots,
+        num_cells,
+    }
+}
+
+fn run_join(
+    pool: Arc<TokenPool>,
+    num_r: usize,
+    num_s: usize,
+    freqs: &[u64],
+    cfg: &FsJoinConfig,
+    scope: PairScope,
+) -> FsJoinResult {
+    cfg.validate();
+    assert_eq!(pool.len(), num_r + num_s, "pool must hold exactly R ++ S");
+    let run_span = span("fsjoin.stage", "run")
+        .field("records", num_r + num_s)
+        .field("theta", cfg.theta);
+
     // ---- Plan: filtering → verification -----------------------------------
     // One declarative two-stage plan: the filter stage's reduce partitions
     // feed the verify stage's map splits. Under the default pipelined mode
@@ -362,55 +463,19 @@ fn run_join(
     // completes and dropped right after — the verify job overlaps the
     // filter job's reduce tail instead of waiting behind a barrier.
     //
-    // Per-run registry: fragment reducers record pruning counters and
-    // per-cell histograms here; the aggregate is read back below and also
-    // merged into the process-global registry when one is installed.
+    // Per-run registry: the filter stage's tasks record pruning counters
+    // and per-cell histograms here; the aggregate is read back below and
+    // also merged into the process-global registry when one is installed.
     let run_registry = Arc::new(MetricsRegistry::new());
+    let FilterPlan {
+        mut plan,
+        candidates: candidates_h,
+        pivots,
+        h_pivots,
+        num_cells,
+    } = filter_plan(&pool, num_r, num_s, freqs, cfg, scope, &run_registry);
     let filter_span = span("fsjoin.stage", "filter-job").field("cells", num_cells);
     let verify_span = span("fsjoin.stage", "verify-job");
-    let reduce_tasks = cfg.reduce_tasks.min(num_cells).max(1);
-
-    let mut plan = Plan::new("fsjoin").with_workers(cfg.workers);
-    // Ship the token arena to every task over a broadcast edge (the
-    // distributed-cache analogue): tasks receive one shared Arc instead of
-    // each record carrying an owned token vector, and the runner drops the
-    // value the moment its last consumer stage finishes.
-    let pool_bcast = plan.broadcast(Arc::clone(&pool));
-    let candidates_h = plan.add_full_broadcast(
-        "fsjoin-filter",
-        input,
-        pool_bcast,
-        reduce_tasks,
-        {
-            let pivots = Arc::clone(&pivots);
-            let h_pivots = Arc::clone(&h_pivots);
-            let (measure, theta) = (cfg.measure, cfg.theta);
-            move |_, pool: &Arc<TokenPool>| PartitionMapper {
-                pool: Arc::clone(pool),
-                pivots: Arc::clone(&pivots),
-                h_pivots: Arc::clone(&h_pivots),
-                num_fragments,
-                measure,
-                theta,
-            }
-        },
-        {
-            let h_pivots = Arc::clone(&h_pivots);
-            let registry = Arc::clone(&run_registry);
-            move |_, pool: &Arc<TokenPool>| FragmentReducer {
-                pool: Arc::clone(pool),
-                cfg: cfg_eff.clone(),
-                h_pivots: Arc::clone(&h_pivots),
-                scope,
-                local_stats: FilterStats::default(),
-                registry: Arc::clone(&registry),
-                scratch: Vec::new(),
-                index: CellIndex::default(),
-            }
-        },
-        DirectPartitioner::new(|cell: &u32| *cell as usize),
-        None::<IdentityCombiner>,
-    );
     let verified_h = plan.add_full(
         "fsjoin-verify",
         candidates_h,
@@ -425,8 +490,6 @@ fn run_join(
         Some(VerifyCombiner),
     );
 
-    // The reducer reads num_fragments from cfg; keep them consistent.
-    debug_assert!(num_fragments >= 1);
     let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
     let verified = outcome.take_output(verified_h);
     let peak_live_bytes = outcome.peak_live_bytes;
@@ -446,6 +509,7 @@ fn run_join(
     drop(verify_span.field("pairs", pairs.len()));
 
     let filter_stats = FilterStats::from_registry(&run_registry);
+    let sweep_stats = SweepStats::from_registry(&run_registry);
     run_registry.gauge_set(crate::keys::CANDIDATES, candidates as f64);
     run_registry.gauge_set(crate::keys::PAIRS, pairs.len() as f64);
     if let Some(global) = ssj_observe::global_registry() {
@@ -456,6 +520,7 @@ fn run_join(
         pairs,
         chain,
         filter_stats,
+        sweep_stats,
         candidates,
         pivots: Arc::try_unwrap(pivots).unwrap_or_else(|a| (*a).clone()),
         h_pivots: Arc::try_unwrap(h_pivots).unwrap_or_else(|a| (*a).clone()),
@@ -467,7 +532,8 @@ fn run_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FilterSet, JoinKernel};
+    use crate::config::FilterSet;
+    use crate::fragment::CandidateRecord;
     use crate::pivots::PivotStrategy;
     use ssj_similarity::naive::naive_self_join;
     use ssj_similarity::pair::compare_results;
@@ -551,11 +617,15 @@ mod tests {
 
     #[test]
     fn vertical_only_has_no_duplication() {
-        // FS-Join-V: map emits each token exactly once, so shuffled bytes
-        // stay within the segment-metadata overhead of the input bytes and
-        // record expansion equals segments-per-record (no token repeats).
+        // FS-Join-V under a walk kernel: map emits each token exactly once,
+        // so shuffled bytes stay within the segment-metadata overhead of
+        // the input bytes and record expansion equals segments-per-record
+        // (no token repeats).
         let c = tiny_collection();
-        let cfg = FsJoinConfig::default().with_horizontal(0).with_theta(0.8);
+        let cfg = FsJoinConfig::default()
+            .with_kernel(JoinKernel::Prefix)
+            .with_horizontal(0)
+            .with_theta(0.8);
         let res = run_self_join(&c, &cfg);
         let filter = res.chain.job("fsjoin-filter").unwrap();
         let total_tokens: usize = c.total_tokens() as usize;
@@ -572,6 +642,32 @@ mod tests {
         let filter_h = res_h.chain.job("fsjoin-filter").unwrap();
         let tokens_h = (filter_h.shuffle_bytes - 25 * filter_h.shuffle_records) / 4;
         assert!(tokens_h >= total_tokens);
+
+        // Sweep ships a segment only where a surviving pair meets, with a
+        // 4-byte partner count and 4 bytes per listed partner: a subset of
+        // the walk's segments, so no token crosses more often.
+        let walks = [
+            (0, total_tokens, filter.shuffle_records),
+            (2, tokens_h, filter_h.shuffle_records),
+        ];
+        for (t, walk_tokens, walk_segments) in walks {
+            let cfg = cfg
+                .clone()
+                .with_kernel(JoinKernel::Sweep)
+                .with_horizontal(t);
+            let res = run_self_join(&c, &cfg);
+            let sweep = res.sweep_stats;
+            let job = res.chain.job("fsjoin-filter").unwrap();
+            let tokens =
+                (job.shuffle_bytes - 29 * job.shuffle_records - 4 * sweep.listed as usize) / 4;
+            assert!(tokens <= walk_tokens, "t={t}");
+            assert_eq!(job.shuffle_records as u64, sweep.segments_shipped, "t={t}");
+            assert_eq!(
+                sweep.segments_shipped + sweep.segments_cut,
+                walk_segments as u64,
+                "t={t}"
+            );
+        }
     }
 
     #[test]
@@ -661,6 +757,119 @@ mod tests {
             strict.pairs.len(),
             exact.pairs.len()
         );
+    }
+
+    /// The filter stage's candidate records over `pool` (R ++ S), sorted.
+    fn filter_candidates(
+        pool: &Arc<TokenPool>,
+        num_r: usize,
+        freqs: &[u64],
+        cfg: &FsJoinConfig,
+        scope: PairScope,
+    ) -> Vec<CandidateRecord> {
+        let registry = Arc::new(MetricsRegistry::new());
+        let num_s = pool.len() - num_r;
+        let filter = filter_plan(pool, num_r, num_s, freqs, cfg, scope, &registry);
+        let mut outcome = PlanRunner::new(cfg.plan_mode).run(filter.plan);
+        let mut out: Vec<CandidateRecord> = outcome
+            .take_output(filter.candidates)
+            .into_records()
+            .map(|((rid_a, rid_b), (common, len_a, len_b))| CandidateRecord {
+                rid_a,
+                rid_b,
+                common,
+                len_a,
+                len_b,
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Sweep against the Prefix walk on the 400-record WikiLike bench
+    /// corpus, self-join and R×S, at 16 and 30 fragments with 0 and 4
+    /// h-pivots: every pair the walk admits past the signature is a sweep
+    /// survivor, and the two emit the same candidate multiset. One
+    /// fragment (whole records) adds cells where the local prefix is
+    /// shorter than the segment, so the collision test decides.
+    #[test]
+    fn sweep_emits_the_prefix_walks_candidates() {
+        use crate::sweep::{Sweep, SweepStats};
+        use ssj_text::CorpusProfile;
+        use std::collections::BTreeSet;
+
+        let raw = CorpusProfile::WikiLike
+            .config()
+            .with_records(400)
+            .generate();
+        let whole = encode(&raw);
+        let (mut r_docs, mut s_docs) = (Vec::new(), Vec::new());
+        for (i, doc) in raw.docs.into_iter().enumerate() {
+            if i % 3 == 0 { &mut r_docs } else { &mut s_docs }.push(doc);
+        }
+        let side = |docs| RawCorpus { docs, vocab: None };
+        let (r, s) = ssj_text::encode::encode_two(&side(r_docs), &side(s_docs));
+        let inputs = [
+            (
+                PairScope::SelfJoin,
+                whole.share_pool(),
+                whole.len(),
+                &whole.token_freqs,
+            ),
+            (
+                PairScope::CrossSides,
+                Arc::new(TokenPool::concat(r.pool(), s.pool())),
+                r.len(),
+                &r.token_freqs,
+            ),
+        ];
+        for (scope, pool, num_r, freqs) in &inputs {
+            for fragments in [1, 16, 30] {
+                for h in [0, 4] {
+                    let label = format!("{scope:?} fragments={fragments} h={h}");
+                    let cfg = FsJoinConfig::default()
+                        .with_theta(0.8)
+                        .with_fragments(fragments)
+                        .with_horizontal(h);
+                    // The sweep's survivors depend on the records alone.
+                    let sweep = Sweep::new(pool, *num_r, *scope, &[], &[], &cfg);
+                    let mut survivors = BTreeSet::new();
+                    let mut rows = Vec::new();
+                    for rid in 0..pool.len() as u32 {
+                        let Some(row) = sweep.position(rid) else {
+                            continue;
+                        };
+                        rows.clear();
+                        sweep.sweep(row, &mut rows, &mut SweepStats::default());
+                        for &q in &rows {
+                            let partner = sweep.record_at(q as usize);
+                            survivors.insert((rid.min(partner), rid.max(partner)));
+                        }
+                    }
+                    // With no segment step, the walk emits every pair it
+                    // admits past the signature, in every cell it meets in.
+                    let walk = cfg
+                        .clone()
+                        .with_kernel(JoinKernel::Prefix)
+                        .with_filters(FilterSet::STRL_ONLY);
+                    let admitted = filter_candidates(pool, *num_r, freqs, &walk, *scope);
+                    assert!(!admitted.is_empty(), "{label}");
+                    for rec in &admitted {
+                        assert!(survivors.contains(&rec.key()), "{label}: {rec:?}");
+                    }
+                    for filters in [FilterSet::ALL, FilterSet::STRL_ONLY] {
+                        let cfg = cfg.clone().with_filters(filters);
+                        let prefix = cfg.clone().with_kernel(JoinKernel::Prefix);
+                        let sweep = cfg.with_kernel(JoinKernel::Sweep);
+                        assert_eq!(
+                            filter_candidates(pool, *num_r, freqs, &sweep, *scope),
+                            filter_candidates(pool, *num_r, freqs, &prefix, *scope),
+                            "{label} {filters:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,14 @@
 //!   accumulate while probing, so no per-pair intersection is needed;
 //! * **Prefix** — index only each segment's *local prefix* (long enough to
 //!   be complete for θ-similar pairs — DESIGN.md §4 item 2); candidates
-//!   then verify with an exact merge intersection. FS-Join's default.
+//!   then verify with an exact merge intersection.
+//!
+//! A fourth kernel, **Sweep** (FS-Join's default, not in the paper), moves
+//! the record-level steps out of the cell: the filter stage's map tasks
+//! decide every record pair once ([`crate::sweep`]) and ship each reducer
+//! the pairs it must count. The reducer then runs only the Prefix kernel's
+//! collision test — do the two local prefixes share a token? — and the
+//! segment steps on each listed pair ([`FragmentJoin::join_listed`]).
 //!
 //! All kernels run every pair through one cascade — scope → StrL → record
 //! signature → SegL → SegD precheck, then SegI/SegD on the exact local
@@ -21,12 +28,15 @@
 //! StrL is a slot range on each posting list and scope and the signature
 //! run inside the posting walk, on dense columns; only the survivors reach
 //! the per-pair segment filters (`FragmentJoin::segment_bounds` /
-//! `finish`). Segments carry spans into the collection's shared
-//! [`TokenPool`], so every kernel takes the pool and resolves token slices
-//! on the fly (a bounds-checked slice of the flat arena — contiguous,
-//! cache-friendly, and allocation-free).
+//! `finish`). Prefix and Sweep emit the same candidates: a pair reaches
+//! the segment steps in a cell under either exactly when the record-level
+//! steps pass and the local prefixes collide. Segments carry spans into
+//! the collection's shared [`TokenPool`], so every kernel takes the pool
+//! and resolves token slices on the fly (a bounds-checked slice of the
+//! flat arena — contiguous, cache-friendly, and allocation-free).
 
 use crate::cell_index::{CellIndex, Slot};
+use crate::config::FsJoinConfig;
 use crate::filters::{
     segd_pass, segd_pass_precheck, segi_pass, segl_pass, strl_pass, EmitPolicy, FilterSet,
     FilterStats, PairBounds,
@@ -50,9 +60,15 @@ impl PairScope {
     /// A segment's scope group: pairs within one group are inadmissible.
     #[inline]
     pub fn group(self, seg: &Segment) -> u32 {
+        self.record_group(seg.rid, seg.side)
+    }
+
+    /// The scope group of record `rid` on `side`.
+    #[inline]
+    pub fn record_group(self, rid: u32, side: u8) -> u32 {
         match self {
-            PairScope::SelfJoin => seg.rid,
-            PairScope::CrossSides => u32::from(seg.side),
+            PairScope::SelfJoin => rid,
+            PairScope::CrossSides => u32::from(side),
         }
     }
 }
@@ -75,15 +91,31 @@ pub fn split_cell(segments: &mut [Segment], rule: JoinRule) -> (&[Segment], Opti
     }
 }
 
-/// Join kernel choice (paper Figure 12).
+/// Join kernel choice (paper Figure 12, plus Sweep).
+///
+/// Loop, Index and Prefix are the paper's three reduce-side kernels: each
+/// reducer finds its cell's pairs itself and decides the record-level
+/// steps (scope, StrL, signature) once per cell a pair meets in. Sweep
+/// decides them once per pair, in the filter stage's map tasks, by a
+/// dense XOR-popcount sweep over the records' length-ordered signature
+/// columns ([`crate::sweep`]). A segment then ships only to the cells where
+/// one of its record's surviving pairs meets, carrying the partners it
+/// must be counted against there. The reducer runs Prefix's local-prefix
+/// collision test and the segment steps on those pairs alone. Candidates,
+/// pairs and scores equal Prefix's. Sweep needs the signature step
+/// ([`FsJoinConfig::bitmap_prune`](crate::FsJoinConfig::bitmap_prune)):
+/// without it every pair in the length window survives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinKernel {
     /// Nested-loop with merge intersections.
     Loop,
     /// Full inverted index with count accumulation.
     Index,
-    /// Prefix-filtered inverted index (default).
+    /// Prefix-filtered inverted index.
     Prefix,
+    /// Map-side signature sweep, then Prefix's collision test on the
+    /// listed pairs only (default).
+    Sweep,
 }
 
 impl JoinKernel {
@@ -93,12 +125,18 @@ impl JoinKernel {
             JoinKernel::Loop => "Loop",
             JoinKernel::Index => "Index",
             JoinKernel::Prefix => "Prefix",
+            JoinKernel::Sweep => "Sweep",
         }
     }
 
-    /// All kernels in the paper's reporting order.
-    pub fn all() -> [JoinKernel; 3] {
-        [JoinKernel::Loop, JoinKernel::Index, JoinKernel::Prefix]
+    /// All kernels: the paper's three in its reporting order, then Sweep.
+    pub fn all() -> [JoinKernel; 4] {
+        [
+            JoinKernel::Loop,
+            JoinKernel::Index,
+            JoinKernel::Prefix,
+            JoinKernel::Sweep,
+        ]
     }
 }
 
@@ -164,6 +202,23 @@ pub struct FragmentJoin<'a> {
     pub signatures: bool,
 }
 
+impl<'a> FragmentJoin<'a> {
+    /// The fragment join of a run configured by `cfg`, over `pool`'s own
+    /// records (so [`Self::signatures`] may read their bitmaps).
+    pub fn of_run(pool: &'a TokenPool, cfg: &FsJoinConfig, scope: PairScope) -> Self {
+        FragmentJoin {
+            pool,
+            scope,
+            measure: cfg.measure,
+            theta: cfg.theta,
+            kernel: cfg.kernel,
+            filters: cfg.filters,
+            policy: cfg.emit_policy,
+            signatures: cfg.bitmap_prune,
+        }
+    }
+}
+
 /// Join all segments of one fragment cell ([`split_cell`] says which
 /// pairs). `segments` may contain at most one segment per `(rid, side)`
 /// (guaranteed by vertical partitioning); their spans resolve against
@@ -184,6 +239,7 @@ pub fn join_fragment(
     match join.kernel {
         JoinKernel::Loop => join.loop_join(band, long, stats),
         JoinKernel::Index | JoinKernel::Prefix => join.indexed_join(band, long, index, stats),
+        JoinKernel::Sweep => join.sweep_join(band, long, stats),
     }
 }
 
@@ -343,15 +399,78 @@ impl FragmentJoin<'_> {
         out
     }
 
+    /// Sweep, cell-locally: every pair of the cell the record-level steps
+    /// admit is listed, in `(len, rid)` order, and runs
+    /// [`Self::join_listed`] when the local prefixes collide. A run lists
+    /// the pairs map-side instead ([`crate::sweep`]), so the record-level
+    /// steps count there, in [`SweepStats`](crate::sweep::SweepStats), and
+    /// not in `stats`.
+    fn sweep_join(
+        &self,
+        band: &[Segment],
+        long: Option<&[Segment]>,
+        stats: &mut FilterStats,
+    ) -> Vec<CandidateRecord> {
+        let mut out = Vec::new();
+        let mut record_level = FilterStats::default();
+        for (i, later) in long.unwrap_or(band).iter().enumerate() {
+            let earlier = if long.is_some() { band } else { &band[..i] };
+            for a in earlier {
+                if self.admit(a, later, &mut record_level).is_some()
+                    && self.prefixes_collide(a, later)
+                {
+                    out.extend(self.join_listed(a, later, stats));
+                }
+            }
+        }
+        out
+    }
+
+    /// The Prefix kernel's discovery test on one pair of a cell: do the two
+    /// segments' local prefixes share a token? A pair that passes the
+    /// record-level steps reaches Prefix's segment steps in this cell
+    /// exactly when they do.
+    pub fn prefixes_collide(&self, a: &Segment, b: &Segment) -> bool {
+        let (mut x, mut y) = (self.indexed_tokens(a).iter(), self.indexed_tokens(b).iter());
+        let (mut s, mut t) = (x.next(), y.next());
+        while let (Some(u), Some(v)) = (s, t) {
+            match u.cmp(v) {
+                std::cmp::Ordering::Less => s = x.next(),
+                std::cmp::Ordering::Greater => t = y.next(),
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+
+    /// Sweep's reduce side on one listed pair whose local prefixes collide
+    /// ([`Self::prefixes_collide`]): the record-level steps already passed,
+    /// so the pair is considered and runs the segment steps — SegL → SegD
+    /// precheck → exact intersection → SegI/SegD → emit — as under Prefix.
+    pub fn join_listed(
+        &self,
+        a: &Segment,
+        b: &Segment,
+        stats: &mut FilterStats,
+    ) -> Option<CandidateRecord> {
+        stats.pairs_considered += 1;
+        let alpha = self
+            .measure
+            .min_overlap(self.theta, a.len as usize, b.len as usize);
+        self.intersect_pair(alpha, a, b, stats)
+    }
+
     /// The tokens a segment is indexed and probed by: the whole segment
     /// (Index — shared tokens then count the exact local overlap) or its
-    /// local prefix (Prefix).
+    /// local prefix (Prefix, and Sweep's collision test).
     #[inline]
     fn indexed_tokens(&self, seg: &Segment) -> &[u32] {
         let tokens = seg.tokens(self.pool);
         match self.kernel {
-            JoinKernel::Prefix => &tokens[..local_prefix_len(self.measure, self.theta, seg)],
-            _ => tokens,
+            JoinKernel::Prefix | JoinKernel::Sweep => {
+                &tokens[..local_prefix_len(self.measure, self.theta, seg)]
+            }
+            JoinKernel::Loop | JoinKernel::Index => tokens,
         }
     }
 
@@ -564,6 +683,10 @@ mod tests {
                 // provably cannot be θ-similar), but must contain every pair
                 // whose local overlap meets both records' local alphas.
                 let (prefix_out, _) = run(&pool, &segments, JoinKernel::Prefix, theta, filters);
+                // Sweep's listed pairs meet Prefix's collision test: the
+                // same candidates.
+                let (sweep_out, _) = run(&pool, &segments, JoinKernel::Sweep, theta, filters);
+                assert_eq!(sweep_out, prefix_out, "sweep θ={theta} {filters:?}");
                 for rec in &prefix_out {
                     assert!(loop_out.contains(rec), "prefix emitted non-loop record");
                 }

@@ -84,6 +84,36 @@ pub const KERNEL_BITMAP_CHECKS: &str = "fsjoin.kernel.bitmap_checks";
 /// *records* is below the pair's global α.
 pub const KERNEL_BITMAP_PRUNED: &str = "fsjoin.kernel.bitmap_pruned";
 
+/// `(record, partner)` visits of the Sweep kernel's map-side sweep
+/// (counter): every other record in a record's StrL window, each unordered
+/// pair visited from both ends.
+///
+/// **Conservation laws** of the sweep (asserted in
+/// `crates/bench/tests/gates.rs`): every visit ends in one step,
+/// `swept = scope_skipped + bitmap_pruned + survivors`, and every listed
+/// `(pair, cell)` meeting ends in the collision test or the segment steps,
+/// `listed = prefix_missed + fsjoin.filter.pairs_considered`
+/// ([`SweepStats`](crate::sweep::SweepStats)).
+pub const SWEEP_SWEPT: &str = "fsjoin.sweep.swept";
+/// Sweep visits of a partner in the record's own scope group (counter;
+/// the same side of an R×S join).
+pub const SWEEP_SCOPE_SKIPPED: &str = "fsjoin.sweep.scope_skipped";
+/// Sweep visits the record signature settled (counter).
+pub const SWEEP_BITMAP_PRUNED: &str = "fsjoin.sweep.bitmap_pruned";
+/// Sweep visits that survived scope and the signature (counter).
+pub const SWEEP_SURVIVORS: &str = "fsjoin.sweep.survivors";
+/// `(pair, cell)` meetings the sweep listed to the fragment reducers
+/// (counter), each once.
+pub const SWEEP_LISTED: &str = "fsjoin.sweep.listed";
+/// Listed meetings whose local prefixes share no token (counter): dropped
+/// before the segment steps, as the Prefix kernel never discovers them.
+pub const SWEEP_PREFIX_MISSED: &str = "fsjoin.sweep.prefix_missed";
+/// Segments the sweep shipped to a cell (counter).
+pub const SWEEP_SEGMENTS_SHIPPED: &str = "fsjoin.sweep.segments_shipped";
+/// Segments the walk kernels would have shipped that met no survivor in
+/// their cell (counter).
+pub const SWEEP_SEGMENTS_CUT: &str = "fsjoin.sweep.segments_cut";
+
 /// Per-cell pair-comparison load of the fragment join (histogram).
 pub const FRAGMENT_PAIRS: &str = "fsjoin.fragment.pairs";
 /// Per-cell candidate emission of the fragment join (histogram).

@@ -17,7 +17,10 @@
 //!    loop / index / prefix) under four pruning filters ([`filters`]:
 //!    StrL / SegL / SegI / SegD) and, right after StrL, the pool's
 //!    per-record bitmap signatures, which drop pairs whose records cannot
-//!    reach θ in every fragment at once. Optional *horizontal* (length-based)
+//!    reach θ in every fragment at once. The default kernel, sweep
+//!    ([`sweep`]), decides StrL and the signature once per record pair in
+//!    the map tasks instead, and ships a segment only to the cells where a
+//!    surviving pair meets. Optional *horizontal* (length-based)
 //!    partitioning ([`horizontal`]) further splits fragments into sections.
 //! 3. **Verification** — per-fragment common-token counts are aggregated by
 //!    record pair and the exact similarity is computed from counts alone
@@ -57,6 +60,7 @@ pub mod pf;
 pub mod pivots;
 pub mod rsjoin;
 pub mod segment;
+pub mod sweep;
 pub mod vertical;
 
 pub use config::{EmitPolicy, FilterSet, FsJoinConfig, JoinKernel};
@@ -66,3 +70,4 @@ pub use pf::{run_rs_join_pf, run_self_join_pf};
 pub use pivots::PivotStrategy;
 pub use rsjoin::run_rs_join_two_input;
 pub use segment::Segment;
+pub use sweep::SweepStats;

@@ -41,6 +41,7 @@ use crate::fragment::{split_cell, PairScope};
 use crate::horizontal::{num_h_partitions, select_h_pivots, JoinRule};
 use crate::pivots::select_pivots;
 use crate::segment::Segment;
+use crate::sweep::SweepStats;
 use ssj_mapreduce::{
     Dataset, DirectPartitioner, Emitter, GroupValues, HashPartitioner, IdentityCombiner,
     IdentityMapper, KeepFirst, Mapper, Plan, PlanRunner, StreamingReducer,
@@ -381,6 +382,7 @@ fn run_pf(
         pairs,
         chain,
         filter_stats,
+        sweep_stats: SweepStats::default(),
         candidates: raw_candidates,
         pivots: Arc::try_unwrap(pivots).unwrap_or_else(|a| (*a).clone()),
         h_pivots: Arc::try_unwrap(h_pivots).unwrap_or_else(|a| (*a).clone()),
@@ -447,10 +449,16 @@ mod tests {
         // The point of the variant: on Zipf data, prefix discovery ships
         // orders of magnitude fewer intermediates than exact counting
         // under the paper's segment filters (the record-signature step
-        // closes most of that gap, so it is off on the exact side).
+        // closes most of that gap, so it is off on the exact side, under
+        // the paper's Prefix kernel).
         let c = wiki(800);
         let cfg = FsJoinConfig::default().with_theta(0.8);
-        let exact = run_self_join(&c, &cfg.clone().with_bitmap_prune(false));
+        let exact = run_self_join(
+            &c,
+            &cfg.clone()
+                .with_kernel(crate::JoinKernel::Prefix)
+                .with_bitmap_prune(false),
+        );
         let pf = run_self_join_pf(&c, &cfg);
         assert_eq!(
             exact.pairs.len(),

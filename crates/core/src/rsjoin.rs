@@ -51,6 +51,7 @@
 use crate::config::FsJoinConfig;
 use crate::driver::FsJoinResult;
 use crate::filters::{strl_pass, FilterStats};
+use crate::sweep::SweepStats;
 use ssj_common::ByteSize;
 use ssj_mapreduce::{
     CoGroupReducer, Dataset, Emitter, HashPartitioner, IdentityCombiner, Mapper, PassThrough, Plan,
@@ -401,6 +402,7 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         pairs,
         chain,
         filter_stats,
+        sweep_stats: SweepStats::default(),
         candidates,
         pivots: Vec::new(),
         h_pivots: Vec::new(),

@@ -10,7 +10,7 @@
 //! (a span must cost what the tokens it denotes would cost on the wire)
 //! shows up here as a hard failure.
 
-use fsjoin::{run_self_join, run_self_join_pf, FsJoinConfig};
+use fsjoin::{run_self_join, run_self_join_pf, FsJoinConfig, JoinKernel};
 use ssj_common::ByteSize;
 use ssj_mapreduce::JobMetrics;
 use ssj_text::{encode, CorpusProfile, TokenPool};
@@ -77,7 +77,10 @@ struct Golden {
 /// The owned-vector goldens were captured before the fragment join had a
 /// record-signature step, so they are pinned with the step off
 /// (`bitmap_prune(false)`): nothing but that step may have moved them.
-/// With it on, the same pairs come out of far fewer candidates.
+/// With it on, the same pairs come out of far fewer candidates. They pin
+/// the walk's wire format, so `cfg` runs the Prefix kernel; the Sweep
+/// kernel must then reproduce the step-on run's candidates and verify job
+/// from a smaller filter shuffle.
 ///
 /// `arrival_order` is what the arrival-order posting index counted before
 /// StrL became a length window on the posting lists: every co-token pair
@@ -130,13 +133,33 @@ fn assert_goldens(
             bytes,
             map_input,
         );
+        if prune {
+            let sweep = run_self_join(&corpus(), &cfg.clone().with_kernel(JoinKernel::Sweep));
+            assert_eq!(
+                (sweep.pairs.len(), digest_pairs(&sweep.pairs)),
+                (pairs, digest)
+            );
+            assert_eq!(sweep.candidates, want.candidates);
+            let (records, bytes, map_input) = want.verify_job;
+            assert_job(
+                sweep.chain.job("fsjoin-verify").unwrap(),
+                records,
+                bytes,
+                map_input,
+            );
+            let walk = res.chain.job("fsjoin-filter").unwrap();
+            let swept = sweep.chain.job("fsjoin-filter").unwrap();
+            assert!(swept.shuffle_bytes < walk.shuffle_bytes);
+        }
     }
 }
 
 #[test]
 fn default_config_matches_owned_vec_goldens() {
     assert_goldens(
-        FsJoinConfig::default().with_theta(0.8),
+        FsJoinConfig::default()
+            .with_kernel(JoinKernel::Prefix)
+            .with_theta(0.8),
         (13, 0x947e907426c9f3c7),
         (53720, 21944),
         (7324, 304728, 67616),
@@ -163,6 +186,7 @@ fn default_config_matches_owned_vec_goldens() {
 fn fragmented_horizontal_config_matches_owned_vec_goldens() {
     assert_goldens(
         FsJoinConfig::default()
+            .with_kernel(JoinKernel::Prefix)
             .with_theta(0.7)
             .with_fragments(8)
             .with_horizontal(3),
@@ -195,6 +219,7 @@ fn fragmented_horizontal_config_matches_owned_vec_goldens() {
 fn pf_variant_matches_owned_vec_goldens() {
     for prune in [false, true] {
         let cfg = FsJoinConfig::default()
+            .with_kernel(JoinKernel::Prefix)
             .with_theta(0.8)
             .with_bitmap_prune(prune);
         let res = run_self_join_pf(&corpus(), &cfg);

@@ -216,6 +216,7 @@ fn long_records_self_join_pf_matches_oracle() {
             assert!(!want.is_empty(), "{measure:?} θ={theta}: no planted pairs");
             for bitmap in [true, false] {
                 let cfg = FsJoinConfig::default()
+                    .with_kernel(JoinKernel::Prefix)
                     .with_measure(measure)
                     .with_theta(theta)
                     .with_bitmap_prune(bitmap);
@@ -345,6 +346,7 @@ fn rs_join_two_input_is_exact_at_its_cascade_edges() {
             assert!(!want.is_empty(), "{measure:?} θ={theta}: no pairs");
             for bitmap in [true, false] {
                 let cfg = FsJoinConfig::default()
+                    .with_kernel(JoinKernel::Prefix)
                     .with_measure(measure)
                     .with_theta(theta)
                     .with_bitmap_prune(bitmap);
@@ -441,6 +443,9 @@ fn signature_step_is_exact_at_its_edges() {
 
             for kernel in JoinKernel::all() {
                 for prune in [true, false] {
+                    if kernel == JoinKernel::Sweep && !prune {
+                        continue; // Sweep is the signature step.
+                    }
                     let cfg = FsJoinConfig::default()
                         .with_measure(measure)
                         .with_theta(theta)
@@ -452,8 +457,17 @@ fn signature_step_is_exact_at_its_edges() {
                     compare_results(&got.pairs, &want_self, 0.0)
                         .unwrap_or_else(|e| panic!("self {label}: {e}"));
                     let fs = got.filter_stats;
-                    assert_eq!(fs.bitmap_checks > 0, prune, "self {label}");
-                    if prune && theta == 0.5 {
+                    if kernel == JoinKernel::Sweep {
+                        // The sweep reads the bitmaps map-side.
+                        let sweep = got.sweep_stats;
+                        assert!(sweep.swept > 0, "self {label}");
+                        assert_eq!(sweep.unaccounted(), 0, "self {label}");
+                        assert_eq!(sweep.unlisted(&fs), 0, "self {label}");
+                        assert_eq!(fs.bitmap_checks, 0, "self {label}");
+                    } else {
+                        assert_eq!(fs.bitmap_checks > 0, prune, "self {label}");
+                    }
+                    if prune && theta == 0.5 && kernel != JoinKernel::Sweep {
                         // The 620/640-token partners pass StrL but saturate
                         // 128 bits: admitted without a bitmap read.
                         let past_strl = fs.pairs_considered - fs.strl_pruned;
@@ -765,6 +779,9 @@ fn length_window_and_signature_table_are_exact_at_their_edges() {
             }
             for kernel in JoinKernel::all() {
                 for prune in [true, false] {
+                    if kernel == JoinKernel::Sweep && !prune {
+                        continue; // Sweep is the signature step.
+                    }
                     for filters in [FilterSet::ALL, FilterSet::NONE, FilterSet::STRL_ONLY] {
                         let cfg = FsJoinConfig::default()
                             .with_measure(measure)

@@ -54,7 +54,8 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `(spans recorded, task attempts, pairs considered)` of one traced run.
+/// `(spans recorded, task attempts, pairs swept)` of one traced run (the
+/// default kernel decides its pairs in the sweep).
 fn census(records: usize) -> (usize, u64, u64) {
     let collection = encode(
         &CorpusProfile::WikiLike
@@ -68,7 +69,7 @@ fn census(records: usize) -> (usize, u64, u64) {
     (
         collector.events().len(),
         res.chain.total_exec().attempts,
-        res.filter_stats.pairs_considered,
+        res.sweep_stats.swept,
     )
 }
 

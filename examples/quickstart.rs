@@ -26,9 +26,10 @@ fn main() {
         collection.universe()
     );
 
-    // 2. Run the join. The default configuration is the paper's: Even-TF
-    //    pivots, prefix join kernel, all four filters, horizontal
-    //    partitioning on.
+    // 2. Run the join. The default configuration is the paper's — Even-TF
+    //    pivots, all four filters, horizontal partitioning on — plus the
+    //    record-signature step and the Sweep kernel, which decides each
+    //    record pair once before the fragment joins.
     let config = FsJoinConfig::default()
         .with_theta(0.6)
         .with_measure(Measure::Jaccard);

@@ -149,7 +149,8 @@ for e in events:
 metrics = [json.loads(l) for l in open(f"{d}/metrics.jsonl") if l.strip()]
 names = {m["metric"] for m in metrics}
 for needed in ("fsjoin.filter.segl_pruned", "fsjoin.filter.segi_pruned",
-               "fsjoin.filter.segd_pruned", "mr.shuffle.records"):
+               "fsjoin.filter.segd_pruned", "fsjoin.sweep.survivors",
+               "mr.shuffle.records"):
     assert needed in names, f"no {needed} in metrics.jsonl"
 print(f"smoke OK: {len(events)} trace events, {len(metrics)} metrics")
 EOF

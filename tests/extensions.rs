@@ -42,7 +42,12 @@ fn pf_variant_slashes_intermediate_volume_on_zipf_data() {
     let cfg = FsJoinConfig::default().with_theta(0.8);
     // Against exact counting under the paper's segment filters alone: the
     // record-signature step closes most of this gap.
-    let exact = run_self_join(&c, &cfg.clone().with_bitmap_prune(false));
+    let exact = run_self_join(
+        &c,
+        &cfg.clone()
+            .with_kernel(JoinKernel::Prefix)
+            .with_bitmap_prune(false),
+    );
     let pf = run_self_join_pf(&c, &cfg);
     assert_eq!(id_pairs(&exact.pairs), id_pairs(&pf.pairs));
     assert!(

@@ -15,15 +15,19 @@ fn wiki(records: usize) -> Collection {
     )
 }
 
-/// FS-Join-V shuffles every token exactly once: the filter job's shuffled
-/// bytes decompose into 25 bytes of per-segment metadata plus 4 bytes per
-/// token, with zero token duplication.
+/// FS-Join-V under the paper's kernels shuffles every token exactly once:
+/// the filter job's shuffled bytes decompose into 25 bytes of per-segment
+/// metadata plus 4 bytes per token, with zero token duplication. (Sweep
+/// ships a subset of these segments.)
 #[test]
 fn fsjoin_vertical_is_duplicate_free() {
     let c = wiki(400);
     let res = fsjoin_suite::fsjoin::run_self_join(
         &c,
-        &FsJoinConfig::default().with_theta(0.8).with_horizontal(0),
+        &FsJoinConfig::default()
+            .with_kernel(JoinKernel::Prefix)
+            .with_theta(0.8)
+            .with_horizontal(0),
     );
     let filter = res.chain.job("fsjoin-filter").unwrap();
     let total_tokens: usize = c.total_tokens() as usize;
@@ -39,10 +43,14 @@ fn ridpairs_duplicates_tokens_fsjoin_does_not() {
     let theta = 0.75;
     let total_tokens: usize = c.total_tokens() as usize;
 
-    // FS-Join (horizontal on): tokens cross once per horizontal membership;
-    // boundary windows add a bounded extra (< 2x). Segment metadata is
-    // excluded — it is overhead, not duplication.
-    let fs = fsjoin_suite::fsjoin::run_self_join(&c, &FsJoinConfig::default().with_theta(theta));
+    // FS-Join (horizontal on, the paper's Prefix kernel): tokens cross once
+    // per horizontal membership; boundary windows add a bounded extra
+    // (< 2x). Segment metadata is excluded — it is overhead, not
+    // duplication.
+    let cfg = FsJoinConfig::default()
+        .with_kernel(JoinKernel::Prefix)
+        .with_theta(theta);
+    let fs = fsjoin_suite::fsjoin::run_self_join(&c, &cfg);
     let filter = fs.chain.job("fsjoin-filter").unwrap();
     let fs_tokens = (filter.shuffle_bytes - 25 * filter.shuffle_records) / 4;
     let fs_dup = fs_tokens as f64 / total_tokens as f64;
@@ -169,6 +177,9 @@ fn filter_counters_account_for_every_considered_pair() {
         for filters in [FilterSet::ALL, FilterSet::NONE] {
             for policy in [EmitPolicy::Exact, EmitPolicy::PositiveBoundOnly] {
                 for prune in [true, false] {
+                    if kernel == JoinKernel::Sweep && !prune {
+                        continue; // Sweep is the signature step.
+                    }
                     let cfg = FsJoinConfig::default()
                         .with_theta(0.8)
                         .with_kernel(kernel)
@@ -184,11 +195,22 @@ fn filter_counters_account_for_every_considered_pair() {
                         assert_eq!(fs.unaccounted(), 0, "{label}: {fs:?}");
                         assert_eq!(fs.emitted, res.candidates as u64, "{label}");
                         assert!(fs.bitmap_pruned <= fs.bitmap_checks, "{label}");
-                        assert_eq!(fs.bitmap_checks > 0, prune, "{label}");
+                        // Sweep reads the bitmaps map-side, under its own
+                        // laws; its reducers count only listed pairs.
+                        let sweep = res.sweep_stats;
+                        let swept = kernel == JoinKernel::Sweep;
+                        assert_eq!(sweep.swept > 0, swept, "{label}");
+                        assert_eq!(sweep.unaccounted(), 0, "{label}");
+                        if swept {
+                            assert_eq!(sweep.unlisted(&fs), 0, "{label}");
+                        }
+                        assert_eq!(fs.bitmap_checks > 0, prune && !swept, "{label}");
                         // StrL is a per-pair test under Loop and a length
                         // window on the posting lists under the indexed
-                        // kernels: never both, and neither with StrL off.
-                        let windowed = kernel != JoinKernel::Loop && filters.strl;
+                        // kernels: never both, and neither with StrL off
+                        // (nor under Sweep, whose window is map-side).
+                        let windowed = matches!(kernel, JoinKernel::Index | JoinKernel::Prefix)
+                            && filters.strl;
                         assert_eq!(fs.window_skipped > 0, windowed, "{label}");
                         let per_pair = kernel == JoinKernel::Loop && filters.strl;
                         assert_eq!(fs.strl_pruned > 0, per_pair, "{label}");
