@@ -14,7 +14,7 @@
 //! production Prefix kernel over every fragment of a 2,000-record WikiLike
 //! corpus with the step on and off at θ ∈ {0.75, 0.8, 0.9} (asserting first
 //! that both find the same pairs), and the Prefix kernel's record-level
-//! discovery — scope → StrL → signature on every distinct co-prefix-token
+//! discovery — StrL → signature on every distinct co-prefix-token
 //! pair — as the arrival-order probe did it before the cell index (a hash
 //! map of posting `Vec`s, one `strl_pass` and two pool bitmap loads per
 //! pair; kept here as the baseline) against the length-windowed columnar
@@ -22,7 +22,7 @@
 //!
 //! The `sweep` group times the Sweep kernel's map-side step over the
 //! 7k-record WikiLike corpus: every record's StrL window, swept through
-//! scope and the signature (`fsjoin::sweep::Sweep::sweep`). It prints ns
+//! the signature (`fsjoin::sweep::Sweep::sweep`). It prints ns
 //! per swept `(record, partner)` visit and the visits swept.
 //!
 //! Numbers are recorded in `results/columnar.md`.
@@ -32,7 +32,6 @@ use fsjoin::cell_index::{CellIndex, Slot};
 use fsjoin::filters::strl_pass;
 use fsjoin::fragment::{
     join_fragment, local_prefix_len, split_cell, CandidateRecord, FragmentJoin, JoinKernel,
-    PairScope,
 };
 use fsjoin::horizontal::JoinRule;
 use fsjoin::sweep::{Sweep, SweepStats};
@@ -210,7 +209,6 @@ fn fragment_segments_owned(c: &Collection, pivots: &[u32], fragment: usize) -> V
 fn run_span_kernel(pool: &TokenPool, segments: &[fsjoin::Segment]) -> Vec<CandidateRecord> {
     let join = FragmentJoin {
         pool,
-        scope: PairScope::SelfJoin,
         measure: Measure::Jaccard,
         theta: 0.8,
         kernel: JoinKernel::Loop,
@@ -324,7 +322,6 @@ fn join_all_fragments(
 ) -> Vec<CandidateRecord> {
     let join = FragmentJoin {
         pool,
-        scope: PairScope::SelfJoin,
         measure: Measure::Jaccard,
         theta,
         kernel: JoinKernel::Prefix,
@@ -367,7 +364,7 @@ struct Discovery {
     postings_visited: u64,
     /// Distinct pairs that reached the cascade.
     pairs_considered: u64,
-    /// Pairs scope, StrL and the signature let through, sorted.
+    /// Pairs StrL and the signature let through, sorted.
     survivors: Vec<(u32, u32)>,
 }
 
@@ -454,7 +451,6 @@ fn discover_windowed(
         let (band, _) = split_cell(&mut segments, JoinRule::All);
         let as_slot = |s: &fsjoin::Segment| Slot {
             len: s.len,
-            group: s.rid,
             sig: pool.bitmap_of(s.rid),
             tokens: &s.tokens(pool)[..local_prefix_len(m, theta, s)],
         };
@@ -631,14 +627,7 @@ fn bench_sweep(c: &mut Criterion) {
     );
     let h_pivots =
         fsjoin::horizontal::select_h_pivots(collection.pool().lengths(), cfg.horizontal_pivots);
-    let sweep = Sweep::new(
-        collection.pool(),
-        collection.len(),
-        PairScope::SelfJoin,
-        &pivots,
-        &h_pivots,
-        &cfg,
-    );
+    let sweep = Sweep::new(collection.pool(), &pivots, &h_pivots, &cfg);
     let records = collection.len() as u32;
     let mut stats = SweepStats::default();
     let survivors = sweep_all(&sweep, records, &mut stats);

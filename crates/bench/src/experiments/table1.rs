@@ -39,9 +39,9 @@ fn tokens_shuffled(job: &JobMetrics, per_record_overhead: usize, listed_partners
 /// and listed partner ids.
 fn first_job_overhead(algo: Algorithm) -> usize {
     match algo {
-        // cell key 4 + rid 4 + side 1 + len/head/tail 12 + vec prefix 4 +
-        // the Sweep kernel's partner count 4
-        Algorithm::FsJoin | Algorithm::FsJoinV => 29,
+        // cell key 4 + rid 4 + len/head/tail 12 + vec prefix 4 + the
+        // Sweep kernel's partner count 4
+        Algorithm::FsJoin | Algorithm::FsJoinV => 28,
         // token key 4 + rid 4 + vec prefix 4
         Algorithm::RidPairs => 12,
         // token key 4 (itself the payload) + (rid, len) value 8

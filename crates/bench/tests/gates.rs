@@ -135,7 +135,7 @@ fn selfjoin_is_frozen_across_workers_and_plan_modes() {
     assert_eq!(
         base.shuffle(),
         [
-            ("fsjoin-filter", 37_616, 1_325_132),
+            ("fsjoin-filter", 37_616, 1_287_516),
             ("fsjoin-verify", 250, 5_000)
         ]
     );
@@ -182,7 +182,6 @@ fn selfjoin_sweep_is_frozen_across_workers_and_plan_modes() {
         base.sweep,
         SweepStats {
             swept: 30_582,
-            scope_skipped: 0,
             bitmap_pruned: 30_536,
             survivors: 46,
             listed: 526,
@@ -195,7 +194,7 @@ fn selfjoin_sweep_is_frozen_across_workers_and_plan_modes() {
     assert_eq!(
         base.shuffle(),
         [
-            ("fsjoin-filter", 938, 44_690),
+            ("fsjoin-filter", 938, 43_752),
             ("fsjoin-verify", 250, 5_000)
         ]
     );
@@ -332,7 +331,7 @@ fn fsjoin_wiki_counters_are_frozen() {
             res.candidates,
             res.chain.total_shuffle_bytes()
         ),
-        (72, 1_557, 1_279_389)
+        (72, 1_557, 1_249_128)
     );
     assert_eq!(
         res.filter_stats,
@@ -359,7 +358,7 @@ fn fsjoin_wiki_counters_are_frozen() {
         .iter()
         .map(|j| (j.shuffle_records, j.shuffle_bytes))
         .collect();
-    assert_eq!(shuffle, [(30_261, 1_250_869), (1_426, 28_520)]);
+    assert_eq!(shuffle, [(30_261, 1_220_608), (1_426, 28_520)]);
 }
 
 /// Default-config FS-Join — the Sweep kernel — on the same corpus: Prefix's
@@ -393,7 +392,6 @@ fn fsjoin_wiki_sweep_counters_are_frozen() {
         base.sweep,
         SweepStats {
             swept: 269_768,
-            scope_skipped: 0,
             bitmap_pruned: 269_448,
             survivors: 320,
             listed: 2_226,
@@ -403,11 +401,11 @@ fn fsjoin_wiki_sweep_counters_are_frozen() {
         }
     );
     assert_sweep_conserved(&base, 30_261);
-    // Prefix ships 1,250,869 filter bytes and the same verify job.
+    // Prefix ships 1,220,608 filter bytes and the same verify job.
     assert_eq!(
         base.shuffle(),
         [
-            ("fsjoin-filter", 2_403, 133_603),
+            ("fsjoin-filter", 2_403, 131_200),
             ("fsjoin-verify", 1_426, 28_520)
         ]
     );
@@ -432,7 +430,7 @@ fn pf_wiki_counters_are_frozen() {
             res.candidates,
             res.chain.total_shuffle_bytes()
         ),
-        (72, 386, 1_258_197)
+        (72, 386, 1_227_936)
     );
     assert_eq!(
         res.filter_stats,

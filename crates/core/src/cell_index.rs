@@ -5,8 +5,8 @@
 //! the same shape — index some tokens of every segment of a cell, then probe
 //! with each segment's tokens and run a cascade on every distinct partner
 //! reached. What the cascade decides first depends on the two *records*
-//! only: scope, the string-length filter and the record signature. Slots are
-//! therefore laid out in record-length order, which turns those three into
+//! only: the string-length filter and the record signature. Slots are
+//! therefore laid out in record-length order, which turns those two into
 //! work done on the posting list instead of on a materialised pair:
 //!
 //! * **StrL is a range.** A probe may pair with record lengths
@@ -44,9 +44,6 @@ const UNCHECKED: i32 = i32::MAX;
 pub struct Slot<'a> {
     /// Full record length `|s|` (≥ 1).
     pub len: u32,
-    /// Scope group: slots of the probe's own group are inadmissible
-    /// partners (the record id in a self-join, the side in an R×S join).
-    pub group: u32,
     /// The record's signature, `sig_words` words.
     pub sig: &'a [u64],
     /// The tokens to index or to probe with (ascending).
@@ -79,7 +76,6 @@ pub struct CellIndex {
     lens: Vec<u32>,
     /// Number of distinct lengths below the slot's: the row of `limits`.
     classes: Vec<u32>,
-    groups: Vec<u32>,
     sig_words: usize,
     sigs: Vec<u64>,
     // CSR postings: `slots[starts[k]..starts[k + 1]]` lists, ascending, the
@@ -104,7 +100,6 @@ impl CellIndex {
     pub fn rebuild<'a>(&mut self, sig_words: usize, slots: impl Iterator<Item = Slot<'a>>) {
         self.lens.clear();
         self.classes.clear();
-        self.groups.clear();
         self.sigs.clear();
         self.entries.clear();
         self.directory.clear();
@@ -118,7 +113,6 @@ impl CellIndex {
             }
             self.lens.push(s.len);
             self.classes.push(class);
-            self.groups.push(s.group);
             assert_eq!(s.sig.len(), sig_words, "signature width");
             self.sigs.extend_from_slice(s.sig);
             for &t in s.tokens {
@@ -163,8 +157,11 @@ impl CellIndex {
 
     /// Walk the posting lists of `probe.tokens` inside the slot range
     /// `window` ([`Self::window`]) and run the record-level cascade on
-    /// every slot met for the first time: scope, then the signature row
-    /// against the Hamming limit of the slot's length.
+    /// every slot met for the first time: the signature row against the
+    /// Hamming limit of the slot's length. The window must not hold the
+    /// probe's own record — callers probe each slot with the slots before
+    /// it, or with segments not indexed at all — so every slot met is a
+    /// pair.
     /// `limit_of(partner_len)` is asked once per distinct
     /// `(probe.len, partner_len)` and returns what
     /// [`Verifier::hamming_limit`](ssj_similarity::Verifier::hamming_limit)
@@ -172,7 +169,7 @@ impl CellIndex {
     /// partner through unread. Survivors are left in [`Self::hits`].
     ///
     /// Counts into `stats`: out-of-window postings (`window_skipped`),
-    /// in-scope slots met (`pairs_considered`), and the signature step
+    /// slots met (`pairs_considered`), and the signature step
     /// (`bitmap_checks` / `bitmap_pruned`).
     pub fn probe(
         &mut self,
@@ -206,9 +203,6 @@ impl CellIndex {
                     continue;
                 }
                 *mark = Mark { epoch, shared: 0 };
-                if self.groups[s] == probe.group {
-                    continue;
-                }
                 considered += 1;
                 let entry = &mut self.limits[self.classes[s] as usize];
                 if entry.probe_len != probe.len {
@@ -258,17 +252,16 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    /// A cell of `(len, group, sig, tokens)` rows with one-word signatures.
-    fn index(rows: &[(u32, u32, u64, &[u32])]) -> CellIndex {
-        let sigs: Vec<[u64; 1]> = rows.iter().map(|r| [r.2]).collect();
+    /// A cell of `(len, sig, tokens)` rows with one-word signatures.
+    fn index(rows: &[(u32, u64, &[u32])]) -> CellIndex {
+        let sigs: Vec<[u64; 1]> = rows.iter().map(|r| [r.1]).collect();
         let mut index = CellIndex::default();
         index.rebuild(
             1,
             rows.iter().zip(&sigs).map(|(r, sig)| Slot {
                 len: r.0,
-                group: r.1,
                 sig,
-                tokens: r.3,
+                tokens: r.2,
             }),
         );
         index
@@ -278,20 +271,19 @@ mod tests {
         Slot {
             tokens,
             len,
-            group: u32::MAX,
             sig: &[0],
         }
     }
 
     #[test]
     fn the_window_is_a_slot_range_on_every_posting_list() {
-        let index_rows: [(u32, u32, u64, &[u32]); 6] = [
-            (2, 0, 0, &[7, 9]),
-            (2, 1, 0, &[7]),
-            (3, 2, 0, &[7, 9]),
-            (5, 3, 0, &[9]),
-            (5, 4, 0, &[7, 9]),
-            (8, 5, 0, &[7, 9]),
+        let index_rows: [(u32, u64, &[u32]); 6] = [
+            (2, 0, &[7, 9]),
+            (2, 0, &[7]),
+            (3, 0, &[7, 9]),
+            (5, 0, &[9]),
+            (5, 0, &[7, 9]),
+            (8, 0, &[7, 9]),
         ];
         let mut index = index(&index_rows);
         // Lengths ≥ 3 among the slots before slot 5.
@@ -314,14 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn scope_and_signature_run_once_per_slot_met() {
-        // Slot 1 is in the probe's group; slot 2's row is 3 bits from the
-        // probe's, slot 0's is 1 bit away.
-        let rows: [(u32, u32, u64, &[u32]); 3] = [
-            (4, 0, 0b0001, &[1, 2, 3]),
-            (4, 9, 0b0000, &[1, 2, 3]),
-            (6, 2, 0b0111, &[1, 2, 3]),
-        ];
+    fn the_signature_runs_once_per_slot_met() {
+        // Slot 1's row is 3 bits from the probe's, slot 0's is 1 bit away.
+        let rows: [(u32, u64, &[u32]); 2] = [(4, 0b0001, &[1, 2, 3]), (6, 0b0111, &[1, 2, 3])];
         let mut index = index(&rows);
         let asked = Cell::new(0);
         let limit_of = |partner_len: u32| {
@@ -331,28 +318,25 @@ mod tests {
             Some(2)
         };
         let mut stats = FilterStats::default();
-        let p = Slot {
-            group: 9,
-            ..probe(&[1, 2, 3], 7)
-        };
-        index.probe(&p, 0..3, limit_of, &mut stats);
+        let p = probe(&[1, 2, 3], 7);
+        index.probe(&p, 0..2, limit_of, &mut stats);
         assert_eq!(index.hits(), [0]);
-        assert_eq!(stats.pairs_considered, 2, "the own-group slot is no pair");
+        assert_eq!(stats.pairs_considered, 2);
         assert_eq!((stats.bitmap_checks, stats.bitmap_pruned), (2, 1));
         assert_eq!(index.shared(0), 3);
-        assert_eq!(index.shared(2), 0, "a dropped slot counts nothing");
+        assert_eq!(index.shared(1), 0, "a dropped slot counts nothing");
         assert_eq!(asked.get(), 2, "one limit per partner length");
         // A second probe of the same length reuses both limits; a probe of
         // another length asks again.
-        index.probe(&p, 0..3, limit_of, &mut stats);
+        index.probe(&p, 0..2, limit_of, &mut stats);
         assert_eq!(asked.get(), 2);
-        index.probe(&Slot { len: 8, ..p }, 0..3, limit_of, &mut stats);
+        index.probe(&Slot { len: 8, ..p }, 0..2, limit_of, &mut stats);
         assert_eq!(asked.get(), 4);
     }
 
     #[test]
     fn negative_limits_drop_and_no_limit_passes_every_distance() {
-        let rows: [(u32, u32, u64, &[u32]); 2] = [(3, 0, 0, &[5]), (4, 1, u64::MAX, &[5])];
+        let rows: [(u32, u64, &[u32]); 2] = [(3, 0, &[5]), (4, u64::MAX, &[5])];
         let mut index = index(&rows);
         let mut stats = FilterStats::default();
         // Length 3: no distance survives. Length 4: not read at all.
@@ -364,7 +348,7 @@ mod tests {
 
     #[test]
     fn rebuild_forgets_the_last_cell() {
-        let first: [(u32, u32, u64, &[u32]); 2] = [(3, 0, 0, &[5, 6]), (3, 1, 0, &[5])];
+        let first: [(u32, u64, &[u32]); 2] = [(3, 0, &[5, 6]), (3, 0, &[5])];
         let mut index = index(&first);
         let mut stats = FilterStats::default();
         index.probe(&probe(&[5, 6], 3), 0..2, |_| Some(0), &mut stats);
@@ -376,10 +360,8 @@ mod tests {
             1,
             [(7u32, &[6u32][..]), (9, &[8][..])]
                 .into_iter()
-                .enumerate()
-                .map(|(i, (len, tokens))| Slot {
+                .map(|(len, tokens)| Slot {
                     len,
-                    group: i as u32,
                     sig: &sig,
                     tokens,
                 }),

@@ -57,11 +57,11 @@ pub struct FsJoinConfig {
     /// Use the pool's hashed record bitmaps as a sound upper bound on a
     /// pair's overlap (default true; DESIGN.md §12), at all three sites
     /// that can ask whether two *records* can reach θ: the fragment join
-    /// of [`crate::run_self_join`] / [`crate::run_rs_join`] (the
-    /// record-signature step after StrL, which drops a dissimilar pair in
-    /// every fragment at once — map-side under [`JoinKernel::Sweep`],
-    /// which requires it), FS-Join-PF's cached verification and the
-    /// two-input R×S join stage. Lossless: pairs and scores are identical
+    /// of [`crate::run_self_join`] (the record-signature step after StrL,
+    /// which drops a dissimilar pair in every fragment at once — map-side
+    /// under [`JoinKernel::Sweep`], which requires it), FS-Join-PF's cached
+    /// verification and the R×S join stage of
+    /// [`crate::run_rs_join_two_input`]. Lossless: pairs and scores are identical
     /// with it off. At the two verify sites nothing else moves either; at
     /// the fragment join the candidate volume, the verify job's shuffle
     /// and the segment-filter counters shrink with it on, because pairs

@@ -8,7 +8,7 @@
 use crate::cell_index::CellIndex;
 use crate::config::FsJoinConfig;
 use crate::filters::FilterStats;
-use crate::fragment::{join_fragment, FragmentJoin, JoinKernel, PairScope};
+use crate::fragment::{join_fragment, FragmentJoin, JoinKernel};
 use crate::horizontal::{h_partitions_for, num_h_partitions, select_h_pivots, JoinRule};
 use crate::pivots::select_pivots;
 use crate::segment::Segment;
@@ -63,41 +63,6 @@ impl FsJoinResult {
     }
 }
 
-/// Self-join a collection. The collection's token pool is shared with the
-/// jobs as-is (an `Arc` clone) — no token is copied to set up the join.
-pub fn run_self_join(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
-    run_join(
-        collection.share_pool(),
-        collection.len(),
-        0,
-        &collection.token_freqs,
-        cfg,
-        PairScope::SelfJoin,
-    )
-}
-
-/// R×S join of two collections encoded in the **same token-rank space**
-/// (see [`ssj_text::encode::encode_two`]). S-side record ids are offset by
-/// `r.len()` in the returned pairs: pair `(a, b)` with `b ≥ offset` refers
-/// to S-record `b − offset`.
-pub fn run_rs_join(r: &Collection, s: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
-    assert_eq!(
-        r.token_freqs, s.token_freqs,
-        "R and S must be encoded together (shared global ordering)"
-    );
-    // One shared arena: R's records keep their offsets, S's follow (ids
-    // shift by r.len(), matching the pair-id offset contract above).
-    let pool = Arc::new(TokenPool::concat(r.pool(), s.pool()));
-    run_join(
-        pool,
-        r.len(),
-        s.len(),
-        &r.token_freqs,
-        cfg,
-        PairScope::CrossSides,
-    )
-}
-
 /// Filtering-job mapper: vertical + horizontal partitioning of one record
 /// (paper Algorithm 1 lines 6–9). Shared with the prefix-discovery variant
 /// ([`crate::pf`]). Tokens are resolved against the run's shared pool
@@ -115,28 +80,33 @@ pub(crate) struct PartitionMapper {
 
 impl Mapper for PartitionMapper {
     type InKey = u32;
-    type InValue = (u8, PooledRecord);
+    type InValue = PooledRecord;
     type OutKey = u32; // cell id = h * num_fragments + v
     type OutValue = Segment;
 
-    fn map(
-        &mut self,
-        _rid: u32,
-        (side, record): (u8, PooledRecord),
-        out: &mut Emitter<u32, Segment>,
-    ) {
+    fn map(&mut self, _rid: u32, record: PooledRecord, out: &mut Emitter<u32, Segment>) {
         if record.span.is_empty() {
             return;
         }
         let tokens = self.pool.resolve(record.span);
         let hs = h_partitions_for(tokens.len(), &self.h_pivots, self.measure, self.theta);
-        let segments = split_record(record.id, side, tokens, record.span, &self.pivots);
+        let segments = split_record(record.id, 0, tokens, record.span, &self.pivots);
         for &h in &hs {
             for &(v, seg) in &segments {
                 out.emit((h * self.num_fragments + v) as u32, seg);
             }
         }
     }
+}
+
+/// The filtering job's input: every record of `pool` as its id and span.
+pub(crate) fn pooled_records(pool: &TokenPool) -> Vec<(u32, PooledRecord)> {
+    (0..pool.len() as u32)
+        .map(|id| {
+            let span = pool.span_of(id);
+            (id, PooledRecord { id, span })
+        })
+        .collect()
 }
 
 /// Filtering-job reducer: joins one fragment cell (paper Algorithm 1
@@ -148,7 +118,7 @@ impl Mapper for PartitionMapper {
 /// off the k-way merge into a scratch buffer reused across cells — the
 /// engine allocates nothing per key, and the reducer amortizes its one
 /// buffer over the whole task ([`Segment`]s are `Copy` spans, so the copy
-/// is 28 bytes/segment with no token movement). The indexed kernels'
+/// is 24 bytes/segment with no token movement). The indexed kernels'
 /// [`CellIndex`] is reducer-owned the same way: rebuilt per cell into the
 /// buffers of the last one.
 ///
@@ -158,7 +128,6 @@ struct FragmentReducer {
     pool: Arc<TokenPool>,
     cfg: FsJoinConfig,
     h_pivots: Arc<Vec<u32>>,
-    scope: PairScope,
     local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
     scratch: Vec<Segment>,
@@ -183,7 +152,7 @@ impl StreamingReducer for FragmentReducer {
         let rule = JoinRule::for_partition(h, &self.h_pivots);
         let before_pairs = self.local_stats.pairs_considered;
         let before_emitted = self.local_stats.emitted;
-        let join = FragmentJoin::of_run(&self.pool, &self.cfg, self.scope);
+        let join = FragmentJoin::of_run(&self.pool, &self.cfg);
         let records = join_fragment(
             &join,
             &mut self.scratch,
@@ -299,15 +268,12 @@ struct FilterPlan {
     num_cells: usize,
 }
 
-/// Select the pivots and plan the filtering job over `pool` (R ++ S). The
+/// Select the pivots and plan the filtering job over `pool`'s records. The
 /// stage's tasks record their counters into `registry`.
 fn filter_plan(
     pool: &Arc<TokenPool>,
-    num_r: usize,
-    num_s: usize,
     freqs: &[u64],
     cfg: &FsJoinConfig,
-    scope: PairScope,
     registry: &Arc<MetricsRegistry>,
 ) -> FilterPlan {
     // ---- Setup: pivot selection (Algorithm 1 lines 2–4) ------------------
@@ -335,7 +301,7 @@ fn filter_plan(
     // The Sweep kernel's columns, next to the pivots: built once from the
     // pool, shared read-only by every map task.
     let sweep = (cfg.kernel == JoinKernel::Sweep)
-        .then(|| Arc::new(Sweep::new(pool, num_r, scope, &pivots, &h_pivots, cfg)));
+        .then(|| Arc::new(Sweep::new(pool, &pivots, &h_pivots, cfg)));
     drop(
         ordering_span
             .field("fragments", num_fragments)
@@ -343,24 +309,10 @@ fn filter_plan(
     );
 
     // ---- Input dataset ----------------------------------------------------
-    // Each input record is just (side tag, span) — the tokens stay in the
-    // shared pool. Logical input bytes are unchanged: a PooledRecord's
-    // ByteSize still counts id + length prefix + tokens.
-    let mut input_records: Vec<(u32, (u8, PooledRecord))> = Vec::with_capacity(num_r + num_s);
-    for rid in 0..(num_r + num_s) as u32 {
-        let side = u8::from(rid as usize >= num_r);
-        input_records.push((
-            rid,
-            (
-                side,
-                PooledRecord {
-                    id: rid,
-                    span: pool.span_of(rid),
-                },
-            ),
-        ));
-    }
-    let input = Dataset::from_records(input_records, cfg.map_tasks);
+    // Each input record is just a span — the tokens stay in the shared
+    // pool. A PooledRecord's ByteSize still counts id + length prefix +
+    // tokens.
+    let input = Dataset::from_records(pooled_records(pool), cfg.map_tasks);
 
     // ---- Filtering job (Algorithm 1 lines 5–13) ----------------------------
     let reduce_tasks = cfg.reduce_tasks.min(num_cells).max(1);
@@ -386,12 +338,7 @@ fn filter_plan(
                 )
             },
             move |_, pool: &Arc<TokenPool>| {
-                SweepReducer::new(
-                    Arc::clone(pool),
-                    cfg_eff.clone(),
-                    scope,
-                    Arc::clone(&registry),
-                )
+                SweepReducer::new(Arc::clone(pool), cfg_eff.clone(), Arc::clone(&registry))
             },
             DirectPartitioner::new(|cell: &u32| *cell as usize),
             None::<IdentityCombiner>,
@@ -422,7 +369,6 @@ fn filter_plan(
                     pool: Arc::clone(pool),
                     cfg: cfg_eff.clone(),
                     h_pivots: Arc::clone(&h_pivots),
-                    scope,
                     local_stats: FilterStats::default(),
                     registry: Arc::clone(&registry),
                     scratch: Vec::new(),
@@ -442,18 +388,13 @@ fn filter_plan(
     }
 }
 
-fn run_join(
-    pool: Arc<TokenPool>,
-    num_r: usize,
-    num_s: usize,
-    freqs: &[u64],
-    cfg: &FsJoinConfig,
-    scope: PairScope,
-) -> FsJoinResult {
+/// Self-join a collection. The collection's token pool is shared with the
+/// jobs as-is (an `Arc` clone) — no token is copied to set up the join.
+pub fn run_self_join(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
     cfg.validate();
-    assert_eq!(pool.len(), num_r + num_s, "pool must hold exactly R ++ S");
+    let pool = collection.share_pool();
     let run_span = span("fsjoin.stage", "run")
-        .field("records", num_r + num_s)
+        .field("records", pool.len())
         .field("theta", cfg.theta);
 
     // ---- Plan: filtering → verification -----------------------------------
@@ -473,7 +414,7 @@ fn run_join(
         pivots,
         h_pivots,
         num_cells,
-    } = filter_plan(&pool, num_r, num_s, freqs, cfg, scope, &run_registry);
+    } = filter_plan(&pool, &collection.token_freqs, cfg, &run_registry);
     let filter_span = span("fsjoin.stage", "filter-job").field("cells", num_cells);
     let verify_span = span("fsjoin.stage", "verify-job");
     let verified_h = plan.add_full(
@@ -535,6 +476,7 @@ mod tests {
     use crate::config::FilterSet;
     use crate::fragment::CandidateRecord;
     use crate::pivots::PivotStrategy;
+    use crate::rsjoin::run_rs_join_two_input;
     use ssj_similarity::naive::naive_self_join;
     use ssj_similarity::pair::compare_results;
     use ssj_text::{encode, RawCorpus, Record, Tokenizer};
@@ -630,17 +572,17 @@ mod tests {
         let filter = res.chain.job("fsjoin-filter").unwrap();
         let total_tokens: usize = c.total_tokens() as usize;
         // Every shuffled record is one segment costing exactly
-        // key(4) + rid(4) + side(1) + len/head/tail(12) + vec prefix(4)
-        // = 25 bytes of metadata plus 4 bytes per token. Solving for the
-        // token payload proves each token crossed the shuffle EXACTLY once.
-        let tokens_shuffled = (filter.shuffle_bytes - 25 * filter.shuffle_records) / 4;
+        // key(4) + rid(4) + len/head/tail(12) + vec prefix(4) = 24 bytes
+        // of metadata plus 4 bytes per token. Solving for the token
+        // payload proves each token crossed the shuffle EXACTLY once.
+        let tokens_shuffled = (filter.shuffle_bytes - 24 * filter.shuffle_records) / 4;
         assert_eq!(tokens_shuffled, total_tokens);
 
         // With horizontal partitioning, boundary windows re-emit some
         // records: tokens may cross more than once (bounded duplication).
         let res_h = run_self_join(&c, &cfg.clone().with_horizontal(2));
         let filter_h = res_h.chain.job("fsjoin-filter").unwrap();
-        let tokens_h = (filter_h.shuffle_bytes - 25 * filter_h.shuffle_records) / 4;
+        let tokens_h = (filter_h.shuffle_bytes - 24 * filter_h.shuffle_records) / 4;
         assert!(tokens_h >= total_tokens);
 
         // Sweep ships a segment only where a surviving pair meets, with a
@@ -659,7 +601,7 @@ mod tests {
             let sweep = res.sweep_stats;
             let job = res.chain.job("fsjoin-filter").unwrap();
             let tokens =
-                (job.shuffle_bytes - 29 * job.shuffle_records - 4 * sweep.listed as usize) / 4;
+                (job.shuffle_bytes - 28 * job.shuffle_records - 4 * sweep.listed as usize) / 4;
             assert!(tokens <= walk_tokens, "t={t}");
             assert_eq!(job.shuffle_records as u64, sweep.segments_shipped, "t={t}");
             assert_eq!(
@@ -681,7 +623,7 @@ mod tests {
             &Tokenizer::Words,
         );
         let (r, s) = ssj_text::encode::encode_two(&r_corpus, &s_corpus);
-        let res = run_rs_join(&r, &s, &FsJoinConfig::default().with_theta(0.7));
+        let res = run_rs_join_two_input(&r, &s, &FsJoinConfig::default().with_theta(0.7));
         // Oracle with offset ids.
         let offset = r.len() as u32;
         let s_shifted: Vec<Record> = s
@@ -700,7 +642,7 @@ mod tests {
     fn rs_join_requires_shared_ordering() {
         let a = encode(&RawCorpus::from_texts(&["x y"], &Tokenizer::Words));
         let b = encode(&RawCorpus::from_texts(&["x y z"], &Tokenizer::Words));
-        let _ = run_rs_join(&a, &b, &FsJoinConfig::default());
+        let _ = run_rs_join_two_input(&a, &b, &FsJoinConfig::default());
     }
 
     /// The paper-magnitude emission policy (see [`crate::EmitPolicy`])
@@ -759,17 +701,10 @@ mod tests {
         );
     }
 
-    /// The filter stage's candidate records over `pool` (R ++ S), sorted.
-    fn filter_candidates(
-        pool: &Arc<TokenPool>,
-        num_r: usize,
-        freqs: &[u64],
-        cfg: &FsJoinConfig,
-        scope: PairScope,
-    ) -> Vec<CandidateRecord> {
+    /// The filter stage's candidate records over `c`, sorted.
+    fn filter_candidates(c: &Collection, cfg: &FsJoinConfig) -> Vec<CandidateRecord> {
         let registry = Arc::new(MetricsRegistry::new());
-        let num_s = pool.len() - num_r;
-        let filter = filter_plan(pool, num_r, num_s, freqs, cfg, scope, &registry);
+        let filter = filter_plan(&c.share_pool(), &c.token_freqs, cfg, &registry);
         let mut outcome = PlanRunner::new(cfg.plan_mode).run(filter.plan);
         let mut out: Vec<CandidateRecord> = outcome
             .take_output(filter.candidates)
@@ -787,8 +722,8 @@ mod tests {
     }
 
     /// Sweep against the Prefix walk on the 400-record WikiLike bench
-    /// corpus, self-join and R×S, at 16 and 30 fragments with 0 and 4
-    /// h-pivots: every pair the walk admits past the signature is a sweep
+    /// corpus, at 16 and 30 fragments with 0 and 4 h-pivots: every pair
+    /// the walk admits past the signature is a sweep
     /// survivor, and the two emit the same candidate multiset. One
     /// fragment (whole records) adds cells where the local prefix is
     /// shorter than the segment, so the collision test decides.
@@ -798,75 +733,54 @@ mod tests {
         use ssj_text::CorpusProfile;
         use std::collections::BTreeSet;
 
-        let raw = CorpusProfile::WikiLike
-            .config()
-            .with_records(400)
-            .generate();
-        let whole = encode(&raw);
-        let (mut r_docs, mut s_docs) = (Vec::new(), Vec::new());
-        for (i, doc) in raw.docs.into_iter().enumerate() {
-            if i % 3 == 0 { &mut r_docs } else { &mut s_docs }.push(doc);
-        }
-        let side = |docs| RawCorpus { docs, vocab: None };
-        let (r, s) = ssj_text::encode::encode_two(&side(r_docs), &side(s_docs));
-        let inputs = [
-            (
-                PairScope::SelfJoin,
-                whole.share_pool(),
-                whole.len(),
-                &whole.token_freqs,
-            ),
-            (
-                PairScope::CrossSides,
-                Arc::new(TokenPool::concat(r.pool(), s.pool())),
-                r.len(),
-                &r.token_freqs,
-            ),
-        ];
-        for (scope, pool, num_r, freqs) in &inputs {
-            for fragments in [1, 16, 30] {
-                for h in [0, 4] {
-                    let label = format!("{scope:?} fragments={fragments} h={h}");
-                    let cfg = FsJoinConfig::default()
-                        .with_theta(0.8)
-                        .with_fragments(fragments)
-                        .with_horizontal(h);
-                    // The sweep's survivors depend on the records alone.
-                    let sweep = Sweep::new(pool, *num_r, *scope, &[], &[], &cfg);
-                    let mut survivors = BTreeSet::new();
-                    let mut rows = Vec::new();
-                    for rid in 0..pool.len() as u32 {
-                        let Some(row) = sweep.position(rid) else {
-                            continue;
-                        };
-                        rows.clear();
-                        sweep.sweep(row, &mut rows, &mut SweepStats::default());
-                        for &q in &rows {
-                            let partner = sweep.record_at(q as usize);
-                            survivors.insert((rid.min(partner), rid.max(partner)));
-                        }
+        let c = encode(
+            &CorpusProfile::WikiLike
+                .config()
+                .with_records(400)
+                .generate(),
+        );
+        for fragments in [1, 16, 30] {
+            for h in [0, 4] {
+                let label = format!("fragments={fragments} h={h}");
+                let cfg = FsJoinConfig::default()
+                    .with_theta(0.8)
+                    .with_fragments(fragments)
+                    .with_horizontal(h);
+                // The sweep's survivors depend on the records alone.
+                let sweep = Sweep::new(c.pool(), &[], &[], &cfg);
+                let mut survivors = BTreeSet::new();
+                let mut rows = Vec::new();
+                for rid in 0..c.len() as u32 {
+                    let Some(row) = sweep.position(rid) else {
+                        continue;
+                    };
+                    rows.clear();
+                    sweep.sweep(row, &mut rows, &mut SweepStats::default());
+                    for &q in &rows {
+                        let partner = sweep.record_at(q as usize);
+                        survivors.insert((rid.min(partner), rid.max(partner)));
                     }
-                    // With no segment step, the walk emits every pair it
-                    // admits past the signature, in every cell it meets in.
-                    let walk = cfg
-                        .clone()
-                        .with_kernel(JoinKernel::Prefix)
-                        .with_filters(FilterSet::STRL_ONLY);
-                    let admitted = filter_candidates(pool, *num_r, freqs, &walk, *scope);
-                    assert!(!admitted.is_empty(), "{label}");
-                    for rec in &admitted {
-                        assert!(survivors.contains(&rec.key()), "{label}: {rec:?}");
-                    }
-                    for filters in [FilterSet::ALL, FilterSet::STRL_ONLY] {
-                        let cfg = cfg.clone().with_filters(filters);
-                        let prefix = cfg.clone().with_kernel(JoinKernel::Prefix);
-                        let sweep = cfg.with_kernel(JoinKernel::Sweep);
-                        assert_eq!(
-                            filter_candidates(pool, *num_r, freqs, &sweep, *scope),
-                            filter_candidates(pool, *num_r, freqs, &prefix, *scope),
-                            "{label} {filters:?}"
-                        );
-                    }
+                }
+                // With no segment step, the walk emits every pair it admits
+                // past the signature, in every cell it meets in.
+                let walk = cfg
+                    .clone()
+                    .with_kernel(JoinKernel::Prefix)
+                    .with_filters(FilterSet::STRL_ONLY);
+                let admitted = filter_candidates(&c, &walk);
+                assert!(!admitted.is_empty(), "{label}");
+                for rec in &admitted {
+                    assert!(survivors.contains(&rec.key()), "{label}: {rec:?}");
+                }
+                for filters in [FilterSet::ALL, FilterSet::STRL_ONLY] {
+                    let cfg = cfg.clone().with_filters(filters);
+                    let prefix = cfg.clone().with_kernel(JoinKernel::Prefix);
+                    let sweep = cfg.with_kernel(JoinKernel::Sweep);
+                    assert_eq!(
+                        filter_candidates(&c, &sweep),
+                        filter_candidates(&c, &prefix),
+                        "{label} {filters:?}"
+                    );
                 }
             }
         }

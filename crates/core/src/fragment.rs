@@ -19,14 +19,14 @@
 //! collision test — do the two local prefixes share a token? — and the
 //! segment steps on each listed pair ([`FragmentJoin::join_listed`]).
 //!
-//! All kernels run every pair through one cascade — scope → StrL → record
+//! All kernels run every pair through one cascade — StrL → record
 //! signature → SegL → SegD precheck, then SegI/SegD on the exact local
 //! overlap — apply the same [`FilterSet`] and produce identical output
-//! (property-tested); they differ only in work. Loop tests the first three
+//! (property-tested); they differ only in work. Loop tests the first two
 //! steps pair by pair ([`FragmentJoin::admit`]). Index and Prefix share the
 //! reducer-owned [`CellIndex`]: the cell sits in record-length order, so
-//! StrL is a slot range on each posting list and scope and the signature
-//! run inside the posting walk, on dense columns; only the survivors reach
+//! StrL is a slot range on each posting list and the signature runs
+//! inside the posting walk, on dense columns; only the survivors reach
 //! the per-pair segment filters (`FragmentJoin::segment_bounds` /
 //! `finish`). Prefix and Sweep emit the same candidates: a pair reaches
 //! the segment steps in a cell under either exactly when the record-level
@@ -46,32 +46,6 @@ use crate::segment::Segment;
 use ssj_similarity::intersect::intersect_count_adaptive;
 use ssj_similarity::{Measure, Signature, Verifier};
 use ssj_text::TokenPool;
-
-/// Which record pairs a join considers, besides the horizontal rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PairScope {
-    /// Self-join: all distinct record pairs.
-    SelfJoin,
-    /// R×S join: only pairs from different sides.
-    CrossSides,
-}
-
-impl PairScope {
-    /// A segment's scope group: pairs within one group are inadmissible.
-    #[inline]
-    pub fn group(self, seg: &Segment) -> u32 {
-        self.record_group(seg.rid, seg.side)
-    }
-
-    /// The scope group of record `rid` on `side`.
-    #[inline]
-    pub fn record_group(self, rid: u32, side: u8) -> u32 {
-        match self {
-            PairScope::SelfJoin => rid,
-            PairScope::CrossSides => u32::from(side),
-        }
-    }
-}
 
 /// Put a cell in record-length order — what [`CellIndex`] indexes, and
 /// what makes a boundary cell's two groups slices of it — and cut it by
@@ -95,7 +69,7 @@ pub fn split_cell(segments: &mut [Segment], rule: JoinRule) -> (&[Segment], Opti
 ///
 /// Loop, Index and Prefix are the paper's three reduce-side kernels: each
 /// reducer finds its cell's pairs itself and decides the record-level
-/// steps (scope, StrL, signature) once per cell a pair meets in. Sweep
+/// steps (StrL, signature) once per cell a pair meets in. Sweep
 /// decides them once per pair, in the filter stage's map tasks, by a
 /// dense XOR-popcount sweep over the records' length-ordered signature
 /// columns ([`crate::sweep`]). A segment then ships only to the cells where
@@ -182,8 +156,6 @@ impl CandidateRecord {
 pub struct FragmentJoin<'a> {
     /// The arena the segments' spans resolve against.
     pub pool: &'a TokenPool,
-    /// Which record pairs are admissible.
-    pub scope: PairScope,
     /// Similarity measure.
     pub measure: Measure,
     /// Threshold θ.
@@ -205,10 +177,9 @@ pub struct FragmentJoin<'a> {
 impl<'a> FragmentJoin<'a> {
     /// The fragment join of a run configured by `cfg`, over `pool`'s own
     /// records (so [`Self::signatures`] may read their bitmaps).
-    pub fn of_run(pool: &'a TokenPool, cfg: &FsJoinConfig, scope: PairScope) -> Self {
+    pub fn of_run(pool: &'a TokenPool, cfg: &FsJoinConfig) -> Self {
         FragmentJoin {
             pool,
-            scope,
             measure: cfg.measure,
             theta: cfg.theta,
             kernel: cfg.kernel,
@@ -220,9 +191,9 @@ impl<'a> FragmentJoin<'a> {
 }
 
 /// Join all segments of one fragment cell ([`split_cell`] says which
-/// pairs). `segments` may contain at most one segment per `(rid, side)`
-/// (guaranteed by vertical partitioning); their spans resolve against
-/// `join.pool`.
+/// pairs). `segments` may contain at most one segment per record
+/// (guaranteed by vertical partitioning), so no kernel pairs a record with
+/// itself; their spans resolve against `join.pool`.
 ///
 /// Segment intersections are always exact: the verification job sums
 /// local counts, so a threshold verdict is not enough for a pair that
@@ -264,10 +235,10 @@ pub fn local_prefix_len(measure: Measure, theta: f64, seg: &Segment) -> usize {
 }
 
 impl FragmentJoin<'_> {
-    /// The Loop kernel's record-level steps, pair by pair: scope → StrL →
-    /// record signature. Returns the pair's `α = min_overlap(θ, |a|, |b|)`
-    /// when it survives. (The indexed kernels run the same three steps
-    /// inside [`CellIndex::probe`].)
+    /// The Loop kernel's record-level steps, pair by pair: StrL → record
+    /// signature. Returns the pair's `α = min_overlap(θ, |a|, |b|)` when it
+    /// survives. (The indexed kernels run the same two steps inside
+    /// [`CellIndex::probe`].)
     ///
     /// StrL and the signature step look at the two *records* only, so
     /// their verdict on a pair is the same in every fragment and every
@@ -276,9 +247,6 @@ impl FragmentJoin<'_> {
     #[inline]
     fn admit(&self, a: &Segment, b: &Segment, stats: &mut FilterStats) -> Option<usize> {
         // The horizontal rule is enforced structurally by the grouping.
-        if self.scope.group(a) == self.scope.group(b) {
-            return None;
-        }
         stats.pairs_considered += 1;
         if self.filters.strl && !strl_pass(self.measure, self.theta, a.len, b.len) {
             stats.strl_pruned += 1;
@@ -516,7 +484,6 @@ impl FragmentJoin<'_> {
         };
         let as_slot = |s: &Segment| Slot {
             len: s.len,
-            group: self.scope.group(s),
             sig: self.sig(s),
             tokens: self.indexed_tokens(s),
         };
@@ -564,7 +531,6 @@ mod tests {
         let tail = len - head - tokens.len() as u32;
         Segment {
             rid,
-            side: 0,
             len,
             head,
             tail,
@@ -587,14 +553,12 @@ mod tests {
     /// except where a test cuts its segments from whole pool records.
     fn join<'a>(
         pool: &'a TokenPool,
-        scope: PairScope,
         theta: f64,
         kernel: JoinKernel,
         filters: FilterSet,
     ) -> FragmentJoin<'a> {
         FragmentJoin {
             pool,
-            scope,
             measure: Measure::Jaccard,
             theta,
             kernel,
@@ -628,7 +592,7 @@ mod tests {
         theta: f64,
         filters: FilterSet,
     ) -> (Vec<CandidateRecord>, FilterStats) {
-        let join = join(pool, PairScope::SelfJoin, theta, kernel, filters);
+        let join = join(pool, theta, kernel, filters);
         run_join(&join, segments, JoinRule::All)
     }
 
@@ -667,7 +631,6 @@ mod tests {
             let len = head + tail + toks.len() as u32;
             segments.push(Segment {
                 rid,
-                side: 0,
                 len,
                 head,
                 tail,
@@ -707,35 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_sides_scope_only_pairs_across() {
-        let mut pool = TokenPool::new();
-        let segs = vec![
-            seg(&mut pool, 0, 3, 0, &[1, 2, 3]),
-            Segment {
-                side: 1,
-                ..seg(&mut pool, 10, 3, 0, &[1, 2, 3])
-            },
-            Segment {
-                side: 1,
-                ..seg(&mut pool, 11, 3, 0, &[1, 2, 3])
-            },
-        ];
-        let join = join(
-            &pool,
-            PairScope::CrossSides,
-            0.9,
-            JoinKernel::Loop,
-            FilterSet::ALL,
-        );
-        let (out, _) = run_join(&join, &segs, JoinRule::All);
-        assert_eq!(
-            out,
-            vec![cand(0, 10, 3, 3, 3), cand(0, 11, 3, 3, 3)],
-            "identical S-side records must not pair"
-        );
-    }
-
-    #[test]
     fn boundary_rule_suppresses_same_side_pairs() {
         let mut pool = TokenPool::new();
         let segs = vec![
@@ -744,13 +678,7 @@ mod tests {
             seg(&mut pool, 2, 12, 0, &[1, 2, 3]),
         ];
         let rule = JoinRule::Boundary { lo: 0, pivot: 10 };
-        let join = join(
-            &pool,
-            PairScope::SelfJoin,
-            0.5,
-            JoinKernel::Loop,
-            FilterSet::NONE,
-        );
+        let join = join(&pool, 0.5, JoinKernel::Loop, FilterSet::NONE);
         let (out, _) = run_join(&join, &segs, rule);
         // Only (0,2) and (1,2) straddle the pivot.
         assert_eq!(out.len(), 2);
@@ -775,7 +703,6 @@ mod tests {
             let tail = next(12);
             segments.push(Segment {
                 rid,
-                side: 0,
                 len: head + tail + toks.len() as u32,
                 head,
                 tail,
@@ -833,13 +760,7 @@ mod tests {
         let words = pool.bitmap_bits() / 64;
         for measure in Measure::all() {
             for theta in [0.5, 0.75, 0.8, 0.9, 1.0] {
-                let mut join = join(
-                    &pool,
-                    PairScope::SelfJoin,
-                    theta,
-                    JoinKernel::Index,
-                    FilterSet::NONE,
-                );
+                let mut join = join(&pool, theta, JoinKernel::Index, FilterSet::NONE);
                 join.measure = measure;
                 assert_eq!(join.hamming_limit(5, 12, words), None, "step off");
                 join.signatures = true;

@@ -11,8 +11,8 @@
 
 /// Segment pairs considered by the fragment join (counter; post kernel
 /// candidate generation, pre filters): distinct admissible pairs that reach
-/// the filter cascade. Under the indexed kernels that is every in-scope
-/// pair inside the length window that shares an indexed token.
+/// the filter cascade. Under the indexed kernels that is every pair
+/// inside the length window that shares an indexed token.
 pub const FILTER_PAIRS_CONSIDERED: &str = "fsjoin.filter.pairs_considered";
 /// Posting entries the length window skipped (counter). The indexed
 /// kernels and PF discovery apply the string-length filter as a slot range
@@ -90,17 +90,14 @@ pub const KERNEL_BITMAP_PRUNED: &str = "fsjoin.kernel.bitmap_pruned";
 ///
 /// **Conservation laws** of the sweep (asserted in
 /// `crates/bench/tests/gates.rs`): every visit ends in one step,
-/// `swept = scope_skipped + bitmap_pruned + survivors`, and every listed
+/// `swept = bitmap_pruned + survivors`, and every listed
 /// `(pair, cell)` meeting ends in the collision test or the segment steps,
 /// `listed = prefix_missed + fsjoin.filter.pairs_considered`
 /// ([`SweepStats`](crate::sweep::SweepStats)).
 pub const SWEEP_SWEPT: &str = "fsjoin.sweep.swept";
-/// Sweep visits of a partner in the record's own scope group (counter;
-/// the same side of an R×S join).
-pub const SWEEP_SCOPE_SKIPPED: &str = "fsjoin.sweep.scope_skipped";
 /// Sweep visits the record signature settled (counter).
 pub const SWEEP_BITMAP_PRUNED: &str = "fsjoin.sweep.bitmap_pruned";
-/// Sweep visits that survived scope and the signature (counter).
+/// Sweep visits that survived the signature (counter).
 pub const SWEEP_SURVIVORS: &str = "fsjoin.sweep.survivors";
 /// `(pair, cell)` meetings the sweep listed to the fragment reducers
 /// (counter), each once.

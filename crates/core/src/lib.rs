@@ -64,9 +64,9 @@ pub mod sweep;
 pub mod vertical;
 
 pub use config::{EmitPolicy, FilterSet, FsJoinConfig, JoinKernel};
-pub use driver::{run_rs_join, run_self_join, FsJoinResult};
+pub use driver::{run_self_join, FsJoinResult};
 pub use filters::FilterStats;
-pub use pf::{run_rs_join_pf, run_self_join_pf};
+pub use pf::run_self_join_pf;
 pub use pivots::PivotStrategy;
 pub use rsjoin::run_rs_join_two_input;
 pub use segment::Segment;

@@ -35,9 +35,9 @@
 
 use crate::cell_index::{CellIndex, Slot};
 use crate::config::FsJoinConfig;
-use crate::driver::{FsJoinResult, PartitionMapper};
+use crate::driver::{pooled_records, FsJoinResult, PartitionMapper};
 use crate::filters::FilterStats;
-use crate::fragment::{split_cell, PairScope};
+use crate::fragment::split_cell;
 use crate::horizontal::{num_h_partitions, select_h_pivots, JoinRule};
 use crate::pivots::select_pivots;
 use crate::segment::Segment;
@@ -48,7 +48,7 @@ use ssj_mapreduce::{
 };
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::{Measure, SimilarPair, Verifier};
-use ssj_text::{Collection, PooledRecord, TokenPool};
+use ssj_text::{Collection, TokenPool};
 use std::sync::Arc;
 
 /// Number of leading tokens of a segment that belong to its record's
@@ -73,7 +73,6 @@ struct PrefixDiscoveryReducer {
     theta: f64,
     num_fragments: usize,
     h_pivots: Arc<Vec<u32>>,
-    scope: PairScope,
     /// The current cell's segments.
     scratch: Vec<Segment>,
     index: CellIndex,
@@ -105,10 +104,9 @@ impl StreamingReducer for PrefixDiscoveryReducer {
         // kernels without a signature step. The length window is the cheap
         // length filter: a candidate outside it is never shipped.
         let (band, long) = split_cell(&mut self.scratch, rule);
-        let (pool, measure, theta, scope) = (&*self.pool, self.measure, self.theta, self.scope);
+        let (pool, measure, theta) = (&*self.pool, self.measure, self.theta);
         let as_slot = |s: &Segment| Slot {
             len: s.len,
-            group: scope.group(s),
             sig: &[],
             tokens: &s.tokens(pool)[..global_prefix_in_segment(measure, theta, s)],
         };
@@ -190,51 +188,15 @@ impl Mapper for CachedVerify {
 /// configuration as [`crate::run_self_join`] (kernel, filters and
 /// emit-policy fields are ignored — discovery is always global-prefix).
 pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
-    run_pf(
-        collection.share_pool(),
-        collection.len(),
-        0,
-        &collection.token_freqs,
-        cfg,
-        PairScope::SelfJoin,
-    )
-}
-
-/// R×S join with the prefix-discovery variant (same conventions as
-/// [`crate::run_rs_join`]: shared rank space, S-side ids offset).
-pub fn run_rs_join_pf(r: &Collection, s: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
-    assert_eq!(
-        r.token_freqs, s.token_freqs,
-        "R and S must be encoded together (shared global ordering)"
-    );
-    let pool = Arc::new(TokenPool::concat(r.pool(), s.pool()));
-    run_pf(
-        pool,
-        r.len(),
-        s.len(),
-        &r.token_freqs,
-        cfg,
-        PairScope::CrossSides,
-    )
-}
-
-fn run_pf(
-    pool: Arc<TokenPool>,
-    num_r: usize,
-    num_s: usize,
-    freqs: &[u64],
-    cfg: &FsJoinConfig,
-    scope: PairScope,
-) -> FsJoinResult {
     cfg.validate();
-    assert_eq!(pool.len(), num_r + num_s, "pool must hold exactly R ++ S");
+    let pool = collection.share_pool();
     let run_span = span("fsjoin.stage", "run-pf")
-        .field("records", num_r + num_s)
+        .field("records", pool.len())
         .field("theta", cfg.theta);
 
     let ordering_span = span("fsjoin.stage", "ordering");
     let pivots = Arc::new(select_pivots(
-        freqs,
+        &collection.token_freqs,
         cfg.num_fragments.saturating_sub(1),
         cfg.pivot_strategy,
         cfg.seed,
@@ -249,21 +211,7 @@ fn run_pf(
             .field("h_partitions", num_h_partitions(&h_pivots)),
     );
 
-    let mut input_records: Vec<(u32, (u8, PooledRecord))> = Vec::with_capacity(num_r + num_s);
-    for rid in 0..(num_r + num_s) as u32 {
-        let side = u8::from(rid as usize >= num_r);
-        input_records.push((
-            rid,
-            (
-                side,
-                PooledRecord {
-                    id: rid,
-                    span: pool.span_of(rid),
-                },
-            ),
-        ));
-    }
-    let input = Dataset::from_records(input_records, cfg.map_tasks);
+    let input = Dataset::from_records(pooled_records(&pool), cfg.map_tasks);
 
     // One declarative three-stage plan: discover → dedup → verify. Under
     // the default pipelined mode each discovered candidate partition flows
@@ -313,7 +261,6 @@ fn run_pf(
                 theta,
                 num_fragments,
                 h_pivots: Arc::clone(&h_pivots),
-                scope,
                 scratch: Vec::new(),
                 index: CellIndex::default(),
                 local_stats: FilterStats::default(),
@@ -398,7 +345,7 @@ mod tests {
     use ssj_similarity::naive::naive_self_join;
     use ssj_similarity::pair::compare_results;
     use ssj_text::encode;
-    use ssj_text::{CorpusProfile, RawCorpus, Tokenizer};
+    use ssj_text::CorpusProfile;
 
     fn wiki(records: usize) -> Collection {
         encode(
@@ -491,22 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn rs_join_pf_matches_oracle() {
-        let r_corpus = RawCorpus::from_texts(
-            &["alpha beta gamma delta", "one two three four"],
-            &Tokenizer::Words,
-        );
-        let s_corpus = RawCorpus::from_texts(
-            &["alpha beta gamma delta epsilon", "five six seven eight"],
-            &Tokenizer::Words,
-        );
-        let (r, s) = ssj_text::encode::encode_two(&r_corpus, &s_corpus);
-        let got = run_rs_join_pf(&r, &s, &FsJoinConfig::default().with_theta(0.7));
-        assert_eq!(got.pairs.len(), 1);
-        assert_eq!(got.pairs[0].ids(), (0, r.len() as u32));
-    }
-
-    #[test]
     fn global_prefix_in_segment_respects_head() {
         let m = Measure::Jaccard;
         // Record of length 10 at θ=0.8: global prefix π = 3. The prefix
@@ -517,7 +448,6 @@ mod tests {
             let span = pool.push(&(0..toks as u32).collect::<Vec<_>>());
             Segment {
                 rid: 0,
-                side: 0,
                 len: 10,
                 head,
                 tail: 10 - head - toks as u32,

@@ -1,9 +1,9 @@
 //! R×S similarity join as a **two-input plan**: the first consumer of the
-//! plan layer's multi-input stages.
+//! plan layer's multi-input stages, and the repo's one R×S join.
 //!
-//! [`crate::run_rs_join`] folds R and S into one self-join input and tags
-//! sides per record. This module instead declares the join the way a
-//! distributed engine would plan it:
+//! R and S stay two inputs — no pool is concatenated and no record is
+//! tagged with its side. The join is declared the way a distributed engine
+//! would plan it:
 //!
 //! * stage `rsjoin-r-prefix` maps **R only**: each record emits
 //!   `(prefix token, entry)` for its probe-prefix tokens, where the entry
@@ -279,10 +279,17 @@ fn shares_token(a: &[u32], b: &[u32]) -> bool {
 }
 
 /// R×S join declared as a two-input plan (module docs have the stage
-/// graph). Same conventions as [`crate::run_rs_join`]: both collections
-/// must be encoded in one token-rank space
+/// graph). Both collections must be encoded in one token-rank space
 /// ([`ssj_text::encode::encode_two`]), and S-side ids in the returned
-/// pairs are offset by `r.len()`.
+/// pairs are offset by `r.len()`: pair `(a, b)` links R-record `a` to
+/// S-record `b − r.len()`.
+///
+/// Of `cfg` it reads `measure`, `theta`, `bitmap_prune`, `map_tasks`,
+/// `reduce_tasks`, `workers` and `plan_mode`. The fragment join's knobs —
+/// `kernel`, `num_fragments`, `pivot_strategy`, `horizontal_pivots`,
+/// `seed`, `filters` and `emit_policy` — have no stage here and are
+/// ignored; `cfg` must still pass [`FsJoinConfig::validate`], so a config
+/// with `bitmap_prune` off pins a walk kernel.
 ///
 /// The returned [`FsJoinResult`] carries no pivots (`pivots` /
 /// `h_pivots` empty — this plan partitions by prefix token, not by
@@ -563,18 +570,6 @@ mod tests {
                     "θ={theta} mode={mode:?} digest mismatch"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn agrees_with_the_single_input_rs_driver() {
-        let (r, s) = rs_corpora(30, 90);
-        for &theta in &[0.7, 0.9] {
-            let cfg = FsJoinConfig::default().with_theta(theta);
-            let two = run_rs_join_two_input(&r, &s, &cfg);
-            let one = crate::run_rs_join(&r, &s, &cfg);
-            compare_results(&two.pairs, &one.pairs, 1e-9)
-                .unwrap_or_else(|e| panic!("θ={theta}: {e}"));
         }
     }
 

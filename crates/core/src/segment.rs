@@ -18,8 +18,6 @@ use ssj_text::{TokenId, TokenPool, TokenSpan};
 pub struct Segment {
     /// Record id.
     pub rid: u32,
-    /// Relation tag: 0 for self-join / R-side, 1 for S-side of an R×S join.
-    pub side: u8,
     /// Full record length `|s|`.
     pub len: u32,
     /// Tokens before this segment, `|s^h|`.
@@ -52,10 +50,9 @@ impl Segment {
 
 impl ByteSize for Segment {
     fn byte_size(&self) -> usize {
-        // Logical serialized size: rid + side + len + head + tail + tokens
-        // (length prefix + 4 bytes each) — identical to the pre-columnar
-        // owned-Vec layout, so shuffle-volume metrics are unchanged.
-        4 + 1 + 4 + 4 + 4 + (4 + 4 * self.span.len as usize)
+        // Logical serialized size: rid + len + head + tail + tokens
+        // (length prefix + 4 bytes each), as if the span were materialized.
+        4 + 4 + 4 + 4 + (4 + 4 * self.span.len as usize)
     }
 }
 
@@ -69,7 +66,6 @@ mod tests {
         let span = pool.push(&[4, 5]);
         let s = Segment {
             rid: 1,
-            side: 0,
             len: 10,
             head: 3,
             tail: 5,
@@ -88,12 +84,11 @@ mod tests {
         let span = pool.push(&[1, 2]);
         let s = Segment {
             rid: 1,
-            side: 0,
             len: 2,
             head: 0,
             tail: 0,
             span,
         };
-        assert_eq!(s.byte_size(), 17 + 4 + 8);
+        assert_eq!(s.byte_size(), 16 + 4 + 8);
     }
 }

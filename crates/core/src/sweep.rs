@@ -2,13 +2,13 @@
 //! map tasks, and ship each segment only to the cells where a surviving
 //! pair meets (DESIGN.md §4 item 4d).
 //!
-//! Scope, StrL and the record signature look at two *records*, never at a
-//! cell, so their verdict on a pair is the same in every cell the pair
-//! meets in. The paper's kernels still decide them per cell: on short
-//! records a pair shares a local prefix token in several fragments and is
-//! decided once in each. [`Sweep`] holds the records as dense columns in
-//! `(len, rid)` order — length, signature row, scope group and the set of
-//! fragments the record occupies — so a map task decides its record's
+//! StrL and the record signature look at two *records*, never at a cell,
+//! so their verdict on a pair is the same in every cell the pair meets
+//! in. The paper's kernels still decide them per cell: on short records a
+//! pair shares a local prefix token in several fragments and is decided
+//! once in each. [`Sweep`] holds the records as dense columns in
+//! `(len, rid)` order — length, signature row and the set of fragments
+//! the record occupies — so a map task decides its record's
 //! partners by one sweep over the record's StrL window: a slot range,
 //! one Hamming limit per partner length and an XOR-popcount per partner,
 //! as in [`CellIndex::probe`](crate::cell_index::CellIndex::probe) but
@@ -27,7 +27,7 @@
 
 use crate::config::FsJoinConfig;
 use crate::filters::{strl_pass, FilterStats};
-use crate::fragment::{FragmentJoin, JoinKernel, PairScope};
+use crate::fragment::{FragmentJoin, JoinKernel};
 use crate::horizontal::{h_partitions_for, JoinRule};
 use crate::segment::Segment;
 use crate::vertical::split_record;
@@ -45,16 +45,15 @@ const ABSENT: u32 = u32::MAX;
 
 /// The sweep's side data: every non-empty record as a row of dense
 /// columns in `(len, rid)` order, plus the parameters the rows are
-/// decided and routed by. About 28 B per record with 128-bit signatures
-/// and up to 64 fragments.
+/// decided and routed by. With 128-bit signatures and up to 64 fragments
+/// that is 36 B per record: 4 each for its id, length and position, 16
+/// for its signature and 8 for its fragment set.
 #[derive(Debug)]
 pub struct Sweep {
     /// Record ids in `(len, rid)` order.
     order: Vec<u32>,
     /// Record length per row.
     lens: Vec<u32>,
-    /// [`PairScope`] group per row.
-    groups: Vec<u32>,
     sig_words: usize,
     /// Signature rows, `sig_words` words each.
     sigs: Vec<u64>,
@@ -72,17 +71,10 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Lay out the columns of `pool`'s records: the first `num_r` are side
-    /// 0, the rest side 1. `pivots` and `h_pivots` are the run's vertical
-    /// and horizontal pivots; measure, θ and StrL come from `cfg`.
-    pub fn new(
-        pool: &TokenPool,
-        num_r: usize,
-        scope: PairScope,
-        pivots: &[u32],
-        h_pivots: &[u32],
-        cfg: &FsJoinConfig,
-    ) -> Sweep {
+    /// Lay out the columns of `pool`'s records. `pivots` and `h_pivots`
+    /// are the run's vertical and horizontal pivots; measure, θ and StrL
+    /// come from `cfg`.
+    pub fn new(pool: &TokenPool, pivots: &[u32], h_pivots: &[u32], cfg: &FsJoinConfig) -> Sweep {
         let mut order: Vec<u32> = (0..pool.len() as u32)
             .filter(|&rid| !pool.span_of(rid).is_empty())
             .collect();
@@ -91,7 +83,6 @@ impl Sweep {
         let frag_words = (pivots.len() + 1).div_ceil(64);
         let mut sweep = Sweep {
             lens: Vec::with_capacity(order.len()),
-            groups: Vec::with_capacity(order.len()),
             sig_words,
             sigs: Vec::with_capacity(order.len() * sig_words),
             frag_words,
@@ -108,8 +99,6 @@ impl Sweep {
             let tokens = pool.tokens_of(rid);
             sweep.position[rid as usize] = row as u32;
             sweep.lens.push(tokens.len() as u32);
-            let side = u8::from(rid as usize >= num_r);
-            sweep.groups.push(scope.record_group(rid, side));
             sweep.sigs.extend_from_slice(pool.bitmap_of(rid));
             // Fragment of a token: the number of pivots at or below it
             // (`split_record`'s cut).
@@ -150,36 +139,35 @@ impl Sweep {
     }
 
     /// Decide row `row`'s partners: every other row of its StrL
-    /// [`Self::window`] goes through scope, then the signature, compared
-    /// against the Hamming limit of its length
-    /// ([`Verifier::hamming_limit`], solved once per length). Pushes the
-    /// surviving rows onto `survivors` in row order.
+    /// [`Self::window`] goes through the signature, compared against the
+    /// Hamming limit of its length ([`Verifier::hamming_limit`], solved
+    /// once per length). Pushes the surviving rows onto `survivors` in row
+    /// order.
     pub fn sweep(&self, row: usize, survivors: &mut Vec<u32>, stats: &mut SweepStats) {
         let window = self.window(row);
         let before = survivors.len();
         // The default 128-bit signatures get a loop the compiler unrolls.
-        let (scope_skipped, pruned) = match self.sig_words {
+        let pruned = match self.sig_words {
             2 => self.sweep_window::<2>(row, window.clone(), survivors),
             _ => self.sweep_window::<0>(row, window.clone(), survivors),
         };
         stats.swept += window.len() as u64 - 1;
-        stats.scope_skipped += scope_skipped;
         stats.bitmap_pruned += pruned;
         stats.survivors += (survivors.len() - before) as u64;
     }
 
     /// [`Self::sweep`]'s loop for `W`-word signatures (`W = 0`: any
-    /// width). Returns `(scope_skipped, bitmap_pruned)`.
+    /// width). Returns the visits the signature pruned.
     fn sweep_window<const W: usize>(
         &self,
         row: usize,
         window: Range<usize>,
         survivors: &mut Vec<u32>,
-    ) -> (u64, u64) {
+    ) -> u64 {
         let w = if W == 0 { self.sig_words } else { W };
-        let (len, group) = (self.lens[row] as usize, self.groups[row]);
+        let len = self.lens[row] as usize;
         let sig = &self.sigs[row * w..(row + 1) * w];
-        let (mut scope_skipped, mut pruned) = (0u64, 0u64);
+        let mut pruned = 0u64;
         let mut at = window.start;
         while at < window.end {
             let run_len = self.lens[at];
@@ -188,9 +176,9 @@ impl Sweep {
             let limit =
                 Verifier::hamming_limit(alpha, run_len as usize, len, w).unwrap_or(i64::MAX);
             let rows = self.sigs[at * w..end * w].chunks_exact(w);
-            for ((q, row_sig), &g) in (at..end).zip(rows).zip(&self.groups[at..end]) {
-                if g == group {
-                    scope_skipped += u64::from(q != row);
+            for (q, row_sig) in (at..end).zip(rows) {
+                // The window holds the record itself: no pair.
+                if q == row {
                     continue;
                 }
                 let hamming: u32 = row_sig
@@ -206,7 +194,7 @@ impl Sweep {
             }
             at = end;
         }
-        (scope_skipped, pruned)
+        pruned
     }
 
     /// The horizontal partition where rows `p` and `q` are joined: the one
@@ -270,7 +258,7 @@ impl ByteSize for ListedSegment {
 ///
 /// Two laws hold ([`Self::unaccounted`], [`Self::unlisted`]). Every
 /// `(record, partner)` the sweep visits ends in one step:
-/// `swept = scope_skipped + bitmap_pruned + survivors`. Every listed
+/// `swept = bitmap_pruned + survivors`. Every listed
 /// `(pair, cell)` meeting ends in the collision test or in the segment
 /// steps: `listed = prefix_missed + pairs_considered` of the run's
 /// [`FilterStats`]. Visits are directed — each record sweeps its own
@@ -280,13 +268,10 @@ pub struct SweepStats {
     /// `(record, partner)` visits inside StrL windows, the record itself
     /// not counted.
     pub swept: u64,
-    /// Visits of a partner in the record's own scope group (the same side
-    /// of an R×S join; never in a self-join).
-    pub scope_skipped: u64,
     /// Visits the signature settled: the partner's bitmap is farther from
     /// the record's than any pair reaching θ allows.
     pub bitmap_pruned: u64,
-    /// Visits that survived scope and the signature.
+    /// Visits that survived the signature.
     pub survivors: u64,
     /// `(pair, cell)` meetings listed to the reducers, each once (by the
     /// later side).
@@ -305,11 +290,10 @@ pub struct SweepStats {
 impl SweepStats {
     /// `(counter name, value)` view of every field, under the canonical
     /// [`crate::keys`] names.
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
         use crate::keys;
         [
             (keys::SWEEP_SWEPT, self.swept),
-            (keys::SWEEP_SCOPE_SKIPPED, self.scope_skipped),
             (keys::SWEEP_BITMAP_PRUNED, self.bitmap_pruned),
             (keys::SWEEP_SURVIVORS, self.survivors),
             (keys::SWEEP_LISTED, self.listed),
@@ -332,7 +316,6 @@ impl SweepStats {
         use crate::keys;
         SweepStats {
             swept: get(keys::SWEEP_SWEPT),
-            scope_skipped: get(keys::SWEEP_SCOPE_SKIPPED),
             bitmap_pruned: get(keys::SWEEP_BITMAP_PRUNED),
             survivors: get(keys::SWEEP_SURVIVORS),
             listed: get(keys::SWEEP_LISTED),
@@ -342,9 +325,9 @@ impl SweepStats {
         }
     }
 
-    /// `swept` minus the three steps a visit ends in: 0 for a run.
+    /// `swept` minus the two steps a visit ends in: 0 for a run.
     pub fn unaccounted(&self) -> i64 {
-        self.swept as i64 - (self.scope_skipped + self.bitmap_pruned + self.survivors) as i64
+        self.swept as i64 - (self.bitmap_pruned + self.survivors) as i64
     }
 
     /// `listed` minus the two outcomes of a listed meeting, given the
@@ -386,16 +369,11 @@ impl SweepMapper {
 
 impl Mapper for SweepMapper {
     type InKey = u32;
-    type InValue = (u8, PooledRecord);
+    type InValue = PooledRecord;
     type OutKey = u32; // cell id = h * num_fragments + v
     type OutValue = ListedSegment;
 
-    fn map(
-        &mut self,
-        _rid: u32,
-        (side, record): (u8, PooledRecord),
-        out: &mut Emitter<u32, ListedSegment>,
-    ) {
+    fn map(&mut self, _rid: u32, record: PooledRecord, out: &mut Emitter<u32, ListedSegment>) {
         let sweep = &*self.sweep;
         let Some(p) = sweep.position(record.id) else {
             return;
@@ -424,7 +402,7 @@ impl Mapper for SweepMapper {
         let mut shipped = 0u64;
         if !self.meets.is_empty() {
             let tokens = self.pool.resolve(record.span);
-            let segments = split_record(record.id, side, tokens, record.span, &sweep.pivots);
+            let segments = split_record(record.id, 0, tokens, record.span, &sweep.pivots);
             for meets in self.meets.chunk_by(|a, b| a.0 == b.0) {
                 let cell = meets[0].0;
                 let v = cell as usize % num_fragments;
@@ -457,7 +435,6 @@ impl Mapper for SweepMapper {
 pub(crate) struct SweepReducer {
     pool: Arc<TokenPool>,
     cfg: FsJoinConfig,
-    scope: PairScope,
     registry: Arc<MetricsRegistry>,
     filter_stats: FilterStats,
     sweep_stats: SweepStats,
@@ -471,13 +448,11 @@ impl SweepReducer {
     pub(crate) fn new(
         pool: Arc<TokenPool>,
         cfg: FsJoinConfig,
-        scope: PairScope,
         registry: Arc<MetricsRegistry>,
     ) -> SweepReducer {
         SweepReducer {
             pool,
             cfg,
-            scope,
             registry,
             filter_stats: FilterStats::default(),
             sweep_stats: SweepStats::default(),
@@ -507,7 +482,7 @@ impl StreamingReducer for SweepReducer {
             self.cell.push((listed.seg, start..self.partners.len()));
         }
         self.cell.sort_unstable_by_key(|(seg, _)| seg.rid);
-        let join = FragmentJoin::of_run(&self.pool, &self.cfg, self.scope);
+        let join = FragmentJoin::of_run(&self.pool, &self.cfg);
         debug_assert_eq!(join.kernel, JoinKernel::Sweep);
         let before_pairs = self.filter_stats.pairs_considered;
         let before_emitted = self.filter_stats.emitted;
@@ -542,5 +517,37 @@ impl StreamingReducer for SweepReducer {
         self.sweep_stats.record_to(&self.registry);
         self.filter_stats = FilterStats::default();
         self.sweep_stats = SweepStats::default();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A record's StrL window holds its own row: the sweep skips it there,
+    /// and lists an exact duplicate of the record instead.
+    #[test]
+    fn a_record_is_never_its_own_partner() {
+        let mut pool = TokenPool::new();
+        for tokens in [[1u32, 2, 3, 4], [1, 2, 3, 4], [5, 6, 7, 8]] {
+            pool.push(&tokens);
+        }
+        let sweep = Sweep::new(&pool, &[], &[], &FsJoinConfig::default().with_theta(0.8));
+        let mut stats = SweepStats::default();
+        let mut partners = |rid: u32| {
+            let mut rows = Vec::new();
+            sweep.sweep(sweep.position(rid).unwrap(), &mut rows, &mut stats);
+            rows.iter()
+                .map(|&q| sweep.record_at(q as usize))
+                .collect::<Vec<_>>()
+        };
+        for rid in 0..3 {
+            assert!(!partners(rid).contains(&rid), "record {rid}");
+        }
+        assert_eq!(partners(0), [1]);
+        assert_eq!(partners(1), [0]);
+        // Each record visits the two others, never itself.
+        assert_eq!(stats.swept, 2 * (3 + 2));
+        assert_eq!(stats.unaccounted(), 0);
     }
 }

@@ -5,7 +5,9 @@
 //! invisible*: join results, candidate counts, filter pruning counters and
 //! every per-job shuffle-volume metric must be bit-identical to the
 //! owned-vector implementation. The constants below were captured by
-//! running the pre-refactor code on this exact seeded corpus; any drift in
+//! running the pre-refactor code on this exact seeded corpus, and later
+//! lowered by exactly one byte per shuffled segment and per map-input
+//! record when segments and map inputs lost their R×S side tag; any drift in
 //! partitioning, filtering, or — most subtly — logical byte accounting
 //! (a span must cost what the tokens it denotes would cost on the wire)
 //! shows up here as a hard failure.
@@ -162,7 +164,7 @@ fn default_config_matches_owned_vec_goldens() {
             .with_theta(0.8),
         (13, 0x947e907426c9f3c7),
         (53720, 21944),
-        (7324, 304728, 67616),
+        (7324, 297404, 67316),
         Golden {
             candidates: 20814,
             bitmap_checks: 0,
@@ -192,7 +194,7 @@ fn fragmented_horizontal_config_matches_owned_vec_goldens() {
             .with_horizontal(3),
         (20, 0xec25473913792d83),
         (50464, 19098),
-        (4359, 244439, 67616),
+        (4359, 240080, 67316),
         Golden {
             candidates: 18137,
             bitmap_checks: 0,
@@ -229,8 +231,8 @@ fn pf_variant_matches_owned_vec_goldens() {
         assert_job(
             res.chain.job("fsjoin-pf-discover").unwrap(),
             7324,
-            304728,
-            67616,
+            297404,
+            67316,
         );
         assert_job(res.chain.job("fsjoin-pf-dedup").unwrap(), 45, 720, 720);
         assert_job(res.chain.job("fsjoin-pf-verify").unwrap(), 13, 208, 368);
@@ -238,9 +240,10 @@ fn pf_variant_matches_owned_vec_goldens() {
 }
 
 /// The byte-accounting invariant in isolation: a spanned segment's logical
-/// [`ByteSize`] must equal the pre-columnar owned-vector layout — metadata
-/// (rid 4 + side 1 + len/head/tail 12) plus a length-prefixed token vector
-/// (4 + 4n) — for every segment the vertical partitioner produces.
+/// [`ByteSize`] must equal the pre-columnar owned-vector layout less its
+/// R×S side tag — metadata (rid 4 + len/head/tail 12) plus a
+/// length-prefixed token vector (4 + 4n) — for every segment the vertical
+/// partitioner produces.
 #[test]
 fn spanned_segment_byte_size_equals_owned_segment_size() {
     let c = corpus();
@@ -250,7 +253,7 @@ fn spanned_segment_byte_size_equals_owned_segment_size() {
     for v in c.iter() {
         let segs = fsjoin::vertical::split_record(v.id, 0, v.tokens, c.span(v.id), &pivots);
         for (_, seg) in segs {
-            let owned_layout = 17 + 4 + 4 * seg.tokens(pool).len();
+            let owned_layout = 16 + 4 + 4 * seg.tokens(pool).len();
             assert_eq!(seg.byte_size(), owned_layout);
             checked += 1;
         }

@@ -414,9 +414,9 @@ fn signature_edge_corpus(measure: Measure, theta: f64) -> Vec<Vec<u64>> {
     docs
 }
 
-/// The fragment path — self-join and R×S over the concatenated pool
-/// (`CrossSides`) — equals the naive oracle bit for bit with the
-/// record-signature step on and off, under every kernel.
+/// The fragment path equals the naive oracle bit for bit with the
+/// record-signature step on and off, under every kernel; so does the R×S
+/// join, whose stage reads the bitmaps whole-record.
 #[test]
 fn signature_step_is_exact_at_its_edges() {
     let corpus = |docs| RawCorpus { docs, vocab: None };
@@ -473,13 +473,40 @@ fn signature_step_is_exact_at_its_edges() {
                         let past_strl = fs.pairs_considered - fs.strl_pruned;
                         assert!(fs.bitmap_checks < past_strl, "self {label}: {fs:?}");
                     }
-                    let got = fsjoin::run_rs_join(&r, &s, &cfg);
-                    compare_results(&got.pairs, &want_rs, 0.0)
-                        .unwrap_or_else(|e| panic!("rs {label}: {e}"));
                 }
+            }
+            for prune in [true, false] {
+                let label = format!("{measure:?} θ={theta} prune={prune}");
+                let got = fsjoin::run_rs_join_two_input(&r, &s, &rs_config(measure, theta, prune));
+                compare_results(&got.pairs, &want_rs, 0.0)
+                    .unwrap_or_else(|e| panic!("rs {label}: {e}"));
+                assert_rs_conserved(&got, &label);
             }
         }
     }
+}
+
+/// The R×S join's config: it ignores kernel, filters and emit policy, and
+/// pins a walk kernel because Sweep rejects the signature step off.
+fn rs_config(measure: Measure, theta: f64, prune: bool) -> FsJoinConfig {
+    FsJoinConfig::default()
+        .with_measure(measure)
+        .with_theta(theta)
+        .with_kernel(JoinKernel::Prefix)
+        .with_bitmap_prune(prune)
+        .with_workers(1)
+}
+
+/// The R×S join's conservation law: every considered cross pair ends in
+/// one step of its cascade, and each similar pair is emitted once.
+fn assert_rs_conserved(res: &fsjoin::FsJoinResult, label: &str) {
+    let fs = &res.filter_stats;
+    assert_eq!(
+        fs.pairs_considered,
+        fs.position_pruned + fs.bitmap_pruned + fs.repeat_skipped + fs.intersections,
+        "rs {label}: {fs:?}"
+    );
+    assert_eq!(fs.emitted, res.pairs.len() as u64, "rs {label}");
 }
 
 proptest! {
@@ -498,7 +525,7 @@ proptest! {
         fragments in prop::sample::select(vec![2usize, 5, 16]),
     ) {
         use fsjoin::cell_index::CellIndex;
-        use fsjoin::fragment::{join_fragment, FragmentJoin, PairScope};
+        use fsjoin::fragment::{join_fragment, FragmentJoin};
         use ssj_similarity::intersect::intersect_count_merge;
         use std::collections::BTreeMap;
 
@@ -513,7 +540,6 @@ proptest! {
         }
         let join = FragmentJoin {
             pool: c.pool(),
-            scope: PairScope::SelfJoin,
             measure,
             theta,
             kernel,
@@ -556,7 +582,7 @@ proptest! {
 fn length_window_equals_strl_pair_for_pair() {
     use fsjoin::cell_index::{CellIndex, Slot};
     use fsjoin::filters::strl_pass;
-    use fsjoin::fragment::{join_fragment, FragmentJoin, PairScope};
+    use fsjoin::fragment::{join_fragment, FragmentJoin};
     use fsjoin::horizontal::JoinRule;
 
     const MAX_LEN: u32 = 2000;
@@ -569,7 +595,6 @@ fn length_window_equals_strl_pair_for_pair() {
         let span = pool.push(&tokens);
         cell.push(fsjoin::Segment {
             rid: len - 1,
-            side: 0,
             len,
             head: 0,
             tail: len - 1,
@@ -581,7 +606,6 @@ fn length_window_equals_strl_pair_for_pair() {
         0,
         (1..=MAX_LEN).map(|len| Slot {
             len,
-            group: len,
             sig: &[],
             tokens: &[],
         }),
@@ -610,7 +634,6 @@ fn length_window_equals_strl_pair_for_pair() {
             }
             let join = FragmentJoin {
                 pool: &pool,
-                scope: PairScope::SelfJoin,
                 measure,
                 theta,
                 kernel: JoinKernel::Index,
@@ -743,7 +766,8 @@ fn window_edge_corpora(measure: Measure, theta: f64) -> Vec<(&'static str, Vec<V
 
 /// The indexed kernels' length window and Hamming-limit table against the
 /// naive oracle, bit for bit, where they are most likely to be off by one:
-/// every kernel × signature step on/off × filter set, self-join and R×S.
+/// every kernel × signature step on/off × filter set for the self-join,
+/// and the R×S join's StrL window with the signature step on and off.
 #[test]
 fn length_window_and_signature_table_are_exact_at_their_edges() {
     let corpus = |docs| RawCorpus { docs, vocab: None };
@@ -797,12 +821,15 @@ fn length_window_and_signature_table_are_exact_at_their_edges() {
                         compare_results(&got.pairs, &want_self, 0.0)
                             .unwrap_or_else(|e| panic!("self {label}: {e}"));
                         assert_eq!(got.filter_stats.unaccounted(), 0, "self {label}");
-                        let got = fsjoin::run_rs_join(&r, &s, &cfg);
-                        compare_results(&got.pairs, &want_rs, 0.0)
-                            .unwrap_or_else(|e| panic!("rs {label}: {e}"));
-                        assert_eq!(got.filter_stats.unaccounted(), 0, "rs {label}");
                     }
                 }
+            }
+            for prune in [true, false] {
+                let label = format!("{name} {measure:?} θ={theta} prune={prune}");
+                let got = fsjoin::run_rs_join_two_input(&r, &s, &rs_config(measure, theta, prune));
+                compare_results(&got.pairs, &want_rs, 0.0)
+                    .unwrap_or_else(|e| panic!("rs {label}: {e}"));
+                assert_rs_conserved(&got, &label);
             }
         }
     }

@@ -276,8 +276,9 @@ impl TokenPool {
 
     /// Concatenate two pools: `a`'s records keep their ids/offsets, `b`'s
     /// records follow with ids shifted by `a.len()` and token offsets
-    /// shifted by `a.total_tokens()`. This is how an R×S join builds one
-    /// shared arena from two collections encoded in the same rank space.
+    /// shifted by `a.total_tokens()`. This is how serve compaction folds
+    /// its delta pool onto the main one; the R×S join reads its two pools
+    /// in place and concatenates nothing.
     ///
     /// # Panics
     /// Panics when the combined token count overflows the `u32` offset

@@ -4,13 +4,13 @@
 //! Two "product catalogs" describe overlapping items with slightly
 //! different wording; the R×S join links records describing the same item.
 //! Demonstrates [`encode_two`] (shared global ordering) and
-//! [`run_rs_join`]'s id-offset convention.
+//! [`run_rs_join_two_input`]'s id-offset convention.
 //!
 //! ```text
 //! cargo run --release --example record_linkage
 //! ```
 
-use fsjoin_suite::fsjoin::run_rs_join;
+use fsjoin_suite::fsjoin::run_rs_join_two_input;
 use fsjoin_suite::prelude::*;
 use fsjoin_suite::text::encode::encode_two;
 
@@ -36,7 +36,7 @@ fn main() {
     let (r, s) = encode_two(&r_corpus, &s_corpus);
 
     let theta = 0.7;
-    let result = run_rs_join(&r, &s, &FsJoinConfig::default().with_theta(theta));
+    let result = run_rs_join_two_input(&r, &s, &FsJoinConfig::default().with_theta(theta));
 
     // S-side ids come back offset by |R|.
     let offset = r.len() as u32;
@@ -60,7 +60,7 @@ fn main() {
     // Threshold sweep: precision/recall trade-off for linkage.
     println!("\nthreshold sweep:");
     for theta in [0.5, 0.6, 0.7, 0.8, 0.9] {
-        let res = run_rs_join(&r, &s, &FsJoinConfig::default().with_theta(theta));
+        let res = run_rs_join_two_input(&r, &s, &FsJoinConfig::default().with_theta(theta));
         println!("  θ = {theta}: {} links", res.pairs.len());
     }
 }

@@ -95,14 +95,16 @@ fi
 
 echo "== lint: encode copies nothing =="
 # The encoder reads the raw documents in place and appends each record
-# straight into its collection's pool, and the two-input R×S plan reads R's
-# and S's pools in place. A corpus clone, an owned-record staging vector or
-# a concatenated pool is the copy this gate keeps out (rsjoin.rs's tests
-# may still build one as an oracle).
+# straight into its collection's pool, and the one R×S join reads R's and
+# S's pools in place. A corpus clone, an owned-record staging vector or a
+# concatenated pool is the copy this gate keeps out: no non-test code of
+# the join crate may concatenate pools (tests may, to build an oracle;
+# serve compaction is the one production caller).
 if grep -nE 'docs\.clone\(\)|Vec<Record>' crates/text/src/encode.rs \
-    || awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' \
-        crates/core/src/rsjoin.rs | grep -F 'TokenPool::concat'; then
-    echo "copy gate FAILED: corpus clone or owned records in encode.rs, or a concatenated pool in rsjoin.rs" >&2
+    || awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+            live { print FILENAME ":" FNR ":" $0 }' crates/core/src/*.rs \
+        | grep -E 'TokenPool::(try_)?concat|\btry_concat\b'; then
+    echo "copy gate FAILED: corpus clone or owned records in encode.rs, or a concatenated pool in crates/core/src" >&2
     exit 1
 fi
 

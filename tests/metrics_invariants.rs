@@ -16,7 +16,7 @@ fn wiki(records: usize) -> Collection {
 }
 
 /// FS-Join-V under the paper's kernels shuffles every token exactly once:
-/// the filter job's shuffled bytes decompose into 25 bytes of per-segment
+/// the filter job's shuffled bytes decompose into 24 bytes of per-segment
 /// metadata plus 4 bytes per token, with zero token duplication. (Sweep
 /// ships a subset of these segments.)
 #[test]
@@ -31,7 +31,7 @@ fn fsjoin_vertical_is_duplicate_free() {
     );
     let filter = res.chain.job("fsjoin-filter").unwrap();
     let total_tokens: usize = c.total_tokens() as usize;
-    let tokens_shuffled = (filter.shuffle_bytes - 25 * filter.shuffle_records) / 4;
+    let tokens_shuffled = (filter.shuffle_bytes - 24 * filter.shuffle_records) / 4;
     assert_eq!(tokens_shuffled, total_tokens);
 }
 
@@ -52,7 +52,7 @@ fn ridpairs_duplicates_tokens_fsjoin_does_not() {
         .with_theta(theta);
     let fs = fsjoin_suite::fsjoin::run_self_join(&c, &cfg);
     let filter = fs.chain.job("fsjoin-filter").unwrap();
-    let fs_tokens = (filter.shuffle_bytes - 25 * filter.shuffle_records) / 4;
+    let fs_tokens = (filter.shuffle_bytes - 24 * filter.shuffle_records) / 4;
     let fs_dup = fs_tokens as f64 / total_tokens as f64;
     assert!(
         (1.0..3.0).contains(&fs_dup),
@@ -156,9 +156,11 @@ fn filter_candidates_shrink_monotonically() {
 
 /// Conservation law of the fragment join's counters (`FilterStats` docs):
 /// every considered pair ends in exactly one outcome, whatever the kernel,
-/// the pair scope, the filter set or the signature step — and the
-/// signature step can only prune pairs whose bitmaps it read. Postings
-/// the length window skips are counted beside the law, not in it.
+/// the filter set or the signature step — and the signature step can only
+/// prune pairs whose bitmaps it read. Postings the length window skips are
+/// counted beside the law, not in it. The R×S join has its own law: every
+/// considered cross pair ends in one step of its cascade, and each similar
+/// pair is emitted once.
 #[test]
 fn filter_counters_account_for_every_considered_pair() {
     use fsjoin_suite::fsjoin::EmitPolicy;
@@ -186,38 +188,55 @@ fn filter_counters_account_for_every_considered_pair() {
                         .with_filters(filters)
                         .with_emit_policy(policy)
                         .with_bitmap_prune(prune);
-                    let self_join = fsjoin_suite::fsjoin::run_self_join(&whole, &cfg);
-                    let cross = fsjoin_suite::fsjoin::run_rs_join(&r, &s, &cfg);
-                    for (scope, res) in [("self", self_join), ("cross", cross)] {
-                        let fs = res.filter_stats;
-                        let label = format!("{kernel:?} {scope} {filters:?} {policy:?} {prune}");
-                        assert!(fs.pairs_considered > 0, "{label}");
-                        assert_eq!(fs.unaccounted(), 0, "{label}: {fs:?}");
-                        assert_eq!(fs.emitted, res.candidates as u64, "{label}");
-                        assert!(fs.bitmap_pruned <= fs.bitmap_checks, "{label}");
-                        // Sweep reads the bitmaps map-side, under its own
-                        // laws; its reducers count only listed pairs.
-                        let sweep = res.sweep_stats;
-                        let swept = kernel == JoinKernel::Sweep;
-                        assert_eq!(sweep.swept > 0, swept, "{label}");
-                        assert_eq!(sweep.unaccounted(), 0, "{label}");
-                        if swept {
-                            assert_eq!(sweep.unlisted(&fs), 0, "{label}");
-                        }
-                        assert_eq!(fs.bitmap_checks > 0, prune && !swept, "{label}");
-                        // StrL is a per-pair test under Loop and a length
-                        // window on the posting lists under the indexed
-                        // kernels: never both, and neither with StrL off
-                        // (nor under Sweep, whose window is map-side).
-                        let windowed = matches!(kernel, JoinKernel::Index | JoinKernel::Prefix)
-                            && filters.strl;
-                        assert_eq!(fs.window_skipped > 0, windowed, "{label}");
-                        let per_pair = kernel == JoinKernel::Loop && filters.strl;
-                        assert_eq!(fs.strl_pruned > 0, per_pair, "{label}");
+                    let res = fsjoin_suite::fsjoin::run_self_join(&whole, &cfg);
+                    let fs = res.filter_stats;
+                    let label = format!("{kernel:?} {filters:?} {policy:?} {prune}");
+                    assert!(fs.pairs_considered > 0, "{label}");
+                    assert_eq!(fs.unaccounted(), 0, "{label}: {fs:?}");
+                    assert_eq!(fs.emitted, res.candidates as u64, "{label}");
+                    assert!(fs.bitmap_pruned <= fs.bitmap_checks, "{label}");
+                    // Sweep reads the bitmaps map-side, under its own laws;
+                    // its reducers count only listed pairs.
+                    let sweep = res.sweep_stats;
+                    let swept = kernel == JoinKernel::Sweep;
+                    assert_eq!(sweep.swept > 0, swept, "{label}");
+                    assert_eq!(sweep.unaccounted(), 0, "{label}");
+                    if swept {
+                        assert_eq!(sweep.unlisted(&fs), 0, "{label}");
                     }
+                    assert_eq!(fs.bitmap_checks > 0, prune && !swept, "{label}");
+                    // StrL is a per-pair test under Loop and a length
+                    // window on the posting lists under the indexed kernels:
+                    // never both, and neither with StrL off (nor under
+                    // Sweep, whose window is map-side).
+                    let windowed =
+                        matches!(kernel, JoinKernel::Index | JoinKernel::Prefix) && filters.strl;
+                    assert_eq!(fs.window_skipped > 0, windowed, "{label}");
+                    let per_pair = kernel == JoinKernel::Loop && filters.strl;
+                    assert_eq!(fs.strl_pruned > 0, per_pair, "{label}");
                 }
             }
         }
+    }
+    // The R×S join ignores kernel, filters and emit policy; a walk kernel
+    // is pinned because Sweep rejects the signature step off.
+    for prune in [true, false] {
+        let cfg = FsJoinConfig::default()
+            .with_theta(0.8)
+            .with_kernel(JoinKernel::Prefix)
+            .with_bitmap_prune(prune);
+        let res = fsjoin_suite::fsjoin::run_rs_join_two_input(&r, &s, &cfg);
+        let fs = res.filter_stats;
+        assert!(fs.pairs_considered > 0, "cross {prune}");
+        assert_eq!(
+            fs.pairs_considered,
+            fs.position_pruned + fs.bitmap_pruned + fs.repeat_skipped + fs.intersections,
+            "cross {prune}: {fs:?}"
+        );
+        assert_eq!(fs.emitted, res.candidates as u64, "cross {prune}");
+        assert_eq!(res.candidates, res.pairs.len(), "cross {prune}");
+        assert!(fs.bitmap_pruned <= fs.bitmap_checks, "cross {prune}");
+        assert_eq!(fs.bitmap_checks > 0, prune, "cross {prune}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! R×S (two-collection) joins end-to-end, including the shared-ordering
 //! encoding path and the id-offset convention.
 
-use fsjoin_suite::fsjoin::run_rs_join;
+use fsjoin_suite::fsjoin::run_rs_join_two_input;
 use fsjoin_suite::prelude::*;
 use fsjoin_suite::similarity::naive::naive_rs_join;
 use fsjoin_suite::similarity::pair::compare_results;
@@ -50,7 +50,7 @@ fn rs_join_matches_oracle_across_measures() {
     for measure in Measure::all() {
         for theta in [0.7, 0.9] {
             let want = naive_rs_join(&r.views(), &s_shifted, measure, theta);
-            let got = run_rs_join(
+            let got = run_rs_join_two_input(
                 &r,
                 &s,
                 &FsJoinConfig::default()
@@ -75,7 +75,7 @@ fn rs_join_matches_oracle_across_measures() {
 fn rs_join_finds_planted_links() {
     let (r_raw, s_raw) = two_corpora(7);
     let (r, s) = encode_two(&r_raw, &s_raw);
-    let got = run_rs_join(&r, &s, &FsJoinConfig::default().with_theta(0.8));
+    let got = run_rs_join_two_input(&r, &s, &FsJoinConfig::default().with_theta(0.8));
     // Half of S (60 records, odd indices exact copies) must link back.
     assert!(
         got.pairs.len() >= 30,
@@ -100,7 +100,7 @@ fn rs_join_with_text_corpora() {
         &tokenizer,
     );
     let (r, s) = encode_two(&r_raw, &s_raw);
-    let got = run_rs_join(&r, &s, &FsJoinConfig::default().with_theta(0.8));
+    let got = run_rs_join_two_input(&r, &s, &FsJoinConfig::default().with_theta(0.8));
     let offset = r.len() as u32;
     let links: Vec<(u32, u32)> = got.pairs.iter().map(|p| (p.a, p.b - offset)).collect();
     assert_eq!(links, vec![(0, 0), (1, 2)]);
