@@ -25,7 +25,8 @@
 use crate::dedup::{add_dedup_stage, collect_pairs};
 use crate::{BaselineConfig, BudgetExceeded, JoinRunResult};
 use ssj_mapreduce::{
-    Dataset, Emitter, IdentityMapper, KeepFirst, Mapper, Plan, PlanRunner, Reducer,
+    Dataset, Emitter, GroupValues, IdentityMapper, KeepFirst, Mapper, Plan, PlanRunner,
+    StreamingReducer,
 };
 use ssj_similarity::{Measure, SimilarPair, Verifier};
 use ssj_text::{Collection, Record};
@@ -243,22 +244,50 @@ impl Mapper for SignatureMapper {
     }
 }
 
+/// One signature group split by role into scratch buffers the reducer
+/// owns and reuses across its groups (arrival order kept on each side).
+#[derive(Default)]
+struct RoleSplit {
+    indexed: Vec<SigValue>,
+    probes: Vec<SigValue>,
+}
+
+impl RoleSplit {
+    fn fill(&mut self, values: &mut GroupValues<'_, '_, SigKey, SigValue>) {
+        self.indexed.clear();
+        self.probes.clear();
+        for v in values {
+            let side = if v.0 == ROLE_INDEXED {
+                &mut self.indexed
+            } else {
+                &mut self.probes
+            };
+            side.push(v.clone());
+        }
+    }
+}
+
 /// Merge-variant reducer: match indexed × probe and verify in place.
 struct MergeReducer {
     verifier: Verifier,
+    roles: RoleSplit,
 }
 
-impl Reducer for MergeReducer {
+impl StreamingReducer for MergeReducer {
     type InKey = SigKey;
     type InValue = SigValue;
     type OutKey = (u32, u32);
     type OutValue = f64;
 
-    fn reduce(&mut self, _key: &SigKey, values: Vec<SigValue>, out: &mut Emitter<(u32, u32), f64>) {
-        let (indexed, probes): (Vec<&SigValue>, Vec<&SigValue>) =
-            values.iter().partition(|v| v.0 == ROLE_INDEXED);
-        for &&(_, rid_s, _, ref toks_s) in &indexed {
-            for &&(_, rid_t, _, ref toks_t) in &probes {
+    fn reduce_group(
+        &mut self,
+        _key: &SigKey,
+        values: &mut GroupValues<'_, '_, SigKey, SigValue>,
+        out: &mut Emitter<(u32, u32), f64>,
+    ) {
+        self.roles.fill(values);
+        for &(_, rid_s, _, ref toks_s) in &self.roles.indexed {
+            for &(_, rid_t, _, ref toks_t) in &self.roles.probes {
                 if rid_s == rid_t {
                     continue;
                 }
@@ -276,19 +305,26 @@ impl Reducer for MergeReducer {
 }
 
 /// Light-variant reducer: emit unverified candidates (rids only).
-struct LightReducer;
+#[derive(Default)]
+struct LightReducer {
+    roles: RoleSplit,
+}
 
-impl Reducer for LightReducer {
+impl StreamingReducer for LightReducer {
     type InKey = SigKey;
     type InValue = SigValue;
     type OutKey = (u32, u32);
     type OutValue = u8;
 
-    fn reduce(&mut self, _key: &SigKey, values: Vec<SigValue>, out: &mut Emitter<(u32, u32), u8>) {
-        let (indexed, probes): (Vec<&SigValue>, Vec<&SigValue>) =
-            values.iter().partition(|v| v.0 == ROLE_INDEXED);
-        for &&(_, rid_s, _, _) in &indexed {
-            for &&(_, rid_t, _, _) in &probes {
+    fn reduce_group(
+        &mut self,
+        _key: &SigKey,
+        values: &mut GroupValues<'_, '_, SigKey, SigValue>,
+        out: &mut Emitter<(u32, u32), u8>,
+    ) {
+        self.roles.fill(values);
+        for &(_, rid_s, _, _) in &self.roles.indexed {
+            for &(_, rid_t, _, _) in &self.roles.probes {
                 if rid_s == rid_t {
                     continue;
                 }
@@ -374,6 +410,7 @@ pub fn massjoin(
                 },
                 move |_| MergeReducer {
                     verifier: Verifier { measure, theta },
+                    roles: RoleSplit::default(),
                 },
             );
             let unique = add_dedup_stage(&mut plan, raw, cfg.reduce_tasks, "massjoin-dedup");
@@ -392,7 +429,7 @@ pub fn massjoin(
                     theta,
                     carry_tokens: false,
                 },
-                |_| LightReducer,
+                |_| LightReducer::default(),
             );
             let unique = plan.add(
                 "massjoin-candidate-dedup",

@@ -13,7 +13,7 @@
 
 use crate::dedup::{add_dedup_stage, collect_pairs};
 use crate::{BaselineConfig, JoinRunResult};
-use ssj_mapreduce::{Dataset, Emitter, Mapper, Plan, PlanRunner, Reducer};
+use ssj_mapreduce::{Dataset, Emitter, GroupValues, Mapper, Plan, PlanRunner, StreamingReducer};
 use ssj_similarity::ppjoin::ppjoin_self_join;
 use ssj_similarity::Measure;
 use ssj_text::{Collection, Record};
@@ -39,23 +39,32 @@ impl Mapper for SignatureMapper {
     }
 }
 
-/// Kernel reducer: PPJoin within each token group.
+/// Kernel reducer: PPJoin within each token group, copied into a scratch
+/// buffer reused across the task's groups.
 struct GroupPPJoinReducer {
     measure: Measure,
     theta: f64,
+    group: Vec<Record>,
 }
 
-impl Reducer for GroupPPJoinReducer {
+impl StreamingReducer for GroupPPJoinReducer {
     type InKey = u32;
     type InValue = Record;
     type OutKey = (u32, u32);
     type OutValue = f64;
 
-    fn reduce(&mut self, _token: &u32, group: Vec<Record>, out: &mut Emitter<(u32, u32), f64>) {
-        if group.len() < 2 {
+    fn reduce_group(
+        &mut self,
+        _token: &u32,
+        records: &mut GroupValues<'_, '_, u32, Record>,
+        out: &mut Emitter<(u32, u32), f64>,
+    ) {
+        self.group.clear();
+        self.group.extend(records.cloned());
+        if self.group.len() < 2 {
             return;
         }
-        for pair in ppjoin_self_join(&group, self.measure, self.theta) {
+        for pair in ppjoin_self_join(&self.group, self.measure, self.theta) {
             out.emit(pair.ids(), pair.sim);
         }
     }
@@ -85,7 +94,11 @@ pub fn ridpairs_ppjoin(
         input,
         cfg.reduce_tasks,
         move |_| SignatureMapper { measure, theta },
-        move |_| GroupPPJoinReducer { measure, theta },
+        move |_| GroupPPJoinReducer {
+            measure,
+            theta,
+            group: Vec::new(),
+        },
     );
     let unique = add_dedup_stage(&mut plan, raw, cfg.reduce_tasks, "ridpairs-dedup");
     let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);

@@ -14,10 +14,8 @@
 //! grouped path ([`GroupedRuns`]) must perform **zero per-key engine
 //! allocations**, while the legacy group-walk pays one `Vec` per key (plus
 //! its growth). The same counter guards the map-side combine path: a
-//! fold-style [`Combiner::combine_into`] override (what [`SumCombiner`]
-//! ships) must not allocate per key, while a combiner that only implements
-//! the batch `combine` pays the default adapter's per-key `Vec`. Numbers
-//! are recorded in `results/shuffle.md`.
+//! fold-style [`Combiner::combine_into`] (what [`SumCombiner`] ships) must
+//! not allocate per key. Numbers are recorded in `results/shuffle.md`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssj_mapreduce::{Combiner, GroupedRuns, KWayMerge, SumCombiner};
@@ -204,19 +202,6 @@ fn grouped_legacy(runs: &[Vec<(u32, u64)>]) -> (usize, u64) {
     (groups, acc)
 }
 
-/// A combiner identical to [`SumCombiner`] except it implements only the
-/// batch `combine` — so it pays the trait's default `combine_into`
-/// adapter, which collects every key group into a fresh `Vec`. This is
-/// what all fold-style combiners cost before the `combine_into` override
-/// existed.
-struct BatchSumCombiner;
-
-impl Combiner<u32, u64> for BatchSumCombiner {
-    fn combine(&self, _key: &u32, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
-    }
-}
-
 /// The engine's map-side combine shape: walk a sorted bucket key group by
 /// key group, streaming each group's values into `combine_into` with one
 /// reused output vector.
@@ -282,26 +267,15 @@ fn report_combine_allocations() {
     };
     let warm = combine_bucket(&SumCombiner, &bucket);
     let ((groups, fold_sum), fold_allocs) = allocs_during(|| combine_bucket(&SumCombiner, &bucket));
-    let ((batch_groups, batch_sum), batch_allocs) =
-        allocs_during(|| combine_bucket(&BatchSumCombiner, &bucket));
     assert_eq!(warm, (groups, fold_sum));
-    assert_eq!((groups, fold_sum), (batch_groups, batch_sum));
-    println!(
-        "combine-report: groups={groups} fold_allocs={fold_allocs} batch_allocs={batch_allocs}"
-    );
-    // The perf fix's claim: a fold-style `combine_into` override combines
-    // a whole bucket with a bounded handful of allocations (the reused
-    // output vector), while the default batch adapter collects one `Vec`
-    // per key group.
+    println!("combine-report: groups={groups} fold_allocs={fold_allocs}");
+    // A fold-style `combine_into` combines a whole bucket with a bounded
+    // handful of allocations (the reused output vector), never one per
+    // key group.
     assert!(
         fold_allocs < 8,
         "fold-style combine_into must not allocate per key \
          ({fold_allocs} allocs for {groups} groups)"
-    );
-    assert!(
-        batch_allocs >= groups,
-        "batch-default combine_into should allocate per key \
-         ({batch_allocs} allocs for {groups} groups)"
     );
 }
 

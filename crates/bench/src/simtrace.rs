@@ -167,7 +167,9 @@ pub fn record_chain(label: &str, cluster: &ClusterModel, chain: &ChainMetrics) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssj_mapreduce::{Dataset, Emitter, JobBuilder, Mapper, Reducer};
+    use ssj_mapreduce::{
+        Dataset, Emitter, GroupValues, Mapper, Plan, PlanRunner, StreamingReducer,
+    };
     use ssj_observe::ChromeTrace;
     use std::sync::Arc;
 
@@ -182,25 +184,27 @@ mod tests {
         }
     }
     struct Sum;
-    impl Reducer for Sum {
+    impl StreamingReducer for Sum {
         type InKey = u32;
         type InValue = u32;
         type OutKey = u32;
         type OutValue = u32;
-        fn reduce(&mut self, k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>) {
-            out.emit(*k, vs.iter().sum());
+        fn reduce_group(
+            &mut self,
+            k: &u32,
+            vs: &mut GroupValues<'_, '_, u32, u32>,
+            out: &mut Emitter<u32, u32>,
+        ) {
+            out.emit(*k, vs.sum());
         }
     }
 
     #[test]
     fn sim_timeline_renders_schedule() {
         let input = Dataset::from_records((0..64u32).map(|i| (i, i)).collect::<Vec<_>>(), 4);
-        let (_, metrics) =
-            JobBuilder::new("simtrace-job")
-                .reduce_tasks(4)
-                .run(&input, |_| Id, |_| Sum);
-        let mut chain = ChainMetrics::default();
-        chain.push(metrics);
+        let mut plan = Plan::new("simtrace-job");
+        plan.add("simtrace-job", input, 4, |_| Id, |_| Sum);
+        let chain = PlanRunner::pipelined().run(plan).metrics;
 
         let cluster = ClusterModel::paper_default(3);
         let collector = Arc::new(Collector::new());

@@ -5,7 +5,7 @@
 //! * [`hash`] — a fast, deterministic, non-cryptographic hasher (an
 //!   FxHash-style multiply-rotate design) plus `HashMap`/`HashSet` aliases
 //!   used on hot paths throughout the workspace;
-//! * [`bytesize`] — the [`ByteSize`](bytesize::ByteSize) trait used by the
+//! * [`bytesize`] — the [`ByteSize`] trait used by the
 //!   MapReduce engine to account for shuffle and output volume without
 //!   serializing anything;
 //! * [`stats`] — summary statistics (mean, percentiles, Gini coefficient,

@@ -1,7 +1,7 @@
 //! The FS-Join driver: wires the filtering and verification MapReduce jobs
 //! (paper Algorithm 1 / Figure 3).
 //!
-//! The ordering phase is performed at encoding time ([`ssj_text::encode`] /
+//! The ordering phase is performed at encoding time ([`ssj_text::encode()`] /
 //! [`ssj_text::encode_mr`]); the driver consumes an already-encoded
 //! [`Collection`] whose frequency table *is* the global ordering.
 
@@ -187,20 +187,8 @@ impl StreamingReducer for FragmentReducer {
 struct VerifyCombiner;
 
 impl ssj_mapreduce::Combiner<(u32, u32), (u32, u32, u32)> for VerifyCombiner {
-    fn combine(&self, _pair: &(u32, u32), values: Vec<(u32, u32, u32)>) -> Vec<(u32, u32, u32)> {
-        let mut total = 0u32;
-        let (mut la, mut lb) = (0u32, 0u32);
-        for (c, a, b) in values {
-            total += c;
-            la = a;
-            lb = b;
-        }
-        vec![(total, la, lb)]
-    }
-
-    /// Fold-style streaming path: sums contributions straight off the
-    /// sorted bucket with no per-key `Vec` (see
-    /// [`Combiner::combine_into`](ssj_mapreduce::Combiner::combine_into)).
+    /// Sums contributions straight off the sorted bucket with no per-key
+    /// `Vec`.
     fn combine_into(
         &self,
         _pair: &(u32, u32),

@@ -23,7 +23,7 @@
 //! signature → SegL → SegD precheck, then SegI/SegD on the exact local
 //! overlap — apply the same [`FilterSet`] and produce identical output
 //! (property-tested); they differ only in work. Loop tests the first two
-//! steps pair by pair ([`FragmentJoin::admit`]). Index and Prefix share the
+//! steps pair by pair (`FragmentJoin::admit`). Index and Prefix share the
 //! reducer-owned [`CellIndex`]: the cell sits in record-length order, so
 //! StrL is a slot range on each posting list and the signature runs
 //! inside the posting walk, on dense columns; only the survivors reach

@@ -5,8 +5,9 @@
 //! execution model faithfully enough that every quantity the paper's
 //! experiments observe is produced by the same mechanism:
 //!
-//! * typed [`Mapper`]/[`Reducer`] tasks with `setup`/`map|reduce`/`cleanup`
-//!   lifecycle hooks (Hadoop semantics);
+//! * typed [`Mapper`]/[`StreamingReducer`] tasks with
+//!   `setup`/`map|reduce_group`/`cleanup` lifecycle hooks; a reducer sees
+//!   each key group as a stream of values (Hadoop semantics);
 //! * a sort-merge shuffle with per-partition routing through a
 //!   [`Partitioner`], optional [`Combiner`], and byte-level accounting via
 //!   [`ssj_common::ByteSize`];
@@ -14,8 +15,7 @@
 //!   run by the [`PlanRunner`] on a shared worker pool (bounded retry,
 //!   seeded fault injection, partition-granular pipelining across stage
 //!   boundaries), with per-task wall-clock and record/byte counters
-//!   collected into [`JobMetrics`]; [`JobBuilder`] is the one-stage
-//!   convenience over the same runner;
+//!   collected into [`JobMetrics`]; a standalone job is a one-stage plan;
 //! * a [`ClusterModel`] whose one discrete-event loop replays the measured
 //!   task durations on a configurable `nodes × slots` cluster — job after
 //!   job, as a pipelined plan, or under a seeded fault plan — and charges
@@ -25,11 +25,11 @@
 //!
 //! # Example
 //!
-//! Word count, as a single job ([`JobBuilder`] declares it as a one-stage
-//! [`Plan`]; multi-job pipelines build the plan directly):
+//! Word count, as a one-stage [`Plan`] (multi-job pipelines add more
+//! stages, each reading an earlier stage's handle):
 //!
 //! ```
-//! use ssj_mapreduce::{Dataset, Emitter, JobBuilder, Mapper, Reducer};
+//! use ssj_mapreduce::{Dataset, Emitter, GroupValues, Mapper, Plan, PlanRunner, StreamingReducer};
 //!
 //! struct Tokenize;
 //! impl Mapper for Tokenize {
@@ -45,24 +45,29 @@
 //! }
 //!
 //! struct Sum;
-//! impl Reducer for Sum {
+//! impl StreamingReducer for Sum {
 //!     type InKey = String;
 //!     type InValue = u64;
 //!     type OutKey = String;
 //!     type OutValue = u64;
-//!     fn reduce(&mut self, word: &String, counts: Vec<u64>, out: &mut Emitter<String, u64>) {
-//!         out.emit(word.clone(), counts.iter().sum());
+//!     fn reduce_group(
+//!         &mut self,
+//!         word: &String,
+//!         counts: &mut GroupValues<'_, '_, String, u64>,
+//!         out: &mut Emitter<String, u64>,
+//!     ) {
+//!         out.emit(word.clone(), counts.sum());
 //!     }
 //! }
 //!
 //! let input = Dataset::from_records(vec![(0u32, "a b a".to_string()), (1, "b".to_string())], 2);
-//! let (output, metrics) = JobBuilder::new("wordcount")
-//!     .reduce_tasks(2)
-//!     .run(&input, |_| Tokenize, |_| Sum);
-//! let mut counts: Vec<(String, u64)> = output.into_records().collect();
+//! let mut plan = Plan::new("wordcount");
+//! let words = plan.add("wordcount", input, 2, |_| Tokenize, |_| Sum);
+//! let mut outcome = PlanRunner::pipelined().run(plan);
+//! let mut counts: Vec<(String, u64)> = outcome.take_output(words).into_records().collect();
 //! counts.sort();
 //! assert_eq!(counts, vec![("a".into(), 2), ("b".into(), 2)]);
-//! assert_eq!(metrics.map_output_records(), 4);
+//! assert_eq!(outcome.metrics.jobs[0].map_output_records(), 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,7 +76,6 @@ pub mod cluster;
 pub mod dataset;
 pub mod emitter;
 pub mod executor;
-pub mod job;
 pub mod merge;
 pub mod metrics;
 pub mod partitioner;
@@ -85,7 +89,6 @@ pub use cluster::{ClusterModel, PhaseTimes, SimSchedule, SimTask};
 pub use dataset::Dataset;
 pub use emitter::Emitter;
 pub use executor::{TaskError, TaskFailure};
-pub use job::{IdentityCombiner, JobBuilder};
 pub use merge::{CoGroupedRuns, GroupValues, GroupedRuns, KWayMerge, SideGroups};
 pub use metrics::{
     ChainMetrics, ExecSummary, JobMetrics, LogicalJob, TaskCounts, TaskKind, TaskStat,
@@ -98,6 +101,6 @@ pub use plan::{
 pub use sim_faults::{SimFaultError, SimFaultOutcome, SimFaultPolicy};
 pub use spill::{SharedRun, SpillStore};
 pub use traits::{
-    CoGroupReducer, Combiner, IdentityMapper, KeepFirst, Key, Mapper, PassThrough, Reducer,
-    StreamingReducer, SumCombiner, Value,
+    CoGroupReducer, Combiner, IdentityCombiner, IdentityMapper, KeepFirst, Key, Mapper,
+    PassThrough, StreamingReducer, SumCombiner, Value,
 };

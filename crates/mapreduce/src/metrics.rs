@@ -90,9 +90,9 @@ pub struct JobMetrics {
     pub name: String,
     /// Identity of this job inside its execution plan: `(plan name, stage
     /// index)`, set by the [`PlanRunner`](crate::plan::PlanRunner) so
-    /// reports and traces can attribute a stage to its DAG. A
-    /// [`JobBuilder`](crate::JobBuilder) job is stage 0 of a plan named
-    /// after the job; `None` only for hand-assembled metrics.
+    /// reports and traces can attribute a stage to its DAG. A standalone
+    /// job is stage 0 of a one-stage plan; `None` only for hand-assembled
+    /// metrics.
     pub plan_stage: Option<(String, usize)>,
     /// Whether this job ran as a **co-group stage**: no map or shuffle
     /// phase; its tasks (kind [`TaskKind::CoGroup`], stored in

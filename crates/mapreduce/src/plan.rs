@@ -18,8 +18,8 @@
 //! This module is the crate's **only** execution engine: the split → map →
 //! combine → partition → sort → transpose → k-way-merge → reduce task
 //! bodies, their spans and byte accounting, bounded retry and fault
-//! injection are defined here and nowhere else. A standalone job
-//! ([`JobBuilder`](crate::JobBuilder)) is a one-stage plan on this runner.
+//! injection are defined here and nowhere else. A standalone job is a
+//! one-stage plan on this runner.
 //!
 //! **The hard invariant:** pipelining changes *when* tasks run, never
 //! *what* they compute. Every stage runs the same task bodies whatever the
@@ -35,12 +35,13 @@
 use crate::dataset::Dataset;
 use crate::emitter::Emitter;
 use crate::executor::{default_workers, panic_message};
-use crate::job::{combine_runs, IdentityCombiner};
 use crate::merge::{CoGroupedRuns, GroupedRuns};
 use crate::metrics::{ChainMetrics, ExecSummary, JobMetrics, TaskKind, TaskStat};
 use crate::partitioner::{HashPartitioner, Partitioner};
 use crate::spill::{SharedRun, SpillStore};
-use crate::traits::{CoGroupReducer, Combiner, Key, Mapper, StreamingReducer, Value};
+use crate::traits::{
+    combine_runs, CoGroupReducer, Combiner, IdentityCombiner, Key, Mapper, StreamingReducer, Value,
+};
 use ssj_common::ByteSize;
 use ssj_faults::{Fault, FaultPlan, InjectedPanic, Phase, RetryPolicy};
 use ssj_observe::{global_registry, span, Span};
@@ -441,36 +442,6 @@ impl Plan {
             mapper,
             reducer,
             HashPartitioner,
-            None::<IdentityCombiner>,
-        )
-    }
-
-    /// Add a stage with a custom partitioner and no combiner.
-    pub fn add_partitioned<M, R, P, FM, FR>(
-        &mut self,
-        name: impl Into<String>,
-        input: impl Into<StageInput<M::InKey, M::InValue>>,
-        reduce_tasks: usize,
-        mapper: FM,
-        reducer: FR,
-        partitioner: P,
-    ) -> StageHandle<R::OutKey, R::OutValue>
-    where
-        M: Mapper + 'static,
-        R: StreamingReducer<InKey = M::OutKey, InValue = M::OutValue> + 'static,
-        P: Partitioner<M::OutKey> + Send + Sync + 'static,
-        FM: Fn(usize) -> M + Send + Sync + 'static,
-        FR: Fn(usize) -> R + Send + Sync + 'static,
-        M::InKey: Clone + Sync + ByteSize,
-        M::InValue: Clone + Sync + ByteSize,
-    {
-        self.add_full(
-            name,
-            input,
-            reduce_tasks,
-            mapper,
-            reducer,
-            partitioner,
             None::<IdentityCombiner>,
         )
     }
@@ -2094,8 +2065,10 @@ fn finalize_stage(state: &mut RunState, plan: &Plan, stage_idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::GroupValues;
     use crate::merge::SideGroups;
-    use crate::traits::{IdentityMapper, PassThrough, Reducer, SumCombiner};
+    use crate::partitioner::DirectPartitioner;
+    use crate::traits::{IdentityMapper, PassThrough, SumCombiner};
 
     /// Emits (token, 1) for each whitespace token.
     struct Tokenize;
@@ -2113,13 +2086,18 @@ mod tests {
 
     /// Sums counts per token.
     struct Sum;
-    impl Reducer for Sum {
+    impl StreamingReducer for Sum {
         type InKey = String;
         type InValue = u64;
         type OutKey = String;
         type OutValue = u64;
-        fn reduce(&mut self, k: &String, vs: Vec<u64>, out: &mut Emitter<String, u64>) {
-            out.emit(k.clone(), vs.into_iter().sum());
+        fn reduce_group(
+            &mut self,
+            k: &String,
+            vs: &mut GroupValues<'_, '_, String, u64>,
+            out: &mut Emitter<String, u64>,
+        ) {
+            out.emit(k.clone(), vs.sum());
         }
     }
 
@@ -2137,13 +2115,18 @@ mod tests {
 
     /// Counts words per count bucket.
     struct CountWords;
-    impl Reducer for CountWords {
+    impl StreamingReducer for CountWords {
         type InKey = u64;
         type InValue = String;
         type OutKey = u64;
         type OutValue = u64;
-        fn reduce(&mut self, k: &u64, vs: Vec<String>, out: &mut Emitter<u64, u64>) {
-            out.emit(*k, vs.len() as u64);
+        fn reduce_group(
+            &mut self,
+            k: &u64,
+            vs: &mut GroupValues<'_, '_, u64, String>,
+            out: &mut Emitter<u64, u64>,
+        ) {
+            out.emit(*k, vs.count() as u64);
         }
     }
 
@@ -2353,6 +2336,322 @@ mod tests {
         let _ = plan.add::<Tokenize, Sum, _, _>("wc", wc_input(), 0, |_| Tokenize, |_| Sum);
     }
 
+    // ---- one-stage plans (a standalone job) --------------------------------
+
+    /// Runs a one-stage plan and returns its output with its job metrics.
+    fn run_solo<K: Key, V: Value>(plan: Plan, h: StageHandle<K, V>) -> (Dataset<K, V>, JobMetrics) {
+        let mut outcome = PlanRunner::pipelined().run(plan);
+        let out = outcome.take_output(h);
+        (out, outcome.metrics.jobs.remove(0))
+    }
+
+    /// A one-stage word-count plan named after its stage, with or without
+    /// the sum combiner.
+    fn wc_solo(
+        name: &str,
+        input: Dataset<u32, String>,
+        reduce_tasks: usize,
+        combine: bool,
+    ) -> (Dataset<String, u64>, JobMetrics) {
+        let mut plan = Plan::new(name);
+        let h = plan.add_full(
+            name,
+            input,
+            reduce_tasks,
+            |_| Tokenize,
+            |_| Sum,
+            HashPartitioner,
+            combine.then_some(SumCombiner),
+        );
+        run_solo(plan, h)
+    }
+
+    #[test]
+    fn word_count_end_to_end() {
+        let (out, m) = wc_solo("wc", wc_input(), 3, false);
+        assert_eq!(
+            sorted(out),
+            vec![
+                ("brown".to_string(), 1),
+                ("dog".to_string(), 2),
+                ("fox".to_string(), 2),
+                ("lazy".to_string(), 1),
+                ("quick".to_string(), 1),
+                ("the".to_string(), 4),
+            ]
+        );
+        assert_eq!(m.map_input_records(), 3);
+        assert_eq!(m.map_output_records(), 11);
+        assert_eq!(m.shuffle_records, 11);
+        assert_eq!(m.map_tasks.len(), 2);
+        assert_eq!(m.reduce_tasks.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one reduce task")]
+    fn one_stage_plan_zero_reduce_tasks_rejected() {
+        let _ = wc_solo("bad", wc_input(), 0, true);
+    }
+
+    /// What the engine computed for this input before the single-job entry
+    /// point became a one-stage plan, frozen from that implementation's
+    /// output: the reduce partitions and every timing-free counter, with
+    /// and without the sum combiner. Task rows are `(index, input_records,
+    /// input_bytes, input_keys, output_records, output_bytes)`.
+    #[test]
+    fn one_stage_plan_reproduces_frozen_engine_oracle() {
+        type Row = (usize, usize, usize, usize, usize, usize);
+        fn rows(tasks: &[TaskStat]) -> Vec<Row> {
+            tasks
+                .iter()
+                .map(|t| {
+                    (
+                        t.index,
+                        t.input_records,
+                        t.input_bytes,
+                        t.input_keys,
+                        t.output_records,
+                        t.output_bytes,
+                    )
+                })
+                .collect()
+        }
+        let partitions: Vec<Vec<(String, u64)>> = [
+            vec![("brown", 1), ("fox", 2)],
+            vec![("lazy", 1), ("quick", 1), ("the", 4)],
+            vec![("dog", 2)],
+        ]
+        .into_iter()
+        .map(|p| p.into_iter().map(|(w, c)| (w.to_string(), c)).collect())
+        .collect();
+
+        struct Oracle {
+            shuffle: (usize, usize),
+            maps: [Row; 2],
+            reduces: [Row; 3],
+        }
+        let combined = Oracle {
+            shuffle: (9, 140),
+            maps: [(0, 2, 47, 0, 6, 95), (1, 1, 23, 0, 3, 45)],
+            reduces: [
+                (0, 3, 47, 2, 2, 32),
+                (1, 4, 63, 3, 3, 48),
+                (2, 2, 30, 1, 1, 15),
+            ],
+        };
+        let plain = Oracle {
+            shuffle: (11, 170),
+            maps: [(0, 2, 47, 0, 7, 110), (1, 1, 23, 0, 4, 60)],
+            reduces: [
+                (0, 3, 47, 2, 2, 32),
+                (1, 6, 93, 3, 3, 48),
+                (2, 2, 30, 1, 1, 15),
+            ],
+        };
+
+        for (combine, want) in [(true, combined), (false, plain)] {
+            let (out, m) = wc_solo("wc", wc_input(), 3, combine);
+            assert_eq!(out.partitions(), partitions.as_slice());
+            assert_eq!(m.name, "wc");
+            assert_eq!((m.shuffle_records, m.shuffle_bytes), want.shuffle);
+            assert_eq!((m.pre_combine_records, m.pre_combine_bytes), (11, 170));
+            assert_eq!(rows(&m.map_tasks), want.maps);
+            assert_eq!(rows(&m.reduce_tasks), want.reduces);
+            assert_eq!(m.exec.attempts, 5);
+            assert_eq!(m.exec.retries + m.exec.injected_total(), 0);
+        }
+    }
+
+    #[test]
+    fn combiner_reduces_shuffle_but_not_results() {
+        let (plain, m_plain) = wc_solo("wc", wc_input(), 2, false);
+        let (combined, m_comb) = wc_solo("wc+c", wc_input(), 2, true);
+        assert_eq!(sorted(plain), sorted(combined));
+        // "the" appears twice in map task 0's split -> combiner merges.
+        assert!(m_comb.shuffle_records < m_plain.shuffle_records);
+        assert_eq!(m_comb.pre_combine_records, m_plain.shuffle_records);
+    }
+
+    /// A combiner that reads only the first value of each key run: the
+    /// combine walk must drain the rest, so the unread values are dropped
+    /// and never surface as a second run of the same key.
+    #[test]
+    fn combine_walk_drains_unread_values() {
+        struct TakeFirst;
+        impl Combiner<u32, u32> for TakeFirst {
+            fn combine_into(
+                &self,
+                _k: &u32,
+                vs: &mut dyn Iterator<Item = u32>,
+                out: &mut Vec<u32>,
+            ) {
+                out.extend(vs.next());
+            }
+        }
+        // Four map tasks; each emits three keys of its own, 3-4 values each.
+        let records: Vec<(u32, u32)> = (0u32..40).map(|i| (i / 10 * 10 + i % 3, i)).collect();
+        let mut want = std::collections::BTreeMap::new();
+        for &(k, v) in &records {
+            want.entry(k).or_insert(v);
+        }
+        let mut plan = Plan::new("take-first");
+        let h = plan.add_full(
+            "take-first",
+            Dataset::from_records(records, 4),
+            3,
+            |_| IdentityMapper::<u32, u32>::default(),
+            |_| PassThrough::<u32, u32>::default(),
+            HashPartitioner,
+            Some(TakeFirst),
+        );
+        let (out, m) = run_solo(plan, h);
+        assert_eq!(sorted(out), want.into_iter().collect::<Vec<_>>());
+        assert_eq!((m.pre_combine_records, m.shuffle_records), (40, 12));
+    }
+
+    #[test]
+    fn direct_partitioner_places_keys() {
+        /// Emits (id % 4, id).
+        struct ModMap;
+        impl Mapper for ModMap {
+            type InKey = u32;
+            type InValue = u32;
+            type OutKey = u32;
+            type OutValue = u32;
+            fn map(&mut self, k: u32, _v: u32, out: &mut Emitter<u32, u32>) {
+                out.emit(k % 4, k);
+            }
+        }
+        /// Emits group size keyed by group id.
+        struct CountRed;
+        impl StreamingReducer for CountRed {
+            type InKey = u32;
+            type InValue = u32;
+            type OutKey = u32;
+            type OutValue = u64;
+            fn reduce_group(
+                &mut self,
+                k: &u32,
+                vs: &mut GroupValues<'_, '_, u32, u32>,
+                out: &mut Emitter<u32, u64>,
+            ) {
+                out.emit(*k, vs.count() as u64);
+            }
+        }
+        let input = Dataset::from_records((0u32..40).map(|i| (i, i)).collect(), 3);
+        let mut plan = Plan::new("mod");
+        let h = plan.add_full(
+            "mod",
+            input,
+            4,
+            |_| ModMap,
+            |_| CountRed,
+            DirectPartitioner::new(|k: &u32| *k as usize),
+            None::<IdentityCombiner>,
+        );
+        let (out, m) = run_solo(plan, h);
+        // Partition r holds exactly key r.
+        for (r, part) in out.partitions().iter().enumerate() {
+            assert_eq!(part.len(), 1);
+            assert_eq!(part[0], (r as u32, 10));
+        }
+        // All reduce inputs perfectly balanced.
+        assert!((m.reduce_input_balance().skew - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reducer_sees_keys_in_order() {
+        /// Asserts ascending key order within the task.
+        struct OrderCheck {
+            last: Option<u32>,
+        }
+        impl StreamingReducer for OrderCheck {
+            type InKey = u32;
+            type InValue = u32;
+            type OutKey = u32;
+            type OutValue = u32;
+            fn reduce_group(
+                &mut self,
+                k: &u32,
+                _vs: &mut GroupValues<'_, '_, u32, u32>,
+                out: &mut Emitter<u32, u32>,
+            ) {
+                if let Some(last) = self.last {
+                    assert!(*k > last, "keys must ascend within a reduce task");
+                }
+                self.last = Some(*k);
+                out.emit(*k, 0);
+            }
+        }
+        let input = Dataset::from_records((0u32..100).rev().map(|i| (i, i)).collect(), 5);
+        let mut plan = Plan::new("order");
+        let h = plan.add(
+            "order",
+            input,
+            3,
+            |_| IdentityMapper::default(),
+            |_| OrderCheck { last: None },
+        );
+        assert_eq!(run_solo(plan, h).0.total_records(), 100);
+    }
+
+    #[test]
+    fn empty_input_produces_empty_output() {
+        let (out, m) = wc_solo("empty", Dataset::empty(), 2, false);
+        assert_eq!(out.total_records(), 0);
+        assert_eq!(m.map_input_records(), 0);
+        assert_eq!(m.shuffle_records, 0);
+    }
+
+    #[test]
+    fn setup_and_cleanup_lifecycle() {
+        /// Counts records, emits the total in cleanup.
+        struct CountingMapper {
+            seen: u64,
+        }
+        impl Mapper for CountingMapper {
+            type InKey = u32;
+            type InValue = u32;
+            type OutKey = u32;
+            type OutValue = u64;
+            fn setup(&mut self) {
+                assert_eq!(self.seen, 0);
+            }
+            fn map(&mut self, _k: u32, _v: u32, _out: &mut Emitter<u32, u64>) {
+                self.seen += 1;
+            }
+            fn cleanup(&mut self, out: &mut Emitter<u32, u64>) {
+                out.emit(0, self.seen);
+            }
+        }
+        struct Sum64;
+        impl StreamingReducer for Sum64 {
+            type InKey = u32;
+            type InValue = u64;
+            type OutKey = u32;
+            type OutValue = u64;
+            fn reduce_group(
+                &mut self,
+                k: &u32,
+                vs: &mut GroupValues<'_, '_, u32, u64>,
+                out: &mut Emitter<u32, u64>,
+            ) {
+                out.emit(*k, vs.sum());
+            }
+        }
+        let input = Dataset::from_records((0u32..10).map(|i| (i, i)).collect(), 2);
+        let mut plan = Plan::new("lifecycle");
+        let h = plan.add(
+            "lifecycle",
+            input,
+            1,
+            |_| CountingMapper { seen: 0 },
+            |_| Sum64,
+        );
+        let (out, _) = run_solo(plan, h);
+        assert_eq!(out.into_records().collect::<Vec<_>>(), vec![(0, 10)]);
+    }
+
     #[test]
     fn take_sealed_matches_take_output_without_unsealing() {
         // Same plan twice: one outcome drained via take_output (the
@@ -2465,13 +2764,18 @@ mod tests {
         // Upstream values are disjoint by construction: wc-a counts are
         // < 1000, wc-b's are shifted by +1000 via a scaling reducer.
         struct SumShift(u64);
-        impl Reducer for SumShift {
+        impl StreamingReducer for SumShift {
             type InKey = String;
             type InValue = u64;
             type OutKey = String;
             type OutValue = u64;
-            fn reduce(&mut self, k: &String, vs: Vec<u64>, out: &mut Emitter<String, u64>) {
-                out.emit(k.clone(), self.0 + vs.into_iter().sum::<u64>());
+            fn reduce_group(
+                &mut self,
+                k: &String,
+                vs: &mut GroupValues<'_, '_, String, u64>,
+                out: &mut Emitter<String, u64>,
+            ) {
+                out.emit(k.clone(), self.0 + vs.sum::<u64>());
             }
         }
         struct TagCheck;

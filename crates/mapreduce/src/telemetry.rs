@@ -1,7 +1,7 @@
 //! Registry telemetry emitted once per finished job/stage.
 //!
 //! The plan runner's `finalize_stage` funnels every stage — including the
-//! single stage of a [`JobBuilder`](crate::JobBuilder) job — through
+//! single stage of a standalone job's one-stage plan — through
 //! [`record_job_telemetry`]. Two namespaces:
 //!
 //! * `mr.*` — global accumulators across all jobs of the process-level

@@ -1,6 +1,9 @@
-//! Core MapReduce task traits: [`Mapper`], [`Reducer`], [`StreamingReducer`],
-//! [`Combiner`] and the [`Key`]/[`Value`] marker traits their key/value
-//! types must satisfy.
+//! Core MapReduce task traits: [`Mapper`], the two reduce shapes
+//! ([`StreamingReducer`] for one upstream, [`CoGroupReducer`] for a
+//! co-group stage), [`Combiner`] and the [`Key`]/[`Value`] marker traits
+//! their key/value types must satisfy. Reducers and combiners see each key
+//! group as a stream of values, as Hadoop's `reduce(key, Iterable)` does;
+//! one that needs the whole group copies it into a scratch buffer it owns.
 
 use crate::emitter::Emitter;
 use crate::merge::{GroupValues, SideGroups};
@@ -31,8 +34,7 @@ impl<T: Clone + Send + Sync + ByteSize + 'static> Value for T {}
 /// A map task.
 ///
 /// One instance is created per map task *attempt* (via the factory closure
-/// passed to [`Plan::add`](crate::Plan::add) or
-/// [`JobBuilder::run`](crate::JobBuilder::run)), so implementations may keep
+/// passed to [`Plan::add`](crate::Plan::add)), so implementations may keep
 /// per-task state across `map` calls — e.g. FS-Join's mapper caches the
 /// pivot array loaded in [`Mapper::setup`].
 pub trait Mapper: Send {
@@ -61,49 +63,17 @@ pub trait Mapper: Send {
     fn cleanup(&mut self, _out: &mut Emitter<Self::OutKey, Self::OutValue>) {}
 }
 
-/// A reduce task.
-///
-/// One instance is created per reduce task. `reduce` is invoked once per
-/// distinct key, with all values for that key; keys arrive in ascending
-/// order within the task (sort-based shuffle).
-pub trait Reducer: Send {
-    /// Intermediate key type (must match the mapper's `OutKey`).
-    type InKey: Key;
-    /// Intermediate value type (must match the mapper's `OutValue`).
-    type InValue: Value;
-    /// Output key type.
-    type OutKey: Key;
-    /// Output value type.
-    type OutValue: Value;
-
-    /// Called once before the first `reduce` call of the task.
-    fn setup(&mut self) {}
-
-    /// Process one key group.
-    fn reduce(
-        &mut self,
-        key: &Self::InKey,
-        values: Vec<Self::InValue>,
-        out: &mut Emitter<Self::OutKey, Self::OutValue>,
-    );
-
-    /// Called once after the last group; may emit trailing pairs.
-    fn cleanup(&mut self, _out: &mut Emitter<Self::OutKey, Self::OutValue>) {}
-}
-
 /// A streaming reduce task: sees each key group's values as a by-reference
 /// iterator straight off the k-way merge of the sorted spill runs, with
 /// **no per-key `Vec` materialization on the engine side**.
 ///
-/// This is the engine's native reduce interface; every [`Reducer`] is also
-/// a `StreamingReducer` through a blanket adapter that collects the group
-/// into the `Vec` its signature requires. Hot reducers (FS-Join's fragment
-/// join, count/fold-style aggregation) implement this trait directly and
-/// either fold values as they stream or copy them into a reused scratch
-/// buffer.
+/// One instance is created per reduce task. A reducer either folds values
+/// as they stream (counts, sums) or, when it needs the whole group
+/// (FS-Join's fragment join, the baselines' per-token joins), copies them
+/// into a scratch buffer it owns and reuses across groups.
 ///
-/// Contract (identical to [`Reducer`]): `reduce_group` is invoked once per
-/// distinct key, keys ascend within the task, and a key's values arrive in
+/// Contract: `reduce_group` is invoked once per distinct key, keys ascend
+/// within the task (sort-based shuffle), and a key's values arrive in
 /// map-task order (within a map task, in emission order). Values left
 /// unread when `reduce_group` returns are skipped, not redelivered.
 pub trait StreamingReducer: Send {
@@ -129,35 +99,6 @@ pub trait StreamingReducer: Send {
 
     /// Called once after the last group; may emit trailing pairs.
     fn cleanup(&mut self, _out: &mut Emitter<Self::OutKey, Self::OutValue>) {}
-}
-
-/// Every batch [`Reducer`] reduces streamed groups by materializing each
-/// group into the `Vec` its signature requires — one clone per value (what
-/// the old deep-cloning fetch paid for the *whole run* up front), one
-/// `Vec` per key (inherent to the batch signature).
-impl<R: Reducer> StreamingReducer for R {
-    type InKey = R::InKey;
-    type InValue = R::InValue;
-    type OutKey = R::OutKey;
-    type OutValue = R::OutValue;
-
-    fn setup(&mut self) {
-        Reducer::setup(self);
-    }
-
-    fn reduce_group(
-        &mut self,
-        key: &R::InKey,
-        values: &mut GroupValues<'_, '_, R::InKey, R::InValue>,
-        out: &mut Emitter<R::OutKey, R::OutValue>,
-    ) {
-        let materialized: Vec<R::InValue> = values.cloned().collect();
-        Reducer::reduce(self, key, materialized, out);
-    }
-
-    fn cleanup(&mut self, out: &mut Emitter<R::OutKey, R::OutValue>) {
-        Reducer::cleanup(self, out);
-    }
 }
 
 /// A co-group reduce task: the reduce side of a
@@ -202,24 +143,17 @@ pub trait CoGroupReducer: Send {
 /// transparent — the reducer must produce the same result with or without
 /// it).
 pub trait Combiner<K: Key, V: Value>: Send + Sync {
-    /// Fold one key group of a single map task's output into fewer values.
-    fn combine(&self, key: &K, values: Vec<V>) -> Vec<V>;
-
-    /// Fold one key group *streamed* off the sorted bucket into `out`,
-    /// without requiring a `Vec` per distinct key. The default adapter
-    /// collects and delegates to [`Combiner::combine`]; fold-style
-    /// combiners (sums, counts) override it to consume the iterator
-    /// directly, which lets the engine's map-side spill path run with no
-    /// per-key allocation at all.
+    /// Fold one key group of a single map task's output, *streamed* off
+    /// the sorted bucket, into fewer values appended to `out`. Fold-style
+    /// combiners (sums, counts) consume the iterator directly, so the
+    /// engine's map-side spill path runs with no per-key allocation.
     ///
-    /// Contract: must append exactly what `combine(key, values.collect())`
-    /// would return, and must leave `values` exhausted.
-    fn combine_into(&self, key: &K, values: &mut dyn Iterator<Item = V>, out: &mut Vec<V>) {
-        let collected: Vec<V> = values.collect();
-        out.extend(self.combine(key, collected));
-    }
+    /// Contract: should leave `values` exhausted; the engine drains any
+    /// values left unread, so they are dropped, never carried into the
+    /// next key group.
+    fn combine_into(&self, key: &K, values: &mut dyn Iterator<Item = V>, out: &mut Vec<V>);
 
-    /// Whether `combine`'s output is a function of the input **multiset**
+    /// Whether `combine_into`'s output is a function of the input **multiset**
     /// only — the values' order never affects the combined output (count
     /// and content), bit-for-bit.
     ///
@@ -242,9 +176,6 @@ pub struct SumCombiner;
 macro_rules! impl_sum_combiner {
     ($commutative:literal; $($t:ty),*) => {
         $(impl<K: Key> Combiner<K, $t> for SumCombiner {
-            fn combine(&self, _key: &K, values: Vec<$t>) -> Vec<$t> {
-                vec![values.into_iter().sum()]
-            }
             fn combine_into(
                 &self,
                 _key: &K,
@@ -264,6 +195,87 @@ macro_rules! impl_sum_combiner {
 // its combiner must keep the stable map-side sort (see `is_commutative`).
 impl_sum_combiner!(true; u32, u64, usize, i32, i64);
 impl_sum_combiner!(false; f64);
+
+/// A combiner that passes values through unchanged (no combining).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdentityCombiner;
+
+impl<K: Key, V: Value> Combiner<K, V> for IdentityCombiner {
+    fn combine_into(&self, _key: &K, values: &mut dyn Iterator<Item = V>, out: &mut Vec<V>) {
+        out.extend(values);
+    }
+}
+
+/// One key run drained straight off a sorted bucket iterator: yields the
+/// values of `key` and stops at the first pair with a different key,
+/// leaving it in the underlying iterator.
+struct RunValues<'a, K: Key, V: Value, I: Iterator<Item = (K, V)>> {
+    first: Option<V>,
+    key: &'a K,
+    rest: &'a mut std::iter::Peekable<I>,
+}
+
+impl<K: Key, V: Value, I: Iterator<Item = (K, V)>> Iterator for RunValues<'_, K, V, I> {
+    type Item = V;
+
+    fn next(&mut self) -> Option<V> {
+        if let Some(v) = self.first.take() {
+            return Some(v);
+        }
+        if self.rest.peek().is_some_and(|(k, _)| k == self.key) {
+            return self.rest.next().map(|(_, v)| v);
+        }
+        None
+    }
+}
+
+/// Apply a combiner to every key run of a sorted bucket.
+///
+/// Key groups stream off the bucket through [`Combiner::combine_into`]:
+/// fold-style combiners ([`crate::SumCombiner`], the verification-count
+/// combiner) run with **no per-key allocation** — one reused scratch vector
+/// amortizes over the whole bucket.
+pub(crate) fn combine_runs<K: Key, V: Value, C: Combiner<K, V>>(
+    bucket: Vec<(K, V)>,
+    combiner: &C,
+) -> Vec<(K, V)> {
+    let mut out = Vec::with_capacity(bucket.len());
+    let mut vals: Vec<V> = Vec::new(); // reused across key groups
+    let mut it = bucket.into_iter().peekable();
+    while let Some((key, first)) = it.next() {
+        {
+            let mut run = RunValues {
+                first: Some(first),
+                key: &key,
+                rest: &mut it,
+            };
+            combiner.combine_into(&key, &mut run, &mut vals);
+            // The contract says the combiner exhausts the run; drain any
+            // leftovers so a lazy combiner cannot leak values into the
+            // next group.
+            for _leftover in run {}
+        }
+        flush_combined(key, &mut vals, &mut out);
+    }
+    out
+}
+
+/// Move one combined key group out of the scratch buffer, cloning the key
+/// only for the first `n - 1` pairs and moving it into the last (the
+/// common single-value case clones nothing).
+fn flush_combined<K: Key, V: Value>(key: K, vals: &mut Vec<V>, out: &mut Vec<(K, V)>) {
+    let n = vals.len();
+    if n == 0 {
+        return;
+    }
+    let mut drained = vals.drain(..);
+    for _ in 0..n - 1 {
+        out.push((key.clone(), drained.next().expect("n values")));
+    }
+    let last = drained.next().expect("n values");
+    drop(drained);
+    out.push((key, last));
+}
 
 /// Identity mapper: re-emits every `(key, value)` unchanged. The map
 /// side of dedup and rekey stages, whose work is all in the shuffle.
@@ -376,52 +388,19 @@ impl<K: Key, V: Value> CoGroupReducer for KeepFirst<K, V> {
 mod tests {
     use super::*;
 
+    fn sum_into(values: Vec<u64>) -> Vec<u64> {
+        let mut out = Vec::new();
+        Combiner::<u32, u64>::combine_into(&SumCombiner, &7, &mut values.into_iter(), &mut out);
+        out
+    }
+
     #[test]
     fn sum_combiner_folds_to_single_value() {
-        let c = SumCombiner;
-        let out: Vec<u64> = Combiner::<u32, u64>::combine(&c, &7, vec![1, 2, 3]);
-        assert_eq!(out, vec![6]);
+        assert_eq!(sum_into(vec![1, 2, 3]), vec![6]);
     }
 
     #[test]
     fn sum_combiner_empty_group_is_zero() {
-        let c = SumCombiner;
-        let out: Vec<u64> = Combiner::<u32, u64>::combine(&c, &7, vec![]);
-        assert_eq!(out, vec![0]);
-    }
-
-    #[test]
-    fn combine_into_matches_combine() {
-        let c = SumCombiner;
-        let mut streamed: Vec<u64> = Vec::new();
-        Combiner::<u32, u64>::combine_into(
-            &c,
-            &7,
-            &mut vec![1u64, 2, 3].into_iter(),
-            &mut streamed,
-        );
-        assert_eq!(
-            streamed,
-            Combiner::<u32, u64>::combine(&c, &7, vec![1, 2, 3])
-        );
-        // Empty groups fold to the additive identity on both paths.
-        streamed.clear();
-        Combiner::<u32, u64>::combine_into(&c, &7, &mut std::iter::empty(), &mut streamed);
-        assert_eq!(streamed, vec![0]);
-    }
-
-    /// A combiner that relies on the default `combine_into` adapter must
-    /// behave identically to its batch `combine`.
-    #[test]
-    fn default_combine_into_adapter_delegates() {
-        struct KeepMax;
-        impl Combiner<u32, u64> for KeepMax {
-            fn combine(&self, _key: &u32, values: Vec<u64>) -> Vec<u64> {
-                values.into_iter().max().into_iter().collect()
-            }
-        }
-        let mut out = Vec::new();
-        KeepMax.combine_into(&1, &mut vec![4u64, 9, 2].into_iter(), &mut out);
-        assert_eq!(out, vec![9]);
+        assert_eq!(sum_into(vec![]), vec![0]);
     }
 }

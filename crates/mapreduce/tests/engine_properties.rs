@@ -3,10 +3,13 @@
 //! once), determinism of results and byte counters, and combiner
 //! transparency.
 
+mod common;
+
+use common::run_solo;
 use proptest::prelude::*;
 use ssj_mapreduce::{
-    Dataset, DirectPartitioner, Emitter, HashPartitioner, IdentityMapper, JobBuilder, PassThrough,
-    Reducer, SumCombiner,
+    Dataset, DirectPartitioner, Emitter, GroupValues, HashPartitioner, IdentityCombiner,
+    IdentityMapper, PassThrough, Plan, StreamingReducer, SumCombiner,
 };
 
 type IdMap = IdentityMapper<u32, u32>;
@@ -15,14 +18,39 @@ type Passthrough = PassThrough<u32, u32>;
 
 /// Reducer summing values per key.
 struct SumRed;
-impl Reducer for SumRed {
+impl StreamingReducer for SumRed {
     type InKey = u32;
     type InValue = u32;
     type OutKey = u32;
     type OutValue = u32;
-    fn reduce(&mut self, k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>) {
-        out.emit(*k, vs.into_iter().sum());
+    fn reduce_group(
+        &mut self,
+        k: &u32,
+        vs: &mut GroupValues<'_, '_, u32, u32>,
+        out: &mut Emitter<u32, u32>,
+    ) {
+        out.emit(*k, vs.sum());
     }
+}
+
+/// Runs `plan` as one sum stage (named after the plan) over `input`,
+/// with or without the sum combiner.
+fn run_sum(
+    mut plan: Plan,
+    input: &Dataset<u32, u32>,
+    reduce_tasks: usize,
+    combine: bool,
+) -> (Dataset<u32, u32>, ssj_mapreduce::JobMetrics) {
+    let h = plan.add_full(
+        plan.name().to_string(),
+        input.clone(),
+        reduce_tasks,
+        |_| IdMap::default(),
+        |_| SumRed,
+        HashPartitioner,
+        combine.then_some(SumCombiner),
+    );
+    run_solo(plan, h)
 }
 
 fn arb_records() -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -39,9 +67,9 @@ proptest! {
         reducers in 1usize..6,
     ) {
         let input = Dataset::from_records(records.clone(), splits);
-        let (out, metrics) = JobBuilder::new("pass")
-            .reduce_tasks(reducers)
-            .run(&input, |_| IdMap::default(), |_| Passthrough::default());
+        let mut plan = Plan::new("pass");
+        let h = plan.add("pass", input, reducers, |_| IdMap::default(), |_| Passthrough::default());
+        let (out, metrics) = run_solo(plan, h);
         let mut expect = records;
         expect.sort();
         let mut got: Vec<(u32, u32)> = out.into_records().collect();
@@ -59,14 +87,17 @@ proptest! {
         reducers in 1usize..5,
     ) {
         let input = Dataset::from_records(records, 3);
-        let (out, _) = JobBuilder::new("direct")
-            .reduce_tasks(reducers)
-            .run_partitioned(
-                &input,
-                |_| IdMap::default(),
-                |_| Passthrough::default(),
-                DirectPartitioner::new(|k: &u32| *k as usize),
-            );
+        let mut plan = Plan::new("direct");
+        let h = plan.add_full(
+            "direct",
+            input,
+            reducers,
+            |_| IdMap::default(),
+            |_| Passthrough::default(),
+            DirectPartitioner::new(|k: &u32| *k as usize),
+            None::<IdentityCombiner>,
+        );
+        let (out, _) = run_solo(plan, h);
         for (p, part) in out.partitions().iter().enumerate() {
             for (k, _) in part {
                 prop_assert_eq!(*k as usize % reducers, p);
@@ -79,13 +110,8 @@ proptest! {
     #[test]
     fn jobs_are_deterministic(records in arb_records()) {
         let input = Dataset::from_records(records, 4);
-        let run = || {
-            JobBuilder::new("det")
-                .reduce_tasks(3)
-                .run(&input, |_| IdMap::default(), |_| SumRed)
-        };
-        let (out1, m1) = run();
-        let (out2, m2) = run();
+        let (out1, m1) = run_sum(Plan::new("det"), &input, 3, false);
+        let (out2, m2) = run_sum(Plan::new("det"), &input, 3, false);
         prop_assert_eq!(out1.partitions(), out2.partitions());
         prop_assert_eq!(m1.shuffle_bytes, m2.shuffle_bytes);
         prop_assert_eq!(m1.shuffle_records, m2.shuffle_records);
@@ -96,12 +122,8 @@ proptest! {
     #[test]
     fn combiner_is_transparent(records in arb_records(), splits in 1usize..5) {
         let input = Dataset::from_records(records, splits);
-        let (plain, mp) = JobBuilder::new("plain")
-            .reduce_tasks(3)
-            .run(&input, |_| IdMap::default(), |_| SumRed);
-        let (combined, mc) = JobBuilder::new("combined")
-            .reduce_tasks(3)
-            .run_full(&input, |_| IdMap::default(), |_| SumRed, HashPartitioner, Some(SumCombiner));
+        let (plain, mp) = run_sum(Plan::new("plain"), &input, 3, false);
+        let (combined, mc) = run_sum(Plan::new("combined"), &input, 3, true);
         prop_assert_eq!(plain.partitions(), combined.partitions());
         prop_assert!(mc.shuffle_records <= mp.shuffle_records);
         prop_assert!(mc.shuffle_bytes <= mp.shuffle_bytes);
@@ -112,14 +134,8 @@ proptest! {
     #[test]
     fn worker_count_is_observationally_neutral(records in arb_records()) {
         let input = Dataset::from_records(records, 6);
-        let (o1, m1) = JobBuilder::new("w1")
-            .reduce_tasks(4)
-            .workers(1)
-            .run(&input, |_| IdMap::default(), |_| SumRed);
-        let (o4, m4) = JobBuilder::new("w4")
-            .reduce_tasks(4)
-            .workers(4)
-            .run(&input, |_| IdMap::default(), |_| SumRed);
+        let (o1, m1) = run_sum(Plan::new("w1").with_workers(1), &input, 4, false);
+        let (o4, m4) = run_sum(Plan::new("w4").with_workers(4), &input, 4, false);
         prop_assert_eq!(o1.partitions(), o4.partitions());
         prop_assert_eq!(m1.shuffle_bytes, m4.shuffle_bytes);
     }

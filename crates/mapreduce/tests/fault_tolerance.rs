@@ -5,10 +5,13 @@
 //! One test installs a process-global fault plan, which every job run
 //! without an explicit plan picks up, so every test takes [`serial`].
 
+mod common;
+
 use std::sync::{Mutex, MutexGuard};
 
+use common::run_solo;
 use ssj_faults::{FaultPlan, RetryPolicy};
-use ssj_mapreduce::{Dataset, Emitter, JobBuilder, Mapper, Reducer};
+use ssj_mapreduce::{Dataset, Emitter, GroupValues, JobMetrics, Mapper, Plan, StreamingReducer};
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -30,13 +33,18 @@ impl Mapper for TokenMap {
 }
 
 struct CountRed;
-impl Reducer for CountRed {
+impl StreamingReducer for CountRed {
     type InKey = String;
     type InValue = u64;
     type OutKey = String;
     type OutValue = u64;
-    fn reduce(&mut self, k: &String, vs: Vec<u64>, out: &mut Emitter<String, u64>) {
-        out.emit(k.clone(), vs.into_iter().sum());
+    fn reduce_group(
+        &mut self,
+        k: &String,
+        vs: &mut GroupValues<'_, '_, String, u64>,
+        out: &mut Emitter<String, u64>,
+    ) {
+        out.emit(k.clone(), vs.sum());
     }
 }
 
@@ -61,14 +69,24 @@ fn sorted_counts(out: Dataset<String, u64>) -> Vec<(String, u64)> {
     v
 }
 
-fn run_with(plan: Option<FaultPlan>) -> (Vec<(String, u64)>, ssj_mapreduce::ExecSummary) {
-    let mut job = JobBuilder::new("wordcount")
-        .reduce_tasks(4)
-        .retry(RetryPolicy::default());
-    if let Some(p) = plan {
-        job = job.faults(p);
+/// Runs `plan` as the one word-count stage (named after the plan).
+fn wordcount(mut plan: Plan, reduce_tasks: usize) -> (Dataset<String, u64>, JobMetrics) {
+    let h = plan.add(
+        plan.name().to_string(),
+        corpus(),
+        reduce_tasks,
+        |_| TokenMap,
+        |_| CountRed,
+    );
+    run_solo(plan, h)
+}
+
+fn run_with(faults: Option<FaultPlan>) -> (Vec<(String, u64)>, ssj_mapreduce::ExecSummary) {
+    let mut plan = Plan::new("wordcount").with_retry(RetryPolicy::default());
+    if let Some(p) = faults {
+        plan = plan.with_faults(p);
     }
-    let (out, metrics) = job.run(&corpus(), |_| TokenMap, |_| CountRed);
+    let (out, metrics) = wordcount(plan, 4);
     (sorted_counts(out), metrics.exec)
 }
 
@@ -132,20 +150,15 @@ fn globally_installed_plan_applies_and_uninstalls() {
     let (clean, _) = run_with(None);
 
     ssj_faults::install_plan(FaultPlan::chaos(5, 0.25));
-    let (out, metrics) = JobBuilder::new("wordcount")
-        .reduce_tasks(4)
-        .retry(RetryPolicy::default())
-        .run(&corpus(), |_| TokenMap, |_| CountRed);
+    let plan = Plan::new("wordcount").with_retry(RetryPolicy::default());
+    let (out, metrics) = wordcount(plan, 4);
     ssj_faults::uninstall_plan();
 
     assert_eq!(sorted_counts(out), clean);
     assert!(metrics.exec.injected_total() > 0);
 
     // After uninstall, jobs run clean again.
-    let (out2, metrics2) =
-        JobBuilder::new("wordcount")
-            .reduce_tasks(4)
-            .run(&corpus(), |_| TokenMap, |_| CountRed);
+    let (out2, metrics2) = wordcount(Plan::new("wordcount"), 4);
     assert_eq!(sorted_counts(out2), clean);
     assert_eq!(metrics2.exec.injected_total(), 0);
 }
@@ -160,9 +173,10 @@ fn exhausted_retry_budget_fails_the_job() {
     // with the task-failure context in the panic message.
     let mut plan = FaultPlan::new(3).with_failures(1.0, 0.0);
     plan.max_injected_attempts = u32::MAX;
-    let _ = JobBuilder::new("wordcount")
-        .reduce_tasks(2)
-        .retry(RetryPolicy::default())
-        .faults(plan)
-        .run(&corpus(), |_| TokenMap, |_| CountRed);
+    let _ = wordcount(
+        Plan::new("wordcount")
+            .with_retry(RetryPolicy::default())
+            .with_faults(plan),
+        2,
+    );
 }

@@ -4,8 +4,12 @@
 //! The collector slot is process-global, so every test here serializes on
 //! one mutex (the file runs single-process under `cargo test`).
 
+mod common;
+
+use common::run_solo;
 use ssj_mapreduce::{
-    ChainMetrics, ClusterModel, Dataset, Emitter, JobBuilder, Mapper, Reducer, SumCombiner,
+    ChainMetrics, ClusterModel, Dataset, Emitter, GroupValues, HashPartitioner, Mapper, Plan,
+    StreamingReducer, SumCombiner,
 };
 use ssj_observe::{ChromeTrace, Collector, TraceEvent};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -29,13 +33,18 @@ impl Mapper for Tokenize {
 }
 
 struct Sum;
-impl Reducer for Sum {
+impl StreamingReducer for Sum {
     type InKey = String;
     type InValue = u64;
     type OutKey = String;
     type OutValue = u64;
-    fn reduce(&mut self, word: &String, counts: Vec<u64>, out: &mut Emitter<String, u64>) {
-        out.emit(word.clone(), counts.iter().sum());
+    fn reduce_group(
+        &mut self,
+        word: &String,
+        counts: &mut GroupValues<'_, '_, String, u64>,
+        out: &mut Emitter<String, u64>,
+    ) {
+        out.emit(word.clone(), counts.sum());
     }
 }
 
@@ -48,13 +57,17 @@ fn word_input() -> Dataset<u32, String> {
 
 fn run_traced_job() -> (Arc<Collector>, ssj_mapreduce::JobMetrics) {
     let collector = ssj_observe::install_collector();
-    let (_, metrics) = JobBuilder::new("observe-wc").reduce_tasks(3).run_full(
-        &word_input(),
+    let mut plan = Plan::new("observe-wc");
+    let h = plan.add_full(
+        "observe-wc",
+        word_input(),
+        3,
         |_| Tokenize,
         |_| Sum,
-        ssj_mapreduce::HashPartitioner,
+        HashPartitioner,
         Some(SumCombiner),
     );
+    let (_, metrics) = run_solo(plan, h);
     ssj_observe::uninstall_collector();
     (collector, metrics)
 }

@@ -16,8 +16,8 @@ use ssj_baselines::vsmart::vsmart_join;
 use ssj_baselines::BaselineConfig;
 use ssj_faults::{Fault, FaultPlan, Phase};
 use ssj_mapreduce::{
-    ChainMetrics, CoGroupReducer, Dataset, Emitter, JobMetrics, LogicalJob, Mapper, Plan, PlanMode,
-    PlanRunner, Reducer, SideGroups, StageHandle,
+    ChainMetrics, CoGroupReducer, Dataset, Emitter, GroupValues, JobMetrics, LogicalJob, Mapper,
+    Plan, PlanMode, PlanRunner, SideGroups, StageHandle, StreamingReducer,
 };
 use ssj_similarity::{pair_digest, Measure};
 use ssj_text::{encode, Collection, CorpusProfile, Record};
@@ -231,14 +231,19 @@ impl Mapper for PairMapper {
 /// Sums per pair.
 struct PairSum;
 
-impl Reducer for PairSum {
+impl StreamingReducer for PairSum {
     type InKey = (u32, u32);
     type InValue = u64;
     type OutKey = (u32, u32);
     type OutValue = u64;
 
-    fn reduce(&mut self, k: &(u32, u32), vs: Vec<u64>, out: &mut Emitter<(u32, u32), u64>) {
-        out.emit(*k, vs.into_iter().sum());
+    fn reduce_group(
+        &mut self,
+        k: &(u32, u32),
+        vs: &mut GroupValues<'_, '_, (u32, u32), u64>,
+        out: &mut Emitter<(u32, u32), u64>,
+    ) {
+        out.emit(*k, vs.sum());
     }
 }
 
@@ -259,14 +264,19 @@ impl Mapper for ByCount {
 /// Counts pairs per count bucket.
 struct CountPairs;
 
-impl Reducer for CountPairs {
+impl StreamingReducer for CountPairs {
     type InKey = u64;
     type InValue = u64;
     type OutKey = u64;
     type OutValue = u64;
 
-    fn reduce(&mut self, k: &u64, vs: Vec<u64>, out: &mut Emitter<u64, u64>) {
-        out.emit(*k, vs.into_iter().sum());
+    fn reduce_group(
+        &mut self,
+        k: &u64,
+        vs: &mut GroupValues<'_, '_, u64, u64>,
+        out: &mut Emitter<u64, u64>,
+    ) {
+        out.emit(*k, vs.sum());
     }
 }
 
@@ -351,14 +361,19 @@ impl Mapper for TagMapper {
 /// Sums per key.
 struct SumReducer;
 
-impl Reducer for SumReducer {
+impl StreamingReducer for SumReducer {
     type InKey = u32;
     type InValue = u64;
     type OutKey = u32;
     type OutValue = u64;
 
-    fn reduce(&mut self, k: &u32, vs: Vec<u64>, out: &mut Emitter<u32, u64>) {
-        out.emit(*k, vs.into_iter().sum());
+    fn reduce_group(
+        &mut self,
+        k: &u32,
+        vs: &mut GroupValues<'_, '_, u32, u64>,
+        out: &mut Emitter<u32, u64>,
+    ) {
+        out.emit(*k, vs.sum());
     }
 }
 
@@ -381,16 +396,27 @@ impl Mapper for Rekey {
 /// upstreams.
 struct SideCombine;
 
-impl Reducer for SideCombine {
+impl StreamingReducer for SideCombine {
     type InKey = u32;
     type InValue = u64;
     type OutKey = u32;
     type OutValue = u64;
 
-    fn reduce(&mut self, k: &u32, vs: Vec<u64>, out: &mut Emitter<u32, u64>) {
+    fn reduce_group(
+        &mut self,
+        k: &u32,
+        vs: &mut GroupValues<'_, '_, u32, u64>,
+        out: &mut Emitter<u32, u64>,
+    ) {
         const TAG: u64 = 1 << 40;
-        let left: u64 = vs.iter().filter(|&&v| v & TAG == 0).sum();
-        let right: u64 = vs.iter().filter(|&&v| v & TAG != 0).map(|v| v & !TAG).sum();
+        let (mut left, mut right) = (0u64, 0u64);
+        for &v in vs {
+            if v & TAG == 0 {
+                left += v;
+            } else {
+                right += v & !TAG;
+            }
+        }
         out.emit(*k, left.wrapping_mul(3).wrapping_add(right));
     }
 }
@@ -478,16 +504,22 @@ fn fan_in_map_retry_refetches_both_sealed_partitions() {
 /// where an even group count would cancel the bit.
 struct TagSum;
 
-impl Reducer for TagSum {
+impl StreamingReducer for TagSum {
     type InKey = u32;
     type InValue = u64;
     type OutKey = u32;
     type OutValue = u64;
 
-    fn reduce(&mut self, k: &u32, vs: Vec<u64>, out: &mut Emitter<u32, u64>) {
+    fn reduce_group(
+        &mut self,
+        k: &u32,
+        vs: &mut GroupValues<'_, '_, u32, u64>,
+        out: &mut Emitter<u32, u64>,
+    ) {
         const TAG: u64 = 1 << 40;
-        let tag = vs[0] & TAG;
-        out.emit(*k, vs.iter().map(|v| v & !TAG).sum::<u64>() | tag);
+        let first = *vs.next().expect("group has at least one value");
+        let sum = vs.fold(first & !TAG, |acc, &v| acc + (v & !TAG));
+        out.emit(*k, sum | (first & TAG));
     }
 }
 

@@ -10,7 +10,9 @@
 //! mutex.
 
 use proptest::prelude::*;
-use ssj_mapreduce::{Dataset, Emitter, Mapper, Plan, PlanRunner, Reducer, StageHandle};
+use ssj_mapreduce::{
+    Dataset, Emitter, GroupValues, Mapper, Plan, PlanRunner, StageHandle, StreamingReducer,
+};
 use ssj_observe::{spans_from_events, FieldValue, PlanProfile, ProfSpan, TaskKind};
 use std::sync::{Mutex, MutexGuard};
 
@@ -34,13 +36,18 @@ impl Mapper for Spread {
 
 /// Sums per key (output feeds the next [`Spread`] stage unchanged).
 struct Sum;
-impl Reducer for Sum {
+impl StreamingReducer for Sum {
     type InKey = u32;
     type InValue = u64;
     type OutKey = u32;
     type OutValue = u64;
-    fn reduce(&mut self, k: &u32, vs: Vec<u64>, out: &mut Emitter<u32, u64>) {
-        out.emit(*k, vs.into_iter().fold(0u64, u64::wrapping_add));
+    fn reduce_group(
+        &mut self,
+        k: &u32,
+        vs: &mut GroupValues<'_, '_, u32, u64>,
+        out: &mut Emitter<u32, u64>,
+    ) {
+        out.emit(*k, vs.fold(0u64, |acc, &v| acc.wrapping_add(v)));
     }
 }
 

@@ -3,14 +3,10 @@
 //! (including duplicate-key value order — the determinism contract the
 //! golden digests in `crates/core/tests/columnar_equivalence.rs` pin), and
 //! [`GroupedRuns`] must produce exactly the groups the old group-walk
-//! produced. Also checks the end-to-end equivalence of a job driven
-//! through a [`StreamingReducer`] against its batch [`Reducer`] twin.
+//! produced.
 
 use proptest::prelude::*;
-use ssj_mapreduce::{
-    CoGroupedRuns, Dataset, Emitter, GroupValues, GroupedRuns, IdentityMapper, JobBuilder,
-    KWayMerge, Reducer, StreamingReducer,
-};
+use ssj_mapreduce::{CoGroupedRuns, GroupedRuns, KWayMerge};
 
 /// Arbitrary set of sorted runs (what the map phase spills): up to 8 runs
 /// of up to 40 pairs each, keys drawn from a small domain so duplicate
@@ -254,57 +250,5 @@ proptest! {
             .map(|(k, vals)| (k, vals.into_iter().take(take).collect()))
             .collect();
         prop_assert_eq!(streamed, expect);
-    }
-
-    /// End-to-end: a job driven through a native StreamingReducer yields
-    /// byte-identical output partitions and metrics to the same job driven
-    /// through the equivalent batch Reducer (the adapter path).
-    #[test]
-    fn streaming_and_batch_reducers_agree(
-        records in prop::collection::vec((0u32..30, 0u32..1000), 0..150),
-        splits in 1usize..5,
-        reducers in 1usize..5,
-    ) {
-        let input = Dataset::from_records(records, splits);
-        let (batch_out, batch_m) = JobBuilder::new("batch")
-            .reduce_tasks(reducers)
-            .run(&input, |_| IdMap::default(), |_| BatchSum);
-        let (stream_out, stream_m) = JobBuilder::new("stream")
-            .reduce_tasks(reducers)
-            .run(&input, |_| IdMap::default(), |_| StreamSum);
-        prop_assert_eq!(batch_out.partitions(), stream_out.partitions());
-        prop_assert_eq!(batch_m.shuffle_records, stream_m.shuffle_records);
-        prop_assert_eq!(batch_m.shuffle_bytes, stream_m.shuffle_bytes);
-    }
-}
-
-type IdMap = IdentityMapper<u32, u32>;
-
-/// Batch sum (goes through the Reducer → StreamingReducer adapter).
-struct BatchSum;
-impl Reducer for BatchSum {
-    type InKey = u32;
-    type InValue = u32;
-    type OutKey = u32;
-    type OutValue = u64;
-    fn reduce(&mut self, k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u64>) {
-        out.emit(*k, vs.into_iter().map(u64::from).sum());
-    }
-}
-
-/// Native streaming sum (no per-key materialization anywhere).
-struct StreamSum;
-impl StreamingReducer for StreamSum {
-    type InKey = u32;
-    type InValue = u32;
-    type OutKey = u32;
-    type OutValue = u64;
-    fn reduce_group(
-        &mut self,
-        k: &u32,
-        vs: &mut GroupValues<'_, '_, u32, u32>,
-        out: &mut Emitter<u32, u64>,
-    ) {
-        out.emit(*k, vs.map(|&v| u64::from(v)).sum());
     }
 }

@@ -2,7 +2,7 @@
 //! and concurrency from a task-level trace.
 //!
 //! Input is a flat span list — either live [`TraceEvent`]s from a
-//! [`Collector`] or a re-parsed `trace.json` — in which the plan layers
+//! [`Collector`](crate::Collector) or a re-parsed `trace.json` — in which the plan layers
 //! tag every task span with `(plan, run, stage, partition, attempt)` and
 //! every stage/job span with `(plan, run, stage, upstream)`. Real
 //! `PlanRunner` traces (cat `mr.*`, pid `HOST_PID`) and simulated
@@ -449,7 +449,7 @@ impl PlanProfile {
     }
 
     /// `end(last) − start(first)` of the critical path — the wall-clock
-    /// interval the chain covers, comparable to [`makespan_us`].
+    /// interval the chain covers, comparable to [`makespan_us`](Self::makespan_us).
     pub fn critical_path_span_us(&self) -> u64 {
         let path = self.critical_path();
         match (path.first(), path.last()) {

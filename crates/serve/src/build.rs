@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use ssj_mapreduce::{
-    Dataset, DirectPartitioner, Emitter, GroupValues, Mapper, Plan, PlanOutcome, PlanRunner,
-    StageHandle, StreamingReducer,
+    Dataset, DirectPartitioner, Emitter, GroupValues, IdentityCombiner, Mapper, Plan, PlanOutcome,
+    PlanRunner, StageHandle, StreamingReducer,
 };
 use ssj_observe::span;
 use ssj_similarity::Measure;
@@ -145,7 +145,7 @@ impl ServeIndexBuild {
             .collect();
 
         let mut plan = Plan::new("serve").with_workers(cfg.workers);
-        let handle = plan.add_partitioned(
+        let handle = plan.add_full(
             "serve-build",
             Dataset::from_records(input, cfg.map_tasks),
             parts,
@@ -160,6 +160,7 @@ impl ServeIndexBuild {
             },
             |_| BlockReducer::default(),
             DirectPartitioner::new(move |t: &TokenId| token_partition(*t, universe, parts)),
+            None::<IdentityCombiner>,
         );
 
         ServeIndexBuild {
@@ -182,9 +183,8 @@ impl ServeIndexBuild {
         std::mem::replace(&mut self.plan, Plan::new("serve"))
     }
 
-    /// Adopt an already-run plan's outcome (pairs with [`take_plan`]).
-    ///
-    /// [`ServeIndexBuild::take_plan`]: Self::take_plan
+    /// Adopt an already-run plan's outcome (pairs with
+    /// [`take_plan`](Self::take_plan)).
     pub fn adopt(self, outcome: &mut PlanOutcome) -> ServeIndex {
         ServeIndex::from_plan(outcome, self.handle, self.pool, self.freqs, self.cfg)
     }

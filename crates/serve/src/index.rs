@@ -1,5 +1,5 @@
 //! The long-lived serving index: a sealed main index built by a plan,
-//! a mutable [`DeltaIndex`] for inserts, and the probe path that answers
+//! a mutable `DeltaIndex` for inserts, and the probe path that answers
 //! θ-threshold and top-k queries without launching any MapReduce job.
 //!
 //! # Index layout

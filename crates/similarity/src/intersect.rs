@@ -77,7 +77,7 @@ pub(crate) const CHUNK: usize = 16;
 ///
 /// Two ideas over the classic three-way merge:
 ///
-/// * **chunk skipping** — when an entire [`CHUNK`]-element window of one
+/// * **chunk skipping** — when an entire `CHUNK`-element window of one
 ///   side sits strictly below the other side's cursor element, the window
 ///   is skipped with a single comparison instead of `CHUNK` merge steps
 ///   (this is where sparse-overlap pairs win big);
@@ -140,7 +140,7 @@ pub fn intersect_count_adaptive(a: &[u32], b: &[u32]) -> usize {
 /// trick used in PPJoin verification), otherwise the exact count — the
 /// verdict is identical to running the full merge and comparing, only
 /// cheaper. The remaining-possible bound is re-checked once per
-/// [`CHUNK`]-step burst rather than per element, keeping the inner loop
+/// `CHUNK`-step burst rather than per element, keeping the inner loop
 /// branch-free.
 pub fn intersect_count_at_least(a: &[u32], b: &[u32], required: usize) -> Option<usize> {
     let mut i = 0;

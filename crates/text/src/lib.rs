@@ -16,7 +16,7 @@
 //! * [`corpus`] — raw (pre-ordering) corpora and plain-text loading;
 //! * [`ordering`] — the frequency-based global ordering, computed either
 //!   locally or with a MapReduce job (as FS-Join's first phase does);
-//! * [`encode`] — re-encoding raw corpora into [`Collection`]s;
+//! * [`encode`](mod@encode) — re-encoding raw corpora into [`Collection`]s;
 //! * [`gen`] — synthetic corpus generators with Zipfian token frequencies,
 //!   per-dataset length profiles (Email / PubMed / Wiki analogues, paper
 //!   Table III) and planted near-duplicate clusters.

@@ -14,7 +14,8 @@ use crate::corpus::RawCorpus;
 use crate::encode::Interned;
 use ssj_common::FxHashMap;
 use ssj_mapreduce::{
-    Dataset, Emitter, HashPartitioner, JobMetrics, Mapper, Plan, PlanRunner, Reducer, SumCombiner,
+    Dataset, Emitter, GroupValues, HashPartitioner, JobMetrics, Mapper, Plan, PlanRunner,
+    StreamingReducer, SumCombiner,
 };
 
 /// How to totally order the token domain (Definition 3). The paper fixes
@@ -146,7 +147,7 @@ impl GlobalOrdering {
 }
 
 /// Count document frequencies locally and build the ordering: the
-/// encoder's intern and rank passes ([`crate::encode`]).
+/// encoder's intern and rank passes ([`crate::encode`](mod@crate::encode)).
 pub fn compute_ordering_local(corpus: &RawCorpus) -> GlobalOrdering {
     let ranking = Interned::corpus(corpus).rank(OrderingKind::AscendingFrequency);
     GlobalOrdering::from_ranked(ranking.raw_of, ranking.freqs)
@@ -174,14 +175,19 @@ impl Mapper for FreqMapper {
 /// Reducer of the ordering job: sums per-token counts.
 struct FreqReducer;
 
-impl Reducer for FreqReducer {
+impl StreamingReducer for FreqReducer {
     type InKey = u64;
     type InValue = u64;
     type OutKey = u64;
     type OutValue = u64;
 
-    fn reduce(&mut self, token: &u64, counts: Vec<u64>, out: &mut Emitter<u64, u64>) {
-        out.emit(*token, counts.into_iter().sum());
+    fn reduce_group(
+        &mut self,
+        token: &u64,
+        counts: &mut GroupValues<'_, '_, u64, u64>,
+        out: &mut Emitter<u64, u64>,
+    ) {
+        out.emit(*token, counts.sum());
     }
 }
 

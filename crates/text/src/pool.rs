@@ -375,7 +375,7 @@ impl std::error::Error for PoolOverflow {}
 
 /// A record reference into a [`TokenPool`]: its id plus the span of its
 /// tokens. This is what FS-Join's map input carries instead of an owned
-/// [`Record`]; the *logical* serialized size is identical (the wire format
+/// [`Record`](crate::Record); the *logical* serialized size is identical (the wire format
 /// would still ship id + token vector), so shuffle and duplication metrics
 /// are unchanged by the columnar layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -21,6 +21,12 @@ cargo fmt --check
 echo "== lint: clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
 
+echo "== lint: rustdoc (deny warnings) =="
+# Dangling or ambiguous intra-doc links (e.g. to a deleted type) fail here.
+# `--lib`: without it cargo reports an output-filename collision between
+# the ssj-serve library and the ssj-serve binary of ssj-bench.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "== lint: every library crate forbids unsafe =="
 # The compiler, not a grep, keeps `unsafe` out of the library crates: each
 # crate root carries #![forbid(unsafe_code)], which no inner #[allow] can
@@ -60,9 +66,9 @@ if grep -nE 'FxHashMap<u32, *Vec<u32>>' \
 fi
 
 echo "== lint: one engine (task bodies live in plan.rs only) =="
-# JobBuilder is a one-stage plan; the second executor (run_tasks*, its
-# UnsafeCell slot vector, its own mr.task spans) was deleted. Keep a copy
-# of the engine from growing back next to the one production runs.
+# A standalone job is a one-stage plan; the second executor (run_tasks*,
+# its UnsafeCell slot vector, its own mr.task spans) was deleted. Keep a
+# copy of the engine from growing back next to the one production runs.
 if grep -rn 'span("mr.task"' crates/mapreduce/src | grep -v '^crates/mapreduce/src/plan.rs:'; then
     echo "engine gate FAILED: mr.task span emitted outside plan.rs (second task body?)" >&2
     exit 1
