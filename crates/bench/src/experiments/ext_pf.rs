@@ -4,8 +4,8 @@
 //! DESIGN.md §4 item 5b shows exact count-verification forces FS-Join's
 //! intermediate volume to grow with co-token pair count; FS-Join-PF keeps
 //! the paper's partitioning but discovers candidates through global-prefix
-//! tokens and verifies against a record cache, restoring classic
-//! prefix-filter candidate volumes while remaining exact (oracle-tested).
+//! tokens and verifies them in place against a record cache, restoring
+//! classic prefix-filter candidate volumes while remaining exact.
 
 use crate::datasets::{corpus, tuned_fsjoin, Scale};
 use crate::runners::{run_algorithm, Algorithm};
@@ -22,9 +22,10 @@ const THETAS: [f64; 3] = [0.75, 0.8, 0.9];
 pub fn run() -> String {
     let cluster = ClusterModel::paper_default(10);
     let mut out = String::from(
-        "# Extension — FS-Join-PF (prefix discovery + cached verification)\n\n\
+        "# Extension — FS-Join-PF (prefix discovery + in-cell verification)\n\n\
          Simulated 10-node seconds, Jaccard; candidates = records emitted \
-         by the discovery/filter job. FS-Join-PF trades the paper's \
+         by FS-Join's filter job / pairs PF's discovery hands to its \
+         verifier (one stage). FS-Join-PF trades the paper's \
          \"verification never touches records\" property for classic \
          prefix-filter intermediate volumes; results are identical \
          (asserted).\n\n",

@@ -418,8 +418,8 @@ fn fsjoin_wiki_sweep_counters_are_frozen() {
     }
 }
 
-/// FS-Join-PF on the same corpus: prefix-filter discovery and cached
-/// verification.
+/// FS-Join-PF on the same corpus: prefix-filter discovery, verification in
+/// the discovery task and the repeat check, in one stage.
 #[test]
 fn pf_wiki_counters_are_frozen() {
     let c = corpus(CorpusProfile::WikiLike, Scale::Small);
@@ -430,20 +430,28 @@ fn pf_wiki_counters_are_frozen() {
             res.candidates,
             res.chain.total_shuffle_bytes()
         ),
-        (72, 386, 1_227_936)
+        (72, 386, 1_220_608)
     );
+    let stats = res.filter_stats;
     assert_eq!(
-        res.filter_stats,
+        stats,
         FilterStats {
             pairs_considered: 386,
             window_skipped: 125,
-            emitted: 386,
-            intersections: 89,
-            intersect_tokens: 10_132,
-            bitmap_checks: 249,
-            bitmap_pruned: 160,
+            emitted: 72,
+            intersections: 208,
+            intersect_tokens: 24_446,
+            bitmap_checks: 386,
+            bitmap_pruned: 178,
+            repeat_skipped: 99,
             ..FilterStats::default()
         }
+    );
+    // PF's law: every discovered pair reaches the verifier, and each
+    // emission is a result pair.
+    assert_eq!(
+        (stats.bitmap_pruned + stats.intersections, stats.emitted),
+        (stats.pairs_considered, res.pairs.len() as u64)
     );
 }
 

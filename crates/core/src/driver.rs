@@ -36,7 +36,8 @@ pub struct FsJoinResult {
     /// kernels and the other joins).
     pub sweep_stats: SweepStats,
     /// Candidate records emitted by the filtering job (the paper's
-    /// Table IV quantity).
+    /// Table IV quantity). FS-Join-PF reports the pairs its discovery
+    /// hands to verification, the R×S join its emissions.
     pub candidates: usize,
     /// The vertical pivot ranks used.
     pub pivots: Vec<u32>,

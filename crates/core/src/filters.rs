@@ -100,6 +100,9 @@ pub enum EmitPolicy {
 /// same way and decides each considered cross pair by one cascade, so
 /// there `pairs_considered = position_pruned + bitmap_pruned +
 /// repeat_skipped + intersections` and `emitted` is the run's pairs.
+/// FS-Join-PF ([`crate::pf`]) verifies every pair it considers, so there
+/// `pairs_considered = bitmap_pruned + intersections` and `emitted` is the
+/// run's pairs (`repeat_skipped`: similar, decided in an earlier fragment).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Segment pairs considered by the fragment join (post kernel candidate
@@ -144,8 +147,10 @@ pub struct FilterStats {
     /// R×S cross pairs the positional bound settled: the group's token and
     /// every token after it in the shorter remainder cannot reach α.
     pub position_pruned: u64,
-    /// R×S cross pairs skipped because their prefixes share a token before
-    /// the group's: the group of the smallest shared token decides them.
+    /// Pairs skipped because their records share a token before the point
+    /// where they were found (R×S: the group's token, checked before
+    /// verifying; PF: the segments' heads, checked on similar verdicts):
+    /// the group or fragment of the smallest shared token decides them.
     pub repeat_skipped: u64,
 }
 
@@ -329,6 +334,23 @@ pub fn strl_pass(measure: Measure, theta: f64, len_s: u32, len_t: u32) -> bool {
     short as usize >= measure.min_partner_len(theta, long as usize)
 }
 
+/// Whether two ascending token slices share a token — the repeat check of
+/// the joins that decide each pair once: given the tokens of two records
+/// before the point where a pair was found, a shared one means an earlier
+/// group or fragment decides the pair.
+#[inline]
+pub(crate) fn shares_token(a: &[u32], b: &[u32]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
 /// SegL-Filter (Lemma 2): prune *before* intersecting when even the shorter
 /// segment cannot supply the required local overlap.
 #[inline]
@@ -376,6 +398,27 @@ mod tests {
         assert!(!strl_pass(Measure::Jaccard, 0.8, 7, 10));
         // Symmetric.
         assert!(!strl_pass(Measure::Jaccard, 0.8, 10, 7));
+    }
+
+    #[test]
+    fn shares_token_matches_a_set_oracle() {
+        let oracle = |a: &[u32], b: &[u32]| {
+            let a: std::collections::HashSet<_> = a.iter().collect();
+            b.iter().any(|t| a.contains(t))
+        };
+        // Empty, disjoint, and one shared token at the end of each.
+        let cases: [(&[u32], &[u32]); 6] = [
+            (&[], &[]),
+            (&[], &[1, 2]),
+            (&[1, 3, 5], &[2, 4, 6]),
+            (&[1, 3, 9], &[2, 4, 9]),
+            (&[9], &[1, 2, 9]),
+            (&[0, 5, 7], &[5]),
+        ];
+        for (a, b) in cases {
+            assert_eq!(shares_token(a, b), oracle(a, b), "{a:?} {b:?}");
+            assert_eq!(shares_token(b, a), oracle(a, b), "{b:?} {a:?}");
+        }
     }
 
     #[test]

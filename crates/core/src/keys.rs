@@ -56,9 +56,11 @@ pub const FILTER_EMITTED: &str = "fsjoin.filter.emitted";
 /// `pairs_considered = position_pruned + bitmap_pruned + repeat_skipped +
 /// intersections`, and `emitted` = the run's pairs = its candidates.
 pub const FILTER_POSITION_PRUNED: &str = "fsjoin.filter.position_pruned";
-/// R×S cross pairs whose prefixes share a token before the group's token
-/// (counter): the group of their smallest shared prefix token decides
-/// them, so every other group skips them.
+/// Pairs whose records share a token before the point where they were
+/// found (counter): R×S cross pairs sharing one before the group's token,
+/// and FS-Join-PF's similar pairs sharing one before their segments' heads.
+/// The group or fragment of their smallest shared token decides them, so
+/// every other one skips them.
 pub const FILTER_REPEAT_SKIPPED: &str = "fsjoin.filter.repeat_skipped";
 
 /// Exact intersection-kernel calls (counter): every segment intersection

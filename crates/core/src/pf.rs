@@ -18,33 +18,36 @@
 //!    so posting lists are short — candidate volume matches classic
 //!    prefix-filter joins instead of growing with frequent-token
 //!    co-occurrence.
-//! 2. **Dedup** of candidate pairs (a pair may be discovered in several
-//!    fragments).
-//! 3. **Cached verification**: exact similarity is computed from the
-//!    original records, replicated read-only to every task (Hadoop
-//!    distributed-cache style, as MassJoin's Light variant does).
+//! 2. **Verification in place**: the discovery task verifies every pair
+//!    it finds against the original records, replicated read-only to every
+//!    task (Hadoop distributed-cache style, as MassJoin's Light variant).
+//! 3. **Repeat check**: a similar pair is emitted only if its records share
+//!    no token before their segments' heads — its smallest shared token
+//!    lies in this fragment. Of the fragments that find a pair, exactly
+//!    one passes, so no dedup stage follows. The check runs on similar
+//!    verdicts only: on long records it costs more than a verify.
 //!
-//! Completeness: for a θ-similar pair, the shared global-prefix token `t*`
-//! lies in exactly one fragment `v*`; both records' segments in `v*`
-//! contain `t*` inside their global-prefix portions (a record's global
-//! prefix is its first `π` tokens, so segment tokens are prefix tokens iff
-//! `head < π`), and the pair co-occurs joinably in exactly one horizontal
-//! partition — so it is discovered. Verification is exact, so precision is
-//! exact too. Property-tested against the oracle alongside the main
-//! driver.
+//! Completeness: a θ-similar pair's smallest shared token `t*` lies in
+//! both records' global prefixes (the prefix-filter theorem), so both
+//! segments in `t*`'s fragment `v*` expose it (segment tokens are prefix
+//! tokens iff `head < π`), and the pair co-occurs joinably in exactly one
+//! horizontal partition — it is discovered there. No token before `t*` is
+//! shared, so the repeat check passes in `v*` and fails in every later
+//! fragment. Verification is exact, so precision is exact too, and each
+//! similar pair is emitted once. Property-tested against the oracle.
 
 use crate::cell_index::{CellIndex, Slot};
 use crate::config::FsJoinConfig;
 use crate::driver::{pooled_records, FsJoinResult, PartitionMapper};
-use crate::filters::FilterStats;
+use crate::filters::{shares_token, FilterStats};
 use crate::fragment::split_cell;
 use crate::horizontal::{num_h_partitions, select_h_pivots, JoinRule};
 use crate::pivots::select_pivots;
 use crate::segment::Segment;
 use crate::sweep::SweepStats;
 use ssj_mapreduce::{
-    Dataset, DirectPartitioner, Emitter, GroupValues, HashPartitioner, IdentityCombiner,
-    IdentityMapper, KeepFirst, Mapper, Plan, PlanRunner, StreamingReducer,
+    Dataset, DirectPartitioner, Emitter, GroupValues, IdentityCombiner, Plan, PlanRunner,
+    StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::{Measure, SimilarPair, Verifier};
@@ -60,17 +63,19 @@ fn global_prefix_in_segment(measure: Measure, theta: f64, seg: &Segment) -> usiz
     pi.saturating_sub(seg.head as usize).min(seg.seg_len())
 }
 
-/// Discovery reducer: index global-prefix tokens, emit candidate pairs.
-/// Streams each cell's segments into a scratch buffer and the shared
-/// [`CellIndex`], both reused across cells (segments are `Copy` spans;
-/// neither the engine nor the reducer allocates per key). Pruning counters
-/// accumulate locally and flow into the run's [`MetricsRegistry`] under
-/// the canonical [`crate::keys`] names at task cleanup, exactly like the
-/// main driver's fragment reducer.
+/// The plan's one reducer: index global-prefix tokens, verify every pair
+/// the probe finds, emit the similar pairs this fragment decides (module
+/// docs, steps 1–3). Streams each cell's segments into a scratch buffer
+/// and the shared [`CellIndex`], both reused across cells (segments are
+/// `Copy` spans; neither the engine nor the reducer allocates per key).
+/// The shared pool is the record cache: [`Verifier`] reads tokens and,
+/// with `bitmap` on, bitmaps from it — identical emissions either way.
+/// Counters flow into the run's [`MetricsRegistry`] under the canonical
+/// [`crate::keys`] names at task cleanup, like the fragment reducer's.
 struct PrefixDiscoveryReducer {
     pool: Arc<TokenPool>,
-    measure: Measure,
-    theta: f64,
+    verifier: Verifier,
+    bitmap: bool,
     num_fragments: usize,
     h_pivots: Arc<Vec<u32>>,
     /// The current cell's segments.
@@ -84,13 +89,13 @@ impl StreamingReducer for PrefixDiscoveryReducer {
     type InKey = u32;
     type InValue = Segment;
     type OutKey = (u32, u32);
-    type OutValue = (u32, u32);
+    type OutValue = f64;
 
     fn reduce_group(
         &mut self,
         cell: &u32,
         values: &mut GroupValues<'_, '_, u32, Segment>,
-        out: &mut Emitter<(u32, u32), (u32, u32)>,
+        out: &mut Emitter<(u32, u32), f64>,
     ) {
         self.scratch.clear();
         self.scratch.extend(values.copied());
@@ -102,33 +107,50 @@ impl StreamingReducer for PrefixDiscoveryReducer {
         // slot order (each unordered pair is seen once, from its longer
         // record) or with the long group — the fragment join's indexed
         // kernels without a signature step. The length window is the cheap
-        // length filter: a candidate outside it is never shipped.
+        // length filter: a pair outside it is never verified.
         let (band, long) = split_cell(&mut self.scratch, rule);
-        let (pool, measure, theta) = (&*self.pool, self.measure, self.theta);
+        let pool = &*self.pool;
+        let Verifier { measure, theta } = self.verifier;
         let as_slot = |s: &Segment| Slot {
             len: s.len,
             sig: &[],
             tokens: &s.tokens(pool)[..global_prefix_in_segment(measure, theta, s)],
         };
         self.index.rebuild(0, band.iter().map(as_slot));
+        let stats = &mut self.local_stats;
         for (i, probe) in long.unwrap_or(band).iter().enumerate() {
             let end = if long.is_some() { band.len() } else { i };
             let min_len = measure.min_partner_len(theta, probe.len as usize);
             let window = self.index.window(min_len, end);
-            self.index
-                .probe(&as_slot(probe), window, |_| None, &mut self.local_stats);
+            self.index.probe(&as_slot(probe), window, |_| None, stats);
             for &slot in self.index.hits() {
                 let other = &band[slot as usize];
-                self.local_stats.emitted += 1;
                 let (a, b) = if probe.rid < other.rid {
                     (probe, other)
                 } else {
                     (other, probe)
                 };
-                out.emit((a.rid, b.rid), (a.len, b.len));
+                let (s, t) = (pool.tokens_of(a.rid), pool.tokens_of(b.rid));
+                let bits = self
+                    .bitmap
+                    .then(|| (pool.bitmap_of(a.rid), pool.bitmap_of(b.rid)));
+                let verdict = self.verifier.verify(s, t, bits);
+                stats.count_verdict(&verdict, s.len(), t.len());
+                let Some((_, sim)) = verdict.similar else {
+                    continue;
+                };
+                // The tokens before a segment's head lie in earlier
+                // fragments: if the records share one, that fragment decides.
+                if shares_token(&s[..a.head as usize], &t[..b.head as usize]) {
+                    stats.repeat_skipped += 1;
+                    continue;
+                }
+                stats.emitted += 1;
+                out.emit((a.rid, b.rid), sim);
             }
         }
-        // Per-cell discovery load, same histograms the exact driver keeps.
+        // Per-cell discovery load and emissions, the histograms the exact
+        // driver keeps.
         self.registry.histogram_record(
             crate::keys::FRAGMENT_PAIRS,
             self.local_stats.pairs_considered - before_pairs,
@@ -137,45 +159,6 @@ impl StreamingReducer for PrefixDiscoveryReducer {
             crate::keys::FRAGMENT_CANDIDATES,
             self.local_stats.emitted - before_emitted,
         );
-    }
-
-    fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), (u32, u32)>) {
-        self.local_stats.record_to(&self.registry);
-        self.local_stats = FilterStats::default();
-    }
-}
-
-/// Cached verification: exact similarity straight from the shared token
-/// pool (the arena *is* the replicated record cache — no second copy of
-/// the corpus is materialized for this job), through the one whole-record
-/// cascade of [`Verifier`]. With `bitmap` on the pool's record bitmaps go
-/// in with the pair — lossless, identical emissions either way.
-/// Verification work is counted locally and flushed to the run registry at
-/// task cleanup under the canonical [`crate::keys`] names.
-struct CachedVerify {
-    pool: Arc<TokenPool>,
-    verifier: Verifier,
-    bitmap: bool,
-    local_stats: FilterStats,
-    registry: Arc<MetricsRegistry>,
-}
-
-impl Mapper for CachedVerify {
-    type InKey = (u32, u32);
-    type InValue = (u32, u32);
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn map(&mut self, (a, b): (u32, u32), _lens: (u32, u32), out: &mut Emitter<(u32, u32), f64>) {
-        let (s, t) = (self.pool.tokens_of(a), self.pool.tokens_of(b));
-        let bits = self
-            .bitmap
-            .then(|| (self.pool.bitmap_of(a), self.pool.bitmap_of(b)));
-        let verdict = self.verifier.verify(s, t, bits);
-        self.local_stats.count_verdict(&verdict, s.len(), t.len());
-        if let Some((_, sim)) = verdict.similar {
-            out.emit((a, b), sim);
-        }
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), f64>) {
@@ -187,6 +170,8 @@ impl Mapper for CachedVerify {
 /// Self-join with the prefix-discovery variant. Uses the same
 /// configuration as [`crate::run_self_join`] (kernel, filters and
 /// emit-policy fields are ignored — discovery is always global-prefix).
+/// One stage, `fsjoin-pf-discover`; `candidates` counts the pairs handed
+/// to verification (`filter_stats.pairs_considered`).
 pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
     cfg.validate();
     let pool = collection.share_pool();
@@ -213,27 +198,19 @@ pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinRe
 
     let input = Dataset::from_records(pooled_records(&pool), cfg.map_tasks);
 
-    // One declarative three-stage plan: discover → dedup → verify. Under
-    // the default pipelined mode each discovered candidate partition flows
-    // into dedup, and each deduped partition into cached verification, as
-    // soon as it is sealed — the three jobs' phases overlap and the
-    // candidate intermediates are dropped partition by partition.
-    // Per-run registry, same contract as the main driver: discovery and
-    // verification tasks record canonical `fsjoin.*` counters here; the
-    // aggregate is read back below and merged into the process-global
-    // registry when one is installed.
+    // One stage, whose output is the result. Per-run registry, same
+    // contract as the main driver: discovery tasks record canonical
+    // `fsjoin.*` counters here; the aggregate is read back below and
+    // merged into the process-global registry when one is installed.
     let run_registry = Arc::new(MetricsRegistry::new());
-    let discover_span = span("fsjoin.stage", "discover-job").field("cells", num_cells);
-    let dedup_span = span("fsjoin.stage", "dedup-job");
-    let verify_span = span("fsjoin.stage", "verify-job");
     let reduce_tasks = cfg.reduce_tasks.min(num_cells).max(1);
+    let (measure, theta) = (cfg.measure, cfg.theta);
 
     let mut plan = Plan::new("fsjoin-pf").with_workers(cfg.workers);
-    // One shared arena shipped over a broadcast edge, consumed by both the
-    // discover stage and the verification stage (where it doubles as the
-    // record cache); the runner keeps it alive until verify finishes.
+    // One shared arena over a broadcast edge: the mappers cut segments
+    // from it, the reducers verify against it (the record cache).
     let pool_bcast = plan.broadcast(Arc::clone(&pool));
-    let candidates_h = plan.add_full_broadcast(
+    let verified_h = plan.add_full_broadcast(
         "fsjoin-pf-discover",
         input,
         pool_bcast,
@@ -241,7 +218,6 @@ pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinRe
         {
             let pivots = Arc::clone(&pivots);
             let h_pivots = Arc::clone(&h_pivots);
-            let (measure, theta) = (cfg.measure, cfg.theta);
             move |_, pool: &Arc<TokenPool>| PartitionMapper {
                 pool: Arc::clone(pool),
                 pivots: Arc::clone(&pivots),
@@ -254,11 +230,11 @@ pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinRe
         {
             let h_pivots = Arc::clone(&h_pivots);
             let registry = Arc::clone(&run_registry);
-            let (measure, theta) = (cfg.measure, cfg.theta);
+            let bitmap = cfg.bitmap_prune;
             move |_, pool: &Arc<TokenPool>| PrefixDiscoveryReducer {
                 pool: Arc::clone(pool),
-                measure,
-                theta,
+                verifier: Verifier { measure, theta },
+                bitmap,
                 num_fragments,
                 h_pivots: Arc::clone(&h_pivots),
                 scratch: Vec::new(),
@@ -270,67 +246,38 @@ pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinRe
         DirectPartitioner::new(|cell: &u32| *cell as usize),
         None::<IdentityCombiner>,
     );
-    let unique_h = plan.add(
-        "fsjoin-pf-dedup",
-        candidates_h,
-        cfg.reduce_tasks,
-        |_| IdentityMapper::default(),
-        |_| KeepFirst::default(),
-    );
-    let verified_h = plan.add_full_broadcast(
-        "fsjoin-pf-verify",
-        unique_h,
-        pool_bcast,
-        cfg.reduce_tasks,
-        {
-            let registry = Arc::clone(&run_registry);
-            let verifier = Verifier {
-                measure: cfg.measure,
-                theta: cfg.theta,
-            };
-            let bitmap = cfg.bitmap_prune;
-            move |_, pool: &Arc<TokenPool>| CachedVerify {
-                pool: Arc::clone(pool),
-                verifier,
-                bitmap,
-                local_stats: FilterStats::default(),
-                registry: Arc::clone(&registry),
-            }
-        },
-        |_, _: &Arc<TokenPool>| KeepFirst::default(),
-        HashPartitioner,
-        None::<IdentityCombiner>,
-    );
 
     let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
     let verified = outcome.take_output(verified_h);
     let peak_live_bytes = outcome.peak_live_bytes;
     let deps = outcome.deps().to_vec();
     let chain = outcome.metrics;
-    let raw_candidates = chain.jobs[0].reduce_output_records();
-    drop(discover_span.field("candidates", raw_candidates));
-    drop(dedup_span.field("unique", chain.jobs[1].reduce_output_records()));
 
     let mut pairs: Vec<SimilarPair> = verified
         .into_records()
         .map(|((a, b), sim)| SimilarPair::new(a, b, sim))
         .collect();
     pairs.sort_unstable_by_key(|x| x.ids());
-    drop(verify_span.field("pairs", pairs.len()));
 
     let filter_stats = FilterStats::from_registry(&run_registry);
-    run_registry.gauge_set(crate::keys::CANDIDATES, raw_candidates as f64);
+    let candidates = filter_stats.pairs_considered as usize;
+    run_registry.gauge_set(crate::keys::CANDIDATES, candidates as f64);
     run_registry.gauge_set(crate::keys::PAIRS, pairs.len() as f64);
     if let Some(global) = ssj_observe::global_registry() {
         global.merge_from(&run_registry);
     }
-    drop(run_span.field("pairs", pairs.len()));
+    drop(
+        run_span
+            .field("cells", num_cells)
+            .field("candidates", candidates)
+            .field("pairs", pairs.len()),
+    );
     FsJoinResult {
         pairs,
         chain,
         filter_stats,
         sweep_stats: SweepStats::default(),
-        candidates: raw_candidates,
+        candidates,
         pivots: Arc::try_unwrap(pivots).unwrap_or_else(|a| (*a).clone()),
         h_pivots: Arc::try_unwrap(h_pivots).unwrap_or_else(|a| (*a).clone()),
         peak_live_bytes,
@@ -425,9 +372,8 @@ mod tests {
     fn pf_reports_real_filter_stats_and_plan_shape() {
         let c = wiki(120);
         let res = run_self_join_pf(&c, &FsJoinConfig::default().with_theta(0.8));
-        // Declared three-stage chain: discover ← input, dedup ← discover,
-        // verify ← dedup.
-        assert_eq!(res.deps, vec![vec![], vec![0], vec![1]]);
+        // Declared one-stage plan: discover ← input.
+        assert_eq!(res.deps, vec![Vec::<usize>::new()]);
         // Discovery pruning counters and verification kernel counters both
         // flow out through the canonical registry names.
         assert!(res.filter_stats.pairs_considered > 0);

@@ -50,7 +50,7 @@
 
 use crate::config::FsJoinConfig;
 use crate::driver::FsJoinResult;
-use crate::filters::{strl_pass, FilterStats};
+use crate::filters::{shares_token, strl_pass, FilterStats};
 use crate::sweep::SweepStats;
 use ssj_common::ByteSize;
 use ssj_mapreduce::{
@@ -263,19 +263,6 @@ impl CoGroupReducer for CrossVerifyCo {
         self.local_stats.record_to(&self.registry);
         self.local_stats = FilterStats::default();
     }
-}
-
-/// Whether two sorted token slices share a token.
-fn shares_token(a: &[u32], b: &[u32]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 /// R×S join declared as a two-input plan (module docs have the stage

@@ -216,7 +216,7 @@ fn fragmented_horizontal_config_matches_owned_vec_goldens() {
 
 /// PF discovers by global prefix and verifies whole records: the bitmap
 /// prune settles verdicts there, never candidates, so its goldens hold
-/// with the prune on and off.
+/// with the prune on and off. Its one job, discovery, verifies in place.
 #[test]
 fn pf_variant_matches_owned_vec_goldens() {
     for prune in [false, true] {
@@ -234,8 +234,7 @@ fn pf_variant_matches_owned_vec_goldens() {
             297404,
             67316,
         );
-        assert_job(res.chain.job("fsjoin-pf-dedup").unwrap(), 45, 720, 720);
-        assert_job(res.chain.job("fsjoin-pf-verify").unwrap(), 13, 208, 368);
+        assert_eq!(res.chain.jobs.len(), 1);
     }
 }
 

@@ -70,12 +70,18 @@ pub fn pair_digest(pairs: &[SimilarPair]) -> u64 {
     h
 }
 
-/// Assert two result lists contain the same pairs with scores agreeing to
-/// `tol`; returns an error description instead of panicking so callers can
-/// add context.
+/// Assert two result lists contain the same pairs, each listed once, with
+/// scores agreeing to `tol`; returns an error description instead of
+/// panicking so callers can add context.
 pub fn compare_results(got: &[SimilarPair], want: &[SimilarPair], tol: f64) -> Result<(), String> {
     let gi = id_pairs(got);
     let wi = id_pairs(want);
+    for (side, list, unique) in [("got", got, &gi), ("want", want, &wi)] {
+        if unique.len() != list.len() {
+            let repeats = list.len() - unique.len();
+            return Err(format!("{side} lists {repeats} pair(s) more than once"));
+        }
+    }
     if gi != wi {
         let missing: Vec<_> = wi.iter().filter(|p| !gi.contains(p)).take(5).collect();
         let extra: Vec<_> = gi.iter().filter(|p| !wi.contains(p)).take(5).collect();
@@ -128,6 +134,16 @@ mod tests {
         let c = vec![SimilarPair::new(1, 2, 0.7)];
         let err = compare_results(&a, &c, 1e-9).unwrap_err();
         assert!(err.contains("score mismatch"));
+    }
+
+    #[test]
+    fn compare_results_rejects_a_pair_listed_twice() {
+        let want = vec![SimilarPair::new(1, 2, 0.9), SimilarPair::new(2, 3, 0.8)];
+        let got = vec![want[0], want[1], SimilarPair::new(2, 1, 0.9)];
+        let err = compare_results(&got, &want, 1e-9).unwrap_err();
+        assert!(err.contains("got lists 1 pair(s) more than once"), "{err}");
+        let err = compare_results(&want, &got, 1e-9).unwrap_err();
+        assert!(err.starts_with("want"), "{err}");
     }
 
     #[test]

@@ -114,6 +114,16 @@ if grep -nE 'docs\.clone\(\)|Vec<Record>' crates/text/src/encode.rs \
     exit 1
 fi
 
+echo "== lint: FS-Join-family joins decide each pair once (crates/core/src) =="
+# PF and the R×S join emit a similar pair only where its smallest shared
+# token is found (the repeat check), so no join in crates/core needs a
+# dedup stage. A KeepFirst reducer there is one growing back; the
+# baselines keep theirs.
+if grep -rn 'KeepFirst' crates/core/src; then
+    echo "decide-once gate FAILED: KeepFirst dedup stage under crates/core/src (use the repeat check)" >&2
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 # The root manifest's default-members cover the whole workspace. (`|| exit`:
 # set -e does not stop on the left side of a failing `&&`.)

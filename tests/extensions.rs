@@ -1,11 +1,11 @@
 //! End-to-end tests of the beyond-the-paper extensions: FS-Join-PF
-//! (prefix discovery + cached verification) and the MinHash/LSH
+//! (prefix discovery + in-cell verification) and the MinHash/LSH
 //! approximate join.
 
 use fsjoin_suite::fsjoin::{run_self_join, run_self_join_pf};
 use fsjoin_suite::prelude::*;
 use fsjoin_suite::similarity::minhash::{lsh_self_join, LshConfig};
-use fsjoin_suite::similarity::pair::id_pairs;
+use fsjoin_suite::similarity::pair::{compare_results, id_pairs};
 use fsjoin_suite::text::encode;
 
 fn corpus(profile: CorpusProfile, records: usize) -> Collection {
@@ -24,14 +24,8 @@ fn pf_variant_matches_exact_fsjoin_on_all_profiles() {
             let cfg = FsJoinConfig::default().with_theta(theta);
             let exact = run_self_join(&c, &cfg);
             let pf = run_self_join_pf(&c, &cfg);
-            assert_eq!(
-                id_pairs(&exact.pairs),
-                id_pairs(&pf.pairs),
-                "{profile:?} θ={theta}"
-            );
-            for (a, b) in exact.pairs.iter().zip(&pf.pairs) {
-                assert!((a.sim - b.sim).abs() < 1e-12);
-            }
+            compare_results(&pf.pairs, &exact.pairs, 1e-12)
+                .unwrap_or_else(|e| panic!("{profile:?} θ={theta}: {e}"));
         }
     }
 }
