@@ -451,6 +451,7 @@ fn discover_windowed(
         let (band, _) = split_cell(&mut segments, JoinRule::All);
         let as_slot = |s: &fsjoin::Segment| Slot {
             len: s.len,
+            head: 0,
             sig: pool.bitmap_of(s.rid),
             tokens: &s.tokens(pool)[..local_prefix_len(m, theta, s)],
         };
@@ -462,7 +463,10 @@ fn discover_windowed(
                 index.window(m.min_partner_len(theta, len), i),
                 |partner| {
                     let alpha = m.min_overlap(theta, partner as usize, len);
-                    Verifier::hamming_limit(alpha, partner as usize, len, words)
+                    (
+                        Verifier::hamming_limit(alpha, partner as usize, len, words),
+                        0,
+                    )
                 },
                 &mut stats,
             );

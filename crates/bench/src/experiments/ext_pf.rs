@@ -24,9 +24,11 @@ pub fn run() -> String {
     let mut out = String::from(
         "# Extension — FS-Join-PF (prefix discovery + in-cell verification)\n\n\
          Simulated 10-node seconds, Jaccard; candidates = records emitted \
-         by FS-Join's filter job / pairs PF's discovery hands to its \
-         verifier (one stage). FS-Join-PF trades the paper's \
-         \"verification never touches records\" property for classic \
+         by FS-Join's filter job / pairs PF's discovery finds (one stage), \
+         before its positional bound, bitmap and verifier settle them; PF \
+         position-pruned / intersections = how many of those the bound \
+         drops and how many reach the exact kernel. FS-Join-PF trades the \
+         paper's \"verification never touches records\" property for classic \
          prefix-filter intermediate volumes; results are identical \
          (asserted).\n\n",
     );
@@ -39,6 +41,7 @@ pub fn run() -> String {
             "FS-Join-PF (s)",
             "RIDPairs (s)",
             "candidates FS / PF",
+            "PF position-pruned / intersections",
             "shuffle FS / PF",
         ]);
         for theta in THETAS {
@@ -66,6 +69,10 @@ pub fn run() -> String {
                 format!("{:.2}", pf.simulated_secs(&cluster)),
                 format!("{:.2}", rid.sim_secs),
                 format!("{} / {}", fs_candidates, pf.candidates),
+                format!(
+                    "{} / {}",
+                    pf.filter_stats.position_pruned, pf.filter_stats.intersections
+                ),
                 format!(
                     "{} / {}",
                     fmt_bytes(fs.shuffle_bytes),

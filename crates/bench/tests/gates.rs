@@ -418,8 +418,9 @@ fn fsjoin_wiki_sweep_counters_are_frozen() {
     }
 }
 
-/// FS-Join-PF on the same corpus: prefix-filter discovery, verification in
-/// the discovery task and the repeat check, in one stage.
+/// FS-Join-PF on the same corpus: prefix-filter discovery, the positional
+/// bound, verification in the discovery task and the repeat check, in one
+/// stage.
 #[test]
 fn pf_wiki_counters_are_frozen() {
     let c = corpus(CorpusProfile::WikiLike, Scale::Small);
@@ -439,18 +440,23 @@ fn pf_wiki_counters_are_frozen() {
             pairs_considered: 386,
             window_skipped: 125,
             emitted: 72,
-            intersections: 208,
-            intersect_tokens: 24_446,
-            bitmap_checks: 386,
-            bitmap_pruned: 178,
-            repeat_skipped: 99,
+            intersections: 142,
+            intersect_tokens: 16_594,
+            bitmap_checks: 167,
+            bitmap_pruned: 25,
+            position_pruned: 219,
+            repeat_skipped: 48,
             ..FilterStats::default()
         }
     );
-    // PF's law: every discovered pair reaches the verifier, and each
-    // emission is a result pair.
+    // PF's law: every discovered pair ends at the positional bound, the
+    // bitmap or the intersection kernel, and each emission is a result
+    // pair.
     assert_eq!(
-        (stats.bitmap_pruned + stats.intersections, stats.emitted),
+        (
+            stats.position_pruned + stats.bitmap_pruned + stats.intersections,
+            stats.emitted
+        ),
         (stats.pairs_considered, res.pairs.len() as u64)
     );
 }

@@ -18,6 +18,13 @@
 //! * **Stamps deduplicate.** A per-slot mark says whether the current probe
 //!   already met the slot, and for survivors counts the shared indexed
 //!   tokens (the Index kernel's exact local overlap).
+//! * **The positional bound is a compare.** Each posting carries the
+//!   record position of its token ([`Slot::head`] plus the token's offset),
+//!   so at a meet PPJoin's bound (Xiao et al., WWW'08) — the tokens shared
+//!   so far plus the fewer tokens either record has left from here —
+//!   is two subtractions against the pair's α
+//!   ([`FilterStats::position_pruned`]). A slot it drops on a later meet
+//!   leaves the survivors.
 //! * **The signature is a compare.** For a fixed probe length the bitmap
 //!   bound of [`Verifier::signature`](ssj_similarity::Verifier::signature)
 //!   depends on the partner's length alone, so it is solved once per
@@ -44,6 +51,10 @@ const UNCHECKED: i32 = i32::MAX;
 pub struct Slot<'a> {
     /// Full record length `|s|` (≥ 1).
     pub len: u32,
+    /// Record position of `tokens[0]`: the segment's head where `tokens`
+    /// are record tokens in place (PF), 0 where the caller's α is 0 and
+    /// the positional bound never prunes (the fragment kernels).
+    pub head: u32,
     /// The record's signature, `sig_words` words.
     pub sig: &'a [u64],
     /// The tokens to index or to probe with (ascending).
@@ -60,13 +71,16 @@ struct Mark {
     shared: u32,
 }
 
-/// The Hamming limit of one partner-length class, for one probe length.
+/// The Hamming limit and α of one partner-length class, for one probe
+/// length.
 #[derive(Debug, Clone, Copy, Default)]
 struct Limit {
     /// Probe length the limit was computed for (0: none yet).
     probe_len: u32,
     /// Largest surviving Hamming distance, or [`UNCHECKED`].
     limit: i32,
+    /// Overlap the pair needs: the positional bound's target.
+    alpha: u32,
 }
 
 /// See the module docs.
@@ -79,12 +93,18 @@ pub struct CellIndex {
     sig_words: usize,
     sigs: Vec<u64>,
     // CSR postings: `slots[starts[k]..starts[k + 1]]` lists, ascending, the
-    // slots that index the token `directory` numbers `k`.
+    // slots that index the token `directory` numbers `k`; `posts` holds the
+    // token's record position in each.
     directory: FxHashMap<u32, u32>,
     starts: Vec<u32>,
     slots: Vec<u32>,
-    /// Build scratch: `(list, slot)` per posting, in slot order.
-    entries: Vec<(u32, u32)>,
+    posts: Vec<u32>,
+    /// Build scratch: the list of every posting, in slot order. Slot `s`
+    /// posts `lists[firsts[s]..firsts[s + 1]]`, from record position
+    /// `heads[s]` on.
+    lists: Vec<u32>,
+    firsts: Vec<u32>,
+    heads: Vec<u32>,
     // Probe state.
     marks: Vec<Mark>,
     epoch: u32,
@@ -101,12 +121,14 @@ impl CellIndex {
         self.lens.clear();
         self.classes.clear();
         self.sigs.clear();
-        self.entries.clear();
+        self.lists.clear();
+        self.firsts.clear();
+        self.heads.clear();
         self.directory.clear();
         self.starts.clear();
         self.sig_words = sig_words;
         let mut class = 0u32;
-        for (slot, s) in slots.enumerate() {
+        for s in slots {
             if let Some(&prev) = self.lens.last() {
                 assert!(prev <= s.len, "slots must come in length order");
                 class += u32::from(prev < s.len);
@@ -115,6 +137,12 @@ impl CellIndex {
             self.classes.push(class);
             assert_eq!(s.sig.len(), sig_words, "signature width");
             self.sigs.extend_from_slice(s.sig);
+            assert!(
+                s.head as usize + s.tokens.len() <= s.len as usize,
+                "tokens lie inside the record"
+            );
+            self.firsts.push(self.lists.len() as u32);
+            self.heads.push(s.head);
             for &t in s.tokens {
                 let lists = self.starts.len() as u32;
                 let list = *self.directory.entry(t).or_insert(lists);
@@ -122,7 +150,7 @@ impl CellIndex {
                     self.starts.push(0);
                 }
                 self.starts[list as usize] += 1;
-                self.entries.push((list, slot as u32));
+                self.lists.push(list);
             }
         }
         assert!(self.lens.len() <= u32::MAX as usize, "slots are u32");
@@ -137,10 +165,17 @@ impl CellIndex {
         self.starts.push(end);
         self.slots.clear();
         self.slots.resize(end as usize, 0);
-        for &(list, slot) in self.entries.iter().rev() {
-            let at = &mut self.starts[list as usize];
-            *at -= 1;
-            self.slots[*at as usize] = slot;
+        self.posts.clear();
+        self.posts.resize(end as usize, 0);
+        self.firsts.push(end);
+        for slot in (0..self.lens.len()).rev() {
+            let first = self.firsts[slot];
+            for e in (first..self.firsts[slot + 1]).rev() {
+                let at = &mut self.starts[self.lists[e as usize] as usize];
+                *at -= 1;
+                self.slots[*at as usize] = slot as u32;
+                self.posts[*at as usize] = self.heads[slot] + (e - first);
+            }
         }
         self.marks.clear();
         self.marks.resize(self.lens.len(), Mark::default());
@@ -157,61 +192,90 @@ impl CellIndex {
 
     /// Walk the posting lists of `probe.tokens` inside the slot range
     /// `window` ([`Self::window`]) and run the record-level cascade on
-    /// every slot met for the first time: the signature row against the
-    /// Hamming limit of the slot's length. The window must not hold the
-    /// probe's own record — callers probe each slot with the slots before
-    /// it, or with segments not indexed at all — so every slot met is a
-    /// pair.
+    /// every slot met: on the first meet the positional bound, then the
+    /// signature row against the Hamming limit of the slot's length; on
+    /// every later meet the positional bound again, with the tokens shared
+    /// so far. The window must not hold the probe's own record — callers
+    /// probe each slot with the slots before it, or with segments not
+    /// indexed at all — so every slot met is a pair.
     /// `limit_of(partner_len)` is asked once per distinct
-    /// `(probe.len, partner_len)` and returns what
-    /// [`Verifier::hamming_limit`](ssj_similarity::Verifier::hamming_limit)
-    /// does: the largest surviving Hamming distance, or `None` to let the
-    /// partner through unread. Survivors are left in [`Self::hits`].
+    /// `(probe.len, partner_len)` and returns two values. The first is
+    /// what [`Verifier::hamming_limit`](ssj_similarity::Verifier::hamming_limit)
+    /// returns: the largest surviving Hamming distance, or `None` to let
+    /// the partner through unread. The second is the overlap α the pair
+    /// needs. A slot met at probe offset `i` and record position `q`
+    /// stays only while `shared + min(|probe| − (probe.head + i),
+    /// |slot| − q) ≥ α`; α = 0 keeps every slot. Survivors are left in
+    /// [`Self::hits`].
     ///
     /// Counts into `stats`: out-of-window postings (`window_skipped`),
-    /// slots met (`pairs_considered`), and the signature step
+    /// slots met (`pairs_considered`), the positional bound's drops
+    /// (`position_pruned`, once per slot) and the signature step
     /// (`bitmap_checks` / `bitmap_pruned`).
     pub fn probe(
         &mut self,
         probe: &Slot<'_>,
         window: std::ops::Range<usize>,
-        limit_of: impl Fn(u32) -> Option<i64>,
+        limit_of: impl Fn(u32) -> (Option<i64>, usize),
         stats: &mut FilterStats,
     ) {
+        assert!(
+            probe.head as usize + probe.tokens.len() <= probe.len as usize,
+            "tokens lie inside the record"
+        );
         self.hits.clear();
         self.epoch += 1;
         let epoch = self.epoch;
         let (lo, hi) = (window.start as u32, window.end as u32);
         let words = self.sig_words;
         let (mut considered, mut checks, mut pruned, mut skipped) = (0u64, 0u64, 0u64, 0u64);
-        for t in probe.tokens {
+        let (mut position, mut dropped_late) = (0u64, false);
+        for (t, pos) in probe.tokens.iter().zip(probe.head..) {
             let Some(&k) = self.directory.get(t) else {
                 continue;
             };
-            let list =
-                &self.slots[self.starts[k as usize] as usize..self.starts[k as usize + 1] as usize];
+            let range = self.starts[k as usize] as usize..self.starts[k as usize + 1] as usize;
+            let (list, posts) = (&self.slots[range.clone()], &self.posts[range]);
             let from = list.partition_point(|&s| s < lo);
             skipped += from as u64;
-            for &slot in &list[from..] {
+            // Probe tokens from this one on.
+            let probe_left = probe.len - pos;
+            for (&slot, &q) in list[from..].iter().zip(&posts[from..]) {
                 if slot >= hi {
                     break;
                 }
                 let s = slot as usize;
+                let bound = probe_left.min(self.lens[s] - q);
                 let mark = &mut self.marks[s];
                 if mark.epoch == epoch {
-                    mark.shared += u32::from(mark.shared != 0);
+                    if mark.shared == 0 {
+                        continue;
+                    }
+                    if mark.shared + bound >= self.limits[self.classes[s] as usize].alpha {
+                        mark.shared += 1;
+                    } else {
+                        mark.shared = 0;
+                        position += 1;
+                        dropped_late = true;
+                    }
                     continue;
                 }
                 *mark = Mark { epoch, shared: 0 };
                 considered += 1;
                 let entry = &mut self.limits[self.classes[s] as usize];
                 if entry.probe_len != probe.len {
+                    let (limit, alpha) = limit_of(self.lens[s]);
                     *entry = Limit {
                         probe_len: probe.len,
-                        limit: limit_of(self.lens[s]).map_or(UNCHECKED, |limit| {
+                        limit: limit.map_or(UNCHECKED, |limit| {
                             limit.clamp(-1, i64::from(UNCHECKED - 1)) as i32
                         }),
+                        alpha: alpha.min(u32::MAX as usize) as u32,
                     };
+                }
+                if bound < entry.alpha {
+                    position += 1;
+                    continue;
                 }
                 let limit = entry.limit;
                 let row = &self.sigs[s * words..(s + 1) * words];
@@ -229,8 +293,13 @@ impl CellIndex {
                 self.hits.push(slot);
             }
         }
+        if dropped_late {
+            let marks = &self.marks;
+            self.hits.retain(|&s| marks[s as usize].shared != 0);
+        }
         stats.window_skipped += skipped;
         stats.pairs_considered += considered;
+        stats.position_pruned += position;
         stats.bitmap_checks += checks;
         stats.bitmap_pruned += pruned;
     }
@@ -252,14 +321,22 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
+    type Row<'a> = (u32, u64, &'a [u32]);
+
     /// A cell of `(len, sig, tokens)` rows with one-word signatures.
-    fn index(rows: &[(u32, u64, &[u32])]) -> CellIndex {
+    fn index(rows: &[Row<'_>]) -> CellIndex {
+        index_placed(rows, |_| 0)
+    }
+
+    /// [`index`] with each row's tokens at record position `head(row)`.
+    fn index_placed(rows: &[Row<'_>], head: impl Fn(&Row<'_>) -> u32) -> CellIndex {
         let sigs: Vec<[u64; 1]> = rows.iter().map(|r| [r.1]).collect();
         let mut index = CellIndex::default();
         index.rebuild(
             1,
             rows.iter().zip(&sigs).map(|(r, sig)| Slot {
                 len: r.0,
+                head: head(r),
                 sig,
                 tokens: r.2,
             }),
@@ -267,10 +344,36 @@ mod tests {
         index
     }
 
+    /// A cell of `(len, head, tokens)` segments without signatures, and
+    /// its probes.
+    fn segments(rows: &[(u32, u32, &[u32])]) -> CellIndex {
+        let mut index = CellIndex::default();
+        index.rebuild(
+            0,
+            rows.iter().map(|&(len, head, tokens)| Slot {
+                len,
+                head,
+                sig: &[],
+                tokens,
+            }),
+        );
+        index
+    }
+
+    fn segment(len: u32, head: u32, tokens: &[u32]) -> Slot<'_> {
+        Slot {
+            len,
+            head,
+            sig: &[],
+            tokens,
+        }
+    }
+
     fn probe(tokens: &[u32], len: u32) -> Slot<'_> {
         Slot {
             tokens,
             len,
+            head: 0,
             sig: &[0],
         }
     }
@@ -292,7 +395,7 @@ mod tests {
         assert_eq!(index.window(9, 5), 5..5);
         assert_eq!(index.window(6, 6), 5..6);
         let mut stats = FilterStats::default();
-        index.probe(&probe(&[7, 8, 9], 8), 2..5, |_| None, &mut stats);
+        index.probe(&probe(&[7, 8, 9], 8), 2..5, |_| (None, 0), &mut stats);
         // Token 7 lists slots 0 1 2 4 5, token 9 lists 0 2 3 4 5.
         assert_eq!(index.hits(), [2, 4, 3]);
         assert_eq!(stats.window_skipped, 2 + 1, "postings below slot 2");
@@ -315,7 +418,7 @@ mod tests {
             asked.set(asked.get() + 1);
             // Lengths 4 and 6 both allow two differing bits.
             assert!(partner_len == 4 || partner_len == 6);
-            Some(2)
+            (Some(2), 0)
         };
         let mut stats = FilterStats::default();
         let p = probe(&[1, 2, 3], 7);
@@ -340,7 +443,7 @@ mod tests {
         let mut index = index(&rows);
         let mut stats = FilterStats::default();
         // Length 3: no distance survives. Length 4: not read at all.
-        let limit_of = |len: u32| (len == 3).then_some(-7);
+        let limit_of = |len: u32| ((len == 3).then_some(-7), 0);
         index.probe(&probe(&[5], 9), 0..2, limit_of, &mut stats);
         assert_eq!(index.hits(), [1]);
         assert_eq!((stats.bitmap_checks, stats.bitmap_pruned), (1, 1));
@@ -351,7 +454,7 @@ mod tests {
         let first: [(u32, u64, &[u32]); 2] = [(3, 0, &[5, 6]), (3, 0, &[5])];
         let mut index = index(&first);
         let mut stats = FilterStats::default();
-        index.probe(&probe(&[5, 6], 3), 0..2, |_| Some(0), &mut stats);
+        index.probe(&probe(&[5, 6], 3), 0..2, |_| (Some(0), 0), &mut stats);
         assert_eq!(index.hits(), [0, 1]);
         // Same shape, other tokens and lengths: no mark, limit or posting
         // of the first cell may show through.
@@ -362,6 +465,7 @@ mod tests {
                 .into_iter()
                 .map(|(len, tokens)| Slot {
                     len,
+                    head: 0,
                     sig: &sig,
                     tokens,
                 }),
@@ -372,7 +476,7 @@ mod tests {
             0..2,
             |_| {
                 asked.set(asked.get() + 1);
-                Some(0)
+                (Some(0), 0)
             },
             &mut stats,
         );
@@ -382,5 +486,97 @@ mod tests {
         // An empty cell is a cell too.
         index.rebuild(0, std::iter::empty());
         assert_eq!(index.window(0, 0), 0..0);
+    }
+
+    #[test]
+    fn a_first_meet_stays_at_alpha_and_drops_one_below() {
+        // Token 5 sits at position 1 of a 6-token record (5 tokens left)
+        // and at position 3 of a 7-token one (4 left); the probe has 7
+        // tokens left from it. Both pairs need α = 5.
+        let mut index = segments(&[(6, 1, &[5]), (7, 3, &[5])]);
+        let mut stats = FilterStats::default();
+        index.probe(&segment(10, 3, &[5]), 0..2, |_| (None, 5), &mut stats);
+        assert_eq!(index.hits(), [0], "ub == α stays, ub == α − 1 goes");
+        assert_eq!((stats.pairs_considered, stats.position_pruned), (2, 1));
+        assert_eq!((stats.bitmap_checks, stats.bitmap_pruned), (0, 0));
+        assert_eq!(index.shared(1), 0);
+    }
+
+    #[test]
+    fn a_later_meet_drops_a_slot_from_the_hits_once() {
+        // α = 4 against a 5-token probe. Slot 0 shares its whole prefix
+        // with it; slot 1 shares token 1, then meets token 8 with one
+        // token shared and two probe tokens left: 1 + 2 < 4. Its meet at
+        // token 9 after that is no second drop.
+        let cell: [(u32, u32, &[u32]); 2] = [(5, 0, &[1, 6, 7, 8]), (10, 0, &[1, 8, 9])];
+        let mut index = segments(&cell);
+        let mut stats = FilterStats::default();
+        let p = segment(5, 0, &[1, 6, 7, 8, 9]);
+        index.probe(&p, 0..2, |_| (None, 4), &mut stats);
+        assert_eq!(index.hits(), [0]);
+        assert_eq!(stats.pairs_considered, 2);
+        assert_eq!(stats.position_pruned, 1, "counted once");
+        assert_eq!((index.shared(0), index.shared(1)), (4, 0));
+        // The same cell at α = 3 (a new index: α is cached per probe
+        // length): slot 1 holds on (1 + 2 ≥ 3, then 2 + 1 ≥ 3) and shares
+        // its three tokens.
+        let mut index = segments(&cell);
+        index.probe(&p, 0..2, |_| (None, 3), &mut stats);
+        assert_eq!(index.hits(), [0, 1]);
+        assert_eq!((index.shared(0), index.shared(1)), (4, 3));
+        assert_eq!(stats.position_pruned, 1);
+    }
+
+    #[test]
+    fn rebuild_forgets_the_last_cells_positions() {
+        // Token 5 at position 0 of a 10-token record passes α = 3 ...
+        let mut index = segments(&[(10, 0, &[5, 6, 7]), (10, 0, &[5])]);
+        let mut stats = FilterStats::default();
+        let p = segment(10, 0, &[5]);
+        index.probe(&p, 0..2, |_| (None, 3), &mut stats);
+        assert_eq!(index.hits(), [0, 1]);
+        // ... and at position 8 of one it cannot: 2 tokens are left.
+        index.rebuild(0, [segment(10, 8, &[5]), segment(10, 0, &[5])].into_iter());
+        index.probe(&p, 0..2, |_| (None, 3), &mut stats);
+        assert_eq!(index.hits(), [1]);
+        assert_eq!(stats.position_pruned, 1);
+    }
+
+    #[test]
+    fn alpha_zero_leaves_hits_and_shared_as_they_were() {
+        // The cells of the tests above, their tokens placed first and last
+        // in their records: at α = 0 no position is ever read as a drop,
+        // so hits, shared counts and counters are those the tests assert.
+        let window: [Row<'_>; 6] = [
+            (2, 0, &[7, 9]),
+            (2, 0, &[7]),
+            (3, 0, &[7, 9]),
+            (5, 0, &[9]),
+            (5, 0, &[7, 9]),
+            (8, 0, &[7, 9]),
+        ];
+        let signature: [Row<'_>; 2] = [(4, 0b0001, &[1, 2, 3]), (6, 0b0111, &[1, 2, 3])];
+        let cells: [(&[Row<'_>], &[u32], u32, _); 2] = [
+            (&window, &[7, 8, 9], 8, 2..5),
+            (&signature, &[1, 2, 3], 7, 0..2),
+        ];
+        for (rows, tokens, len, range) in cells {
+            let run = |last: bool| {
+                let place = |len: u32, n: usize| if last { len - n as u32 } else { 0 };
+                let mut index = index_placed(rows, |r| place(r.0, r.2.len()));
+                let p = Slot {
+                    head: place(len, tokens.len()),
+                    ..probe(tokens, len)
+                };
+                let mut stats = FilterStats::default();
+                index.probe(&p, range.clone(), |_| (Some(2), 0), &mut stats);
+                let hits = index.hits().to_vec();
+                let shared: Vec<u32> = hits.iter().map(|&s| index.shared(s)).collect();
+                (hits, shared, stats)
+            };
+            let first = run(false);
+            assert_eq!(first.2.position_pruned, 0);
+            assert_eq!(first, run(true));
+        }
     }
 }

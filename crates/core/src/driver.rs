@@ -36,8 +36,10 @@ pub struct FsJoinResult {
     /// kernels and the other joins).
     pub sweep_stats: SweepStats,
     /// Candidate records emitted by the filtering job (the paper's
-    /// Table IV quantity). FS-Join-PF reports the pairs its discovery
-    /// hands to verification, the R×S join its emissions.
+    /// Table IV quantity). FS-Join-PF reports the pairs its probe
+    /// *discovers*, before the positional bound, the bitmap and
+    /// verification settle them (`filter_stats.pairs_considered`); the R×S
+    /// join its emissions.
     pub candidates: usize,
     /// The vertical pivot ranks used.
     pub pivots: Vec<u32>,

@@ -100,9 +100,11 @@ pub enum EmitPolicy {
 /// same way and decides each considered cross pair by one cascade, so
 /// there `pairs_considered = position_pruned + bitmap_pruned +
 /// repeat_skipped + intersections` and `emitted` is the run's pairs.
-/// FS-Join-PF ([`crate::pf`]) verifies every pair it considers, so there
-/// `pairs_considered = bitmap_pruned + intersections` and `emitted` is the
-/// run's pairs (`repeat_skipped`: similar, decided in an earlier fragment).
+/// FS-Join-PF ([`crate::pf`]) settles every pair it considers by the
+/// positional bound inside the probe or by the verifier, so there
+/// `pairs_considered = position_pruned + bitmap_pruned + intersections`
+/// and `emitted` is the run's pairs (`repeat_skipped`: similar, decided in
+/// an earlier fragment).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Segment pairs considered by the fragment join (post kernel candidate
@@ -144,8 +146,11 @@ pub struct FilterStats {
     /// join these are segment pairs dropped because their two records
     /// cannot reach θ.
     pub bitmap_pruned: u64,
-    /// R×S cross pairs the positional bound settled: the group's token and
-    /// every token after it in the shorter remainder cannot reach α.
+    /// Pairs the positional bound settled: R×S cross pairs whose group's
+    /// token and every token after it in the shorter remainder cannot
+    /// reach α, and FS-Join-PF pairs whose tokens shared so far plus that
+    /// remainder cannot, at any meet of the probe (once per pair and
+    /// probe).
     pub position_pruned: u64,
     /// Pairs skipped because their records share a token before the point
     /// where they were found (R×S: the group's token, checked before

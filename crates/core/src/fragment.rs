@@ -484,6 +484,7 @@ impl FragmentJoin<'_> {
         };
         let as_slot = |s: &Segment| Slot {
             len: s.len,
+            head: 0,
             sig: self.sig(s),
             tokens: self.indexed_tokens(s),
         };
@@ -499,7 +500,7 @@ impl FragmentJoin<'_> {
             index.probe(
                 &as_slot(probe),
                 index.window(min_len, end),
-                |partner_len| self.hamming_limit(partner_len as usize, len, words),
+                |partner_len| (self.hamming_limit(partner_len as usize, len, words), 0),
                 stats,
             );
             for &slot in index.hits() {

@@ -46,15 +46,19 @@ pub const FILTER_POLICY_DROPPED: &str = "fsjoin.filter.policy_dropped";
 /// `window_skipped` is not a term: it counts postings, and a pair the
 /// length window skips is never considered in the first place.
 pub const FILTER_EMITTED: &str = "fsjoin.filter.emitted";
-/// R×S cross pairs the positional bound pruned (counter): in the group of
-/// token `t` at positions `pos_r`, `pos_s`, the pair shares at most
-/// `1 + min(|r| − pos_r − 1, |s| − pos_s − 1)` tokens from `t` on.
+/// Pairs the positional bound pruned (counter). R×S cross pairs: in the
+/// group of token `t` at positions `pos_r`, `pos_s`, the pair shares at
+/// most `1 + min(|r| − pos_r − 1, |s| − pos_s − 1)` tokens from `t` on.
+/// FS-Join-PF pairs: at a meet of the cell probe, the tokens shared so far
+/// plus that remainder fall below α (one count per pair and probe).
 ///
 /// **Conservation law** of the two-input R×S join (asserted in
 /// `crates/bench/tests/gates.rs`): every cross pair inside a group's
 /// length window ends in exactly one step of the cascade,
 /// `pairs_considered = position_pruned + bitmap_pruned + repeat_skipped +
 /// intersections`, and `emitted` = the run's pairs = its candidates.
+/// FS-Join-PF's law (same file): `pairs_considered = position_pruned +
+/// bitmap_pruned + intersections`, and `emitted` = the run's pairs.
 pub const FILTER_POSITION_PRUNED: &str = "fsjoin.filter.position_pruned";
 /// Pairs whose records share a token before the point where they were
 /// found (counter): R×S cross pairs sharing one before the group's token,

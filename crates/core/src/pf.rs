@@ -18,14 +18,24 @@
 //!    so posting lists are short — candidate volume matches classic
 //!    prefix-filter joins instead of growing with frequent-token
 //!    co-occurrence.
-//! 2. **Verification in place**: the discovery task verifies every pair
-//!    it finds against the original records, replicated read-only to every
+//! 2. **Positional bound** (PPJoin's, Xiao et al. WWW'08, inside the
+//!    probe of [`CellIndex`]): each posting carries its token's record
+//!    position, and a pair stays only while the tokens it shared so far
+//!    plus the fewer tokens either record has left from the current one
+//!    reach α = `min_overlap(θ, |x|, |y|)`. Dropped pairs count as
+//!    `position_pruned` and are never verified.
+//! 3. **Verification in place**: the discovery task verifies every pair
+//!    left against the original records, replicated read-only to every
 //!    task (Hadoop distributed-cache style, as MassJoin's Light variant).
-//! 3. **Repeat check**: a similar pair is emitted only if its records share
+//! 4. **Repeat check**: a similar pair is emitted only if its records share
 //!    no token before their segments' heads — its smallest shared token
 //!    lies in this fragment. Of the fragments that find a pair, exactly
 //!    one passes, so no dedup stage follows. The check runs on similar
 //!    verdicts only: on long records it costs more than a verify.
+//!
+//! The cascade per discovered pair is therefore window → position →
+//! bitmap → verify → repeat, and its counters obey `pairs_considered =
+//! position_pruned + bitmap_pruned + intersections`.
 //!
 //! Completeness: a θ-similar pair's smallest shared token `t*` lies in
 //! both records' global prefixes (the prefix-filter theorem), so both
@@ -35,6 +45,18 @@
 //! shared, so the repeat check passes in `v*` and fails in every later
 //! fragment. Verification is exact, so precision is exact too, and each
 //! similar pair is emitted once. Property-tested against the oracle.
+//!
+//! The positional bound loses none of these pairs. Take a pair that a
+//! fragment decides, i.e. one sharing no token before the segments'
+//! heads. Every token it shares lies at or after its first meet in the
+//! probe, in both records: a token shared earlier would either have been
+//! met earlier in this probe (it would lie in both segments before a
+//! global-prefix token, so in both walked prefixes too), or sit before a
+//! head, and then the pair belongs to an earlier fragment. So at each meet
+//! the tokens shared so far plus the tokens left from the current one in
+//! the record with fewer of them bound the pair's whole overlap, and a
+//! pair the bound drops cannot reach α. A pair sharing a token before the
+//! heads may be dropped here, but the repeat check would have skipped it.
 
 use crate::cell_index::{CellIndex, Slot};
 use crate::config::FsJoinConfig;
@@ -63,9 +85,10 @@ fn global_prefix_in_segment(measure: Measure, theta: f64, seg: &Segment) -> usiz
     pi.saturating_sub(seg.head as usize).min(seg.seg_len())
 }
 
-/// The plan's one reducer: index global-prefix tokens, verify every pair
-/// the probe finds, emit the similar pairs this fragment decides (module
-/// docs, steps 1–3). Streams each cell's segments into a scratch buffer
+/// The plan's one reducer: index global-prefix tokens with their record
+/// positions, verify every pair the probe's positional bound leaves, emit
+/// the similar pairs this fragment decides (module docs, steps 1–4).
+/// Streams each cell's segments into a scratch buffer
 /// and the shared [`CellIndex`], both reused across cells (segments are
 /// `Copy` spans; neither the engine nor the reducer allocates per key).
 /// The shared pool is the record cache: [`Verifier`] reads tokens and,
@@ -106,13 +129,15 @@ impl StreamingReducer for PrefixDiscoveryReducer {
         // Index the band's global-prefix tokens; probe it with itself in
         // slot order (each unordered pair is seen once, from its longer
         // record) or with the long group — the fragment join's indexed
-        // kernels without a signature step. The length window is the cheap
-        // length filter: a pair outside it is never verified.
+        // kernels without a signature step, with α for the positional
+        // bound. The length window and the bound are the cheap filters: a
+        // pair either drops is never verified.
         let (band, long) = split_cell(&mut self.scratch, rule);
         let pool = &*self.pool;
         let Verifier { measure, theta } = self.verifier;
         let as_slot = |s: &Segment| Slot {
             len: s.len,
+            head: s.head,
             sig: &[],
             tokens: &s.tokens(pool)[..global_prefix_in_segment(measure, theta, s)],
         };
@@ -122,7 +147,13 @@ impl StreamingReducer for PrefixDiscoveryReducer {
             let end = if long.is_some() { band.len() } else { i };
             let min_len = measure.min_partner_len(theta, probe.len as usize);
             let window = self.index.window(min_len, end);
-            self.index.probe(&as_slot(probe), window, |_| None, stats);
+            let len = probe.len as usize;
+            self.index.probe(
+                &as_slot(probe),
+                window,
+                |partner_len| (None, measure.min_overlap(theta, partner_len as usize, len)),
+                stats,
+            );
             for &slot in self.index.hits() {
                 let other = &band[slot as usize];
                 let (a, b) = if probe.rid < other.rid {
@@ -170,8 +201,9 @@ impl StreamingReducer for PrefixDiscoveryReducer {
 /// Self-join with the prefix-discovery variant. Uses the same
 /// configuration as [`crate::run_self_join`] (kernel, filters and
 /// emit-policy fields are ignored — discovery is always global-prefix).
-/// One stage, `fsjoin-pf-discover`; `candidates` counts the pairs handed
-/// to verification (`filter_stats.pairs_considered`).
+/// One stage, `fsjoin-pf-discover`; `candidates` counts the pairs
+/// *discovered* (`filter_stats.pairs_considered`), before the positional
+/// bound, the bitmap and verification settle them.
 pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
     cfg.validate();
     let pool = collection.share_pool();
@@ -303,6 +335,20 @@ mod tests {
         )
     }
 
+    /// PF's law: every discovered pair ends at the positional bound, the
+    /// bitmap or the intersection kernel, and each emission is a pair.
+    fn assert_pf_law(res: &FsJoinResult) {
+        let s = &res.filter_stats;
+        assert_eq!(
+            (
+                s.position_pruned + s.bitmap_pruned + s.intersections,
+                s.emitted
+            ),
+            (s.pairs_considered, res.pairs.len() as u64),
+            "{s:?}"
+        );
+    }
+
     #[test]
     fn matches_oracle_across_thetas_and_measures() {
         let c = wiki(150);
@@ -317,6 +363,7 @@ mod tests {
                 );
                 compare_results(&got.pairs, &want, 1e-9)
                     .unwrap_or_else(|e| panic!("{measure:?} θ={theta}: {e}"));
+                assert_pf_law(&got);
             }
         }
     }

@@ -225,7 +225,16 @@ fn long_records_self_join_pf_matches_oracle() {
                     .unwrap_or_else(|e| panic!("{measure:?} θ={theta} bitmap={bitmap}: {e}"));
                 // Mostly dissimilar candidates: the kernel is called far
                 // more often than it finds a pair.
-                assert!(got.filter_stats.intersections > want.len() as u64);
+                let stats = got.filter_stats;
+                assert!(stats.intersections > want.len() as u64);
+                // PF's law: every discovered pair ends at the positional
+                // bound, the bitmap or the kernel.
+                assert_eq!(
+                    stats.position_pruned + stats.bitmap_pruned + stats.intersections,
+                    stats.pairs_considered,
+                    "{measure:?} θ={theta} bitmap={bitmap}: {stats:?}"
+                );
+                assert_eq!(stats.emitted, got.pairs.len() as u64);
             }
         }
     }
@@ -606,6 +615,7 @@ fn length_window_equals_strl_pair_for_pair() {
         0,
         (1..=MAX_LEN).map(|len| Slot {
             len,
+            head: 0,
             sig: &[],
             tokens: &[],
         }),

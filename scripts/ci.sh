@@ -56,10 +56,11 @@ fi
 echo "== lint: one posting index on the reduce side (crates/core/src/cell_index.rs) =="
 # The fragment join's Index and Prefix kernels and PF discovery share the
 # length-ordered CellIndex (columns + CSR postings): StrL is a slot window
-# there and the record signature a compare inside the posting walk. A
-# token -> Vec-of-slots map next to it is a private arrival-order index
+# there, and the positional bound and the record signature are compares
+# inside the posting walk. A token -> Vec-of-slots map next to it, or a
+# token -> Vec-of-(slot, position) map, is a private arrival-order index
 # again: it tests per pair what the window never visits.
-if grep -nE 'FxHashMap<u32, *Vec<u32>>' \
+if grep -nE 'FxHashMap<u32, *Vec<(u32|\(u32, *u32\))>>' \
     crates/core/src/fragment.rs crates/core/src/pf.rs crates/core/src/cell_index.rs; then
     echo "index gate FAILED: hand-rolled posting map on the reduce side (use cell_index::CellIndex)" >&2
     exit 1
