@@ -14,7 +14,8 @@
 use crate::dedup::{add_dedup_stage, collect_pairs};
 use crate::{BaselineConfig, JoinRunResult};
 use ssj_mapreduce::{Dataset, Emitter, GroupValues, Mapper, Plan, PlanRunner, StreamingReducer};
-use ssj_similarity::ppjoin::ppjoin_self_join;
+use ssj_similarity::index::CellIndex;
+use ssj_similarity::ppjoin::ppjoin_self_join_stats;
 use ssj_similarity::Measure;
 use ssj_text::{Collection, Record};
 
@@ -40,11 +41,13 @@ impl Mapper for SignatureMapper {
 }
 
 /// Kernel reducer: PPJoin within each token group, copied into a scratch
-/// buffer reused across the task's groups.
+/// buffer and indexed into a [`CellIndex`], both reused across the task's
+/// groups.
 struct GroupPPJoinReducer {
     measure: Measure,
     theta: f64,
     group: Vec<Record>,
+    index: CellIndex,
 }
 
 impl StreamingReducer for GroupPPJoinReducer {
@@ -64,7 +67,8 @@ impl StreamingReducer for GroupPPJoinReducer {
         if self.group.len() < 2 {
             return;
         }
-        for pair in ppjoin_self_join(&self.group, self.measure, self.theta) {
+        let (measure, theta) = (self.measure, self.theta);
+        for pair in ppjoin_self_join_stats(&self.group, measure, theta, &mut self.index).0 {
             out.emit(pair.ids(), pair.sim);
         }
     }
@@ -98,6 +102,7 @@ pub fn ridpairs_ppjoin(
             measure,
             theta,
             group: Vec::new(),
+            index: CellIndex::default(),
         },
     );
     let unique = add_dedup_stage(&mut plan, raw, cfg.reduce_tasks, "ridpairs-dedup");

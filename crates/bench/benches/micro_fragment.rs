@@ -28,7 +28,6 @@
 //! Numbers are recorded in `results/columnar.md`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fsjoin::cell_index::{CellIndex, Slot};
 use fsjoin::filters::strl_pass;
 use fsjoin::fragment::{
     join_fragment, local_prefix_len, split_cell, CandidateRecord, FragmentJoin, JoinKernel,
@@ -38,6 +37,7 @@ use fsjoin::sweep::{Sweep, SweepStats};
 use fsjoin::vertical::split_record;
 use fsjoin::{FilterSet, FilterStats};
 use ssj_common::FxHashMap;
+use ssj_similarity::index::{CellIndex, Slot};
 use ssj_similarity::intersect::intersect_count_adaptive;
 use ssj_similarity::{Measure, Signature, Verifier};
 use ssj_text::{encode, Collection, CorpusProfile, TokenPool};
@@ -458,7 +458,7 @@ fn discover_windowed(
         index.rebuild(words, band.iter().map(as_slot));
         for (i, probe) in band.iter().enumerate() {
             let len = probe.len as usize;
-            index.probe(
+            stats.count_probe(index.probe(
                 &as_slot(probe),
                 index.window(m.min_partner_len(theta, len), i),
                 |partner| {
@@ -468,8 +468,7 @@ fn discover_windowed(
                         0,
                     )
                 },
-                &mut stats,
-            );
+            ));
             for &slot in index.hits() {
                 let other = &band[slot as usize];
                 survivors.push((probe.rid.min(other.rid), probe.rid.max(other.rid)));

@@ -195,13 +195,6 @@ fn bench_inmemory_joins(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("allpairs_bench_corpus", |bench| {
-        bench.iter_batched(
-            || collection.to_records(),
-            |records| ssj_similarity::allpairs::allpairs_self_join(&records, Measure::Jaccard, 0.8),
-            BatchSize::LargeInput,
-        )
-    });
     g.finish();
 }
 

@@ -5,7 +5,6 @@
 //! [`ssj_text::encode_mr`]); the driver consumes an already-encoded
 //! [`Collection`] whose frequency table *is* the global ordering.
 
-use crate::cell_index::CellIndex;
 use crate::config::FsJoinConfig;
 use crate::filters::FilterStats;
 use crate::fragment::{join_fragment, FragmentJoin, JoinKernel};
@@ -19,6 +18,7 @@ use ssj_mapreduce::{
     IdentityCombiner, IdentityMapper, Mapper, Plan, PlanRunner, StageHandle, StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
+use ssj_similarity::index::CellIndex;
 use ssj_similarity::{Measure, SimilarPair};
 use ssj_text::{Collection, PooledRecord, TokenPool};
 use std::sync::Arc;

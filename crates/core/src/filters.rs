@@ -92,7 +92,7 @@ pub enum EmitPolicy {
 /// segi_pruned + segd_pruned + policy_dropped + emitted`
 /// ([`Self::unaccounted`] is 0). The indexed kernels and PF discovery
 /// apply StrL as a length window on the posting lists
-/// ([`CellIndex`](crate::cell_index::CellIndex)): a pair outside the window
+/// ([`CellIndex`](ssj_similarity::index::CellIndex)): a pair outside the window
 /// is never considered, so `strl_pruned` stays 0 there and the skipped work
 /// shows as `window_skipped` — postings, outside the law.
 ///
@@ -211,6 +211,17 @@ impl FilterStats {
             + self.policy_dropped
             + self.emitted;
         self.pairs_considered as i64 - settled as i64
+    }
+
+    /// Add what one [`CellIndex::probe`](ssj_similarity::index::CellIndex::probe)
+    /// counted.
+    #[inline]
+    pub fn count_probe(&mut self, counts: ssj_similarity::index::ProbeCounts) {
+        self.window_skipped += counts.window_skipped;
+        self.pairs_considered += counts.pairs_considered;
+        self.position_pruned += counts.position_pruned;
+        self.bitmap_checks += counts.bitmap_checks;
+        self.bitmap_pruned += counts.bitmap_pruned;
     }
 
     /// Count one exact intersection over inputs of the given lengths.

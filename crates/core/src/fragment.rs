@@ -35,7 +35,6 @@
 //! and resolves token slices on the fly (a bounds-checked slice of the
 //! flat arena — contiguous, cache-friendly, and allocation-free).
 
-use crate::cell_index::{CellIndex, Slot};
 use crate::config::FsJoinConfig;
 use crate::filters::{
     segd_pass, segd_pass_precheck, segi_pass, segl_pass, strl_pass, EmitPolicy, FilterSet,
@@ -43,6 +42,7 @@ use crate::filters::{
 };
 use crate::horizontal::JoinRule;
 use crate::segment::Segment;
+use ssj_similarity::index::{CellIndex, Slot};
 use ssj_similarity::intersect::intersect_count_adaptive;
 use ssj_similarity::{Measure, Signature, Verifier};
 use ssj_text::TokenPool;
@@ -497,12 +497,11 @@ impl FragmentJoin<'_> {
                 0
             };
             let len = probe.len as usize;
-            index.probe(
+            stats.count_probe(index.probe(
                 &as_slot(probe),
                 index.window(min_len, end),
                 |partner_len| (self.hamming_limit(partner_len as usize, len, words), 0),
-                stats,
-            );
+            ));
             for &slot in index.hits() {
                 let other = &band[slot as usize];
                 let alpha = self

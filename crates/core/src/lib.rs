@@ -14,7 +14,8 @@
 //!    of the same vertical partition form a *fragment* that is shuffled —
 //!    without duplicating any token — to one reduce task, which joins the
 //!    fragment's segments with a pluggable kernel ([`fragment`]:
-//!    loop / index / prefix) under four pruning filters ([`filters`]:
+//!    loop / index / prefix, the last two on the one prefix index of
+//!    [`ssj_similarity::index`]) under four pruning filters ([`filters`]:
 //!    StrL / SegL / SegI / SegD) and, right after StrL, the pool's
 //!    per-record bitmap signatures, which drop pairs whose records cannot
 //!    reach θ in every fragment at once. The default kernel, sweep
@@ -48,7 +49,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cell_index;
 pub mod config;
 pub mod cost;
 pub mod driver;

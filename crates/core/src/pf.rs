@@ -58,7 +58,6 @@
 //! pair the bound drops cannot reach α. A pair sharing a token before the
 //! heads may be dropped here, but the repeat check would have skipped it.
 
-use crate::cell_index::{CellIndex, Slot};
 use crate::config::FsJoinConfig;
 use crate::driver::{pooled_records, FsJoinResult, PartitionMapper};
 use crate::filters::{shares_token, FilterStats};
@@ -72,6 +71,7 @@ use ssj_mapreduce::{
     StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
+use ssj_similarity::index::{CellIndex, Slot};
 use ssj_similarity::{Measure, SimilarPair, Verifier};
 use ssj_text::{Collection, TokenPool};
 use std::sync::Arc;
@@ -148,12 +148,9 @@ impl StreamingReducer for PrefixDiscoveryReducer {
             let min_len = measure.min_partner_len(theta, probe.len as usize);
             let window = self.index.window(min_len, end);
             let len = probe.len as usize;
-            self.index.probe(
-                &as_slot(probe),
-                window,
-                |partner_len| (None, measure.min_overlap(theta, partner_len as usize, len)),
-                stats,
-            );
+            stats.count_probe(self.index.probe(&as_slot(probe), window, |partner_len| {
+                (None, measure.min_overlap(theta, partner_len as usize, len))
+            }));
             for &slot in self.index.hits() {
                 let other = &band[slot as usize];
                 let (a, b) = if probe.rid < other.rid {

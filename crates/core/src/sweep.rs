@@ -11,7 +11,7 @@
 //! the record occupies — so a map task decides its record's
 //! partners by one sweep over the record's StrL window: a slot range,
 //! one Hamming limit per partner length and an XOR-popcount per partner,
-//! as in [`CellIndex::probe`](crate::cell_index::CellIndex::probe) but
+//! as in [`CellIndex::probe`](ssj_similarity::index::CellIndex::probe) but
 //! without a posting list.
 //!
 //! For each survivor the map task finds where the pair meets: the one

@@ -533,8 +533,8 @@ proptest! {
         filters in prop::sample::select(vec![FilterSet::NONE, FilterSet::STRL_ONLY]),
         fragments in prop::sample::select(vec![2usize, 5, 16]),
     ) {
-        use fsjoin::cell_index::CellIndex;
         use fsjoin::fragment::{join_fragment, FragmentJoin};
+        use ssj_similarity::index::CellIndex;
         use ssj_similarity::intersect::intersect_count_merge;
         use std::collections::BTreeMap;
 
@@ -589,10 +589,10 @@ proptest! {
 /// lower slot is where `strl_pass` starts to hold.
 #[test]
 fn length_window_equals_strl_pair_for_pair() {
-    use fsjoin::cell_index::{CellIndex, Slot};
     use fsjoin::filters::strl_pass;
     use fsjoin::fragment::{join_fragment, FragmentJoin};
     use fsjoin::horizontal::JoinRule;
+    use ssj_similarity::index::{CellIndex, Slot};
 
     const MAX_LEN: u32 = 2000;
     // Record `len - 1` has length `len`: rank 0 then filler ranks; the cell
@@ -778,9 +778,17 @@ fn window_edge_corpora(measure: Measure, theta: f64) -> Vec<(&'static str, Vec<V
 /// naive oracle, bit for bit, where they are most likely to be off by one:
 /// every kernel × signature step on/off × filter set for the self-join,
 /// and the R×S join's StrL window with the signature step on and off.
+/// PF (signature step on and off) and PPJoin probe the same index with
+/// PPJoin's positional bound: the "equal lengths" pairs share the tokens
+/// that rank last in both records, so the first meet of the pair at α
+/// bounds its overlap by exactly α, and a bound one too tight loses it.
 #[test]
 fn length_window_and_signature_table_are_exact_at_their_edges() {
+    use ssj_similarity::index::CellIndex;
+    use ssj_similarity::ppjoin::ppjoin_self_join_stats;
+
     let corpus = |docs| RawCorpus { docs, vocab: None };
+    let mut index = CellIndex::default();
     for (measure, theta) in [
         (Measure::Jaccard, 0.8),
         (Measure::Jaccard, 0.5),
@@ -836,11 +844,29 @@ fn length_window_and_signature_table_are_exact_at_their_edges() {
             }
             for prune in [true, false] {
                 let label = format!("{name} {measure:?} θ={theta} prune={prune}");
+                let cfg = FsJoinConfig::default()
+                    .with_measure(measure)
+                    .with_theta(theta)
+                    .with_kernel(JoinKernel::Prefix)
+                    .with_bitmap_prune(prune)
+                    .with_workers(1);
+                let got = fsjoin::run_self_join_pf(&whole, &cfg);
+                compare_results(&got.pairs, &want_self, 0.0)
+                    .unwrap_or_else(|e| panic!("pf {label}: {e}"));
+                let stats = got.filter_stats;
+                assert_eq!(
+                    stats.position_pruned + stats.bitmap_pruned + stats.intersections,
+                    stats.pairs_considered,
+                    "pf {label}: {stats:?}"
+                );
                 let got = fsjoin::run_rs_join_two_input(&r, &s, &rs_config(measure, theta, prune));
                 compare_results(&got.pairs, &want_rs, 0.0)
                     .unwrap_or_else(|e| panic!("rs {label}: {e}"));
                 assert_rs_conserved(&got, &label);
             }
+            let (got, _) = ppjoin_self_join_stats(&whole.views(), measure, theta, &mut index);
+            compare_results(&got, &want_self, 0.0)
+                .unwrap_or_else(|e| panic!("ppjoin {name} {measure:?} θ={theta}: {e}"));
         }
     }
 }

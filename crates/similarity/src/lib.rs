@@ -15,16 +15,18 @@
 //!   cascade (α → bitmap bound → early-exit intersection → score) every
 //!   verify site calls; its first half (α → bitmap bound) is also the
 //!   record-signature filter of FS-Join's fragment join;
-//! * [`index`] — a positional inverted index over record prefixes;
+//! * [`index`] — the one prefix index: a cell's records in length order,
+//!   CSR postings with a position column, and the probe that applies the
+//!   length window, PPJoin's positional bound and the record signature
+//!   (FS-Join's fragment kernels, FS-Join-PF and PPJoin all probe it);
 //! * [`naive`] — the brute-force oracle every other algorithm is tested
 //!   against;
-//! * [`allpairs`], [`ppjoin`] — the classic prefix-filter joins; PPJoin
-//!   (with the position filter) is also what RIDPairsPPJoin runs inside its
-//!   reducers (paper §II-C).
+//! * [`ppjoin`] — the classic prefix-filter join with the position filter,
+//!   on [`index`]; it is what RIDPairsPPJoin runs inside its reducers
+//!   (paper §II-C).
 
 #![forbid(unsafe_code)]
 
-pub mod allpairs;
 pub mod bitmap;
 pub mod index;
 pub mod intersect;
@@ -33,7 +35,6 @@ pub mod minhash;
 pub mod naive;
 pub mod pair;
 pub mod ppjoin;
-pub mod ppjoin_plus;
 pub mod verify;
 
 pub use measure::Measure;

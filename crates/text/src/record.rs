@@ -153,7 +153,7 @@ impl RecordView<'_> {
 
 /// Anything that exposes a record as `(id, sorted token slice)` — owned
 /// [`Record`]s and borrowed [`RecordView`]s alike. The in-memory joins
-/// (naive, AllPairs, PPJoin…) are generic over this, so pooled collections
+/// (naive, PPJoin…) are generic over this, so pooled collections
 /// join without materializing owned vectors while shuffled `Record` groups
 /// keep working unchanged.
 pub trait TokenSet {

@@ -53,16 +53,17 @@ if grep -rnE 'intersect_count_(adaptive|merge|chunked|gallop)' \
     exit 1
 fi
 
-echo "== lint: one posting index on the reduce side (crates/core/src/cell_index.rs) =="
-# The fragment join's Index and Prefix kernels and PF discovery share the
-# length-ordered CellIndex (columns + CSR postings): StrL is a slot window
+echo "== lint: one prefix index outside serve (crates/similarity/src/index.rs) =="
+# FS-Join's Index and Prefix kernels, PF discovery and PPJoin (so
+# RIDPairs' reducers) share the length-ordered CellIndex of
+# ssj_similarity::index (columns + CSR postings): StrL is a slot window
 # there, and the positional bound and the record signature are compares
-# inside the posting walk. A token -> Vec-of-slots map next to it, or a
-# token -> Vec-of-(slot, position) map, is a private arrival-order index
-# again: it tests per pair what the window never visits.
-if grep -nE 'FxHashMap<u32, *Vec<(u32|\(u32, *u32\))>>' \
-    crates/core/src/fragment.rs crates/core/src/pf.rs crates/core/src/cell_index.rs; then
-    echo "index gate FAILED: hand-rolled posting map on the reduce side (use cell_index::CellIndex)" >&2
+# inside the posting walk. A token -> Vec-of-postings map next to it is a
+# private arrival-order index again: it tests per pair what the window
+# never visits. Serve's PostingBlock is the one other posting type.
+if grep -rnE 'FxHashMap<u32, *Vec<' \
+    crates/core/src crates/similarity/src crates/baselines/src; then
+    echo "index gate FAILED: hand-rolled posting map (use ssj_similarity::index::CellIndex)" >&2
     exit 1
 fi
 
