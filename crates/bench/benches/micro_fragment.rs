@@ -20,10 +20,10 @@
 //! pair; kept here as the baseline) against the length-windowed columnar
 //! [`CellIndex`] probe, asserting that both let the same pairs through.
 //!
-//! The `sweep` group times the Sweep kernel's map-side step over the
-//! 7k-record WikiLike corpus: every record's StrL window, swept through
-//! the signature (`fsjoin::sweep::Sweep::sweep`). It prints ns
-//! per swept `(record, partner)` visit and the visits swept.
+//! The `sweep` group times the Sweep kernel's pass over the 7k-record
+//! WikiLike corpus (`fsjoin::sweep::Sweep::new`: one probe-then-insert
+//! pass over the prefix index). It prints ns per met pair and the pass's
+//! counters.
 //!
 //! Numbers are recorded in `results/columnar.md`.
 
@@ -33,7 +33,7 @@ use fsjoin::fragment::{
     join_fragment, local_prefix_len, split_cell, CandidateRecord, FragmentJoin, JoinKernel,
 };
 use fsjoin::horizontal::JoinRule;
-use fsjoin::sweep::{Sweep, SweepStats};
+use fsjoin::sweep::Sweep;
 use fsjoin::vertical::split_record;
 use fsjoin::{FilterSet, FilterStats};
 use ssj_common::FxHashMap;
@@ -597,23 +597,12 @@ fn bench_fragment_signature(c: &mut Criterion) {
     g.finish();
 }
 
-// ---- Map-side signature sweep ----------------------------------------------
+// ---- The Sweep kernel's pass --------------------------------------------
 
-/// Sweep every record of `sweep`'s corpus, as the Sweep kernel's map tasks
-/// do between them; returns the surviving `(record, partner)` visits.
-fn sweep_all(sweep: &Sweep, records: u32, stats: &mut SweepStats) -> usize {
-    let mut survivors = Vec::new();
-    for rid in 0..records {
-        if let Some(row) = sweep.position(rid) {
-            sweep.sweep(row, &mut survivors, stats);
-        }
-    }
-    survivors.len()
-}
-
-/// The Sweep kernel's record-level step alone on the 7k-record WikiLike
-/// corpus at the default configuration: ns per swept `(record, partner)`
-/// visit and visits swept (each unordered pair twice).
+/// The Sweep kernel's pass alone on the 7k-record WikiLike corpus at the
+/// default configuration: laying out the columns, indexing the prefixes,
+/// probing every record and building the partner lists. Prints ns per
+/// met pair and the pass's counters.
 fn bench_sweep(c: &mut Criterion) {
     let collection = encode(
         &CorpusProfile::WikiLike
@@ -630,29 +619,26 @@ fn bench_sweep(c: &mut Criterion) {
     );
     let h_pivots =
         fsjoin::horizontal::select_h_pivots(collection.pool().lengths(), cfg.horizontal_pivots);
-    let sweep = Sweep::new(collection.pool(), &pivots, &h_pivots, &cfg);
-    let records = collection.len() as u32;
-    let mut stats = SweepStats::default();
-    let survivors = sweep_all(&sweep, records, &mut stats);
-    assert_eq!(stats.unaccounted(), 0);
-    assert_eq!(survivors as u64, stats.survivors);
+    let pass = || Sweep::new(collection.pool(), &pivots, &h_pivots, &cfg);
+    let stats = pass().stats();
+    assert_eq!(stats.undecided(), 0);
     let ns = best_of_five(|| {
-        black_box(sweep_all(&sweep, records, &mut SweepStats::default()));
+        black_box(pass());
     });
     println!(
-        "sweep-report: records={records} pairs_swept={} bitmap_pruned={} survivors={} \
-         ns_per_pair={:.2} total_ms={:.2}",
-        stats.swept,
+        "sweep-report: records={} considered={} position_pruned={} bitmap_pruned={} \
+         survivors={} ns_per_pair={:.2} total_ms={:.2}",
+        collection.len(),
+        stats.considered,
+        stats.position_pruned,
         stats.bitmap_pruned,
         stats.survivors,
-        ns / stats.swept as f64,
+        ns / stats.considered.max(1) as f64,
         ns / 1e6,
     );
     let mut g = c.benchmark_group("sweep");
     g.sample_size(10);
-    g.bench_function("wiki_7k", |bench| {
-        bench.iter(|| sweep_all(&sweep, records, &mut SweepStats::default()))
-    });
+    g.bench_function("wiki_7k", |bench| bench.iter(pass));
     g.finish();
 }
 

@@ -316,7 +316,7 @@ fn parse_metrics(doc: &str) -> Vec<(String, Metric)> {
 /// the runs that recorded into it: what the discovery step looked at
 /// (`pairs_considered`), what the length window let it skip
 /// (`window_skipped`, in postings), where the pairs ended, and what the
-/// Sweep kernel swept, listed and shipped map-side.
+/// Sweep kernel's pass decided and its map tasks listed and shipped.
 fn print_filter_counters(metrics: &[(String, Metric)]) {
     let filter = fsjoin::FilterStats::default().fields();
     let sweep = fsjoin::SweepStats::default().fields();

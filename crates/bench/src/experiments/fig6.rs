@@ -14,7 +14,9 @@
 
 use crate::datasets::{corpus, tuned_fsjoin, Scale};
 use crate::report::secs_cell;
-use crate::runners::{run_algorithm, run_algorithm_cfg, Algorithm};
+use crate::runners::{
+    median_secs, run_algorithm, run_algorithm_cfg, timed_runs, Algorithm, RunOutcome,
+};
 use ssj_common::table::{fmt_bytes, Table};
 use ssj_mapreduce::ClusterModel;
 use ssj_similarity::Measure;
@@ -30,7 +32,8 @@ pub fn run() -> String {
          10-node simulation, Jaccard; \"pure\" = 1 Gbit/s + zero platform \
          overhead, \"hadoop\" = Hadoop-0.20 calibration (25 MB/s effective \
          shuffle, 8 µs/record). FS-Join uses the paper's partitioning \
-         (30 fragments; 10/70/50 horizontal partitions per dataset).\n\n",
+         (30 fragments; 10/70/50 horizontal partitions per dataset). Each \
+         time is the median of 3 runs.\n\n",
     );
     for profile in CorpusProfile::all() {
         let c = corpus(profile, Scale::Large);
@@ -44,22 +47,27 @@ pub fn run() -> String {
             "shuffle FS / RID",
         ]);
         for theta in THETAS {
-            let fs = run_algorithm_cfg(Algorithm::FsJoin, &c, Measure::Jaccard, theta, 10, &tuned);
-            let rid = run_algorithm(Algorithm::RidPairs, &c, Measure::Jaccard, theta, 10);
+            let fs = timed_runs(|| {
+                run_algorithm_cfg(Algorithm::FsJoin, &c, Measure::Jaccard, theta, 10, &tuned)
+            });
+            let rid =
+                timed_runs(|| run_algorithm(Algorithm::RidPairs, &c, Measure::Jaccard, theta, 10));
             assert_eq!(
-                fs.result_pairs, rid.result_pairs,
+                fs[0].result_pairs, rid[0].result_pairs,
                 "algorithms must agree ({profile:?} θ={theta})"
             );
+            let pure = |o: &RunOutcome| o.sim_secs;
+            let calibrated = |o: &RunOutcome| o.sim_secs_on(&hadoop);
             t.push_row([
                 format!("{theta}"),
-                secs_cell(fs.sim_secs),
-                secs_cell(rid.sim_secs),
-                secs_cell(fs.sim_secs_on(&hadoop)),
-                secs_cell(rid.sim_secs_on(&hadoop)),
+                secs_cell(median_secs(&fs, pure)),
+                secs_cell(median_secs(&rid, pure)),
+                secs_cell(median_secs(&fs, calibrated)),
+                secs_cell(median_secs(&rid, calibrated)),
                 format!(
                     "{} / {}",
-                    fmt_bytes(fs.shuffle_bytes),
-                    fmt_bytes(rid.shuffle_bytes)
+                    fmt_bytes(fs[0].shuffle_bytes),
+                    fmt_bytes(rid[0].shuffle_bytes)
                 ),
             ]);
         }

@@ -8,7 +8,9 @@
 
 use crate::datasets::{corpus, tuned_fsjoin, Scale};
 use crate::report::secs_cell;
-use crate::runners::{run_algorithm, run_algorithm_cfg, Algorithm, RunStatus};
+use crate::runners::{
+    median_secs, run_algorithm, run_algorithm_cfg, timed_runs, Algorithm, RunStatus,
+};
 use ssj_common::table::Table;
 use ssj_similarity::Measure;
 use ssj_text::CorpusProfile;
@@ -19,8 +21,9 @@ const THETAS: [f64; 4] = [0.75, 0.8, 0.85, 0.9];
 pub fn run() -> String {
     let mut out = String::from(
         "# Figure 7 analogue — small datasets, all five algorithms\n\n\
-         Simulated 10-node cluster seconds, Jaccard. DNF = exceeded the \
-         intermediate-byte budget (the paper's \"cannot run completely\").\n\n",
+         Simulated 10-node cluster seconds, Jaccard, each the median of 3 \
+         runs. DNF = exceeded the intermediate-byte budget (the paper's \
+         \"cannot run completely\").\n\n",
     );
     for profile in CorpusProfile::all() {
         let c = corpus(profile, Scale::Small);
@@ -32,22 +35,24 @@ pub fn run() -> String {
             let mut cells = vec![format!("{theta}")];
             let mut ok_counts: Vec<usize> = Vec::new();
             for algo in Algorithm::all_five() {
-                let o = if algo == Algorithm::FsJoin {
-                    run_algorithm_cfg(
-                        algo,
-                        &c,
-                        Measure::Jaccard,
-                        theta,
-                        10,
-                        &tuned_fsjoin(profile),
-                    )
-                } else {
-                    run_algorithm(algo, &c, Measure::Jaccard, theta, 10)
-                };
-                if let RunStatus::Ok = o.status {
-                    ok_counts.push(o.result_pairs);
+                let runs = timed_runs(|| {
+                    if algo == Algorithm::FsJoin {
+                        run_algorithm_cfg(
+                            algo,
+                            &c,
+                            Measure::Jaccard,
+                            theta,
+                            10,
+                            &tuned_fsjoin(profile),
+                        )
+                    } else {
+                        run_algorithm(algo, &c, Measure::Jaccard, theta, 10)
+                    }
+                });
+                if let RunStatus::Ok = runs[0].status {
+                    ok_counts.push(runs[0].result_pairs);
                 }
-                cells.push(secs_cell(o.sim_secs));
+                cells.push(secs_cell(median_secs(&runs, |o| o.sim_secs)));
             }
             assert!(
                 ok_counts.windows(2).all(|w| w[0] == w[1]),

@@ -75,7 +75,7 @@ pub struct RunOutcome {
     pub result_pairs: usize,
     /// Real single-machine wall-clock seconds.
     pub real_secs: f64,
-    /// Simulated makespan on the given cluster.
+    /// Simulated makespan on the given cluster, driver time included.
     pub sim_secs: f64,
     /// Total shuffled bytes across the pipeline.
     pub shuffle_bytes: usize,
@@ -89,8 +89,30 @@ pub struct RunOutcome {
     /// Partner ids the first job shipped beside its records, 4 bytes each
     /// (FS-Join's Sweep kernel lists each segment's partners; 0 elsewhere).
     pub listed_partners: u64,
+    /// Seconds spent on the driver outside every job (FS-Join's Sweep
+    /// pass; 0 elsewhere), counted as serial time in `sim_secs` and
+    /// [`Self::sim_secs_on`].
+    pub driver_secs: f64,
     /// Full per-job metrics when the run completed.
     pub chain: Option<ChainMetrics>,
+}
+
+/// Runs behind one timed cell of a figure: it reports their median.
+pub const TIMED_RUNS: usize = 3;
+
+/// [`TIMED_RUNS`] runs of one timed cell.
+pub fn timed_runs(mut run: impl FnMut() -> RunOutcome) -> Vec<RunOutcome> {
+    (0..TIMED_RUNS).map(|_| run()).collect()
+}
+
+/// Median of `secs` over `runs`; NaN (a DNF cell) when any run gives NaN.
+pub fn median_secs(runs: &[RunOutcome], secs: impl Fn(&RunOutcome) -> f64) -> f64 {
+    let mut all: Vec<f64> = runs.iter().map(secs).collect();
+    if all.is_empty() || all.iter().any(|s| s.is_nan()) {
+        return f64::NAN;
+    }
+    all.sort_unstable_by(f64::total_cmp);
+    all[all.len() / 2]
 }
 
 /// Makespan of `chain` run job after job on `cluster`.
@@ -104,7 +126,7 @@ impl RunOutcome {
     pub fn sim_secs_on(&self, cluster: &ClusterModel) -> f64 {
         self.chain
             .as_ref()
-            .map_or(f64::NAN, |ch| chain_secs(cluster, ch))
+            .map_or(f64::NAN, |ch| self.driver_secs + chain_secs(cluster, ch))
     }
 
     fn dnf(algorithm: &'static str, reason: String) -> Self {
@@ -118,6 +140,7 @@ impl RunOutcome {
             duplication: f64::NAN,
             reduce_skew: f64::NAN,
             listed_partners: 0,
+            driver_secs: 0.0,
             chain: None,
         }
     }
@@ -174,6 +197,7 @@ impl RunOutcome {
             duplication: first.byte_expansion(),
             reduce_skew: first.reduce_input_balance().skew,
             listed_partners: 0,
+            driver_secs: 0.0,
             chain: Some(chain),
         }
     }
@@ -225,16 +249,21 @@ pub fn run_algorithm_cfg(
                 cfg = cfg.with_horizontal(0);
             }
             let res = fsjoin::run_self_join(collection, &cfg);
+            let out = RunOutcome::from_chain_with_deps(
+                algo.name(),
+                res.pairs.len(),
+                start.elapsed().as_secs_f64(),
+                res.chain,
+                &cluster,
+                Some(("fsjoin", &res.deps)),
+            );
+            // The Sweep pass runs on the driver before any job: serial
+            // time ahead of the simulated plan.
             RunOutcome {
                 listed_partners: res.sweep_stats.listed,
-                ..RunOutcome::from_chain_with_deps(
-                    algo.name(),
-                    res.pairs.len(),
-                    start.elapsed().as_secs_f64(),
-                    res.chain,
-                    &cluster,
-                    Some(("fsjoin", &res.deps)),
-                )
+                driver_secs: res.driver_secs,
+                sim_secs: out.sim_secs + res.driver_secs,
+                ..out
             }
         }
         Algorithm::RidPairs => {

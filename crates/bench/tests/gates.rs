@@ -62,12 +62,10 @@ fn selfjoin(kernel: JoinKernel, workers: usize, mode: PlanMode, prune: bool) -> 
 }
 
 /// The two-input R×S plan on the asymmetric bench-scale WikiLike pair. It
-/// runs no fragment kernel; a walk kernel is pinned only because `prune`
-/// may turn the signature step off, which Sweep rejects.
+/// runs no fragment kernel.
 fn rsjoin(workers: usize, mode: PlanMode, prune: bool) -> Report {
     let (r, s) = rs_corpus(CorpusProfile::WikiLike, Scale::Bench);
     let cfg = FsJoinConfig::default()
-        .with_kernel(JoinKernel::Prefix)
         .with_theta(0.8)
         .with_measure(Measure::Jaccard)
         .with_tasks(8, 12)
@@ -85,13 +83,14 @@ fn assert_conserved(fs: &FilterStats) {
     assert!(fs.bitmap_pruned <= fs.bitmap_checks, "{fs:?}");
 }
 
-/// The Sweep kernel's laws (`fsjoin::keys`): every swept visit ends in one
-/// step, every listed meeting in the collision test or the segment steps,
-/// and shipped plus cut segments are what a walk kernel ships.
+/// The Sweep kernel's laws (`fsjoin::keys`): every pair its pass meets
+/// ends in one step, every listed meeting in the collision test or the
+/// segment steps, and shipped plus cut segments are what a walk kernel
+/// ships.
 fn assert_sweep_conserved(report: &Report, walk_segments: usize) {
     let sweep = &report.sweep;
     assert!(sweep.survivors > 0, "{sweep:?}");
-    assert_eq!(sweep.unaccounted(), 0, "{sweep:?}");
+    assert_eq!(sweep.undecided(), 0, "{sweep:?}");
     assert_eq!(sweep.unlisted(&report.filters), 0, "{sweep:?}");
     assert_eq!(
         sweep.segments_shipped + sweep.segments_cut,
@@ -152,50 +151,54 @@ fn selfjoin_is_frozen_across_workers_and_plan_modes() {
     }
 }
 
-/// The same self-join under the Sweep kernel: Prefix's pairs, candidates
-/// and verify job, from a filter shuffle that carries only the segments
-/// where a surviving pair meets. Frozen, and worker- and mode-invariant.
+/// The same self-join under the Sweep kernel: Prefix's pairs and digest
+/// (every pair at or above θ is listed wherever it meets), from fewer
+/// candidates (Sweep's are a subset of Prefix's: the pass also drops pairs
+/// below θ by the prefix and positional bounds) and a filter shuffle that
+/// carries only the segments where a surviving pair meets. Frozen, and
+/// worker- and mode-invariant.
 #[test]
 fn selfjoin_sweep_is_frozen_across_workers_and_plan_modes() {
     let base = selfjoin(JoinKernel::Sweep, 2, PlanMode::Pipelined, true);
+    let prefix = selfjoin(JoinKernel::Prefix, 2, PlanMode::Pipelined, true);
+    assert_eq!((base.pairs, base.digest), (prefix.pairs, prefix.digest));
+    assert!(base.candidates <= prefix.candidates);
     assert_eq!(
         (base.pairs, base.digest, base.candidates),
-        (16, 0x2db8_2992_da95_ce00, 415)
+        (16, 0x2db8_2992_da95_ce00, 352)
     );
-    // Prefix's counters past the signature step: its 87,737 considered
-    // pairs less the 87,299 the signature pruned, then the same segment
-    // steps. The sweep read the bitmaps instead, once per (record,
-    // partner).
+    // The segment steps on the pairs the pass let through, in every cell
+    // where their local prefixes collide. The pass read the bitmaps
+    // instead of the reducers, once per pair.
     assert_eq!(
         base.filters,
         FilterStats {
-            pairs_considered: 438,
-            segl_pruned: 12,
-            segi_pruned: 11,
-            emitted: 415,
-            intersections: 426,
-            intersect_tokens: 3_180,
+            pairs_considered: 352,
+            emitted: 352,
+            intersections: 352,
+            intersect_tokens: 2_453,
             ..FilterStats::default()
         }
     );
     assert_eq!(
         base.sweep,
         SweepStats {
-            swept: 30_582,
-            bitmap_pruned: 30_536,
-            survivors: 46,
-            listed: 526,
-            prefix_missed: 88,
-            segments_shipped: 938,
-            segments_cut: 36_678,
+            considered: 26,
+            position_pruned: 1,
+            bitmap_pruned: 8,
+            survivors: 17,
+            listed: 352,
+            prefix_missed: 0,
+            segments_shipped: 704,
+            segments_cut: 36_912,
         }
     );
     assert_sweep_conserved(&base, 37_616);
     assert_eq!(
         base.shuffle(),
         [
-            ("fsjoin-filter", 938, 43_752),
-            ("fsjoin-verify", 250, 5_000)
+            ("fsjoin-filter", 704, 30_932),
+            ("fsjoin-verify", 194, 3_880)
         ]
     );
     for (workers, mode) in [
@@ -294,12 +297,19 @@ fn bitmap_prune_is_lossless() {
         on.candidates,
         off.candidates
     );
-    // Sweep is the signature step run once per pair: the step-on
-    // candidates and verify job, the step-off pairs.
-    let sweep = selfjoin(JoinKernel::Sweep, 2, PlanMode::Pipelined, true);
-    assert_eq!((sweep.pairs, sweep.digest), (off.pairs, off.digest));
-    assert_eq!(sweep.candidates, on.candidates);
-    assert_eq!(sweep.jobs[1], on.jobs[1]);
+    // Sweep's pass reads the signature once per pair, and with the step
+    // on or off gives the same pairs from a subset of Prefix's candidates
+    // (step on: of the step-on walk's).
+    let sweep_on = selfjoin(JoinKernel::Sweep, 2, PlanMode::Pipelined, true);
+    let sweep_off = selfjoin(JoinKernel::Sweep, 2, PlanMode::Pipelined, false);
+    for sweep in [&sweep_on, &sweep_off] {
+        assert_eq!((sweep.pairs, sweep.digest), (off.pairs, off.digest));
+    }
+    assert!(sweep_on.candidates <= on.candidates);
+    assert!(sweep_off.candidates <= off.candidates);
+    assert!(sweep_on.candidates <= sweep_off.candidates);
+    assert!(sweep_on.sweep.bitmap_pruned > 0);
+    assert_eq!(sweep_off.sweep.bitmap_pruned, 0);
 
     let on = rsjoin(2, PlanMode::Pipelined, true);
     let mut off = rsjoin(2, PlanMode::Pipelined, false);
@@ -362,7 +372,8 @@ fn fsjoin_wiki_counters_are_frozen() {
 }
 
 /// Default-config FS-Join — the Sweep kernel — on the same corpus: Prefix's
-/// pairs and candidates, frozen sweep counters, worker- and mode-invariant.
+/// pairs and digest from a subset of its candidates, frozen sweep
+/// counters, worker- and mode-invariant.
 #[test]
 fn fsjoin_wiki_sweep_counters_are_frozen() {
     let c = corpus(CorpusProfile::WikiLike, Scale::Small);
@@ -374,39 +385,47 @@ fn fsjoin_wiki_sweep_counters_are_frozen() {
         Report::of(&fsjoin::run_self_join(&c, &cfg))
     };
     let base = run(2, PlanMode::Pipelined);
-    assert_eq!((base.pairs, base.candidates), (72, 1_557));
-    // 538,805 − 537,037 = 1,768: Prefix's pairs past the signature step.
+    let prefix = Report::of(&fsjoin::run_self_join(
+        &c,
+        &FsJoinConfig::default()
+            .with_theta(0.8)
+            .with_kernel(JoinKernel::Prefix),
+    ));
+    assert_eq!((base.pairs, base.digest), (prefix.pairs, prefix.digest));
+    assert!(base.candidates <= prefix.candidates);
+    assert_eq!((base.pairs, base.candidates), (72, 1_082));
     assert_eq!(
         base.filters,
         FilterStats {
-            pairs_considered: 1_768,
-            segl_pruned: 24,
-            segi_pruned: 187,
-            emitted: 1_557,
-            intersections: 1_744,
-            intersect_tokens: 25_364,
+            pairs_considered: 1_086,
+            segl_pruned: 2,
+            segi_pruned: 2,
+            emitted: 1_082,
+            intersections: 1_084,
+            intersect_tokens: 9_761,
             ..FilterStats::default()
         }
     );
     assert_eq!(
         base.sweep,
         SweepStats {
-            swept: 269_768,
-            bitmap_pruned: 269_448,
-            survivors: 320,
-            listed: 2_226,
-            prefix_missed: 458,
-            segments_shipped: 2_403,
-            segments_cut: 27_858,
+            considered: 130,
+            position_pruned: 22,
+            bitmap_pruned: 20,
+            survivors: 88,
+            listed: 1_099,
+            prefix_missed: 13,
+            segments_shipped: 2_004,
+            segments_cut: 28_257,
         }
     );
     assert_sweep_conserved(&base, 30_261);
-    // Prefix ships 1,220,608 filter bytes and the same verify job.
+    // Prefix ships 1,220,608 filter bytes and 28,520 verify bytes.
     assert_eq!(
         base.shuffle(),
         [
-            ("fsjoin-filter", 2_403, 131_200),
-            ("fsjoin-verify", 1_426, 28_520)
+            ("fsjoin-filter", 2_004, 95_640),
+            ("fsjoin-verify", 953, 19_060)
         ]
     );
     for (workers, mode) in [

@@ -58,8 +58,8 @@ pub struct FsJoinConfig {
     /// pair's overlap (default true; DESIGN.md §12), at all three sites
     /// that can ask whether two *records* can reach θ: the fragment join
     /// of [`crate::run_self_join`] (the record-signature step after StrL,
-    /// which drops a dissimilar pair in every fragment at once — map-side
-    /// under [`JoinKernel::Sweep`], which requires it), FS-Join-PF's cached
+    /// which drops a dissimilar pair in every fragment at once — in the
+    /// driver's pass under [`JoinKernel::Sweep`]), FS-Join-PF's cached
     /// verification and the R×S join stage of
     /// [`crate::run_rs_join_two_input`]. Lossless: pairs and scores are identical
     /// with it off. At the two verify sites nothing else moves either; at
@@ -75,12 +75,12 @@ pub struct FsJoinConfig {
 impl Default for FsJoinConfig {
     /// Jaccard at θ = 0.8, 16 Even-TF fragments, 4 horizontal pivots, all
     /// filters, exact emission, the record-signature step on, and the
-    /// [`JoinKernel::Sweep`] kernel: the filter stage's map tasks decide
-    /// each record pair once and ship segments only where a surviving
-    /// pair meets. The paper's kernels (Loop / Index / Prefix) give the
-    /// same pairs and, for Prefix, the same candidates; Sweep needs the
-    /// signature step, so a configuration that turns
-    /// [`Self::bitmap_prune`] off must pick one of them.
+    /// [`JoinKernel::Sweep`] kernel: one pass over the prefix index on the
+    /// driver decides each record pair once, and the filter stage's map
+    /// tasks ship segments only where a surviving pair meets. The paper's
+    /// kernels (Loop / Index / Prefix) give the same pairs; Sweep's
+    /// candidates are a subset of Prefix's, equal on every pair at or
+    /// above θ.
     fn default() -> Self {
         FsJoinConfig {
             measure: Measure::Jaccard,
@@ -169,10 +169,10 @@ impl FsJoinConfig {
         self
     }
 
-    /// Enable or disable the bitmap prune (fragment join, PF and
-    /// two-input R×S). Off is only useful for equivalence gates, A/B
-    /// measurements and reproducing the paper's segment-filter-only
-    /// volumes — results are identical either way.
+    /// Enable or disable the bitmap prune (fragment join under every
+    /// kernel, PF and two-input R×S). Off is only useful for equivalence
+    /// gates, A/B measurements and reproducing the paper's
+    /// segment-filter-only volumes — results are identical either way.
     pub fn with_bitmap_prune(mut self, on: bool) -> Self {
         self.bitmap_prune = on;
         self
@@ -187,9 +187,8 @@ impl FsJoinConfig {
     /// Validate the configuration.
     ///
     /// # Panics
-    /// Panics with a description of the invalid field, and on
-    /// [`JoinKernel::Sweep`] with [`Self::bitmap_prune`] off: the sweep is
-    /// the signature step.
+    /// Panics with a description of the invalid field: θ outside (0, 1],
+    /// no fragment, no map or reduce task, or no worker.
     pub fn validate(&self) {
         assert!(
             self.theta > 0.0 && self.theta <= 1.0,
@@ -199,10 +198,6 @@ impl FsJoinConfig {
         assert!(self.num_fragments >= 1, "need at least one fragment");
         assert!(self.map_tasks >= 1 && self.reduce_tasks >= 1, "need tasks");
         assert!(self.workers >= 1, "need at least one worker");
-        assert!(
-            self.bitmap_prune || self.kernel != JoinKernel::Sweep,
-            "the Sweep kernel is the signature step: it needs bitmap_prune(true)"
-        );
     }
 }
 
@@ -238,13 +233,31 @@ mod tests {
         FsJoinConfig::default().with_theta(1.5).validate();
     }
 
+    /// Sweep's pass reads signatures only when the step is on: without
+    /// them it decides by the prefix and positional bounds alone.
     #[test]
-    #[should_panic(expected = "Sweep kernel is the signature step")]
-    fn sweep_without_signatures_rejected() {
-        FsJoinConfig::default()
+    fn sweep_without_signatures_matches_the_oracle() {
+        use ssj_similarity::naive::naive_self_join;
+        use ssj_similarity::pair::compare_results;
+        use ssj_text::{encode, CorpusProfile};
+
+        let c = encode(
+            &CorpusProfile::WikiLike
+                .config()
+                .with_records(300)
+                .generate(),
+        );
+        let want = naive_self_join(&c.views(), Measure::Jaccard, 0.8);
+        assert!(!want.is_empty());
+        let cfg = FsJoinConfig::default()
             .with_kernel(JoinKernel::Sweep)
-            .with_bitmap_prune(false)
-            .validate();
+            .with_bitmap_prune(false);
+        let got = crate::run_self_join(&c, &cfg);
+        compare_results(&got.pairs, &want, 0.0).unwrap();
+        let sweep = got.sweep_stats;
+        assert_eq!(sweep.bitmap_pruned, 0, "{sweep:?}");
+        assert!(sweep.survivors >= want.len() as u64, "{sweep:?}");
+        assert_eq!(sweep.undecided(), 0, "{sweep:?}");
     }
 
     #[test]

@@ -22,6 +22,7 @@ use ssj_similarity::index::CellIndex;
 use ssj_similarity::{Measure, SimilarPair};
 use ssj_text::{Collection, PooledRecord, TokenPool};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything an FS-Join run produces.
 #[derive(Debug, Clone)]
@@ -32,9 +33,13 @@ pub struct FsJoinResult {
     pub chain: ChainMetrics,
     /// Aggregated pruning counters from the fragment joins.
     pub filter_stats: FilterStats,
-    /// The Sweep kernel's map-side counters (all 0 under the other
-    /// kernels and the other joins).
+    /// The Sweep kernel's counters: its pass and its routing (all 0 under
+    /// the other kernels and the other joins).
     pub sweep_stats: SweepStats,
+    /// Seconds the driver spent deciding pairs before the plan ran: the
+    /// Sweep kernel's pass (0 under the other kernels and the other
+    /// joins). No task runs it, so [`Self::chain`] does not hold it.
+    pub driver_secs: f64,
     /// Candidate records emitted by the filtering job (the paper's
     /// Table IV quantity). FS-Join-PF reports the pairs its probe
     /// *discovers*, before the positional bound, the bitmap and
@@ -257,6 +262,8 @@ struct FilterPlan {
     pivots: Arc<Vec<u32>>,
     h_pivots: Arc<Vec<u32>>,
     num_cells: usize,
+    /// Seconds spent in the Sweep kernel's pass.
+    driver_secs: f64,
 }
 
 /// Select the pivots and plan the filtering job over `pool`'s records. The
@@ -289,10 +296,16 @@ fn filter_plan(
     // resolution, no intermediate Vec.
     let h_pivots = Arc::new(select_h_pivots(pool.lengths(), cfg.horizontal_pivots));
     let num_cells = num_h_partitions(&h_pivots) * num_fragments;
-    // The Sweep kernel's columns, next to the pivots: built once from the
-    // pool, shared read-only by every map task.
-    let sweep = (cfg.kernel == JoinKernel::Sweep)
-        .then(|| Arc::new(Sweep::new(pool, &pivots, &h_pivots, cfg)));
+    // The Sweep kernel's columns and partner lists, next to the pivots:
+    // decided once from the pool, shared read-only by every map task.
+    let mut driver_secs = 0.0;
+    let sweep = (cfg.kernel == JoinKernel::Sweep).then(|| {
+        let start = Instant::now();
+        let sweep = Sweep::new(pool, &pivots, &h_pivots, cfg);
+        driver_secs = start.elapsed().as_secs_f64();
+        sweep.stats().record_to(registry);
+        Arc::new(sweep)
+    });
     drop(
         ordering_span
             .field("fragments", num_fragments)
@@ -376,6 +389,7 @@ fn filter_plan(
         pivots,
         h_pivots,
         num_cells,
+        driver_secs,
     }
 }
 
@@ -405,6 +419,7 @@ pub fn run_self_join(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResul
         pivots,
         h_pivots,
         num_cells,
+        driver_secs,
     } = filter_plan(&pool, &collection.token_freqs, cfg, &run_registry);
     let filter_span = span("fsjoin.stage", "filter-job").field("cells", num_cells);
     let verify_span = span("fsjoin.stage", "verify-job");
@@ -453,6 +468,7 @@ pub fn run_self_join(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResul
         chain,
         filter_stats,
         sweep_stats,
+        driver_secs,
         candidates,
         pivots: Arc::try_unwrap(pivots).unwrap_or_else(|a| (*a).clone()),
         h_pivots: Arc::try_unwrap(h_pivots).unwrap_or_else(|a| (*a).clone()),
@@ -714,13 +730,17 @@ mod tests {
 
     /// Sweep against the Prefix walk on the 400-record WikiLike bench
     /// corpus, at 16 and 30 fragments with 0 and 4 h-pivots: every pair
-    /// the walk admits past the signature is a sweep
-    /// survivor, and the two emit the same candidate multiset. One
-    /// fragment (whole records) adds cells where the local prefix is
-    /// shorter than the segment, so the collision test decides.
+    /// at or above θ is a survivor of the pass, Sweep's candidates are a
+    /// sub-multiset of Prefix's, and the two emit the same candidates for
+    /// every such pair, so pairs and scores are equal. Only pairs below θ
+    /// may lose candidates: the pass's prefix and positional bounds drop
+    /// some that a local prefix collision lets through. One fragment
+    /// (whole records) adds cells where the local prefix is shorter than
+    /// the segment, so the collision test decides.
     #[test]
     fn sweep_emits_the_prefix_walks_candidates() {
-        use crate::sweep::{Sweep, SweepStats};
+        use crate::sweep::Sweep;
+        use ssj_similarity::pair_digest;
         use ssj_text::CorpusProfile;
         use std::collections::BTreeSet;
 
@@ -730,6 +750,15 @@ mod tests {
                 .with_records(400)
                 .generate(),
         );
+        let similar: BTreeSet<(u32, u32)> = naive_self_join(&c.views(), Measure::Jaccard, 0.8)
+            .iter()
+            .map(SimilarPair::ids)
+            .collect();
+        assert!(!similar.is_empty());
+        // The pass's survivors depend on the records alone.
+        let survivors = Sweep::new(c.pool(), &[], &[], &FsJoinConfig::default()).pairs();
+        assert!(similar.is_subset(&survivors));
+        let mut dropped = 0;
         for fragments in [1, 16, 30] {
             for h in [0, 4] {
                 let label = format!("fragments={fragments} h={h}");
@@ -737,44 +766,36 @@ mod tests {
                     .with_theta(0.8)
                     .with_fragments(fragments)
                     .with_horizontal(h);
-                // The sweep's survivors depend on the records alone.
-                let sweep = Sweep::new(c.pool(), &[], &[], &cfg);
-                let mut survivors = BTreeSet::new();
-                let mut rows = Vec::new();
-                for rid in 0..c.len() as u32 {
-                    let Some(row) = sweep.position(rid) else {
-                        continue;
-                    };
-                    rows.clear();
-                    sweep.sweep(row, &mut rows, &mut SweepStats::default());
-                    for &q in &rows {
-                        let partner = sweep.record_at(q as usize);
-                        survivors.insert((rid.min(partner), rid.max(partner)));
-                    }
-                }
-                // With no segment step, the walk emits every pair it admits
-                // past the signature, in every cell it meets in.
-                let walk = cfg
-                    .clone()
-                    .with_kernel(JoinKernel::Prefix)
-                    .with_filters(FilterSet::STRL_ONLY);
-                let admitted = filter_candidates(&c, &walk);
-                assert!(!admitted.is_empty(), "{label}");
-                for rec in &admitted {
-                    assert!(survivors.contains(&rec.key()), "{label}: {rec:?}");
-                }
                 for filters in [FilterSet::ALL, FilterSet::STRL_ONLY] {
+                    let label = format!("{label} {filters:?}");
                     let cfg = cfg.clone().with_filters(filters);
                     let prefix = cfg.clone().with_kernel(JoinKernel::Prefix);
                     let sweep = cfg.with_kernel(JoinKernel::Sweep);
-                    assert_eq!(
-                        filter_candidates(&c, &sweep),
+                    let (walked, swept) = (
                         filter_candidates(&c, &prefix),
-                        "{label} {filters:?}"
+                        filter_candidates(&c, &sweep),
                     );
+                    // Both are sorted: a merge finds each swept candidate
+                    // among the walked ones.
+                    let mut rest = walked.iter();
+                    for rec in &swept {
+                        assert!(rest.any(|w| w == rec), "{label}: {rec:?}");
+                    }
+                    let of_similar = |recs: &[CandidateRecord]| -> Vec<CandidateRecord> {
+                        recs.iter()
+                            .filter(|r| similar.contains(&r.key()))
+                            .copied()
+                            .collect()
+                    };
+                    assert_eq!(of_similar(&swept), of_similar(&walked), "{label}");
+                    dropped += walked.len() - swept.len();
+                    let (a, b) = (run_self_join(&c, &prefix), run_self_join(&c, &sweep));
+                    assert_eq!(a.pairs.len(), b.pairs.len(), "{label}");
+                    assert_eq!(pair_digest(&a.pairs), pair_digest(&b.pairs), "{label}");
                 }
             }
         }
+        assert!(dropped > 0, "the pass dropped no candidate below θ");
     }
 
     #[test]

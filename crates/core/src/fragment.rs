@@ -13,9 +13,9 @@
 //!   then verify with an exact merge intersection.
 //!
 //! A fourth kernel, **Sweep** (FS-Join's default, not in the paper), moves
-//! the record-level steps out of the cell: the filter stage's map tasks
-//! decide every record pair once ([`crate::sweep`]) and ship each reducer
-//! the pairs it must count. The reducer then runs only the Prefix kernel's
+//! the record-level steps out of the cell: one pass on the driver decides
+//! every record pair once ([`crate::sweep`]) and the filter stage's map
+//! tasks ship each reducer the pairs it must count. The reducer then runs only the Prefix kernel's
 //! collision test — do the two local prefixes share a token? — and the
 //! segment steps on each listed pair ([`FragmentJoin::join_listed`]).
 //!
@@ -28,9 +28,12 @@
 //! StrL is a slot range on each posting list and the signature runs
 //! inside the posting walk, on dense columns; only the survivors reach
 //! the per-pair segment filters (`FragmentJoin::segment_bounds` /
-//! `finish`). Prefix and Sweep emit the same candidates: a pair reaches
-//! the segment steps in a cell under either exactly when the record-level
-//! steps pass and the local prefixes collide. Segments carry spans into
+//! `finish`). Cell by cell, Prefix and Sweep emit the same candidates: a
+//! pair reaches the segment steps in a cell under either exactly when the
+//! record-level steps pass and the local prefixes collide. A run's Sweep
+//! pass also drops pairs below θ that share no global prefix token or
+//! fail the positional bound, so its candidates are a subset of Prefix's.
+//! Segments carry spans into
 //! the collection's shared [`TokenPool`], so every kernel takes the pool
 //! and resolves token slices on the fly (a bounds-checked slice of the
 //! flat arena — contiguous, cache-friendly, and allocation-free).
@@ -70,15 +73,14 @@ pub fn split_cell(segments: &mut [Segment], rule: JoinRule) -> (&[Segment], Opti
 /// Loop, Index and Prefix are the paper's three reduce-side kernels: each
 /// reducer finds its cell's pairs itself and decides the record-level
 /// steps (StrL, signature) once per cell a pair meets in. Sweep
-/// decides them once per pair, in the filter stage's map tasks, by a
-/// dense XOR-popcount sweep over the records' length-ordered signature
-/// columns ([`crate::sweep`]). A segment then ships only to the cells where
-/// one of its record's surviving pairs meets, carrying the partners it
-/// must be counted against there. The reducer runs Prefix's local-prefix
-/// collision test and the segment steps on those pairs alone. Candidates,
-/// pairs and scores equal Prefix's. Sweep needs the signature step
-/// ([`FsJoinConfig::bitmap_prune`](crate::FsJoinConfig::bitmap_prune)):
-/// without it every pair in the length window survives.
+/// decides each pair once, on the driver, by one probe-then-insert pass
+/// over the prefix index of whole records — StrL window, global prefix,
+/// positional bound, signature ([`crate::sweep`]). A segment then ships
+/// only to the cells where one of its record's surviving pairs meets,
+/// carrying the partners it must be counted against there. The reducer
+/// runs Prefix's local-prefix collision test and the segment steps on
+/// those pairs alone. Pairs and scores equal Prefix's; candidates are a
+/// subset of Prefix's, equal on every pair at or above θ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinKernel {
     /// Nested-loop with merge intersections.
@@ -87,8 +89,8 @@ pub enum JoinKernel {
     Index,
     /// Prefix-filtered inverted index.
     Prefix,
-    /// Map-side signature sweep, then Prefix's collision test on the
-    /// listed pairs only (default).
+    /// One prefix-index pass decides each pair, then Prefix's collision
+    /// test on the listed pairs only (default).
     Sweep,
 }
 
@@ -370,9 +372,9 @@ impl FragmentJoin<'_> {
     /// Sweep, cell-locally: every pair of the cell the record-level steps
     /// admit is listed, in `(len, rid)` order, and runs
     /// [`Self::join_listed`] when the local prefixes collide. A run lists
-    /// the pairs map-side instead ([`crate::sweep`]), so the record-level
-    /// steps count there, in [`SweepStats`](crate::sweep::SweepStats), and
-    /// not in `stats`.
+    /// the pairs its driver-side pass decided instead ([`crate::sweep`]),
+    /// so the record-level steps count there, in
+    /// [`SweepStats`](crate::sweep::SweepStats), and not in `stats`.
     fn sweep_join(
         &self,
         band: &[Segment],

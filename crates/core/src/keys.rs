@@ -90,20 +90,22 @@ pub const KERNEL_BITMAP_CHECKS: &str = "fsjoin.kernel.bitmap_checks";
 /// *records* is below the pair's global α.
 pub const KERNEL_BITMAP_PRUNED: &str = "fsjoin.kernel.bitmap_pruned";
 
-/// `(record, partner)` visits of the Sweep kernel's map-side sweep
-/// (counter): every other record in a record's StrL window, each unordered
-/// pair visited from both ends.
+/// Record pairs the Sweep kernel's pass met (counter): a record's probe
+/// prefix shares a token with the index prefix of a record before it in
+/// its StrL window. Each unordered pair is met at most once.
 ///
 /// **Conservation laws** of the sweep (asserted in
-/// `crates/bench/tests/gates.rs`): every visit ends in one step,
-/// `swept = bitmap_pruned + survivors`, and every listed
-/// `(pair, cell)` meeting ends in the collision test or the segment steps,
-/// `listed = prefix_missed + fsjoin.filter.pairs_considered`
+/// `crates/bench/tests/gates.rs`): every met pair ends in one step,
+/// `considered = position_pruned + bitmap_pruned + survivors`, and every
+/// listed `(pair, cell)` meeting ends in the collision test or the segment
+/// steps, `listed = prefix_missed + fsjoin.filter.pairs_considered`
 /// ([`SweepStats`](crate::sweep::SweepStats)).
-pub const SWEEP_SWEPT: &str = "fsjoin.sweep.swept";
-/// Sweep visits the record signature settled (counter).
+pub const SWEEP_CONSIDERED: &str = "fsjoin.sweep.considered";
+/// Met pairs the pass's positional bound dropped (counter).
+pub const SWEEP_POSITION_PRUNED: &str = "fsjoin.sweep.position_pruned";
+/// Met pairs the record signature dropped (counter).
 pub const SWEEP_BITMAP_PRUNED: &str = "fsjoin.sweep.bitmap_pruned";
-/// Sweep visits that survived the signature (counter).
+/// Met pairs that survived both bounds (counter).
 pub const SWEEP_SURVIVORS: &str = "fsjoin.sweep.survivors";
 /// `(pair, cell)` meetings the sweep listed to the fragment reducers
 /// (counter), each once.

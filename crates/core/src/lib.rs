@@ -19,9 +19,11 @@
 //!    StrL / SegL / SegI / SegD) and, right after StrL, the pool's
 //!    per-record bitmap signatures, which drop pairs whose records cannot
 //!    reach θ in every fragment at once. The default kernel, sweep
-//!    ([`sweep`]), decides StrL and the signature once per record pair in
-//!    the map tasks instead, and ships a segment only to the cells where a
-//!    surviving pair meets. Optional *horizontal* (length-based)
+//!    ([`sweep`]), decides each record pair once instead, by one
+//!    PPJoin-style probe-then-insert pass over the prefix index on the
+//!    driver (StrL window, global prefix, positional bound, signature),
+//!    and its map tasks ship a segment only to the cells where a surviving
+//!    pair meets. Optional *horizontal* (length-based)
 //!    partitioning ([`horizontal`]) further splits fragments into sections.
 //! 3. **Verification** — per-fragment common-token counts are aggregated by
 //!    record pair and the exact similarity is computed from counts alone

@@ -306,6 +306,7 @@ pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinRe
         chain,
         filter_stats,
         sweep_stats: SweepStats::default(),
+        driver_secs: 0.0,
         candidates,
         pivots: Arc::try_unwrap(pivots).unwrap_or_else(|a| (*a).clone()),
         h_pivots: Arc::try_unwrap(h_pivots).unwrap_or_else(|a| (*a).clone()),

@@ -397,6 +397,7 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         chain,
         filter_stats,
         sweep_stats: SweepStats::default(),
+        driver_secs: 0.0,
         candidates,
         pivots: Vec::new(),
         h_pivots: Vec::new(),

@@ -1,32 +1,37 @@
-//! The Sweep kernel's filter stage: decide every record pair once, in the
-//! map tasks, and ship each segment only to the cells where a surviving
-//! pair meets (DESIGN.md §4 item 4d).
+//! The Sweep kernel's filter stage: decide every record pair once, on the
+//! driver, and ship each segment only to the cells where a surviving pair
+//! meets (DESIGN.md §4 item 4d).
 //!
-//! StrL and the record signature look at two *records*, never at a cell,
-//! so their verdict on a pair is the same in every cell the pair meets
-//! in. The paper's kernels still decide them per cell: on short records a
-//! pair shares a local prefix token in several fragments and is decided
-//! once in each. [`Sweep`] holds the records as dense columns in
-//! `(len, rid)` order — length, signature row and the set of fragments
-//! the record occupies — so a map task decides its record's
-//! partners by one sweep over the record's StrL window: a slot range,
-//! one Hamming limit per partner length and an XOR-popcount per partner,
-//! as in [`CellIndex::probe`](ssj_similarity::index::CellIndex::probe) but
-//! without a posting list.
+//! StrL, the record signature and the positional bound look at two
+//! *records*, never at a cell, so their verdict on a pair is the same in
+//! every cell the pair meets in. The paper's kernels still decide them per
+//! cell: on short records a pair shares a local prefix token in several
+//! fragments and is decided once in each. [`Sweep::new`] decides them once
+//! per pair instead, by PPJoin's probe-then-insert pass (Xiao et al.,
+//! WWW'08) over the one prefix index ([`CellIndex`]) in `(len, rid)`
+//! order: every record indexes its index prefix, then probes with its
+//! probe prefix the records before it in its StrL window. The index
+//! applies the positional bound and the signature inside the posting walk,
+//! and only the survivors are kept, as partner lists in both directions.
+//! The index is dropped before the plan runs. Every pair at or above θ
+//! shares a prefix token and passes both bounds, so it survives; only pairs
+//! below θ drop out, which the verify stage would never have emitted.
 //!
-//! For each survivor the map task finds where the pair meets: the one
-//! horizontal partition both records belong to whose [`JoinRule`] admits
-//! them, times each fragment both occupy. The record's segment ships to
-//! those cells only, as a [`ListedSegment`] carrying the partners for
-//! which this record is the later side in `(len, rid)` order — so each
-//! `(pair, cell)` meeting is listed once. The reducer counts nothing but
-//! the listed pairs ([`FragmentJoin::join_listed`]).
+//! Each map task reads its record's partners ([`Sweep::partners`]) and
+//! finds where each pair meets: the one horizontal partition both records
+//! belong to whose [`JoinRule`] admits them, times each fragment both
+//! occupy. The record's segment ships to those cells only, as a
+//! [`ListedSegment`] carrying the partners for which this record is the
+//! later side in `(len, rid)` order — so each `(pair, cell)` meeting is
+//! listed once. The reducer counts nothing but the listed pairs
+//! ([`FragmentJoin::join_listed`]).
 //!
-//! Every unordered pair is swept twice, once from each record's map task:
-//! each record must learn all of its partners to know where to ship.
+//! Every unordered pair is decided once, by the later record's probe; both
+//! records read the verdict, because each must learn all of its partners
+//! to know where to ship.
 
 use crate::config::FsJoinConfig;
-use crate::filters::{strl_pass, FilterStats};
+use crate::filters::FilterStats;
 use crate::fragment::{FragmentJoin, JoinKernel};
 use crate::horizontal::{h_partitions_for, JoinRule};
 use crate::segment::Segment;
@@ -34,6 +39,7 @@ use crate::vertical::split_record;
 use ssj_common::ByteSize;
 use ssj_mapreduce::{Emitter, GroupValues, Mapper, StreamingReducer};
 use ssj_observe::MetricsRegistry;
+use ssj_similarity::index::{CellIndex, Slot};
 use ssj_similarity::{Measure, Verifier};
 use ssj_text::{PooledRecord, TokenPool};
 use std::ops::Range;
@@ -44,62 +50,63 @@ use std::sync::Arc;
 const ABSENT: u32 = u32::MAX;
 
 /// The sweep's side data: every non-empty record as a row of dense
-/// columns in `(len, rid)` order, plus the parameters the rows are
-/// decided and routed by. With 128-bit signatures and up to 64 fragments
-/// that is 36 B per record: 4 each for its id, length and position, 16
-/// for its signature and 8 for its fragment set.
+/// columns in `(len, rid)` order, each row's surviving partners, and the
+/// parameters the rows are routed by. With up to 64 fragments that is
+/// 24 B per record — 4 each for its id, length, position and partner
+/// offset, 8 for its fragment set — plus 8 B per surviving pair.
 #[derive(Debug)]
 pub struct Sweep {
     /// Record ids in `(len, rid)` order.
     order: Vec<u32>,
     /// Record length per row.
     lens: Vec<u32>,
-    sig_words: usize,
-    /// Signature rows, `sig_words` words each.
-    sigs: Vec<u64>,
     frag_words: usize,
     /// Fragment-set rows: bit `v` of a row is set when the record has a
     /// segment in fragment `v`.
     frags: Vec<u64>,
     /// Row of each record id, or [`ABSENT`].
     position: Vec<u32>,
+    /// Partner rows, CSR: row `r`'s are `partners[starts[r]..starts[r + 1]]`,
+    /// ascending.
+    starts: Vec<u32>,
+    partners: Vec<u32>,
+    /// The pass's counters.
+    stats: SweepStats,
     pivots: Vec<u32>,
     h_pivots: Vec<u32>,
     measure: Measure,
     theta: f64,
-    strl: bool,
 }
 
 impl Sweep {
-    /// Lay out the columns of `pool`'s records. `pivots` and `h_pivots`
-    /// are the run's vertical and horizontal pivots; measure, θ and StrL
-    /// come from `cfg`.
+    /// Lay out the columns of `pool`'s records and decide every pair
+    /// ([`Self::partners`]). `pivots` and `h_pivots` are the run's
+    /// vertical and horizontal pivots; measure, θ, StrL and the signature
+    /// step come from `cfg`.
     pub fn new(pool: &TokenPool, pivots: &[u32], h_pivots: &[u32], cfg: &FsJoinConfig) -> Sweep {
         let mut order: Vec<u32> = (0..pool.len() as u32)
             .filter(|&rid| !pool.span_of(rid).is_empty())
             .collect();
         order.sort_unstable_by_key(|&rid| (pool.span_of(rid).len, rid));
-        let sig_words = pool.bitmap_bits() / 64;
         let frag_words = (pivots.len() + 1).div_ceil(64);
         let mut sweep = Sweep {
             lens: Vec::with_capacity(order.len()),
-            sig_words,
-            sigs: Vec::with_capacity(order.len() * sig_words),
             frag_words,
             frags: vec![0; order.len() * frag_words],
             position: vec![ABSENT; pool.len()],
+            starts: Vec::new(),
+            partners: Vec::new(),
+            stats: SweepStats::default(),
             pivots: pivots.to_vec(),
             h_pivots: h_pivots.to_vec(),
             measure: cfg.measure,
             theta: cfg.theta,
-            strl: cfg.filters.strl,
             order,
         };
         for (row, &rid) in sweep.order.iter().enumerate() {
             let tokens = pool.tokens_of(rid);
             sweep.position[rid as usize] = row as u32;
             sweep.lens.push(tokens.len() as u32);
-            sweep.sigs.extend_from_slice(pool.bitmap_of(rid));
             // Fragment of a token: the number of pivots at or below it
             // (`split_record`'s cut).
             let frags = &mut sweep.frags[row * frag_words..(row + 1) * frag_words];
@@ -111,7 +118,96 @@ impl Sweep {
                 frags[v / 64] |= 1 << (v % 64);
             }
         }
+        sweep.decide(pool, cfg);
         sweep
+    }
+
+    /// The probe-then-insert pass: index every row's index prefix, probe
+    /// each row's probe prefix against the rows before it in its StrL
+    /// window, and store the survivors as partner lists in both
+    /// directions.
+    fn decide(&mut self, pool: &TokenPool, cfg: &FsJoinConfig) {
+        let (m, theta) = (cfg.measure, cfg.theta);
+        let words = if cfg.bitmap_prune {
+            pool.bitmap_bits() / 64
+        } else {
+            0
+        };
+        let sig = |rid: u32| &pool.bitmap_of(rid)[..words];
+        let mut index = CellIndex::default();
+        index.rebuild(
+            words,
+            self.order.iter().map(|&rid| {
+                let tokens = pool.tokens_of(rid);
+                Slot {
+                    len: tokens.len() as u32,
+                    head: 0,
+                    sig: sig(rid),
+                    tokens: &tokens[..m.index_prefix_len(theta, tokens.len())],
+                }
+            }),
+        );
+        // `(later, earlier)` rows of each survivor, ascending.
+        let mut found: Vec<(u32, u32)> = Vec::new();
+        let mut degree = vec![0u32; self.order.len()];
+        for (row, &rid) in self.order.iter().enumerate() {
+            let tokens = pool.tokens_of(rid);
+            let len = tokens.len();
+            let min_len = if cfg.filters.strl {
+                m.min_partner_len(theta, len)
+            } else {
+                0
+            };
+            let window = index.window(min_len, row);
+            let probe = Slot {
+                len: len as u32,
+                head: 0,
+                sig: sig(rid),
+                tokens: &tokens[..m.probe_prefix_len(theta, len)],
+            };
+            let counts = index.probe(&probe, window, |y| {
+                let alpha = m.min_overlap(theta, len, y as usize);
+                let limit = (words > 0)
+                    .then(|| Verifier::hamming_limit(alpha, len, y as usize, words))
+                    .flatten();
+                (limit, alpha)
+            });
+            self.stats.considered += counts.pairs_considered;
+            self.stats.position_pruned += counts.position_pruned;
+            self.stats.bitmap_pruned += counts.bitmap_pruned;
+            let first = found.len();
+            found.extend(index.hits().iter().map(|&q| (row as u32, q)));
+            found[first..].sort_unstable();
+            degree[row] += (found.len() - first) as u32;
+            for &(_, q) in &found[first..] {
+                degree[q as usize] += 1;
+            }
+        }
+        drop(index);
+        assert!(
+            found.len() <= (u32::MAX / 2) as usize,
+            "partner offsets are u32"
+        );
+        self.stats.survivors = found.len() as u64;
+        // CSR in row order. Row `r` hears first, as the later side, of its
+        // earlier partners (ascending), then, as the earlier side, of its
+        // later ones (ascending): each list comes out ascending.
+        self.starts = Vec::with_capacity(degree.len() + 1);
+        self.starts.push(0);
+        let mut end = 0u32;
+        for d in degree {
+            end += d;
+            self.starts.push(end);
+        }
+        let mut next = self.starts[..self.order.len()].to_vec();
+        self.partners = vec![0; end as usize];
+        for (later, earlier) in found {
+            for (row, partner) in [(later, earlier), (earlier, later)] {
+                let at = &mut next[row as usize];
+                self.partners[*at as usize] = partner;
+                *at += 1;
+            }
+        }
     }
 
     /// Row of record `rid`, or `None` for an empty record.
@@ -120,81 +216,17 @@ impl Sweep {
         (row != ABSENT).then_some(row as usize)
     }
 
-    /// Record id of row `row`.
-    pub fn record_at(&self, row: usize) -> u32 {
-        self.order[row]
+    /// Rows of row `row`'s surviving partners, ascending: every row paired
+    /// with it that passed StrL, the positional bound and the signature.
+    /// Never `row` itself.
+    pub fn partners(&self, row: usize) -> &[u32] {
+        &self.partners[self.starts[row] as usize..self.starts[row + 1] as usize]
     }
 
-    /// Rows whose records pass StrL with row `row`'s (itself included): a
-    /// contiguous range, since the rows ascend by length. Every row with
-    /// StrL off.
-    pub fn window(&self, row: usize) -> Range<usize> {
-        if !self.strl {
-            return 0..self.lens.len();
-        }
-        let (m, theta, len) = (self.measure, self.theta, self.lens[row]);
-        let lo = self.lens[..row].partition_point(|&l| !strl_pass(m, theta, l, len));
-        let hi = row + 1 + self.lens[row + 1..].partition_point(|&l| strl_pass(m, theta, len, l));
-        lo..hi
-    }
-
-    /// Decide row `row`'s partners: every other row of its StrL
-    /// [`Self::window`] goes through the signature, compared against the
-    /// Hamming limit of its length ([`Verifier::hamming_limit`], solved
-    /// once per length). Pushes the surviving rows onto `survivors` in row
-    /// order.
-    pub fn sweep(&self, row: usize, survivors: &mut Vec<u32>, stats: &mut SweepStats) {
-        let window = self.window(row);
-        let before = survivors.len();
-        // The default 128-bit signatures get a loop the compiler unrolls.
-        let pruned = match self.sig_words {
-            2 => self.sweep_window::<2>(row, window.clone(), survivors),
-            _ => self.sweep_window::<0>(row, window.clone(), survivors),
-        };
-        stats.swept += window.len() as u64 - 1;
-        stats.bitmap_pruned += pruned;
-        stats.survivors += (survivors.len() - before) as u64;
-    }
-
-    /// [`Self::sweep`]'s loop for `W`-word signatures (`W = 0`: any
-    /// width). Returns the visits the signature pruned.
-    fn sweep_window<const W: usize>(
-        &self,
-        row: usize,
-        window: Range<usize>,
-        survivors: &mut Vec<u32>,
-    ) -> u64 {
-        let w = if W == 0 { self.sig_words } else { W };
-        let len = self.lens[row] as usize;
-        let sig = &self.sigs[row * w..(row + 1) * w];
-        let mut pruned = 0u64;
-        let mut at = window.start;
-        while at < window.end {
-            let run_len = self.lens[at];
-            let end = at + self.lens[at..window.end].partition_point(|&l| l == run_len);
-            let alpha = self.measure.min_overlap(self.theta, run_len as usize, len);
-            let limit =
-                Verifier::hamming_limit(alpha, run_len as usize, len, w).unwrap_or(i64::MAX);
-            let rows = self.sigs[at * w..end * w].chunks_exact(w);
-            for (q, row_sig) in (at..end).zip(rows) {
-                // The window holds the record itself: no pair.
-                if q == row {
-                    continue;
-                }
-                let hamming: u32 = row_sig
-                    .iter()
-                    .zip(sig)
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum();
-                if i64::from(hamming) > limit {
-                    pruned += 1;
-                } else {
-                    survivors.push(q as u32);
-                }
-            }
-            at = end;
-        }
-        pruned
+    /// The pass's counters: `considered`, `position_pruned`,
+    /// `bitmap_pruned` and `survivors`, the rest 0.
+    pub fn stats(&self) -> SweepStats {
+        self.stats
     }
 
     /// The horizontal partition where rows `p` and `q` are joined: the one
@@ -254,24 +286,26 @@ impl ByteSize for ListedSegment {
     }
 }
 
-/// The sweep's counters (`fsjoin.sweep.*`), summed over a run's tasks.
+/// The sweep's counters (`fsjoin.sweep.*`), summed over a run.
 ///
-/// Two laws hold ([`Self::unaccounted`], [`Self::unlisted`]). Every
-/// `(record, partner)` the sweep visits ends in one step:
-/// `swept = bitmap_pruned + survivors`. Every listed
+/// Two laws hold ([`Self::undecided`], [`Self::unlisted`]). Every record
+/// pair the pass meets on a shared prefix token ends in one step:
+/// `considered = position_pruned + bitmap_pruned + survivors`. Every listed
 /// `(pair, cell)` meeting ends in the collision test or in the segment
 /// steps: `listed = prefix_missed + pairs_considered` of the run's
-/// [`FilterStats`]. Visits are directed — each record sweeps its own
-/// window — so the unordered pairs are half of `swept` and of `survivors`.
+/// [`FilterStats`]. The pass decides each unordered pair once, so its four
+/// counters count unordered pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// `(record, partner)` visits inside StrL windows, the record itself
-    /// not counted.
-    pub swept: u64,
-    /// Visits the signature settled: the partner's bitmap is farther from
-    /// the record's than any pair reaching θ allows.
+    /// Pairs the pass met: a record's probe prefix shares a token with the
+    /// index prefix of a record before it in its StrL window.
+    pub considered: u64,
+    /// Met pairs the positional bound dropped.
+    pub position_pruned: u64,
+    /// Met pairs the signature dropped: the two bitmaps are farther apart
+    /// than any pair reaching θ allows.
     pub bitmap_pruned: u64,
-    /// Visits that survived the signature.
+    /// Met pairs that passed both bounds.
     pub survivors: u64,
     /// `(pair, cell)` meetings listed to the reducers, each once (by the
     /// later side).
@@ -290,10 +324,11 @@ pub struct SweepStats {
 impl SweepStats {
     /// `(counter name, value)` view of every field, under the canonical
     /// [`crate::keys`] names.
-    pub fn fields(&self) -> [(&'static str, u64); 7] {
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
         use crate::keys;
         [
-            (keys::SWEEP_SWEPT, self.swept),
+            (keys::SWEEP_CONSIDERED, self.considered),
+            (keys::SWEEP_POSITION_PRUNED, self.position_pruned),
             (keys::SWEEP_BITMAP_PRUNED, self.bitmap_pruned),
             (keys::SWEEP_SURVIVORS, self.survivors),
             (keys::SWEEP_LISTED, self.listed),
@@ -315,7 +350,8 @@ impl SweepStats {
         let get = |name| registry.counter_get(name);
         use crate::keys;
         SweepStats {
-            swept: get(keys::SWEEP_SWEPT),
+            considered: get(keys::SWEEP_CONSIDERED),
+            position_pruned: get(keys::SWEEP_POSITION_PRUNED),
             bitmap_pruned: get(keys::SWEEP_BITMAP_PRUNED),
             survivors: get(keys::SWEEP_SURVIVORS),
             listed: get(keys::SWEEP_LISTED),
@@ -325,9 +361,9 @@ impl SweepStats {
         }
     }
 
-    /// `swept` minus the two steps a visit ends in: 0 for a run.
-    pub fn unaccounted(&self) -> i64 {
-        self.swept as i64 - (self.bitmap_pruned + self.survivors) as i64
+    /// `considered` minus the three steps a met pair ends in: 0 for a run.
+    pub fn undecided(&self) -> i64 {
+        self.considered as i64 - (self.position_pruned + self.bitmap_pruned + self.survivors) as i64
     }
 
     /// `listed` minus the two outcomes of a listed meeting, given the
@@ -337,14 +373,13 @@ impl SweepStats {
     }
 }
 
-/// Sweep's filter-stage mapper: sweep the record, list its survivors per
-/// meeting cell, ship its segments there (DESIGN.md §4 item 4d).
+/// Sweep's filter-stage mapper: list the record's partners per meeting
+/// cell, ship its segments there (DESIGN.md §4 item 4d).
 pub(crate) struct SweepMapper {
     pool: Arc<TokenPool>,
     sweep: Arc<Sweep>,
     registry: Arc<MetricsRegistry>,
     stats: SweepStats,
-    survivors: Vec<u32>,
     /// `(cell, partner)` per meeting; the partner when the record is the
     /// pair's later side.
     meets: Vec<(u32, Option<u32>)>,
@@ -361,7 +396,6 @@ impl SweepMapper {
             sweep,
             registry,
             stats: SweepStats::default(),
-            survivors: Vec::new(),
             meets: Vec::new(),
         }
     }
@@ -378,8 +412,6 @@ impl Mapper for SweepMapper {
         let Some(p) = sweep.position(record.id) else {
             return;
         };
-        self.survivors.clear();
-        sweep.sweep(p, &mut self.survivors, &mut self.stats);
         let hs = h_partitions_for(
             sweep.lens[p] as usize,
             &sweep.h_pivots,
@@ -388,7 +420,7 @@ impl Mapper for SweepMapper {
         );
         let num_fragments = sweep.pivots.len() + 1;
         self.meets.clear();
-        for &q in &self.survivors {
+        for &q in sweep.partners(p) {
             let q = q as usize;
             let Some(h) = sweep.meeting_partition(&hs, p, q) else {
                 continue;
@@ -521,11 +553,55 @@ impl StreamingReducer for SweepReducer {
 }
 
 #[cfg(test)]
+impl Sweep {
+    /// Every surviving pair, as `(smaller id, larger id)`.
+    pub(crate) fn pairs(&self) -> std::collections::BTreeSet<(u32, u32)> {
+        (0..self.order.len())
+            .flat_map(|row| {
+                let rid = self.order[row];
+                self.partners(row).iter().map(move |&q| {
+                    let partner = self.order[q as usize];
+                    (rid.min(partner), rid.max(partner))
+                })
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filters::FilterSet;
+    use ssj_similarity::intersect::intersect_count_merge;
+    use ssj_similarity::naive::naive_self_join;
+    use ssj_text::{Collection, Record};
 
-    /// A record's StrL window holds its own row: the sweep skips it there,
-    /// and lists an exact duplicate of the record instead.
+    /// `n` records of 1 to `max_len` tokens drawn from `vocab`, ids
+    /// ascending by frequency as the encoder ranks them.
+    fn random_collection(n: u32, vocab: u32, max_len: u32, seed: u64) -> Collection {
+        let mut state = seed;
+        let mut next = move |m: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) as u32) % m
+        };
+        let mut freqs = vec![0u64; vocab as usize];
+        let records: Vec<Record> = (0..n)
+            .map(|id| {
+                let len = 1 + next(max_len);
+                let record = Record::new(id, (0..len).map(|_| next(vocab)).collect());
+                for &t in &record.tokens {
+                    freqs[t as usize] += 1;
+                }
+                record
+            })
+            .collect();
+        Collection::new(records, freqs, None)
+    }
+
+    /// A record's StrL window holds its own row: the pass never pairs a
+    /// record with itself, and lists an exact duplicate of it instead.
     #[test]
     fn a_record_is_never_its_own_partner() {
         let mut pool = TokenPool::new();
@@ -533,21 +609,82 @@ mod tests {
             pool.push(&tokens);
         }
         let sweep = Sweep::new(&pool, &[], &[], &FsJoinConfig::default().with_theta(0.8));
-        let mut stats = SweepStats::default();
-        let mut partners = |rid: u32| {
-            let mut rows = Vec::new();
-            sweep.sweep(sweep.position(rid).unwrap(), &mut rows, &mut stats);
-            rows.iter()
-                .map(|&q| sweep.record_at(q as usize))
-                .collect::<Vec<_>>()
+        let partners = |rid: u32| -> Vec<u32> {
+            let row = sweep.position(rid).unwrap();
+            let rows = sweep.partners(row);
+            assert!(!rows.contains(&(row as u32)), "record {rid}");
+            rows.iter().map(|&q| sweep.order[q as usize]).collect()
         };
-        for rid in 0..3 {
-            assert!(!partners(rid).contains(&rid), "record {rid}");
-        }
         assert_eq!(partners(0), [1]);
         assert_eq!(partners(1), [0]);
-        // Each record visits the two others, never itself.
-        assert_eq!(stats.swept, 2 * (3 + 2));
-        assert_eq!(stats.unaccounted(), 0);
+        assert_eq!(partners(2), [] as [u32; 0]);
+        // Record 1 meets record 0 once; record 2 shares no token.
+        let stats = sweep.stats();
+        assert_eq!((stats.considered, stats.survivors), (1, 1));
+        assert_eq!(stats.undecided(), 0);
+    }
+
+    /// Every pair the oracle finds is among the partners, under every
+    /// measure, with StrL and the signature on and off, over θs that
+    /// include 0.7: there `θ · |s|` is no exact float, so a pair whose
+    /// overlap is exactly its α sits on the threshold and only the
+    /// rounding guards keep it. The corpora of short records over small
+    /// vocabularies hold many such boundary pairs, which a probe prefix
+    /// one token short misses. Partner lists are symmetric, ascending and
+    /// never hold their own row, and the pass's law closes.
+    #[test]
+    fn partners_hold_every_similar_pair() {
+        let corpora = [
+            random_collection(160, 24, 10, 7),
+            random_collection(200, 60, 18, 11),
+        ];
+        let mut boundary = 0;
+        for c in &corpora {
+            for m in Measure::all() {
+                for theta in [0.5, 0.6, 0.7, 0.8, 0.9] {
+                    let want = naive_self_join(&c.views(), m, theta);
+                    // Similar pairs whose overlap is exactly their α.
+                    for pair in &want {
+                        let (x, y) = (c.tokens(pair.a), c.tokens(pair.b));
+                        let alpha = m.min_overlap(theta, x.len(), y.len());
+                        boundary += usize::from(intersect_count_merge(x, y) == alpha);
+                    }
+                    for (strl, prune) in [(true, true), (true, false), (false, true)] {
+                        let label = format!("{m:?} θ={theta} strl={strl} prune={prune}");
+                        let filters = if strl {
+                            FilterSet::ALL
+                        } else {
+                            FilterSet::NONE
+                        };
+                        let cfg = FsJoinConfig::default()
+                            .with_measure(m)
+                            .with_theta(theta)
+                            .with_filters(filters)
+                            .with_bitmap_prune(prune);
+                        let sweep = Sweep::new(c.pool(), &[], &[], &cfg);
+                        let found = sweep.pairs();
+                        for pair in &want {
+                            assert!(found.contains(&pair.ids()), "{label}: {pair:?}");
+                        }
+                        for row in 0..sweep.order.len() {
+                            let partners = sweep.partners(row);
+                            assert!(partners.windows(2).all(|w| w[0] < w[1]), "{label}");
+                            for &q in partners {
+                                assert_ne!(q as usize, row, "{label}");
+                                assert!(
+                                    sweep.partners(q as usize).contains(&(row as u32)),
+                                    "{label}: row {row} lists {q}, not back"
+                                );
+                            }
+                        }
+                        let stats = sweep.stats();
+                        assert_eq!(stats.undecided(), 0, "{label}: {stats:?}");
+                        assert_eq!(stats.survivors as usize, found.len(), "{label}");
+                        assert_eq!(stats.bitmap_pruned > 0, prune, "{label}: {stats:?}");
+                    }
+                }
+            }
+        }
+        assert!(boundary > 100, "only {boundary} pairs sit on the threshold");
     }
 }

@@ -81,8 +81,9 @@ struct Golden {
 /// (`bitmap_prune(false)`): nothing but that step may have moved them.
 /// With it on, the same pairs come out of far fewer candidates. They pin
 /// the walk's wire format, so `cfg` runs the Prefix kernel; the Sweep
-/// kernel must then reproduce the step-on run's candidates and verify job
-/// from a smaller filter shuffle.
+/// kernel must then reproduce the pairs and digest from a subset of the
+/// step-on run's candidates, a smaller verify job and a smaller filter
+/// shuffle.
 ///
 /// `arrival_order` is what the arrival-order posting index counted before
 /// StrL became a length window on the posting lists: every co-token pair
@@ -141,14 +142,11 @@ fn assert_goldens(
                 (sweep.pairs.len(), digest_pairs(&sweep.pairs)),
                 (pairs, digest)
             );
-            assert_eq!(sweep.candidates, want.candidates);
-            let (records, bytes, map_input) = want.verify_job;
-            assert_job(
-                sweep.chain.job("fsjoin-verify").unwrap(),
-                records,
-                bytes,
-                map_input,
-            );
+            assert!(sweep.candidates <= want.candidates);
+            let (records, bytes, _) = want.verify_job;
+            let verify = sweep.chain.job("fsjoin-verify").unwrap();
+            assert!(verify.shuffle_records <= records);
+            assert!(verify.shuffle_bytes <= bytes);
             let walk = res.chain.job("fsjoin-filter").unwrap();
             let swept = sweep.chain.job("fsjoin-filter").unwrap();
             assert!(swept.shuffle_bytes < walk.shuffle_bytes);

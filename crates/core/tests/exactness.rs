@@ -452,9 +452,6 @@ fn signature_step_is_exact_at_its_edges() {
 
             for kernel in JoinKernel::all() {
                 for prune in [true, false] {
-                    if kernel == JoinKernel::Sweep && !prune {
-                        continue; // Sweep is the signature step.
-                    }
                     let cfg = FsJoinConfig::default()
                         .with_measure(measure)
                         .with_theta(theta)
@@ -467,10 +464,10 @@ fn signature_step_is_exact_at_its_edges() {
                         .unwrap_or_else(|e| panic!("self {label}: {e}"));
                     let fs = got.filter_stats;
                     if kernel == JoinKernel::Sweep {
-                        // The sweep reads the bitmaps map-side.
+                        // The driver's pass reads the bitmaps.
                         let sweep = got.sweep_stats;
-                        assert!(sweep.swept > 0, "self {label}");
-                        assert_eq!(sweep.unaccounted(), 0, "self {label}");
+                        assert!(sweep.considered > 0, "self {label}");
+                        assert_eq!(sweep.undecided(), 0, "self {label}");
                         assert_eq!(sweep.unlisted(&fs), 0, "self {label}");
                         assert_eq!(fs.bitmap_checks, 0, "self {label}");
                     } else {
@@ -495,13 +492,11 @@ fn signature_step_is_exact_at_its_edges() {
     }
 }
 
-/// The R×S join's config: it ignores kernel, filters and emit policy, and
-/// pins a walk kernel because Sweep rejects the signature step off.
+/// The R×S join's config: it ignores kernel, filters and emit policy.
 fn rs_config(measure: Measure, theta: f64, prune: bool) -> FsJoinConfig {
     FsJoinConfig::default()
         .with_measure(measure)
         .with_theta(theta)
-        .with_kernel(JoinKernel::Prefix)
         .with_bitmap_prune(prune)
         .with_workers(1)
 }
@@ -821,9 +816,6 @@ fn length_window_and_signature_table_are_exact_at_their_edges() {
             }
             for kernel in JoinKernel::all() {
                 for prune in [true, false] {
-                    if kernel == JoinKernel::Sweep && !prune {
-                        continue; // Sweep is the signature step.
-                    }
                     for filters in [FilterSet::ALL, FilterSet::NONE, FilterSet::STRL_ONLY] {
                         let cfg = FsJoinConfig::default()
                             .with_measure(measure)

@@ -54,8 +54,10 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `(spans recorded, task attempts, pairs swept)` of one traced run (the
-/// default kernel decides its pairs in the sweep).
+/// `(spans recorded, task attempts, segments split)` of one traced run:
+/// every record's segments, shipped to a cell or cut (the default kernel
+/// decides its pairs in the sweep's pass, which grows about linearly with
+/// the records).
 fn census(records: usize) -> (usize, u64, u64) {
     let collection = encode(
         &CorpusProfile::WikiLike
@@ -66,22 +68,23 @@ fn census(records: usize) -> (usize, u64, u64) {
     let collector = ssj_observe::install_collector();
     let res = fsjoin::run_self_join(&collection, &FsJoinConfig::default().with_theta(0.8));
     ssj_observe::uninstall_collector();
+    let sweep = res.sweep_stats;
     (
         collector.events().len(),
         res.chain.total_exec().attempts,
-        res.sweep_stats.swept,
+        sweep.segments_shipped + sweep.segments_cut,
     )
 }
 
 #[test]
 fn span_census_is_independent_of_input_size() {
     let _guard = serial();
-    let (small_spans, small_attempts, small_pairs) = census(150);
-    let (large_spans, large_attempts, large_pairs) = census(600);
+    let (small_spans, small_attempts, small_segments) = census(150);
+    let (large_spans, large_attempts, large_segments) = census(600);
     assert!(small_spans > 0, "run produced no spans");
     assert!(
-        large_pairs >= 8 * small_pairs,
-        "the larger run must do far more work: {large_pairs} vs {small_pairs} pairs"
+        large_segments >= 3 * small_segments,
+        "the larger run must do far more work: {large_segments} vs {small_segments} segments"
     );
     assert_eq!(large_attempts, small_attempts, "same task layout");
     assert_eq!(

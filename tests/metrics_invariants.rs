@@ -179,9 +179,6 @@ fn filter_counters_account_for_every_considered_pair() {
         for filters in [FilterSet::ALL, FilterSet::NONE] {
             for policy in [EmitPolicy::Exact, EmitPolicy::PositiveBoundOnly] {
                 for prune in [true, false] {
-                    if kernel == JoinKernel::Sweep && !prune {
-                        continue; // Sweep is the signature step.
-                    }
                     let cfg = FsJoinConfig::default()
                         .with_theta(0.8)
                         .with_kernel(kernel)
@@ -195,12 +192,13 @@ fn filter_counters_account_for_every_considered_pair() {
                     assert_eq!(fs.unaccounted(), 0, "{label}: {fs:?}");
                     assert_eq!(fs.emitted, res.candidates as u64, "{label}");
                     assert!(fs.bitmap_pruned <= fs.bitmap_checks, "{label}");
-                    // Sweep reads the bitmaps map-side, under its own laws;
-                    // its reducers count only listed pairs.
+                    // Sweep reads the bitmaps in the driver's pass, under
+                    // its own laws; its reducers count only listed pairs.
                     let sweep = res.sweep_stats;
                     let swept = kernel == JoinKernel::Sweep;
-                    assert_eq!(sweep.swept > 0, swept, "{label}");
-                    assert_eq!(sweep.unaccounted(), 0, "{label}");
+                    assert_eq!(sweep.considered > 0, swept, "{label}");
+                    assert_eq!(sweep.undecided(), 0, "{label}");
+                    assert_eq!(sweep.bitmap_pruned > 0, swept && prune, "{label}");
                     if swept {
                         assert_eq!(sweep.unlisted(&fs), 0, "{label}");
                     }
@@ -208,7 +206,7 @@ fn filter_counters_account_for_every_considered_pair() {
                     // StrL is a per-pair test under Loop and a length
                     // window on the posting lists under the indexed kernels:
                     // never both, and neither with StrL off (nor under
-                    // Sweep, whose window is map-side).
+                    // Sweep, whose window is the driver's pass).
                     let windowed =
                         matches!(kernel, JoinKernel::Index | JoinKernel::Prefix) && filters.strl;
                     assert_eq!(fs.window_skipped > 0, windowed, "{label}");
@@ -218,12 +216,10 @@ fn filter_counters_account_for_every_considered_pair() {
             }
         }
     }
-    // The R×S join ignores kernel, filters and emit policy; a walk kernel
-    // is pinned because Sweep rejects the signature step off.
+    // The R×S join ignores kernel, filters and emit policy.
     for prune in [true, false] {
         let cfg = FsJoinConfig::default()
             .with_theta(0.8)
-            .with_kernel(JoinKernel::Prefix)
             .with_bitmap_prune(prune);
         let res = fsjoin_suite::fsjoin::run_rs_join_two_input(&r, &s, &cfg);
         let fs = res.filter_stats;
