@@ -7,8 +7,7 @@
 //! The stage is appended to the baseline's [`Plan`] so its maps can start
 //! partition-by-partition while the kernel's reducers are still running.
 
-use ssj_mapreduce::{Dataset, IdentityMapper, KeepFirst, Plan, StageHandle, StageInput};
-use ssj_similarity::SimilarPair;
+use ssj_mapreduce::{IdentityMapper, KeepFirst, Plan, StageHandle, StageInput};
 
 /// Append the dedup stage to `plan`, consuming `input` (a kernel stage's
 /// candidate pairs or an external dataset) and returning the handle to the
@@ -29,20 +28,11 @@ pub fn add_dedup_stage(
     )
 }
 
-/// Collect a pair dataset into [`SimilarPair`]s sorted by id pair.
-pub fn collect_pairs(unique: Dataset<(u32, u32), f64>) -> Vec<SimilarPair> {
-    let mut pairs: Vec<SimilarPair> = unique
-        .into_records()
-        .map(|((a, b), sim)| SimilarPair::new(a, b, sim))
-        .collect();
-    pairs.sort_unstable_by_key(|p| p.ids());
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssj_mapreduce::PlanRunner;
+    use ssj_mapreduce::{Dataset, PlanRunner};
+    use ssj_similarity::collect_pairs;
 
     #[test]
     fn removes_duplicates_and_sorts() {
@@ -58,7 +48,7 @@ mod tests {
         let mut plan = Plan::new("dedup-test").with_workers(2);
         let unique = add_dedup_stage(&mut plan, data, 2, "dedup-test");
         let mut outcome = PlanRunner::pipelined().run(plan);
-        let pairs = collect_pairs(outcome.take_output(unique));
+        let pairs = collect_pairs(outcome.take_output(unique).into_records());
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[0].ids(), (1, 2));
         assert_eq!(pairs[1].ids(), (3, 5));

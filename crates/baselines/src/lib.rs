@@ -24,8 +24,9 @@ pub mod massjoin;
 pub mod ridpairs;
 pub mod vsmart;
 
-use ssj_mapreduce::{ChainMetrics, PlanMode};
-use ssj_similarity::SimilarPair;
+use ssj_mapreduce::{ChainMetrics, Dataset, Plan, PlanMode, PlanRunner, StageHandle};
+use ssj_similarity::{collect_pairs, SimilarPair};
+use ssj_text::{Collection, Record};
 
 /// Result of a baseline run: exact pairs plus full engine metrics.
 #[derive(Debug, Clone)]
@@ -39,13 +40,29 @@ pub struct JoinRunResult {
     pub peak_live_bytes: usize,
 }
 
+/// The first stage's input of every baseline: each non-empty record of
+/// `collection` keyed by its id, in `map_tasks` splits.
+fn record_input(collection: &Collection, map_tasks: usize) -> Dataset<u32, Record> {
+    Dataset::from_records(
+        collection
+            .iter()
+            .filter(|v| !v.is_empty())
+            .map(|v| (v.id, v.to_record()))
+            .collect(),
+        map_tasks,
+    )
+}
+
 impl JoinRunResult {
-    /// Total simulated time on a modelled cluster.
-    pub fn simulated_secs(&self, cluster: &ssj_mapreduce::ClusterModel) -> f64 {
-        cluster
-            .simulate_chain_schedule(&self.chain)
-            .last()
-            .map_or(0.0, |s| s.end_secs)
+    /// Run `plan` under `mode` and collect the output of its last stage,
+    /// `out`.
+    fn run(plan: Plan, out: StageHandle<(u32, u32), f64>, mode: PlanMode) -> JoinRunResult {
+        let mut outcome = PlanRunner::new(mode).run(plan);
+        JoinRunResult {
+            pairs: collect_pairs(outcome.take_output(out).into_records()),
+            peak_live_bytes: outcome.peak_live_bytes,
+            chain: outcome.metrics,
+        }
     }
 }
 

@@ -22,13 +22,12 @@
 //!   candidates and a final job re-attaches records from a read-only
 //!   replica (Hadoop distributed-cache style) to verify.
 
-use crate::dedup::{add_dedup_stage, collect_pairs};
-use crate::{BaselineConfig, BudgetExceeded, JoinRunResult};
+use crate::dedup::add_dedup_stage;
+use crate::{record_input, BaselineConfig, BudgetExceeded, JoinRunResult};
 use ssj_mapreduce::{
-    Dataset, Emitter, GroupValues, IdentityMapper, KeepFirst, Mapper, Plan, PlanRunner,
-    StreamingReducer,
+    Emitter, GroupValues, IdentityMapper, KeepFirst, Mapper, Plan, StreamingReducer,
 };
-use ssj_similarity::{Measure, SimilarPair, Verifier};
+use ssj_similarity::{Measure, Verifier};
 use ssj_text::{Collection, Record};
 use std::sync::Arc;
 
@@ -388,15 +387,8 @@ pub fn massjoin(
         });
     }
 
-    let input: Dataset<u32, Record> = Dataset::from_records(
-        collection
-            .iter()
-            .filter(|v| !v.is_empty())
-            .map(|v| (v.id, v.to_record()))
-            .collect(),
-        cfg.map_tasks,
-    );
-    let (pairs, peak_live_bytes, chain) = match variant {
+    let input = record_input(collection, cfg.map_tasks);
+    Ok(match variant {
         MassJoinVariant::Merge => {
             let mut plan = Plan::new("massjoin").with_workers(cfg.workers);
             let raw = plan.add(
@@ -414,9 +406,7 @@ pub fn massjoin(
                 },
             );
             let unique = add_dedup_stage(&mut plan, raw, cfg.reduce_tasks, "massjoin-dedup");
-            let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
-            let pairs = collect_pairs(outcome.take_output(unique));
-            (pairs, outcome.peak_live_bytes, outcome.metrics)
+            JoinRunResult::run(plan, unique, cfg.plan_mode)
         }
         MassJoinVariant::MergeLight => {
             let mut plan = Plan::new("massjoin-light").with_workers(cfg.workers);
@@ -451,21 +441,8 @@ pub fn massjoin(
                 },
                 |_| KeepFirst::default(),
             );
-            let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
-            let mut pairs: Vec<SimilarPair> = outcome
-                .take_output(verified)
-                .into_records()
-                .map(|((a, b), sim)| SimilarPair::new(a, b, sim))
-                .collect();
-            pairs.sort_unstable_by_key(|p| p.ids());
-            (pairs, outcome.peak_live_bytes, outcome.metrics)
+            JoinRunResult::run(plan, verified, cfg.plan_mode)
         }
-    };
-
-    Ok(JoinRunResult {
-        pairs,
-        chain,
-        peak_live_bytes,
     })
 }
 

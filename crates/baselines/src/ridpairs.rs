@@ -11,9 +11,9 @@
 //! by tokens, so group sizes follow the token-frequency distribution — no
 //! balance guarantee (contrast with FS-Join's `Even-TF` fragments).
 
-use crate::dedup::{add_dedup_stage, collect_pairs};
-use crate::{BaselineConfig, JoinRunResult};
-use ssj_mapreduce::{Dataset, Emitter, GroupValues, Mapper, Plan, PlanRunner, StreamingReducer};
+use crate::dedup::add_dedup_stage;
+use crate::{record_input, BaselineConfig, JoinRunResult};
+use ssj_mapreduce::{Emitter, GroupValues, Mapper, Plan, StreamingReducer};
 use ssj_similarity::index::CellIndex;
 use ssj_similarity::ppjoin::ppjoin_self_join_stats;
 use ssj_similarity::Measure;
@@ -84,14 +84,7 @@ pub fn ridpairs_ppjoin(
     cfg: &BaselineConfig,
 ) -> JoinRunResult {
     assert!(theta > 0.0 && theta <= 1.0, "θ must be in (0,1]");
-    let input: Dataset<u32, Record> = Dataset::from_records(
-        collection
-            .iter()
-            .filter(|v| !v.is_empty())
-            .map(|v| (v.id, v.to_record()))
-            .collect(),
-        cfg.map_tasks,
-    );
+    let input = record_input(collection, cfg.map_tasks);
     let mut plan = Plan::new("ridpairs").with_workers(cfg.workers);
     let raw = plan.add(
         "ridpairs-kernel",
@@ -106,13 +99,7 @@ pub fn ridpairs_ppjoin(
         },
     );
     let unique = add_dedup_stage(&mut plan, raw, cfg.reduce_tasks, "ridpairs-dedup");
-    let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
-    let pairs = collect_pairs(outcome.take_output(unique));
-    JoinRunResult {
-        pairs,
-        peak_live_bytes: outcome.peak_live_bytes,
-        chain: outcome.metrics,
-    }
+    JoinRunResult::run(plan, unique, cfg.plan_mode)
 }
 
 #[cfg(test)]

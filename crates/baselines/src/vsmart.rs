@@ -11,11 +11,9 @@
 //! refuse to run past [`BaselineConfig::intermediate_budget`], mirroring
 //! "cannot run completely" without hanging the test suite.
 
-use crate::{BaselineConfig, BudgetExceeded, JoinRunResult};
-use ssj_mapreduce::{
-    Dataset, Emitter, GroupValues, IdentityMapper, Mapper, Plan, PlanRunner, StreamingReducer,
-};
-use ssj_similarity::{Measure, SimilarPair};
+use crate::{record_input, BaselineConfig, BudgetExceeded, JoinRunResult};
+use ssj_mapreduce::{Emitter, GroupValues, IdentityMapper, Mapper, Plan, StreamingReducer};
+use ssj_similarity::Measure;
 use ssj_text::{Collection, Record};
 
 /// Join-phase mapper: `(token, (rid, len))` for every token.
@@ -139,14 +137,7 @@ pub fn vsmart_join(
         });
     }
 
-    let input: Dataset<u32, Record> = Dataset::from_records(
-        collection
-            .iter()
-            .filter(|v| !v.is_empty())
-            .map(|v| (v.id, v.to_record()))
-            .collect(),
-        cfg.map_tasks,
-    );
+    let input = record_input(collection, cfg.map_tasks);
     let mut plan = Plan::new("vsmart").with_workers(cfg.workers);
     let partials = plan.add(
         "vsmart-join",
@@ -162,19 +153,7 @@ pub fn vsmart_join(
         |_| IdentityMapper::default(),
         move |_| AggregateReducer { measure, theta },
     );
-    let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
-    let results = outcome.take_output(aggregated);
-
-    let mut pairs: Vec<SimilarPair> = results
-        .into_records()
-        .map(|((a, b), sim)| SimilarPair::new(a, b, sim))
-        .collect();
-    pairs.sort_unstable_by_key(|p| p.ids());
-    Ok(JoinRunResult {
-        pairs,
-        peak_live_bytes: outcome.peak_live_bytes,
-        chain: outcome.metrics,
-    })
+    Ok(JoinRunResult::run(plan, aggregated, cfg.plan_mode))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! run — so both modes produce bit-identical pairs (asserted here). The
 //! report lines print three observables per chain: wall-clock, simulated
 //! cluster makespan ([`ClusterModel::simulate_plan`] vs the barriered
-//! [`ClusterModel::simulate_chain_schedule`]), and the peak live
+//! [`ClusterModel::chain_makespan`]), and the peak live
 //! intermediate bytes held between stages (eager partition dropping).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -92,12 +92,7 @@ fn simulated_secs(chain: &ChainMetrics) -> (f64, f64) {
         .iter()
         .map(|s| s.end_secs)
         .fold(0.0f64, f64::max);
-    let barriered = cluster
-        .simulate_chain_schedule(chain)
-        .iter()
-        .map(|s| s.end_secs)
-        .fold(0.0f64, f64::max);
-    (piped, barriered)
+    (piped, cluster.chain_makespan(chain))
 }
 
 fn report_chain(

@@ -45,15 +45,13 @@ pub fn run() -> String {
                 .sim_secs
             })
             .collect();
-        let drop1 = 100.0 * (1.0 - secs[1] / secs[0]);
-        let drop2 = 100.0 * (1.0 - secs[2] / secs[1]);
         t.push_row([
             profile.name().to_string(),
             secs_cell(secs[0]),
             secs_cell(secs[1]),
             secs_cell(secs[2]),
-            format!("-{drop1:.0}%"),
-            format!("-{drop2:.0}%"),
+            change_cell(secs[0], secs[1]),
+            change_cell(secs[1], secs[2]),
         ]);
     }
     out.push_str(&t.to_markdown());
@@ -62,4 +60,26 @@ pub fn run() -> String {
          diminishing returns from 10→15 (−10…20%).\n",
     );
     out
+}
+
+/// The signed change from `from` to `to` in whole percent: `-27%` for a
+/// drop, `+54%` for a rise, `0%` when it rounds to none.
+fn change_cell(from: f64, to: f64) -> String {
+    match format!("{:+.0}", 100.0 * (to / from - 1.0)).as_str() {
+        "+0" | "-0" => "0%".to_string(),
+        pct => format!("{pct}%"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::change_cell;
+
+    #[test]
+    fn change_cell_signs_the_change() {
+        assert_eq!(change_cell(0.15, 0.11), "-27%");
+        assert_eq!(change_cell(0.11, 0.17), "+55%");
+        assert_eq!(change_cell(0.2, 0.2), "0%");
+        assert_eq!(change_cell(1.0, 0.999), "0%");
+    }
 }

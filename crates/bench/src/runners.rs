@@ -115,18 +115,12 @@ pub fn median_secs(runs: &[RunOutcome], secs: impl Fn(&RunOutcome) -> f64) -> f6
     all[all.len() / 2]
 }
 
-/// Makespan of `chain` run job after job on `cluster`.
-fn chain_secs(cluster: &ClusterModel, chain: &ChainMetrics) -> f64 {
-    let schedules = cluster.simulate_chain_schedule(chain);
-    schedules.last().map_or(0.0, |s| s.end_secs)
-}
-
 impl RunOutcome {
     /// Simulated makespan on an arbitrary cluster model (NaN for DNFs).
     pub fn sim_secs_on(&self, cluster: &ClusterModel) -> f64 {
         self.chain
             .as_ref()
-            .map_or(f64::NAN, |ch| self.driver_secs + chain_secs(cluster, ch))
+            .map_or(f64::NAN, |ch| cluster.chain_makespan(ch) + self.driver_secs)
     }
 
     fn dnf(algorithm: &'static str, reason: String) -> Self {
@@ -170,7 +164,7 @@ impl RunOutcome {
         cluster: &ClusterModel,
         deps: Option<(&str, &[Vec<usize>])>,
     ) -> Self {
-        let sim_secs = chain_secs(cluster, &chain);
+        let sim_secs = cluster.chain_makespan(&chain);
         // When tracing is on, also render the simulated cluster occupancy
         // for this run next to the real host spans.
         match deps {
@@ -249,6 +243,7 @@ pub fn run_algorithm_cfg(
                 cfg = cfg.with_horizontal(0);
             }
             let res = fsjoin::run_self_join(collection, &cfg);
+            let sim_secs = res.simulated_secs(&cluster);
             let out = RunOutcome::from_chain_with_deps(
                 algo.name(),
                 res.pairs.len(),
@@ -257,12 +252,10 @@ pub fn run_algorithm_cfg(
                 &cluster,
                 Some(("fsjoin", &res.deps)),
             );
-            // The Sweep pass runs on the driver before any job: serial
-            // time ahead of the simulated plan.
             RunOutcome {
                 listed_partners: res.sweep_stats.listed,
                 driver_secs: res.driver_secs,
-                sim_secs: out.sim_secs + res.driver_secs,
+                sim_secs,
                 ..out
             }
         }

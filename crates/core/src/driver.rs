@@ -15,11 +15,12 @@ use crate::sweep::{Sweep, SweepMapper, SweepReducer, SweepStats};
 use crate::vertical::split_record;
 use ssj_mapreduce::{
     ChainMetrics, Dataset, DirectPartitioner, Emitter, GroupValues, HashPartitioner,
-    IdentityCombiner, IdentityMapper, Mapper, Plan, PlanRunner, StageHandle, StreamingReducer,
+    IdentityCombiner, IdentityMapper, Mapper, Plan, PlanMode, PlanRunner, StageHandle,
+    StreamingReducer,
 };
-use ssj_observe::{span, MetricsRegistry};
+use ssj_observe::{span, MetricsRegistry, Span};
 use ssj_similarity::index::CellIndex;
-use ssj_similarity::{Measure, SimilarPair};
+use ssj_similarity::{collect_pairs, Measure, SimilarPair};
 use ssj_text::{Collection, PooledRecord, TokenPool};
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,7 +39,8 @@ pub struct FsJoinResult {
     pub sweep_stats: SweepStats,
     /// Seconds the driver spent deciding pairs before the plan ran: the
     /// Sweep kernel's pass (0 under the other kernels and the other
-    /// joins). No task runs it, so [`Self::chain`] does not hold it.
+    /// joins). No task runs it, so [`Self::chain`] does not hold it;
+    /// [`Self::simulated_secs`] adds it as serial time ahead of the plan.
     pub driver_secs: f64,
     /// Candidate records emitted by the filtering job (the paper's
     /// Table IV quantity). FS-Join-PF reports the pairs its probe
@@ -61,29 +63,27 @@ pub struct FsJoinResult {
 }
 
 impl FsJoinResult {
-    /// Total simulated time on a modelled cluster (see
-    /// [`ssj_mapreduce::ClusterModel`]).
+    /// Total simulated time on a modelled cluster: the driver's serial
+    /// time ([`Self::driver_secs`]) plus the chain's makespan
+    /// ([`ssj_mapreduce::ClusterModel::chain_makespan`]).
     pub fn simulated_secs(&self, cluster: &ssj_mapreduce::ClusterModel) -> f64 {
-        cluster
-            .simulate_chain_schedule(&self.chain)
-            .last()
-            .map_or(0.0, |s| s.end_secs)
+        cluster.chain_makespan(&self.chain) + self.driver_secs
     }
 }
 
 /// Filtering-job mapper: vertical + horizontal partitioning of one record
-/// (paper Algorithm 1 lines 6–9). Shared with the prefix-discovery variant
-/// ([`crate::pf`]). Tokens are resolved against the run's shared pool
-/// (shipped to every task over a [`Broadcast`](ssj_mapreduce::StageEdge)
-/// edge); segments are `Copy` spans, so the map phase allocates no token
-/// storage.
+/// (paper Algorithm 1 lines 6–9), built by [`Layout::mapper`] for FS-Join's
+/// walk kernels and the prefix-discovery variant ([`crate::pf`]). Tokens
+/// are resolved against the run's shared pool (shipped to every task over a
+/// [`Broadcast`](ssj_mapreduce::StageEdge) edge); segments are `Copy`
+/// spans, so the map phase allocates no token storage.
 pub(crate) struct PartitionMapper {
-    pub(crate) pool: Arc<TokenPool>,
-    pub(crate) pivots: Arc<Vec<u32>>,
-    pub(crate) h_pivots: Arc<Vec<u32>>,
-    pub(crate) num_fragments: usize,
-    pub(crate) measure: Measure,
-    pub(crate) theta: f64,
+    pool: Arc<TokenPool>,
+    pivots: Arc<Vec<u32>>,
+    h_pivots: Arc<Vec<u32>>,
+    num_fragments: usize,
+    measure: Measure,
+    theta: f64,
 }
 
 impl Mapper for PartitionMapper {
@@ -158,8 +158,7 @@ impl StreamingReducer for FragmentReducer {
         self.scratch.extend(segments.copied());
         let h = *cell as usize / self.cfg.num_fragments;
         let rule = JoinRule::for_partition(h, &self.h_pivots);
-        let before_pairs = self.local_stats.pairs_considered;
-        let before_emitted = self.local_stats.emitted;
+        let before = self.local_stats;
         let join = FragmentJoin::of_run(&self.pool, &self.cfg);
         let records = join_fragment(
             &join,
@@ -168,16 +167,7 @@ impl StreamingReducer for FragmentReducer {
             &mut self.index,
             &mut self.local_stats,
         );
-        // Per-cell load distributions (skew diagnosis for the fragment
-        // join, independent of reduce-task packing).
-        self.registry.histogram_record(
-            crate::keys::FRAGMENT_PAIRS,
-            self.local_stats.pairs_considered - before_pairs,
-        );
-        self.registry.histogram_record(
-            crate::keys::FRAGMENT_CANDIDATES,
-            self.local_stats.emitted - before_emitted,
-        );
+        self.local_stats.record_cell(&before, &self.registry);
         for rec in records {
             out.emit(rec.key(), rec.value());
         }
@@ -253,20 +243,127 @@ impl StreamingReducer for VerifyReducer {
     }
 }
 
+/// The cell layout of a fragment run (Algorithm 1 lines 2–4): the vertical
+/// pivots, the horizontal length pivots and the `(h, v)` cells they span.
+pub(crate) struct Layout {
+    pub(crate) pivots: Arc<Vec<u32>>,
+    /// `pivots.len() + 1`. Small domains may yield fewer pivots than
+    /// requested, and reducers derive the horizontal partition from the
+    /// cell id, so they must see this effective count, not the requested
+    /// one.
+    pub(crate) num_fragments: usize,
+    pub(crate) h_pivots: Arc<Vec<u32>>,
+    pub(crate) num_cells: usize,
+}
+
+impl Layout {
+    /// Select the pivots of a run over `pool`, whose token frequencies are
+    /// `freqs`. Returns the layout with its `ordering` span still open, so
+    /// the caller can charge further driver-side set-up to it.
+    pub(crate) fn select(pool: &TokenPool, freqs: &[u64], cfg: &FsJoinConfig) -> (Layout, Span) {
+        let ordering_span = span("fsjoin.stage", "ordering");
+        let pivots = Arc::new(select_pivots(
+            freqs,
+            cfg.num_fragments.saturating_sub(1),
+            cfg.pivot_strategy,
+            cfg.seed,
+        ));
+        let num_fragments = pivots.len() + 1;
+        // Length histogram straight off the pool's CSR offsets — no span
+        // resolution, no intermediate Vec.
+        let h_pivots = Arc::new(select_h_pivots(pool.lengths(), cfg.horizontal_pivots));
+        let h_partitions = num_h_partitions(&h_pivots);
+        let layout = Layout {
+            pivots,
+            num_fragments,
+            h_pivots,
+            num_cells: h_partitions * num_fragments,
+        };
+        let ordering_span = ordering_span
+            .field("fragments", num_fragments)
+            .field("h_partitions", h_partitions);
+        (layout, ordering_span)
+    }
+
+    /// Factory of the filtering job's [`PartitionMapper`]s over this
+    /// layout.
+    pub(crate) fn mapper(
+        &self,
+        cfg: &FsJoinConfig,
+    ) -> impl Fn(usize, &Arc<TokenPool>) -> PartitionMapper + Send + Sync + 'static {
+        let pivots = Arc::clone(&self.pivots);
+        let h_pivots = Arc::clone(&self.h_pivots);
+        let (num_fragments, measure, theta) = (self.num_fragments, cfg.measure, cfg.theta);
+        move |_, pool: &Arc<TokenPool>| PartitionMapper {
+            pool: Arc::clone(pool),
+            pivots: Arc::clone(&pivots),
+            h_pivots: Arc::clone(&h_pivots),
+            num_fragments,
+            measure,
+            theta,
+        }
+    }
+
+    /// The vertical and horizontal pivots, for the run's result.
+    pub(crate) fn into_pivots(self) -> (Vec<u32>, Vec<u32>) {
+        let owned = |a: Arc<Vec<u32>>| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone());
+        (owned(self.pivots), owned(self.h_pivots))
+    }
+}
+
+/// The end of every join run in this crate: run `plan`, collect the output
+/// of its stage `out` into sorted pairs, read the [`FilterStats`] and
+/// [`SweepStats`] the tasks recorded into `registry`, set the candidate and
+/// pair gauges there and merge it into the process-global registry when one
+/// is installed. `candidates` is the run's own count, read off the chain
+/// and the filter stats; it and the pair count are recorded on `run_span`.
+/// The result carries no pivots and no driver time: a run with either adds
+/// them.
+pub(crate) fn finish(
+    plan: Plan,
+    out: StageHandle<(u32, u32), f64>,
+    mode: PlanMode,
+    registry: &MetricsRegistry,
+    run_span: &mut Span,
+    candidates: impl FnOnce(&ChainMetrics, &FilterStats) -> usize,
+) -> FsJoinResult {
+    let mut outcome = PlanRunner::new(mode).run(plan);
+    let pairs = collect_pairs(outcome.take_output(out).into_records());
+    let filter_stats = FilterStats::from_registry(registry);
+    let candidates = candidates(&outcome.metrics, &filter_stats);
+    registry.gauge_set(crate::keys::CANDIDATES, candidates as f64);
+    registry.gauge_set(crate::keys::PAIRS, pairs.len() as f64);
+    if let Some(global) = ssj_observe::global_registry() {
+        global.merge_from(registry);
+    }
+    run_span.record("candidates", candidates);
+    run_span.record("pairs", pairs.len());
+    FsJoinResult {
+        pairs,
+        filter_stats,
+        sweep_stats: SweepStats::from_registry(registry),
+        driver_secs: 0.0,
+        candidates,
+        pivots: Vec::new(),
+        h_pivots: Vec::new(),
+        peak_live_bytes: outcome.peak_live_bytes,
+        deps: outcome.deps().to_vec(),
+        chain: outcome.metrics,
+    }
+}
+
 /// The setup and filtering job of one run (Algorithm 1 lines 2–13): the
-/// pivots, and a plan whose one stage, `fsjoin-filter`, emits every
+/// layout, and a plan whose one stage, `fsjoin-filter`, emits every
 /// candidate record.
 struct FilterPlan {
     plan: Plan,
     candidates: StageHandle<(u32, u32), (u32, u32, u32)>,
-    pivots: Arc<Vec<u32>>,
-    h_pivots: Arc<Vec<u32>>,
-    num_cells: usize,
+    layout: Layout,
     /// Seconds spent in the Sweep kernel's pass.
     driver_secs: f64,
 }
 
-/// Select the pivots and plan the filtering job over `pool`'s records. The
+/// Lay out the cells and plan the filtering job over `pool`'s records. The
 /// stage's tasks record their counters into `registry`.
 fn filter_plan(
     pool: &Arc<TokenPool>,
@@ -274,43 +371,23 @@ fn filter_plan(
     cfg: &FsJoinConfig,
     registry: &Arc<MetricsRegistry>,
 ) -> FilterPlan {
-    // ---- Setup: pivot selection (Algorithm 1 lines 2–4) ------------------
-    let ordering_span = span("fsjoin.stage", "ordering");
-    let pivots = Arc::new(select_pivots(
-        freqs,
-        cfg.num_fragments.saturating_sub(1),
-        cfg.pivot_strategy,
-        cfg.seed,
-    ));
-    // Effective fragment count (small domains may yield fewer pivots);
-    // the reducer derives the horizontal partition from the cell id, so it
-    // must see the *effective* count, not the requested one.
-    let num_fragments = pivots.len() + 1;
+    let (layout, ordering_span) = Layout::select(pool, freqs, cfg);
     let cfg_eff = {
         let mut c = cfg.clone();
-        c.num_fragments = num_fragments;
+        c.num_fragments = layout.num_fragments;
         c
     };
-
-    // Length histogram straight off the pool's CSR offsets — no span
-    // resolution, no intermediate Vec.
-    let h_pivots = Arc::new(select_h_pivots(pool.lengths(), cfg.horizontal_pivots));
-    let num_cells = num_h_partitions(&h_pivots) * num_fragments;
     // The Sweep kernel's columns and partner lists, next to the pivots:
     // decided once from the pool, shared read-only by every map task.
     let mut driver_secs = 0.0;
     let sweep = (cfg.kernel == JoinKernel::Sweep).then(|| {
         let start = Instant::now();
-        let sweep = Sweep::new(pool, &pivots, &h_pivots, cfg);
+        let sweep = Sweep::new(pool, &layout.pivots, &layout.h_pivots, cfg);
         driver_secs = start.elapsed().as_secs_f64();
         sweep.stats().record_to(registry);
         Arc::new(sweep)
     });
-    drop(
-        ordering_span
-            .field("fragments", num_fragments)
-            .field("h_partitions", num_h_partitions(&h_pivots)),
-    );
+    drop(ordering_span);
 
     // ---- Input dataset ----------------------------------------------------
     // Each input record is just a span — the tokens stay in the shared
@@ -319,7 +396,7 @@ fn filter_plan(
     let input = Dataset::from_records(pooled_records(pool), cfg.map_tasks);
 
     // ---- Filtering job (Algorithm 1 lines 5–13) ----------------------------
-    let reduce_tasks = cfg.reduce_tasks.min(num_cells).max(1);
+    let reduce_tasks = cfg.reduce_tasks.min(layout.num_cells).max(1);
     let mut plan = Plan::new("fsjoin").with_workers(cfg.workers);
     // Ship the token arena to every task over a broadcast edge (the
     // distributed-cache analogue): tasks receive one shared Arc instead of
@@ -353,21 +430,9 @@ fn filter_plan(
             input,
             pool_bcast,
             reduce_tasks,
+            layout.mapper(cfg),
             {
-                let pivots = Arc::clone(&pivots);
-                let h_pivots = Arc::clone(&h_pivots);
-                let (measure, theta) = (cfg.measure, cfg.theta);
-                move |_, pool: &Arc<TokenPool>| PartitionMapper {
-                    pool: Arc::clone(pool),
-                    pivots: Arc::clone(&pivots),
-                    h_pivots: Arc::clone(&h_pivots),
-                    num_fragments,
-                    measure,
-                    theta,
-                }
-            },
-            {
-                let h_pivots = Arc::clone(&h_pivots);
+                let h_pivots = Arc::clone(&layout.h_pivots);
                 let registry = Arc::clone(registry);
                 move |_, pool: &Arc<TokenPool>| FragmentReducer {
                     pool: Arc::clone(pool),
@@ -386,9 +451,7 @@ fn filter_plan(
     FilterPlan {
         plan,
         candidates,
-        pivots,
-        h_pivots,
-        num_cells,
+        layout,
         driver_secs,
     }
 }
@@ -398,7 +461,7 @@ fn filter_plan(
 pub fn run_self_join(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
     cfg.validate();
     let pool = collection.share_pool();
-    let run_span = span("fsjoin.stage", "run")
+    let mut run_span = span("fsjoin.stage", "run")
         .field("records", pool.len())
         .field("theta", cfg.theta);
 
@@ -415,17 +478,15 @@ pub fn run_self_join(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResul
     let run_registry = Arc::new(MetricsRegistry::new());
     let FilterPlan {
         mut plan,
-        candidates: candidates_h,
-        pivots,
-        h_pivots,
-        num_cells,
+        candidates,
+        layout,
         driver_secs,
     } = filter_plan(&pool, &collection.token_freqs, cfg, &run_registry);
-    let filter_span = span("fsjoin.stage", "filter-job").field("cells", num_cells);
-    let verify_span = span("fsjoin.stage", "verify-job");
-    let verified_h = plan.add_full(
+    let mut filter_span = span("fsjoin.stage", "filter-job").field("cells", layout.num_cells);
+    let mut verify_span = span("fsjoin.stage", "verify-job");
+    let verified = plan.add_full(
         "fsjoin-verify",
-        candidates_h,
+        candidates,
         cfg.reduce_tasks,
         // Verification-job map side: identity (paper Algorithm 1 lines 15–16).
         |_| IdentityMapper::default(),
@@ -437,43 +498,25 @@ pub fn run_self_join(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResul
         Some(VerifyCombiner),
     );
 
-    let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
-    let verified = outcome.take_output(verified_h);
-    let peak_live_bytes = outcome.peak_live_bytes;
-    let deps = outcome.deps().to_vec();
-    let chain = outcome.metrics;
     // The candidate count is the filter stage's reduce output — the same
     // quantity `total_records()` reported on the materialized dataset
     // (which pipelining no longer keeps around).
-    let candidates = chain.jobs[0].reduce_output_records();
-    drop(filter_span.field("candidates", candidates));
-
-    let mut pairs: Vec<SimilarPair> = verified
-        .into_records()
-        .map(|((a, b), sim)| SimilarPair::new(a, b, sim))
-        .collect();
-    pairs.sort_unstable_by_key(|x| x.ids());
-    drop(verify_span.field("pairs", pairs.len()));
-
-    let filter_stats = FilterStats::from_registry(&run_registry);
-    let sweep_stats = SweepStats::from_registry(&run_registry);
-    run_registry.gauge_set(crate::keys::CANDIDATES, candidates as f64);
-    run_registry.gauge_set(crate::keys::PAIRS, pairs.len() as f64);
-    if let Some(global) = ssj_observe::global_registry() {
-        global.merge_from(&run_registry);
-    }
-    drop(run_span.field("pairs", pairs.len()));
+    let result = finish(
+        plan,
+        verified,
+        cfg.plan_mode,
+        &run_registry,
+        &mut run_span,
+        |chain, _| chain.jobs[0].reduce_output_records(),
+    );
+    filter_span.record("candidates", result.candidates);
+    verify_span.record("pairs", result.pairs.len());
+    let (pivots, h_pivots) = layout.into_pivots();
     FsJoinResult {
-        pairs,
-        chain,
-        filter_stats,
-        sweep_stats,
+        pivots,
+        h_pivots,
         driver_secs,
-        candidates,
-        pivots: Arc::try_unwrap(pivots).unwrap_or_else(|a| (*a).clone()),
-        h_pivots: Arc::try_unwrap(h_pivots).unwrap_or_else(|a| (*a).clone()),
-        peak_live_bytes,
-        deps,
+        ..result
     }
 }
 
@@ -796,6 +839,32 @@ mod tests {
             }
         }
         assert!(dropped > 0, "the pass dropped no candidate below θ");
+    }
+
+    /// The driver's serial pass is part of the simulated time: Sweep's
+    /// pass adds to the chain's makespan, and PF, which has none, reports
+    /// the makespan alone.
+    #[test]
+    fn simulated_secs_charge_the_driver_pass() {
+        use crate::pf::run_self_join_pf;
+        use ssj_mapreduce::ClusterModel;
+
+        let c = tiny_collection();
+        let cfg = FsJoinConfig::default().with_theta(0.7);
+        let cluster = ClusterModel::paper_default(10);
+        let sweep = run_self_join(&c, &cfg);
+        assert_eq!(cfg.kernel, JoinKernel::Sweep);
+        assert!(sweep.driver_secs > 0.0);
+        assert_eq!(
+            sweep.simulated_secs(&cluster),
+            cluster.chain_makespan(&sweep.chain) + sweep.driver_secs
+        );
+        let pf = run_self_join_pf(&c, &cfg);
+        assert_eq!(pf.driver_secs, 0.0);
+        assert_eq!(
+            pf.simulated_secs(&cluster),
+            cluster.chain_makespan(&pf.chain)
+        );
     }
 
     #[test]

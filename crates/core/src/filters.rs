@@ -254,6 +254,21 @@ impl FilterStats {
         }
     }
 
+    /// Record one cell's load into `registry`'s per-cell histograms (skew
+    /// diagnosis for the fragment join, independent of reduce-task
+    /// packing): the pairs considered and the records emitted since the
+    /// counters read `before`.
+    pub(crate) fn record_cell(
+        &self,
+        before: &FilterStats,
+        registry: &ssj_observe::MetricsRegistry,
+    ) {
+        use crate::keys;
+        let pairs = self.pairs_considered - before.pairs_considered;
+        registry.histogram_record(keys::FRAGMENT_PAIRS, pairs);
+        registry.histogram_record(keys::FRAGMENT_CANDIDATES, self.emitted - before.emitted);
+    }
+
     /// Reconstruct aggregated counters from a registry populated via
     /// [`Self::record_to`]. Missing counters read as 0.
     pub fn from_registry(registry: &ssj_observe::MetricsRegistry) -> FilterStats {

@@ -59,20 +59,17 @@
 //! heads may be dropped here, but the repeat check would have skipped it.
 
 use crate::config::FsJoinConfig;
-use crate::driver::{pooled_records, FsJoinResult, PartitionMapper};
+use crate::driver::{finish, pooled_records, FsJoinResult, Layout};
 use crate::filters::{shares_token, FilterStats};
 use crate::fragment::split_cell;
-use crate::horizontal::{num_h_partitions, select_h_pivots, JoinRule};
-use crate::pivots::select_pivots;
+use crate::horizontal::JoinRule;
 use crate::segment::Segment;
-use crate::sweep::SweepStats;
 use ssj_mapreduce::{
-    Dataset, DirectPartitioner, Emitter, GroupValues, IdentityCombiner, Plan, PlanRunner,
-    StreamingReducer,
+    Dataset, DirectPartitioner, Emitter, GroupValues, IdentityCombiner, Plan, StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::index::{CellIndex, Slot};
-use ssj_similarity::{Measure, SimilarPair, Verifier};
+use ssj_similarity::{Measure, Verifier};
 use ssj_text::{Collection, TokenPool};
 use std::sync::Arc;
 
@@ -124,8 +121,7 @@ impl StreamingReducer for PrefixDiscoveryReducer {
         self.scratch.extend(values.copied());
         let h = *cell as usize / self.num_fragments;
         let rule = JoinRule::for_partition(h, &self.h_pivots);
-        let before_pairs = self.local_stats.pairs_considered;
-        let before_emitted = self.local_stats.emitted;
+        let before = self.local_stats;
         // Index the band's global-prefix tokens; probe it with itself in
         // slot order (each unordered pair is seen once, from its longer
         // record) or with the long group — the fragment join's indexed
@@ -179,14 +175,7 @@ impl StreamingReducer for PrefixDiscoveryReducer {
         }
         // Per-cell discovery load and emissions, the histograms the exact
         // driver keeps.
-        self.registry.histogram_record(
-            crate::keys::FRAGMENT_PAIRS,
-            self.local_stats.pairs_considered - before_pairs,
-        );
-        self.registry.histogram_record(
-            crate::keys::FRAGMENT_CANDIDATES,
-            self.local_stats.emitted - before_emitted,
-        );
+        self.local_stats.record_cell(&before, &self.registry);
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), f64>) {
@@ -204,65 +193,41 @@ impl StreamingReducer for PrefixDiscoveryReducer {
 pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
     cfg.validate();
     let pool = collection.share_pool();
-    let run_span = span("fsjoin.stage", "run-pf")
+    let mut run_span = span("fsjoin.stage", "run-pf")
         .field("records", pool.len())
         .field("theta", cfg.theta);
-
-    let ordering_span = span("fsjoin.stage", "ordering");
-    let pivots = Arc::new(select_pivots(
-        &collection.token_freqs,
-        cfg.num_fragments.saturating_sub(1),
-        cfg.pivot_strategy,
-        cfg.seed,
-    ));
-    let num_fragments = pivots.len() + 1;
-
-    let h_pivots = Arc::new(select_h_pivots(pool.lengths(), cfg.horizontal_pivots));
-    let num_cells = num_h_partitions(&h_pivots) * num_fragments;
-    drop(
-        ordering_span
-            .field("fragments", num_fragments)
-            .field("h_partitions", num_h_partitions(&h_pivots)),
-    );
+    let (layout, ordering_span) = Layout::select(&pool, &collection.token_freqs, cfg);
+    drop(ordering_span);
+    run_span.record("cells", layout.num_cells);
 
     let input = Dataset::from_records(pooled_records(&pool), cfg.map_tasks);
 
     // One stage, whose output is the result. Per-run registry, same
     // contract as the main driver: discovery tasks record canonical
-    // `fsjoin.*` counters here; the aggregate is read back below and
-    // merged into the process-global registry when one is installed.
+    // `fsjoin.*` counters here.
     let run_registry = Arc::new(MetricsRegistry::new());
-    let reduce_tasks = cfg.reduce_tasks.min(num_cells).max(1);
-    let (measure, theta) = (cfg.measure, cfg.theta);
-
+    let reduce_tasks = cfg.reduce_tasks.min(layout.num_cells).max(1);
     let mut plan = Plan::new("fsjoin-pf").with_workers(cfg.workers);
     // One shared arena over a broadcast edge: the mappers cut segments
     // from it, the reducers verify against it (the record cache).
     let pool_bcast = plan.broadcast(Arc::clone(&pool));
-    let verified_h = plan.add_full_broadcast(
+    let verified = plan.add_full_broadcast(
         "fsjoin-pf-discover",
         input,
         pool_bcast,
         reduce_tasks,
+        layout.mapper(cfg),
         {
-            let pivots = Arc::clone(&pivots);
-            let h_pivots = Arc::clone(&h_pivots);
-            move |_, pool: &Arc<TokenPool>| PartitionMapper {
-                pool: Arc::clone(pool),
-                pivots: Arc::clone(&pivots),
-                h_pivots: Arc::clone(&h_pivots),
-                num_fragments,
-                measure,
-                theta,
-            }
-        },
-        {
-            let h_pivots = Arc::clone(&h_pivots);
+            let h_pivots = Arc::clone(&layout.h_pivots);
             let registry = Arc::clone(&run_registry);
-            let bitmap = cfg.bitmap_prune;
+            let verifier = Verifier {
+                measure: cfg.measure,
+                theta: cfg.theta,
+            };
+            let (bitmap, num_fragments) = (cfg.bitmap_prune, layout.num_fragments);
             move |_, pool: &Arc<TokenPool>| PrefixDiscoveryReducer {
                 pool: Arc::clone(pool),
-                verifier: Verifier { measure, theta },
+                verifier,
                 bitmap,
                 num_fragments,
                 h_pivots: Arc::clone(&h_pivots),
@@ -276,42 +241,19 @@ pub fn run_self_join_pf(collection: &Collection, cfg: &FsJoinConfig) -> FsJoinRe
         None::<IdentityCombiner>,
     );
 
-    let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
-    let verified = outcome.take_output(verified_h);
-    let peak_live_bytes = outcome.peak_live_bytes;
-    let deps = outcome.deps().to_vec();
-    let chain = outcome.metrics;
-
-    let mut pairs: Vec<SimilarPair> = verified
-        .into_records()
-        .map(|((a, b), sim)| SimilarPair::new(a, b, sim))
-        .collect();
-    pairs.sort_unstable_by_key(|x| x.ids());
-
-    let filter_stats = FilterStats::from_registry(&run_registry);
-    let candidates = filter_stats.pairs_considered as usize;
-    run_registry.gauge_set(crate::keys::CANDIDATES, candidates as f64);
-    run_registry.gauge_set(crate::keys::PAIRS, pairs.len() as f64);
-    if let Some(global) = ssj_observe::global_registry() {
-        global.merge_from(&run_registry);
-    }
-    drop(
-        run_span
-            .field("cells", num_cells)
-            .field("candidates", candidates)
-            .field("pairs", pairs.len()),
+    let result = finish(
+        plan,
+        verified,
+        cfg.plan_mode,
+        &run_registry,
+        &mut run_span,
+        |_, stats| stats.pairs_considered as usize,
     );
+    let (pivots, h_pivots) = layout.into_pivots();
     FsJoinResult {
-        pairs,
-        chain,
-        filter_stats,
-        sweep_stats: SweepStats::default(),
-        driver_secs: 0.0,
-        candidates,
-        pivots: Arc::try_unwrap(pivots).unwrap_or_else(|a| (*a).clone()),
-        h_pivots: Arc::try_unwrap(h_pivots).unwrap_or_else(|a| (*a).clone()),
-        peak_live_bytes,
-        deps,
+        pivots,
+        h_pivots,
+        ..result
     }
 }
 

@@ -49,16 +49,15 @@
 //! and filtered to cross-side pairs, bit for bit.
 
 use crate::config::FsJoinConfig;
-use crate::driver::FsJoinResult;
+use crate::driver::{finish, FsJoinResult};
 use crate::filters::{shares_token, strl_pass, FilterStats};
-use crate::sweep::SweepStats;
 use ssj_common::ByteSize;
 use ssj_mapreduce::{
     CoGroupReducer, Dataset, Emitter, HashPartitioner, IdentityCombiner, Mapper, PassThrough, Plan,
-    PlanRunner, SideGroups,
+    SideGroups,
 };
 use ssj_observe::{span, MetricsRegistry};
-use ssj_similarity::{Measure, Signature, SimilarPair, Verifier};
+use ssj_similarity::{Measure, Signature, Verifier};
 use ssj_text::{Collection, PooledRecord, TokenPool};
 use std::sync::Arc;
 
@@ -301,7 +300,7 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         s: s.share_pool(),
         num_r: num_r as u32,
     });
-    let run_span = span("fsjoin.stage", "run-rs2")
+    let mut run_span = span("fsjoin.stage", "run-rs2")
         .field("records", num_r + num_s)
         .field("theta", cfg.theta);
     let (measure, theta) = (cfg.measure, cfg.theta);
@@ -366,44 +365,16 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         },
     );
 
-    let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
-    let verified = outcome.take_output(joined);
-    let peak_live_bytes = outcome.peak_live_bytes;
-    let deps = outcome.deps().to_vec();
-    let chain = outcome.metrics;
     // The join's emissions — the cross-pair analogue of the kernel-output
     // candidate count the baselines report.
-    let candidates = chain.jobs[2].reduce_output_records();
-
-    let mut pairs: Vec<SimilarPair> = verified
-        .into_records()
-        .map(|((a, b), sim)| SimilarPair::new(a, b, sim))
-        .collect();
-    pairs.sort_unstable_by_key(|x| x.ids());
-
-    let filter_stats = FilterStats::from_registry(&run_registry);
-    run_registry.gauge_set(crate::keys::CANDIDATES, candidates as f64);
-    run_registry.gauge_set(crate::keys::PAIRS, pairs.len() as f64);
-    if let Some(global) = ssj_observe::global_registry() {
-        global.merge_from(&run_registry);
-    }
-    drop(
-        run_span
-            .field("candidates", candidates)
-            .field("pairs", pairs.len()),
-    );
-    FsJoinResult {
-        pairs,
-        chain,
-        filter_stats,
-        sweep_stats: SweepStats::default(),
-        driver_secs: 0.0,
-        candidates,
-        pivots: Vec::new(),
-        h_pivots: Vec::new(),
-        peak_live_bytes,
-        deps,
-    }
+    finish(
+        plan,
+        joined,
+        cfg.plan_mode,
+        &run_registry,
+        &mut run_span,
+        |chain, _| chain.jobs[2].reduce_output_records(),
+    )
 }
 
 #[cfg(test)]
@@ -412,7 +383,7 @@ mod tests {
     use ssj_mapreduce::PlanMode;
     use ssj_similarity::naive::naive_rs_join;
     use ssj_similarity::pair::{compare_results, id_pairs};
-    use ssj_similarity::pair_digest;
+    use ssj_similarity::{pair_digest, SimilarPair};
     use ssj_text::encode::encode_two;
     use ssj_text::{CorpusProfile, RawCorpus, Record, Tokenizer};
 

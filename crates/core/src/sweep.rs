@@ -516,8 +516,7 @@ impl StreamingReducer for SweepReducer {
         self.cell.sort_unstable_by_key(|(seg, _)| seg.rid);
         let join = FragmentJoin::of_run(&self.pool, &self.cfg);
         debug_assert_eq!(join.kernel, JoinKernel::Sweep);
-        let before_pairs = self.filter_stats.pairs_considered;
-        let before_emitted = self.filter_stats.emitted;
+        let before = self.filter_stats;
         for (later, range) in &self.cell {
             for &rid in &self.partners[range.clone()] {
                 let at = self
@@ -534,14 +533,7 @@ impl StreamingReducer for SweepReducer {
                 }
             }
         }
-        self.registry.histogram_record(
-            crate::keys::FRAGMENT_PAIRS,
-            self.filter_stats.pairs_considered - before_pairs,
-        );
-        self.registry.histogram_record(
-            crate::keys::FRAGMENT_CANDIDATES,
-            self.filter_stats.emitted - before_emitted,
-        );
+        self.filter_stats.record_cell(&before, &self.registry);
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), (u32, u32, u32)>) {

@@ -97,6 +97,15 @@ impl ClusterModel {
         run.expect("a fault-free run cannot fail").0
     }
 
+    /// Makespan of `chain` run job after job (the last job's end in
+    /// [`Self::simulate_chain_schedule`]; 0 for an empty chain): the
+    /// simulated time every join result and runner reports.
+    pub fn chain_makespan(&self, chain: &ChainMetrics) -> f64 {
+        self.simulate_chain_schedule(chain)
+            .last()
+            .map_or(0.0, |s| s.end_secs)
+    }
+
     /// Simulate a plan DAG with **partition-granular pipelining** (the
     /// model of [`PlanRunner`](crate::plan::PlanRunner)'s pipelined mode,
     /// and of Hadoop slow-start): `deps[j]` lists the upstream jobs
@@ -1052,7 +1061,7 @@ pub(crate) mod tests {
             plan_job("down", &[2.0, 2.0, 2.0, 2.0], &[1.0]),
         ]);
         let piped = plan_makespan(&c.simulate_plan(&chain, &[vec![], vec![0]]));
-        let serial = c.simulate_chain_schedule(&chain).last().unwrap().end_secs;
+        let serial = c.chain_makespan(&chain);
         assert!((serial - 10.0).abs() < 1e-9, "serialized {serial}");
         assert!((piped - 9.0).abs() < 1e-9, "pipelined {piped}");
     }
@@ -1068,7 +1077,7 @@ pub(crate) mod tests {
         for nodes in [1, 2, 5] {
             let c = ClusterModel::paper_default(nodes);
             let piped = plan_makespan(&c.simulate_plan(&chain, &deps));
-            let serial = c.simulate_chain_schedule(&chain).last().unwrap().end_secs;
+            let serial = c.chain_makespan(&chain);
             assert!(piped <= serial + 1e-9, "{nodes} nodes: {piped} > {serial}");
         }
     }
@@ -1084,7 +1093,7 @@ pub(crate) mod tests {
         ]);
         let c = ClusterModel::paper_default(1);
         let piped = plan_makespan(&c.simulate_plan(&chain, &[vec![], vec![0]]));
-        let serial = c.simulate_chain_schedule(&chain).last().unwrap().end_secs;
+        let serial = c.chain_makespan(&chain);
         assert!((piped - serial).abs() < 1e-9, "{piped} vs {serial}");
     }
 

@@ -25,11 +25,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Plan sequencing mode for the build.
     pub plan_mode: PlanMode,
-    /// Consult record bitmaps before the probe cascade's exact
-    /// verification step (default true). Lossless: the bitmap bound is an
-    /// upper bound on overlap, so hits are identical with it on or off —
-    /// only `serve.probe.verified` and probe latency move (DESIGN.md §12).
-    pub bitmap_prune: bool,
 }
 
 impl Default for ServeConfig {
@@ -41,7 +36,6 @@ impl Default for ServeConfig {
             map_tasks: 8,
             workers: 4,
             plan_mode: PlanMode::Pipelined,
-            bitmap_prune: true,
         }
     }
 }
@@ -80,13 +74,6 @@ impl ServeConfig {
     /// Set the build plan's sequencing mode.
     pub fn with_plan_mode(mut self, mode: PlanMode) -> Self {
         self.plan_mode = mode;
-        self
-    }
-
-    /// Toggle the bitmap prune in front of exact verification. Turn off
-    /// only for equivalence gates and A-B measurements.
-    pub fn with_bitmap_prune(mut self, on: bool) -> Self {
-        self.bitmap_prune = on;
         self
     }
 

@@ -36,10 +36,9 @@
 //! 4. **verify** — survivors go through the one whole-record cascade
 //!    shared with the batch joins ([`Verifier`]): the pooled token bitmaps
 //!    bound the overlap from above and settle candidates that cannot
-//!    reach `min_overlap` (lossless — see DESIGN.md §12, toggled by
-//!    [`ServeConfig::bitmap_prune`](crate::config::ServeConfig)); the rest
-//!    get an exact early-exit intersection and the measure's `passes`
-//!    predicate.
+//!    reach `min_overlap` (lossless — see DESIGN.md §12; serve always
+//!    reads them); the rest get an exact early-exit intersection and the
+//!    measure's `passes` predicate.
 //!
 //! The index prefix is sized for `theta_min` while the probe prefix is
 //! sized for the query's θ: both are at least `|·| − min_overlap(..) + 1`
@@ -411,15 +410,10 @@ impl ServeIndex {
             );
             survivors.sort_unstable();
             // The query bitmap is built once per probe, not once per survivor.
-            if self.cfg.bitmap_prune {
-                self.pool.fill_bitmap(tokens, qbits);
-            }
+            self.pool.fill_bitmap(tokens, qbits);
             let verifier = Verifier { measure: m, theta };
             for &rec in survivors.iter() {
-                let bits = self
-                    .cfg
-                    .bitmap_prune
-                    .then(|| (&qbits[..], self.bitmap_of(rec)));
+                let bits = Some((&qbits[..], self.bitmap_of(rec)));
                 let verdict = verifier.verify(tokens, self.tokens_of(rec), bits);
                 stats.bitmap_checks += u64::from(verdict.bitmap_checked);
                 if !verdict.intersected {

@@ -38,5 +38,5 @@ pub mod ppjoin;
 pub mod verify;
 
 pub use measure::Measure;
-pub use pair::{pair_digest, SimilarPair};
+pub use pair::{collect_pairs, pair_digest, SimilarPair};
 pub use verify::{Signature, Verdict, Verifier};

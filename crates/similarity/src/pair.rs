@@ -38,6 +38,19 @@ impl ByteSize for SimilarPair {
     }
 }
 
+/// Collect a join's `((a, b), score)` output into [`SimilarPair`]s sorted
+/// by id pair: how every join turns its output stage into its result.
+pub fn collect_pairs(
+    records: impl IntoIterator<Item = ((RecordId, RecordId), f64)>,
+) -> Vec<SimilarPair> {
+    let mut pairs: Vec<SimilarPair> = records
+        .into_iter()
+        .map(|((a, b), sim)| SimilarPair::new(a, b, sim))
+        .collect();
+    pairs.sort_unstable_by_key(SimilarPair::ids);
+    pairs
+}
+
 /// Extract the sorted id-pair set from a result list — the canonical form
 /// for comparing algorithm outputs (scores are compared separately since
 /// they are floats).

@@ -101,6 +101,13 @@ if grep -rnE '\bbench_probe\b|\bBenchReport\b' crates \
     exit 1
 fi
 
+# Print the lines of the given files that lie before their `#[cfg(test)]`
+# module, as FILE:LINE:TEXT.
+live_code() {
+    awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+         live { print FILENAME ":" FNR ":" $0 }' "$@"
+}
+
 echo "== lint: encode copies nothing =="
 # The encoder reads the raw documents in place and appends each record
 # straight into its collection's pool, and the one R×S join reads R's and
@@ -109,9 +116,7 @@ echo "== lint: encode copies nothing =="
 # the join crate may concatenate pools (tests may, to build an oracle;
 # serve compaction is the one production caller).
 if grep -nE 'docs\.clone\(\)|Vec<Record>' crates/text/src/encode.rs \
-    || awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
-            live { print FILENAME ":" FNR ":" $0 }' crates/core/src/*.rs \
-        | grep -E 'TokenPool::(try_)?concat|\btry_concat\b'; then
+    || live_code crates/core/src/*.rs | grep -E 'TokenPool::(try_)?concat|\btry_concat\b'; then
     echo "copy gate FAILED: corpus clone or owned records in encode.rs, or a concatenated pool in crates/core/src" >&2
     exit 1
 fi
@@ -125,6 +130,26 @@ if grep -rn 'KeepFirst' crates/core/src; then
     echo "decide-once gate FAILED: KeepFirst dedup stage under crates/core/src (use the repeat check)" >&2
     exit 1
 fi
+
+echo "== lint: one finish (crates/core/src/driver.rs::finish) =="
+# FS-Join, PF and the R×S join end in one finish step: run the plan,
+# collect the pairs, read the counters, set the gauges, merge the run's
+# registry into the global one. A second PlanRunner or global merge in
+# crates/core is a copied tail, and a second `SimilarPair::new(a, b, sim)`
+# collector in crates/ a copy of ssj_similarity::collect_pairs.
+core_live="$(live_code crates/core/src/*.rs)"
+crates_live="$(live_code $(find crates -name '*.rs' -not -path '*/tests/*'))"
+for check in "core:global_registry()" "core:PlanRunner::new(" "crates:SimilarPair::new(a, b, sim)"; do
+    scope="${check%%:*}" pattern="${check#*:}"
+    if [[ "$scope" == core ]]; then code="$core_live"; else code="$crates_live"; fi
+    sites="$(grep -F "$pattern" <<<"$code" || true)"
+    count="$(grep -c . <<<"$sites" || true)"
+    if [[ "$count" != 1 ]]; then
+        echo "finish gate FAILED: want one non-test '$pattern' in $scope, found:" >&2
+        echo "$sites" >&2
+        exit 1
+    fi
+done
 
 echo "== tier-1: cargo build --release && cargo test -q =="
 # The root manifest's default-members cover the whole workspace. (`|| exit`:
