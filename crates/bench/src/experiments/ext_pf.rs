@@ -8,6 +8,7 @@
 //! classic prefix-filter candidate volumes while remaining exact.
 
 use crate::datasets::{corpus, tuned_fsjoin, Scale};
+use crate::report::secs_cell;
 use crate::runners::{run_algorithm, Algorithm};
 use fsjoin::run_self_join_pf;
 use ssj_common::table::{fmt_bytes, Table};
@@ -65,9 +66,9 @@ pub fn run() -> String {
                 .map_or(0, |ch| ch.jobs[0].reduce_output_records());
             t.push_row([
                 format!("{theta}"),
-                format!("{:.2}", fs.sim_secs),
-                format!("{:.2}", pf.simulated_secs(&cluster)),
-                format!("{:.2}", rid.sim_secs),
+                secs_cell(fs.sim_secs),
+                secs_cell(pf.simulated_secs(&cluster)),
+                secs_cell(rid.sim_secs),
                 format!("{} / {}", fs_candidates, pf.candidates),
                 format!(
                     "{} / {}",

@@ -34,13 +34,18 @@ pub fn publish(id: &str, markdown: &str) {
     ssj_observe::info!("[expt] wrote {}", path.display());
 }
 
-/// Format a simulated-seconds cell, with `DNF` for failed runs.
+/// Format a simulated-seconds cell to three significant digits (whole
+/// seconds from 100 s up), with `DNF` for failed runs. Fixed decimals
+/// would print every sub-10 ms cell as 0.00.
 pub fn secs_cell(secs: f64) -> String {
     if secs.is_nan() {
-        "DNF".to_string()
-    } else {
-        format!("{secs:.2}")
+        return "DNF".to_string();
     }
+    if secs == 0.0 {
+        return "0".to_string();
+    }
+    let decimals = (2 - secs.abs().log10().floor() as i32).max(0) as usize;
+    format!("{secs:.decimals$}")
 }
 
 #[cfg(test)]
@@ -57,6 +62,11 @@ mod tests {
         assert_eq!(workspace_root(&root.join("crates")), root);
         assert_eq!(results_dir(), root.join("results"));
         assert_eq!(secs_cell(1.234), "1.23");
+        assert_eq!(secs_cell(0.01234), "0.0123");
+        assert_eq!(secs_cell(0.5), "0.500");
+        assert_eq!(secs_cell(12.345), "12.3");
+        assert_eq!(secs_cell(1234.6), "1235");
+        assert_eq!(secs_cell(0.0), "0");
         assert_eq!(secs_cell(f64::NAN), "DNF");
     }
 }

@@ -109,7 +109,7 @@ fn selfjoin_is_frozen_across_workers_and_plan_modes() {
     let base = selfjoin(JoinKernel::Prefix, 2, PlanMode::Pipelined, true);
     assert_eq!(
         (base.pairs, base.digest, base.candidates),
-        (16, 0x2db8_2992_da95_ce00, 415)
+        (16, 0x2db8_2992_da95_ce00, 352)
     );
     assert_eq!(
         base.filters,
@@ -117,15 +117,15 @@ fn selfjoin_is_frozen_across_workers_and_plan_modes() {
             pairs_considered: 87_737,
             window_skipped: 19_935,
             strl_pruned: 0,
-            segl_pruned: 12,
-            segi_pruned: 11,
+            segl_pruned: 0,
+            segi_pruned: 0,
             segd_pruned: 0,
             policy_dropped: 0,
-            emitted: 415,
-            intersections: 426,
-            intersect_tokens: 3_180,
+            emitted: 352,
+            intersections: 352,
+            intersect_tokens: 2_453,
             bitmap_checks: 87_737,
-            bitmap_pruned: 87_299,
+            bitmap_pruned: 87_385,
             position_pruned: 0,
             repeat_skipped: 0,
         }
@@ -135,7 +135,7 @@ fn selfjoin_is_frozen_across_workers_and_plan_modes() {
         base.shuffle(),
         [
             ("fsjoin-filter", 37_616, 1_287_516),
-            ("fsjoin-verify", 250, 5_000)
+            ("fsjoin-verify", 194, 3_880)
         ]
     );
     for (workers, mode) in [
@@ -247,12 +247,12 @@ fn rsjoin_is_frozen_across_workers_and_plan_modes() {
             pairs_considered: 772,
             window_skipped: 9,
             emitted: 57,
-            intersections: 60,
-            intersect_tokens: 7_447,
+            intersections: 59,
+            intersect_tokens: 7_411,
             bitmap_checks: 417,
-            bitmap_pruned: 7,
+            bitmap_pruned: 9,
             position_pruned: 355,
-            repeat_skipped: 350,
+            repeat_skipped: 349,
             ..FilterStats::default()
         }
     );
@@ -341,7 +341,7 @@ fn fsjoin_wiki_counters_are_frozen() {
             res.candidates,
             res.chain.total_shuffle_bytes()
         ),
-        (72, 1_557, 1_249_128)
+        (72, 1_037, 1_238_868)
     );
     assert_eq!(
         res.filter_stats,
@@ -349,15 +349,15 @@ fn fsjoin_wiki_counters_are_frozen() {
             pairs_considered: 538_805,
             window_skipped: 722_755,
             strl_pruned: 0,
-            segl_pruned: 24,
-            segi_pruned: 187,
+            segl_pruned: 1,
+            segi_pruned: 2,
             segd_pruned: 0,
             policy_dropped: 0,
-            emitted: 1_557,
-            intersections: 1_744,
-            intersect_tokens: 25_364,
+            emitted: 1_037,
+            intersections: 1_039,
+            intersect_tokens: 9_364,
             bitmap_checks: 538_805,
-            bitmap_pruned: 537_037,
+            bitmap_pruned: 537_765,
             position_pruned: 0,
             repeat_skipped: 0,
         }
@@ -368,7 +368,7 @@ fn fsjoin_wiki_counters_are_frozen() {
         .iter()
         .map(|j| (j.shuffle_records, j.shuffle_bytes))
         .collect();
-    assert_eq!(shuffle, [(30_261, 1_220_608), (1_426, 28_520)]);
+    assert_eq!(shuffle, [(30_261, 1_220_608), (913, 18_260)]);
 }
 
 /// Default-config FS-Join — the Sweep kernel — on the same corpus: Prefix's
@@ -393,16 +393,16 @@ fn fsjoin_wiki_sweep_counters_are_frozen() {
     ));
     assert_eq!((base.pairs, base.digest), (prefix.pairs, prefix.digest));
     assert!(base.candidates <= prefix.candidates);
-    assert_eq!((base.pairs, base.candidates), (72, 1_082));
+    assert_eq!((base.pairs, base.candidates), (72, 1_037));
     assert_eq!(
         base.filters,
         FilterStats {
-            pairs_considered: 1_086,
-            segl_pruned: 2,
+            pairs_considered: 1_040,
+            segl_pruned: 1,
             segi_pruned: 2,
-            emitted: 1_082,
-            intersections: 1_084,
-            intersect_tokens: 9_761,
+            emitted: 1_037,
+            intersections: 1_039,
+            intersect_tokens: 9_364,
             ..FilterStats::default()
         }
     );
@@ -410,22 +410,22 @@ fn fsjoin_wiki_sweep_counters_are_frozen() {
         base.sweep,
         SweepStats {
             considered: 130,
-            position_pruned: 22,
-            bitmap_pruned: 20,
-            survivors: 88,
-            listed: 1_099,
-            prefix_missed: 13,
-            segments_shipped: 2_004,
-            segments_cut: 28_257,
+            position_pruned: 21,
+            bitmap_pruned: 25,
+            survivors: 84,
+            listed: 1_052,
+            prefix_missed: 12,
+            segments_shipped: 1_938,
+            segments_cut: 28_323,
         }
     );
     assert_sweep_conserved(&base, 30_261);
-    // Prefix ships 1,220,608 filter bytes and 28,520 verify bytes.
+    // Prefix ships 1,220,608 filter bytes and 18,260 verify bytes.
     assert_eq!(
         base.shuffle(),
         [
-            ("fsjoin-filter", 2_004, 95_640),
-            ("fsjoin-verify", 953, 19_060)
+            ("fsjoin-filter", 1_938, 92_780),
+            ("fsjoin-verify", 913, 18_260)
         ]
     );
     for (workers, mode) in [
@@ -459,10 +459,10 @@ fn pf_wiki_counters_are_frozen() {
             pairs_considered: 386,
             window_skipped: 125,
             emitted: 72,
-            intersections: 142,
-            intersect_tokens: 16_594,
+            intersections: 135,
+            intersect_tokens: 15_684,
             bitmap_checks: 167,
-            bitmap_pruned: 25,
+            bitmap_pruned: 32,
             position_pruned: 219,
             repeat_skipped: 48,
             ..FilterStats::default()
@@ -545,8 +545,8 @@ fn serve_wiki_counters_are_frozen() {
             prefix_pruned: 268_928,
             position_pruned: 626,
             bitmap_checks: 214,
-            bitmap_pruned: 40,
-            verified: 174,
+            bitmap_pruned: 48,
+            verified: 166,
             hits: 144,
         }
     );

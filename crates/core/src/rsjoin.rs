@@ -288,9 +288,9 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
         r.token_freqs, s.token_freqs,
         "R and S must be encoded together (shared global ordering)"
     );
-    assert_eq!(
-        r.pool().bitmap_bits(),
-        s.pool().bitmap_bits(),
+    // An empty side holds no bitmap to compare.
+    assert!(
+        r.is_empty() || s.is_empty() || r.pool().bitmap_bits() == s.pool().bitmap_bits(),
         "R and S bitmaps must share one width"
     );
     let num_r = r.len();

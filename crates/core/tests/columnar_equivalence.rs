@@ -172,12 +172,12 @@ fn default_config_matches_owned_vec_goldens() {
             verify_job: (20808, 416160, 416280),
         },
         Golden {
-            candidates: 200,
+            candidates: 179,
             bitmap_checks: 31776,
-            bitmap_pruned: 31566,
-            segl_pruned: 1,
-            segi_pruned: 9,
-            verify_job: (198, 3960, 4000),
+            bitmap_pruned: 31596,
+            segl_pruned: 0,
+            segi_pruned: 1,
+            verify_job: (177, 3540, 3580),
         },
     );
 }
@@ -202,12 +202,12 @@ fn fragmented_horizontal_config_matches_owned_vec_goldens() {
             verify_job: (18137, 362740, 362740),
         },
         Golden {
-            candidates: 459,
+            candidates: 122,
             bitmap_checks: 31366,
-            bitmap_pruned: 30746,
-            segl_pruned: 12,
-            segi_pruned: 149,
-            verify_job: (459, 9180, 9180),
+            bitmap_pruned: 31244,
+            segl_pruned: 0,
+            segi_pruned: 0,
+            verify_job: (122, 2440, 2440),
         },
     );
 }

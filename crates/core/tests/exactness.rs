@@ -7,9 +7,10 @@ use fsjoin::{FilterSet, FsJoinConfig, JoinKernel, PivotStrategy};
 use proptest::prelude::*;
 use ssj_similarity::naive::{naive_rs_join, naive_self_join};
 use ssj_similarity::pair::compare_results;
-use ssj_similarity::Measure;
+use ssj_similarity::{Measure, Verifier};
 use ssj_text::encode::{encode, encode_two};
-use ssj_text::{Collection, CorpusProfile, GeneratorConfig, RawCorpus, Record};
+use ssj_text::{Collection, CorpusProfile, GeneratorConfig, RawCorpus, Record, TokenPool};
+use std::sync::Arc;
 
 /// Strategy: a small collection with planted near-duplicates so results
 /// exist at high thresholds.
@@ -389,8 +390,8 @@ fn rs_join_two_input_is_exact_at_its_cascade_edges() {
 
 /// A corpus built to sit on the record-signature step's edges for one
 /// `(measure, θ)`: partner pairs whose overlap is planted at α−1, α and
-/// α+1 over short, medium and ≥ 600-token lengths (at 128 bits the longest
-/// saturate the bitmaps, so the guard must skip the read), plus a
+/// α+1 over short, medium and ≥ 600-token lengths (the longest saturate
+/// 128-bit bitmaps, so the guard must skip the read there), plus a
 /// duplicate-heavy head — many short records drawn from a dozen hot tokens,
 /// exact duplicates included. Partners sit at docs `2k` and `2k + 1`.
 fn signature_edge_corpus(measure: Measure, theta: f64) -> Vec<Vec<u64>> {
@@ -423,17 +424,38 @@ fn signature_edge_corpus(measure: Measure, theta: f64) -> Vec<Vec<u64>> {
     docs
 }
 
+/// Whether the 620/640-token partners of [`signature_edge_corpus`]
+/// saturate `bits`-wide bitmaps: the guard then admits them without a
+/// bitmap read. No shorter pair of that corpus saturates where they do
+/// not.
+fn long_partners_saturate(measure: Measure, theta: f64, bits: usize) -> bool {
+    let alpha = measure.min_overlap(theta, 620, 640);
+    Verifier::hamming_limit(alpha, 620, 640, bits / 64).is_none()
+}
+
+/// The same records in a pool whose bitmaps are `bits` wide.
+fn at_width(c: &Collection, bits: usize) -> Collection {
+    let mut pool = TokenPool::with_bitmap_bits(bits).unwrap();
+    for v in c.iter() {
+        pool.push(v.tokens);
+    }
+    Collection::from_pool(Arc::new(pool), c.token_freqs.clone(), None)
+}
+
 /// The fragment path equals the naive oracle bit for bit with the
-/// record-signature step on and off, under every kernel; so does the R×S
-/// join, whose stage reads the bitmaps whole-record.
+/// record-signature step on and off, under every kernel, at the encoded
+/// bitmap width and at 128 bits, where the longest partners saturate; so
+/// does the R×S join, whose stage reads the bitmaps whole-record.
 #[test]
 fn signature_step_is_exact_at_its_edges() {
     let corpus = |docs| RawCorpus { docs, vocab: None };
     for measure in Measure::all() {
+        assert!(long_partners_saturate(measure, 0.5, 128), "{measure:?}");
         for theta in [0.5, 0.75, 0.8, 0.9, 1.0] {
             let docs = signature_edge_corpus(measure, theta);
-            let whole = encode(&corpus(docs.clone()));
-            let want_self = naive_self_join(&whole.views(), measure, theta);
+            let encoded = encode(&corpus(docs.clone()));
+            assert_eq!(encoded.pool().bitmap_bits(), 512);
+            let want_self = naive_self_join(&encoded.views(), measure, theta);
             assert!(!want_self.is_empty(), "{measure:?} θ={theta}: no pairs");
 
             // Partners land on opposite sides.
@@ -450,34 +472,43 @@ fn signature_step_is_exact_at_its_edges() {
             let want_rs = naive_rs_join(&r.views(), &s_shifted, measure, theta);
             assert!(!want_rs.is_empty(), "{measure:?} θ={theta}: no R×S pairs");
 
-            for kernel in JoinKernel::all() {
-                for prune in [true, false] {
-                    let cfg = FsJoinConfig::default()
-                        .with_measure(measure)
-                        .with_theta(theta)
-                        .with_kernel(kernel)
-                        .with_bitmap_prune(prune)
-                        .with_workers(1);
-                    let label = format!("{measure:?} θ={theta} {kernel:?} prune={prune}");
-                    let got = fsjoin::run_self_join(&whole, &cfg);
-                    compare_results(&got.pairs, &want_self, 0.0)
-                        .unwrap_or_else(|e| panic!("self {label}: {e}"));
-                    let fs = got.filter_stats;
-                    if kernel == JoinKernel::Sweep {
-                        // The driver's pass reads the bitmaps.
-                        let sweep = got.sweep_stats;
-                        assert!(sweep.considered > 0, "self {label}");
-                        assert_eq!(sweep.undecided(), 0, "self {label}");
-                        assert_eq!(sweep.unlisted(&fs), 0, "self {label}");
-                        assert_eq!(fs.bitmap_checks, 0, "self {label}");
-                    } else {
-                        assert_eq!(fs.bitmap_checks > 0, prune, "self {label}");
-                    }
-                    if prune && theta == 0.5 && kernel != JoinKernel::Sweep {
-                        // The 620/640-token partners pass StrL but saturate
-                        // 128 bits: admitted without a bitmap read.
-                        let past_strl = fs.pairs_considered - fs.strl_pruned;
-                        assert!(fs.bitmap_checks < past_strl, "self {label}: {fs:?}");
+            for whole in [encoded.clone(), at_width(&encoded, 128)] {
+                let bits = whole.pool().bitmap_bits();
+                for kernel in JoinKernel::all() {
+                    for prune in [true, false] {
+                        let cfg = FsJoinConfig::default()
+                            .with_measure(measure)
+                            .with_theta(theta)
+                            .with_kernel(kernel)
+                            .with_bitmap_prune(prune)
+                            .with_workers(1);
+                        let label =
+                            format!("{measure:?} θ={theta} {bits} bits {kernel:?} prune={prune}");
+                        let got = fsjoin::run_self_join(&whole, &cfg);
+                        compare_results(&got.pairs, &want_self, 0.0)
+                            .unwrap_or_else(|e| panic!("self {label}: {e}"));
+                        let fs = got.filter_stats;
+                        if kernel == JoinKernel::Sweep {
+                            // The driver's pass reads the bitmaps.
+                            let sweep = got.sweep_stats;
+                            assert!(sweep.considered > 0, "self {label}");
+                            assert_eq!(sweep.undecided(), 0, "self {label}");
+                            assert_eq!(sweep.unlisted(&fs), 0, "self {label}");
+                            assert_eq!(fs.bitmap_checks, 0, "self {label}");
+                        } else {
+                            assert_eq!(fs.bitmap_checks > 0, prune, "self {label}");
+                        }
+                        if prune && theta == 0.5 && kernel != JoinKernel::Sweep {
+                            // The 620/640-token partners pass StrL; where they
+                            // saturate the width they are admitted without a
+                            // bitmap read, and every other pair is read.
+                            let past_strl = fs.pairs_considered - fs.strl_pruned;
+                            assert_eq!(
+                                fs.bitmap_checks < past_strl,
+                                long_partners_saturate(measure, theta, bits),
+                                "self {label}: {fs:?}"
+                            );
+                        }
                     }
                 }
             }

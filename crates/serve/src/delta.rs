@@ -23,7 +23,10 @@ use ssj_text::{MalformedRecord, RecordId, TokenId, TokenPool};
 use crate::posting::{LengthCounts, Posting, PostingBlock};
 
 /// Mutable delta index: private token pool + per-token prefix postings.
-#[derive(Debug, Default)]
+/// The pool's bitmaps are as wide as the main pool's, so a probe compares
+/// a query bitmap with main and delta records alike and compaction can
+/// concatenate the two pools.
+#[derive(Debug)]
 pub(crate) struct DeltaIndex {
     pool: TokenPool,
     postings: FxHashMap<TokenId, PostingBlock>,
@@ -35,8 +38,15 @@ pub(crate) struct DeltaIndex {
 }
 
 impl DeltaIndex {
-    pub(crate) fn new() -> Self {
-        DeltaIndex::default()
+    /// An empty delta whose bitmaps are `bitmap_bits` wide: the main
+    /// pool's width.
+    pub(crate) fn new(bitmap_bits: usize) -> Self {
+        DeltaIndex {
+            pool: TokenPool::with_capacity(0, 0, bitmap_bits),
+            postings: FxHashMap::default(),
+            lens: LengthCounts::default(),
+            posting_count: 0,
+        }
     }
 
     /// Number of delta records.
@@ -113,9 +123,9 @@ impl DeltaIndex {
         blocks
     }
 
-    /// Drop everything (post-compaction).
+    /// Drop everything (post-compaction); the width stays.
     pub(crate) fn clear(&mut self) {
-        *self = DeltaIndex::default();
+        *self = DeltaIndex::new(self.pool.bitmap_bits());
     }
 }
 
@@ -125,7 +135,7 @@ mod tests {
 
     #[test]
     fn insert_indexes_theta_min_prefix_and_remaps_ids() {
-        let mut d = DeltaIndex::new();
+        let mut d = DeltaIndex::new(128);
         // |x| = 4, θ_min = 0.5 Jaccard ⇒ probe prefix = 4 - ceil(0.5·4) + 1 = 3.
         let rid = d
             .insert(&[5, 7, 9, 11], 100, Measure::Jaccard, 0.5)
@@ -143,7 +153,7 @@ mod tests {
 
     #[test]
     fn insert_error_carries_public_id_and_leaves_state_clean() {
-        let mut d = DeltaIndex::new();
+        let mut d = DeltaIndex::new(128);
         let err = d.insert(&[3, 3], 42, Measure::Jaccard, 0.8).unwrap_err();
         assert_eq!((err.id, err.position), (42, 1));
         assert!(d.is_empty());
@@ -154,7 +164,7 @@ mod tests {
 
     #[test]
     fn out_of_length_order_inserts_stay_len_rec_ordered() {
-        let mut d = DeltaIndex::new();
+        let mut d = DeltaIndex::new(128);
         // Token 1 leads every record; lengths arrive 4, 2, 6, 2, 3.
         for (local, len) in [4u32, 2, 6, 2, 3].into_iter().enumerate() {
             let tokens: Vec<TokenId> = (1..=len).collect();

@@ -223,12 +223,13 @@ impl ServeIndex {
         cfg.validate();
         let parts = outcome.take_sealed(handle);
         let main = MainIndex::build(parts, freqs.len(), pool.lengths());
+        let delta = DeltaIndex::new(pool.bitmap_bits());
         let idx = ServeIndex {
             cfg,
             pool,
             freqs,
             main,
-            delta: DeltaIndex::new(),
+            delta,
             registry: Arc::new(MetricsRegistry::new()),
         };
         idx.refresh_gauges();
@@ -286,8 +287,8 @@ impl ServeIndex {
         }
     }
 
-    /// Bitmap of any visible record (main arena or delta pool). Both
-    /// pools use the default width, so lanes line up.
+    /// Bitmap of any visible record (main arena or delta pool). The
+    /// delta pool takes the main pool's width, so lanes line up.
     #[inline]
     fn bitmap_of(&self, rec: RecordId) -> &[u64] {
         let base = self.pool.len() as RecordId;
@@ -755,6 +756,40 @@ mod tests {
                 assert_eq!(index.delta_len(), 0);
                 assert_ordered(&index);
                 check_window_edges(&index, theta, &partners);
+            }
+        }
+    }
+
+    #[test]
+    fn a_main_pool_wider_than_128_bits_keeps_its_width_through_the_delta() {
+        for m in MEASURES {
+            for theta in THETAS {
+                let partners = edge_partners(m, theta);
+                // Three unrelated 200-token records: 4 × 200 bits round up
+                // to a 1024-bit main pool.
+                let main: Vec<Vec<TokenId>> = (0..3)
+                    .map(|k| (2 * FILLER + 200 * k..2 * FILLER + 200 * (k + 1)).collect())
+                    .collect();
+                let mut index = build_index(&collection(&main), &cfg(m));
+                assert_eq!(index.pool.bitmap_bits(), 1024);
+                assert_eq!(index.delta.pool().bitmap_bits(), 1024);
+                index.insert(&QUERY.collect::<Vec<_>>()).unwrap();
+                for p in &partners {
+                    index.insert(p).unwrap();
+                }
+                // The probe reads delta bitmaps against its query bitmap.
+                let stats = check_probe(&index, theta, None);
+                assert!(stats.bitmap_checks > 0, "{m:?} θ={theta}: {stats:?}");
+                check_window_edges(&index, theta, &partners);
+                index.compact();
+                assert_eq!(index.pool.bitmap_bits(), 1024);
+                assert_eq!(index.delta.pool().bitmap_bits(), 1024);
+                check_window_edges(&index, theta, &partners);
+                // The delta a compaction cleared keeps the width too.
+                index.insert(&QUERY.collect::<Vec<_>>()).unwrap();
+                check_probe(&index, theta, None);
+                index.compact();
+                check_probe(&index, theta, None);
             }
         }
     }

@@ -15,7 +15,7 @@
 
 use crate::corpus::RawCorpus;
 use crate::ordering::{compute_ordering_mr, GlobalOrdering, OrderingKind};
-use crate::pool::TokenPool;
+use crate::pool::{bitmap_bits_for, TokenPool};
 use crate::record::Collection;
 use ssj_common::FxHashMap;
 use ssj_mapreduce::JobMetrics;
@@ -135,11 +135,14 @@ impl Interned {
 
     /// Pass 3: the pool of `records`, each a strictly ascending rank set.
     /// Rewrites those records' runs of the flat buffer in place, so each
-    /// record is emitted once.
+    /// record is emitted once. The bitmap width is [`bitmap_bits_for`] of
+    /// the whole buffer, not of `records`: the pools of one encoding (R
+    /// and S of [`encode_two`]) share one width.
     fn emit(&mut self, records: Range<usize>, rank_of: &[u32]) -> TokenPool {
+        let bits = bitmap_bits_for(self.bounds.len() - 1, self.tokens.len());
         let bounds = &self.bounds[records.start..=records.end];
         let mut pool =
-            TokenPool::with_capacity(records.len(), bounds[bounds.len() - 1] - bounds[0]);
+            TokenPool::with_capacity(records.len(), bounds[bounds.len() - 1] - bounds[0], bits);
         for w in bounds.windows(2) {
             let record = &mut self.tokens[w[0]..w[1]];
             for t in record.iter_mut() {
@@ -409,5 +412,28 @@ mod tests {
         let t: std::collections::BTreeSet<u32> = c.tokens(1).iter().copied().collect();
         assert_eq!(s.intersection(&t).count(), 3);
         assert_eq!(s.union(&t).count(), 5);
+    }
+
+    #[test]
+    fn one_encoding_has_one_bitmap_width() {
+        // R: 30 records of 10 distinct tokens (duplicates dropped first);
+        // S: 10 records of 290. R ∪ S averages 80 tokens, so both pools
+        // are 512 bits wide, though R alone would get 128 and S 2048.
+        let doc = |len: u64, k: u64| (0..len).flat_map(|t| [k * 1_000 + t; 2]).collect();
+        let r = RawCorpus {
+            docs: (0..30).map(|k| doc(10, k)).collect(),
+            vocab: None,
+        };
+        let s = RawCorpus {
+            docs: (30..40).map(|k| doc(290, k)).collect(),
+            vocab: None,
+        };
+        let (re, se) = encode_two(&r, &s);
+        assert_eq!(
+            (re.pool().bitmap_bits(), se.pool().bitmap_bits()),
+            (512, 512)
+        );
+        assert_eq!(encode(&r).pool().bitmap_bits(), 128);
+        assert_eq!(encode(&s).pool().bitmap_bits(), 2048);
     }
 }

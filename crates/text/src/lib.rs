@@ -36,7 +36,7 @@ pub use encode::{encode, encode_mr, encode_with_kind};
 pub use gen::{CorpusProfile, GeneratorConfig};
 pub use ordering::{GlobalOrdering, OrderingKind};
 pub use pool::{
-    BitmapWidthError, PoolOverflow, PooledRecord, TokenPool, TokenSpan, DEFAULT_BITMAP_BITS,
+    bitmap_bits_for, BitmapWidthError, PoolOverflow, PooledRecord, TokenPool, TokenSpan,
 };
 pub use record::{
     Collection, CorpusStats, MalformedRecord, Record, RecordId, RecordView, TokenId, TokenSet,

@@ -66,12 +66,34 @@ impl TokenSpan {
     }
 }
 
-/// Default width of the per-record hashed token bitmaps, in bits. Two
-/// cache-line-friendly `u64` words per record: wide enough that the
-/// XOR-popcount bound prunes most non-candidates at θ ≥ 0.75 on
-/// wiki-like record lengths, narrow enough to stay a rounding error
-/// next to the token arena itself.
+/// Width of the per-record hashed token bitmaps of a hand-built pool
+/// ([`TokenPool::new`]), in bits, and the narrowest width
+/// [`bitmap_bits_for`] picks. Encoded collections size their bitmaps to
+/// their records instead: 128 bits saturate on long records (an
+/// Email-like 280-token record sets most of them), and a saturated
+/// bitmap prunes nothing.
 pub const DEFAULT_BITMAP_BITS: usize = 128;
+
+/// The widest bitmap [`bitmap_bits_for`] picks: 256 bytes per record.
+pub const MAX_BITMAP_BITS: usize = 2048;
+
+/// The bitmap width for a collection of `records` records holding
+/// `tokens` tokens in all: the smallest power of two at least four times
+/// the mean record length, clamped to
+/// [[`DEFAULT_BITMAP_BITS`], [`MAX_BITMAP_BITS`]]; an empty collection
+/// gets the narrowest width. A record of the mean length then sets at
+/// most about a fifth of its bits, so the XOR-popcount bound stays sharp
+/// (DESIGN.md §12): WikiLike records (mean 56 tokens) get 256 bits,
+/// PubMedLike (80) 512 and EmailLike (280) 2048.
+pub fn bitmap_bits_for(records: usize, tokens: usize) -> usize {
+    if records == 0 {
+        return DEFAULT_BITMAP_BITS;
+    }
+    (4 * tokens)
+        .div_ceil(records)
+        .next_power_of_two()
+        .clamp(DEFAULT_BITMAP_BITS, MAX_BITMAP_BITS)
+}
 
 /// Arena-backed columnar token storage (CSR layout): record `i`'s tokens
 /// are `tokens[offsets[i]..offsets[i + 1]]`.
@@ -135,19 +157,24 @@ impl TokenPool {
         if bits == 0 || !bits.is_multiple_of(64) {
             return Err(BitmapWidthError { bits });
         }
-        Ok(TokenPool {
-            tokens: Vec::new(),
-            offsets: vec![0],
-            bitmaps: Vec::new(),
-            bitmap_words: (bits / 64) as u32,
-        })
+        Ok(Self::with_capacity(0, 0, bits))
     }
 
-    /// An empty pool with room for `records` records / `tokens` tokens.
-    pub fn with_capacity(records: usize, tokens: usize) -> Self {
+    /// An empty pool with room for `records` records / `tokens` tokens,
+    /// whose bitmaps are `bits` wide (the encoder passes
+    /// [`bitmap_bits_for`] of what it holds).
+    ///
+    /// # Panics
+    /// Panics when `bits` is not a positive multiple of 64.
+    pub fn with_capacity(records: usize, tokens: usize, bits: usize) -> Self {
+        assert!(
+            bits > 0 && bits.is_multiple_of(64),
+            "{}",
+            BitmapWidthError { bits }
+        );
+        let bitmap_words = (bits / 64) as u32;
         let mut offsets = Vec::with_capacity(records + 1);
         offsets.push(0);
-        let bitmap_words = (DEFAULT_BITMAP_BITS / 64) as u32;
         TokenPool {
             tokens: Vec::with_capacity(tokens),
             offsets,
@@ -293,14 +320,18 @@ impl TokenPool {
     /// the CSR offsets table is `u32`, so spans past 4 Gi tokens cannot be
     /// represented.
     ///
+    /// An empty side holds no bitmap, so it has no width to agree on: the
+    /// result takes the other side's width.
+    ///
     /// # Panics
-    /// Panics when the pools' bitmap widths differ: their planes cannot be
-    /// concatenated and record bitmaps would no longer be comparable.
-    /// Width is fixed at construction ([`TokenPool::with_bitmap_bits`]),
-    /// so a mismatch is a construction bug, not a data condition.
+    /// Panics when two non-empty pools' bitmap widths differ: their planes
+    /// cannot be concatenated and record bitmaps would no longer be
+    /// comparable. Width is fixed at construction
+    /// ([`TokenPool::with_capacity`]), so a mismatch is a construction
+    /// bug, not a data condition.
     pub fn try_concat(a: &TokenPool, b: &TokenPool) -> Result<TokenPool, PoolOverflow> {
-        assert_eq!(
-            a.bitmap_words, b.bitmap_words,
+        assert!(
+            a.is_empty() || b.is_empty() || a.bitmap_words == b.bitmap_words,
             "cannot concat token pools with different bitmap widths"
         );
         let (&a_total, &b_total) = (
@@ -326,7 +357,11 @@ impl TokenPool {
             tokens,
             offsets,
             bitmaps,
-            bitmap_words: a.bitmap_words,
+            bitmap_words: if a.is_empty() {
+                b.bitmap_words
+            } else {
+                a.bitmap_words
+            },
         })
     }
 }
@@ -418,7 +453,7 @@ mod tests {
 
     #[test]
     fn spans_are_stable_across_later_pushes() {
-        let mut pool = TokenPool::with_capacity(2, 8);
+        let mut pool = TokenPool::with_capacity(2, 8, DEFAULT_BITMAP_BITS);
         let s0 = pool.push(&[5, 6]);
         pool.push(&[7, 8, 9]);
         assert_eq!(pool.resolve(s0), &[5, 6]);
@@ -620,9 +655,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "different bitmap widths")]
     fn concat_rejects_width_mismatch() {
-        let a = TokenPool::with_bitmap_bits(64).unwrap();
-        let b = TokenPool::with_bitmap_bits(128).unwrap();
+        let mut a = TokenPool::with_bitmap_bits(64).unwrap();
+        a.push(&[1]);
+        let mut b = TokenPool::with_bitmap_bits(128).unwrap();
+        b.push(&[2]);
         let _ = TokenPool::concat(&a, &b);
+    }
+
+    #[test]
+    fn concat_takes_the_width_of_the_non_empty_side() {
+        let mut wide = TokenPool::with_bitmap_bits(256).unwrap();
+        wide.push(&[3, 4]);
+        let empty = TokenPool::new();
+        for c in [
+            TokenPool::concat(&empty, &wide),
+            TokenPool::concat(&wide, &empty),
+        ] {
+            assert_eq!(c.bitmap_bits(), 256);
+            assert_eq!(c.bitmap_of(0), wide.bitmap_of(0));
+        }
+    }
+
+    #[test]
+    fn bitmap_width_follows_the_mean_record_length() {
+        // Four bits per token of the mean, rounded up to a power of two.
+        for (mean, bits) in [(280, 2048), (80, 512), (56, 256), (33, 256), (32, 128)] {
+            assert_eq!(bitmap_bits_for(1_000, 1_000 * mean), bits, "mean {mean}");
+        }
+        // A fractional mean rounds up: 4 × 32.5 = 130 bits need 256.
+        assert_eq!(bitmap_bits_for(2, 65), 256);
+        for tokens in [0, 1, 10, 64] {
+            assert_eq!(bitmap_bits_for(2, tokens), DEFAULT_BITMAP_BITS);
+        }
+        assert_eq!(bitmap_bits_for(0, 0), DEFAULT_BITMAP_BITS);
+        assert_eq!(bitmap_bits_for(0, 500), DEFAULT_BITMAP_BITS);
+        // Records past 512 tokens all get the cap.
+        for mean in [513, 2_000, 100_000] {
+            assert_eq!(bitmap_bits_for(10, 10 * mean), MAX_BITMAP_BITS);
+        }
+        assert_eq!(MAX_BITMAP_BITS, 2048);
     }
 
     #[test]

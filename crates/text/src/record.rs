@@ -9,7 +9,7 @@
 //! ship `Record`s, because their duplication is the phenomenon under
 //! measurement.
 
-use crate::pool::{TokenPool, TokenSpan};
+use crate::pool::{bitmap_bits_for, TokenPool, TokenSpan};
 use ssj_common::ByteSize;
 use std::sync::Arc;
 
@@ -224,13 +224,15 @@ impl Collection {
     /// strictly ascending — checked here, as [`TokenPool::append`] checks
     /// the encoder's records, so malformed input fails with a
     /// [`MalformedRecord`] message instead of corrupting filters downstream
-    /// (release builds included).
+    /// (release builds included). The bitmap width is the encoder's:
+    /// [`bitmap_bits_for`] of the records.
     ///
     /// # Panics
     /// Panics on non-dense ids or non-ascending tokens.
     pub fn new(records: Vec<Record>, token_freqs: Vec<u64>, vocab: Option<Vec<String>>) -> Self {
         let total: usize = records.iter().map(Record::len).sum();
-        let mut pool = TokenPool::with_capacity(records.len(), total);
+        let bits = bitmap_bits_for(records.len(), total);
+        let mut pool = TokenPool::with_capacity(records.len(), total, bits);
         for (i, r) in records.into_iter().enumerate() {
             assert_eq!(r.id as usize, i, "collection record ids must be dense 0..n");
             let checked = Record::try_from_sorted(r.id, r.tokens)
@@ -356,13 +358,14 @@ impl Collection {
     /// Random sample of a fraction of records (the paper's 4X/6X/8X/10X
     /// scales are "extracted ... randomly"). Record ids are re-densified;
     /// the frequency table is kept (the ordering of the full corpus is a
-    /// valid — if slightly stale — global ordering for any subset).
+    /// valid — if slightly stale — global ordering for any subset), and so
+    /// is the pool's bitmap width.
     pub fn sample(&self, fraction: f64, seed: u64) -> Collection {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
         // Deterministic hash-based sampling: keep record i iff
         // hash(seed, i) < fraction * 2^64. Avoids an RNG dependency here.
         let threshold = (fraction * u64::MAX as f64) as u64;
-        let mut pool = TokenPool::new();
+        let mut pool = TokenPool::with_capacity(0, 0, self.pool.bitmap_bits());
         for v in self.iter() {
             let h = ssj_common::hash::fx_hash_one(&(seed, v.id));
             if h <= threshold {
@@ -508,6 +511,24 @@ mod tests {
         for (i, v) in a.iter().enumerate() {
             assert_eq!(v.id as usize, i);
         }
+    }
+
+    #[test]
+    fn new_sizes_bitmaps_to_the_records_and_sample_keeps_the_width() {
+        // Lengths 10 and 190 alternate: mean 100, and 4 × 100 bits round
+        // up to 512.
+        let records = (0..40u32)
+            .map(|i| Record::new(i, (0..[10, 190][i as usize % 2]).collect()))
+            .collect();
+        let c = Collection::new(records, vec![1; 190], None);
+        assert_eq!(c.pool().bitmap_bits(), 512);
+        // A sample keeps the width whatever lengths it draws.
+        for fraction in [0.0, 0.3] {
+            assert_eq!(c.sample(fraction, 7).pool().bitmap_bits(), 512);
+        }
+        assert_eq!(c.sample(1.0, 7).pool(), c.pool());
+        let empty = Collection::new(Vec::new(), Vec::new(), None);
+        assert_eq!(empty.pool().bitmap_bits(), 128);
     }
 
     #[test]

@@ -171,13 +171,13 @@ fn cases() -> Vec<(String, [u64; 5])> {
 const FROZEN: &[(&str, [u64; 5])] = &[
     ("encode/text", [0x3881be45b1f69b68, 0x30afc429443ace6a, 0xafaf912c725fc04f, 0x7a5cb2feff276ac4, 0x3aefa12846847f45]),
     ("encode/synthetic", [0x26a40d6361df8402, 0x6543cddc27dcbb95, 0xfd30f284375e97a1, 0xcecc6678785d9fdd, 0x8cf51a8bfca3883d]),
-    ("encode/wiki", [0xba41cbce603498ef, 0x0e07423b2447080b, 0x1f8b0ad13bf2f623, 0x3d360dcc563905f7, 0x8cf51a8bfca3883d]),
+    ("encode/wiki", [0xba41cbce603498ef, 0x0e07423b2447080b, 0x43aaa47429467abf, 0x3d360dcc563905f7, 0x8cf51a8bfca3883d]),
     ("encode_two/text/r", [0xa51bef2fb0639914, 0x30afc429443ace6a, 0xc7b872fc54ac33e4, 0xe5704e02d5e80527, 0xaf86e8e23d060a21]),
     ("encode_two/text/s", [0xb40980c88a31ba09, 0x002d1cbdeed89aa3, 0x9936c860a579b072, 0xe5704e02d5e80527, 0xaf86e8e23d060a21]),
     ("encode_two/synthetic/r", [0x4f3f4669d4df5f52, 0x6543cddc27dcbb95, 0xed9c519bc4552cb5, 0x21c67f79a1b1f8e3, 0x8cf51a8bfca3883d]),
     ("encode_two/synthetic/s", [0x707f44041c67a2e9, 0xcdf06a1844e87997, 0x0746955aca7f0d34, 0x21c67f79a1b1f8e3, 0x8cf51a8bfca3883d]),
-    ("encode_two/wiki/r", [0x2062da5f9eeb2dad, 0x0e07423b2447080b, 0xa955576f67f8e075, 0x0484e819b19e8756, 0x8cf51a8bfca3883d]),
-    ("encode_two/wiki/s", [0x51b9c88043b35d68, 0x1873f82dee883ae5, 0x6819da619bf33ec5, 0x0484e819b19e8756, 0x8cf51a8bfca3883d]),
+    ("encode_two/wiki/r", [0x2062da5f9eeb2dad, 0x0e07423b2447080b, 0xa24f1aa020fa422f, 0x0484e819b19e8756, 0x8cf51a8bfca3883d]),
+    ("encode_two/wiki/s", [0x51b9c88043b35d68, 0x1873f82dee883ae5, 0x352f831f87571876, 0x0484e819b19e8756, 0x8cf51a8bfca3883d]),
     ("encode_two/empty-r/r", [0xcbf29ce484222325, 0xa8c7f832281a39c5, 0xcbf29ce484222325, 0x458a646e60608b04, 0x88a0b24c61cba3d1]),
     ("encode_two/empty-r/s", [0xcc0dfe9104bda9ee, 0x002d1cbdeed89aa3, 0x42702b417780ba3a, 0x458a646e60608b04, 0x88a0b24c61cba3d1]),
     ("kind/freq-asc/text", [0x3881be45b1f69b68, 0x30afc429443ace6a, 0xafaf912c725fc04f, 0x7a5cb2feff276ac4, 0x3aefa12846847f45]),

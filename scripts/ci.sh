@@ -121,6 +121,20 @@ if grep -nE 'docs\.clone\(\)|Vec<Record>' crates/text/src/encode.rs \
     exit 1
 fi
 
+echo "== lint: one bitmap width rule (crates/text/src/pool.rs::bitmap_bits_for) =="
+# An encoded pool's bitmaps are sized to its records (bitmap_bits_for), and
+# every pool derived from one (serve's delta, a sample, a concatenation)
+# takes its width. A non-test pool at the hand-built default width outside
+# pool.rs is a second width rule: its bitmaps would not line up with the
+# pool they are compared against.
+width_sites="$(live_code $(find crates/*/src -name '*.rs' -not -path crates/text/src/pool.rs) \
+    | grep -E 'TokenPool::(new|default)\(\)|DeltaIndex::default\(\)|\bDEFAULT_BITMAP_BITS\b' || true)"
+if [[ -n "$width_sites" ]]; then
+    echo "$width_sites" >&2
+    echo "width gate FAILED: default-width pool or DEFAULT_BITMAP_BITS outside pool.rs (size the pool with bitmap_bits_for or its parent's width)" >&2
+    exit 1
+fi
+
 echo "== lint: FS-Join-family joins decide each pair once (crates/core/src) =="
 # PF and the R×S join emit a similar pair only where its smallest shared
 # token is found (the repeat check), so no join in crates/core needs a
